@@ -163,7 +163,7 @@ def cmd_color(args) -> int:
         palettes = [range(1, b + 1) for b in result.local_bounds]
     violations = harness.validate_coloring(
         s, result, palettes=None if result.fallback_taken else palettes
-    )
+    ) + result.invariant_violations
     payload = result.report(profile)
     payload["violations"] = violations
     _write(args, json.dumps(payload, indent=2))

@@ -1,7 +1,7 @@
 """The degree-reduction coloring stack.
 
 A run is organized in phases.  Phase i owns a color class C_i and a bank of
-per-color matcher instances (degree bound d_i, slack q_i); every uncolored
+per-color gated matchers (degree bound d_i, slack q_i); every uncolored
 edge is fed, at its arrival, to the matchers of its phase-i sublist
 l_i(e) = L(e) cap C_i in ascending color order and takes the first color
 whose matcher matched it.  Edges that survive phases 0..f-1 are colored by
@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from mpmath import mp, mpf
 
-from .matcher import MatcherConfig, MatcherState
+from .matcher import MatcherConfig
 from .profiles import RECURRENCE_ANALYZED, ConstantsProfile
 from .seeding import rng_for
 from .stream import ArrivalStream
@@ -306,14 +307,30 @@ class SampledPartition:
 # One reduction phase: a per-color matcher bank
 # ---------------------------------------------------------------------------
 
-class PhaseReducer:
-    """Per-color gated matcher instances sharing one phase sub-stream.
+class BankColor(NamedTuple):
+    """One color's matcher state inside a phase bank."""
 
-    Each color launches a fresh instance (degree bound d_i, slack q_i) on
-    first sight.  An edge is fed to every matcher of its sublist in
-    ascending color order and takes the first color whose matcher matched
-    it; later matchers still see the edge (their internal matchings may
-    record it even when the color is not used for the edge).
+    F: list  # per-vertex budget, initially 1.0
+    matched: bytearray  # per-vertex matched flag
+    matching: list  # endpoint pairs, in match order
+    random: Callable[[], float]  # bound ``random`` of the color's generator
+
+
+class PhaseReducer:
+    """Per-color gated matchers sharing one phase sub-stream.
+
+    ``bank`` maps each color seen so far to its matcher state (a
+    ``BankColor``), opened on the color's first sight with its generator
+    ``rng_for(master_seed, "phase", phase, "color", c)``.  An edge is fed to
+    every matcher of its sublist in ascending color order and takes the first
+    color whose matcher matched it; later matchers still see the edge (their
+    matchings may record it even when the color is not used for the edge).
+
+    ``feed`` is the gated step of ``MatcherState`` (degree bound d_i, slack
+    q_i) written inline, with the same float operations in the same order,
+    so each color's state evolves exactly as a ``MatcherState`` driven
+    through ``proposal`` and ``apply`` would.  Endpoints must differ (streams
+    reject self-loops).
     """
 
     def __init__(self, n: int, delta: float, q: float, phase: int, master_seed: int):
@@ -322,21 +339,43 @@ class PhaseReducer:
         self.n = n
         self.phase = phase
         self.master_seed = master_seed
-        self.config = MatcherConfig(delta=delta, q=q)
-        self.instances: dict[int, MatcherState] = {}
-        self.rngs: dict = {}
+        self.config = MatcherConfig(delta=delta, q=q)  # validates delta and q
+        self.scale = 1.0 / (delta + q)
+        self.floor = q / (4.0 * delta)
+        self.bank: dict[int, BankColor] = {}
+
+    def _open(self, c: int) -> BankColor:
+        rng = rng_for(self.master_seed, "phase", self.phase, "color", c)
+        st = self.bank[c] = BankColor([1.0] * self.n, bytearray(self.n), [], rng.random)
+        return st
 
     def feed(self, u: int, v: int, sublist) -> int | None:
+        bank = self.bank
+        scale = self.scale
+        floor = self.floor
         won = None
         for c in sublist:
-            inst = self.instances.get(c)
-            if inst is None:
-                inst = MatcherState(self.n, self.config)
-                self.instances[c] = inst
-                self.rngs[c] = rng_for(self.master_seed, "phase", self.phase, "color", c)
-            matched, _, _ = inst.advance(u, v, self.rngs[c].random())
-            if matched and won is None:
-                won = c
+            st = bank.get(c)
+            if st is None:
+                st = self._open(c)
+            F, matched, matching, rand = st
+            # one uniform per color per fed edge, drawn before any skip
+            x = rand()
+            if matched[u] or matched[v]:
+                continue
+            fu = F[u]
+            fv = F[v]
+            p = scale / (fu * fv)
+            s = 1.0 - p
+            if not (fu if fu < fv else fv) * s >= floor:
+                continue  # the gate fired: P_hat = 0 leaves F unchanged
+            F[u] = fu * s
+            F[v] = fv * s
+            if x < p:
+                matched[u] = matched[v] = 1
+                matching.append((u, v))
+                if won is None:
+                    won = c
         return won
 
 
@@ -371,6 +410,8 @@ class ColoringResult:
     local_bounds: list | None = None  # local mode: per-edge color bound |L(e)|
     list_ledger_violations: int = 0
     seed: int | None = None
+    # run invariants that failed (e.g. degree accounting); empty on a sound run
+    invariant_violations: list[str] = field(default_factory=list)
 
     @property
     def max_color(self) -> int:
@@ -390,6 +431,7 @@ class ColoringResult:
             "budget": self.budget,
             "seed": self.seed,
             "list_ledger_violations": self.list_ledger_violations,
+            "invariant_violations": list(self.invariant_violations),
             "per_phase": [p.as_dict() for p in self.per_phase],
             "tail": self.tail.as_dict(),
             "partition": {"method": self.partition_method},
@@ -537,10 +579,13 @@ def _run_pipeline(stream, lists_fn, schedule, partition, profile, seed, prune, t
     for pos, i in enumerate(active):
         nxt = deg[active[pos + 1]] if pos + 1 < len(active) else tail_deg
         stats[i].max_uncolored_degree_after = max(nxt, default=0)
-    # Degree accounting cross-check: every arrival was counted at each stage
-    # it reached uncolored.
-    for i in active:
-        assert stats[i].entered == sum(deg[i]) // 2
+    # Degree accounting cross-check: every arrival adds one to the degree of
+    # both endpoints at each phase it reaches uncolored.
+    invariant_violations = [
+        f"phase {i}: {stats[i].entered} arrivals entered but the degree "
+        f"counters sum to {sum(deg[i])}, not {2 * stats[i].entered}"
+        for i in active if sum(deg[i]) != 2 * stats[i].entered
+    ]
 
     return ColoringResult(
         colors=colors_out,
@@ -553,6 +598,7 @@ def _run_pipeline(stream, lists_fn, schedule, partition, profile, seed, prune, t
         partition_assignment=partition.assignment(),
         list_ledger_violations=ledger_violations,
         seed=seed,
+        invariant_violations=invariant_violations,
     )
 
 

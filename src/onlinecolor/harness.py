@@ -31,7 +31,7 @@ from .matcher import (
 )
 from .oracle import OracleLimitError, exact_marginals
 from .rounder import RoundingConfig, check_round_invariants, round_run
-from .seeding import rng_for
+from .seeding import derive_seed, rng_for
 from .stream import ArrivalStream, gen_lower_bound_tree
 
 Z95 = 1.959963984540054  # two-sided 95%
@@ -162,7 +162,7 @@ def mc_marginals(
         rng = rng_for(master_seed, t)
         if greedy:
             delta = int(config.delta)
-            matching, _, colors = run_greedy_fallback(stream, delta, rng_seed_int(master_seed, t))
+            matching, _, colors = run_greedy_fallback(stream, delta, derive_seed(master_seed, t))
             pairs = set(matching)
             got = [(e.u, e.v) in pairs for e in stream.arrivals]
         elif fast:
@@ -170,7 +170,7 @@ def mc_marginals(
             min_f = min(min_f, mf)
             gate_fires += gf
         else:
-            _, traces = run(stream, config, rng_seed_int(master_seed, t))
+            _, traces = run(stream, config, derive_seed(master_seed, t))
             got = [tr.matched for tr in traces]
             gate_fires += sum(tr.gate_fired for tr in traces)
             overflow += sum(tr.overflow for tr in traces)
@@ -182,7 +182,7 @@ def mc_marginals(
                 if not matching_is_valid(matching):
                     violations.append(f"trial {t}: fallback matching invalid")
             else:
-                _, traces = run(stream, config, rng_seed_int(master_seed, t))
+                _, traces = run(stream, config, derive_seed(master_seed, t))
                 if [tr.matched for tr in traces] != list(got):
                     violations.append(f"trial {t}: fast and traced paths disagree")
                 violations.extend(check_run_invariants(stream, config, traces))
@@ -223,12 +223,6 @@ def mc_marginals(
         violations=violations,
         wall_time=time.perf_counter() - t0,
     )
-
-
-def rng_seed_int(master_seed: int, trial: int) -> int:
-    from .seeding import derive_seed
-
-    return derive_seed(master_seed, trial)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +554,7 @@ def verify_stream(
         violations_note = f"oracle skipped: {exc}"
     hits = [0] * stream.m
     for t in range(trials):
-        seed = rng_seed_int(master_seed, t)
+        seed = derive_seed(master_seed, t)
         if rounding:
             _, traces = round_run(stream, config, seed)
             if t == 0:

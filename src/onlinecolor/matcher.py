@@ -196,13 +196,6 @@ class MultiplicativeState:
             self.matching.append((u, v))
         self.t += 1
 
-    def advance(self, u: int, v: int, x, x_e=None):
-        """Feed one edge with an externally supplied uniform; returns (matched, p, p_hat)."""
-        p, p_hat, _, _ = self.proposal(u, v, x_e)
-        matched = x < p_hat
-        self.apply(u, v, p_hat, matched)
-        return matched, p, p_hat
-
     def step(self, e, x) -> StepTrace:
         if e.time != self.t + 1:
             raise MatcherError(f"arrival out of order: got t={e.time}, expected {self.t + 1}")

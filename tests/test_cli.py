@@ -138,3 +138,24 @@ def test_martingale_cli(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["ci_contains_y0"] and not payload["violations"]
+
+
+def test_color_cli_exits_1_on_invariant_violation(tmp_path, capsys, monkeypatch):
+    from onlinecolor import colorer
+
+    prof = tmp_path / "prof.json"
+    prof.write_text('{"c_stop": 5.0, "c_q_color": 0.1, "a_base_mult": 5.0}')
+    stream = tmp_path / "g.txt"
+    assert main(["gen", "--kind", "regular", "--n", "60", "--delta", "50", "--seed", "3",
+                 "--out-file", str(stream)]) == 0
+    argv = ["color", "--stream", str(stream), "--profile", f"file:{prof}", "--seed", "1"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["invariant_violations"] == []
+    # corrupt the counters: every phase's arrival count starts at 1, not 0
+    real = colorer.PhaseStats
+    monkeypatch.setattr(colorer, "PhaseStats", lambda phase: real(phase=phase, entered=1))
+    code, out = run_cli(capsys, *argv)
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["invariant_violations"]
+    assert payload["invariant_violations"][0] in payload["violations"]

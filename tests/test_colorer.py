@@ -6,9 +6,11 @@ import pytest
 from mpmath import mp, mpf
 
 from conftest import path, star
+from onlinecolor import colorer
 from onlinecolor.colorer import (
     PartitionError,
     PhaseReducer,
+    PhaseStats,
     PromiseViolation,
     RangePartition,
     SampledPartition,
@@ -24,6 +26,7 @@ from onlinecolor.colorer import (
     recurrence_step,
 )
 from onlinecolor.harness import validate_coloring
+from onlinecolor.matcher import MatcherConfig, MatcherState
 from onlinecolor.profiles import ConstantsProfile
 from onlinecolor.seeding import rng_for
 from onlinecolor.stream import gen_regular, make_stream, with_range_lists
@@ -173,7 +176,7 @@ def test_phase_reducer_single_color():
     got = [red.feed(2 * i, 2 * i + 1, (7,)) for i in range(25)]
     colored = [c for c in got if c is not None]
     assert colored and set(colored) == {7}
-    assert len(red.instances[7].matching) == len(colored)
+    assert len(red.bank[7].matching) == len(colored)
 
 
 def test_phase_reducer_first_match_wins():
@@ -184,8 +187,8 @@ def test_phase_reducer_first_match_wins():
     for i in range(200):
         u, v = 2 * i, 2 * i + 1
         got = red.feed(u, v, (3, 9))
-        in3 = (u, v) in red.instances[3].matching
-        in9 = (u, v) in red.instances[9].matching
+        in3 = (u, v) in red.bank[3].matching
+        in9 = (u, v) in red.bank[9].matching
         if in3 and in9:
             both += 1
             assert got == 3
@@ -201,7 +204,85 @@ def test_phase_reducer_first_match_wins():
 def test_phase_reducer_empty_sublist():
     red = PhaseReducer(10, delta=5.0, q=1.0, phase=0, master_seed=0)
     assert red.feed(0, 1, ()) is None
-    assert red.instances == {}
+    assert red.bank == {}
+
+
+def _reference_bank(n, delta, q, phase, seed, edges):
+    """The bank as one MatcherState per color, driven through proposal + apply."""
+    config = MatcherConfig(delta=delta, q=q)
+    states, rngs, winners = {}, {}, []
+    gate_fires = skips = 0
+    for u, v, sublist in edges:
+        won = None
+        for c in sublist:
+            if c not in states:
+                states[c] = MatcherState(n, config)
+                rngs[c] = rng_for(seed, "phase", phase, "color", c)
+            st = states[c]
+            x = rngs[c].random()
+            skips += bool(st.matched[u] or st.matched[v])
+            _, p_hat, gate_fired, _ = st.proposal(u, v)
+            gate_fires += gate_fired
+            matched = x < p_hat
+            st.apply(u, v, p_hat, matched)
+            if matched and won is None:
+                won = c
+        winners.append(won)
+    return winners, states, rngs, gate_fires, skips
+
+
+def _bank_edges(case, rng):
+    n = 30
+    edges = []
+    for t in range(400):
+        u, v = rng.sample(range(n), 2)
+        if case == "range":
+            sublist = range(5, 12)
+        else:
+            # varying tuple sublists; color 40 first appears mid-stream
+            pool = [1, 2, 3, 5, 8, 13] + ([40] if t >= 150 else [])
+            sublist = tuple(sorted(rng.sample(pool, rng.randint(0, 4))))
+        edges.append((u, v, sublist))
+    return n, edges
+
+
+@pytest.mark.parametrize("case, delta, q", [
+    ("range", 10.0, 2.0),
+    ("tuple", 10.0, 2.0),
+    ("range", 4.0, 1.0),  # slack small enough that the gate fires
+    ("tuple", 4.0, 1.0),
+])
+def test_phase_reducer_matches_reference_matchers(case, delta, q):
+    n, edges = _bank_edges(case, random.Random(31))
+    red = PhaseReducer(n, delta=delta, q=q, phase=1, master_seed=17)
+    got = [red.feed(u, v, sublist) for u, v, sublist in edges]
+    want, states, rngs, gate_fires, skips = _reference_bank(n, delta, q, 1, 17, edges)
+    assert got == want
+    assert red.bank.keys() == states.keys()
+    for c, st in states.items():
+        mine = red.bank[c]
+        assert mine.F == st.F
+        assert mine.matched == st.matched
+        assert mine.matching == st.matching
+        # one uniform per color per fed edge: the streams stay in step
+        assert mine.random() == rngs[c].random()
+    assert skips > 0  # endpoints became matched
+    if delta == 4.0:
+        assert gate_fires > 0
+    if case == "tuple":
+        assert 40 in red.bank
+
+
+def test_degree_accounting_violation_recorded(monkeypatch):
+    s = gen_regular(60, 50, seed=3)
+    assert plain_color(s, 50, MULTIPHASE, seed=1).invariant_violations == []
+    # corrupt the counters: every phase's arrival count starts at 1, not 0
+    monkeypatch.setattr(colorer, "PhaseStats", lambda phase: PhaseStats(phase=phase, entered=1))
+    res = plain_color(s, 50, MULTIPHASE, seed=1)
+    assert res.schedule.f >= 1
+    assert len(res.invariant_violations) == res.schedule.f
+    assert "phase 0" in res.invariant_violations[0]
+    assert res.report(MULTIPHASE)["invariant_violations"] == res.invariant_violations
 
 
 # -- pipeline end to end ---------------------------------------------------------

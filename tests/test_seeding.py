@@ -1,0 +1,30 @@
+import os
+import subprocess
+import sys
+
+import pytest
+
+import onlinecolor
+from onlinecolor.seeding import derive_seed
+
+
+def test_derive_seed_pinned_values():
+    # seeds of built-in int, str and bool parts, as derived before the
+    # casts to built-in types were added
+    assert derive_seed(5, "t") == 17349009850817269661
+    assert derive_seed(7, "phase", 2, "color", 13) == 3984899701528507418
+    assert derive_seed(True) == 8440540741937414493
+
+
+def test_derive_seed_stable_under_numpy_integers():
+    np = pytest.importorskip("numpy")
+    assert derive_seed(np.int64(5), "t") == derive_seed(5, "t")
+    assert derive_seed(np.int32(7), np.str_("phase"), 2) == derive_seed(7, "phase", 2)
+
+
+def test_package_does_not_import_numpy():
+    src = os.path.dirname(os.path.dirname(onlinecolor.__file__))
+    code = "import sys, onlinecolor; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
