@@ -520,8 +520,12 @@ def _run_pipeline(stream, lists_fn, schedule, partition, profile, seed, prune, t
                     raise PartitionError("range palettes need a range partition")
                 lo, hi = partition.interval(i)
                 sublist = _range_intersect(remaining, lo, hi)
+                rest = remaining
             else:
-                sublist = tuple(c for c in remaining if partition.phase_of(c) == i)
+                # palette order: a sampled partition draws as it meets a color
+                sublist, rest = [], []
+                for c in remaining:
+                    (sublist if partition.phase_of(c) == i else rest).append(c)
             dense = di[u] >= thresholds[i] or di[v] >= thresholds[i]
             if track_list_ledger:
                 enough = len(remaining) >= targets[i]
@@ -547,9 +551,7 @@ def _run_pipeline(stream, lists_fn, schedule, partition, profile, seed, prune, t
                 used[u] |= 1 << got
                 used[v] |= 1 << got
                 break
-            if not isinstance(remaining, range) and sublist:
-                drop = set(sublist)
-                remaining = tuple(c for c in remaining if c not in drop)
+            remaining = rest
         if got is not None:
             continue
         # greedy tail

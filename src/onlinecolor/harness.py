@@ -24,10 +24,11 @@ from .matcher import (
     MatcherConfig,
     MatcherState,
     check_run_invariants,
+    draw_c_star,
+    greedy_palette_coloring,
     matching_is_valid,
     run,
     run_fast,
-    run_greedy_fallback,
 )
 from .oracle import OracleLimitError, exact_marginals
 from .rounder import RoundingConfig, check_round_invariants, round_run
@@ -92,6 +93,11 @@ def freedman_matcher_check(delta: float) -> dict:
 # Monte-Carlo marginals
 # ---------------------------------------------------------------------------
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1 (got {trials})")
+
+
 @dataclass
 class RunReport:
     kind: str
@@ -147,6 +153,7 @@ def mc_marginals(
     first ``audit_first`` trials are re-run through the traced path and every
     per-step invariant is audited.
     """
+    _require_trials(trials)
     t0 = time.perf_counter()
     m = stream.m
     hits = [0] * m
@@ -158,14 +165,16 @@ def mc_marginals(
     greedy = config.mode == MODE_GREEDY_FALLBACK
     us = [e.u for e in stream.arrivals]
     vs = [e.v for e in stream.arrivals]
+    if greedy:
+        # the greedy coloring does not depend on the trial; only c* does
+        delta = int(config.delta)
+        greedy_colors = greedy_palette_coloring(stream, delta)
     for t in range(trials):
-        rng = rng_for(master_seed, t)
         if greedy:
-            delta = int(config.delta)
-            matching, _, colors = run_greedy_fallback(stream, delta, derive_seed(master_seed, t))
-            pairs = set(matching)
-            got = [(e.u, e.v) in pairs for e in stream.arrivals]
+            c_star = draw_c_star(delta, derive_seed(master_seed, t))
+            got = [c == c_star for c in greedy_colors]
         elif fast:
+            rng = rng_for(master_seed, t)
             got, mf, gf = run_fast(us, vs, stream.n, config.delta, config.q, rng)
             min_f = min(min_f, mf)
             gate_fires += gf
@@ -179,6 +188,7 @@ def mc_marginals(
                 hits[i] += 1
         if t < audit_first:
             if greedy:
+                matching = [(u, v) for u, v, hit in zip(us, vs, got) if hit]
                 if not matching_is_valid(matching):
                     violations.append(f"trial {t}: fallback matching invalid")
             else:
@@ -196,7 +206,7 @@ def mc_marginals(
                 "u": e.u,
                 "v": e.v,
                 "hits": h,
-                "frequency": h / trials if trials else 0.0,
+                "frequency": h / trials,
                 "ci_lo": lo,
                 "ci_hi": hi,
                 "below_bound": hi < floor_marginal,
@@ -428,6 +438,7 @@ def martingale_monitor(
     """Checks the step bound 8/q and the observed-variance bound
     128 D ln D / q^2 on every trial, and that the 4-sigma interval around
     mean(Y_m) contains Y_0 = deg(v)/(D+q)."""
+    _require_trials(trials)
     if not 0 <= vertex < stream.n:
         raise ValueError(f"vertex {vertex} not in the stream")
     neighbors = _neighbor_times(stream, vertex)
@@ -544,6 +555,7 @@ def verify_stream(
     Returns a dict with per-edge rows and a ``violations`` list; exit-code
     semantics (0 iff no violations) belong to the CLI.
     """
+    _require_trials(trials)
     t0 = time.perf_counter()
     violations: list[str] = []
     rounding = isinstance(config, RoundingConfig)
@@ -568,11 +580,11 @@ def verify_stream(
                 hits[i] += 1
     rows = []
     for i, e in enumerate(stream.arrivals):
-        freq = hits[i] / trials if trials else 0.0
+        freq = hits[i] / trials
         row = {"time": e.time, "u": e.u, "v": e.v, "frequency": freq}
         if oracle is not None:
             p = oracle.marginal[i]
-            sigma = math.sqrt(max(p * (1 - p), 1e-300) / trials) if trials else 1.0
+            sigma = math.sqrt(max(p * (1 - p), 1e-300) / trials)
             row["oracle"] = p
             row["conditional_sum"] = oracle.conditional_sum[i]
             row["expected_sum"] = float(oracle.expected[i])
@@ -584,7 +596,7 @@ def verify_stream(
             if p == 0.0:
                 if hits[i]:
                     violations.append(f"t={e.time}: matched despite oracle marginal 0")
-            elif trials and abs(freq - p) > 4.0 * sigma:
+            elif abs(freq - p) > 4.0 * sigma:
                 violations.append(
                     f"t={e.time}: |freq {freq:.6g} - oracle {p:.6g}| > 4 sigma"
                 )

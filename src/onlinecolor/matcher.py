@@ -340,6 +340,11 @@ def greedy_palette_coloring(stream: ArrivalStream, delta: int) -> list[int]:
     return colors
 
 
+def draw_c_star(delta: int, seed: int) -> int:
+    """The greedy fallback's matched color class, uniform on {1..2*delta-1}."""
+    return random.Random(seed).randint(1, 2 * delta - 1)
+
+
 def run_greedy_fallback(
     stream: ArrivalStream, delta: int, seed: int
 ) -> tuple[list[tuple[int, int]], int, list[int]]:
@@ -349,7 +354,7 @@ def run_greedy_fallback(
     the draw of c*, every edge is matched with probability exactly
     1/(2*delta-1).
     """
-    c_star = random.Random(seed).randint(1, 2 * delta - 1)
+    c_star = draw_c_star(delta, seed)
     colors = greedy_palette_coloring(stream, delta)
     matching = [(e.u, e.v) for e, c in zip(stream.arrivals, colors) if c == c_star]
     return matching, c_star, colors

@@ -48,8 +48,6 @@ class ConstantsProfile:
                  is non-decreasing, hence an error, outside the asymptotic
                  regime); "achieved" uses d_{i+1} = d_i - ceil(0.9 * lambda_i)
     q_override   explicit q, bypassing the c_q formula
-    gate_default whether matchers run with the probability gate (diagnostics
-                 may switch it off explicitly)
     fallback_on_tail_failure  retry a failed coloring with the plain greedy
                  (2D-1)-color baseline instead of erroring out
     strict_promises  abort on per-phase list-size promise violations instead
@@ -65,7 +63,6 @@ class ConstantsProfile:
     enforce_guard: bool = False
     degree_recurrence: str = RECURRENCE_ACHIEVED
     q_override: float | None = None
-    gate_default: bool = True
     fallback_on_tail_failure: bool = True
     strict_promises: bool = False
 

@@ -15,10 +15,11 @@ dense non-negative integers below n, so isolated vertices are representable
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
-
-import networkx as nx
 
 FRACTIONAL_SUM_TOL = 1e-9
 
@@ -249,23 +250,93 @@ def gen_lower_bound_tree(delta: int, q: int) -> ArrivalStream:
     return make_stream(next_id, delta, edges)
 
 
+def _edges_in_adjacency_order(n: int, edges) -> list[tuple[int, int]]:
+    """Adjacency order: vertices ascending, each vertex's larger neighbours
+    in the order ``edges`` gives them, every edge once from its smaller
+    endpoint (the arrival order the README's seeding contract fixes)."""
+    higher: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        if a > b:
+            a, b = b, a
+        higher[a].append(b)
+    return [(a, b) for a in range(n) for b in higher[a]]
+
+
+def _pairing_edges(n: int, delta: int, rng: random.Random) -> set | None:
+    """One attempt of the pairing model (Steger & Wormald 1999); None when
+    the leftover stubs admit no completion and the attempt must restart."""
+    edges: set[tuple[int, int]] = set()
+    stubs = list(range(n)) * delta
+    while stubs:
+        leftover: dict[int, int] = {}  # stub counts, in first-failure order
+        rng.shuffle(stubs)
+        it = iter(stubs)
+        for s1, s2 in zip(it, it):
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if s1 != s2 and (s1, s2) not in edges:
+                edges.add((s1, s2))
+            else:
+                leftover[s1] = leftover.get(s1, 0) + 1
+                leftover[s2] = leftover.get(s2, 0) + 1
+        if leftover and not _some_pair_free(edges, leftover):
+            return None
+        stubs = [w for w, k in leftover.items() for _ in range(k)]
+    return edges
+
+
+def _some_pair_free(edges: set, nodes) -> bool:
+    # Kept exactly as in the reference pairing code: the inner loop reuses
+    # s1 after a swap, so not every pair is tried.  A full scan restarts
+    # less often and changes graphs pinned in tests/test_stream.py.
+    for s1 in nodes:
+        for s2 in nodes:
+            if s1 == s2:
+                break
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if (s1, s2) not in edges:
+                return True
+    return False
+
+
 def gen_regular(n: int, delta: int, seed: int) -> ArrivalStream:
-    """Random delta-regular simple graph (pairing model via networkx)."""
+    """Random delta-regular simple graph: the pairing model with restarts
+    (Steger & Wormald 1999), drawn from ``random.Random(seed)``."""
     if n * delta % 2 != 0:
         raise StreamError("regular graph needs n*delta even")
     if not 0 <= delta < n:
         raise StreamError("regular graph needs 0 <= delta < n")
-    g = nx.random_regular_graph(delta, n, seed=seed)
-    return make_stream(n, delta, list(g.edges()))
+    rng = random.Random(seed)
+    edges = None
+    while edges is None:
+        edges = _pairing_edges(n, delta, rng)
+    return make_stream(n, delta, _edges_in_adjacency_order(n, edges))
 
 
 def gen_erdos_renyi(n: int, p: float, seed: int) -> ArrivalStream:
+    """G(n, p) by geometric skipping (Batagelj & Brandes 2005), drawn from
+    ``random.Random(seed)``."""
     if not 0.0 <= p <= 1.0:
         raise StreamError("edge probability must be in [0, 1]")
-    g = nx.fast_gnp_random_graph(n, p, seed=seed)
-    degs = [d for _, d in g.degree()]
-    dmax = max(degs, default=0)
-    return make_stream(n, dmax, list(g.edges()))
+    if p == 0.0:
+        edges: list[tuple[int, int]] = []
+    elif p == 1.0:
+        edges = list(itertools.combinations(range(n), 2))
+    else:
+        rng = random.Random(seed)
+        lp = math.log(1.0 - p)
+        edges = []
+        v, w = 1, -1
+        while v < n:
+            w += 1 + int(math.log(1.0 - rng.random()) / lp)
+            while w >= v and v < n:
+                w -= v
+                v += 1
+            if v < n:
+                edges.append((w, v))
+    degree = Counter(w for e in edges for w in e)
+    return make_stream(n, max(degree.values(), default=0), _edges_in_adjacency_order(n, edges))
 
 
 def gen_complete_bipartite(a: int, b: int) -> ArrivalStream:

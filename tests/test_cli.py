@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from onlinecolor.cli import main
 from onlinecolor.stream import parse_stream
 
@@ -93,6 +95,17 @@ def test_mc_and_verify_cli(tmp_path, capsys):
                         "--trials", "2000", "--seed", "5")
     assert code == 0
     assert json.loads(out)["violations"] == []
+
+
+@pytest.mark.parametrize("command", ["mc", "martingale", "verify"])
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_cli_rejects_nonpositive_trials(tmp_path, capsys, command, trials):
+    path = tmp_path / "s.txt"
+    path.write_text("n=3 dmax=2\ne 0 1\ne 1 2\ne 0 2\n")
+    extra = ["--vertex", "0"] if command == "martingale" else []
+    code = main([command, "--stream", str(path), "--q", "1", "--trials", trials, *extra])
+    assert code == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
 
 
 def test_counterexample_cli(capsys):

@@ -197,6 +197,22 @@ def test_mc_greedy_fallback_mode():
         assert abs(rec["frequency"] - 1 / 5) < 4 * math.sqrt(0.2 * 0.8 / 5000)
 
 
+@pytest.mark.parametrize("stream,delta", [(star(3), 3), (path(4), 2)])
+def test_mc_greedy_fallback_hits_match_per_trial_runs(stream, delta):
+    from onlinecolor.matcher import MODE_GREEDY_FALLBACK, run_greedy_fallback
+
+    cfg = MatcherConfig(delta=delta, q=10, mode=MODE_GREEDY_FALLBACK)
+    expected = [0] * stream.m
+    for t in range(200):  # one full fallback run per trial
+        matching, _, _ = run_greedy_fallback(stream, delta, derive_seed(4, t))
+        for i, e in enumerate(stream.arrivals):
+            expected[i] += (e.u, e.v) in matching
+        if t + 1 in (1, 2, 3, 200):  # short runs expose a shifted seed
+            rep = mc_marginals(stream, cfg, trials=t + 1, master_seed=4)
+            assert [rec["hits"] for rec in rep.edges] == expected
+            assert rep.violation_count == 0
+
+
 def test_verify_stream_clean():
     tri = triangle()
     out = verify_stream(tri, MatcherConfig(delta=2, q=1), trials=4000, master_seed=11)

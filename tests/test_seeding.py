@@ -22,9 +22,10 @@ def test_derive_seed_stable_under_numpy_integers():
     assert derive_seed(np.int32(7), np.str_("phase"), 2) == derive_seed(7, "phase", 2)
 
 
-def test_package_does_not_import_numpy():
+@pytest.mark.parametrize("module", ["numpy", "networkx"])
+def test_package_does_not_import(module):
     src = os.path.dirname(os.path.dirname(onlinecolor.__file__))
-    code = "import sys, onlinecolor; print('numpy' in sys.modules)"
+    code = f"import sys, onlinecolor; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"

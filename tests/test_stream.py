@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,6 +163,46 @@ def test_gen_erdos_renyi_extremes():
     nothing = gen_erdos_renyi(5, 0.0, seed=1)
     assert nothing.m == 0
     assert gen_erdos_renyi(10, 0.4, seed=2) == gen_erdos_renyi(10, 0.4, seed=2)
+
+
+def _arrival_digest(s):
+    return hashlib.sha256(repr([(e.u, e.v) for e in s.arrivals]).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "gen,args,digest,dmax",
+    [
+        (gen_regular, (20, 5, 7), "9ebef33653590131", 5),
+        (gen_regular, (60, 20, 6), "79509f3d5b434044", 20),
+        (gen_regular, (500, 50, 1), "42e1fb35ae63174d", 50),
+        (gen_regular, (200, 100, 1), "1eda61075aecb06f", 100),
+        (gen_regular, (1000, 300, 1), "58f9f7b8d6b6130e", 300),
+        (gen_erdos_renyi, (50, 0.1, 1), "f41e86a746c808db", 9),
+        (gen_erdos_renyi, (200, 0.05, 2), "e6e84a9dee586090", 18),
+        (gen_erdos_renyi, (12, 1.0, 1), "af6e1a7421507c86", 11),
+        (gen_erdos_renyi, (5, 0.0, 1), "4f53cda18c2baa0c", 0),
+    ],
+)
+def test_generators_pinned(gen, args, digest, dmax):
+    # the arrival sequences these generators gave when they called networkx
+    # 3.x; every benchmark digest and acceptance instance rests on them
+    s = gen(*args)
+    assert _arrival_digest(s) == digest
+    assert s.delta_bound == dmax
+
+
+def test_generators_match_networkx():
+    nx = pytest.importorskip("networkx")
+    for n, d in [(4, 3), (6, 0), (8, 5), (10, 9), (12, 4), (30, 7), (40, 35)]:
+        for seed in range(6):
+            got = [(e.u, e.v) for e in gen_regular(n, d, seed).arrivals]
+            assert got == list(nx.random_regular_graph(d, n, seed=seed).edges()), (n, d, seed)
+    for n in (0, 1, 7, 40):
+        for p in (0.0, 0.05, 0.3, 0.9, 1.0):
+            for seed in range(3):
+                got = [(e.u, e.v) for e in gen_erdos_renyi(n, p, seed).arrivals]
+                want = list(nx.fast_gnp_random_graph(n, p, seed=seed).edges())
+                assert got == want, (n, p, seed)
 
 
 def test_gen_complete_bipartite():
