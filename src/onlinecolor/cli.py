@@ -1,9 +1,9 @@
 """Command-line harness.
 
 Subcommands: gen, match, round, color, oracle, mc, martingale,
-counterexample, verify.  Reports go to stdout as JSON (default) or CSV via
---out; --out-file redirects to a path.  The exit code is 0 only when the
-run's invariant-violation count is zero.
+counterexample, verify; each takes only the options it reads.  Reports go
+to stdout as JSON (CSV via --out where offered); --out-file redirects.  The
+exit code is 0 only when the run's invariant-violation count is zero.
 """
 
 from __future__ import annotations
@@ -30,17 +30,25 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _common(parser: argparse.ArgumentParser, stream_arg: bool = True) -> None:
-    if stream_arg:
-        parser.add_argument("--stream", required=True, help="instance file")
-    parser.add_argument("--profile", default="practical", help="theory|practical|file:<path>")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=10000)
-    parser.add_argument("--out", choices=("json", "csv"), default="json")
-    parser.add_argument("--out-file", default=None)
-    parser.add_argument("--q", type=float, default=None, help="override the slack q")
-    parser.add_argument("--epsilon", type=float, default=None)
-    parser.add_argument("--c-round", dest="c_round", type=float, default=None)
+_OPTIONS = {
+    "--stream": dict(required=True, help="instance file"),
+    "--profile": dict(default="practical", help="theory|practical|file:<path>"),
+    "--seed": dict(type=int, default=0),
+    "--trials": dict(type=int, default=10000),
+    "--out": dict(choices=("json", "csv"), default="json"),
+    "--q": dict(type=float, default=None, help="override the slack q"),
+    "--epsilon": dict(type=float, default=None),
+    "--c-round": dict(type=float, default=None),
+    "--out-file": dict(default=None),
+}
+
+
+def _options(parser: argparse.ArgumentParser, *flags: str) -> None:
+    # no prefix matching: an option the subcommand lacks (``color --out``)
+    # is an error, not an abbreviation of --out-file
+    parser.allow_abbrev = False
+    for flag in flags + ("--out-file",):
+        parser.add_argument(flag, **_OPTIONS[flag])
 
 
 def _matcher_config(args, s: streammod.ArrivalStream, mode: str = matcher.MODE_ANALYSIS_FRIENDLY):
@@ -53,6 +61,15 @@ def _matcher_config(args, s: streammod.ArrivalStream, mode: str = matcher.MODE_A
     if fallback:
         mode = matcher.MODE_GREEDY_FALLBACK
     return matcher.MatcherConfig(delta=delta, q=q, mode=mode, profile=profile), fallback
+
+
+def _rounding_config(args, s: streammod.ArrivalStream) -> rounder.RoundingConfig:
+    """--epsilon (default: the largest x) and --c-round (default: the profile's)."""
+    epsilon = args.epsilon if args.epsilon is not None else max(
+        e.x for e in s.arrivals if e.x is not None
+    )
+    c_round = args.c_round if args.c_round is not None else resolve_profile(args.profile).c_round
+    return rounder.RoundingConfig(epsilon=epsilon, c_round=c_round)
 
 
 def cmd_gen(args) -> int:
@@ -123,12 +140,7 @@ def cmd_round(args) -> int:
     if not s.is_fractional:
         print("round needs a stream with x= values", file=sys.stderr)
         return 2
-    profile = resolve_profile(args.profile)
-    epsilon = args.epsilon if args.epsilon is not None else max(
-        e.x for e in s.arrivals if e.x is not None
-    )
-    c_round = args.c_round if args.c_round is not None else profile.c_round
-    config = rounder.RoundingConfig(epsilon=epsilon, c_round=c_round)
+    config = _rounding_config(args, s)
     matching, traces = rounder.round_run(s, config, args.seed)
     violations = rounder.check_round_invariants(s, config, traces)
     if args.out == "csv":
@@ -136,8 +148,8 @@ def cmd_round(args) -> int:
         _write(args, "\n".join(rows) + "\n")
     else:
         payload = {
-            "epsilon": epsilon,
-            "c_round": c_round,
+            "epsilon": config.epsilon,
+            "c_round": config.c_round,
             "s": config.s,
             "seed": args.seed,
             "matched_edges": matching,
@@ -173,11 +185,7 @@ def cmd_color(args) -> int:
 def cmd_oracle(args) -> int:
     s = _read_stream(args.stream)
     if args.epsilon is not None or s.is_fractional:
-        epsilon = args.epsilon if args.epsilon is not None else max(
-            e.x for e in s.arrivals if e.x is not None
-        )
-        c_round = args.c_round if args.c_round is not None else resolve_profile(args.profile).c_round
-        config = rounder.RoundingConfig(epsilon=epsilon, c_round=c_round)
+        config = _rounding_config(args, s)
     else:
         config, fallback = _matcher_config(args, s)
         if fallback:
@@ -215,12 +223,7 @@ def cmd_mc(args) -> int:
 
 def cmd_martingale(args) -> int:
     s = _read_stream(args.stream)
-    config, fallback = _matcher_config(args, s)
-    if fallback:
-        print("martingale diagnostics apply to the multiplicative matcher; "
-              "this profile falls back to the greedy matcher (q > delta/4)",
-              file=sys.stderr)
-        return 2
+    config, _ = _matcher_config(args, s)
     report = harness.martingale_monitor(s, config, args.vertex, args.trials, args.seed)
     _write(args, json.dumps(report.as_dict(), indent=2))
     ok = not report.violations and report.ci_contains_y0
@@ -236,11 +239,7 @@ def cmd_counterexample(args) -> int:
 def cmd_verify(args) -> int:
     s = _read_stream(args.stream)
     if s.is_fractional:
-        epsilon = args.epsilon if args.epsilon is not None else max(
-            e.x for e in s.arrivals if e.x is not None
-        )
-        c_round = args.c_round if args.c_round is not None else resolve_profile(args.profile).c_round
-        config = rounder.RoundingConfig(epsilon=epsilon, c_round=c_round)
+        config = _rounding_config(args, s)
     else:
         config, fallback = _matcher_config(args, s)
         if fallback:
@@ -271,47 +270,47 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--order", choices=("given", "random", "reversed"), default="given")
     g.add_argument("--x-uniform", type=float, default=None, help="annotate every edge with x")
     g.add_argument("--list-size", type=int, default=None, help="annotate every edge with {1..k}")
-    _common(g, stream_arg=False)
+    _options(g, "--seed")
     g.set_defaults(func=cmd_gen)
 
     m = sub.add_parser("match", help="run the online matcher")
     m.add_argument("--mode", choices=(matcher.MODE_ANALYSIS_FRIENDLY, matcher.MODE_NATURAL,
                                       matcher.MODE_GREEDY_FALLBACK),
                    default=matcher.MODE_ANALYSIS_FRIENDLY)
-    _common(m)
+    _options(m, "--stream", "--profile", "--seed", "--out", "--q")
     m.set_defaults(func=cmd_match)
 
     r = sub.add_parser("round", help="round a fractional matching online")
-    _common(r)
+    _options(r, "--stream", "--profile", "--seed", "--out", "--epsilon", "--c-round")
     r.set_defaults(func=cmd_round)
 
     c = sub.add_parser("color", help="run the coloring pipeline")
     c.add_argument("--mode", choices=("plain", "list", "local"), default="plain")
-    _common(c)
+    _options(c, "--stream", "--profile", "--seed", "--q")
     c.set_defaults(func=cmd_color)
 
     o = sub.add_parser("oracle", help="exact marginals by branch enumeration")
     o.add_argument("--exact", action="store_true", help="rational arithmetic (m <= 12)")
-    _common(o)
+    _options(o, "--stream", "--profile", "--out", "--q", "--epsilon", "--c-round")
     o.set_defaults(func=cmd_oracle)
 
     mc = sub.add_parser("mc", help="Monte-Carlo marginals")
-    _common(mc)
+    _options(mc, "--stream", "--profile", "--seed", "--trials", "--out", "--q")
     mc.set_defaults(func=cmd_mc)
 
     mg = sub.add_parser("martingale", help="martingale diagnostics for one vertex")
     mg.add_argument("--vertex", type=int, default=0)
-    _common(mg)
+    _options(mg, "--stream", "--profile", "--seed", "--trials", "--q")
     mg.set_defaults(func=cmd_martingale)
 
     ce = sub.add_parser("counterexample", help="the naive-matcher overflow demo")
     ce.add_argument("--delta", type=int, default=10)
     ce.add_argument("--q-int", type=int, default=2)
-    _common(ce, stream_arg=False)
+    _options(ce)
     ce.set_defaults(func=cmd_counterexample)
 
     v = sub.add_parser("verify", help="oracle vs Monte-Carlo plus invariant audit")
-    _common(v)
+    _options(v, "--stream", "--profile", "--seed", "--trials", "--q", "--epsilon", "--c-round")
     v.set_defaults(func=cmd_verify)
 
     return ap

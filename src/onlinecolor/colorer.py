@@ -329,8 +329,11 @@ class PhaseReducer:
     ``feed`` is the gated step of ``MatcherState`` (degree bound d_i, slack
     q_i) written inline, with the same float operations in the same order,
     so each color's state evolves exactly as a ``MatcherState`` driven
-    through ``proposal`` and ``apply`` would.  Endpoints must differ (streams
-    reject self-loops).
+    through ``proposal`` and ``apply`` would.  It does not call the
+    ``run_fast`` kernel: the bank advances many colors by one edge each,
+    not one run over a whole sequence, and a call per (edge, color) costs
+    more than the step itself.  Endpoints must differ (streams reject
+    self-loops).
     """
 
     def __init__(self, n: int, delta: float, q: float, phase: int, master_seed: int):

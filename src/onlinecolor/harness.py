@@ -22,6 +22,7 @@ from .matcher import (
     MODE_GREEDY_FALLBACK,
     MODE_NATURAL,
     MatcherConfig,
+    MatcherError,
     MatcherState,
     check_run_invariants,
     draw_c_star,
@@ -36,6 +37,7 @@ from .seeding import derive_seed, rng_for
 from .stream import ArrivalStream, gen_lower_bound_tree
 
 Z95 = 1.959963984540054  # two-sided 95%
+AUDIT_TRIALS = 3  # mc_marginals re-runs this many first trials traced and audits them
 
 
 def wilson_interval(hits: int, trials: int, z: float = Z95) -> tuple[float, float]:
@@ -98,6 +100,15 @@ def _require_trials(trials: int) -> None:
         raise ValueError(f"trials must be at least 1 (got {trials})")
 
 
+def _gated(config: MatcherConfig) -> bool:
+    """True for the gated analysis-friendly matcher, the one run_fast runs."""
+    return config.mode == MODE_ANALYSIS_FRIENDLY and config.gate_enabled
+
+
+def _endpoints(stream: ArrivalStream) -> tuple[list[int], list[int]]:
+    return [e.u for e in stream.arrivals], [e.v for e in stream.arrivals]
+
+
 @dataclass
 class RunReport:
     kind: str
@@ -143,15 +154,16 @@ def mc_marginals(
     config: MatcherConfig,
     trials: int,
     master_seed: int,
-    audit_first: int = 3,
 ) -> RunReport:
     """Per-edge empirical matching frequencies with Wilson 95% intervals.
 
     Edges whose whole interval lies below 1/(D + 4q) (the guarantee the
     analysis actually delivers) are flagged; on gated instances such edges
     are expected, so the flag is reported, not counted as a violation.  The
-    first ``audit_first`` trials are re-run through the traced path and every
-    per-step invariant is audited.
+    first ``AUDIT_TRIALS`` trials are re-run through the traced path and every
+    per-step invariant is audited; on the run_fast path the kernel's final F
+    must also equal, at every vertex, the product of (1 - p_hat) over the
+    traced run (the same floats in the same order, so compared exactly).
     """
     _require_trials(trials)
     t0 = time.perf_counter()
@@ -161,10 +173,9 @@ def mc_marginals(
     gate_fires = 0
     overflow = 0
     violations: list[str] = []
-    fast = config.mode == MODE_ANALYSIS_FRIENDLY and config.gate_enabled
+    fast = _gated(config)
     greedy = config.mode == MODE_GREEDY_FALLBACK
-    us = [e.u for e in stream.arrivals]
-    vs = [e.v for e in stream.arrivals]
+    us, vs = _endpoints(stream)
     if greedy:
         # the greedy coloring does not depend on the trial; only c* does
         delta = int(config.delta)
@@ -175,8 +186,8 @@ def mc_marginals(
             got = [c == c_star for c in greedy_colors]
         elif fast:
             rng = rng_for(master_seed, t)
-            got, mf, gf = run_fast(us, vs, stream.n, config.delta, config.q, rng)
-            min_f = min(min_f, mf)
+            got, _, F, gf = run_fast(us, vs, stream.n, config.delta, config.q, rng)
+            min_f = min(min_f, min(F, default=1.0))
             gate_fires += gf
         else:
             _, traces = run(stream, config, derive_seed(master_seed, t))
@@ -186,7 +197,7 @@ def mc_marginals(
         for i, flag in enumerate(got):
             if flag:
                 hits[i] += 1
-        if t < audit_first:
+        if t < AUDIT_TRIALS:
             if greedy:
                 matching = [(u, v) for u, v, hit in zip(us, vs, got) if hit]
                 if not matching_is_valid(matching):
@@ -196,6 +207,13 @@ def mc_marginals(
                 if [tr.matched for tr in traces] != list(got):
                     violations.append(f"trial {t}: fast and traced paths disagree")
                 violations.extend(check_run_invariants(stream, config, traces))
+                if fast:
+                    product = [1.0] * stream.n
+                    for u, v, tr in zip(us, vs, traces):
+                        product[u] *= 1.0 - tr.p_hat
+                        product[v] *= 1.0 - tr.p_hat
+                    if product != F:
+                        violations.append(f"trial {t}: final F != prod (1 - p_hat) over the trace")
     floor_marginal = 1.0 / (config.delta + 4.0 * config.q)
     edges = []
     for e, h in zip(stream.arrivals, hits):
@@ -326,7 +344,7 @@ class MartingaleTrace:
 
 
 def _martingale_trial(stream, config, vertex, neighbors, rng, collect=False):
-    """One simulated run tracking the neighborhood martingale of ``vertex``.
+    """One run_fast run, then the neighborhood martingale of ``vertex`` over it.
 
     Y starts at deg(v)/(D+q); a neighbor's term 1/((D+q) F(u_i)) updates
     while the edge (v,u_i) is still in the future, freezes at its arrival,
@@ -335,12 +353,14 @@ def _martingale_trial(stream, config, vertex, neighbors, rng, collect=False):
     factor p_hat/(1-p_hat) otherwise.  The conditional variance of a step is
     (term sum)^2 * p_hat/(1-p_hat) regardless of the outcome.
     """
-    n = stream.n
-    delta, q = config.delta, config.q
-    scale = 1.0 / (delta + q)
-    floor = q / (4.0 * delta)
-    F = [1.0] * n
-    vertex_matched = bytearray(n)
+    if not _gated(config):
+        raise MatcherError(
+            "martingale diagnostics follow the gated analysis_friendly matcher, not "
+            f"mode={config.mode!r} with gate_enabled={config.gate_enabled}"
+        )
+    us, vs = _endpoints(stream)
+    hit, p_hats, _, _ = run_fast(us, vs, stream.n, config.delta, config.q, rng)
+    scale = 1.0 / (config.delta + config.q)
     contrib = {w: scale for w in neighbors}  # live, unfrozen neighbor terms
     y = scale * len(neighbors)
     max_step = 0.0
@@ -348,27 +368,11 @@ def _martingale_trial(stream, config, vertex, neighbors, rng, collect=False):
     trail = [y] if collect else None
     deltas = [] if collect else None
     variances = [] if collect else None
-    hits = [] if collect else None
-    rand = rng.random
-    for e in stream.arrivals:
-        u, v = e.u, e.v
-        x = rand()
+    for u, v, p_hat, matched in zip(us, vs, p_hats, hit):
         # freeze the term of a neighbor whose (vertex, w) edge is arriving now
         if u == vertex or v == vertex:
             w = v if u == vertex else u
             contrib.pop(w, None)  # value stays inside y permanently
-        # matcher step
-        p_hat = 0.0
-        if not (vertex_matched[u] or vertex_matched[v]):
-            fu, fv = F[u], F[v]
-            p = scale / (fu * fv)
-            if (fu if fu < fv else fv) * (1.0 - p) >= floor:
-                p_hat = p
-                s = 1.0 - p
-                F[u] = fu * s
-                F[v] = fv * s
-        matched = x < p_hat
-        # martingale step
         dy = 0.0
         var = 0.0
         if p_hat > 0.0:
@@ -394,19 +398,12 @@ def _martingale_trial(stream, config, vertex, neighbors, rng, collect=False):
                 y += dy
                 if abs(dy) > max_step:
                     max_step = abs(dy)
-        if matched:
-            vertex_matched[u] = True
-            vertex_matched[v] = True
         if collect:
             trail.append(y)
             deltas.append(dy)
             variances.append(var)
-            hits.append(matched)
-    if collect:
-        return y, max_step, wm, MartingaleTrace(
-            vertex=vertex, y=trail, deltas=deltas, variances=variances, matched=hits
-        )
-    return y, max_step, wm, None
+    trace = MartingaleTrace(vertex, trail, deltas, variances, hit) if collect else None
+    return y, max_step, wm, trace
 
 
 def martingale_trace(stream: ArrivalStream, config: MatcherConfig, vertex: int, seed: int) -> MartingaleTrace:
@@ -552,32 +549,30 @@ def verify_stream(
 ) -> dict:
     """Exact oracle vs Monte-Carlo within 4 sigma, plus invariant audits.
 
-    Returns a dict with per-edge rows and a ``violations`` list; exit-code
-    semantics (0 iff no violations) belong to the CLI.
+    Matcher trials and their audits are those of ``mc_marginals``.  Returns
+    a dict with per-edge rows and a ``violations`` list; exit-code semantics
+    (0 iff no violations) belong to the CLI.
     """
     _require_trials(trials)
     t0 = time.perf_counter()
     violations: list[str] = []
-    rounding = isinstance(config, RoundingConfig)
     oracle = None
     try:
         oracle = exact_marginals(stream, config)
     except OracleLimitError as exc:
         violations_note = f"oracle skipped: {exc}"
-    hits = [0] * stream.m
-    for t in range(trials):
-        seed = derive_seed(master_seed, t)
-        if rounding:
-            _, traces = round_run(stream, config, seed)
+    if isinstance(config, RoundingConfig):
+        hits = [0] * stream.m
+        for t in range(trials):
+            _, traces = round_run(stream, config, derive_seed(master_seed, t))
             if t == 0:
                 violations.extend(check_round_invariants(stream, config, traces))
-        else:
-            _, traces = run(stream, config, seed)
-            if t == 0:
-                violations.extend(check_run_invariants(stream, config, traces))
-        for i, tr in enumerate(traces):
-            if tr.matched:
-                hits[i] += 1
+            for i, tr in enumerate(traces):
+                hits[i] += tr.matched
+    else:
+        report = mc_marginals(stream, config, trials, master_seed)
+        hits = [rec["hits"] for rec in report.edges]
+        violations.extend(report.violations)
     rows = []
     for i, e in enumerate(stream.arrivals):
         freq = hits[i] / trials

@@ -35,6 +35,10 @@ F values stay in plain floats: the gate bounds them below by q/(4D), so the
 dynamic range is tame and cancellation is benign.  All state classes also
 run exactly on fractions.Fraction inputs (used by the oracle's rational mode
 and the overflow demo).
+
+The gated step lives in MatcherState (the float-or-exact reference engine),
+in run_fast (the float kernel of every trace-free run) and, inline for its
+per-color bank, in colorer.PhaseReducer.feed.
 """
 
 from __future__ import annotations
@@ -269,50 +273,43 @@ def run(
 
 
 def run_fast(us, vs, n: int, delta: float, q: float, rng: random.Random):
-    """Trace-free gated run over pre-split endpoint arrays (Monte-Carlo path).
+    """The float gated kernel: one trace-free run over pre-split endpoint arrays.
 
     Consumes exactly one uniform per arrival (the same contract as run(), so
     fast and traced runs make identical decisions for the same seed).
-    Returns (matched-edge flag list, min F observed, gate fire count).
+    Returns (hit, p_hat, F, gate_fires): per-arrival match flags and P_hat
+    values (0.0 at a matched endpoint or a fired gate), the final F list
+    (F never increases, so min(F) is the smallest value it took), and the
+    gate fire count.
     """
     F = [1.0] * n
     vertex_matched = bytearray(n)
     scale = 1.0 / (delta + q)
     floor = q / (4.0 * delta)
     hit = []
-    min_f = 1.0
+    p_hat = []
     gate_fires = 0
     rand = rng.random
-    for i in range(len(us)):
-        u = us[i]
-        v = vs[i]
+    for u, v in zip(us, vs):
         x = rand()
-        if vertex_matched[u] or vertex_matched[v]:
-            hit.append(False)
-            continue
-        fu = F[u]
-        fv = F[v]
-        p = scale / (fu * fv)
-        if (fu if fu < fv else fv) * (1.0 - p) < floor:
-            gate_fires += 1
-            hit.append(False)
-            continue
-        s = 1.0 - p
-        fu *= s
-        fv *= s
-        F[u] = fu
-        F[v] = fv
-        if fu < min_f:
-            min_f = fu
-        if fv < min_f:
-            min_f = fv
-        if x < p:
-            vertex_matched[u] = True
-            vertex_matched[v] = True
-            hit.append(True)
-        else:
-            hit.append(False)
-    return hit, min_f, gate_fires
+        p = 0.0
+        if not (vertex_matched[u] or vertex_matched[v]):
+            fu = F[u]
+            fv = F[v]
+            p = scale / (fu * fv)
+            s = 1.0 - p
+            if (fu if fu < fv else fv) * s < floor:
+                gate_fires += 1
+                p = 0.0
+            else:
+                F[u] = fu * s
+                F[v] = fv * s
+        matched = x < p  # never at p = 0: x is in [0, 1)
+        if matched:
+            vertex_matched[u] = vertex_matched[v] = True
+        hit.append(matched)
+        p_hat.append(p)
+    return hit, p_hat, F, gate_fires
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +372,16 @@ def matching_is_valid(matching: list[tuple[int, int]]) -> bool:
 
 
 def check_run_invariants(
-    stream: ArrivalStream, config: MatcherConfig, traces: list[StepTrace], rel_tol: float = 1e-9
+    stream: ArrivalStream, config: MatcherConfig, traces: list[StepTrace]
 ) -> list[str]:
     """Post-hoc invariant audit of a traced run; returns violation strings.
 
     Checked: matched <=> x < p_hat; gate coherence; the F floor q/(4D) and
     monotonicity (analysis_friendly with gate, when q <= 4D so the floor is
     below the initial value); P <= 1/4 and the min-F gate-pass condition
-    whenever the guard 8*sqrt(D) <= q <= D/4 holds; and the product identity
-    F_final(v) = prod (1 - p_hat) over v's edges, recomputed from the traces.
+    whenever the guard 8*sqrt(D) <= q <= D/4 holds; a valid matching.  The
+    F product identity needs an F not rebuilt from these traces: mc_marginals
+    checks it against run_fast's.
     """
     bad: list[str] = []
     delta, q = config.delta, config.q
@@ -415,13 +413,6 @@ def check_run_invariants(
         if tr.matched:
             vertex_matched[e.u] = True
             vertex_matched[e.v] = True
-    recomputed = [1.0] * stream.n
-    for e, tr in zip(stream.arrivals, traces):
-        recomputed[e.u] *= 1.0 - tr.p_hat
-        recomputed[e.v] *= 1.0 - tr.p_hat
-    for w in range(stream.n):
-        if not math.isclose(recomputed[w], F[w], rel_tol=rel_tol):
-            bad.append(f"vertex {w}: F product identity off ({recomputed[w]} vs {F[w]})")
     matching = [(e.u, e.v) for e, tr in zip(stream.arrivals, traces) if tr.matched]
     if not matching_is_valid(matching):
         bad.append("output matching has adjacent edges")

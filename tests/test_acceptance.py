@@ -121,7 +121,7 @@ def test_criterion_2_triangle_ground_truth():
     hits = [0, 0, 0]
     us, vs = [0, 1, 0], [1, 2, 2]
     for t in range(trials):
-        got, _, _ = run_fast(us, vs, 3, 2.0, 1.0, rng_for(2024, t))
+        got, _, _, _ = run_fast(us, vs, 3, 2.0, 1.0, rng_for(2024, t))
         for i, flag in enumerate(got):
             hits[i] += flag
     sigma = math.sqrt((1 / 3) * (2 / 3) / trials)

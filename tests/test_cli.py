@@ -153,6 +153,31 @@ def test_martingale_cli(tmp_path, capsys):
     assert payload["ci_contains_y0"] and not payload["violations"]
 
 
+def test_martingale_cli_fallback_exits_2(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text("n=3 dmax=2\ne 0 1\ne 1 2\ne 0 2\n")
+    code = main(["martingale", "--stream", str(path), "--profile", "theory", "--trials", "5"])
+    assert code == 2
+    assert "greedy_fallback" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["color", "--out", "csv"],
+    ["martingale", "--out", "csv"],
+    ["oracle", "--trials", "5"],
+    ["oracle", "--seed", "5"],
+    ["counterexample", "--epsilon", "0.1"],
+])
+def test_cli_rejects_options_a_subcommand_ignores(tmp_path, capsys, argv):
+    path = tmp_path / "s.txt"
+    path.write_text("n=3 dmax=2\ne 0 1\ne 1 2\ne 0 2\n")
+    stream = [] if argv[0] == "counterexample" else ["--stream", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], *stream, *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_color_cli_exits_1_on_invariant_violation(tmp_path, capsys, monkeypatch):
     from onlinecolor import colorer
 

@@ -1,9 +1,12 @@
+import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
 
 from conftest import path, star, triangle
+from onlinecolor import harness
 from onlinecolor.harness import (
     counterexample_demo,
     freedman_bound,
@@ -15,7 +18,7 @@ from onlinecolor.harness import (
     verify_stream,
     wilson_interval,
 )
-from onlinecolor.matcher import MODE_NATURAL, MatcherConfig
+from onlinecolor.matcher import MODE_GREEDY_FALLBACK, MODE_NATURAL, MatcherConfig
 from onlinecolor.seeding import derive_seed, rng_for
 from onlinecolor.stream import make_stream
 
@@ -139,6 +142,24 @@ def test_martingale_monitor_regular_instance():
         martingale_monitor(s, cfg, vertex=99, trials=1, master_seed=0)
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        MatcherConfig(delta=2, q=1, mode=MODE_NATURAL),
+        MatcherConfig(delta=2, q=1, gate_enabled=False),
+        MatcherConfig(delta=2, q=1, mode=MODE_GREEDY_FALLBACK),
+    ],
+    ids=["natural", "gate_disabled", "greedy_fallback"],
+)
+def test_martingale_rejects_ungated_config(cfg):
+    # the diagnostics follow the gated matcher; any other config is refused
+    # rather than silently monitored as the gated algorithm
+    with pytest.raises(ValueError, match="gated analysis_friendly"):
+        martingale_monitor(triangle(), cfg, vertex=0, trials=10, master_seed=1)
+    with pytest.raises(ValueError, match="gated analysis_friendly"):
+        martingale_trace(triangle(), cfg, vertex=0, seed=1)
+
+
 # -- the overflow demo ------------------------------------------------------------
 
 @pytest.mark.parametrize("delta,q", [(10, 1), (10, 2), (8, 3)])
@@ -211,6 +232,49 @@ def test_mc_greedy_fallback_hits_match_per_trial_runs(stream, delta):
             rep = mc_marginals(stream, cfg, trials=t + 1, master_seed=4)
             assert [rec["hits"] for rec in rep.edges] == expected
             assert rep.violation_count == 0
+
+
+def test_mc_audit_catches_corrupted_trace(monkeypatch):
+    # halving one traced p_hat breaks F_final(v) = prod (1 - p_hat) against
+    # the kernel's own F; the audit must say so
+    real_run = harness.run
+
+    def corrupted_run(stream, config, seed):
+        matching, traces = real_run(stream, config, seed)
+        traces[0] = dataclasses.replace(traces[0], p_hat=traces[0].p_hat / 2)
+        return matching, traces
+
+    cfg = MatcherConfig(delta=2, q=1)
+    assert mc_marginals(triangle(), cfg, trials=5, master_seed=2).violations == []
+    monkeypatch.setattr(harness, "run", corrupted_run)
+    rep = mc_marginals(triangle(), cfg, trials=5, master_seed=2)
+    assert any("final F != prod (1 - p_hat)" in v for v in rep.violations)
+
+
+def _digest(values):
+    return hashlib.sha256(repr(list(values)).encode()).hexdigest()[:16]
+
+
+def test_mc_martingale_verify_pinned():
+    # outputs recorded before the martingale and verify trials moved onto
+    # run_fast; any drift of the float kernel or of the draws changes them
+    from onlinecolor.stream import gen_regular, reorder
+
+    s = reorder(gen_regular(20, 6, seed=3), "random", 5)
+    cfg = MatcherConfig(delta=6, q=1.5)
+    rep = mc_marginals(s, cfg, trials=300, master_seed=3)
+    assert _digest(e["hits"] for e in rep.edges) == "9dffaf9b5b9383a6"
+    assert rep.diagnostics["min_F_observed"] == 0.06282137021818499
+    assert rep.diagnostics["gate_fires"] == 291
+    mg = martingale_monitor(s, cfg, vertex=4, trials=300, master_seed=9)
+    assert (mg.mean_ym, mg.max_step, mg.max_wm) == (
+        0.779984982199117, 0.42185846498311863, 0.30395401178989667)
+    assert _digest(martingale_trace(s, cfg, vertex=4, seed=5).y) == "6462aabc816a1775"
+    small = make_stream(7, 4, [(0, 3), (1, 5), (1, 2), (4, 6), (0, 2),
+                               (3, 6), (2, 5), (2, 6), (0, 4), (5, 6)])
+    out = verify_stream(small, MatcherConfig(delta=4, q=1.0), trials=1000, master_seed=11)
+    assert _digest(r["frequency"] for r in out["edges"]) == "cc13777d2654e648"
+    assert out["violations"] == []
 
 
 def test_verify_stream_clean():

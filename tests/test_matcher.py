@@ -95,7 +95,7 @@ def test_fast_and_traced_paths_agree():
     s = random_simple_graph(random.Random(5), 9, 14)
     cfg = MatcherConfig(delta=max(s.degrees()), q=2.0)
     for trial in range(20):
-        got, _, _ = run_fast([e.u for e in s.arrivals], [e.v for e in s.arrivals],
+        got, _, _, _ = run_fast([e.u for e in s.arrivals], [e.v for e in s.arrivals],
                              s.n, cfg.delta, cfg.q, rng_for(77, trial))
         _, traces = run(s, cfg, derive_seed(77, trial))
         assert [tr.matched for tr in traces] == got
@@ -165,7 +165,7 @@ def test_single_edge_marginal_statistical():
     hits = 0
     trials = 30000
     for t in range(trials):
-        got, _, _ = run_fast([0], [1], 2, 2.0, 1.0, rng_for(5, t))
+        got, _, _, _ = run_fast([0], [1], 2, 2.0, 1.0, rng_for(5, t))
         hits += got[0]
     p = hits / trials
     sigma = math.sqrt((1 / 3) * (2 / 3) / trials)

@@ -57,7 +57,7 @@ def test_oracle_matches_monte_carlo():
     us = [e.u for e in s.arrivals]
     vs = [e.v for e in s.arrivals]
     for t in range(trials):
-        got, _, _ = run_fast(us, vs, s.n, float(delta), 1.0, rng_for(31, t))
+        got, _, _, _ = run_fast(us, vs, s.n, float(delta), 1.0, rng_for(31, t))
         for i, flag in enumerate(got):
             hits[i] += flag
     for i in range(s.m):
