@@ -343,23 +343,36 @@ class MartingaleTrace:
         return bad
 
 
-def _martingale_trial(stream, config, vertex, neighbors, rng, collect=False):
-    """One run_fast run, then the neighborhood martingale of ``vertex`` over it.
+def _martingale_inputs(stream: ArrivalStream, config: MatcherConfig, vertex: int):
+    """What every trial shares: the neighbor arrival times of ``vertex``, the
+    endpoint lists and the indices of the arrivals that touch a neighbor,
+    which include every arrival at ``vertex``.  Raises for any matcher but
+    the gated one."""
+    if not _gated(config):
+        raise MatcherError(
+            "martingale diagnostics follow the gated analysis_friendly matcher, not "
+            f"mode={config.mode!r} with gate_enabled={config.gate_enabled}"
+        )
+    neighbors = _neighbor_times(stream, vertex)
+    us, vs = _endpoints(stream)
+    walk = [i for i, (u, v) in enumerate(zip(us, vs)) if u in neighbors or v in neighbors]
+    return neighbors, us, vs, walk
+
+
+def _martingale_trial(n, config, vertex, neighbors, us, vs, walk, rng, collect=False):
+    """One run_fast run, then the neighborhood martingale of ``vertex`` over
+    the arrival indices ``walk``.
 
     Y starts at deg(v)/(D+q); a neighbor's term 1/((D+q) F(u_i)) updates
     while the edge (v,u_i) is still in the future, freezes at its arrival,
     and drops if u_i is matched beforehand.  Only arrivals touching a live,
     unfrozen neighbor move Y: down by the term sum on a match, up by the
     factor p_hat/(1-p_hat) otherwise.  The conditional variance of a step is
-    (term sum)^2 * p_hat/(1-p_hat) regardless of the outcome.
+    (term sum)^2 * p_hat/(1-p_hat) regardless of the outcome.  So without
+    ``collect`` the walk may skip every arrival that touches no neighbor;
+    with it, ``walk`` must cover every arrival.
     """
-    if not _gated(config):
-        raise MatcherError(
-            "martingale diagnostics follow the gated analysis_friendly matcher, not "
-            f"mode={config.mode!r} with gate_enabled={config.gate_enabled}"
-        )
-    us, vs = _endpoints(stream)
-    hit, p_hats, _, _ = run_fast(us, vs, stream.n, config.delta, config.q, rng)
+    hit, p_hats, _, _ = run_fast(us, vs, n, config.delta, config.q, rng)
     scale = 1.0 / (config.delta + config.q)
     contrib = {w: scale for w in neighbors}  # live, unfrozen neighbor terms
     y = scale * len(neighbors)
@@ -368,7 +381,8 @@ def _martingale_trial(stream, config, vertex, neighbors, rng, collect=False):
     trail = [y] if collect else None
     deltas = [] if collect else None
     variances = [] if collect else None
-    for u, v, p_hat, matched in zip(us, vs, p_hats, hit):
+    for i in walk:
+        u, v, p_hat, matched = us[i], vs[i], p_hats[i], hit[i]
         # freeze the term of a neighbor whose (vertex, w) edge is arriving now
         if u == vertex or v == vertex:
             w = v if u == vertex else u
@@ -408,9 +422,9 @@ def _martingale_trial(stream, config, vertex, neighbors, rng, collect=False):
 
 def martingale_trace(stream: ArrivalStream, config: MatcherConfig, vertex: int, seed: int) -> MartingaleTrace:
     """Full Y trajectory, step deltas, and variance contributions for one run."""
-    neighbors = _neighbor_times(stream, vertex)
+    neighbors, us, vs, _ = _martingale_inputs(stream, config, vertex)
     _, _, _, trace = _martingale_trial(
-        stream, config, vertex, neighbors, rng_for(seed), collect=True
+        stream.n, config, vertex, neighbors, us, vs, range(stream.m), rng_for(seed), collect=True
     )
     return trace
 
@@ -438,7 +452,7 @@ def martingale_monitor(
     _require_trials(trials)
     if not 0 <= vertex < stream.n:
         raise ValueError(f"vertex {vertex} not in the stream")
-    neighbors = _neighbor_times(stream, vertex)
+    neighbors, us, vs, walk = _martingale_inputs(stream, config, vertex)
     delta, q = config.delta, config.q
     y0 = len(neighbors) / (delta + q)
     step_bound = 8.0 / q
@@ -451,7 +465,7 @@ def martingale_monitor(
     max_wm = 0.0
     for t in range(trials):
         ym, ms, wm, _ = _martingale_trial(
-            stream, config, vertex, neighbors, rng_for(master_seed, t)
+            stream.n, config, vertex, neighbors, us, vs, walk, rng_for(master_seed, t)
         )
         total += ym
         total_sq += ym * ym

@@ -11,6 +11,11 @@ coloring instances).  The line-oriented text format:
 with ``#`` comment lines.  Color ids are positive integers.  Vertex ids are
 dense non-negative integers below n, so isolated vertices are representable
 (per-vertex state is allocated from n, not inferred from the edges).
+
+``EdgeArrival`` is a plain record; ``ArrivalStream`` validates every arrival
+in one pass when it is built, checking each distinct palette object once.
+The parser reads each distinct ``L=`` token text once, so edges with equal
+palette text share one tuple.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 FRACTIONAL_SUM_TOL = 1e-9
 
@@ -32,27 +38,14 @@ class StreamError(ValueError):
     """Malformed input or a violated stream invariant."""
 
 
-@dataclass(frozen=True)
-class EdgeArrival:
+class EdgeArrival(NamedTuple):
+    """One arrival.  Not validated on its own: ``ArrivalStream`` checks it."""
+
     time: int  # 1-based arrival index
     u: int
     v: int
     x: float | None = None  # fractional value in [0, 1]
     colors: tuple[int, ...] | None = None  # sorted, distinct, positive
-
-    def __post_init__(self) -> None:
-        if self.u == self.v:
-            raise StreamError(f"t={self.time}: self-loop at vertex {self.u}")
-        if self.u < 0 or self.v < 0:
-            raise StreamError(f"t={self.time}: negative vertex id")
-        if self.x is not None and not (0.0 <= self.x <= 1.0):
-            raise StreamError(f"t={self.time}: x={self.x} outside [0, 1]")
-        if self.colors is not None:
-            cs = self.colors
-            if any(c <= 0 for c in cs):
-                raise StreamError(f"t={self.time}: color ids must be positive")
-            if any(cs[i] >= cs[i + 1] for i in range(len(cs) - 1)):
-                raise StreamError(f"t={self.time}: color list not sorted/distinct")
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -66,29 +59,47 @@ class ArrivalStream:
     arrivals: tuple[EdgeArrival, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0 or self.delta_bound < 0:
+        # The one validation pass over the arrivals.
+        n, dmax = self.n, self.delta_bound
+        if n < 0 or dmax < 0:
             raise StreamError("n and dmax must be non-negative")
-        seen: set[tuple[int, int]] = set()
-        degree = [0] * self.n
-        frac = [0.0] * self.n
-        for i, e in enumerate(self.arrivals):
-            if e.time != i + 1:
-                raise StreamError(f"arrival times must be 1..m consecutive (got {e.time} at {i + 1})")
-            if e.u >= self.n or e.v >= self.n:
-                raise StreamError(f"t={e.time}: vertex id >= n={self.n}")
-            if e.pair in seen:
-                raise StreamError(f"t={e.time}: duplicate edge {e.pair} (parallel edges disallowed)")
-            seen.add(e.pair)
-            for w in (e.u, e.v):
-                degree[w] += 1
-                if degree[w] > self.delta_bound:
-                    raise StreamError(f"t={e.time}: degree of vertex {w} exceeds dmax={self.delta_bound}")
-                if e.x is not None:
-                    frac[w] += e.x
-                    if frac[w] > 1.0 + FRACTIONAL_SUM_TOL:
-                        raise StreamError(
-                            f"t={e.time}: fractional sum {frac[w]:.12g} > 1 at vertex {w}"
-                        )
+        seen: set[int] = set()
+        degree = [0] * n
+        frac = [0.0] * n
+        frac_limit = 1.0 + FRACTIONAL_SUM_TOL
+        checked: set[int] = set()  # ids of checked palettes; self.arrivals keeps them alive
+        for i, (t, u, v, x, colors) in enumerate(self.arrivals, start=1):
+            if t != i:
+                raise StreamError(f"arrival times must be 1..m consecutive (got {t} at {i})")
+            if u == v:
+                raise StreamError(f"t={t}: self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                if u < 0 or v < 0:
+                    raise StreamError(f"t={t}: negative vertex id")
+                raise StreamError(f"t={t}: vertex id >= n={n}")
+            if x is not None and not (0.0 <= x <= 1.0):
+                raise StreamError(f"t={t}: x={x} outside [0, 1]")
+            if colors is not None and id(colors) not in checked:
+                if any(c <= 0 for c in colors):
+                    raise StreamError(f"t={t}: color ids must be positive")
+                if any(a >= b for a, b in zip(colors, colors[1:])):
+                    raise StreamError(f"t={t}: color list not sorted/distinct")
+                checked.add(id(colors))
+            key = u * n + v if u < v else v * n + u
+            if key in seen:
+                raise StreamError(f"t={t}: duplicate edge {(min(u, v), max(u, v))} (parallel edges disallowed)")
+            seen.add(key)
+            degree[u] += 1
+            degree[v] += 1
+            if degree[u] > dmax or degree[v] > dmax:
+                w = u if degree[u] > dmax else v
+                raise StreamError(f"t={t}: degree of vertex {w} exceeds dmax={dmax}")
+            if x is not None:
+                frac[u] += x
+                frac[v] += x
+                if frac[u] > frac_limit or frac[v] > frac_limit:
+                    w = u if frac[u] > frac_limit else v
+                    raise StreamError(f"t={t}: fractional sum {frac[w]:.12g} > 1 at vertex {w}")
 
     @property
     def m(self) -> int:
@@ -111,14 +122,23 @@ class ArrivalStream:
 
 
 def make_stream(n: int, delta_bound: int, edges, xs=None, lists=None) -> ArrivalStream:
-    """Build a validated stream from (u, v) pairs plus optional annotations."""
+    """Build a validated stream from (u, v) pairs plus optional annotations.
+
+    Each distinct list object is sorted and deduplicated once, and every edge
+    given that object shares the resulting tuple."""
+    normalized: dict[int, tuple] = {}  # id -> (list, palette), list kept alive
     arrivals = []
     for i, (u, v) in enumerate(edges):
         x = None if xs is None else xs[i]
         colors = None
-        if lists is not None and lists[i] is not None:
-            colors = tuple(sorted(set(lists[i])))
-        arrivals.append(EdgeArrival(time=i + 1, u=u, v=v, x=x, colors=colors))
+        if lists is not None:
+            raw = lists[i]
+            if raw is not None:
+                hit = normalized.get(id(raw))
+                if hit is None:
+                    hit = normalized[id(raw)] = (raw, tuple(sorted(set(raw))))
+                colors = hit[1]
+        arrivals.append(EdgeArrival(i + 1, u, v, x, colors))
     return ArrivalStream(n=n, delta_bound=delta_bound, arrivals=tuple(arrivals))
 
 
@@ -129,12 +149,10 @@ def make_stream(n: int, delta_bound: int, edges, xs=None, lists=None) -> Arrival
 def parse_stream(text: str | bytes) -> ArrivalStream:
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
-    lines = text.splitlines()
     header = None
-    edges: list[tuple[int, int]] = []
-    xs: list[float | None] = []
-    lists: list[tuple[int, ...] | None] = []
-    for lineno, raw in enumerate(lines, start=1):
+    arrivals: list[EdgeArrival] = []
+    palettes: dict[str, tuple[int, ...]] = {}  # L= token text -> its palette
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -143,16 +161,12 @@ def parse_stream(text: str | bytes) -> ArrivalStream:
             continue
         if not line.startswith("e "):
             raise StreamError(f"line {lineno}: expected 'e <u> <v> ...', got {line!r}")
-        u, v, x, colors = _parse_edge_line(line, lineno)
-        edges.append((u, v))
-        xs.append(x)
-        lists.append(colors)
+        u, v, x, colors = _parse_edge_line(line, lineno, palettes)
+        arrivals.append(EdgeArrival(len(arrivals) + 1, u, v, x, colors))
     if header is None:
         raise StreamError("missing header line 'n=<int> dmax=<int>'")
     n, dmax = header
-    xs_arg = xs if any(x is not None for x in xs) else None
-    ls_arg = lists if any(c is not None for c in lists) else None
-    return make_stream(n, dmax, edges, xs=xs_arg, lists=ls_arg)
+    return ArrivalStream(n=n, delta_bound=dmax, arrivals=tuple(arrivals))
 
 
 def _parse_header(line: str, lineno: int) -> tuple[int, int]:
@@ -170,7 +184,9 @@ def _parse_header(line: str, lineno: int) -> tuple[int, int]:
     return fields["n"], fields["dmax"]
 
 
-def _parse_edge_line(line: str, lineno: int):
+def _parse_edge_line(line: str, lineno: int, palettes: dict[str, tuple[int, ...]]):
+    """Split one edge line.  ``palettes`` caches each ``L=`` token's sorted
+    palette, so edges with the same token text share one tuple."""
     toks = line.split()
     if len(toks) < 3:
         raise StreamError(f"line {lineno}: edge line needs two endpoints")
@@ -187,13 +203,15 @@ def _parse_edge_line(line: str, lineno: int):
             except ValueError:
                 raise StreamError(f"line {lineno}: bad fractional value {tok!r}") from None
         elif tok.startswith("L="):
-            try:
-                parsed = tuple(int(c) for c in tok[2:].split(",") if c)
-            except ValueError:
-                raise StreamError(f"line {lineno}: bad color list {tok!r}") from None
-            if len(set(parsed)) != len(parsed):
-                raise StreamError(f"line {lineno}: duplicate color in list")
-            colors = tuple(sorted(parsed))
+            colors = palettes.get(tok)
+            if colors is None:
+                try:
+                    parsed = [int(c) for c in tok[2:].split(",") if c]
+                except ValueError:
+                    raise StreamError(f"line {lineno}: bad color list {tok!r}") from None
+                if len(set(parsed)) != len(parsed):
+                    raise StreamError(f"line {lineno}: duplicate color in list")
+                colors = palettes[tok] = tuple(sorted(parsed))
         else:
             raise StreamError(f"line {lineno}: unknown annotation {tok!r}")
     return u, v, x, colors
@@ -202,13 +220,17 @@ def _parse_edge_line(line: str, lineno: int):
 def emit_stream(stream: ArrivalStream) -> str:
     """Inverse of parse_stream: parse_stream(emit_stream(s)) == s."""
     out = [f"n={stream.n} dmax={stream.delta_bound}"]
-    for e in stream.arrivals:
-        parts = [f"e {e.u} {e.v}"]
-        if e.x is not None:
-            parts.append(f"x={e.x!r}")
-        if e.colors is not None:
-            parts.append("L=" + ",".join(str(c) for c in e.colors))
-        out.append(" ".join(parts))
+    joined: dict[int, str] = {}  # id of a palette -> its " L=..." text
+    for _, u, v, x, colors in stream.arrivals:
+        line = f"e {u} {v}"
+        if x is not None:
+            line += f" x={x!r}"
+        if colors is not None:
+            text = joined.get(id(colors))
+            if text is None:
+                text = joined[id(colors)] = " L=" + ",".join(map(str, colors))
+            line += text
+        out.append(line)
     return "\n".join(out) + "\n"
 
 
@@ -360,8 +382,7 @@ def reorder(stream: ArrivalStream, order: str, seed: int | None = None) -> Arriv
     else:
         raise StreamError(f"unknown order {order!r}")
     renumbered = tuple(
-        EdgeArrival(time=i + 1, u=e.u, v=e.v, x=e.x, colors=e.colors)
-        for i, e in enumerate(arrivals)
+        EdgeArrival(i + 1, u, v, x, colors) for i, (_, u, v, x, colors) in enumerate(arrivals)
     )
     return ArrivalStream(n=stream.n, delta_bound=stream.delta_bound, arrivals=renumbered)
 

@@ -96,23 +96,40 @@ def test_martingale_single_edge_freezes():
 def test_martingale_two_edge_closed_form():
     # e1 = (u, w) moves Y for the monitored v before (v, u) arrives:
     # p_hat(e1) = 1/(D+q); match drops the term, no-match grows it
-    from onlinecolor.harness import _martingale_trial, _neighbor_times
+    from onlinecolor.harness import _martingale_inputs, _martingale_trial
 
     s = make_stream(4, 2, [(1, 2), (0, 1)])  # v = 0, u = 1, w = 2
     cfg = MatcherConfig(delta=2, q=1)
-    nb = _neighbor_times(s, 0)
+    nb, us, vs, _ = _martingale_inputs(s, cfg, 0)
     p = 1.0 / 3.0
     ym, max_step, wm, trace = _martingale_trial(
-        s, cfg, 0, nb, FakeRng([0.0, 0.99]), collect=True)
+        s.n, cfg, 0, nb, us, vs, range(s.m), FakeRng([0.0, 0.99]), collect=True)
     assert math.isclose(trace.deltas[0], -p)  # e1 matched: term dropped
     assert ym == 0.0
     assert trace.shape_violations() == []
     ym, max_step, wm, trace = _martingale_trial(
-        s, cfg, 0, nb, FakeRng([0.99, 0.99]), collect=True)
+        s.n, cfg, 0, nb, us, vs, range(s.m), FakeRng([0.99, 0.99]), collect=True)
     assert math.isclose(trace.deltas[0], p * (p / (1 - p)))  # no match: term grows
     assert math.isclose(ym, p + trace.deltas[0])
     assert math.isclose(wm, p * p * (p / (1 - p)))
     assert trace.shape_violations() == []
+
+
+def test_martingale_walk_skips_only_arrivals_that_cannot_move_y():
+    # martingale_monitor walks only the arrivals that touch a neighbor of
+    # the vertex; the full walk must give the same (Y_m, max step, W_m)
+    from onlinecolor.harness import _martingale_inputs, _martingale_trial
+    from onlinecolor.stream import gen_regular, reorder
+
+    s = reorder(gen_regular(30, 6, seed=2), "random", 4)
+    cfg = MatcherConfig(delta=6, q=1.5)
+    for vertex in (0, 11):
+        nb, us, vs, walk = _martingale_inputs(s, cfg, vertex)
+        assert 0 < len(walk) < s.m
+        for seed in range(20):
+            full = _martingale_trial(s.n, cfg, vertex, nb, us, vs, range(s.m), rng_for(seed))
+            part = _martingale_trial(s.n, cfg, vertex, nb, us, vs, walk, rng_for(seed))
+            assert part[:3] == full[:3]
 
 
 def test_martingale_shape_invariant_random_runs():

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onlinecolor.stream import (
+    ArrivalStream,
+    EdgeArrival,
     StreamError,
     emit_stream,
     gen_complete_bipartite,
@@ -14,6 +16,7 @@ from onlinecolor.stream import (
     make_stream,
     parse_stream,
     reorder,
+    with_range_lists,
 )
 
 
@@ -46,11 +49,58 @@ def test_parse_annotations():
         ("n=2 dmax=1\nedge 0 1\n", "expected"),
         ("e 0 1\n", "header"),
         ("n=2 dmax=1\ne 0 1 L=3,3\n", "duplicate color"),
+        ("n=2 dmax=1\ne -1 1\n", "negative vertex id"),
+        ("n=2 dmax=1\ne 0 one\n", "non-integer vertex id"),
+        ("n=2 dmax=1\ne 0\n", "two endpoints"),
+        ("n=2 dmax=1\ne 0 1 x=1.5\n", "outside"),
+        ("n=2 dmax=1\ne 0 1 x=abc\n", "bad fractional value"),
+        ("n=2 dmax=1\ne 0 1 L=0,2\n", "must be positive"),
+        ("n=2 dmax=1\ne 0 1 L=a,b\n", "bad color list"),
+        ("n=2 dmax=1\ne 0 1 y=2\n", "unknown annotation"),
+        ("n=2 dmax\ne 0 1\n", "bad header token"),
+        ("n=2 dmax=x\ne 0 1\n", "non-integer header value"),
+        ("n=2 m=1\ne 0 1\n", "header must be"),
+        ("n=-1 dmax=1\n", "non-negative"),
+        ("# only a comment\n", "missing header"),
     ],
 )
 def test_parse_errors(text, fragment):
     with pytest.raises(StreamError, match=fragment):
         parse_stream(text)
+
+
+@pytest.mark.parametrize(
+    "arrivals,fragment",
+    [
+        ([EdgeArrival(1, 0, 1, colors=(1, 2)), EdgeArrival(2, 2, 3, colors=(5, 1))], "not sorted"),
+        ([EdgeArrival(1, 0, 1, colors=(1, 2)), EdgeArrival(2, 2, 3, colors=(4, 4))], "not sorted"),
+        ([EdgeArrival(1, 0, 1), EdgeArrival(3, 2, 3)], "consecutive"),
+    ],
+)
+def test_stream_rejects_invalid_arrivals(arrivals, fragment):
+    # an EdgeArrival is a plain record; the stream that holds it checks it
+    with pytest.raises(StreamError, match=fragment):
+        ArrivalStream(n=4, delta_bound=1, arrivals=tuple(arrivals))
+
+
+def test_palettes_shared_and_normalized():
+    s = parse_stream("n=4 dmax=1\ne 0 1 L=9,5,1\ne 2 3 L=9,5,1\n")
+    assert s.arrivals[0].colors == (1, 5, 9)
+    assert s.arrivals[0].colors is s.arrivals[1].colors
+    ranged = with_range_lists(gen_regular(20, 5, seed=7), 12)
+    assert len({id(e.colors) for e in ranged.arrivals}) == 1
+    assert ranged.arrivals[0].colors == tuple(range(1, 13))
+    made = make_stream(4, 1, [(0, 1), (2, 3)], lists=[(9, 5, 1), (9, 5, 1)])
+    assert [e.colors for e in made.arrivals] == [(1, 5, 9), (1, 5, 9)]
+
+    class FreshLists:
+        # a new list on every lookup: a cache keyed on the object must not
+        # mistake one for another once the first is gone
+        def __getitem__(self, i):
+            return [i + 2, 1, i + 2]
+
+    fresh = make_stream(8, 1, [(0, 1), (2, 3), (4, 5), (6, 7)], lists=FreshLists())
+    assert [e.colors for e in fresh.arrivals] == [(1, 2), (1, 3), (1, 4), (1, 5)]
 
 
 def test_emit_round_trip_examples():
