@@ -173,9 +173,7 @@ def cmd_color(args) -> int:
     else:
         result = colorer.local_color(s, profile, args.seed)
         palettes = [range(1, b + 1) for b in result.local_bounds]
-    violations = harness.validate_coloring(
-        s, result, palettes=None if result.fallback_taken else palettes
-    ) + result.invariant_violations
+    violations = harness.validate_coloring(s, result, palettes=palettes) + result.invariant_violations
     payload = result.report(profile)
     payload["violations"] = violations
     _write(args, json.dumps(payload, indent=2))
@@ -320,6 +318,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except colorer.TailFailure as exc:
+        # a greedy coloring (the tail, or the fallback) ran out of palette colors
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         # StreamError / MatcherError / ScheduleError / PartitionError and
         # unreadable files all land here; exit 2 distinguishes config errors

@@ -59,7 +59,8 @@ class PromiseViolation(ValueError):
 
 
 class TailFailure(Exception):
-    """Greedy tail ran out of colors for an edge (time, u, v)."""
+    """A greedy coloring (the tail, the fallback, greedy_color) ran out of
+    palette colors for an edge (time, u, v)."""
 
     def __init__(self, time: int, u: int, v: int):
         super().__init__(f"t={time}: no tail color available for edge ({u},{v})")
@@ -447,14 +448,22 @@ def _range_intersect(a: range, lo: int, hi: int) -> range:
     return range(start, max(start, stop))
 
 
-def _smallest_free_in_span(lo: int, hi: int, taken: int) -> int | None:
-    if hi < lo:
-        return None
-    mask = ((1 << (hi + 1)) - (1 << lo))
-    avail = ~taken & mask
-    if avail == 0:
-        return None
-    return (avail & -avail).bit_length() - 1
+def _smallest_free(palette, taken: int, slots: dict | None) -> int | None:
+    """The first color of ``palette`` whose bit in ``taken`` is clear, or None.
+
+    With ``slots`` None, bit c stands for color c and ``palette`` is a range,
+    scanned as one mask over its span.  Otherwise bit ``slots[c]`` stands for
+    color c and ``palette`` is any iterable, consumed only up to the first
+    free color; a color without a slot has never been used, so it is free.
+    """
+    if slots is None:
+        avail = ~taken >> palette.start & ((1 << len(palette)) - 1)
+        return palette.start + (avail & -avail).bit_length() - 1 if avail else None
+    for c in palette:
+        k = slots.get(c)
+        if k is None or not taken >> k & 1:
+            return c
+    return None
 
 
 def run_generic(
@@ -464,27 +473,26 @@ def run_generic(
     partition,
     profile: ConstantsProfile,
     seed: int,
-    prune: bool = False,
-    track_list_ledger: bool = False,
 ) -> ColoringResult:
     """One online pass of the full pipeline.  lists_fn(e) -> palette.
 
-    Palettes may be ``range`` objects (plain/local modes; sublists then come
-    from the partition's intervals) or sorted tuples (list mode).  A greedy
-    tail failure raises TailFailure unless the profile asks for the
-    (2*dmax-1)-greedy fallback, in which case the whole instance is recolored
-    by the baseline and flagged.
+    A range partition takes ``range`` palettes (plain/local modes; sublists
+    come from the partition's intervals).  A sampled partition makes a list
+    run: palettes are sorted tuples, pruned per phase to the schedule's
+    target, and the list ledger is kept.  A greedy tail failure raises
+    TailFailure unless the profile asks for the greedy fallback, in which
+    case the whole instance is recolored greedily from the same palettes and
+    flagged; a fallback that also runs out of colors raises TailFailure.
     """
     try:
-        return _run_pipeline(stream, lists_fn, schedule, partition, profile, seed,
-                             prune=prune, track_list_ledger=track_list_ledger)
+        return _run_pipeline(stream, lists_fn, schedule, partition, profile, seed)
     except TailFailure:
         if not profile.fallback_on_tail_failure:
             raise
-        return _fallback_result(stream, schedule, partition, seed)
+        return _fallback_result(stream, lists_fn, schedule, partition, seed)
 
 
-def _run_pipeline(stream, lists_fn, schedule, partition, profile, seed, prune, track_list_ledger):
+def _run_pipeline(stream, lists_fn, schedule, partition, profile, seed):
     n, m, f = stream.n, stream.m, schedule.f
     active = list(schedule.active_phases)
     reducers = {
@@ -495,7 +503,6 @@ def _run_pipeline(stream, lists_fn, schedule, partition, profile, seed, prune, t
     targets = {i: schedule.prune_target(i) for i in active}
     deg = {i: [0] * n for i in active}
     tail_deg = [0] * n
-    used = [0] * n  # per-vertex bitmask of assigned colors
     stats = {i: PhaseStats(phase=i) for i in active}
     tail_stats = PhaseStats(phase=f + 1)
     colors_out: list = [None] * m
@@ -503,11 +510,17 @@ def _run_pipeline(stream, lists_fn, schedule, partition, profile, seed, prune, t
     ledger_violations = 0
 
     range_mode = isinstance(partition, RangePartition)
+    list_run = isinstance(partition, SampledPartition)
+    # per-vertex bitmask of assigned colors: bit c for range palettes, bit
+    # slots[c] (dense, in order of first use) otherwise
+    used = [0] * n
+    slots = None if range_mode else {}
 
     for idx, e in enumerate(stream.arrivals):
         u, v = e.u, e.v
-        palette = lists_fn(e)
-        remaining = palette
+        remaining = lists_fn(e)
+        if isinstance(remaining, range) != range_mode:
+            raise PartitionError("range palettes need a range partition, and it needs them")
         dense_ok = False
         got: int | None = None
         for i in active:
@@ -516,11 +529,9 @@ def _run_pipeline(stream, lists_fn, schedule, partition, profile, seed, prune, t
             di = deg[i]
             di[u] += 1
             di[v] += 1
-            if prune and not isinstance(remaining, range) and len(remaining) > targets[i]:
+            if list_run and len(remaining) > targets[i]:
                 remaining = list_prune(remaining, targets[i])
-            if isinstance(remaining, range):
-                if not range_mode:
-                    raise PartitionError("range palettes need a range partition")
+            if range_mode:
                 lo, hi = partition.interval(i)
                 sublist = _range_intersect(remaining, lo, hi)
                 rest = remaining
@@ -530,7 +541,7 @@ def _run_pipeline(stream, lists_fn, schedule, partition, profile, seed, prune, t
                 for c in remaining:
                     (sublist if partition.phase_of(c) == i else rest).append(c)
             dense = di[u] >= thresholds[i] or di[v] >= thresholds[i]
-            if track_list_ledger:
+            if list_run:
                 enough = len(remaining) >= targets[i]
                 if dense_ok and not enough:
                     ledger_violations += 1
@@ -549,37 +560,28 @@ def _run_pipeline(stream, lists_fn, schedule, partition, profile, seed, prune, t
             got = reducers[i].feed(u, v, sublist)
             if got is not None:
                 st.colored += 1
-                colors_out[idx] = got
                 stage_out[idx] = i
-                used[u] |= 1 << got
-                used[v] |= 1 << got
                 break
             remaining = rest
-        if got is not None:
-            continue
-        # greedy tail
-        tail_stats.entered += 1
-        tail_deg[u] += 1
-        tail_deg[v] += 1
-        taken = used[u] | used[v]
-        c: int | None = None
-        if isinstance(remaining, range):
-            lo, hi = partition.interval(f + 1)
-            span = _range_intersect(remaining, lo, hi)
-            if len(span) > 0:
-                c = _smallest_free_in_span(span.start, span.stop - 1, taken)
-        else:
-            for cand in remaining:
-                if partition.phase_of(cand) == f + 1 and not (taken >> cand & 1):
-                    c = cand
-                    break
-        if c is None:
-            raise TailFailure(e.time, u, v)
-        tail_stats.colored += 1
-        colors_out[idx] = c
-        stage_out[idx] = f + 1
-        used[u] |= 1 << c
-        used[v] |= 1 << c
+        if got is None:
+            # greedy tail
+            tail_stats.entered += 1
+            tail_deg[u] += 1
+            tail_deg[v] += 1
+            if range_mode:
+                tail = _range_intersect(remaining, *partition.interval(f + 1))
+            else:
+                # the phase loops classified every candidate; scan only up to a free one
+                tail = (c for c in remaining if partition.phase_of(c) == f + 1)
+            got = _smallest_free(tail, used[u] | used[v], slots)
+            if got is None:
+                raise TailFailure(e.time, u, v)
+            tail_stats.colored += 1
+            stage_out[idx] = f + 1
+        colors_out[idx] = got
+        bit = 1 << (got if slots is None else slots.setdefault(got, len(slots)))
+        used[u] |= bit
+        used[v] |= bit
 
     for pos, i in enumerate(active):
         nxt = deg[active[pos + 1]] if pos + 1 < len(active) else tail_deg
@@ -607,13 +609,11 @@ def _run_pipeline(stream, lists_fn, schedule, partition, profile, seed, prune, t
     )
 
 
-def _fallback_result(stream, schedule, partition, seed) -> ColoringResult:
-    from .matcher import greedy_palette_coloring
-
-    colors = greedy_palette_coloring(stream, stream.delta_bound)
+def _fallback_result(stream, lists_fn, schedule, partition, seed) -> ColoringResult:
+    colors = greedy_color(stream, [lists_fn(e) for e in stream.arrivals])
     tail_stats = PhaseStats(phase=schedule.f + 1, entered=stream.m, colored=stream.m)
     return ColoringResult(
-        colors=list(colors),
+        colors=colors,
         stage=["fallback"] * stream.m,
         fallback_taken=True,
         per_phase=[],
@@ -659,8 +659,7 @@ def list_color(stream: ArrivalStream, profile: ConstantsProfile, seed: int) -> C
             raise PartitionError(f"t={e.time}: arrival without a palette in list mode")
         return e.colors
 
-    return run_generic(stream, lists_fn, schedule, partition, profile, seed,
-                       prune=True, track_list_ledger=True)
+    return run_generic(stream, lists_fn, schedule, partition, profile, seed)
 
 
 def local_lists(deg_u: int, deg_v: int, schedule: DegreeSchedule) -> range:
@@ -703,27 +702,23 @@ def greedy_color(stream: ArrivalStream, palettes) -> list[int]:
     """Smallest available color per edge from its own palette; error if none.
 
     ``palettes`` is a shared palette (a range, or a tuple of color ids) or a
-    list with one palette per edge.
+    list with one palette per edge.  Bookkeeping grows with the colors used,
+    not with the largest id: unless every palette is a range, each color
+    gets a dense bit slot on first use.
     """
     shared = isinstance(palettes, range) or len(palettes) == 0 or isinstance(palettes[0], int)
     per_edge = [palettes] * stream.m if shared else list(palettes)
     if len(per_edge) != stream.m:
         raise ValueError("need one palette per edge")
+    slots = None if all(isinstance(p, range) for p in per_edge) else {}
     used = [0] * stream.n
     out = []
     for e, palette in zip(stream.arrivals, per_edge):
-        taken = used[e.u] | used[e.v]
-        c = None
-        if isinstance(palette, range):
-            c = _smallest_free_in_span(palette.start, palette.stop - 1, taken)
-        else:
-            for cand in palette:
-                if not (taken >> cand & 1):
-                    c = cand
-                    break
+        c = _smallest_free(palette, used[e.u] | used[e.v], slots)
         if c is None:
             raise TailFailure(e.time, e.u, e.v)
-        used[e.u] |= 1 << c
-        used[e.v] |= 1 << c
+        bit = 1 << (c if slots is None else slots.setdefault(c, len(slots)))
+        used[e.u] |= bit
+        used[e.v] |= bit
         out.append(c)
     return out

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .colorer import ColoringResult
+from .colorer import ColoringResult, greedy_color
 from .matcher import (
     MODE_ANALYSIS_FRIENDLY,
     MODE_GREEDY_FALLBACK,
@@ -26,7 +26,6 @@ from .matcher import (
     MatcherState,
     check_run_invariants,
     draw_c_star,
-    greedy_palette_coloring,
     matching_is_valid,
     run,
     run_fast,
@@ -179,7 +178,7 @@ def mc_marginals(
     if greedy:
         # the greedy coloring does not depend on the trial; only c* does
         delta = int(config.delta)
-        greedy_colors = greedy_palette_coloring(stream, delta)
+        greedy_colors = greedy_color(stream, range(1, 2 * delta))
     for t in range(trials):
         if greedy:
             c_star = draw_c_star(delta, derive_seed(master_seed, t))
@@ -269,7 +268,7 @@ def validate_coloring(
     if isinstance(colors, ColoringResult):
         colors = colors.colors
     bad: list[str] = []
-    at_vertex: dict[tuple[int, int], int] = {}
+    at_vertex: dict[int, dict] = {}  # vertex -> {color: time of its last use there}
     for idx, e in enumerate(stream.arrivals):
         if len(bad) >= limit:
             break
@@ -283,10 +282,13 @@ def validate_coloring(
             if c not in palette:
                 bad.append(f"t={e.time}: color {c} not in the edge's palette")
         for w in (e.u, e.v):
-            prev = at_vertex.get((w, c))
+            seen = at_vertex.get(w)
+            if seen is None:
+                seen = at_vertex[w] = {}
+            prev = seen.get(c)
             if prev is not None:
                 bad.append(f"t={e.time}: color {c} repeated at vertex {w} (first at t={prev})")
-            at_vertex[(w, c)] = e.time
+            seen[c] = e.time
     return bad[:limit]
 
 

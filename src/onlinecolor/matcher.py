@@ -29,7 +29,9 @@ Three modes:
   * greedy_fallback   -- for q > D/4 the guarantee is weaker than picking a
                          random color class of the greedy (2D-1)-coloring,
                          which matches every edge with probability exactly
-                         1/(2D-1); run_greedy_fallback implements that.
+                         1/(2D-1); run_greedy_fallback implements that with
+                         colorer.greedy_color over {1..2D-1}, which raises
+                         colorer.TailFailure if the degree bound D is wrong.
 
 F values stay in plain floats: the gate bounds them below by q/(4D), so the
 dynamic range is tame and cancellation is benign.  All state classes also
@@ -38,7 +40,9 @@ and the overflow demo).
 
 The gated step lives in MatcherState (the float-or-exact reference engine),
 in run_fast (the float kernel of every trace-free run) and, inline for its
-per-color bank, in colorer.PhaseReducer.feed.
+per-color bank, in colorer.PhaseReducer.feed.  The smallest-free-color rule
+lives once, in colorer: the coloring pipeline's tail, its fallback and the
+greedy fallback here all go through it.
 """
 
 from __future__ import annotations
@@ -316,27 +320,6 @@ def run_fast(us, vs, n: int, delta: float, q: float, rng: random.Random):
 # Greedy fallback (q > D/4 regime)
 # ---------------------------------------------------------------------------
 
-def greedy_palette_coloring(stream: ArrivalStream, delta: int) -> list[int]:
-    """Greedy coloring with palette {1..2*delta-1}; never runs out of colors."""
-    if delta < 1:
-        raise MatcherError("greedy fallback needs delta >= 1")
-    used = [0] * stream.n  # bitmask per vertex, bit c = color c used
-    colors = []
-    for e in stream.arrivals:
-        taken = used[e.u] | used[e.v]
-        c = 1
-        while taken >> c & 1:
-            c += 1
-        if c > 2 * delta - 1:
-            raise MatcherError(
-                f"t={e.time}: greedy exceeded 2*delta-1 colors; delta bound violated"
-            )
-        used[e.u] |= 1 << c
-        used[e.v] |= 1 << c
-        colors.append(c)
-    return colors
-
-
 def draw_c_star(delta: int, seed: int) -> int:
     """The greedy fallback's matched color class, uniform on {1..2*delta-1}."""
     return random.Random(seed).randint(1, 2 * delta - 1)
@@ -351,8 +334,10 @@ def run_greedy_fallback(
     the draw of c*, every edge is matched with probability exactly
     1/(2*delta-1).
     """
+    from .colorer import greedy_color  # colorer imports this module
+
     c_star = draw_c_star(delta, seed)
-    colors = greedy_palette_coloring(stream, delta)
+    colors = greedy_color(stream, range(1, 2 * delta))
     matching = [(e.u, e.v) for e, c in zip(stream.arrivals, colors) if c == c_star]
     return matching, c_star, colors
 

@@ -152,23 +152,6 @@ def exact_marginals(
     )
 
 
-def exact_rounder_marginals(
-    stream: ArrivalStream, epsilon, s, exact: bool = False, **kwargs
-) -> OracleResult:
-    """Rounder oracle with an explicit loss s (e.g. a Fraction for exactness)."""
-    if stream.m > kwargs.get("max_edges", DEFAULT_EDGE_LIMIT):
-        raise OracleLimitError("instance too large")
-    state = RounderState(stream.n, epsilon, s, exact=exact)
-    expected = []
-    for e in stream.arrivals:
-        x = Fraction(str(e.x)) if exact and not isinstance(e.x, Fraction) else e.x
-        expected.append(x * (1 - s))
-    marginal, cond, leaf, branches = _enumerate(
-        state, stream, kwargs.get("branch_limit", DEFAULT_BRANCH_LIMIT)
-    )
-    return OracleResult(marginal, cond, expected, leaf, branches)
-
-
 # ---------------------------------------------------------------------------
 # Per-color composition (first match wins)
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from onlinecolor.stream import ArrivalStream, make_stream
+from onlinecolor.stream import ArrivalStream, gen_regular, make_stream
 
 
 def triangle(x=None):
@@ -19,6 +19,14 @@ def path(k: int, x=None):
 
 def star(k: int):
     return make_stream(k + 1, k, [(0, i + 1) for i in range(k)])
+
+
+def probe_stream() -> ArrivalStream:
+    """A 20-regular graph whose every palette is {1000..1020}: too few
+    colors for the coloring tail and for greedy alike."""
+    g = gen_regular(60, 20, seed=1)
+    palette = tuple(range(1000, 1021))
+    return make_stream(g.n, g.delta_bound, [(e.u, e.v) for e in g.arrivals], lists=[palette] * g.m)
 
 
 def random_simple_graph(rng: random.Random, n: int, m: int) -> ArrivalStream:

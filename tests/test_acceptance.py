@@ -15,7 +15,13 @@ from fractions import Fraction
 from mpmath import mp
 
 from conftest import random_simple_graph, triangle
-from onlinecolor.colorer import degree_schedule, list_color, local_color, plain_color
+from onlinecolor.colorer import (
+    degree_schedule,
+    greedy_color,
+    list_color,
+    local_color,
+    plain_color,
+)
 from onlinecolor.harness import (
     counterexample_demo,
     freedman_matcher_check,
@@ -25,7 +31,6 @@ from onlinecolor.harness import (
 from onlinecolor.matcher import (
     MatcherConfig,
     check_run_invariants,
-    greedy_palette_coloring,
     guard_holds,
     matching_is_valid,
     run,
@@ -186,10 +191,8 @@ def test_criterion_4_invariant_suite():
 
 def test_criterion_5_rounding():
     t0 = time.perf_counter()
-    from onlinecolor.oracle import exact_rounder_marginals
-
     single = make_stream(2, 1, [(0, 1)], xs=[0.3])
-    res = exact_rounder_marginals(single, Fraction(1), Fraction(1, 10), exact=True)
+    res = exact_marginals(single, config_for_loss(0.5, 0.1), exact=True)
     single_ok = res.marginal == [Fraction(27, 100)]
 
     rng = random.Random(505)
@@ -306,7 +309,7 @@ def test_criterion_9_greedy_fallback_exact():
     ]
     ok = True
     for s, delta in fixtures:
-        colors = greedy_palette_coloring(s, delta)
+        colors = greedy_color(s, range(1, 2 * delta))
         span = 2 * delta - 1
         for idx in range(s.m):
             hits = sum(1 for c_star in range(1, span + 1) if colors[idx] == c_star)

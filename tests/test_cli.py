@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from conftest import probe_stream
 from onlinecolor.cli import main
-from onlinecolor.stream import parse_stream
+from onlinecolor.stream import emit_stream, parse_stream
 
 
 def run_cli(capsys, *argv):
@@ -197,3 +198,15 @@ def test_color_cli_exits_1_on_invariant_violation(tmp_path, capsys, monkeypatch)
     assert code == 1
     assert payload["invariant_violations"]
     assert payload["invariant_violations"][0] in payload["violations"]
+
+
+def test_color_cli_list_fallback_out_of_colors_exits_1(tmp_path, capsys):
+    # greedy cannot color the probe from its lists either: the run fails
+    # instead of leaving them
+    path = tmp_path / "probe.txt"
+    path.write_text(emit_stream(probe_stream()))
+    with pytest.warns(UserWarning, match="minimum list size"):
+        code = main(["color", "--mode", "list", "--stream", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: t=") and "no tail color" in captured.err

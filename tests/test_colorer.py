@@ -1,11 +1,14 @@
 import dataclasses
+import hashlib
 import math
 import random
+import tracemalloc
+import warnings
 
 import pytest
 from mpmath import mp, mpf
 
-from conftest import path, star
+from conftest import path, probe_stream, star
 from onlinecolor import colorer
 from onlinecolor.colorer import (
     PartitionError,
@@ -346,18 +349,75 @@ def test_list_mode_requires_lists():
 
 def test_tail_failure_fallback_and_strict():
     # every edge of a star carries the single color 1: the second edge has no
-    # available tail color
+    # available tail color, and no greedy from the same lists has one either,
+    # so the fallback fails too instead of leaving the lists
     s = make_stream(4, 3, [(0, 1), (0, 2), (0, 3)], lists=[(1,), (1,), (1,)])
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = list_color(s, PRACTICAL, seed=0)
-        assert res.fallback_taken
-        assert validate_coloring(s, res) == []  # baseline coloring is proper
-        assert res.max_color <= 2 * 3 - 1
+        with pytest.raises(TailFailure) as err:
+            list_color(s, PRACTICAL, seed=0)
+        assert (err.value.time, err.value.u, err.value.v) == (2, 0, 2)
         with pytest.raises(TailFailure):
             list_color(s, PRACTICAL.replace(fallback_on_tail_failure=False), seed=0)
+
+
+def test_fallback_colors_from_the_lists():
+    # the tail runs out of colors, but greedy over the full lists
+    # {1000..1022} does not: the fallback recolors every edge inside its list
+    g = gen_regular(30, 20, seed=2)
+    palette = tuple(range(1000, 1023))
+    s = make_stream(g.n, g.delta_bound, [(e.u, e.v) for e in g.arrivals], lists=[palette] * g.m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(TailFailure):
+            list_color(s, MULTIPHASE.replace(fallback_on_tail_failure=False), seed=2)
+        res = list_color(s, MULTIPHASE, seed=2)
+    assert res.fallback_taken
+    assert validate_coloring(s, res, palettes=[e.colors for e in s.arrivals]) == []
+
+
+def test_fallback_never_leaves_the_lists():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(TailFailure):
+            list_color(probe_stream(), PRACTICAL, seed=0)
+
+
+def test_list_run_colors_pinned():
+    # a multiphase list run that reaches the tail; its colors depend on which
+    # colors the sampled partition classifies and in what order, so a change
+    # to the partition's draws changes them (e.g. classifying the 21 colors
+    # that pruning to the phase-0 target drops)
+    sch = degree_schedule(30, 40, MULTIPHASE)
+    s = with_range_lists(gen_regular(40, 30, seed=1), sch.prune_target(0) + 21)
+    res = list_color(s, MULTIPHASE, seed=1)
+    assert res.schedule.f == 1 and res.tail.entered > 0 and not res.fallback_taken
+    assert hashlib.sha256(repr(res.colors).encode()).hexdigest()[:16] == "496680104e53b736"
+
+
+def test_bounded_color_state():
+    # color ids near 2^31 are legal; bookkeeping grows with the colors used,
+    # not with the largest id (a bitmask indexed by the id would take 256 MB
+    # per vertex here)
+    top = 2**31 - 1
+    palette = tuple(top - 7 * k for k in range(40))[::-1]
+    s = make_stream(20, 19, [(0, i) for i in range(1, 20)], lists=[palette] * 19)
+    per_edge = [tuple(top - 40 + k + j for j in range(19)) for k in range(19)]
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = list_color(s, MULTIPHASE, seed=3)
+        greedy = greedy_color(s, per_edge)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.schedule.f >= 1 and res.tail.entered > 0 and not res.fallback_taken
+    assert validate_coloring(s, res, palettes=[palette] * s.m) == []
+    assert greedy == [top - 40 + k for k in range(19)]
+    assert peak < 2 * 2**20
 
 
 def test_strict_promise_violation_aborts():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import path, random_simple_graph, star, triangle
+from onlinecolor.colorer import greedy_color
 from onlinecolor.matcher import (
     MODE_NATURAL,
     GuardError,
@@ -13,7 +14,6 @@ from onlinecolor.matcher import (
     MatcherState,
     check_run_invariants,
     choose_q,
-    greedy_palette_coloring,
     guard_holds,
     matching_is_valid,
     run,
@@ -175,13 +175,13 @@ def test_single_edge_marginal_statistical():
 # -- greedy fallback ---------------------------------------------------------
 
 def test_greedy_palette_examples():
-    assert greedy_palette_coloring(star(3), 3) == [1, 2, 3]
-    assert greedy_palette_coloring(path(2), 2) == [1, 2]
+    assert greedy_color(star(3), range(1, 2 * 3)) == [1, 2, 3]
+    assert greedy_color(path(2), range(1, 2 * 2)) == [1, 2]
 
 
 def test_greedy_fallback_exact_marginals_by_enumeration():
     for s, delta in ((path(2), 2), (star(3), 3), (path(1), 1)):
-        colors = greedy_palette_coloring(s, delta)
+        colors = greedy_color(s, range(1, 2 * delta))
         span = 2 * delta - 1
         for idx in range(s.m):
             hits = sum(1 for c_star in range(1, span + 1) if colors[idx] == c_star)

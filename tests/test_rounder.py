@@ -6,7 +6,7 @@ import pytest
 
 from conftest import path, random_simple_graph, triangle
 from onlinecolor.matcher import MatcherConfig
-from onlinecolor.oracle import exact_marginals, exact_rounder_marginals
+from onlinecolor.oracle import exact_marginals
 from onlinecolor.rounder import (
     RounderState,
     RoundingConfig,
@@ -39,7 +39,7 @@ def test_config_refuses_vacuous_loss():
 def test_single_edge_exact_marginal():
     # x = 0.3, s = 1/10: matched with probability exactly 27/100
     s = make_stream(2, 1, [(0, 1)], xs=[0.3])
-    res = exact_rounder_marginals(s, Fraction(1), Fraction(1, 10), exact=True)
+    res = exact_marginals(s, config_for_loss(0.5, 0.1), exact=True)
     assert res.marginal == [Fraction(27, 100)]
     assert res.conditional_sum == [Fraction(27, 100)]
 
