@@ -162,8 +162,6 @@ def cmd_round(args) -> int:
 def cmd_color(args) -> int:
     s = _read_stream(args.stream)
     profile = resolve_profile(args.profile)
-    if args.q is not None:
-        profile = profile.replace(q_override=args.q)
     if args.mode == "plain":
         result = colorer.plain_color(s, s.delta_bound, profile, args.seed)
         palettes = range(1, (result.budget or 0) + 1) if result.budget else None
@@ -284,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("color", help="run the coloring pipeline")
     c.add_argument("--mode", choices=("plain", "list", "local"), default="plain")
-    _options(c, "--stream", "--profile", "--seed", "--q")
+    _options(c, "--stream", "--profile", "--seed")
     c.set_defaults(func=cmd_color)
 
     o = sub.add_parser("oracle", help="exact marginals by branch enumeration")

@@ -17,8 +17,9 @@ per-phase slacks q_i.  Two recurrences for d_{i+1} are provided: the
 analyzed one (whose correction terms dominate outside the asymptotic regime,
 making it non-decreasing -- a loud error at desk scale) and the achieved
 one, d_{i+1} = d_i - ceil(0.9 lambda_i).  The schedule is computed with
-mpmath at 50 digits so that e.g. d_0 = 10^30 still registers its first
-decrement.
+the standard library's ``decimal`` at 50 digits, so that e.g. d_0 = 10^30
+still registers its first decrement; ``DegreeSchedule`` is the only code
+that does arithmetic on its values.
 
 Density (a vertex's running uncolored degree within the phase reaching
 d_i - lambda_i, counting the arriving edge) gates only the list-size
@@ -36,9 +37,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, localcontext
 from typing import Callable, NamedTuple
-
-from mpmath import mp, mpf
 
 from .matcher import MatcherConfig
 from .profiles import RECURRENCE_ANALYZED, ConstantsProfile
@@ -71,13 +71,22 @@ class TailFailure(Exception):
 # Degree and slack schedule
 # ---------------------------------------------------------------------------
 
+# 50 significant digits: at d_0 = 10^30 the first decrement (about 10^20)
+# still registers, where float64 sees none.  Every operation on schedule
+# values runs in this context, inside this section.
+_DIGITS = Context(prec=50)
+_ZERO = Decimal(0)
+
+
 @dataclass(frozen=True)
 class DegreeSchedule:
     """Sequences d_0..d_{f+1}, lambda_0..lambda_f, q_0..q_f, a_0..a_{f+1}.
 
     f is the minimal index with d_f < c_stop * ln n; phases 0..f-1 are the
     active reduction phases (none when f = 0, in which case the pipeline is
-    the bare greedy tail).  Values are mpmath floats.
+    the bare greedy tail).  Values are ``Decimal``s at 50 digits; callers
+    read the ints and floats they need from the methods, which compute them
+    in the same 50-digit context.
     """
 
     n: int
@@ -93,47 +102,68 @@ class DegreeSchedule:
         return range(self.f)
 
     def dense_threshold(self, i: int) -> float:
-        return float(self.d[i] - self.lam[i])
+        return float(_DIGITS.subtract(self.d[i], self.lam[i]))
 
     def promise_bounds(self, i: int) -> tuple[float, float]:
-        lam = self.lam[i]
-        return float(lam), float(lam + 10 * mp.sqrt(lam * mp.log(self.n)))
+        with localcontext(_DIGITS):
+            lam = self.lam[i]
+            return float(lam), float(lam + 10 * (lam * Decimal(self.n).ln()).sqrt())
 
     def prune_target(self, i: int) -> int:
-        return int(mp.floor(self.d[i] + self.a[i]))
+        """floor(d_i + a_i): the list size phase i prunes to, the top color
+        of range class C_i, and (i = 0) the plain palette size."""
+        return math.floor(_DIGITS.add(self.d[i], self.a[i]))
+
+    def class_size(self, i: int) -> int:
+        """ceil(lambda_i), the size of range class C_i."""
+        return math.ceil(self.lam[i])
+
+    def tail_top(self) -> int:
+        """floor(2 d_f), the top color of the range tail class."""
+        return math.floor(_DIGITS.multiply(2, self.d[self.f]))
+
+    def sampling_probability(self, i: int) -> float:
+        """p_i = (lambda_i + 5 sqrt(lambda_i ln n)) / (d_i + a_i)."""
+        with localcontext(_DIGITS):
+            lam = self.lam[i]
+            return float((lam + 5 * (lam * Decimal(self.n).ln()).sqrt()) / (self.d[i] + self.a[i]))
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "f": self.f,
-            "d": [float(x) for x in self.d],
-            "lambda": [float(x) for x in self.lam],
-            "q": [float(x) for x in self.q],
-            "a": [float(x) for x in self.a],
-            "recurrence": self.recurrence,
-        }
+        seqs = {"d": self.d, "lambda": self.lam, "q": self.q, "a": self.a}
+        return {"n": self.n, "f": self.f, **{k: [float(x) for x in v] for k, v in seqs.items()},
+                "recurrence": self.recurrence}
 
 
-def recurrence_step(d0, n: int, profile: ConstantsProfile):
+def _step(d, ln_n, cbrt_ln_n, c_q, analyzed: bool):
+    """(lambda, q, next degree) at degree d, inside the 50-digit context.  The
+    analyzed recurrence raises ScheduleError where it does not decrease; the
+    achieved one is d - ceil(0.9 lambda), clamped at 0."""
+    ln_d = d.ln() if d > 0 else _ZERO
+    lam = (2 * ln_d / 3).exp() * cbrt_ln_n if d > 0 else _ZERO  # d^(2/3) ln^(1/3) n
+    q = c_q * (3 * ln_d / 4).exp() * ln_d.sqrt() if d > 1 else _ZERO  # c_q d^(3/4) sqrt(ln d)
+    if not analyzed:
+        return lam, q, max(d - math.ceil(Decimal("0.9") * lam), _ZERO)
+    nxt = d - lam + 2 * lam * (q + lam) / (d + q) + 6 * (lam * ln_n).sqrt()
+    if nxt >= d:
+        raise ScheduleError(
+            f"analyzed recurrence non-decreasing at d={float(d):.6g} (correction terms "
+            "dominate outside the asymptotic regime); use the achieved recurrence"
+        )
+    return lam, q, nxt
+
+
+def recurrence_step(d0, n: int, profile: ConstantsProfile) -> Decimal:
     """One application of the profile's degree recurrence, at 50 digits.
 
     Lets the asymptotic regime be probed (e.g. d_1 < d_0 at d_0 = 10^30,
     where the full schedule would have ~10^10 phases and float64 cannot even
     register the decrement) without materializing a schedule.
     """
-    with mp.workdps(50):
-        ln_n = mp.log(n)
-        di = mpf(d0)
-        li = di ** (mpf(2) / 3) * ln_n ** (mpf(1) / 3)
-        if profile.degree_recurrence == RECURRENCE_ANALYZED:
-            qi = mpf(profile.c_q_color) * di ** (mpf(3) / 4) * mp.sqrt(mp.log(di))
-            dn = di - li + 2 * li * (qi + li) / (di + qi) + 6 * mp.sqrt(li * ln_n)
-            if dn >= di:
-                raise ScheduleError(
-                    f"analyzed recurrence non-decreasing at d={float(di):.6g}"
-                )
-            return dn
-        return max(di - mp.ceil(mpf(9) / 10 * li), mpf(0))
+    analyzed = profile.degree_recurrence == RECURRENCE_ANALYZED
+    c_q = Decimal(profile.c_q_color)
+    with localcontext(_DIGITS):
+        ln_n = Decimal(n).ln()
+        return _step(Decimal(d0), ln_n, ln_n ** (Decimal(1) / 3), c_q, analyzed)[2]
 
 
 def degree_schedule(
@@ -144,61 +174,40 @@ def degree_schedule(
     if n < 2:
         raise ScheduleError("n must be >= 2")
     analyzed = profile.degree_recurrence == RECURRENCE_ANALYZED
-    with mp.workdps(50):
-        ln_n = mp.log(n)
-        stop = mpf(profile.c_stop) * ln_n
-        d = [mpf(d0)]
+    # float constants convert to Decimal exactly
+    c_q = Decimal(profile.c_q_color)
+    with localcontext(_DIGITS):
+        ln_n = Decimal(n).ln()
+        cbrt_ln_n = ln_n ** (Decimal(1) / 3)
+        stop = Decimal(profile.c_stop) * ln_n
+        d = [Decimal(d0)]
         lam: list = []
         q: list = []
-
-        def lam_of(di):
-            return di ** (mpf(2) / 3) * ln_n ** (mpf(1) / 3) if di > 0 else mpf(0)
-
-        def q_of(di):
-            if di <= 1:
-                return mpf(0)
-            return mpf(profile.c_q_color) * di ** (mpf(3) / 4) * mp.sqrt(mp.log(di))
-
-        while d[-1] >= stop:
-            di = d[-1]
-            li, qi = lam_of(di), q_of(di)
+        # Entries at index f (the minimal index with d_f < stop) exist for
+        # reporting and for the tail rules even though phase f never runs;
+        # the tail-entry degree d_{f+1} always uses the achieved decrement
+        # (the analyzed recurrence is not meaningful below the stop threshold).
+        while True:
+            active = d[-1] >= stop
+            li, qi, dn = _step(d[-1], ln_n, cbrt_ln_n, c_q, analyzed and active)
             lam.append(li)
             q.append(qi)
-            if analyzed:
-                dn = di - li + 2 * li * (qi + li) / (di + qi) + 6 * mp.sqrt(li * ln_n)
-                if dn >= di:
-                    raise ScheduleError(
-                        f"analyzed recurrence non-decreasing at d_{len(d) - 1}={float(di):.6g} "
-                        "(correction terms dominate outside the asymptotic regime); "
-                        "use the achieved recurrence"
-                    )
-            else:
-                dn = di - mp.ceil(mpf(9) / 10 * li)
-                if dn < 0:
-                    dn = mpf(0)
             d.append(dn)
+            if not active:
+                break
             if len(d) > max_phases:
                 raise ScheduleError(
                     f"more than {max_phases} phases before the stop threshold; "
                     "the schedule is astronomically long at these parameters "
                     "(use recurrence_step to probe single steps)"
                 )
-        f = len(d) - 1  # minimal index with d_f < stop
-        # Entries at index f exist for reporting and for the tail rules even
-        # though phase f never runs; the tail-entry degree d_{f+1} always uses
-        # the achieved decrement (the analyzed recurrence is not meaningful
-        # below the stop threshold).
-        df = d[f]
-        lam.append(lam_of(df))
-        q.append(q_of(df))
-        d.append(max(df - mp.ceil(mpf(9) / 10 * lam[f]), mpf(0)))
-        a = [mpf(0)] * (f + 2)
-        a[f + 1] = mpf(profile.a_base_mult) * ln_n
+        f = len(d) - 2
+        a = [_ZERO] * (f + 2)
+        a[f + 1] = Decimal(profile.a_base_mult) * ln_n
         for i in range(f, -1, -1):
-            if lam[i] == 0:
-                a[i] = a[i + 1]
-                continue
-            a[i] = a[i + 1] + 2 * lam[i] * (q[i] + lam[i]) / (d[i] + q[i]) + 16 * mp.sqrt(lam[i] * ln_n)
+            li = lam[i]
+            a[i] = a[i + 1] if li == 0 else (
+                a[i + 1] + 2 * li * (q[i] + li) / (d[i] + q[i]) + 16 * (li * ln_n).sqrt())
     return DegreeSchedule(
         n=n, f=f, d=tuple(d), lam=tuple(lam), q=tuple(q), a=tuple(a),
         recurrence=profile.degree_recurrence,
@@ -230,13 +239,13 @@ class RangePartition:
         f = schedule.f
         self.intervals: list[tuple[int, int]] = []
         for i in range(f + 1):
-            top = int(mp.floor(schedule.d[i] + schedule.a[i]))
-            size = int(mp.ceil(schedule.lam[i]))
+            top = schedule.prune_target(i)
+            size = schedule.class_size(i)
             lo = top - size + 1
             if size > 0 and lo < 1:
                 raise PartitionError(f"phase {i} color range extends below 1")
             self.intervals.append((lo, top) if size > 0 else (1, 0))
-        self.tail_interval = (1, int(mp.floor(2 * schedule.d[f])))
+        self.tail_interval = (1, schedule.tail_top())
         spans = [iv for iv in self.intervals + [self.tail_interval] if iv[0] <= iv[1]]
         spans.sort()
         for (alo, ahi), (blo, bhi) in zip(spans, spans[1:]):
@@ -280,11 +289,9 @@ class SampledPartition:
         self.schedule = schedule
         self.rng = rng
         self._assign: dict[int, int] = {}
-        ln_n = mp.log(schedule.n)
         self.p = []
         for i in schedule.active_phases:
-            lam, di, ai = schedule.lam[i], schedule.d[i], schedule.a[i]
-            p_i = float((lam + 5 * mp.sqrt(lam * ln_n)) / (di + ai))
+            p_i = schedule.sampling_probability(i)
             if p_i > 1.0:
                 raise PartitionError(f"phase {i}: sampling probability {p_i:.4g} > 1")
             self.p.append(p_i)
@@ -633,7 +640,7 @@ def plain_color(stream: ArrivalStream, delta: int, profile: ConstantsProfile, se
     """Color with the fixed palette {1..Δ+q'}, q' = floor(d_0 + a_0) - Δ."""
     schedule = degree_schedule(delta, stream.n, profile)
     partition = RangePartition(schedule)
-    budget = int(mp.floor(schedule.d[0] + schedule.a[0]))
+    budget = schedule.prune_target(0)
     palette = range(1, budget + 1)
     result = run_generic(stream, lambda e: palette, schedule, partition, profile, seed)
     result.budget = budget
@@ -673,21 +680,14 @@ def local_lists(deg_u: int, deg_v: int, schedule: DegreeSchedule) -> range:
     if dmax <= schedule.d[schedule.f + 1]:
         return range(1, 2 * int(schedule.d[schedule.f + 1]) + 1)
     i_e = max(i for i in range(schedule.f + 2) if schedule.d[i] >= dmax)
-    return range(1, int(mp.floor(schedule.d[i_e] + schedule.a[i_e])) + 1)
+    return range(1, schedule.prune_target(i_e) + 1)
 
 
-def local_color(
-    stream: ArrivalStream,
-    profile: ConstantsProfile,
-    seed: int,
-    degrees: list[int] | None = None,
-) -> ColoringResult:
-    """Color with per-edge bounds tied to max(deg(u), deg(v)).
-
-    ``degrees`` may be upper bounds; by default the true final degrees are
-    taken from the stream (the setting assumes they are known a priori).
-    """
-    degrees = stream.degrees() if degrees is None else degrees
+def local_color(stream: ArrivalStream, profile: ConstantsProfile, seed: int) -> ColoringResult:
+    """Color with per-edge bounds tied to max(deg(u), deg(v)), taking the
+    final degrees from the stream (the setting assumes they are known a
+    priori)."""
+    degrees = stream.degrees()
     schedule = degree_schedule(stream.delta_bound, stream.n, profile)
     partition = RangePartition(schedule)
     palettes = [local_lists(degrees[e.u], degrees[e.v], schedule) for e in stream.arrivals]

@@ -268,7 +268,7 @@ def validate_coloring(
     if isinstance(colors, ColoringResult):
         colors = colors.colors
     bad: list[str] = []
-    at_vertex: dict[int, dict] = {}  # vertex -> {color: time of its last use there}
+    at_vertex: dict[int, dict] = {}  # vertex -> {color: time of its first use there}
     for idx, e in enumerate(stream.arrivals):
         if len(bad) >= limit:
             break
@@ -285,10 +285,9 @@ def validate_coloring(
             seen = at_vertex.get(w)
             if seen is None:
                 seen = at_vertex[w] = {}
-            prev = seen.get(c)
-            if prev is not None:
-                bad.append(f"t={e.time}: color {c} repeated at vertex {w} (first at t={prev})")
-            seen[c] = e.time
+            first = seen.setdefault(c, e.time)
+            if first != e.time:
+                bad.append(f"t={e.time}: color {c} repeated at vertex {w} (first at t={first})")
     return bad[:limit]
 
 

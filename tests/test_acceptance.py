@@ -12,8 +12,6 @@ import random
 import time
 from fractions import Fraction
 
-from mpmath import mp
-
 from conftest import random_simple_graph, triangle
 from onlinecolor.colorer import (
     degree_schedule,
@@ -276,7 +274,7 @@ def test_criterion_8_coloring_end_to_end():
     # multiphase-feasible scale below.
     mpp = PRACTICAL.replace(c_q_color=0.1, c_stop=5.0, a_base_mult=5.0)
     sch = degree_schedule(50, 60, mpp)
-    q_list = 50 + int(mp.ceil(sch.a[0]))
+    q_list = 50 + math.ceil(sch.a[0])
     for seed in range(10):
         s = with_range_lists(gen_regular(60, 50, seed=seed), q_list)
         res = list_color(s, mpp, seed=seed)
@@ -324,7 +322,7 @@ def test_criterion_10_list_and_local_modes():
     t0 = time.perf_counter()
     # list mode: |L(e)| = D + q_practical, every edge colored from its list
     sch = degree_schedule(50, 500, PRACTICAL)
-    q_list = max(int(mp.ceil(sch.a[0])), 50)
+    q_list = max(math.ceil(sch.a[0]), 50)
     list_ok = True
     for seed in range(20):
         s = with_range_lists(gen_regular(500, 50, seed=seed), 50 + q_list)

@@ -168,6 +168,7 @@ def test_martingale_cli_fallback_exits_2(tmp_path, capsys):
     ["oracle", "--trials", "5"],
     ["oracle", "--seed", "5"],
     ["counterexample", "--epsilon", "0.1"],
+    ["color", "--q", "3"],
 ])
 def test_cli_rejects_options_a_subcommand_ignores(tmp_path, capsys, argv):
     path = tmp_path / "s.txt"

@@ -4,9 +4,9 @@ import math
 import random
 import tracemalloc
 import warnings
+from decimal import Context, Decimal, localcontext
 
 import pytest
-from mpmath import mp, mpf
 
 from conftest import path, probe_stream, star
 from onlinecolor import colorer
@@ -64,20 +64,20 @@ def test_schedule_strictly_decreasing_until_stop():
 
 def test_schedule_slack_recurrence():
     sch = degree_schedule(200, 2000, PRACTICAL.replace(c_stop=10.0))
-    ln_n = mp.log(2000)
+    ln_n = Decimal(2000).ln()
     assert abs(float(sch.a[sch.f + 1]) - 10.0 * float(ln_n)) < 1e-9
     for i in range(sch.f, -1, -1):
         expect = sch.a[i + 1] + 2 * sch.lam[i] * (sch.q[i] + sch.lam[i]) / (sch.d[i] + sch.q[i]) \
-            + 16 * mp.sqrt(sch.lam[i] * ln_n)
+            + 16 * (sch.lam[i] * ln_n).sqrt()
         assert abs(float(sch.a[i] - expect)) < 1e-6
 
 
 def test_theory_recurrence_registers_first_decrement_at_1e30():
     th = ConstantsProfile.theory()
     d1 = recurrence_step(10**30, 10**6, th)
-    assert d1 < mpf(10) ** 30  # needs extended precision; float64 sees no change
-    with mp.workdps(50):
-        assert mpf(10**30) >= mpf(th.c_stop) * mp.log(10**6)  # hence f >= 1
+    assert d1 < Decimal(10) ** 30  # needs extended precision; float64 sees no change
+    with localcontext(Context(prec=50)):
+        assert Decimal(10**30) >= Decimal(th.c_stop) * Decimal(10**6).ln()  # hence f >= 1
 
 
 def test_analyzed_recurrence_errors_at_desk_scale():
@@ -92,14 +92,100 @@ def test_schedule_domain_errors():
         degree_schedule(10, 1, PRACTICAL)
 
 
+def _mpmath_step(mp, di, ln_n, profile, analyzed):
+    """(lambda, q, next degree) as mpmath computed them, at 50 digits."""
+    mpf = mp.mpf
+    li = di ** (mpf(2) / 3) * ln_n ** (mpf(1) / 3) if di > 0 else mpf(0)
+    qi = mpf(profile.c_q_color) * di ** (mpf(3) / 4) * mp.sqrt(mp.log(di)) if di > 1 else mpf(0)
+    if not analyzed:
+        return li, qi, max(di - mp.ceil(mpf(9) / 10 * li), mpf(0))
+    return li, qi, di - li + 2 * li * (qi + li) / (di + qi) + 6 * mp.sqrt(li * ln_n)
+
+
+def _mpmath_schedule(mp, d0, n, profile):
+    """The schedule as mpmath computed it: the sequences at 50 digits, the
+    derived values at mpmath's default 53 bits."""
+    mpf = mp.mpf
+    analyzed = profile.degree_recurrence == "analyzed"
+    with mp.workdps(50):
+        ln_n = mp.log(n)
+        stop = mpf(profile.c_stop) * ln_n
+        d, lam, q = [mpf(d0)], [], []
+        while True:
+            active = d[-1] >= stop
+            step = _mpmath_step(mp, d[-1], ln_n, profile, analyzed and active)
+            for seq, x in zip((lam, q, d), step):
+                seq.append(x)
+            if not active:
+                break
+        f = len(d) - 2
+        a = [mpf(0)] * (f + 2)
+        a[f + 1] = mpf(profile.a_base_mult) * ln_n
+        for i in range(f, -1, -1):
+            li = lam[i]
+            a[i] = a[i + 1] if li == 0 else (
+                a[i + 1] + 2 * li * (q[i] + li) / (d[i] + q[i]) + 16 * mp.sqrt(li * ln_n))
+    ln_n = mp.log(n)
+    return {
+        "f": f,
+        "floats": [[float(x) for x in seq] for seq in (d, lam, q, a)],
+        "tops": [int(mp.floor(d[i] + a[i])) for i in range(f + 2)],
+        "ints": ([int(mp.ceil(x)) for x in lam], int(mp.floor(2 * d[f]))),
+        "thresholds": [float(d[i] - lam[i]) for i in range(f + 1)],
+        "close": [float(x) for i in range(f) for x in (
+            (lam[i] + 5 * mp.sqrt(lam[i] * ln_n)) / (d[i] + a[i]),
+            lam[i] + 10 * mp.sqrt(lam[i] * ln_n))],
+    }
+
+
+def test_schedule_matches_mpmath():
+    # The schedule was computed with mpmath before the port to decimal.
+    # Sequences and derived values must be identical as floats and ints, but
+    # for two kinds of values that were computed at 53 bits: p_i and the
+    # promise upper bound may move by an ulp or two, and floor(d_i + a_i)
+    # above 2^53 (the theory profile's slack) is now exact, not rounded.
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    profiles = (PRACTICAL, MULTIPHASE, ConstantsProfile.theory(),
+                PRACTICAL.replace(c_stop=1.0, c_q_color=0.5, a_base_mult=2.0))
+    d0s = (2, 3, 5, 10, 30, 50, 100, 300, 1000, 3000, 10**4, 3 * 10**4, 10**5)
+    ns = (2, 3, 10, 60, 500, 2000, 10**4, 10**5, 10**6)
+    for profile in profiles:
+        for d0 in d0s:
+            for n in ns:
+                ref = _mpmath_schedule(mp, d0, n, profile)
+                sch = degree_schedule(d0, n, profile)
+                f = sch.f
+                assert f == ref["f"]
+                assert [[float(x) for x in seq] for seq in (sch.d, sch.lam, sch.q, sch.a)] \
+                    == ref["floats"]
+                for top, old in zip([sch.prune_target(i) for i in range(f + 2)], ref["tops"],
+                                    strict=True):
+                    assert top == old if old < 2**53 else math.isclose(top, old, rel_tol=2**-52)
+                assert ([sch.class_size(i) for i in range(f + 1)], sch.tail_top()) == ref["ints"]
+                assert [sch.dense_threshold(i) for i in range(f + 1)] == ref["thresholds"]
+                close = [x for i in range(f) for x in (
+                    sch.sampling_probability(i), sch.promise_bounds(i)[1])]
+                for x, old in zip(close, ref["close"], strict=True):
+                    assert math.isclose(x, old, rel_tol=1e-15)
+    # single steps in the asymptotic regime, both recurrences; at d0 = 10^90
+    # the decrement is about 10^-30 of d0, so 28 digits would not see it
+    for profile in (ConstantsProfile.theory(), PRACTICAL):
+        for d0 in (10**12, 10**20, 10**30, 10**90):
+            with mp.workdps(50):
+                ref = d0 - _mpmath_step(mp, mp.mpf(d0), mp.log(10**6), profile,
+                                        profile.degree_recurrence == "analyzed")[2]
+            assert float(d0 - recurrence_step(d0, 10**6, profile)) == float(ref)
+
+
 # -- partitions ----------------------------------------------------------------
 
 def _fake_schedule(d, lam, q, a, n=500, f=None):
     base = degree_schedule(50, n, PRACTICAL)
     f = len(d) - 2 if f is None else f
     return dataclasses.replace(
-        base, f=f, d=tuple(mpf(x) for x in d), lam=tuple(mpf(x) for x in lam),
-        q=tuple(mpf(x) for x in q), a=tuple(mpf(x) for x in a))
+        base, f=f, d=tuple(Decimal(x) for x in d), lam=tuple(Decimal(x) for x in lam),
+        q=tuple(Decimal(x) for x in q), a=tuple(Decimal(x) for x in a))
 
 
 def test_range_partition_formula():
@@ -292,7 +378,7 @@ def test_degree_accounting_violation_recorded(monkeypatch):
 
 def _multiphase_listed_instance(seed):
     sch = degree_schedule(50, 60, MULTIPHASE)
-    q_list = 50 + int(mp.ceil(sch.a[0]))
+    q_list = 50 + math.ceil(sch.a[0])
     return with_range_lists(gen_regular(60, 50, seed=seed), q_list), sch
 
 

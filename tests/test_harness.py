@@ -64,6 +64,14 @@ def test_validate_coloring_examples():
     assert bad and "not in the edge's palette" in bad[0]
 
 
+def test_validate_coloring_names_the_first_use():
+    bad = validate_coloring(star(3), [1, 1, 1])
+    assert bad == [
+        "t=2: color 1 repeated at vertex 0 (first at t=1)",
+        "t=3: color 1 repeated at vertex 0 (first at t=1)",
+    ]
+
+
 # -- martingale diagnostics -----------------------------------------------------
 
 class FakeRng:

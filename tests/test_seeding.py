@@ -22,7 +22,7 @@ def test_derive_seed_stable_under_numpy_integers():
     assert derive_seed(np.int32(7), np.str_("phase"), 2) == derive_seed(7, "phase", 2)
 
 
-@pytest.mark.parametrize("module", ["numpy", "networkx"])
+@pytest.mark.parametrize("module", ["numpy", "networkx", "mpmath"])
 def test_package_does_not_import(module):
     src = os.path.dirname(os.path.dirname(onlinecolor.__file__))
     code = f"import sys, onlinecolor; print({module!r} in sys.modules)"
