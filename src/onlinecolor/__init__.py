@@ -42,11 +42,10 @@ from .matcher import (
 )
 from .oracle import exact_colored_marginals, exact_marginals
 from .profiles import ConstantsProfile, resolve_profile
-from .rounder import RounderState, RoundingConfig, config_for_loss, round_run, s_eps
+from .rounder import RounderState, RoundingConfig, config_for_loss, s_eps
 from .stream import (
     ArrivalStream,
     EdgeArrival,
-    GeneratorSpec,
     emit_stream,
     gen_complete_bipartite,
     gen_erdos_renyi,

@@ -73,22 +73,16 @@ def _rounding_config(args, s: streammod.ArrivalStream) -> rounder.RoundingConfig
 
 
 def cmd_gen(args) -> int:
-    params = []
     if args.kind == "regular":
-        params = [("n", args.n), ("delta", args.delta), ("seed", args.seed)]
+        s = streammod.gen_regular(args.n, args.delta, args.seed)
     elif args.kind == "erdos_renyi":
-        params = [("n", args.n), ("p", args.p), ("seed", args.seed)]
+        s = streammod.gen_erdos_renyi(args.n, args.p, args.seed)
     elif args.kind == "complete_bipartite":
-        params = [("a", args.a), ("b", args.b)]
-    elif args.kind == "lower_bound_tree":
-        params = [("delta", args.delta), ("q", args.q_int)]
-    spec = streammod.GeneratorSpec(
-        kind=args.kind,
-        params=tuple(params),
-        order=args.order,
-        order_seed=derive_seed(args.seed, "order") if args.order == "random" else None,
-    )
-    s = spec.generate()
+        s = streammod.gen_complete_bipartite(args.a, args.b)
+    else:
+        s = streammod.gen_lower_bound_tree(args.delta, args.q_int)
+    order_seed = derive_seed(args.seed, "order") if args.order == "random" else None
+    s = streammod.reorder(s, args.order, order_seed)
     if args.x_uniform is not None:
         s = streammod.with_uniform_x(s, args.x_uniform)
     if args.list_size is not None:
@@ -141,8 +135,8 @@ def cmd_round(args) -> int:
         print("round needs a stream with x= values", file=sys.stderr)
         return 2
     config = _rounding_config(args, s)
-    matching, traces = rounder.round_run(s, config, args.seed)
-    violations = rounder.check_round_invariants(s, config, traces)
+    matching, traces = matcher.run(s, config, args.seed)
+    violations = matcher.check_run_invariants(s, config, traces)
     if args.out == "csv":
         rows = [matcher.StepTrace.CSV_HEADER] + [tr.csv_row() for tr in traces]
         _write(args, "\n".join(rows) + "\n")

@@ -694,7 +694,7 @@ def local_color(stream: ArrivalStream, profile: ConstantsProfile, seed: int) -> 
     result = run_generic(
         stream, lambda e: palettes[e.time - 1], schedule, partition, profile, seed
     )
-    result.local_bounds = [len(p) for p in palettes]
+    result.local_bounds = [p.stop - 1 for p in palettes]
     return result
 
 

@@ -31,7 +31,7 @@ from .matcher import (
     run_fast,
 )
 from .oracle import OracleLimitError, exact_marginals
-from .rounder import RoundingConfig, check_round_invariants, round_run
+from .rounder import RoundingConfig
 from .seeding import derive_seed, rng_for
 from .stream import ArrivalStream, gen_lower_bound_tree
 
@@ -99,11 +99,6 @@ def _require_trials(trials: int) -> None:
         raise ValueError(f"trials must be at least 1 (got {trials})")
 
 
-def _gated(config: MatcherConfig) -> bool:
-    """True for the gated analysis-friendly matcher, the one run_fast runs."""
-    return config.mode == MODE_ANALYSIS_FRIENDLY and config.gate_enabled
-
-
 def _endpoints(stream: ArrivalStream) -> tuple[list[int], list[int]]:
     return [e.u for e in stream.arrivals], [e.v for e in stream.arrivals]
 
@@ -159,10 +154,11 @@ def mc_marginals(
     Edges whose whole interval lies below 1/(D + 4q) (the guarantee the
     analysis actually delivers) are flagged; on gated instances such edges
     are expected, so the flag is reported, not counted as a violation.  The
-    first ``AUDIT_TRIALS`` trials are re-run through the traced path and every
-    per-step invariant is audited; on the run_fast path the kernel's final F
-    must also equal, at every vertex, the product of (1 - p_hat) over the
-    traced run (the same floats in the same order, so compared exactly).
+    first ``AUDIT_TRIALS`` trials are audited by check_run_invariants against
+    the engine's own final F.  Gated trials run on run_fast, so an audited
+    one is re-run through the traced path, which must make the same
+    decisions; natural-mode trials are traced already and audit their own
+    traces.
     """
     _require_trials(trials)
     t0 = time.perf_counter()
@@ -172,7 +168,7 @@ def mc_marginals(
     gate_fires = 0
     overflow = 0
     violations: list[str] = []
-    fast = _gated(config)
+    fast = config.gated
     greedy = config.mode == MODE_GREEDY_FALLBACK
     us, vs = _endpoints(stream)
     if greedy:
@@ -189,8 +185,10 @@ def mc_marginals(
             min_f = min(min_f, min(F, default=1.0))
             gate_fires += gf
         else:
-            _, traces = run(stream, config, derive_seed(master_seed, t))
+            state = config.state(stream.n)
+            _, traces = run(stream, config, derive_seed(master_seed, t), state=state)
             got = [tr.matched for tr in traces]
+            F = state.F
             gate_fires += sum(tr.gate_fired for tr in traces)
             overflow += sum(tr.overflow for tr in traces)
         for i, flag in enumerate(got):
@@ -201,18 +199,14 @@ def mc_marginals(
                 matching = [(u, v) for u, v, hit in zip(us, vs, got) if hit]
                 if not matching_is_valid(matching):
                     violations.append(f"trial {t}: fallback matching invalid")
-            else:
+                continue
+            if fast:
                 _, traces = run(stream, config, derive_seed(master_seed, t))
-                if [tr.matched for tr in traces] != list(got):
+                if [tr.matched for tr in traces] != got:
                     violations.append(f"trial {t}: fast and traced paths disagree")
-                violations.extend(check_run_invariants(stream, config, traces))
-                if fast:
-                    product = [1.0] * stream.n
-                    for u, v, tr in zip(us, vs, traces):
-                        product[u] *= 1.0 - tr.p_hat
-                        product[v] *= 1.0 - tr.p_hat
-                    if product != F:
-                        violations.append(f"trial {t}: final F != prod (1 - p_hat) over the trace")
+            violations.extend(
+                f"trial {t}: {v}" for v in check_run_invariants(stream, config, traces, F)
+            )
     floor_marginal = 1.0 / (config.delta + 4.0 * config.q)
     edges = []
     for e, h in zip(stream.arrivals, hits):
@@ -235,7 +229,6 @@ def mc_marginals(
             "delta": config.delta,
             "q": config.q,
             "mode": config.mode,
-            "gate_enabled": config.gate_enabled,
             "profile": config.profile.as_dict(),
         },
         master_seed=master_seed,
@@ -349,10 +342,10 @@ def _martingale_inputs(stream: ArrivalStream, config: MatcherConfig, vertex: int
     endpoint lists and the indices of the arrivals that touch a neighbor,
     which include every arrival at ``vertex``.  Raises for any matcher but
     the gated one."""
-    if not _gated(config):
+    if not config.gated:
         raise MatcherError(
-            "martingale diagnostics follow the gated analysis_friendly matcher, not "
-            f"mode={config.mode!r} with gate_enabled={config.gate_enabled}"
+            "martingale diagnostics follow the gated analysis_friendly matcher, "
+            f"not mode={config.mode!r}"
         )
     neighbors = _neighbor_times(stream, vertex)
     us, vs = _endpoints(stream)
@@ -564,9 +557,11 @@ def verify_stream(
 ) -> dict:
     """Exact oracle vs Monte-Carlo within 4 sigma, plus invariant audits.
 
-    Matcher trials and their audits are those of ``mc_marginals``.  Returns
-    a dict with per-edge rows and a ``violations`` list; exit-code semantics
-    (0 iff no violations) belong to the CLI.
+    Matcher trials and their audits are those of ``mc_marginals``; a
+    rounder's trial 0 is audited by check_run_invariants against the
+    engine's own final F.  Returns a dict with per-edge rows and a
+    ``violations`` list; exit-code semantics (0 iff no violations) belong to
+    the CLI.
     """
     _require_trials(trials)
     t0 = time.perf_counter()
@@ -579,9 +574,10 @@ def verify_stream(
     if isinstance(config, RoundingConfig):
         hits = [0] * stream.m
         for t in range(trials):
-            _, traces = round_run(stream, config, derive_seed(master_seed, t))
+            state = config.state(stream.n)
+            _, traces = run(stream, config, derive_seed(master_seed, t), state=state)
             if t == 0:
-                violations.extend(check_round_invariants(stream, config, traces))
+                violations.extend(check_run_invariants(stream, config, traces, state.F))
             for i, tr in enumerate(traces):
                 hits[i] += tr.matched
     else:

@@ -16,7 +16,7 @@ probability.  Both endpoints' F values are multiplied by (1 - P_hat)
 regardless of the match outcome; conditioned on any execution path, an edge
 whose gate never interferes is matched with probability exactly 1/(D + q).
 
-Three modes:
+Two stepwise modes and a fallback:
 
   * analysis_friendly -- the gated algorithm above (the default);
   * natural           -- the gate-free variant.  Its proposal P can exceed 1
@@ -38,9 +38,13 @@ dynamic range is tame and cancellation is benign.  All state classes also
 run exactly on fractions.Fraction inputs (used by the oracle's rational mode
 and the overflow demo).
 
-The gated step lives in MatcherState (the float-or-exact reference engine),
-in run_fast (the float kernel of every trace-free run) and, inline for its
-per-color bank, in colorer.PhaseReducer.feed.  The smallest-free-color rule
+The rounder (rounder.RoundingConfig) is the same engine with another
+numerator and floor.  Each config builds its own state and describes its own
+audit (``state``, ``gated``, ``floor``, ``p_cap``), so one runner, run(),
+and one audit, check_run_invariants(), serve both.  The gated step lives in
+MultiplicativeState (the float-or-exact reference engine), in run_fast (the
+float kernel of every trace-free matcher run) and, inline for its per-color
+bank, in colorer.PhaseReducer.feed.  The smallest-free-color rule
 lives once, in colorer: the coloring pipeline's tail, its fallback and the
 greedy fallback here all go through it.
 """
@@ -105,7 +109,6 @@ class MatcherConfig:
     delta: float
     q: float
     mode: str = MODE_ANALYSIS_FRIENDLY
-    gate_enabled: bool = True
     profile: ConstantsProfile = ConstantsProfile.practical()
 
     def __post_init__(self) -> None:
@@ -124,6 +127,25 @@ class MatcherConfig:
                 f"q={self.q:.6g} outside [8*sqrt(D), D/4] for D={self.delta:.6g}; "
                 "use greedy_fallback mode or a profile with enforce_guard=False"
             )
+
+    @property
+    def gated(self) -> bool:
+        """True for the gated analysis-friendly matcher, the one run_fast runs."""
+        return self.mode == MODE_ANALYSIS_FRIENDLY
+
+    @property
+    def floor(self) -> float:
+        """The gate floor q/(4D)."""
+        return self.q / (4.0 * self.delta)
+
+    @property
+    def p_cap(self) -> float:
+        """Hard proposal bound 1/((D+q) * floor^2) implied by the F floor."""
+        floor = self.floor
+        return 1.0 / ((self.delta + self.q) * floor * floor)
+
+    def state(self, n: int, exact: bool = False) -> "MatcherState":
+        return MatcherState(n, self, exact=exact)
 
 
 @dataclass
@@ -168,7 +190,9 @@ class MultiplicativeState:
         self.t = 0  # arrivals processed so far
 
     # -- hooks ------------------------------------------------------------
-    def _numerator(self, x_e) -> object:
+    def numerator(self, x_e) -> object:
+        """The proposal numerator; conditioned on any execution path, an edge
+        whose gate never interferes is matched with exactly this probability."""
         raise NotImplementedError
 
     def _gate(self, fu, fv, p) -> bool:
@@ -181,11 +205,11 @@ class MultiplicativeState:
             zero = Fraction(0) if self.exact else 0.0
             return zero, zero, False, False
         fu, fv = self.F[u], self.F[v]
-        p = self._numerator(x_e) / (fu * fv)
+        p = self.numerator(x_e) / (fu * fv)
         return self._dispose(fu, fv, p)
 
     def _dispose(self, fu, fv, p):
-        """Mode-specific gating; overridden by the natural matcher."""
+        """The gate; overridden by the natural matcher."""
         if self._gate(fu, fv, p):
             return p, p, False, False
         zero = Fraction(0) if self.exact else 0.0
@@ -240,37 +264,33 @@ class MatcherState(MultiplicativeState):
             self.floor = fq / (4 * d)
         else:
             self.scale = 1.0 / (delta + q)
-            self.floor = q / (4.0 * delta)
+            self.floor = config.floor
 
-    def _numerator(self, x_e) -> object:
+    def numerator(self, x_e) -> object:
         return self.scale
 
     def _dispose(self, fu, fv, p):
-        mode = self.config.mode
-        if mode == MODE_NATURAL:
-            if p > 1:
-                return p, (Fraction(1) if self.exact else 1.0), False, True
-            return p, p, False, False
-        if not self.config.gate_enabled:
-            if p > 1:
-                raise MatcherError(
-                    f"P={float(p):.6g} > 1 with the gate disabled (diagnostic abort)"
-                )
-            return p, p, False, False
-        return super()._dispose(fu, fv, p)
+        if self.config.mode != MODE_NATURAL:
+            return super()._dispose(fu, fv, p)
+        if p > 1:
+            return p, (Fraction(1) if self.exact else 1.0), False, True
+        return p, p, False, False
 
 
 def run(
-    stream: ArrivalStream, config: MatcherConfig, seed: int, exact: bool = False
+    stream: ArrivalStream, config, seed: int, state=None
 ) -> tuple[list[tuple[int, int]], list[StepTrace]]:
-    """One full pass; X_t drawn from random.Random(seed) in arrival order.
+    """One full pass of either engine; X_t drawn from random.Random(seed) in
+    arrival order.
 
-    Returns (matching as endpoint pairs, per-step traces).  Deterministic:
-    identical (stream, config, seed) give bit-identical traces.
+    ``config`` is a MatcherConfig or a rounder.RoundingConfig; it builds a
+    float engine state unless a fresh ``state`` (say, an exact one) is
+    passed, which is then left holding the run's final F.  Returns (matching
+    as endpoint pairs, per-step traces).  Deterministic: identical (stream,
+    config, seed) give bit-identical traces.
     """
-    if config.mode == MODE_GREEDY_FALLBACK:
-        raise MatcherError("greedy fallback has its own runner: run_greedy_fallback")
-    state = MatcherState(stream.n, config, exact=exact)
+    if state is None:
+        state = config.state(stream.n)
     rng = random.Random(seed)
     traces = [state.step(e, rng.random()) for e in stream.arrivals]
     return list(state.matching), traces
@@ -357,23 +377,25 @@ def matching_is_valid(matching: list[tuple[int, int]]) -> bool:
 
 
 def check_run_invariants(
-    stream: ArrivalStream, config: MatcherConfig, traces: list[StepTrace]
+    stream: ArrivalStream, config, traces: list[StepTrace], F=None
 ) -> list[str]:
-    """Post-hoc invariant audit of a traced run; returns violation strings.
+    """Post-hoc invariant audit of a traced run of either engine; returns
+    violation strings.
 
-    Checked: matched <=> x < p_hat; gate coherence; the F floor q/(4D) and
-    monotonicity (analysis_friendly with gate, when q <= 4D so the floor is
-    below the initial value); P <= 1/4 and the min-F gate-pass condition
-    whenever the guard 8*sqrt(D) <= q <= D/4 holds; a valid matching.  The
-    F product identity needs an F not rebuilt from these traces: mc_marginals
-    checks it against run_fast's.
+    Checked on every run: matched <=> x < p_hat; P = 0 at a matched
+    endpoint; F never increases; a valid matching.  On a gated run whose
+    floor is at most the initial F = 1: F >= floor at all times, P <=
+    config.p_cap, and no gate firing when min F >= 4/3 * floor and P <= 1/4
+    (then min F * (1 - P) >= floor).  F is rebuilt once from the traces as
+    the product of (1 - p_hat); given the engine's own final ``F``, the two
+    must be equal (the same floats multiplied in the same order).
     """
     bad: list[str] = []
-    delta, q = config.delta, config.q
-    floor = q / (4.0 * delta)
-    guarded = guard_holds(delta, q)
-    gated = config.mode == MODE_ANALYSIS_FRIENDLY and config.gate_enabled
-    F = [1.0] * stream.n
+    floor = config.floor
+    gated = config.gated and floor <= 1.0
+    cap = config.p_cap if gated else None
+    gate_pass = 4.0 * floor / 3.0
+    rebuilt = [1.0] * stream.n
     vertex_matched = bytearray(stream.n)
     for e, tr in zip(stream.arrivals, traces):
         if tr.matched != (tr.x < tr.p_hat):
@@ -382,23 +404,25 @@ def check_run_invariants(
         if not free and tr.p != 0:
             bad.append(f"t={tr.time}: nonzero P at a matched endpoint")
         if gated and free:
-            if guarded and tr.p > 0.25 + 1e-12:
-                bad.append(f"t={tr.time}: P={tr.p} > 1/4 under the slack guard")
-            min_f = min(F[e.u], F[e.v])
-            if min_f >= q / (3.0 * delta) and guarded and tr.gate_fired:
-                bad.append(f"t={tr.time}: gate fired although min F >= q/(3D) and guard holds")
+            if tr.p > cap * (1.0 + 1e-12):
+                bad.append(f"t={tr.time}: P={tr.p} exceeds the floor-implied cap {cap}")
+            if tr.gate_fired and tr.p <= 0.25 and min(rebuilt[e.u], rebuilt[e.v]) >= gate_pass:
+                bad.append(f"t={tr.time}: gate fired although min F >= 4/3 floor and P <= 1/4")
         scale = 1.0 - tr.p_hat
         for w in (e.u, e.v):
-            nxt = F[w] * scale
-            if nxt > F[w] + 1e-15:
+            nxt = rebuilt[w] * scale
+            if nxt > rebuilt[w] + 1e-15:
                 bad.append(f"t={tr.time}: F({w}) increased")
-            F[w] = nxt
-            if gated and q <= 4.0 * delta and nxt < floor * (1.0 - 1e-12):
-                bad.append(f"t={tr.time}: F({w})={nxt} fell below q/(4D)={floor}")
+            rebuilt[w] = nxt
+            if gated and nxt < floor * (1.0 - 1e-12):
+                bad.append(f"t={tr.time}: F({w})={nxt} fell below the floor {floor}")
         if tr.matched:
             vertex_matched[e.u] = True
             vertex_matched[e.v] = True
     matching = [(e.u, e.v) for e, tr in zip(stream.arrivals, traces) if tr.matched]
     if not matching_is_valid(matching):
         bad.append("output matching has adjacent edges")
+    if F is not None and list(F) != rebuilt:
+        w = next((w for w, (a, b) in enumerate(zip(F, rebuilt)) if a != b), len(rebuilt))
+        bad.append(f"final F != prod (1 - p_hat) over the trace, first at vertex {w}")
     return bad

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matcher import MatcherConfig, MatcherState, MultiplicativeState
-from .rounder import RounderState, RoundingConfig
+from .rounder import RoundingConfig
 from .stream import ArrivalStream, EdgeArrival
 
 DEFAULT_EDGE_LIMIT = 20
@@ -123,26 +123,19 @@ def exact_marginals(
     max_edges: int = DEFAULT_EDGE_LIMIT,
     branch_limit: int = DEFAULT_BRANCH_LIMIT,
 ) -> OracleResult:
-    """Exact per-edge marginals and conditional sums for a matcher or rounder run."""
+    """Exact per-edge marginals and conditional sums for a matcher or rounder run.
+
+    The conditional sums must hit the engine's numerator: 1/(D+q) for the
+    matcher, x_e*(1-s) for the rounder."""
     if stream.m > max_edges:
         raise OracleLimitError(f"instance too large: m={stream.m} > {max_edges}")
     if exact and stream.m > 12:
         raise OracleLimitError("rational mode is limited to m <= 12")
-    if isinstance(config, RoundingConfig):
-        s = config.s
-        if exact:
-            s = Fraction(str(s)) if not isinstance(s, Fraction) else s
-        state: MultiplicativeState = RounderState(
-            stream.n, config.epsilon, s, gate_enabled=config.gate_enabled, exact=exact
-        )
-        expected = []
-        for e in stream.arrivals:
-            x = Fraction(str(e.x)) if exact else e.x
-            expected.append(x * (1 - s))
-    else:
-        state = MatcherState(stream.n, config, exact=exact)
-        expected = [state.scale] * stream.m
+    state = config.state(stream.n, exact)
     marginal, cond, leaf, branches = _enumerate(state, stream, branch_limit)
+    # the targets are the engine's own numerators; the enumeration's no-match
+    # path has already computed each one, so a bad arrival has failed there
+    expected = [state.numerator(e.x) for e in stream.arrivals]
     return OracleResult(
         marginal=marginal,
         conditional_sum=cond,

@@ -14,17 +14,20 @@ and a practical C must be supplied explicitly.
 
 With the uniform values x_e = 1/D the proposal coincides with the matcher's
 whenever 1 - s = D/(D + q); only the gate floors differ (s/4 vs q/(4D)).
+
+The rounder has one stepwise mode, the gated one, and no runner or audit of
+its own: RoundingConfig builds the engine state and describes its audit
+(``state``, ``gated``, ``floor``, ``p_cap``), and matcher.run and
+matcher.check_run_invariants take it as they take a MatcherConfig.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matcher import MatcherError, MultiplicativeState, StepTrace
-from .stream import ArrivalStream
+from .matcher import MatcherError, MultiplicativeState
 
 
 class RoundingError(MatcherError):
@@ -44,7 +47,7 @@ def s_eps(epsilon: float, c_round: float) -> float:
 class RoundingConfig:
     epsilon: float
     c_round: float = 40.0
-    gate_enabled: bool = True
+    gated = True  # the rounder has no ungated mode
 
     def __post_init__(self) -> None:
         s = s_eps(self.epsilon, self.c_round)  # validates the domain
@@ -60,10 +63,19 @@ class RoundingConfig:
         return s_eps(self.epsilon, self.c_round)
 
     @property
+    def floor(self) -> float:
+        """The gate floor s/4."""
+        return self.s / 4.0
+
+    @property
     def p_cap(self) -> float:
         """Hard proposal bound 16 * eps * (1-s) / s^2 implied by the F floor."""
         s = self.s
         return 16.0 * self.epsilon * (1.0 - s) / (s * s)
+
+    def state(self, n: int, exact: bool = False) -> "RounderState":
+        s = Fraction(str(self.s)) if exact else self.s
+        return RounderState(n, self.epsilon, s, exact=exact)
 
 
 def config_for_loss(epsilon: float, s: float) -> RoundingConfig:
@@ -76,16 +88,15 @@ def config_for_loss(epsilon: float, s: float) -> RoundingConfig:
 class RounderState(MultiplicativeState):
     """Engine state; ``s`` and ``epsilon`` may be Fractions for exact runs."""
 
-    def __init__(self, n: int, epsilon, s, gate_enabled: bool = True, exact: bool = False):
+    def __init__(self, n: int, epsilon, s, exact: bool = False):
         super().__init__(n, exact=exact)
         if not 0 < s < 1:
             raise RoundingError("s must be in (0, 1) for a run")
         self.epsilon = epsilon
         self.s = s
-        self.gate_enabled = gate_enabled
         self.floor = s / 4
 
-    def _numerator(self, x_e):
+    def numerator(self, x_e):
         if x_e is None:
             raise RoundingError(f"arrival {self.t + 1} has no fractional value")
         if self.exact and not isinstance(x_e, Fraction):
@@ -96,63 +107,3 @@ class RounderState(MultiplicativeState):
                 f"arrival {self.t + 1}: x={float(x_e)} exceeds eps={float(self.epsilon)}"
             )
         return x_e * (1 - self.s)
-
-    def _dispose(self, fu, fv, p):
-        if not self.gate_enabled:
-            if p > 1:
-                raise RoundingError(
-                    f"P={float(p):.6g} > 1 with the gate disabled (diagnostic abort)"
-                )
-            return p, p, False, False
-        return super()._dispose(fu, fv, p)
-
-    @classmethod
-    def from_config(cls, n: int, config: RoundingConfig, exact: bool = False) -> "RounderState":
-        return cls(n, config.epsilon, config.s, gate_enabled=config.gate_enabled, exact=exact)
-
-
-def round_run(
-    stream: ArrivalStream, config: RoundingConfig, seed: int
-) -> tuple[list[tuple[int, int]], list[StepTrace]]:
-    """One pass over a fractional stream; same seeding contract as matcher.run."""
-    if not stream.is_fractional:
-        raise RoundingError("rounding needs a stream with x= values")
-    state = RounderState.from_config(stream.n, config)
-    rng = random.Random(seed)
-    traces = [state.step(e, rng.random()) for e in stream.arrivals]
-    return list(state.matching), traces
-
-
-def check_round_invariants(
-    stream: ArrivalStream, config: RoundingConfig, traces: list[StepTrace]
-) -> list[str]:
-    """Invariant audit for a traced rounding run.
-
-    Checked: matched <=> x < p_hat; F >= s/4 at all times; the proposal cap
-    16*eps*(1-s)/s^2 from the F floor; and the gate-pass condition (the gate
-    cannot fire when min F >= s/3 and the computed P is at most 1/4).
-    """
-    bad: list[str] = []
-    s = config.s
-    floor = s / 4.0
-    cap = config.p_cap
-    F = [1.0] * stream.n
-    vertex_matched = bytearray(stream.n)
-    for e, tr in zip(stream.arrivals, traces):
-        if tr.matched != (tr.x < tr.p_hat):
-            bad.append(f"t={tr.time}: matched flag disagrees with x < p_hat")
-        free = not (vertex_matched[e.u] or vertex_matched[e.v])
-        if free and config.gate_enabled and tr.p > cap * (1.0 + 1e-12):
-            bad.append(f"t={tr.time}: P={tr.p} exceeds the floor-implied cap {cap}")
-        if free and config.gate_enabled and tr.gate_fired:
-            if min(F[e.u], F[e.v]) >= s / 3.0 and tr.p <= 0.25:
-                bad.append(f"t={tr.time}: gate fired although min F >= s/3 and P <= 1/4")
-        scale = 1.0 - tr.p_hat
-        for w in (e.u, e.v):
-            F[w] *= scale
-            if config.gate_enabled and F[w] < floor * (1.0 - 1e-12):
-                bad.append(f"t={tr.time}: F({w})={F[w]} fell below s/4={floor}")
-        if tr.matched:
-            vertex_matched[e.u] = True
-            vertex_matched[e.v] = True
-    return bad

@@ -387,30 +387,6 @@ def reorder(stream: ArrivalStream, order: str, seed: int | None = None) -> Arriv
     return ArrivalStream(n=stream.n, delta_bound=stream.delta_bound, arrivals=renumbered)
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Declarative instance description, used by the CLI."""
-
-    kind: str  # regular | erdos_renyi | complete_bipartite | lower_bound_tree
-    params: tuple[tuple[str, float], ...]
-    order: str = ORDER_GIVEN
-    order_seed: int | None = None
-
-    def generate(self) -> ArrivalStream:
-        p = dict(self.params)
-        if self.kind == "regular":
-            s = gen_regular(int(p["n"]), int(p["delta"]), int(p.get("seed", 0)))
-        elif self.kind == "erdos_renyi":
-            s = gen_erdos_renyi(int(p["n"]), float(p["p"]), int(p.get("seed", 0)))
-        elif self.kind == "complete_bipartite":
-            s = gen_complete_bipartite(int(p["a"]), int(p["b"]))
-        elif self.kind == "lower_bound_tree":
-            s = gen_lower_bound_tree(int(p["delta"]), int(p["q"]))
-        else:
-            raise StreamError(f"unknown generator kind {self.kind!r}")
-        return reorder(s, self.order, self.order_seed)
-
-
 def with_uniform_x(stream: ArrivalStream, x: float) -> ArrivalStream:
     """Annotate every arrival with the same fractional value."""
     return make_stream(

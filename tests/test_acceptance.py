@@ -36,7 +36,7 @@ from onlinecolor.matcher import (
 )
 from onlinecolor.oracle import exact_marginals
 from onlinecolor.profiles import ConstantsProfile
-from onlinecolor.rounder import check_round_invariants, config_for_loss, round_run
+from onlinecolor.rounder import config_for_loss
 from onlinecolor.seeding import derive_seed, rng_for
 from onlinecolor.stream import (
     gen_regular,
@@ -215,8 +215,8 @@ def test_criterion_5_rounding():
             upper_ok &= mg <= e.x + 1e-12
             worst = max(worst, abs(cs - e.x * (1 - cfg.s)))
         for seed in range(3):
-            _, traces = round_run(frac, cfg, derive_seed(5, seed))
-            floor_ok &= not check_round_invariants(frac, cfg, traces)
+            _, traces = run(frac, cfg, derive_seed(5, seed))
+            floor_ok &= not check_run_invariants(frac, cfg, traces)
     elapsed = time.perf_counter() - t0
     ok = single_ok and upper_ok and floor_ok and worst <= 1e-9 and elapsed < 60
     report(5, ok, f"single edge 27/100 exact; marginals <= x_e; "

@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from conftest import probe_stream
 from onlinecolor.cli import main
-from onlinecolor.stream import emit_stream, parse_stream
+from onlinecolor.stream import emit_stream, gen_regular, parse_stream
 
 
 def run_cli(capsys, *argv):
@@ -27,6 +28,36 @@ def test_gen_lower_bound_tree_cli(capsys):
     assert code == 0
     s = parse_stream(out)
     assert s.m == s.n - 1
+
+
+_GEN_KINDS = {
+    "regular": ["--n", "12", "--delta", "3"],
+    "erdos_renyi": ["--n", "12", "--p", "0.3"],
+    "complete_bipartite": ["--a", "3", "--b", "4"],
+    "lower_bound_tree": ["--delta", "5", "--q-int", "2"],
+}
+
+
+@pytest.mark.parametrize("kind,order,want", [
+    ("regular", "given", "df6339b795e0e499"),
+    ("regular", "random", "aee2c462ce3229aa"),
+    ("regular", "reversed", "54704d842696f538"),
+    ("erdos_renyi", "given", "d3a8272c1a49869c"),
+    ("erdos_renyi", "random", "1c3123eadd4e060c"),
+    ("erdos_renyi", "reversed", "7f6f04b100bb8e8f"),
+    ("complete_bipartite", "given", "d0e931d35a5f1324"),
+    ("complete_bipartite", "random", "f676fb5da5636b8a"),
+    ("complete_bipartite", "reversed", "82a3513218fd16d6"),
+    ("lower_bound_tree", "given", "a1d19fb1d57cc4ae"),
+    ("lower_bound_tree", "random", "12ef9a10efec637d"),
+    ("lower_bound_tree", "reversed", "61a23e06efc0617f"),
+])
+def test_gen_output_pinned(capsys, kind, order, want):
+    # the bytes `gen` writes for every kind and order, seed 7
+    code, out = run_cli(capsys, "gen", "--kind", kind, *_GEN_KINDS[kind], "--order", order,
+                        "--seed", "7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == want
 
 
 def test_match_json_and_csv(tmp_path, capsys):
@@ -82,6 +113,16 @@ def test_color_cli_modes(tmp_path, capsys):
         assert code == 0
         payload = json.loads(out)
         assert payload["violations"] == [] and payload["max_color"] <= 3
+
+
+def test_color_cli_local_theory_profile(tmp_path, capsys):
+    # the theory profile's local palettes hold about 4e24 colors each
+    path = tmp_path / "g.txt"
+    path.write_text(emit_stream(gen_regular(60, 20, 1)))
+    code, out = run_cli(capsys, "color", "--stream", str(path), "--mode", "local",
+                        "--profile", "theory", "--seed", "1")
+    assert code == 0
+    assert json.loads(out)["violations"] == []
 
 
 def test_mc_and_verify_cli(tmp_path, capsys):

@@ -171,10 +171,9 @@ def test_martingale_monitor_regular_instance():
     "cfg",
     [
         MatcherConfig(delta=2, q=1, mode=MODE_NATURAL),
-        MatcherConfig(delta=2, q=1, gate_enabled=False),
         MatcherConfig(delta=2, q=1, mode=MODE_GREEDY_FALLBACK),
     ],
-    ids=["natural", "gate_disabled", "greedy_fallback"],
+    ids=["natural", "greedy_fallback"],
 )
 def test_martingale_rejects_ungated_config(cfg):
     # the diagnostics follow the gated matcher; any other config is refused
@@ -274,6 +273,39 @@ def test_mc_audit_catches_corrupted_trace(monkeypatch):
     monkeypatch.setattr(harness, "run", corrupted_run)
     rep = mc_marginals(triangle(), cfg, trials=5, master_seed=2)
     assert any("final F != prod (1 - p_hat)" in v for v in rep.violations)
+
+
+def test_verify_rounder_audit_catches_corrupted_trace(monkeypatch):
+    # the rounder's trial-0 audit checks the engine's own final F against
+    # prod (1 - p_hat) over the traces; halving one traced p_hat breaks it
+    from onlinecolor.rounder import config_for_loss
+
+    real_run = harness.run
+
+    def corrupted_run(stream, config, seed, **kwargs):
+        matching, traces = real_run(stream, config, seed, **kwargs)
+        traces[0] = dataclasses.replace(traces[0], p_hat=traces[0].p_hat / 2)
+        return matching, traces
+
+    cfg = config_for_loss(0.2, 0.1)
+    assert verify_stream(triangle(x=0.2), cfg, trials=2000, master_seed=2)["violations"] == []
+    monkeypatch.setattr(harness, "run", corrupted_run)
+    out = verify_stream(triangle(x=0.2), cfg, trials=2000, master_seed=2)
+    assert any("final F != prod (1 - p_hat)" in v for v in out["violations"])
+
+
+def test_mc_natural_mode_pinned():
+    # natural-mode trials audit their own traces; hits and diagnostics as
+    # recorded when every audited trial was run twice
+    from onlinecolor.stream import gen_regular, reorder
+
+    s = reorder(gen_regular(20, 6, seed=3), "random", 5)
+    cfg = MatcherConfig(delta=6, q=0.5, mode=MODE_NATURAL)
+    rep = mc_marginals(s, cfg, trials=300, master_seed=3)
+    assert _digest(e["hits"] for e in rep.edges) == "59e53e66820a6331"
+    assert rep.diagnostics == {"min_F_observed": 1.0, "gate_fires": 0,
+                               "overflow_count": 240, "marginal_floor": 0.125}
+    assert rep.violations == []
 
 
 def _digest(values):

@@ -114,19 +114,6 @@ def test_natural_mode_overflow_flag():
     assert not any(tr.overflow for tr in traces[:-1])
 
 
-def test_gate_disabled_diagnostic_abort():
-    # the overflow tree pushes the ungated proposal to (q+2)/(q+1) > 1
-    from onlinecolor.stream import gen_lower_bound_tree
-
-    tree = gen_lower_bound_tree(6, 2)
-    cfg = MatcherConfig(delta=6, q=2, gate_enabled=False)
-    state = MatcherState(tree.n, cfg, exact=True)
-    x = Fraction(999, 1000)
-    with pytest.raises(MatcherError, match="gate disabled"):
-        for e in tree.arrivals:
-            state.step(e, x)
-
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -197,3 +184,46 @@ def test_greedy_fallback_runner():
     # single edge with delta=1: always matched
     matching, c_star, _ = run_greedy_fallback(path(1), 1, seed=9)
     assert c_star == 1 and matching == [(0, 1)]
+
+
+# -- the shared audit ----------------------------------------------------------
+
+def _audit_configs():
+    from onlinecolor.rounder import config_for_loss
+
+    # neither config is under the slack guard, so the cap and gate-pass
+    # rules are exercised outside it
+    return {"matcher": (path(3), MatcherConfig(delta=6, q=1.5)),
+            "rounder": (path(3, x=0.2), config_for_loss(0.2, 0.1))}
+
+
+# each rule: (trace index, fields to corrupt, expected message fragment); the
+# forced draws below match arrival 1, put arrival 2 at a matched endpoint and
+# leave arrival 3 free and unmatched with P <= 1/4
+_AUDIT_RULES = {
+    "matched_flag": (2, lambda tr, cfg: {"x": 0.0}, "matched flag disagrees"),
+    "p_at_matched_endpoint": (1, lambda tr, cfg: {"p": 0.1}, "nonzero P at a matched endpoint"),
+    "f_increases": (2, lambda tr, cfg: {"p_hat": -0.5}, "increased"),
+    "valid_matching": (1, lambda tr, cfg: {"matched": True}, "adjacent edges"),
+    "floor": (2, lambda tr, cfg: {"p_hat": 0.99}, "fell below the floor"),
+    "cap": (2, lambda tr, cfg: {"p": 2 * cfg.p_cap}, "exceeds the floor-implied cap"),
+    "gate_pass": (2, lambda tr, cfg: {"gate_fired": True}, "gate fired although"),
+    "product": (0, lambda tr, cfg: {"p_hat": tr.p_hat / 2}, "final F != prod (1 - p_hat)"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_AUDIT_RULES))
+@pytest.mark.parametrize("kind", ["matcher", "rounder"])
+def test_audit_rule_catches_corrupted_trace(kind, rule):
+    import dataclasses
+
+    s, cfg = _audit_configs()[kind]
+    state = cfg.state(s.n)
+    traces = [state.step(e, x) for e, x in zip(s.arrivals, (0.0, 0.5, 0.99))]
+    assert [tr.matched for tr in traces] == [True, False, False]
+    assert traces[1].p == 0 and 0 < traces[2].p <= 0.25
+    assert check_run_invariants(s, cfg, traces, state.F) == []
+    idx, corrupt, fragment = _AUDIT_RULES[rule]
+    traces[idx] = dataclasses.replace(traces[idx], **corrupt(traces[idx], cfg))
+    bad = check_run_invariants(s, cfg, traces, state.F)
+    assert any(fragment in v for v in bad), bad

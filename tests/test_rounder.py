@@ -5,15 +5,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import path, random_simple_graph, triangle
-from onlinecolor.matcher import MatcherConfig
+from onlinecolor.matcher import MatcherConfig, check_run_invariants, run
 from onlinecolor.oracle import exact_marginals
 from onlinecolor.rounder import (
     RounderState,
     RoundingConfig,
     RoundingError,
-    check_round_invariants,
     config_for_loss,
-    round_run,
     s_eps,
 )
 from onlinecolor.stream import make_stream, with_uniform_x
@@ -62,9 +60,7 @@ def test_matcher_identity_when_loss_matches_slack():
     r_cfg = config_for_loss(0.5, 1.0 / 3.0)
     m_cfg = MatcherConfig(delta=2, q=1)
     for seed in (0, 3, 9):
-        _, rt = round_run(frac, r_cfg, seed)
-        from onlinecolor.matcher import run
-
+        _, rt = run(frac, r_cfg, seed)
         _, mt = run(tri, m_cfg, seed)
         for a, b in zip(rt, mt):
             assert math.isclose(a.p, b.p, rel_tol=1e-12, abs_tol=1e-15)
@@ -74,7 +70,7 @@ def test_zero_value_edge_never_matches():
     s = make_stream(3, 2, [(0, 1), (1, 2)], xs=[0.0, 0.2])
     cfg = config_for_loss(0.2, 0.1)
     for seed in range(10):
-        matching, traces = round_run(s, cfg, seed)
+        matching, traces = run(s, cfg, seed)
         assert traces[0].p == 0.0 and not traces[0].matched
         assert (0, 1) not in matching
 
@@ -83,12 +79,12 @@ def test_x_exceeding_epsilon_rejected():
     s = make_stream(2, 1, [(0, 1)], xs=[0.3])
     cfg = config_for_loss(0.2, 0.1)
     with pytest.raises(RoundingError, match="exceeds eps"):
-        round_run(s, cfg, seed=0)
+        run(s, cfg, seed=0)
 
 
 def test_run_needs_fractional_stream():
     with pytest.raises(RoundingError):
-        round_run(path(2), config_for_loss(0.2, 0.1), seed=0)
+        run(path(2), config_for_loss(0.2, 0.1), seed=0)
 
 
 def test_state_rejects_invalid_loss():
@@ -104,8 +100,8 @@ def test_invariants_on_random_fractional_instances():
         s = random_simple_graph(rng, 7, rng.randint(1, 10))
         xs = _fractional_values(s, rng, eps)
         frac = make_stream(s.n, s.delta_bound, [(e.u, e.v) for e in s.arrivals], xs=xs)
-        matching, traces = round_run(frac, cfg, seed=rng.randint(0, 10**6))
-        assert not check_round_invariants(frac, cfg, traces)
+        matching, traces = run(frac, cfg, seed=rng.randint(0, 10**6))
+        assert not check_run_invariants(frac, cfg, traces)
         res = exact_marginals(frac, cfg)
         for e, mg, cs in zip(frac.arrivals, res.marginal, res.conditional_sum):
             assert mg <= e.x + 1e-12
@@ -137,7 +133,7 @@ def test_oracle_matches_monte_carlo_rounding():
     from onlinecolor.seeding import derive_seed
 
     for t in range(trials):
-        _, traces = round_run(frac, cfg, derive_seed(88, t))
+        _, traces = run(frac, cfg, derive_seed(88, t))
         for i, tr in enumerate(traces):
             hits[i] += tr.matched
     for i in range(frac.m):
@@ -147,20 +143,6 @@ def test_oracle_matches_monte_carlo_rounding():
             continue
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(hits[i] / trials - p) < 4 * sigma
-
-
-def test_gate_disabled_abort_on_overload():
-    # on the forced no-match path the ungated proposal of the last edge
-    # reaches 0.297 / (F(0)*F(1)) ~ 11.6 > 1; diagnostic mode must abort
-    s = make_stream(
-        4, 3,
-        [(0, 2), (0, 3), (1, 2), (1, 3), (0, 1)],
-        xs=[0.33, 0.33, 0.33, 0.33, 0.33],
-    )
-    state = RounderState(4, 0.33, 0.1, gate_enabled=False)
-    with pytest.raises(RoundingError, match="gate disabled"):
-        for e in s.arrivals:
-            state.step(e, 0.999)
 
 
 def test_gate_keeps_same_path_sane():

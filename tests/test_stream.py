@@ -259,16 +259,3 @@ def test_gen_complete_bipartite():
     s = gen_complete_bipartite(2, 2)
     assert s.m == 4 and s.delta_bound == 2
     assert all(e.u < 2 <= e.v for e in s.arrivals)
-
-
-def test_generator_spec_dispatch():
-    from onlinecolor.stream import GeneratorSpec
-
-    spec = GeneratorSpec(kind="regular", params=(("n", 10), ("delta", 3), ("seed", 2)),
-                         order="random", order_seed=7)
-    a, b = spec.generate(), spec.generate()
-    assert a == b and all(d == 3 for d in a.degrees())
-    tree = GeneratorSpec(kind="lower_bound_tree", params=(("delta", 5), ("q", 1))).generate()
-    assert tree.m == tree.n - 1
-    with pytest.raises(StreamError):
-        GeneratorSpec(kind="nonsense", params=()).generate()
