@@ -30,6 +30,14 @@ Three front ends: plain_color (palette {1..Δ+q'} with deterministic color
 ranges per phase), list_color (arbitrary per-edge palettes, phase classes
 sampled online), local_color (palette sizes tied to the endpoint degrees,
 known a priori).
+
+In list mode, ``SampledPartition.split`` makes each phase's split of a
+palette (pruned list, sublist, rest) and keeps the last one per phase, keyed
+by the identity of the palette object.  Edges that share one palette object
+(``with_range_lists``, ``gen --list-size``, equal ``L=`` text in a parsed
+stream) therefore reuse one split per phase instead of classifying every
+color again; per-edge palettes each miss and cost what they always did, and
+the memo never holds more than one split per active phase.
 """
 
 from __future__ import annotations
@@ -281,7 +289,14 @@ class SampledPartition:
     phase i with probability p_i = (lambda_i + 5 sqrt(lambda_i ln n)) /
     (d_i + a_i), trying phases in order; unclaimed colors go to the tail.
     Inactive phases (those at or below the stop threshold) are skipped so
-    their classes do not swallow colors that no machinery will ever use."""
+    their classes do not swallow colors that no machinery will ever use.
+
+    ``split`` keeps the last split of each phase, keyed by the target and by
+    the identity of the palette it split (held, so the identity cannot be
+    reused while the split is kept).  Edges that share one palette object
+    thus classify its colors once per phase, not once per edge.  The memo is
+    bounded by one split per active phase, however many distinct palettes
+    the stream carries."""
 
     method = "sampled"
 
@@ -289,6 +304,8 @@ class SampledPartition:
         self.schedule = schedule
         self.rng = rng
         self._assign: dict[int, int] = {}
+        # per phase: (palette, target, pruned, sublist, rest) of the last split
+        self._last: list = [None] * schedule.f
         self.p = []
         for i in schedule.active_phases:
             p_i = schedule.sampling_probability(i)
@@ -306,6 +323,27 @@ class SampledPartition:
                     break
             self._assign[color] = got
         return got
+
+    def split(self, remaining: tuple, phase: int, target: int) -> tuple:
+        """(pruned, sublist, rest): ``remaining`` pruned to ``target`` colors,
+        then divided into its class-``phase`` colors and the others, both in
+        palette order (the partition draws as it meets a new color).
+
+        A palette that is the very object this phase split last, to the
+        same target, gets the same three tuples back.  Every color of that split was classified
+        when it was made, so a reused split draws nothing, and the draws,
+        the classes and the run stay what splitting afresh would give.
+        """
+        last = self._last[phase]
+        if last is not None and last[0] is remaining and last[1] == target:
+            return last[2:]
+        pruned = list_prune(remaining, target) if len(remaining) > target else remaining
+        sublist, rest = [], []
+        for c in pruned:
+            (sublist if self.phase_of(c) == phase else rest).append(c)
+        out = (pruned, tuple(sublist), tuple(rest))
+        self._last[phase] = (remaining, target) + out
+        return out
 
     def assignment(self) -> dict:
         return dict(self._assign)
@@ -516,8 +554,9 @@ def _run_pipeline(stream, lists_fn, schedule, partition, profile, seed):
     stage_out: list = [None] * m
     ledger_violations = 0
 
+    # range palettes and a range partition, or else a list run: tuple
+    # palettes, a sampled partition and the list ledger
     range_mode = isinstance(partition, RangePartition)
-    list_run = isinstance(partition, SampledPartition)
     # per-vertex bitmask of assigned colors: bit c for range palettes, bit
     # slots[c] (dense, in order of first use) otherwise
     used = [0] * n
@@ -536,19 +575,14 @@ def _run_pipeline(stream, lists_fn, schedule, partition, profile, seed):
             di = deg[i]
             di[u] += 1
             di[v] += 1
-            if list_run and len(remaining) > targets[i]:
-                remaining = list_prune(remaining, targets[i])
             if range_mode:
                 lo, hi = partition.interval(i)
                 sublist = _range_intersect(remaining, lo, hi)
                 rest = remaining
             else:
-                # palette order: a sampled partition draws as it meets a color
-                sublist, rest = [], []
-                for c in remaining:
-                    (sublist if partition.phase_of(c) == i else rest).append(c)
+                remaining, sublist, rest = partition.split(remaining, i, targets[i])
             dense = di[u] >= thresholds[i] or di[v] >= thresholds[i]
-            if list_run:
+            if not range_mode:
                 enough = len(remaining) >= targets[i]
                 if dense_ok and not enough:
                     ledger_violations += 1

@@ -189,6 +189,7 @@ def mc_marginals(
             _, traces = run(stream, config, derive_seed(master_seed, t), state=state)
             got = [tr.matched for tr in traces]
             F = state.F
+            min_f = min(min_f, min(F, default=1.0))
             gate_fires += sum(tr.gate_fired for tr in traces)
             overflow += sum(tr.overflow for tr in traces)
         for i, flag in enumerate(got):

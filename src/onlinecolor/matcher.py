@@ -383,10 +383,11 @@ def check_run_invariants(
     violation strings.
 
     Checked on every run: matched <=> x < p_hat; P = 0 at a matched
-    endpoint; F never increases; a valid matching.  On a gated run whose
-    floor is at most the initial F = 1: F >= floor at all times, P <=
-    config.p_cap, and no gate firing when min F >= 4/3 * floor and P <= 1/4
-    (then min F * (1 - P) >= floor).  F is rebuilt once from the traces as
+    endpoint; the gate fired exactly when the run is gated, both endpoints
+    are free and P_hat = 0 < P; F never increases; a valid matching.  On a
+    gated run whose floor is at most the initial F = 1: F >= floor at all
+    times, P <= config.p_cap, and no gate firing when min F >= 4/3 * floor
+    and P <= 1/4 (then min F * (1 - P) >= floor).  F is rebuilt once from the traces as
     the product of (1 - p_hat); given the engine's own final ``F``, the two
     must be equal (the same floats multiplied in the same order).
     """
@@ -403,6 +404,8 @@ def check_run_invariants(
         free = not (vertex_matched[e.u] or vertex_matched[e.v])
         if not free and tr.p != 0:
             bad.append(f"t={tr.time}: nonzero P at a matched endpoint")
+        if tr.gate_fired != (config.gated and free and tr.p_hat == 0 < tr.p):
+            bad.append(f"t={tr.time}: gate_fired={tr.gate_fired} disagrees with P and P_hat")
         if gated and free:
             if tr.p > cap * (1.0 + 1e-12):
                 bad.append(f"t={tr.time}: P={tr.p} exceeds the floor-implied cap {cap}")

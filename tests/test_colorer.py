@@ -235,6 +235,28 @@ def test_sampled_partition_multiphase():
     assert 0 in got and sch.f + 1 in got  # both a phase and the tail are hit
 
 
+def test_sampled_partition_split():
+    sch = degree_schedule(50, 60, MULTIPHASE)
+    sp = SampledPartition(sch, rng_for(3))
+    palette = tuple(range(1, 600))
+    target = sch.prune_target(0)
+    split = sp.split(palette, 0, target)
+    pruned, sublist, rest = split
+    assert pruned == palette[:target]  # colors past the target are never classified
+    assert sorted(sublist + rest) == list(pruned) and set(sp.assignment()) == set(pruned)
+    assert {sp.phase_of(c) for c in sublist} == {0} and 0 not in {sp.phase_of(c) for c in rest}
+    # the same palette object again: the same tuples, and no draw
+    drawn = sp.rng.getstate()
+    assert all(a is b for a, b in zip(sp.split(palette, 0, target), split))
+    assert sp.rng.getstate() == drawn
+    # an equal copy is split afresh, to the same colors
+    again = sp.split(tuple(list(palette)), 0, target)
+    assert again == split and again[1] is not sublist
+    # the rest cascades into phase 1, which prunes it to its own target
+    pruned1, sub1, rest1 = sp.split(rest, 1, sch.prune_target(1))
+    assert pruned1 == rest[:sch.prune_target(1)] and {sp.phase_of(c) for c in sub1} <= {1}
+
+
 def test_sampled_partition_probabilities_on_deep_schedule():
     # lambda_0 ~ 190.45 at d_0 = 1000, n = 1000: every phase probability is a
     # valid, nontrivial probability even on a 7-phase schedule
@@ -481,6 +503,89 @@ def test_list_run_colors_pinned():
     res = list_color(s, MULTIPHASE, seed=1)
     assert res.schedule.f == 1 and res.tail.entered > 0 and not res.fallback_taken
     assert hashlib.sha256(repr(res.colors).encode()).hexdigest()[:16] == "496680104e53b736"
+
+
+def _palette_streams():
+    """One multiphase instance under three palette layouts: every edge given
+    the same palette object, every edge its own copy of it (the split memo
+    never hits), and runs of three different palettes."""
+    sch = degree_schedule(50, 60, MULTIPHASE)
+    q_list = 50 + math.ceil(sch.a[0])
+    g = gen_regular(60, 50, seed=7)
+    edges = [(e.u, e.v) for e in g.arrivals]
+    base = list(range(1, q_list + 1))
+    # shifted, and longer than the phase-0 target, so pruning drops 26 colors
+    mixes = [base, list(range(3, q_list + 3)), list(range(1, q_list + 26))]
+    rng = random.Random(9)
+    pick: list = []
+    while len(pick) < g.m:
+        pick += [rng.randrange(3)] * rng.randint(1, 6)
+    layouts = {
+        "shared": [base] * g.m,
+        "copies": [list(base) for _ in edges],
+        "mixed": [mixes[k] for k in pick[:g.m]],
+    }
+    return {k: make_stream(g.n, g.delta_bound, edges, lists=v) for k, v in layouts.items()}
+
+
+def _list_run_summary(res) -> str:
+    return repr((res.colors, res.stage, [p.as_dict() for p in res.per_phase], res.tail.as_dict(),
+                 res.list_ledger_violations, list(res.partition_assignment.items())))
+
+
+def test_split_memo_is_bit_identical():
+    # digests recorded before phase splits were memoized; the partition's
+    # classification order is part of the summary
+    pinned = {(0, "shared"): "acdb2e74b37a8e29", (0, "mixed"): "e88c18824a66529e",
+              (5, "shared"): "e63d7136b574c02f", (5, "mixed"): "4ec1d14cff8a8577"}
+    streams = _palette_streams()
+    for seed in (0, 5):
+        got = {}
+        for name, s in streams.items():
+            res = list_color(s, MULTIPHASE, seed=seed)
+            assert res.schedule.f == 2 and res.tail.entered > 0 and not res.fallback_taken
+            got[name] = _list_run_summary(res)
+        assert got["shared"] == got["copies"]
+        for name in ("shared", "mixed"):
+            digest = hashlib.sha256(got[name].encode()).hexdigest()[:16]
+            assert digest == pinned[seed, name], (seed, name)
+
+
+def test_split_memo_memory_bounded():
+    # every edge carries its own copy of the palette: a memo holding one
+    # split per distinct palette would grow by about 12 KB per arrival
+    sch = degree_schedule(50, 120, MULTIPHASE)
+    base = list(range(1, 51 + math.ceil(sch.a[0])))
+    edges = [(e.u, e.v) for e in gen_regular(120, 50, seed=1).arrivals]
+    peaks = []
+    for m in (1000, 3000):
+        s = make_stream(120, 50, edges[:m], lists=[list(base) for _ in range(m)])
+        tracemalloc.start()
+        try:
+            res = list_color(s, MULTIPHASE, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.schedule.f == 2 and not res.fallback_taken
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] < 2**20, peaks
+
+
+def test_shared_palette_split_once_per_phase(monkeypatch):
+    # with one palette object on every edge, each phase's bank is handed the
+    # very same sublist tuple on every edge: the split is made once
+    fed: dict = {}
+    feed = PhaseReducer.feed
+
+    def spy(self, u, v, sublist):
+        fed.setdefault(self.phase, []).append(sublist)
+        return feed(self, u, v, sublist)
+
+    monkeypatch.setattr(PhaseReducer, "feed", spy)
+    res = list_color(_palette_streams()["shared"], MULTIPHASE, seed=0)
+    assert sorted(fed) == [0, 1] and len(fed[1]) == res.per_phase[1].entered
+    for sublists in fed.values():
+        assert all(sub is sublists[0] for sub in sublists)
 
 
 def test_bounded_color_state():

@@ -295,15 +295,16 @@ def test_verify_rounder_audit_catches_corrupted_trace(monkeypatch):
 
 
 def test_mc_natural_mode_pinned():
-    # natural-mode trials audit their own traces; hits and diagnostics as
-    # recorded when every audited trial was run twice
+    # natural-mode trials audit their own traces; hits as recorded when every
+    # audited trial was run twice.  Clamped overflows (P > 1, P_hat = 1)
+    # drive F to 0, and min_F_observed reports it
     from onlinecolor.stream import gen_regular, reorder
 
     s = reorder(gen_regular(20, 6, seed=3), "random", 5)
     cfg = MatcherConfig(delta=6, q=0.5, mode=MODE_NATURAL)
     rep = mc_marginals(s, cfg, trials=300, master_seed=3)
     assert _digest(e["hits"] for e in rep.edges) == "59e53e66820a6331"
-    assert rep.diagnostics == {"min_F_observed": 1.0, "gate_fires": 0,
+    assert rep.diagnostics == {"min_F_observed": 0.0, "gate_fires": 0,
                                "overflow_count": 240, "marginal_floor": 0.125}
     assert rep.violations == []
 

@@ -208,6 +208,7 @@ _AUDIT_RULES = {
     "floor": (2, lambda tr, cfg: {"p_hat": 0.99}, "fell below the floor"),
     "cap": (2, lambda tr, cfg: {"p": 2 * cfg.p_cap}, "exceeds the floor-implied cap"),
     "gate_pass": (2, lambda tr, cfg: {"gate_fired": True}, "gate fired although"),
+    "gate_coherence": (2, lambda tr, cfg: {"gate_fired": True}, "disagrees with P and P_hat"),
     "product": (0, lambda tr, cfg: {"p_hat": tr.p_hat / 2}, "final F != prod (1 - p_hat)"),
 }
 
@@ -227,3 +228,17 @@ def test_audit_rule_catches_corrupted_trace(kind, rule):
     traces[idx] = dataclasses.replace(traces[idx], **corrupt(traces[idx], cfg))
     bad = check_run_invariants(s, cfg, traces, state.F)
     assert any(fragment in v for v in bad), bad
+
+
+def test_audit_catches_unflagged_gate_firing():
+    # the third arrival's gate fires (P ~ 1, P_hat = 0); a trace that hides
+    # the firing breaks no other rule, so only gate coherence can see it
+    import dataclasses
+
+    s, cfg = triangle(), MatcherConfig(delta=2, q=1)
+    _, traces = run(s, cfg, seed=0)
+    assert [tr.gate_fired for tr in traces] == [False, False, True]
+    assert check_run_invariants(s, cfg, traces) == []
+    traces[2] = dataclasses.replace(traces[2], gate_fired=False)
+    assert check_run_invariants(s, cfg, traces) == [
+        "t=3: gate_fired=False disagrees with P and P_hat"]
