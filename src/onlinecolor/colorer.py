@@ -31,13 +31,17 @@ ranges per phase), list_color (arbitrary per-edge palettes, phase classes
 sampled online), local_color (palette sizes tied to the endpoint degrees,
 known a priori).
 
-In list mode, ``SampledPartition.split`` makes each phase's split of a
-palette (pruned list, sublist, rest) and keeps the last one per phase, keyed
-by the identity of the palette object.  Edges that share one palette object
-(``with_range_lists``, ``gen --list-size``, equal ``L=`` text in a parsed
-stream) therefore reuse one split per phase instead of classifying every
-color again; per-edge palettes each miss and cost what they always did, and
-the memo never holds more than one split per active phase.
+Both partitions split a palette with ``split(remaining, phase, target)``
+-> (pruned list, sublist, rest) and give its tail candidates with
+``tail(remaining)``.  ``SampledPartition.split`` keeps the last split per
+phase, and ``RangePartition`` the last range it cut per phase and for the
+tail, each keyed by the identity of the palette object.  Edges that share one
+palette object (every plain edge, local edges with the same bound,
+``with_range_lists``, ``gen --list-size``, equal palettes given to
+``make_stream``, equal ``L=`` text in a parsed stream) therefore reuse one
+split per phase instead of classifying or intersecting it again; per-edge
+palettes each miss and cost what they always did, and the memo never holds
+more than one split per phase.
 """
 
 from __future__ import annotations
@@ -238,7 +242,13 @@ class RangePartition:
     """Deterministic interval classes: C_i = {top_i - |C_i| + 1 .. top_i} with
     top_i = floor(d_i + a_i) and |C_i| = ceil(lambda_i); tail C_{f+1} =
     {1 .. floor(2 d_f)}.  Colors in the gaps belong to no phase and are never
-    used.  Disjointness is verified at construction."""
+    used.  Disjointness is verified at construction.
+
+    ``split`` and ``tail`` keep the last range they cut per phase and for the
+    tail, keyed by the identity of the palette they cut (held, so the
+    identity cannot be reused).  Edges that share one palette object (every
+    plain edge; local edges with the same bound) thus intersect it with each
+    class once, not once per edge."""
 
     method = "range"
 
@@ -254,6 +264,8 @@ class RangePartition:
                 raise PartitionError(f"phase {i} color range extends below 1")
             self.intervals.append((lo, top) if size > 0 else (1, 0))
         self.tail_interval = (1, schedule.tail_top())
+        # per phase, then the tail: (palette, cut) of the last cut made
+        self._last: list = [None] * (f + 2)
         spans = [iv for iv in self.intervals + [self.tail_interval] if iv[0] <= iv[1]]
         spans.sort()
         for (alo, ahi), (blo, bhi) in zip(spans, spans[1:]):
@@ -267,6 +279,27 @@ class RangePartition:
         if phase == self.schedule.f + 1:
             return self.tail_interval
         return self.intervals[phase]
+
+    def _cut(self, palette: range, phase: int) -> range:
+        last = self._last[phase]
+        if last is not None and last[0] is palette:
+            return last[1]
+        lo, hi = self.interval(phase)
+        start = max(palette.start, lo)
+        cut = range(start, max(start, min(palette.stop, hi + 1)))
+        self._last[phase] = (palette, cut)
+        return cut
+
+    def split(self, remaining: range, phase: int, target: int) -> tuple:
+        """(remaining, sublist, remaining): the sublist is ``remaining``'s
+        colors in class ``phase``.  The signature is ``SampledPartition.split``'s;
+        range palettes are never pruned, so ``target`` is not used, and the
+        palette passes whole to the next phase."""
+        return remaining, self._cut(remaining, phase), remaining
+
+    def tail(self, remaining: range) -> range:
+        """``remaining``'s colors in the tail class."""
+        return self._cut(remaining, self.schedule.f + 1)
 
     def phase_of(self, color: int) -> int | None:
         lo, hi = self.tail_interval
@@ -344,6 +377,13 @@ class SampledPartition:
         out = (pruned, tuple(sublist), tuple(rest))
         self._last[phase] = (remaining, target) + out
         return out
+
+    def tail(self, remaining: tuple):
+        """``remaining``'s colors in the tail class, lazily in palette order:
+        the phase loops classified every candidate, so a scan that stops at
+        the first free color classifies no more than it needs."""
+        f1 = self.schedule.f + 1
+        return (c for c in remaining if self.phase_of(c) == f1)
 
     def assignment(self) -> dict:
         return dict(self._assign)
@@ -487,23 +527,19 @@ class ColoringResult:
         }
 
 
-def _range_intersect(a: range, lo: int, hi: int) -> range:
-    start = max(a.start, lo)
-    stop = min(a.stop, hi + 1)
-    return range(start, max(start, stop))
-
-
 def _smallest_free(palette, taken: int, slots: dict | None) -> int | None:
     """The first color of ``palette`` whose bit in ``taken`` is clear, or None.
 
-    With ``slots`` None, bit c stands for color c and ``palette`` is a range,
-    scanned as one mask over its span.  Otherwise bit ``slots[c]`` stands for
-    color c and ``palette`` is any iterable, consumed only up to the first
-    free color; a color without a slot has never been used, so it is free.
+    With ``slots`` None, bit c stands for color c and ``palette`` is a range:
+    the answer is the lowest clear bit of ``taken`` from the range's start,
+    if it lies inside the range.  Otherwise bit ``slots[c]`` stands for color
+    c and ``palette`` is any iterable, consumed only up to the first free
+    color; a color without a slot has never been used, so it is free.
     """
     if slots is None:
-        avail = ~taken >> palette.start & ((1 << len(palette)) - 1)
-        return palette.start + (avail & -avail).bit_length() - 1 if avail else None
+        above = taken >> palette.start
+        k = (~above & (above + 1)).bit_length() - 1  # lowest clear bit
+        return palette.start + k if k < len(palette) else None
     for c in palette:
         k = slots.get(c)
         if k is None or not taken >> k & 1:
@@ -575,12 +611,7 @@ def _run_pipeline(stream, lists_fn, schedule, partition, profile, seed):
             di = deg[i]
             di[u] += 1
             di[v] += 1
-            if range_mode:
-                lo, hi = partition.interval(i)
-                sublist = _range_intersect(remaining, lo, hi)
-                rest = remaining
-            else:
-                remaining, sublist, rest = partition.split(remaining, i, targets[i])
+            remaining, sublist, rest = partition.split(remaining, i, targets[i])
             dense = di[u] >= thresholds[i] or di[v] >= thresholds[i]
             if not range_mode:
                 enough = len(remaining) >= targets[i]
@@ -609,12 +640,7 @@ def _run_pipeline(stream, lists_fn, schedule, partition, profile, seed):
             tail_stats.entered += 1
             tail_deg[u] += 1
             tail_deg[v] += 1
-            if range_mode:
-                tail = _range_intersect(remaining, *partition.interval(f + 1))
-            else:
-                # the phase loops classified every candidate; scan only up to a free one
-                tail = (c for c in remaining if partition.phase_of(c) == f + 1)
-            got = _smallest_free(tail, used[u] | used[v], slots)
+            got = _smallest_free(partition.tail(remaining), used[u] | used[v], slots)
             if got is None:
                 raise TailFailure(e.time, u, v)
             tail_stats.colored += 1
@@ -724,7 +750,10 @@ def local_color(stream: ArrivalStream, profile: ConstantsProfile, seed: int) -> 
     degrees = stream.degrees()
     schedule = degree_schedule(stream.delta_bound, stream.n, profile)
     partition = RangePartition(schedule)
-    palettes = [local_lists(degrees[e.u], degrees[e.v], schedule) for e in stream.arrivals]
+    # one range object per distinct bound, so edges share it in the range memo
+    shared: dict[range, range] = {}
+    palettes = [shared.setdefault(p, p) for p in
+                (local_lists(degrees[e.u], degrees[e.v], schedule) for e in stream.arrivals)]
     result = run_generic(
         stream, lambda e: palettes[e.time - 1], schedule, partition, profile, seed
     )

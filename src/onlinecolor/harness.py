@@ -262,26 +262,27 @@ def validate_coloring(
     if isinstance(colors, ColoringResult):
         colors = colors.colors
     bad: list[str] = []
-    at_vertex: dict[int, dict] = {}  # vertex -> {color: time of its first use there}
-    for idx, e in enumerate(stream.arrivals):
+    # per vertex id, made on its first use: {color: time of its first use there}
+    first_use: list = [None] * stream.n
+    per_edge = isinstance(palettes, list)
+    for idx, (t, u, v, _, _) in enumerate(stream.arrivals):
         if len(bad) >= limit:
             break
         c = colors[idx]
         if c is None:
             if require_complete:
-                bad.append(f"t={e.time}: uncolored edge")
+                bad.append(f"t={t}: uncolored edge")
             continue
-        if palettes is not None:
-            palette = palettes[idx] if isinstance(palettes, list) else palettes
-            if c not in palette:
-                bad.append(f"t={e.time}: color {c} not in the edge's palette")
-        for w in (e.u, e.v):
-            seen = at_vertex.get(w)
+        if palettes is not None and c not in (palettes[idx] if per_edge else palettes):
+            bad.append(f"t={t}: color {c} not in the edge's palette")
+        for w in (u, v):
+            seen = first_use[w]
             if seen is None:
-                seen = at_vertex[w] = {}
-            first = seen.setdefault(c, e.time)
-            if first != e.time:
-                bad.append(f"t={e.time}: color {c} repeated at vertex {w} (first at t={first})")
+                first_use[w] = {c: t}
+                continue
+            first = seen.setdefault(c, t)
+            if first != t:
+                bad.append(f"t={t}: color {c} repeated at vertex {w} (first at t={first})")
     return bad[:limit]
 
 

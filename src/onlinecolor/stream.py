@@ -14,12 +14,14 @@ dense non-negative integers below n, so isolated vertices are representable
 
 ``EdgeArrival`` is a plain record; ``ArrivalStream`` validates every arrival
 in one pass when it is built, checking each distinct palette object once.
-The parser reads each distinct ``L=`` token text once, so edges with equal
-palette text share one tuple.
+The parser splits each line once and reads each distinct ``L=`` token text
+once, so edges with equal palette text share one tuple; ``make_stream``
+shares equal palettes by content.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -50,6 +52,11 @@ class EdgeArrival(NamedTuple):
     @property
     def pair(self) -> tuple[int, int]:
         return (self.u, self.v) if self.u < self.v else (self.v, self.u)
+
+
+# EdgeArrival from its five fields as one tuple, without the Python-level
+# __new__ that a NamedTuple call runs (the parser makes one per line)
+_arrival = functools.partial(tuple.__new__, EdgeArrival)
 
 
 @dataclass(frozen=True)
@@ -124,9 +131,11 @@ class ArrivalStream:
 def make_stream(n: int, delta_bound: int, edges, xs=None, lists=None) -> ArrivalStream:
     """Build a validated stream from (u, v) pairs plus optional annotations.
 
-    Each distinct list object is sorted and deduplicated once, and every edge
-    given that object shares the resulting tuple."""
+    Each distinct list object is sorted and deduplicated once, and equal
+    palettes share one tuple, whether the edges were given one list object
+    or separate equal lists."""
     normalized: dict[int, tuple] = {}  # id -> (list, palette), list kept alive
+    shared: dict[tuple, tuple] = {}  # palette -> the one tuple equal to it
     arrivals = []
     for i, (u, v) in enumerate(edges):
         x = None if xs is None else xs[i]
@@ -136,7 +145,8 @@ def make_stream(n: int, delta_bound: int, edges, xs=None, lists=None) -> Arrival
             if raw is not None:
                 hit = normalized.get(id(raw))
                 if hit is None:
-                    hit = normalized[id(raw)] = (raw, tuple(sorted(set(raw))))
+                    palette = tuple(sorted(set(raw)))
+                    hit = normalized[id(raw)] = (raw, shared.setdefault(palette, palette))
                 colors = hit[1]
         arrivals.append(EdgeArrival(i + 1, u, v, x, colors))
     return ArrivalStream(n=n, delta_bound=delta_bound, arrivals=tuple(arrivals))
@@ -153,25 +163,28 @@ def parse_stream(text: str | bytes) -> ArrivalStream:
     arrivals: list[EdgeArrival] = []
     palettes: dict[str, tuple[int, ...]] = {}  # L= token text -> its palette
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        toks = raw.split()  # the one split of the line
+        if not toks or toks[0][0] == "#":
             continue
         if header is None:
-            header = _parse_header(line, lineno)
+            header = _parse_header(toks, lineno)
             continue
-        if not line.startswith("e "):
-            raise StreamError(f"line {lineno}: expected 'e <u> <v> ...', got {line!r}")
-        u, v, x, colors = _parse_edge_line(line, lineno, palettes)
-        arrivals.append(EdgeArrival(len(arrivals) + 1, u, v, x, colors))
+        # the stripped line must start with "e ": an "e" token followed by a
+        # space (not a tab) and more text
+        if len(toks) == 1 or not (
+                raw.startswith("e ") or toks[0] == "e" and raw[raw.index("e") + 1] == " "):
+            raise StreamError(f"line {lineno}: expected 'e <u> <v> ...', got {raw.strip()!r}")
+        u, v, x, colors = _parse_edge_line(toks, lineno, palettes)
+        arrivals.append(_arrival((len(arrivals) + 1, u, v, x, colors)))
     if header is None:
         raise StreamError("missing header line 'n=<int> dmax=<int>'")
     n, dmax = header
     return ArrivalStream(n=n, delta_bound=dmax, arrivals=tuple(arrivals))
 
 
-def _parse_header(line: str, lineno: int) -> tuple[int, int]:
+def _parse_header(toks: list[str], lineno: int) -> tuple[int, int]:
     fields = dict()
-    for tok in line.split():
+    for tok in toks:
         if "=" not in tok:
             raise StreamError(f"line {lineno}: bad header token {tok!r}")
         key, val = tok.split("=", 1)
@@ -184,10 +197,10 @@ def _parse_header(line: str, lineno: int) -> tuple[int, int]:
     return fields["n"], fields["dmax"]
 
 
-def _parse_edge_line(line: str, lineno: int, palettes: dict[str, tuple[int, ...]]):
-    """Split one edge line.  ``palettes`` caches each ``L=`` token's sorted
-    palette, so edges with the same token text share one tuple."""
-    toks = line.split()
+def _parse_edge_line(toks: list[str], lineno: int, palettes: dict[str, tuple[int, ...]]):
+    """Read one edge line from its tokens.  ``palettes`` caches each ``L=``
+    token's sorted palette, so edges with the same token text share one
+    tuple."""
     if len(toks) < 3:
         raise StreamError(f"line {lineno}: edge line needs two endpoints")
     try:
@@ -196,7 +209,7 @@ def _parse_edge_line(line: str, lineno: int, palettes: dict[str, tuple[int, ...]
         raise StreamError(f"line {lineno}: non-integer vertex id") from None
     x = None
     colors = None
-    for tok in toks[3:]:
+    for tok in toks[3:] if len(toks) > 3 else ():
         if tok.startswith("x="):
             try:
                 x = float(tok[2:])

@@ -32,7 +32,7 @@ from onlinecolor.harness import validate_coloring
 from onlinecolor.matcher import MatcherConfig, MatcherState
 from onlinecolor.profiles import ConstantsProfile
 from onlinecolor.seeding import rng_for
-from onlinecolor.stream import gen_regular, make_stream, with_range_lists
+from onlinecolor.stream import gen_regular, make_stream, reorder, with_range_lists
 
 PRACTICAL = ConstantsProfile.practical()
 MULTIPHASE = PRACTICAL.replace(c_q_color=0.1, c_stop=5.0, a_base_mult=5.0)
@@ -196,6 +196,22 @@ def test_range_partition_formula():
     assert rp.interval(0) == (331, 350)
     assert rp.interval(1) == (1, 200)
     assert rp.phase_of(340) == 0 and rp.phase_of(7) == 1 and rp.phase_of(250) is None
+
+
+def test_range_partition_split_and_tail():
+    # sublists and tail candidates are the palette's colors in the class;
+    # a kept cut serves the very palette it was cut from and no other
+    sch = _fake_schedule(d=(100, 60), lam=(20, 10), q=(5, 4), a=(250, 240))
+    rp = RangePartition(sch)
+    wide, narrow, low = range(1, 351), range(1, 341), range(1, 51)
+    for _ in range(2):
+        assert rp.split(wide, 0, 350) == (wide, range(331, 351), wide)
+        assert rp.split(narrow, 0, 350) == (narrow, range(331, 341), narrow)
+        assert rp.split(low, 0, 350) == (low, range(331, 331), low)
+        assert rp.tail(wide) == range(1, 201)
+        assert rp.tail(low) == range(1, 51)
+    sub = rp.split(wide, 0, 350)[1]
+    assert rp.split(wide, 0, 350)[1] is sub
 
 
 def test_range_partition_detects_overlap():
@@ -632,6 +648,55 @@ def test_strict_promise_violation_aborts():
 
 
 # -- local mode -------------------------------------------------------------------
+
+def _degree_mix_stream():
+    """60-, 16- and 6-regular parts and a path, in one random order: local
+    mode gives their edges palettes of several sizes."""
+    dense = [(e.u, e.v) for e in gen_regular(80, 60, seed=7).arrivals]
+    mid = [(80 + e.u, 80 + e.v) for e in gen_regular(60, 16, seed=8).arrivals]
+    low = [(140 + e.u, 140 + e.v) for e in gen_regular(30, 6, seed=9).arrivals]
+    path_edges = [(170 + i, 171 + i) for i in range(20)]
+    return reorder(make_stream(191, 60, dense + mid + low + path_edges), "random", seed=4)
+
+
+def test_range_memo_is_bit_identical():
+    # digests recorded before range splits and tails were memoized; local
+    # mode alternates palettes of different sizes, so a memo that ignored
+    # the palette would hand edges another palette's sublist or tail
+    pinned = {
+        ("plain", 0, 0): "2bd939fa4732461d", ("plain", 2, 0): "5b96a28f36dcec7f",
+        ("plain", 2, 5): "292df7b9e2d5657b", ("local", 0, 0): "dd395f2b903d823b",
+        ("local", 2, 0): "216495a6ab596109", ("local", 2, 5): "58046bc03823b78d",
+    }
+    mix = _degree_mix_stream()
+    for (mode, f, seed), digest in pinned.items():
+        profile = PRACTICAL if f == 0 else MULTIPHASE
+        if mode == "plain":
+            g = gen_regular(60, 20, seed=1) if f == 0 else gen_regular(60, 50, seed=7)
+            res = plain_color(g, g.delta_bound, profile, seed=seed)
+        else:
+            res = local_color(mix, profile, seed=seed)
+            assert len(set(res.local_bounds)) == (2 if f == 0 else 3)
+        assert res.schedule.f == f and res.tail.entered > 0 and not res.fallback_taken
+        summary = repr((res.colors, res.stage, [p.as_dict() for p in res.per_phase],
+                        res.tail.as_dict(), res.budget, res.local_bounds))
+        assert hashlib.sha256(summary.encode()).hexdigest()[:16] == digest, (mode, f, seed)
+
+
+def test_local_palettes_shared_per_bound(monkeypatch):
+    # one range object per distinct bound, so local edges hit the range memo
+    seen = []
+    run_generic = colorer.run_generic
+
+    def spy(stream, lists_fn, *args):
+        seen.extend(lists_fn(e) for e in stream.arrivals)
+        return run_generic(stream, lists_fn, *args)
+
+    monkeypatch.setattr(colorer, "run_generic", spy)
+    res = local_color(_degree_mix_stream(), MULTIPHASE, seed=5)
+    assert [p.stop - 1 for p in seen] == res.local_bounds
+    assert len({id(p) for p in seen}) == len(set(seen)) == 3
+
 
 def test_local_lists_examples():
     sch = _fake_schedule(d=(100, 80, 60), lam=(20, 15, 10), q=(5, 4, 3),

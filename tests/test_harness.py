@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from onlinecolor.harness import (
 )
 from onlinecolor.matcher import MODE_GREEDY_FALLBACK, MODE_NATURAL, MatcherConfig
 from onlinecolor.seeding import derive_seed, rng_for
-from onlinecolor.stream import make_stream
+from onlinecolor.stream import gen_regular, make_stream
 
 
 def test_wilson_basics():
@@ -70,6 +71,39 @@ def test_validate_coloring_names_the_first_use():
         "t=2: color 1 repeated at vertex 0 (first at t=1)",
         "t=3: color 1 repeated at vertex 0 (first at t=1)",
     ]
+
+
+def test_validate_coloring_messages_pinned():
+    # messages and their order recorded before per-vertex state became a
+    # list indexed by vertex id; vertex 2 is isolated
+    s = make_stream(6, 3, [(0, 1), (1, 3), (3, 0), (4, 5), (0, 4), (1, 4)])
+    colors = [1, 1, 1, None, 7, 1]
+    palettes = [range(1, 3), (1, 2), (2, 3), range(1, 5), (1, 2), range(1, 3)]
+    full = [
+        "t=2: color 1 repeated at vertex 1 (first at t=1)",
+        "t=3: color 1 not in the edge's palette",
+        "t=3: color 1 repeated at vertex 3 (first at t=2)",
+        "t=3: color 1 repeated at vertex 0 (first at t=1)",
+        "t=4: uncolored edge",
+        "t=5: color 7 not in the edge's palette",
+        "t=6: color 1 repeated at vertex 1 (first at t=1)",
+    ]
+    assert validate_coloring(s, colors, palettes=palettes) == full
+    # the limit cuts inside edge 3's messages
+    assert validate_coloring(s, colors, palettes=palettes, limit=3) == full[:3]
+    assert validate_coloring(s, colors, palettes=range(1, 2), require_complete=False) == [
+        full[0], full[2], full[3], full[5], full[6]]
+    assert validate_coloring(s, colors) == [full[0], full[2], full[3], full[4], full[6]]
+
+    rng = random.Random(3)
+    g = gen_regular(30, 6, seed=3)
+    colors = [None if rng.random() < 0.05 else rng.randint(1, 8) for _ in g.arrivals]
+    palettes = [tuple(sorted(rng.sample(range(1, 9), 6))) if rng.random() < 0.5
+                else range(1, rng.randint(2, 9)) for _ in g.arrivals]
+    for limit, count, digest in ((10**6, 80, "479f810985b4fe34"), (10, 10, "2be24236f750a4de")):
+        bad = validate_coloring(g, colors, palettes=palettes, limit=limit)
+        assert len(bad) == count
+        assert hashlib.sha256(repr(bad).encode()).hexdigest()[:16] == digest
 
 
 # -- martingale diagnostics -----------------------------------------------------

@@ -31,6 +31,19 @@ def test_parse_comments_and_blank_lines():
     assert s.m == 1
 
 
+def test_parse_whitespace_accepted():
+    # pinned before lines were split once: surrounding whitespace, runs of
+    # spaces and a trailing tab are accepted; '#' lines are comments even
+    # when they look like edges
+    text = ("\tn=5  dmax=2 \n  e 0 1  \ne   1    2\t\n#e 0 2\n   # e 0 3\n"
+            "e 2 3 x=0.5\t L=3,1 \n \t e 3 4\tL=1,3\n")
+    s = parse_stream(text)
+    assert (s.n, s.delta_bound) == (5, 2)
+    assert [(e.u, e.v, e.x, e.colors) for e in s.arrivals] == [
+        (0, 1, None, None), (1, 2, None, None), (2, 3, 0.5, (1, 3)), (3, 4, None, (1, 3))]
+    assert s.arrivals[2].colors is not s.arrivals[3].colors  # different L= text
+
+
 def test_parse_annotations():
     s = parse_stream("n=4 dmax=2\ne 0 1 x=0.25 L=1,5,9\ne 2 3 L=9,5,1\n")
     assert s.arrivals[0].x == 0.25
@@ -47,6 +60,12 @@ def test_parse_annotations():
         ("n=3 dmax=2\ne 0 1 x=0.6\ne 0 2 x=0.6\n", "fractional sum"),
         ("n=2 dmax=1\ne 0 5\n", ">= n"),
         ("n=2 dmax=1\nedge 0 1\n", "expected"),
+        ("n=2 dmax=1\ne\t0\t1\n", "expected"),
+        ("n=2 dmax=1\n  e\t0 1\n", "expected"),
+        ("n=2 dmax=1\ne\n", "expected"),
+        ("n=2 dmax=1\ne   \n", "expected"),
+        ("n=2 dmax=1\ne0 1\n", "expected"),
+        ("n=2 dmax=1\n 0 1\n", "expected"),
         ("e 0 1\n", "header"),
         ("n=2 dmax=1\ne 0 1 L=3,3\n", "duplicate color"),
         ("n=2 dmax=1\ne -1 1\n", "negative vertex id"),
@@ -57,6 +76,9 @@ def test_parse_annotations():
         ("n=2 dmax=1\ne 0 1 L=0,2\n", "must be positive"),
         ("n=2 dmax=1\ne 0 1 L=a,b\n", "bad color list"),
         ("n=2 dmax=1\ne 0 1 y=2\n", "unknown annotation"),
+        ("n=2 dmax=1\n e 0 1 x=0.5 L=2,x \n", "bad color list"),
+        ("n=2 dmax=1\ne  0 1\tL=1,2  x=2\t\n", "outside"),
+        ("n=2 dmax=1\ne 0 1 L=2,1 L=1,1\n", "duplicate color"),
         ("n=2 dmax\ne 0 1\n", "bad header token"),
         ("n=2 dmax=x\ne 0 1\n", "non-integer header value"),
         ("n=2 m=1\ne 0 1\n", "header must be"),
@@ -101,6 +123,18 @@ def test_palettes_shared_and_normalized():
 
     fresh = make_stream(8, 1, [(0, 1), (2, 3), (4, 5), (6, 7)], lists=FreshLists())
     assert [e.colors for e in fresh.arrivals] == [(1, 2), (1, 3), (1, 4), (1, 5)]
+
+
+def test_make_stream_shares_equal_palettes_by_content():
+    # each edge given its own copy of one list, or the same colors in
+    # another order or container, gets the one shared tuple
+    edges = [(0, 1), (2, 3), (4, 5), (6, 7)]
+    made = make_stream(8, 1, edges, lists=[[9, 5, 1, 5], [1, 5, 9], (9, 1, 5), [5, 9, 1]])
+    assert made.arrivals[0].colors == (1, 5, 9)
+    assert len({id(e.colors) for e in made.arrivals}) == 1
+    mixed = make_stream(8, 1, edges, lists=[[1, 2], [2, 3], None, [2, 1]])
+    assert [e.colors for e in mixed.arrivals] == [(1, 2), (2, 3), None, (1, 2)]
+    assert mixed.arrivals[0].colors is mixed.arrivals[3].colors
 
 
 def test_emit_round_trip_examples():
