@@ -750,10 +750,17 @@ def local_color(stream: ArrivalStream, profile: ConstantsProfile, seed: int) -> 
     degrees = stream.degrees()
     schedule = degree_schedule(stream.delta_bound, stream.n, profile)
     partition = RangePartition(schedule)
-    # one range object per distinct bound, so edges share it in the range memo
+    # one local_lists call per distinct max degree, and one range object per
+    # distinct bound, so edges share it in the range memo
     shared: dict[range, range] = {}
-    palettes = [shared.setdefault(p, p) for p in
-                (local_lists(degrees[e.u], degrees[e.v], schedule) for e in stream.arrivals)]
+    by_dmax: dict[int, range] = {}
+    palettes = []
+    for e in stream.arrivals:
+        dmax = max(degrees[e.u], degrees[e.v])
+        if dmax not in by_dmax:
+            p = local_lists(degrees[e.u], degrees[e.v], schedule)
+            by_dmax[dmax] = shared.setdefault(p, p)
+        palettes.append(by_dmax[dmax])
     result = run_generic(
         stream, lambda e: palettes[e.time - 1], schedule, partition, profile, seed
     )

@@ -172,11 +172,13 @@ class StepTrace:
 class MultiplicativeState:
     """Shared skeleton of the matcher and the rounder.
 
-    Subclasses define the proposal numerator and the gate floor.  The oracle
-    drives instances through (proposal, apply) directly; simulated runs use
-    step().  Vertices are dense ints below n; F defaults to 1 via a plain
-    list.  When ``exact`` numbers (Fractions) flow in, every derived quantity
-    stays exact.
+    Subclasses define the proposal numerator and the gate floor.  Simulated
+    runs use step().  The oracle walks its branch tree on one live state
+    through proposal, apply and undo: it saves F at both endpoints before
+    each apply and rewinds with undo when it backtracks, so ``t`` is the
+    arrival index at every proposal.  Vertices are dense ints below n; F
+    defaults to 1 via a plain list.  When ``exact`` numbers (Fractions) flow
+    in, every derived quantity stays exact.
     """
 
     floor: object  # gate floor; subclass-provided
@@ -242,13 +244,17 @@ class MultiplicativeState:
             matched=matched, gate_fired=gate_fired, overflow=overflow,
         )
 
-    def clone(self):
-        dup = object.__new__(type(self))
-        dup.__dict__.update(self.__dict__)
-        dup.F = list(self.F)
-        dup.matched = bytearray(self.matched)
-        dup.matching = list(self.matching)
-        return dup
+    def undo(self, u: int, v: int, fu, fv, matched: bool) -> None:
+        """Exact inverse of apply(u, v, p_hat, matched), given the F values
+        fu, fv that u and v held before it.  F is restored from them, not
+        divided by (1 - p_hat), which would not be exact in floats."""
+        self.F[u] = fu
+        self.F[v] = fv
+        if matched:
+            self.matched[u] = False
+            self.matched[v] = False
+            self.matching.pop()
+        self.t -= 1
 
 
 class MatcherState(MultiplicativeState):

@@ -13,6 +13,17 @@ naive 2^m bound on gate-heavy instances.  Enumerating it yields, per edge,
     and every arrival order -- the strongest correctness check this package
     has.
 
+Both enumerators walk the tree depth-first on one live engine state (one per
+color for the bank): each step saves F at both endpoints, applies the
+unmatched outcome and descends; at a leaf the walk pops its last open split,
+rewinds the state with undo to that arrival and applies the matched outcome.
+So every node comes before its unmatched subtree, and that subtree before
+the matched one.  The order fixes the Kahan sums and each per-color dict's
+key order.  The walk keeps an explicit stack of open splits, not recursion:
+the bank's depth is m times the palette size.  A natural-mode step clamped
+to P_hat = 1 has only its matched child: the unmatched one has probability 0
+and would leave F = 0 at two free vertices.
+
 Float mode accumulates with compensated (Kahan) summation; the rational
 mode (exact=True) runs the whole engine on fractions.Fraction and returns
 exact values.
@@ -77,37 +88,48 @@ class OracleResult:
 
 
 def _enumerate(state: MultiplicativeState, stream: ArrivalStream, branch_limit: int):
+    arrivals = stream.arrivals
     m = stream.m
-    exact = state.exact
-    acc = _Plain if exact else _Kahan
+    acc = _Plain if state.exact else _Kahan
     marginal = [acc() for _ in range(m)]
     cond = [acc() for _ in range(m)]
     leaf = acc()
-    one = Fraction(1) if exact else 1.0
+    prob = Fraction(1) if state.exact else 1.0
+    F = state.F
+    proposal, apply, undo = state.proposal, state.apply, state.undo
+    trail = []  # undo record (u, v, F(u), F(v), matched) of each arrival on the path
+    splits = []  # (arrival, p_hat, probability) of each matched child still to visit
     branches = 0
-    stack = [(state, one)]
-    while stack:
-        st, prob = stack.pop()
+    while True:
         branches += 1
         if branches > branch_limit:
             raise OracleLimitError(f"branch limit {branch_limit} exceeded")
-        t = st.t
-        if t == m:
-            leaf.add(prob)
+        t = state.t
+        if t < m:
+            e = arrivals[t]
+            u, v = e.u, e.v
+            p, p_hat, _, _ = proposal(u, v, e.x)
+            cond[t].add(prob * p)
+            matched = False
+            if p_hat:
+                marginal[t].add(prob * p_hat)
+                if p_hat == 1:  # the unmatched child has probability 0
+                    matched = True
+                else:
+                    splits.append((t, p_hat, prob * p_hat))
+                    prob = prob * (1 - p_hat)
+            trail.append((u, v, F[u], F[v], matched))
+            apply(u, v, p_hat, matched)
             continue
-        e = stream.arrivals[t]
-        p, p_hat, _, _ = st.proposal(e.u, e.v, e.x)
-        cond[t].add(prob * p)
-        if p_hat == 0:
-            st.apply(e.u, e.v, p_hat, False)
-            stack.append((st, prob))
-            continue
-        marginal[t].add(prob * p_hat)
-        taken = st.clone()
-        taken.apply(e.u, e.v, p_hat, True)
-        stack.append((taken, prob * p_hat))
-        st.apply(e.u, e.v, p_hat, False)
-        stack.append((st, prob * (1 - p_hat)))
+        leaf.add(prob)
+        if not splits:
+            break
+        t, p_hat, prob = splits.pop()
+        while state.t > t:
+            undo(*trail.pop())
+        e = arrivals[t]
+        trail.append((e.u, e.v, F[e.u], F[e.v], True))
+        apply(e.u, e.v, p_hat, True)
     return (
         [a.total for a in marginal],
         [a.total for a in cond],
@@ -135,6 +157,7 @@ def exact_marginals(
     marginal, cond, leaf, branches = _enumerate(state, stream, branch_limit)
     # the targets are the engine's own numerators; the enumeration's no-match
     # path has already computed each one, so a bad arrival has failed there
+    # (only the natural matcher, whose numerator cannot fail, cuts that path)
     expected = [state.numerator(e.x) for e in stream.arrivals]
     return OracleResult(
         marginal=marginal,
@@ -175,55 +198,62 @@ def exact_colored_marginals(
     """
     if not stream.has_lists:
         raise OracleLimitError("colored oracle needs a listed stream")
+    arrivals = stream.arrivals
     m = stream.m
     config = MatcherConfig(delta=delta, q=q)
     acc = _Plain if exact else _Kahan
     per_color = [dict() for _ in range(m)]
     colored = [acc() for _ in range(m)]
-    one = Fraction(1) if exact else 1.0
+    prob = Fraction(1) if exact else 1.0
+    # one live matcher per color, made on first use; backtracking past that
+    # use rewinds it to fresh
+    states: dict[int, MatcherState] = {}
+    trail = []  # undo record (state, u, v, F(u), F(v), matched) of each step on the path
+    splits = []  # (trail length, arrival, palette index, p_hat, probability) per matched child
+    t = ci = 0  # the next step: arrival t in its ci-th palette color
+    edge_colored = False
     branches = 0
-
-    # Branch state: (per-color matcher states, per-color processed counts are
-    # inside them, index of current arrival, index into its palette, whether
-    # the current edge is already colored, probability).
-    init: dict[int, MatcherState] = {}
-    stack = [(init, 0, 0, False, one)]
-    while stack:
-        states, t, ci, edge_colored, prob = stack.pop()
+    while True:
         branches += 1
         if branches > branch_limit:
             raise OracleLimitError(f"branch limit {branch_limit} exceeded")
-        if t == m:
+        if t < m:
+            e = arrivals[t]
+            palette = e.colors or ()
+            if ci == len(palette):
+                t, ci, edge_colored = t + 1, 0, False
+                continue
+            c = palette[ci]
+            st = states.get(c)
+            if st is None:
+                st = states[c] = MatcherState(stream.n, config, exact=exact)
+            u, v = e.u, e.v
+            p, p_hat, _, _ = st.proposal(u, v)
+            if p_hat:
+                p_take = prob * p_hat
+                if not edge_colored:
+                    per_color[t].setdefault(c, acc()).add(p_take)
+                    colored[t].add(p_take)
+                splits.append((len(trail), t, ci, p_hat, p_take))
+                prob = prob * (1 - p_hat)
+            F = st.F
+            trail.append((st, u, v, F[u], F[v], False))
+            st.apply(u, v, p_hat, False)
+            ci += 1
             continue
-        e = stream.arrivals[t]
-        palette = e.colors or ()
-        if ci == len(palette):
-            stack.append((states, t + 1, 0, False, prob))
-            continue
-        c = palette[ci]
-        st = states.get(c)
-        if st is None:
-            st = MatcherState(stream.n, config, exact=exact)
-            states = dict(states)
-            states[c] = st
-        p, p_hat, _, _ = st.proposal(e.u, e.v)
-        if p_hat == 0:
-            st.apply(e.u, e.v, p_hat, False)
-            stack.append((states, t, ci + 1, edge_colored, prob))
-            continue
-        # matched branch; all states are cloned because the unmatched branch
-        # keeps mutating the shared originals
-        taken_states = {k: v.clone() for k, v in states.items()}
-        taken_states[c].apply(e.u, e.v, p_hat, True)
-        p_take = prob * p_hat
-        if not edge_colored:
-            slot = per_color[t].setdefault(c, acc())
-            slot.add(p_take)
-            colored[t].add(p_take)
-        stack.append((taken_states, t, ci + 1, True, p_take))
-        # unmatched branch reuses the current states
-        st.apply(e.u, e.v, p_hat, False)
-        stack.append((states, t, ci + 1, edge_colored, prob * (1 - p_hat)))
+        if not splits:
+            break
+        mark, t, ci, p_hat, prob = splits.pop()
+        while len(trail) > mark:
+            st, u, v, fu, fv, matched = trail.pop()
+            st.undo(u, v, fu, fv, matched)
+        e = arrivals[t]
+        st = states[e.colors[ci]]
+        F = st.F
+        trail.append((st, e.u, e.v, F[e.u], F[e.v], True))
+        st.apply(e.u, e.v, p_hat, True)
+        ci += 1
+        edge_colored = True
 
     per_color_out = [{c: a.total for c, a in slots.items()} for slots in per_color]
     standalone = _standalone_color_marginals(stream, config, exact=exact)

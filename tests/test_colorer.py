@@ -698,6 +698,23 @@ def test_local_palettes_shared_per_bound(monkeypatch):
     assert len({id(p) for p in seen}) == len(set(seen)) == 3
 
 
+def test_local_lists_once_per_distinct_degree(monkeypatch):
+    calls = []
+    real = colorer.local_lists
+
+    def spy(deg_u, deg_v, schedule):
+        calls.append(max(deg_u, deg_v))
+        return real(deg_u, deg_v, schedule)
+
+    monkeypatch.setattr(colorer, "local_lists", spy)
+    six = [(e.u, e.v) for e in gen_regular(30, 6, seed=9).arrivals]
+    four = [(30 + e.u, 30 + e.v) for e in gen_regular(20, 4, seed=3).arrivals]
+    s = reorder(make_stream(50, 6, six + four), "random", seed=2)
+    res = local_color(s, PRACTICAL, seed=0)
+    assert sorted(calls) == [4, 6]
+    assert validate_coloring(s, res.colors, [range(1, b + 1) for b in res.local_bounds]) == []
+
+
 def test_local_lists_examples():
     sch = _fake_schedule(d=(100, 80, 60), lam=(20, 15, 10), q=(5, 4, 3),
                          a=(400, 380, 370), f=1)

@@ -1,16 +1,21 @@
+import copy
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import path, random_simple_graph, triangle
-from onlinecolor.matcher import MatcherConfig, run_fast
+from onlinecolor import oracle
+from onlinecolor.matcher import MODE_NATURAL, MatcherConfig, run_fast
 from onlinecolor.oracle import (
     OracleLimitError,
     exact_colored_marginals,
     exact_marginals,
 )
+from onlinecolor.rounder import config_for_loss
 from onlinecolor.seeding import rng_for
 from onlinecolor.stream import make_stream, reorder
 
@@ -75,6 +80,35 @@ def test_edge_limit():
         exact_marginals(s, MatcherConfig(delta=8, q=1), max_edges=20)
     with pytest.raises(OracleLimitError):
         exact_marginals(path(13), MatcherConfig(delta=2, q=1), exact=True)
+
+
+def test_natural_mode_clamped_step_has_no_unmatched_child():
+    # D+q = 5/2: when neither of the first two edges matches, the third
+    # edge's P is 6/5, clamped to P_hat = 1; its unmatched child has
+    # probability 0 and F = 0 at both free endpoints, so it is not visited
+    cfg = MatcherConfig(delta=2, q=0.5, mode=MODE_NATURAL)
+    res = exact_marginals(path(4), cfg, exact=True)
+    assert res.marginal == [Fraction(2, 5), Fraction(2, 5), Fraction(9, 25), Fraction(8, 25)]
+    assert res.leaf_total == 1
+    flt = exact_marginals(path(4), cfg)
+    assert flt.branches == res.branches
+    assert flt.leaf_total == 1.0
+    assert all(abs(a - float(b)) < 1e-12 for a, b in zip(flt.marginal, res.marginal))
+
+
+def test_branch_limit_trips_at_the_last_branch():
+    s = random_simple_graph(random.Random(5), 8, 10)
+    cfg = MatcherConfig(delta=max(s.degrees()), q=1.0)
+    res = exact_marginals(s, cfg)
+    assert exact_marginals(s, cfg, branch_limit=res.branches) == res
+    with pytest.raises(OracleLimitError):
+        exact_marginals(s, cfg, branch_limit=res.branches - 1)
+    listed = make_stream(6, 3, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)],
+                         lists=[(1, 2), (2,), (1, 3), (1, 2, 3), (3,)])
+    col = exact_colored_marginals(listed, 3, 1.0)
+    assert exact_colored_marginals(listed, 3, 1.0, branch_limit=col.branches) == col
+    with pytest.raises(OracleLimitError):
+        exact_colored_marginals(listed, 3, 1.0, branch_limit=col.branches - 1)
 
 
 def _independent_marginals(stream, delta, q):
@@ -164,3 +198,148 @@ def test_colored_shared_color_path():
     assert res.per_color[0] == {5: p}
     # second edge gets 5 only if the first did not take it
     assert res.per_color[1][5] == (1 - p) * Fraction(1, 2)
+
+
+# -- differential test: the in-place walks against clone-based enumerators ----
+
+def _copy_state(state):
+    dup = copy.copy(state)
+    dup.F = list(state.F)
+    dup.matched = bytearray(state.matched)
+    dup.matching = list(state.matching)
+    return dup
+
+
+def _reference_marginals(stream, config, exact):
+    """exact_marginals as a stack of branches, each with its own copy of the
+    engine state; a clamped P_hat = 1 has no unmatched child."""
+    acc = oracle._Plain if exact else oracle._Kahan
+    marginal = [acc() for _ in range(stream.m)]
+    cond = [acc() for _ in range(stream.m)]
+    leaf = acc()
+    branches = 0
+    stack = [(config.state(stream.n, exact), Fraction(1) if exact else 1.0)]
+    while stack:
+        st_, prob = stack.pop()
+        branches += 1
+        t = st_.t
+        if t == stream.m:
+            leaf.add(prob)
+            continue
+        e = stream.arrivals[t]
+        p, p_hat, _, _ = st_.proposal(e.u, e.v, e.x)
+        cond[t].add(prob * p)
+        if p_hat == 0:
+            st_.apply(e.u, e.v, p_hat, False)
+            stack.append((st_, prob))
+            continue
+        marginal[t].add(prob * p_hat)
+        taken = _copy_state(st_)
+        taken.apply(e.u, e.v, p_hat, True)
+        stack.append((taken, prob * p_hat))
+        if p_hat != 1:
+            st_.apply(e.u, e.v, p_hat, False)
+            stack.append((st_, prob * (1 - p_hat)))
+    return [a.total for a in marginal], [a.total for a in cond], leaf.total, branches
+
+
+def _reference_colored(stream, delta, q, exact):
+    """exact_colored_marginals with every color's state copied on each
+    matched branch; returns (per_color, colored, per_color_matched, branches)."""
+    config = MatcherConfig(delta=delta, q=q)
+    acc = oracle._Plain if exact else oracle._Kahan
+    per_color = [dict() for _ in range(stream.m)]
+    colored = [acc() for _ in range(stream.m)]
+    branches = 0
+    stack = [({}, 0, 0, False, Fraction(1) if exact else 1.0)]
+    while stack:
+        states, t, ci, edge_colored, prob = stack.pop()
+        branches += 1
+        if t == stream.m:
+            continue
+        e = stream.arrivals[t]
+        if ci == len(e.colors):
+            stack.append((states, t + 1, 0, False, prob))
+            continue
+        c = e.colors[ci]
+        if c not in states:
+            states = dict(states)
+            states[c] = config.state(stream.n, exact)
+        st_ = states[c]
+        p, p_hat, _, _ = st_.proposal(e.u, e.v)
+        if p_hat == 0:
+            st_.apply(e.u, e.v, p_hat, False)
+            stack.append((states, t, ci + 1, edge_colored, prob))
+            continue
+        taken = {k: _copy_state(v) for k, v in states.items()}
+        taken[c].apply(e.u, e.v, p_hat, True)
+        if not edge_colored:
+            per_color[t].setdefault(c, acc()).add(prob * p_hat)
+            colored[t].add(prob * p_hat)
+        stack.append((taken, t, ci + 1, True, prob * p_hat))
+        st_.apply(e.u, e.v, p_hat, False)
+        stack.append((states, t, ci + 1, edge_colored, prob * (1 - p_hat)))
+    standalone = {}
+    for c in sorted({c for e in stream.arrivals for c in e.colors}):
+        idx = [i for i, e in enumerate(stream.arrivals) if c in e.colors]
+        sub = make_stream(stream.n, stream.delta_bound,
+                          [(stream.arrivals[i].u, stream.arrivals[i].v) for i in idx])
+        marginal = _reference_marginals(sub, config, exact)[0]
+        standalone[c] = dict(zip(idx, marginal))
+    return ([{c: a.total for c, a in d.items()} for d in per_color],
+            [a.total for a in colored], standalone, branches)
+
+
+@st.composite
+def _graphs(draw, max_m):
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.permutations(pairs))[:draw(st.integers(1, min(max_m, len(pairs))))]
+    degree = max(sum(w in uv for uv in edges) for w in range(n))
+    return n, degree, edges
+
+
+@st.composite
+def _oracle_cases(draw):
+    n, degree, edges = draw(_graphs(10))
+    kind = draw(st.sampled_from(["gated", "natural", "rounder"]))
+    xs = None
+    if kind == "rounder":
+        eps = draw(st.sampled_from([0.2, 0.5]))
+        config = config_for_loss(eps, draw(st.sampled_from([0.1, 0.3])))
+        # x_e <= eps and at most 1 summed at any vertex
+        xs = [min(eps, 1 / degree) * draw(st.sampled_from([0.25, 0.5, 1.0])) for _ in edges]
+    else:
+        mode = MODE_NATURAL if kind == "natural" else "analysis_friendly"
+        config = MatcherConfig(delta=degree + draw(st.integers(0, 1)),
+                               q=draw(st.sampled_from([0.5, 1.0, 2.5])), mode=mode)
+    return make_stream(n, degree, edges, xs=xs), config, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_oracle_cases())
+def test_walk_matches_clone_reference(case):
+    stream, config, exact = case
+    res = exact_marginals(stream, config, exact=exact)
+    assert (res.marginal, res.conditional_sum, res.leaf_total, res.branches) == \
+        _reference_marginals(stream, config, exact)
+
+
+@st.composite
+def _colored_cases(draw):
+    n, degree, edges = draw(_graphs(6))
+    pool = st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True)
+    lists = [tuple(sorted(draw(pool))) for _ in edges]
+    stream = make_stream(n, degree, edges, lists=lists)
+    return stream, draw(st.sampled_from([0.5, 1.0])), draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_colored_cases())
+def test_colored_walk_matches_clone_reference(case):
+    stream, q, exact = case
+    res = exact_colored_marginals(stream, stream.delta_bound, q, exact=exact)
+    per_color, colored, standalone, branches = _reference_colored(stream, stream.delta_bound, q, exact)
+    # key order too: it is the order in which the walk first reached each color
+    assert [list(d.items()) for d in res.per_color] == [list(d.items()) for d in per_color]
+    assert (res.colored, res.per_color_matched, res.branches) == (colored, standalone, branches)
