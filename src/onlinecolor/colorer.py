@@ -42,11 +42,18 @@ palette object (every plain edge, local edges with the same bound,
 split per phase instead of classifying or intersecting it again; per-edge
 palettes each miss and cost what they always did, and the memo never holds
 more than one split per phase.
+
+Each phase's bank (``PhaseReducer``) keys its slot lookup the same way, by
+the sublist object the split hands it, and steps only the colors in which
+both endpoints are still unmatched.  The uniforms of the colors it skips
+are consumed in bulk before the color's next used draw, so every draw used
+is the one a bank drawing a uniform per color per fed edge would use.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import warnings
 from dataclasses import dataclass, field
 from decimal import Context, Decimal, localcontext
@@ -394,23 +401,24 @@ class SampledPartition:
 # ---------------------------------------------------------------------------
 
 class BankColor(NamedTuple):
-    """One color's matcher state inside a phase bank."""
+    """A copy of one color's matcher state, read from a phase bank."""
 
     F: list  # per-vertex budget, initially 1.0
     matched: bytearray  # per-vertex matched flag
     matching: list  # endpoint pairs, in match order
-    random: Callable[[], float]  # bound ``random`` of the color's generator
+    random: Callable[[], float]  # ``random`` of a copy of the color's generator
 
 
 class PhaseReducer:
     """Per-color gated matchers sharing one phase sub-stream.
 
-    ``bank`` maps each color seen so far to its matcher state (a
-    ``BankColor``), opened on the color's first sight with its generator
+    Each color gets a dense slot on its first sight, with its generator
     ``rng_for(master_seed, "phase", phase, "color", c)``.  An edge is fed to
-    every matcher of its sublist in ascending color order and takes the first
-    color whose matcher matched it; later matchers still see the edge (their
-    matchings may record it even when the color is not used for the edge).
+    every matcher of its sublist (distinct colors, ascending as partitions
+    give them) and takes the first color, in sublist order, whose matcher
+    matched it; later matchers still see the edge (their matchings may
+    record it even when the color is not used for the edge).
+    ``color_state(c)`` reads one color's state as a ``BankColor``.
 
     ``feed`` is the gated step of ``MatcherState`` (degree bound d_i, slack
     q_i) written inline, with the same float operations in the same order,
@@ -420,6 +428,20 @@ class PhaseReducer:
     not one run over a whole sequence, and a call per (edge, color) costs
     more than the step itself.  Endpoints must differ (streams reject
     self-loops).
+
+    The state is laid out so that a feed works only on the colors that can
+    move.  Bit k of a vertex's matched mask is set once the vertex is matched
+    in slot k's color, and the vertex's F row holds its F per slot.  The
+    reducer keeps the last sublist object it was fed (partitions hand one
+    object to every edge that shares a palette) with that sublist's (slot,
+    bit) pairs, so a new sublist object is looked up once, and a feed skips
+    each slot whose bit is set at either endpoint with one AND.  A skipped
+    color still owes the one uniform per fed edge of the seeding contract:
+    a slot draws only where its gate passes, and first consumes what it owes
+    with ``getrandbits(64 * owed)``, which moves the Mersenne Twister as far
+    as ``owed`` calls to ``random`` would (each uses two 32-bit words).  Each
+    uniform the bank uses is thus the one a bank drawing per fed edge would
+    have used.
     """
 
     def __init__(self, n: int, delta: float, q: float, phase: int, master_seed: int):
@@ -431,41 +453,99 @@ class PhaseReducer:
         self.config = MatcherConfig(delta=delta, q=q)  # validates delta and q
         self.scale = 1.0 / (delta + q)
         self.floor = q / (4.0 * delta)
-        self.bank: dict[int, BankColor] = {}
+        self.colors: list[int] = []  # per slot, in order of first sight
+        self._slot_of: dict[int, tuple[int, int]] = {}  # color -> (slot, slot bit)
+        # per slot: (generator, its random, its getrandbits, matching, color)
+        self._slots: list[tuple] = []
+        # per slot: the feed of the current sublist up to which the slot's
+        # generator has drawn (below 0 while it owes draws of earlier sublists)
+        self._marks: list[int] = []
+        self._rows: list[list[float]] = [[] for _ in range(n)]
+        self._matched_bits: list[int] = [0] * n
+        self._sublist = None  # the last sublist object fed, held
+        self._group: list[tuple[int, int]] = []  # its (slot, slot bit) pairs, in order
+        self._fed = 0  # feeds under it so far
 
-    def _open(self, c: int) -> BankColor:
+    def _regroup(self, sublist) -> None:
+        """Make ``sublist`` the current one: settle the old sublist's feed
+        count into its slots' marks, and open the new colors."""
+        marks = self._marks
+        fed = self._fed
+        for k, _ in self._group:
+            marks[k] -= fed
+        try:
+            group = list(map(self._slot_of.__getitem__, sublist))
+        except KeyError:
+            group = [self._slot_of.get(c) or self._open(c) for c in sublist]
+        self._sublist = sublist
+        self._group = group
+        self._fed = 0
+
+    def _open(self, c: int) -> tuple[int, int]:
+        k = len(self._slots)
+        entry = self._slot_of[c] = (k, 1 << k)
         rng = rng_for(self.master_seed, "phase", self.phase, "color", c)
-        st = self.bank[c] = BankColor([1.0] * self.n, bytearray(self.n), [], rng.random)
-        return st
+        self._slots.append((rng, rng.random, rng.getrandbits, [], c))
+        self.colors.append(c)
+        self._marks.append(0)
+        for row in self._rows:
+            row.append(1.0)
+        return entry
 
     def feed(self, u: int, v: int, sublist) -> int | None:
-        bank = self.bank
+        if sublist is not self._sublist:
+            self._regroup(sublist)
+        fed = self._fed
+        self._fed = fed + 1
+        bits = self._matched_bits
+        taken = bits[u] | bits[v]
+        ru = self._rows[u]
+        rv = self._rows[v]
         scale = self.scale
         floor = self.floor
+        slots = self._slots
+        marks = self._marks
         won = None
-        for c in sublist:
-            st = bank.get(c)
-            if st is None:
-                st = self._open(c)
-            F, matched, matching, rand = st
-            # one uniform per color per fed edge, drawn before any skip
-            x = rand()
-            if matched[u] or matched[v]:
-                continue
-            fu = F[u]
-            fv = F[v]
+        for k, bit in self._group:
+            if taken & bit:
+                continue  # an endpoint is matched in this color
+            fu = ru[k]
+            fv = rv[k]
             p = scale / (fu * fv)
             s = 1.0 - p
             if not (fu if fu < fv else fv) * s >= floor:
                 continue  # the gate fired: P_hat = 0 leaves F unchanged
-            F[u] = fu * s
-            F[v] = fv * s
-            if x < p:
-                matched[u] = matched[v] = 1
+            ru[k] = fu * s
+            rv[k] = fv * s
+            _, rand, skip, matching, c = slots[k]
+            owed = fed - marks[k]
+            if owed:
+                skip(owed << 6)
+            marks[k] = fed + 1
+            if rand() < p:
+                bits[u] |= bit
+                bits[v] |= bit
                 matching.append((u, v))
                 if won is None:
                     won = c
         return won
+
+    def color_state(self, c: int) -> BankColor:
+        """A copy of color c's state after the feeds so far, with a copy of
+        its generator that has drawn one uniform per edge fed to c."""
+        entry = self._slot_of[c]
+        k = entry[0]
+        rng, _, _, matching, _ = self._slots[k]
+        fed = self._fed if entry in self._group else 0
+        copy = random.Random()
+        copy.setstate(rng.getstate())
+        copy.getrandbits((fed - self._marks[k]) << 6)
+        return BankColor(
+            [row[k] for row in self._rows],
+            bytearray(bits >> k & 1 for bits in self._matched_bits),
+            list(matching),
+            copy.random,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,9 @@ audit (``state``, ``gated``, ``floor``, ``p_cap``), so one runner, run(),
 and one audit, check_run_invariants(), serve both.  The gated step lives in
 MultiplicativeState (the float-or-exact reference engine), in run_fast (the
 float kernel of every trace-free matcher run) and, inline for its per-color
-bank, in colorer.PhaseReducer.feed.  The smallest-free-color rule
+bank, in colorer.PhaseReducer.feed, which steps only the colors free at both
+endpoints and consumes the uniforms of the others in bulk, with
+getrandbits, before their next use.  The smallest-free-color rule
 lives once, in colorer: the coloring pipeline's tail, its fallback and the
 greedy fallback here all go through it.
 """

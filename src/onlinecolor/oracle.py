@@ -256,7 +256,7 @@ def exact_colored_marginals(
         edge_colored = True
 
     per_color_out = [{c: a.total for c, a in slots.items()} for slots in per_color]
-    standalone = _standalone_color_marginals(stream, config, exact=exact)
+    standalone = _standalone_color_marginals(stream, config, exact, branch_limit)
     return ColoredOracleResult(
         per_color=per_color_out,
         colored=[a.total for a in colored],
@@ -265,8 +265,11 @@ def exact_colored_marginals(
     )
 
 
-def _standalone_color_marginals(stream: ArrivalStream, config: MatcherConfig, exact: bool):
-    """Per color: oracle marginals of that color's own induced process."""
+def _standalone_color_marginals(
+    stream: ArrivalStream, config: MatcherConfig, exact: bool, branch_limit: int
+):
+    """Per color: oracle marginals of that color's own induced process, each
+    walked under the caller's branch limit and no other."""
     colors = sorted({c for e in stream.arrivals for c in (e.colors or ())})
     out = {}
     for c in colors:
@@ -279,6 +282,6 @@ def _standalone_color_marginals(stream: ArrivalStream, config: MatcherConfig, ex
                 for k, i in enumerate(idx)
             ),
         )
-        res = exact_marginals(sub, config, exact=exact)
-        out[c] = {i: res.marginal[k] for k, i in enumerate(idx)}
+        marginal = _enumerate(config.state(stream.n, exact), sub, branch_limit)[0]
+        out[c] = {i: marginal[k] for k, i in enumerate(idx)}
     return out

@@ -1,8 +1,14 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from onlinecolor.stream import ArrivalStream, gen_regular, make_stream
+
+# Tier-1 runs each property test on the same examples every time: a fixed
+# derivation of the examples, no example database and no deadline.
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 def triangle(x=None):

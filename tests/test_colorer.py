@@ -7,6 +7,8 @@ import warnings
 from decimal import Context, Decimal, localcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import path, probe_stream, star
 from onlinecolor import colorer
@@ -303,7 +305,7 @@ def test_phase_reducer_single_color():
     got = [red.feed(2 * i, 2 * i + 1, (7,)) for i in range(25)]
     colored = [c for c in got if c is not None]
     assert colored and set(colored) == {7}
-    assert len(red.bank[7].matching) == len(colored)
+    assert len(red.color_state(7).matching) == len(colored)
 
 
 def test_phase_reducer_first_match_wins():
@@ -314,8 +316,8 @@ def test_phase_reducer_first_match_wins():
     for i in range(200):
         u, v = 2 * i, 2 * i + 1
         got = red.feed(u, v, (3, 9))
-        in3 = (u, v) in red.bank[3].matching
-        in9 = (u, v) in red.bank[9].matching
+        in3 = (u, v) in red.color_state(3).matching
+        in9 = (u, v) in red.color_state(9).matching
         if in3 and in9:
             both += 1
             assert got == 3
@@ -331,7 +333,7 @@ def test_phase_reducer_first_match_wins():
 def test_phase_reducer_empty_sublist():
     red = PhaseReducer(10, delta=5.0, q=1.0, phase=0, master_seed=0)
     assert red.feed(0, 1, ()) is None
-    assert red.bank == {}
+    assert red.colors == []
 
 
 def _reference_bank(n, delta, q, phase, seed, edges):
@@ -373,6 +375,26 @@ def _bank_edges(case, rng):
     return n, edges
 
 
+def _assert_bank_matches_reference(n, delta, q, edges):
+    """Feed ``edges`` to a PhaseReducer and to ``_reference_bank``: winners,
+    colors in order of first sight, and each color's F, matched flags,
+    matching and next draw must agree.  Returns the reducer, the reference's
+    gate fires and its skips."""
+    red = PhaseReducer(n, delta=delta, q=q, phase=1, master_seed=17)
+    got = [red.feed(u, v, sublist) for u, v, sublist in edges]
+    want, states, rngs, gate_fires, skips = _reference_bank(n, delta, q, 1, 17, edges)
+    assert got == want
+    assert red.colors == list(states)
+    for c, st in states.items():
+        mine = red.color_state(c)
+        assert mine.F == st.F
+        assert mine.matched == st.matched
+        assert mine.matching == st.matching
+        # one uniform per color per fed edge: the streams stay in step
+        assert mine.random() == rngs[c].random()
+    return red, gate_fires, skips
+
+
 @pytest.mark.parametrize("case, delta, q", [
     ("range", 10.0, 2.0),
     ("tuple", 10.0, 2.0),
@@ -381,23 +403,56 @@ def _bank_edges(case, rng):
 ])
 def test_phase_reducer_matches_reference_matchers(case, delta, q):
     n, edges = _bank_edges(case, random.Random(31))
-    red = PhaseReducer(n, delta=delta, q=q, phase=1, master_seed=17)
-    got = [red.feed(u, v, sublist) for u, v, sublist in edges]
-    want, states, rngs, gate_fires, skips = _reference_bank(n, delta, q, 1, 17, edges)
-    assert got == want
-    assert red.bank.keys() == states.keys()
-    for c, st in states.items():
-        mine = red.bank[c]
-        assert mine.F == st.F
-        assert mine.matched == st.matched
-        assert mine.matching == st.matching
-        # one uniform per color per fed edge: the streams stay in step
-        assert mine.random() == rngs[c].random()
+    red, gate_fires, skips = _assert_bank_matches_reference(n, delta, q, edges)
     assert skips > 0  # endpoints became matched
     if delta == 4.0:
         assert gate_fires > 0
     if case == "tuple":
-        assert 40 in red.bank
+        assert 40 in red.colors
+
+
+_SUBLIST = st.lists(st.integers(1, 9), unique=True, max_size=5).map(sorted)
+
+
+@st.composite
+def _bank_cases(draw):
+    """Small banks whose edges take a shared sublist object (so shared
+    objects alternate), a new tuple or a new range: colors fall in several
+    groups, in an order of first sight unlike color order, and sublists may
+    be empty.  The smallest slack makes the gate fire."""
+    n = draw(st.integers(2, 8))
+    delta, q = draw(st.sampled_from([(10.0, 2.0), (3.0, 1.0), (2.0, 0.25)]))
+    shared = [tuple(c) for c in draw(st.lists(_SUBLIST, min_size=1, max_size=3))]
+    edges = []
+    for _ in range(draw(st.integers(0, 40))):
+        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        kind = draw(st.sampled_from(["shared", "tuple", "range"]))
+        if kind == "shared":
+            sublist = shared[draw(st.integers(0, len(shared) - 1))]
+        elif kind == "tuple":
+            sublist = tuple(draw(_SUBLIST))
+        else:
+            lo = draw(st.integers(1, 9))
+            sublist = range(lo, draw(st.integers(lo, 10)))
+        edges.append((u, v, sublist))
+    return n, delta, q, edges
+
+
+@settings(max_examples=300)
+@given(_bank_cases())
+def test_phase_reducer_matches_reference_property(case):
+    _assert_bank_matches_reference(*case)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 1000])
+def test_getrandbits_skips_like_random_calls(k):
+    # the bank skips the uniforms it owes with getrandbits(64 * k): on this
+    # Python that moves the Mersenne Twister exactly as k random() calls do
+    skipped, drawn = random.Random(99), random.Random(99)
+    skipped.getrandbits(64 * k)
+    for _ in range(k):
+        drawn.random()
+    assert skipped.getstate() == drawn.getstate()
 
 
 def test_degree_accounting_violation_recorded(monkeypatch):

@@ -200,6 +200,18 @@ def test_colored_shared_color_path():
     assert res.per_color[1][5] == (1 - p) * Fraction(1, 2)
 
 
+@pytest.mark.parametrize("m, exact", [(13, True), (21, False)])
+def test_colored_standalone_marginals_past_the_plain_edge_limits(m, exact):
+    # the colored oracle sets no edge limit; its per-color marginals must not
+    # inherit exact_marginals' defaults (m <= 12 exact, m <= 20 float)
+    s = path(m)
+    listed = make_stream(s.n, s.delta_bound, [(e.u, e.v) for e in s.arrivals], lists=[(1,)] * m)
+    res = exact_colored_marginals(listed, delta=2, q=1, exact=exact)
+    # one color: that color's own process is the whole bank
+    assert res.per_color_matched[1] == dict(enumerate(res.colored))
+    assert 0 < min(res.colored)
+
+
 # -- differential test: the in-place walks against clone-based enumerators ----
 
 def _copy_state(state):
