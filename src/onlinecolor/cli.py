@@ -66,7 +66,7 @@ def _matcher_config(args, s: streammod.ArrivalStream, mode: str = matcher.MODE_A
 def _rounding_config(args, s: streammod.ArrivalStream) -> rounder.RoundingConfig:
     """--epsilon (default: the largest x) and --c-round (default: the profile's)."""
     epsilon = args.epsilon if args.epsilon is not None else max(
-        e.x for e in s.arrivals if e.x is not None
+        x for x in s.x if x is not None
     )
     c_round = args.c_round if args.c_round is not None else resolve_profile(args.profile).c_round
     return rounder.RoundingConfig(epsilon=epsilon, c_round=c_round)
@@ -161,7 +161,7 @@ def cmd_color(args) -> int:
         palettes = range(1, (result.budget or 0) + 1) if result.budget else None
     elif args.mode == "list":
         result = colorer.list_color(s, profile, args.seed)
-        palettes = [e.colors for e in s.arrivals]
+        palettes = s.palettes
     else:
         result = colorer.local_color(s, profile, args.seed)
         palettes = [range(1, b + 1) for b in result.local_bounds]

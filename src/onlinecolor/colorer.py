@@ -48,11 +48,21 @@ the sublist object the split hands it, and steps only the colors in which
 both endpoints are still unmatched.  The uniforms of the colors it skips
 are consumed in bulk before the color's next used draw, so every draw used
 is the one a bank drawing a uniform per color per fed edge would use.
+
+Palettes are passed to ``run_generic`` and ``greedy_color`` (and to
+``harness.validate_coloring``) by one convention, decided by
+``is_shared_palette``: a range or a collection of color ids is one palette
+that every edge shares; any other sequence, such as a stream's
+``palettes`` column, holds one palette per edge.  The pipeline reads the
+stream's endpoint columns and the palettes directly, with no record per
+edge.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 import random
 import warnings
 from dataclasses import dataclass, field
@@ -627,15 +637,35 @@ def _smallest_free(palette, taken: int, slots: dict | None) -> int | None:
     return None
 
 
+def is_shared_palette(palettes) -> bool:
+    """True when ``palettes`` is one palette that every edge shares (a
+    range, or a collection of color ids, empty included); False when it is a
+    sequence with one palette (or None) per edge."""
+    if isinstance(palettes, range) or len(palettes) == 0:
+        return True
+    return isinstance(next(iter(palettes)), numbers.Integral)
+
+
+def _palette_column(palettes, m: int):
+    """One palette per edge, by the convention of ``is_shared_palette``;
+    raises ValueError unless a per-edge sequence has exactly m entries."""
+    if is_shared_palette(palettes):
+        return itertools.repeat(palettes, m)
+    if len(palettes) != m:
+        raise ValueError(f"{len(palettes)} palettes for {m} edges")
+    return palettes
+
+
 def run_generic(
     stream: ArrivalStream,
-    lists_fn,
+    palettes,
     schedule: DegreeSchedule,
     partition,
     profile: ConstantsProfile,
     seed: int,
 ) -> ColoringResult:
-    """One online pass of the full pipeline.  lists_fn(e) -> palette.
+    """One online pass of the full pipeline over ``palettes``: one palette
+    shared by every edge or one per edge (see ``is_shared_palette``).
 
     A range partition takes ``range`` palettes (plain/local modes; sublists
     come from the partition's intervals).  A sampled partition makes a list
@@ -646,14 +676,14 @@ def run_generic(
     flagged; a fallback that also runs out of colors raises TailFailure.
     """
     try:
-        return _run_pipeline(stream, lists_fn, schedule, partition, profile, seed)
+        return _run_pipeline(stream, palettes, schedule, partition, profile, seed)
     except TailFailure:
         if not profile.fallback_on_tail_failure:
             raise
-        return _fallback_result(stream, lists_fn, schedule, partition, seed)
+        return _fallback_result(stream, palettes, schedule, partition, seed)
 
 
-def _run_pipeline(stream, lists_fn, schedule, partition, profile, seed):
+def _run_pipeline(stream, palettes, schedule, partition, profile, seed):
     n, m, f = stream.n, stream.m, schedule.f
     active = list(schedule.active_phases)
     reducers = {
@@ -678,11 +708,14 @@ def _run_pipeline(stream, lists_fn, schedule, partition, profile, seed):
     used = [0] * n
     slots = None if range_mode else {}
 
-    for idx, e in enumerate(stream.arrivals):
-        u, v = e.u, e.v
-        remaining = lists_fn(e)
-        if isinstance(remaining, range) != range_mode:
-            raise PartitionError("range palettes need a range partition, and it needs them")
+    checked = object()  # the last palette object whose kind was checked
+    for idx, (u, v, remaining) in enumerate(zip(stream.u, stream.v, _palette_column(palettes, m))):
+        if remaining is not checked:
+            if remaining is None and not range_mode:
+                raise PartitionError(f"t={idx + 1}: arrival without a palette in list mode")
+            if isinstance(remaining, range) != range_mode:
+                raise PartitionError("range palettes need a range partition, and it needs them")
+            checked = remaining
         dense_ok = False
         got: int | None = None
         for i in active:
@@ -706,7 +739,7 @@ def _run_pipeline(stream, lists_fn, schedule, partition, profile, seed):
                     st.promise_violations += 1
                     if profile.strict_promises:
                         raise PromiseViolation(
-                            f"t={e.time} phase {i}: sublist size {len(sublist)} outside "
+                            f"t={idx + 1} phase {i}: sublist size {len(sublist)} outside "
                             f"[{lo_b:.6g}, {hi_b:.6g}]"
                         )
             got = reducers[i].feed(u, v, sublist)
@@ -722,7 +755,7 @@ def _run_pipeline(stream, lists_fn, schedule, partition, profile, seed):
             tail_deg[v] += 1
             got = _smallest_free(partition.tail(remaining), used[u] | used[v], slots)
             if got is None:
-                raise TailFailure(e.time, u, v)
+                raise TailFailure(idx + 1, u, v)
             tail_stats.colored += 1
             stage_out[idx] = f + 1
         colors_out[idx] = got
@@ -756,8 +789,8 @@ def _run_pipeline(stream, lists_fn, schedule, partition, profile, seed):
     )
 
 
-def _fallback_result(stream, lists_fn, schedule, partition, seed) -> ColoringResult:
-    colors = greedy_color(stream, [lists_fn(e) for e in stream.arrivals])
+def _fallback_result(stream, palettes, schedule, partition, seed) -> ColoringResult:
+    colors = greedy_color(stream, palettes)
     tail_stats = PhaseStats(phase=schedule.f + 1, entered=stream.m, colored=stream.m)
     return ColoringResult(
         colors=colors,
@@ -782,7 +815,7 @@ def plain_color(stream: ArrivalStream, delta: int, profile: ConstantsProfile, se
     partition = RangePartition(schedule)
     budget = schedule.prune_target(0)
     palette = range(1, budget + 1)
-    result = run_generic(stream, lambda e: palette, schedule, partition, profile, seed)
+    result = run_generic(stream, palette, schedule, partition, profile, seed)
     result.budget = budget
     return result
 
@@ -794,19 +827,13 @@ def list_color(stream: ArrivalStream, profile: ConstantsProfile, seed: int) -> C
     schedule = degree_schedule(stream.delta_bound, stream.n, profile)
     partition = SampledPartition(schedule, rng_for(seed, "partition"))
     need = 2.0 * profile.a_base_mult * math.log(stream.n)
-    short = min((len(e.colors) for e in stream.arrivals if e.colors is not None), default=0)
+    short = min((len(p) for p in stream.palettes if p is not None), default=0)
     if short < need:
         msg = f"minimum list size {short} below 2 * a_base_mult * ln n = {need:.4g}"
         if profile.enforce_guard:
             raise PartitionError(msg)
         warnings.warn(msg, stacklevel=2)
-
-    def lists_fn(e):
-        if e.colors is None:
-            raise PartitionError(f"t={e.time}: arrival without a palette in list mode")
-        return e.colors
-
-    return run_generic(stream, lists_fn, schedule, partition, profile, seed)
+    return run_generic(stream, stream.palettes, schedule, partition, profile, seed)
 
 
 def local_lists(deg_u: int, deg_v: int, schedule: DegreeSchedule) -> range:
@@ -835,15 +862,13 @@ def local_color(stream: ArrivalStream, profile: ConstantsProfile, seed: int) -> 
     shared: dict[range, range] = {}
     by_dmax: dict[int, range] = {}
     palettes = []
-    for e in stream.arrivals:
-        dmax = max(degrees[e.u], degrees[e.v])
+    for u, v in zip(stream.u, stream.v):
+        dmax = max(degrees[u], degrees[v])
         if dmax not in by_dmax:
-            p = local_lists(degrees[e.u], degrees[e.v], schedule)
+            p = local_lists(degrees[u], degrees[v], schedule)
             by_dmax[dmax] = shared.setdefault(p, p)
         palettes.append(by_dmax[dmax])
-    result = run_generic(
-        stream, lambda e: palettes[e.time - 1], schedule, partition, profile, seed
-    )
+    result = run_generic(stream, palettes, schedule, partition, profile, seed)
     result.local_bounds = [p.stop - 1 for p in palettes]
     return result
 
@@ -851,24 +876,27 @@ def local_color(stream: ArrivalStream, profile: ConstantsProfile, seed: int) -> 
 def greedy_color(stream: ArrivalStream, palettes) -> list[int]:
     """Smallest available color per edge from its own palette; error if none.
 
-    ``palettes`` is a shared palette (a range, or a tuple of color ids) or a
-    list with one palette per edge.  Bookkeeping grows with the colors used,
-    not with the largest id: unless every palette is a range, each color
-    gets a dense bit slot on first use.
+    ``palettes`` is one palette shared by every edge or one palette per
+    edge (see ``is_shared_palette``).  Bookkeeping grows with the colors
+    used, not with the largest id: unless every palette is a range, each
+    color gets a dense bit slot on first use.
     """
-    shared = isinstance(palettes, range) or len(palettes) == 0 or isinstance(palettes[0], int)
-    per_edge = [palettes] * stream.m if shared else list(palettes)
-    if len(per_edge) != stream.m:
-        raise ValueError("need one palette per edge")
-    slots = None if all(isinstance(p, range) for p in per_edge) else {}
+    if is_shared_palette(palettes):
+        ranged = isinstance(palettes, range)
+    else:
+        ranged = all(isinstance(p, range) for p in palettes)
+    slots = None if ranged else {}
     used = [0] * stream.n
     out = []
-    for e, palette in zip(stream.arrivals, per_edge):
-        c = _smallest_free(palette, used[e.u] | used[e.v], slots)
+    for t, u, v, palette in zip(itertools.count(1), stream.u, stream.v,
+                                _palette_column(palettes, stream.m)):
+        if palette is None:
+            raise PartitionError(f"t={t}: arrival without a palette in list mode")
+        c = _smallest_free(palette, used[u] | used[v], slots)
         if c is None:
-            raise TailFailure(e.time, e.u, e.v)
+            raise TailFailure(t, u, v)
         bit = 1 << (c if slots is None else slots.setdefault(c, len(slots)))
-        used[e.u] |= bit
-        used[e.v] |= bit
+        used[u] |= bit
+        used[v] |= bit
         out.append(c)
     return out

@@ -10,13 +10,14 @@ held at every step it audited.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .colorer import ColoringResult, greedy_color
+from .colorer import ColoringResult, greedy_color, is_shared_palette
 from .matcher import (
     MODE_ANALYSIS_FRIENDLY,
     MODE_GREEDY_FALLBACK,
@@ -99,10 +100,6 @@ def _require_trials(trials: int) -> None:
         raise ValueError(f"trials must be at least 1 (got {trials})")
 
 
-def _endpoints(stream: ArrivalStream) -> tuple[list[int], list[int]]:
-    return [e.u for e in stream.arrivals], [e.v for e in stream.arrivals]
-
-
 @dataclass
 class RunReport:
     kind: str
@@ -170,7 +167,7 @@ def mc_marginals(
     violations: list[str] = []
     fast = config.gated
     greedy = config.mode == MODE_GREEDY_FALLBACK
-    us, vs = _endpoints(stream)
+    us, vs = stream.u, stream.v
     if greedy:
         # the greedy coloring does not depend on the trial; only c* does
         delta = int(config.delta)
@@ -210,13 +207,13 @@ def mc_marginals(
             )
     floor_marginal = 1.0 / (config.delta + 4.0 * config.q)
     edges = []
-    for e, h in zip(stream.arrivals, hits):
+    for t, u, v, h in zip(itertools.count(1), us, vs, hits):
         lo, hi = wilson_interval(h, trials)
         edges.append(
             {
-                "time": e.time,
-                "u": e.u,
-                "v": e.v,
+                "time": t,
+                "u": u,
+                "v": v,
                 "hits": h,
                 "frequency": h / trials,
                 "ci_lo": lo,
@@ -258,31 +255,49 @@ def validate_coloring(
     limit: int = 100,
 ) -> list[str]:
     """Properness, palette membership, completeness.  Violations are data,
-    not exceptions; the first ``limit`` are returned."""
+    not exceptions; the first ``limit`` are returned.
+
+    ``palettes`` is one palette shared by every edge or one per edge (see
+    ``colorer.is_shared_palette``).  A coloring or a per-edge palette
+    sequence whose length is not m is reported first ("N colors for m
+    edges", "N palettes for m edges"); the edges past the shortest of the
+    three are not checked."""
     if isinstance(colors, ColoringResult):
         colors = colors.colors
+    m = stream.m
     bad: list[str] = []
+    if len(colors) != m:
+        bad.append(f"{len(colors)} colors for {m} edges")
+    if palettes is None:
+        column = itertools.repeat(None)
+    elif is_shared_palette(palettes):
+        column = itertools.repeat(palettes)
+    else:
+        column = palettes
+        if len(palettes) != m:
+            bad.append(f"{len(palettes)} palettes for {m} edges")
     # per vertex id, made on its first use: {color: time of its first use there}
     first_use: list = [None] * stream.n
-    per_edge = isinstance(palettes, list)
-    for idx, (t, u, v, _, _) in enumerate(stream.arrivals):
+    for t, u, v, c, palette in zip(itertools.count(1), stream.u, stream.v, colors, column):
         if len(bad) >= limit:
             break
-        c = colors[idx]
         if c is None:
             if require_complete:
                 bad.append(f"t={t}: uncolored edge")
             continue
-        if palettes is not None and c not in (palettes[idx] if per_edge else palettes):
+        if palette is not None and c not in palette:
             bad.append(f"t={t}: color {c} not in the edge's palette")
-        for w in (u, v):
-            seen = first_use[w]
-            if seen is None:
-                first_use[w] = {c: t}
-                continue
-            first = seen.setdefault(c, t)
-            if first != t:
-                bad.append(f"t={t}: color {c} repeated at vertex {w} (first at t={first})")
+        # u, then v, unrolled: this runs once per edge
+        seen = first_use[u]
+        if seen is None:
+            first_use[u] = {c: t}
+        elif seen.setdefault(c, t) != t:
+            bad.append(f"t={t}: color {c} repeated at vertex {u} (first at t={seen[c]})")
+        seen = first_use[v]
+        if seen is None:
+            first_use[v] = {c: t}
+        elif seen.setdefault(c, t) != t:
+            bad.append(f"t={t}: color {c} repeated at vertex {v} (first at t={seen[c]})")
     return bad[:limit]
 
 
@@ -350,7 +365,7 @@ def _martingale_inputs(stream: ArrivalStream, config: MatcherConfig, vertex: int
             f"not mode={config.mode!r}"
         )
     neighbors = _neighbor_times(stream, vertex)
-    us, vs = _endpoints(stream)
+    us, vs = stream.u, stream.v
     walk = [i for i, (u, v) in enumerate(zip(us, vs)) if u in neighbors or v in neighbors]
     return neighbors, us, vs, walk
 
@@ -427,11 +442,11 @@ def martingale_trace(stream: ArrivalStream, config: MatcherConfig, vertex: int, 
 
 def _neighbor_times(stream: ArrivalStream, vertex: int) -> dict[int, int]:
     out = {}
-    for e in stream.arrivals:
-        if e.u == vertex:
-            out[e.v] = e.time
-        elif e.v == vertex:
-            out[e.u] = e.time
+    for t, u, v in zip(itertools.count(1), stream.u, stream.v):
+        if u == vertex:
+            out[v] = t
+        elif v == vertex:
+            out[u] = t
     return out
 
 
@@ -509,7 +524,8 @@ def counterexample_demo(delta: int, q: int) -> dict:
     natural = MatcherState(
         tree.n, MatcherConfig(delta=delta, q=q, mode=MODE_NATURAL), exact=True
     )
-    traces = [natural.step(e, x_sup) for e in tree.arrivals]
+    traces = [natural.step_at(t, u, v, None, x_sup)
+              for t, u, v in zip(itertools.count(1), tree.u, tree.v)]
     child = [tr for tr in traces[:-1] if min(tr.u, tr.v) == 0]
     root = traces[-1]
     expected_children = [Fraction(1, q + 3 - i) for i in range(1, q + 2)]
@@ -526,7 +542,8 @@ def counterexample_demo(delta: int, q: int) -> dict:
     gated = MatcherState(
         tree.n, MatcherConfig(delta=delta, q=q, mode=MODE_ANALYSIS_FRIENDLY), exact=True
     )
-    gtraces = [gated.step(e, x_sup) for e in tree.arrivals]
+    gtraces = [gated.step_at(t, u, v, None, x_sup)
+               for t, u, v in zip(itertools.count(1), tree.u, tree.v)]
     if any(tr.p_hat > 1 for tr in gtraces):
         raise AssertionError("gated run produced P_hat > 1")
     if any(tr.overflow for tr in gtraces):
@@ -587,9 +604,10 @@ def verify_stream(
         hits = [rec["hits"] for rec in report.edges]
         violations.extend(report.violations)
     rows = []
-    for i, e in enumerate(stream.arrivals):
+    for i, (u, v) in enumerate(zip(stream.u, stream.v)):
+        t = i + 1
         freq = hits[i] / trials
-        row = {"time": e.time, "u": e.u, "v": e.v, "frequency": freq}
+        row = {"time": t, "u": u, "v": v, "frequency": freq}
         if oracle is not None:
             p = oracle.marginal[i]
             sigma = math.sqrt(max(p * (1 - p), 1e-300) / trials)
@@ -598,15 +616,15 @@ def verify_stream(
             row["expected_sum"] = float(oracle.expected[i])
             if abs(oracle.conditional_sum[i] - float(oracle.expected[i])) > 1e-9:
                 violations.append(
-                    f"t={e.time}: conditional sum {oracle.conditional_sum[i]!r} != "
+                    f"t={t}: conditional sum {oracle.conditional_sum[i]!r} != "
                     f"{float(oracle.expected[i])!r}"
                 )
             if p == 0.0:
                 if hits[i]:
-                    violations.append(f"t={e.time}: matched despite oracle marginal 0")
+                    violations.append(f"t={t}: matched despite oracle marginal 0")
             elif abs(freq - p) > 4.0 * sigma:
                 violations.append(
-                    f"t={e.time}: |freq {freq:.6g} - oracle {p:.6g}| > 4 sigma"
+                    f"t={t}: |freq {freq:.6g} - oracle {p:.6g}| > 4 sigma"
                 )
         rows.append(row)
     out = {

@@ -53,6 +53,7 @@ greedy fallback here all go through it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -233,16 +234,22 @@ class MultiplicativeState:
         self.t += 1
 
     def step(self, e, x) -> StepTrace:
-        if e.time != self.t + 1:
-            raise MatcherError(f"arrival out of order: got t={e.time}, expected {self.t + 1}")
+        """``step_at`` for one ``EdgeArrival``."""
+        return self.step_at(e.time, e.u, e.v, e.x, x)
+
+    def step_at(self, time: int, u: int, v: int, x_e, x) -> StepTrace:
+        """Arrival ``time`` (u, v) with fractional value x_e (None for the
+        matcher), decided by the uniform x."""
+        if time != self.t + 1:
+            raise MatcherError(f"arrival out of order: got t={time}, expected {self.t + 1}")
         n = len(self.F)
-        if not (0 <= e.u < n and 0 <= e.v < n):
-            raise MatcherError(f"t={e.time}: endpoint out of range for n={n}")
-        p, p_hat, gate_fired, overflow = self.proposal(e.u, e.v, e.x)
+        if not (0 <= u < n and 0 <= v < n):
+            raise MatcherError(f"t={time}: endpoint out of range for n={n}")
+        p, p_hat, gate_fired, overflow = self.proposal(u, v, x_e)
         matched = x < p_hat
-        self.apply(e.u, e.v, p_hat, matched)
+        self.apply(u, v, p_hat, matched)
         return StepTrace(
-            time=e.time, u=e.u, v=e.v, p=p, p_hat=p_hat, x=x,
+            time=time, u=u, v=v, p=p, p_hat=p_hat, x=x,
             matched=matched, gate_fired=gate_fired, overflow=overflow,
         )
 
@@ -299,8 +306,11 @@ def run(
     """
     if state is None:
         state = config.state(stream.n)
-    rng = random.Random(seed)
-    traces = [state.step(e, rng.random()) for e in stream.arrivals]
+    rand = random.Random(seed).random
+    xs = itertools.repeat(None) if stream.x is None else stream.x
+    step_at = state.step_at
+    traces = [step_at(t, u, v, x_e, rand())
+              for t, u, v, x_e in zip(itertools.count(1), stream.u, stream.v, xs)]
     return list(state.matching), traces
 
 
@@ -366,7 +376,7 @@ def run_greedy_fallback(
 
     c_star = draw_c_star(delta, seed)
     colors = greedy_color(stream, range(1, 2 * delta))
-    matching = [(e.u, e.v) for e, c in zip(stream.arrivals, colors) if c == c_star]
+    matching = [(u, v) for u, v, c in zip(stream.u, stream.v, colors) if c == c_star]
     return matching, c_star, colors
 
 
@@ -406,10 +416,10 @@ def check_run_invariants(
     gate_pass = 4.0 * floor / 3.0
     rebuilt = [1.0] * stream.n
     vertex_matched = bytearray(stream.n)
-    for e, tr in zip(stream.arrivals, traces):
+    for u, v, tr in zip(stream.u, stream.v, traces):
         if tr.matched != (tr.x < tr.p_hat):
             bad.append(f"t={tr.time}: matched flag disagrees with x < p_hat")
-        free = not (vertex_matched[e.u] or vertex_matched[e.v])
+        free = not (vertex_matched[u] or vertex_matched[v])
         if not free and tr.p != 0:
             bad.append(f"t={tr.time}: nonzero P at a matched endpoint")
         if tr.gate_fired != (config.gated and free and tr.p_hat == 0 < tr.p):
@@ -417,10 +427,10 @@ def check_run_invariants(
         if gated and free:
             if tr.p > cap * (1.0 + 1e-12):
                 bad.append(f"t={tr.time}: P={tr.p} exceeds the floor-implied cap {cap}")
-            if tr.gate_fired and tr.p <= 0.25 and min(rebuilt[e.u], rebuilt[e.v]) >= gate_pass:
+            if tr.gate_fired and tr.p <= 0.25 and min(rebuilt[u], rebuilt[v]) >= gate_pass:
                 bad.append(f"t={tr.time}: gate fired although min F >= 4/3 floor and P <= 1/4")
         scale = 1.0 - tr.p_hat
-        for w in (e.u, e.v):
+        for w in (u, v):
             nxt = rebuilt[w] * scale
             if nxt > rebuilt[w] + 1e-15:
                 bad.append(f"t={tr.time}: F({w}) increased")
@@ -428,9 +438,9 @@ def check_run_invariants(
             if gated and nxt < floor * (1.0 - 1e-12):
                 bad.append(f"t={tr.time}: F({w})={nxt} fell below the floor {floor}")
         if tr.matched:
-            vertex_matched[e.u] = True
-            vertex_matched[e.v] = True
-    matching = [(e.u, e.v) for e, tr in zip(stream.arrivals, traces) if tr.matched]
+            vertex_matched[u] = True
+            vertex_matched[v] = True
+    matching = [(u, v) for u, v, tr in zip(stream.u, stream.v, traces) if tr.matched]
     if not matching_is_valid(matching):
         bad.append("output matching has adjacent edges")
     if F is not None and list(F) != rebuilt:

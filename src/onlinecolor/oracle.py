@@ -31,12 +31,13 @@ exact values.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .matcher import MatcherConfig, MatcherState, MultiplicativeState
 from .rounder import RoundingConfig
-from .stream import ArrivalStream, EdgeArrival
+from .stream import ArrivalStream
 
 DEFAULT_EDGE_LIMIT = 20
 DEFAULT_BRANCH_LIMIT = 1 << 22
@@ -82,14 +83,15 @@ class OracleResult:
 
     def csv_rows(self, stream: ArrivalStream) -> list[str]:
         rows = []
-        for e, mg, cs, ex in zip(stream.arrivals, self.marginal, self.conditional_sum, self.expected):
-            rows.append(f"{e.time},{e.u},{e.v},{float(mg)!r},{float(cs)!r},{float(ex)!r}")
+        for t, u, v, mg, cs, ex in zip(itertools.count(1), stream.u, stream.v, self.marginal,
+                                       self.conditional_sum, self.expected):
+            rows.append(f"{t},{u},{v},{float(mg)!r},{float(cs)!r},{float(ex)!r}")
         return rows
 
 
-def _enumerate(state: MultiplicativeState, stream: ArrivalStream, branch_limit: int):
-    arrivals = stream.arrivals
-    m = stream.m
+def _enumerate(state: MultiplicativeState, us, vs, xs, branch_limit: int):
+    """The walk over arrivals (us[t], vs[t]) with fractional values xs[t]."""
+    m = len(us)
     acc = _Plain if state.exact else _Kahan
     marginal = [acc() for _ in range(m)]
     cond = [acc() for _ in range(m)]
@@ -106,9 +108,8 @@ def _enumerate(state: MultiplicativeState, stream: ArrivalStream, branch_limit: 
             raise OracleLimitError(f"branch limit {branch_limit} exceeded")
         t = state.t
         if t < m:
-            e = arrivals[t]
-            u, v = e.u, e.v
-            p, p_hat, _, _ = proposal(u, v, e.x)
+            u, v = us[t], vs[t]
+            p, p_hat, _, _ = proposal(u, v, xs[t])
             cond[t].add(prob * p)
             matched = False
             if p_hat:
@@ -127,9 +128,9 @@ def _enumerate(state: MultiplicativeState, stream: ArrivalStream, branch_limit: 
         t, p_hat, prob = splits.pop()
         while state.t > t:
             undo(*trail.pop())
-        e = arrivals[t]
-        trail.append((e.u, e.v, F[e.u], F[e.v], True))
-        apply(e.u, e.v, p_hat, True)
+        u, v = us[t], vs[t]
+        trail.append((u, v, F[u], F[v], True))
+        apply(u, v, p_hat, True)
     return (
         [a.total for a in marginal],
         [a.total for a in cond],
@@ -154,11 +155,12 @@ def exact_marginals(
     if exact and stream.m > 12:
         raise OracleLimitError("rational mode is limited to m <= 12")
     state = config.state(stream.n, exact)
-    marginal, cond, leaf, branches = _enumerate(state, stream, branch_limit)
+    xs = (None,) * stream.m if stream.x is None else stream.x
+    marginal, cond, leaf, branches = _enumerate(state, stream.u, stream.v, xs, branch_limit)
     # the targets are the engine's own numerators; the enumeration's no-match
     # path has already computed each one, so a bad arrival has failed there
     # (only the natural matcher, whose numerator cannot fail, cuts that path)
-    expected = [state.numerator(e.x) for e in stream.arrivals]
+    expected = [state.numerator(x) for x in xs]
     return OracleResult(
         marginal=marginal,
         conditional_sum=cond,
@@ -198,7 +200,7 @@ def exact_colored_marginals(
     """
     if not stream.has_lists:
         raise OracleLimitError("colored oracle needs a listed stream")
-    arrivals = stream.arrivals
+    us, vs, palettes = stream.u, stream.v, stream.palettes
     m = stream.m
     config = MatcherConfig(delta=delta, q=q)
     acc = _Plain if exact else _Kahan
@@ -218,8 +220,7 @@ def exact_colored_marginals(
         if branches > branch_limit:
             raise OracleLimitError(f"branch limit {branch_limit} exceeded")
         if t < m:
-            e = arrivals[t]
-            palette = e.colors or ()
+            palette = palettes[t] or ()
             if ci == len(palette):
                 t, ci, edge_colored = t + 1, 0, False
                 continue
@@ -227,7 +228,7 @@ def exact_colored_marginals(
             st = states.get(c)
             if st is None:
                 st = states[c] = MatcherState(stream.n, config, exact=exact)
-            u, v = e.u, e.v
+            u, v = us[t], vs[t]
             p, p_hat, _, _ = st.proposal(u, v)
             if p_hat:
                 p_take = prob * p_hat
@@ -247,11 +248,11 @@ def exact_colored_marginals(
         while len(trail) > mark:
             st, u, v, fu, fv, matched = trail.pop()
             st.undo(u, v, fu, fv, matched)
-        e = arrivals[t]
-        st = states[e.colors[ci]]
+        u, v = us[t], vs[t]
+        st = states[palettes[t][ci]]
         F = st.F
-        trail.append((st, e.u, e.v, F[e.u], F[e.v], True))
-        st.apply(e.u, e.v, p_hat, True)
+        trail.append((st, u, v, F[u], F[v], True))
+        st.apply(u, v, p_hat, True)
         ci += 1
         edge_colored = True
 
@@ -270,18 +271,14 @@ def _standalone_color_marginals(
 ):
     """Per color: oracle marginals of that color's own induced process, each
     walked under the caller's branch limit and no other."""
-    colors = sorted({c for e in stream.arrivals for c in (e.colors or ())})
+    palettes = [p or () for p in stream.palettes]
+    colors = sorted({c for p in palettes for c in p})
     out = {}
     for c in colors:
-        idx = [i for i, e in enumerate(stream.arrivals) if e.colors and c in e.colors]
-        sub = ArrivalStream(
-            n=stream.n,
-            delta_bound=stream.delta_bound,
-            arrivals=tuple(
-                EdgeArrival(time=k + 1, u=stream.arrivals[i].u, v=stream.arrivals[i].v)
-                for k, i in enumerate(idx)
-            ),
-        )
-        marginal = _enumerate(config.state(stream.n, exact), sub, branch_limit)[0]
+        idx = [i for i, p in enumerate(palettes) if c in p]
+        us = [stream.u[i] for i in idx]
+        vs = [stream.v[i] for i in idx]
+        marginal = _enumerate(config.state(stream.n, exact), us, vs, (None,) * len(idx),
+                              branch_limit)[0]
         out[c] = {i: marginal[k] for k, i in enumerate(idx)}
     return out

@@ -8,15 +8,22 @@ coloring instances).  The line-oriented text format:
     n=<int> dmax=<int>
     e <u> <v> [x=<decimal>] [L=<c1>,<c2>,...]
 
-with ``#`` comment lines.  Color ids are positive integers.  Vertex ids are
-dense non-negative integers below n, so isolated vertices are representable
+with ``#`` comment lines; a header key or an annotation given twice on one
+line is an error.  Color ids are positive integers.  Vertex ids are dense
+non-negative integers below n, so isolated vertices are representable
 (per-vertex state is allocated from n, not inferred from the edges).
 
-``EdgeArrival`` is a plain record; ``ArrivalStream`` validates every arrival
-in one pass when it is built, checking each distinct palette object once.
-The parser splits each line once and reads each distinct ``L=`` token text
-once, so edges with equal palette text share one tuple; ``make_stream``
-shares equal palettes by content.
+``ArrivalStream`` stores its arrivals as columns, one tuple per field:
+endpoints ``u`` and ``v``, fractional values ``x`` and palettes
+``palettes``.  An annotation column is None when no arrival carries that
+annotation, and holds None for each arrival without it otherwise.  Arrival i
+(0-based) arrives at time i + 1; no time is stored.  The stream validates
+its columns in one pass when it is built, checking each distinct palette
+object once.  Equal palettes share one tuple: the parser reads each distinct
+``L=`` token text once, and ``make_stream`` shares equal palettes by
+content.  ``arrivals`` is a read-only sequence view that builds an
+``EdgeArrival`` record on each access (length, index, slice, iteration);
+the package's per-edge loops read the columns instead.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,7 +49,7 @@ class StreamError(ValueError):
 
 
 class EdgeArrival(NamedTuple):
-    """One arrival.  Not validated on its own: ``ArrivalStream`` checks it."""
+    """One arrival, as ``ArrivalStream.arrivals`` hands it out."""
 
     time: int  # 1-based arrival index
     u: int
@@ -55,29 +63,81 @@ class EdgeArrival(NamedTuple):
 
 
 # EdgeArrival from its five fields as one tuple, without the Python-level
-# __new__ that a NamedTuple call runs (the parser makes one per line)
+# __new__ that a NamedTuple call runs
 _arrival = functools.partial(tuple.__new__, EdgeArrival)
+
+
+class Arrivals(Sequence):
+    """Read-only view of a stream's arrivals: each access builds the
+    ``EdgeArrival`` records it returns from the columns (a slice gives a
+    tuple of them)."""
+
+    __slots__ = ("_stream",)
+
+    def __init__(self, stream: ArrivalStream):
+        self._stream = stream
+
+    def __len__(self) -> int:
+        return len(self._stream.u)
+
+    def __getitem__(self, i):
+        s = self._stream
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(s.u)))))
+        if i < 0:
+            i += len(s.u)
+        u, v = s.u[i], s.v[i]  # raises IndexError past either end
+        return _arrival((i + 1, u, v, s.x and s.x[i], s.palettes and s.palettes[i]))
+
+    def __iter__(self):
+        s = self._stream
+        m = len(s.u)
+        xs = itertools.repeat(None, m) if s.x is None else s.x
+        ps = itertools.repeat(None, m) if s.palettes is None else s.palettes
+        return map(_arrival, zip(itertools.count(1), s.u, s.v, xs, ps))
 
 
 @dataclass(frozen=True)
 class ArrivalStream:
+    """A validated instance, stored by column (see the module docstring).
+
+    Any sequences may be passed for the columns; they are kept as tuples."""
+
     n: int
     delta_bound: int
-    arrivals: tuple[EdgeArrival, ...]
+    u: tuple[int, ...]
+    v: tuple[int, ...]
+    x: tuple[float | None, ...] | None = None
+    palettes: tuple[tuple[int, ...] | None, ...] | None = None
 
     def __post_init__(self) -> None:
-        # The one validation pass over the arrivals.
+        m = len(self.u)
+        for name in ("u", "v", "x", "palettes"):
+            col = getattr(self, name)
+            if col is None:
+                continue
+            col = tuple(col)
+            if len(col) != m:
+                raise StreamError(f"column {name} has {len(col)} entries for {m} arrivals")
+            if name in ("x", "palettes") and col.count(None) == m:
+                col = None  # no arrival carries the annotation
+            object.__setattr__(self, name, col)
+        self._validate()
+
+    def _validate(self) -> None:
+        # The one validation pass over the columns.
         n, dmax = self.n, self.delta_bound
         if n < 0 or dmax < 0:
             raise StreamError("n and dmax must be non-negative")
+        m = len(self.u)
+        xs = itertools.repeat(None, m) if self.x is None else self.x
+        ps = itertools.repeat(None, m) if self.palettes is None else self.palettes
         seen: set[int] = set()
         degree = [0] * n
         frac = [0.0] * n
         frac_limit = 1.0 + FRACTIONAL_SUM_TOL
-        checked: set[int] = set()  # ids of checked palettes; self.arrivals keeps them alive
-        for i, (t, u, v, x, colors) in enumerate(self.arrivals, start=1):
-            if t != i:
-                raise StreamError(f"arrival times must be 1..m consecutive (got {t} at {i})")
+        checked: set[int] = set()  # ids of checked palettes; the column keeps them alive
+        for t, u, v, x, colors in zip(itertools.count(1), self.u, self.v, xs, ps):
             if u == v:
                 raise StreamError(f"t={t}: self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -110,46 +170,59 @@ class ArrivalStream:
 
     @property
     def m(self) -> int:
-        return len(self.arrivals)
+        return len(self.u)
+
+    @property
+    def arrivals(self) -> Arrivals:
+        return Arrivals(self)
 
     def degrees(self) -> list[int]:
         deg = [0] * self.n
-        for e in self.arrivals:
-            deg[e.u] += 1
-            deg[e.v] += 1
+        for w in self.u:
+            deg[w] += 1
+        for w in self.v:
+            deg[w] += 1
         return deg
 
     @property
     def is_fractional(self) -> bool:
-        return any(e.x is not None for e in self.arrivals)
+        return self.x is not None
 
     @property
     def has_lists(self) -> bool:
-        return any(e.colors is not None for e in self.arrivals)
+        return self.palettes is not None
 
 
 def make_stream(n: int, delta_bound: int, edges, xs=None, lists=None) -> ArrivalStream:
-    """Build a validated stream from (u, v) pairs plus optional annotations.
+    """Build a validated stream from (u, v) pairs plus optional annotations
+    (``xs[i]`` and ``lists[i]`` for edge i; None for none).
 
     Each distinct list object is sorted and deduplicated once, and equal
     palettes share one tuple, whether the edges were given one list object
     or separate equal lists."""
-    normalized: dict[int, tuple] = {}  # id -> (list, palette), list kept alive
-    shared: dict[tuple, tuple] = {}  # palette -> the one tuple equal to it
-    arrivals = []
-    for i, (u, v) in enumerate(edges):
-        x = None if xs is None else xs[i]
-        colors = None
-        if lists is not None:
+    us: list[int] = []
+    vs: list[int] = []
+    for u, v in edges:
+        us.append(u)
+        vs.append(v)
+    m = len(us)
+    x_col = None if xs is None else list(map(xs.__getitem__, range(m)))
+    palettes = None
+    if lists is not None:
+        normalized: dict[int, tuple] = {}  # id -> (list, palette), list kept alive
+        shared: dict[tuple, tuple] = {}  # palette -> the one tuple equal to it
+        palettes = []
+        for i in range(m):
             raw = lists[i]
-            if raw is not None:
-                hit = normalized.get(id(raw))
-                if hit is None:
-                    palette = tuple(sorted(set(raw)))
-                    hit = normalized[id(raw)] = (raw, shared.setdefault(palette, palette))
-                colors = hit[1]
-        arrivals.append(EdgeArrival(i + 1, u, v, x, colors))
-    return ArrivalStream(n=n, delta_bound=delta_bound, arrivals=tuple(arrivals))
+            if raw is None:
+                palettes.append(None)
+                continue
+            hit = normalized.get(id(raw))
+            if hit is None:
+                palette = tuple(sorted(set(raw)))
+                hit = normalized[id(raw)] = (raw, shared.setdefault(palette, palette))
+            palettes.append(hit[1])
+    return ArrivalStream(n, delta_bound, us, vs, x_col, palettes)
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +233,23 @@ def parse_stream(text: str | bytes) -> ArrivalStream:
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
     header = None
-    arrivals: list[EdgeArrival] = []
+    us: list[int] = []
+    vs: list[int] = []
+    xs: dict[int, float] = {}  # arrival index -> x, for arrivals with one
+    ps: dict[int, tuple[int, ...]] = {}  # arrival index -> palette, likewise
     palettes: dict[str, tuple[int, ...]] = {}  # L= token text -> its palette
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.split()  # the one split of the line
+    lines = text.splitlines()
+    # each line split once
+    for lineno, raw, toks in zip(itertools.count(1), lines, map(str.split, lines)):
+        if len(toks) == 3 and header is not None and raw.startswith("e "):
+            # the common line, "e <u> <v>"
+            try:
+                u, v = int(toks[1]), int(toks[2])
+            except ValueError:
+                raise StreamError(f"line {lineno}: non-integer vertex id") from None
+            us.append(u)
+            vs.append(v)
+            continue
         if not toks or toks[0][0] == "#":
             continue
         if header is None:
@@ -175,11 +261,18 @@ def parse_stream(text: str | bytes) -> ArrivalStream:
                 raw.startswith("e ") or toks[0] == "e" and raw[raw.index("e") + 1] == " "):
             raise StreamError(f"line {lineno}: expected 'e <u> <v> ...', got {raw.strip()!r}")
         u, v, x, colors = _parse_edge_line(toks, lineno, palettes)
-        arrivals.append(_arrival((len(arrivals) + 1, u, v, x, colors)))
+        if x is not None:
+            xs[len(us)] = x
+        if colors is not None:
+            ps[len(us)] = colors
+        us.append(u)
+        vs.append(v)
     if header is None:
         raise StreamError("missing header line 'n=<int> dmax=<int>'")
     n, dmax = header
-    return ArrivalStream(n=n, delta_bound=dmax, arrivals=tuple(arrivals))
+    index = range(len(us))
+    return ArrivalStream(n, dmax, us, vs, list(map(xs.get, index)) if xs else None,
+                         list(map(ps.get, index)) if ps else None)
 
 
 def _parse_header(toks: list[str], lineno: int) -> tuple[int, int]:
@@ -189,9 +282,12 @@ def _parse_header(toks: list[str], lineno: int) -> tuple[int, int]:
             raise StreamError(f"line {lineno}: bad header token {tok!r}")
         key, val = tok.split("=", 1)
         try:
-            fields[key] = int(val)
+            value = int(val)
         except ValueError:
             raise StreamError(f"line {lineno}: non-integer header value {tok!r}") from None
+        if key in fields:
+            raise StreamError(f"line {lineno}: repeated header key {key!r}")
+        fields[key] = value
     if set(fields) != {"n", "dmax"}:
         raise StreamError(f"line {lineno}: header must be 'n=<int> dmax=<int>'")
     return fields["n"], fields["dmax"]
@@ -200,7 +296,8 @@ def _parse_header(toks: list[str], lineno: int) -> tuple[int, int]:
 def _parse_edge_line(toks: list[str], lineno: int, palettes: dict[str, tuple[int, ...]]):
     """Read one edge line from its tokens.  ``palettes`` caches each ``L=``
     token's sorted palette, so edges with the same token text share one
-    tuple."""
+    tuple.  An annotation is read before it is found repeated, so a bad
+    second value reports what is wrong with it."""
     if len(toks) < 3:
         raise StreamError(f"line {lineno}: edge line needs two endpoints")
     try:
@@ -209,22 +306,28 @@ def _parse_edge_line(toks: list[str], lineno: int, palettes: dict[str, tuple[int
         raise StreamError(f"line {lineno}: non-integer vertex id") from None
     x = None
     colors = None
-    for tok in toks[3:] if len(toks) > 3 else ():
+    for tok in toks[3:]:
         if tok.startswith("x="):
             try:
-                x = float(tok[2:])
+                value = float(tok[2:])
             except ValueError:
                 raise StreamError(f"line {lineno}: bad fractional value {tok!r}") from None
+            if x is not None:
+                raise StreamError(f"line {lineno}: repeated x= annotation")
+            x = value
         elif tok.startswith("L="):
-            colors = palettes.get(tok)
-            if colors is None:
+            palette = palettes.get(tok)
+            if palette is None:
                 try:
                     parsed = [int(c) for c in tok[2:].split(",") if c]
                 except ValueError:
                     raise StreamError(f"line {lineno}: bad color list {tok!r}") from None
                 if len(set(parsed)) != len(parsed):
                     raise StreamError(f"line {lineno}: duplicate color in list")
-                colors = palettes[tok] = tuple(sorted(parsed))
+                palette = palettes[tok] = tuple(sorted(parsed))
+            if colors is not None:
+                raise StreamError(f"line {lineno}: repeated L= annotation")
+            colors = palette
         else:
             raise StreamError(f"line {lineno}: unknown annotation {tok!r}")
     return u, v, x, colors
@@ -233,17 +336,19 @@ def _parse_edge_line(toks: list[str], lineno: int, palettes: dict[str, tuple[int
 def emit_stream(stream: ArrivalStream) -> str:
     """Inverse of parse_stream: parse_stream(emit_stream(s)) == s."""
     out = [f"n={stream.n} dmax={stream.delta_bound}"]
-    joined: dict[int, str] = {}  # id of a palette -> its " L=..." text
-    for _, u, v, x, colors in stream.arrivals:
-        line = f"e {u} {v}"
-        if x is not None:
-            line += f" x={x!r}"
-        if colors is not None:
-            text = joined.get(id(colors))
-            if text is None:
-                text = joined[id(colors)] = " L=" + ",".join(map(str, colors))
-            line += text
-        out.append(line)
+    out += map("e {} {}".format, stream.u, stream.v)
+    if stream.x is not None:
+        for i, x in enumerate(stream.x, start=1):
+            if x is not None:
+                out[i] += f" x={x!r}"
+    if stream.palettes is not None:
+        joined: dict[int, str] = {}  # id of a palette -> its " L=..." text
+        for i, colors in enumerate(stream.palettes, start=1):
+            if colors is not None:
+                text = joined.get(id(colors))
+                if text is None:
+                    text = joined[id(colors)] = " L=" + ",".join(map(str, colors))
+                out[i] += text
     return "\n".join(out) + "\n"
 
 
@@ -382,42 +487,37 @@ def gen_complete_bipartite(a: int, b: int) -> ArrivalStream:
 
 
 def reorder(stream: ArrivalStream, order: str, seed: int | None = None) -> ArrivalStream:
-    """Permute the arrival order; annotations travel with their edges."""
+    """Permute the arrival order; annotations travel with their edges.
+
+    ``order="random"`` shuffles the arrival indices with ``random.Random(seed)``,
+    which permutes exactly as shuffling the arrivals themselves would."""
     if order == ORDER_GIVEN:
         return stream
-    arrivals = list(stream.arrivals)
+    perm = list(range(stream.m))
     if order == ORDER_REVERSED:
-        arrivals.reverse()
+        perm.reverse()
     elif order == ORDER_RANDOM:
         if seed is None:
             raise StreamError("order=random needs a seed")
-        random.Random(seed).shuffle(arrivals)
+        random.Random(seed).shuffle(perm)
     else:
         raise StreamError(f"unknown order {order!r}")
-    renumbered = tuple(
-        EdgeArrival(i + 1, u, v, x, colors) for i, (_, u, v, x, colors) in enumerate(arrivals)
-    )
-    return ArrivalStream(n=stream.n, delta_bound=stream.delta_bound, arrivals=renumbered)
+
+    def gather(col):
+        return None if col is None else list(map(col.__getitem__, perm))
+
+    return ArrivalStream(stream.n, stream.delta_bound, gather(stream.u), gather(stream.v),
+                         gather(stream.x), gather(stream.palettes))
 
 
 def with_uniform_x(stream: ArrivalStream, x: float) -> ArrivalStream:
     """Annotate every arrival with the same fractional value."""
-    return make_stream(
-        stream.n,
-        stream.delta_bound,
-        [(e.u, e.v) for e in stream.arrivals],
-        xs=[x] * stream.m,
-        lists=[e.colors for e in stream.arrivals] if stream.has_lists else None,
-    )
+    return ArrivalStream(stream.n, stream.delta_bound, stream.u, stream.v, [x] * stream.m,
+                         stream.palettes)
 
 
 def with_range_lists(stream: ArrivalStream, size: int) -> ArrivalStream:
-    """Annotate every arrival with the palette {1..size}."""
+    """Annotate every arrival with the palette {1..size}, one shared tuple."""
     palette = tuple(range(1, size + 1))
-    return make_stream(
-        stream.n,
-        stream.delta_bound,
-        [(e.u, e.v) for e in stream.arrivals],
-        xs=[e.x for e in stream.arrivals] if stream.is_fractional else None,
-        lists=[palette] * stream.m,
-    )
+    return ArrivalStream(stream.n, stream.delta_bound, stream.u, stream.v, stream.x,
+                         [palette] * stream.m)

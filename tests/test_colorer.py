@@ -743,9 +743,9 @@ def test_local_palettes_shared_per_bound(monkeypatch):
     seen = []
     run_generic = colorer.run_generic
 
-    def spy(stream, lists_fn, *args):
-        seen.extend(lists_fn(e) for e in stream.arrivals)
-        return run_generic(stream, lists_fn, *args)
+    def spy(stream, palettes, *args):
+        seen.extend(palettes)
+        return run_generic(stream, palettes, *args)
 
     monkeypatch.setattr(colorer, "run_generic", spy)
     res = local_color(_degree_mix_stream(), MULTIPHASE, seed=5)

@@ -5,9 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import path, star, triangle
 from onlinecolor import harness
+from onlinecolor.colorer import greedy_color, is_shared_palette
 from onlinecolor.harness import (
     counterexample_demo,
     freedman_bound,
@@ -104,6 +107,112 @@ def test_validate_coloring_messages_pinned():
         bad = validate_coloring(g, colors, palettes=palettes, limit=limit)
         assert len(bad) == count
         assert hashlib.sha256(repr(bad).encode()).hexdigest()[:16] == digest
+
+
+def test_validate_coloring_reports_length_mismatch():
+    s = make_stream(4, 2, [(0, 1), (1, 2), (2, 3)])
+    assert validate_coloring(s, [1, 2, 1]) == []
+    assert validate_coloring(s, [1, 2, 1, 5]) == ["4 colors for 3 edges"]
+    assert validate_coloring(s, [1, 2]) == ["2 colors for 3 edges"]
+    assert validate_coloring(s, [1, 2, 1], palettes=[(1, 2), (2,)]) == ["2 palettes for 3 edges"]
+    # the edges that have a color are still checked, after the mismatch
+    assert validate_coloring(s, [1, 1], palettes=[(1,), (2,), (1,)]) == [
+        "2 colors for 3 edges",
+        "t=2: color 1 not in the edge's palette",
+        "t=2: color 1 repeated at vertex 1 (first at t=1)",
+    ]
+    assert validate_coloring(s, [1, 2], limit=1) == ["2 colors for 3 edges"]
+
+
+def test_one_palette_convention():
+    # a range or a collection of color ids is one shared palette; anything
+    # else holds one palette per edge, for greedy_color and the validator alike
+    assert is_shared_palette(range(1, 4)) and is_shared_palette((1, 2)) and is_shared_palette([3])
+    assert is_shared_palette(()) and is_shared_palette(range(0))
+    assert not is_shared_palette(((1, 2), (2, 3)))
+    assert not is_shared_palette([range(1, 3), (2, 3)]) and not is_shared_palette([None, (1,)])
+    p = path(2)
+    per_edge = ((1, 2), (2, 3))
+    colors = greedy_color(p, per_edge)
+    assert colors == [1, 2]
+    assert validate_coloring(p, colors, palettes=per_edge) == []
+    assert validate_coloring(p, colors, palettes=list(per_edge)) == []
+    assert validate_coloring(p, [1, 1], palettes=per_edge) == [
+        "t=2: color 1 not in the edge's palette",
+        "t=2: color 1 repeated at vertex 1 (first at t=1)",
+    ]
+    assert validate_coloring(p, colors, palettes=(1, 2)) == []
+    assert validate_coloring(p, colors, palettes=(1,)) == ["t=2: color 2 not in the edge's palette"]
+
+
+def _reference_violations(stream, colors, kind, palettes, require_complete, limit):
+    """validate_coloring's contract, written plainly: the palettes' kind is
+    given, not inferred, and (vertex, color) pairs go in one dict."""
+    arrivals = list(stream.arrivals)
+    bad = []
+    if len(colors) != len(arrivals):
+        bad.append(f"{len(colors)} colors for {len(arrivals)} edges")
+    if kind == "per_edge" and len(palettes) != len(arrivals):
+        bad.append(f"{len(palettes)} palettes for {len(arrivals)} edges")
+    checked = min(len(arrivals), len(colors), len(palettes) if kind == "per_edge" else len(arrivals))
+    first = {}
+    for i in range(checked):
+        e, c = arrivals[i], colors[i]
+        if c is None:
+            if require_complete:
+                bad.append(f"t={e.time}: uncolored edge")
+            continue
+        palette = palettes[i] if kind == "per_edge" else palettes
+        if palette is not None and c not in palette:
+            bad.append(f"t={e.time}: color {c} not in the edge's palette")
+        for w in (e.u, e.v):
+            if (w, c) in first:
+                bad.append(f"t={e.time}: color {c} repeated at vertex {w} (first at t={first[w, c]})")
+            else:
+                first[w, c] = e.time
+    return bad[:limit]
+
+
+@st.composite
+def colorings(draw):
+    """A small stream, a greedy coloring of it with defects planted, and
+    palettes (none, shared or per edge), some of them planted too."""
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14))
+    chosen = [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+    s = make_stream(n, n, chosen)
+    colors = list(greedy_color(s, range(1, 2 * n)))
+    for _ in range(draw(st.integers(0, 4))):
+        if not colors:
+            break
+        i = draw(st.integers(0, len(colors) - 1))
+        colors[i] = draw(st.sampled_from([None, 1, 2, 3, colors[max(i - 1, 0)], 2 * n + 5]))
+    kind = draw(st.sampled_from(["none", "shared_range", "shared_tuple", "per_edge"]))
+    palettes = None
+    if kind == "shared_range":
+        palettes = range(1, draw(st.integers(1, 2 * n)))
+    elif kind == "shared_tuple":
+        palettes = tuple(sorted(draw(st.sets(st.integers(1, 2 * n), min_size=1))))
+    elif kind == "per_edge":
+        palettes = [draw(st.sampled_from([range(1, 2 * n), range(1, 3), (1, 2), (2, 3, 5), (c,)]))
+                    if c is not None else (1,) for c in colors]
+    cut = draw(st.sampled_from(["none", "none", "none", "colors", "palettes"]))
+    if cut == "colors":
+        colors = colors[:-1] if colors and draw(st.booleans()) else colors + [1]
+    elif cut == "palettes" and kind == "per_edge":
+        palettes = palettes[:-1] if palettes and draw(st.booleans()) else palettes + [(1,)]
+    if kind.startswith("shared") or kind == "per_edge" and not palettes:
+        kind = "shared"  # an empty sequence is an empty shared palette
+    return s, colors, kind, palettes
+
+
+@settings(max_examples=400)
+@given(colorings(), st.booleans(), st.sampled_from([1, 2, 3, 5, 100]))
+def test_validate_coloring_matches_reference(case, require_complete, limit):
+    s, colors, kind, palettes = case
+    got = validate_coloring(s, colors, palettes=palettes, require_complete=require_complete, limit=limit)
+    assert got == _reference_violations(s, colors, kind, palettes, require_complete, limit)
 
 
 # -- martingale diagnostics -----------------------------------------------------

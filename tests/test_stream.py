@@ -1,10 +1,15 @@
 import hashlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onlinecolor import colorer, harness, matcher, oracle
+from onlinecolor.profiles import ConstantsProfile
+from onlinecolor.rounder import RoundingConfig
 from onlinecolor.stream import (
+    Arrivals,
     ArrivalStream,
     EdgeArrival,
     StreamError,
@@ -17,6 +22,7 @@ from onlinecolor.stream import (
     parse_stream,
     reorder,
     with_range_lists,
+    with_uniform_x,
 )
 
 
@@ -79,6 +85,9 @@ def test_parse_annotations():
         ("n=2 dmax=1\n e 0 1 x=0.5 L=2,x \n", "bad color list"),
         ("n=2 dmax=1\ne  0 1\tL=1,2  x=2\t\n", "outside"),
         ("n=2 dmax=1\ne 0 1 L=2,1 L=1,1\n", "duplicate color"),
+        ("n=2 dmax=1\ne 0 1 x=0.1 x=0.9\n", "line 2: repeated x= annotation"),
+        ("n=3 dmax=2\ne 0 1\ne 1 2 L=1,2 L=7\n", "line 3: repeated L= annotation"),
+        ("n=3 dmax=2 n=4\ne 0 1\n", "line 1: repeated header key 'n'"),
         ("n=2 dmax\ne 0 1\n", "bad header token"),
         ("n=2 dmax=x\ne 0 1\n", "non-integer header value"),
         ("n=2 m=1\ne 0 1\n", "header must be"),
@@ -91,18 +100,193 @@ def test_parse_errors(text, fragment):
         parse_stream(text)
 
 
+def _reference_parse(text):
+    """The file format as the stream docstring states it, read one line at a
+    time into EdgeArrival records, then checked arrival by arrival; returns
+    (n, dmax, arrivals, L= text per arrival) or raises StreamError."""
+    header, arrivals, texts = None, [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header is None:
+            fields = {}
+            for tok in line.split():
+                key, eq, val = tok.partition("=")
+                if not eq:
+                    raise StreamError(f"line {lineno}: bad header token {tok!r}")
+                try:
+                    value = int(val)
+                except ValueError:
+                    raise StreamError(f"line {lineno}: non-integer header value {tok!r}") from None
+                if key in fields:
+                    raise StreamError(f"line {lineno}: repeated header key {key!r}")
+                fields[key] = value
+            if sorted(fields) != ["dmax", "n"]:
+                raise StreamError(f"line {lineno}: header must be 'n=<int> dmax=<int>'")
+            header = (fields["n"], fields["dmax"])
+            continue
+        if not line.startswith("e "):
+            raise StreamError(f"line {lineno}: expected 'e <u> <v> ...', got {line!r}")
+        toks = line.split()
+        if len(toks) < 3:
+            raise StreamError(f"line {lineno}: edge line needs two endpoints")
+        try:
+            u, v = int(toks[1]), int(toks[2])
+        except ValueError:
+            raise StreamError(f"line {lineno}: non-integer vertex id") from None
+        x = colors = text_l = None
+        for tok in toks[3:]:
+            if tok[:2] == "x=":
+                try:
+                    value = float(tok[2:])
+                except ValueError:
+                    raise StreamError(f"line {lineno}: bad fractional value {tok!r}") from None
+                if x is not None:
+                    raise StreamError(f"line {lineno}: repeated x= annotation")
+                x = value
+            elif tok[:2] == "L=":
+                try:
+                    listed = [int(c) for c in tok[2:].split(",") if c]
+                except ValueError:
+                    raise StreamError(f"line {lineno}: bad color list {tok!r}") from None
+                if len(set(listed)) < len(listed):
+                    raise StreamError(f"line {lineno}: duplicate color in list")
+                if colors is not None:
+                    raise StreamError(f"line {lineno}: repeated L= annotation")
+                colors, text_l = tuple(sorted(listed)), tok
+            else:
+                raise StreamError(f"line {lineno}: unknown annotation {tok!r}")
+        arrivals.append(EdgeArrival(len(arrivals) + 1, u, v, x, colors))
+        texts.append(text_l)
+    if header is None:
+        raise StreamError("missing header line 'n=<int> dmax=<int>'")
+    n, dmax = header
+    if n < 0 or dmax < 0:
+        raise StreamError("n and dmax must be non-negative")
+    edges, degree, frac = set(), Counter(), Counter()
+    for t, u, v, x, colors in arrivals:
+        if u == v:
+            raise StreamError(f"t={t}: self-loop at vertex {u}")
+        if min(u, v) < 0:
+            raise StreamError(f"t={t}: negative vertex id")
+        if max(u, v) >= n:
+            raise StreamError(f"t={t}: vertex id >= n={n}")
+        if x is not None and not 0.0 <= x <= 1.0:
+            raise StreamError(f"t={t}: x={x} outside [0, 1]")
+        if colors is not None and any(c <= 0 for c in colors):
+            raise StreamError(f"t={t}: color ids must be positive")
+        if frozenset((u, v)) in edges:
+            raise StreamError(f"t={t}: duplicate edge {(min(u, v), max(u, v))} (parallel edges disallowed)")
+        edges.add(frozenset((u, v)))
+        for w in (u, v):
+            degree[w] += 1
+        for w in (u, v):
+            if degree[w] > dmax:
+                raise StreamError(f"t={t}: degree of vertex {w} exceeds dmax={dmax}")
+        if x is not None:
+            for w in (u, v):
+                frac[w] += x
+            for w in (u, v):
+                if frac[w] > 1.0 + 1e-9:
+                    raise StreamError(f"t={t}: fractional sum {frac[w]:.12g} > 1 at vertex {w}")
+    return n, dmax, arrivals, texts
+
+
+_SEP = st.sampled_from([" ", " ", " ", "  ", "\t", " \t"])
+_GOOD_L = ["L=1,2,3", "L=3,1,2", "L=5", "L=2,7", "L=1,,2", "L="]
+_BAD_TOKENS = ["x=1.5", "x=abc", "y=2", "L=4,4", "L=0,2", "L=a,b", "L=-1,3", "x=0.5", "L=5"]
+
+
+def _rare(draw) -> bool:
+    # one value in the middle: hypothesis leans towards the ends of a range
+    return draw(st.integers(0, 23)) == 13
+
+
+@st.composite
+def stream_texts(draw):
+    """Stream texts, about half of them valid: blank and comment lines,
+    leading spaces and tabs, x=/L= annotations with shared and distinct L=
+    texts, and now and then a malformed token, a bad line, a repeated
+    annotation or a bad header."""
+    n = draw(st.integers(3, 9))
+    dmax = draw(st.integers(3, 8))
+    head = [f"n={n}", f"dmax={dmax}"]
+    if draw(st.booleans()):
+        head.reverse()
+    if _rare(draw):
+        head.append(draw(st.sampled_from(["n=3", "dmax=1", "m=2", "dmax", "n=x"])))
+    if _rare(draw):
+        head = [draw(st.sampled_from(["n=-1", "dmax=-2"])), head[1]]
+    lines = [] if _rare(draw) else [draw(_SEP).join(head)]
+    sep = draw(_SEP)
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    edges = draw(st.lists(st.sampled_from(pairs), unique_by=frozenset, max_size=12))
+    for u, v in edges:
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "  ", "\t", "# note", "  #e 0 1", "#"])))
+        if _rare(draw):
+            u, v = draw(st.sampled_from([(u, u), (v, u), (-1, v), (u, n), *edges]))
+        toks = ["e", str(u), str(v)]
+        if draw(st.booleans()):
+            toks.append(draw(st.sampled_from(["x=0.25", "x=0", "x=0.5"])))
+        if draw(st.booleans()):
+            toks.append(draw(st.sampled_from(_GOOD_L)))
+        if _rare(draw):
+            toks.append(draw(st.sampled_from(_BAD_TOKENS)))
+        if draw(st.booleans()):
+            toks[3:] = reversed(toks[3:])
+        line = "e " + sep.join(toks[1:])  # "e" then a space, as the format asks
+        if _rare(draw):
+            line = draw(_SEP).join(toks)
+        if _rare(draw):
+            line = draw(st.sampled_from([line.replace("e", "e0", 1), line.replace("e ", "edge ", 1),
+                                         line.replace("e ", "e\t", 1), "e", f"e {u}"]))
+        lines.append(draw(st.sampled_from(["", "", "", " ", "\t", "  "])) + line)
+    if _rare(draw):
+        lines.insert(0, "# a comment first")
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+@settings(max_examples=500)
+@given(stream_texts())
+def test_parse_matches_reference(text):
+    try:
+        want = _reference_parse(text)
+    except StreamError as exc:
+        with pytest.raises(StreamError) as got:
+            parse_stream(text)
+        assert str(got.value) == str(exc)
+        return
+    s = parse_stream(text)
+    n, dmax, arrivals, texts = want
+    assert (s.n, s.delta_bound) == (n, dmax)
+    assert s.u == tuple(e.u for e in arrivals) and s.v == tuple(e.v for e in arrivals)
+    xs = tuple(e.x for e in arrivals)
+    assert s.x == (xs if any(x is not None for x in xs) else None)
+    palettes = tuple(e.colors for e in arrivals)
+    assert s.palettes == (palettes if any(p is not None for p in palettes) else None)
+    assert list(s.arrivals) == arrivals
+    # equal L= text, one tuple; different text, different tuples (but the
+    # empty tuple, which is one object)
+    for i, ti in enumerate(texts):
+        for j, tj in enumerate(texts[:i]):
+            if ti is not None and tj is not None:
+                same = s.palettes[i] is s.palettes[j]
+                assert same == (ti == tj or s.palettes[i] == () == s.palettes[j]), (ti, tj)
+
+
 @pytest.mark.parametrize(
     "arrivals,fragment",
     [
-        ([EdgeArrival(1, 0, 1, colors=(1, 2)), EdgeArrival(2, 2, 3, colors=(5, 1))], "not sorted"),
-        ([EdgeArrival(1, 0, 1, colors=(1, 2)), EdgeArrival(2, 2, 3, colors=(4, 4))], "not sorted"),
-        ([EdgeArrival(1, 0, 1), EdgeArrival(3, 2, 3)], "consecutive"),
+        (dict(u=[0, 2], v=[1, 3], palettes=[(1, 2), (5, 1)]), "not sorted"),
+        (dict(u=[0, 2], v=[1, 3], palettes=[(1, 2), (4, 4)]), "not sorted"),
     ],
 )
 def test_stream_rejects_invalid_arrivals(arrivals, fragment):
-    # an EdgeArrival is a plain record; the stream that holds it checks it
+    # columns given straight to the constructor are checked like parsed ones
     with pytest.raises(StreamError, match=fragment):
-        ArrivalStream(n=4, delta_bound=1, arrivals=tuple(arrivals))
+        ArrivalStream(n=4, delta_bound=1, **arrivals)
 
 
 def test_palettes_shared_and_normalized():
@@ -293,3 +477,41 @@ def test_gen_complete_bipartite():
     s = gen_complete_bipartite(2, 2)
     assert s.m == 4 and s.delta_bound == 2
     assert all(e.u < 2 <= e.v for e in s.arrivals)
+
+
+def test_hot_paths_never_touch_the_arrivals_view(monkeypatch):
+    # every per-edge and per-branch loop of the package reads the columns;
+    # the EdgeArrival view is for callers outside it
+    def refuse(*args):
+        raise AssertionError("the arrivals view was used")
+
+    plain = gen_regular(12, 4, seed=2)
+    listed = with_range_lists(plain, 60)
+    small = gen_regular(6, 2, seed=1)
+    tiny = make_stream(4, 2, [(0, 1), (1, 2), (2, 3)], lists=[(1, 2), (2,), (1, 3)])
+    frac = with_uniform_x(small, 0.25)
+    practical = ConstantsProfile.practical()
+    multiphase = practical.replace(c_q_color=0.1, c_stop=0.5, a_base_mult=0.5)
+    gated = matcher.MatcherConfig(delta=4, q=1.0)
+    rounding = RoundingConfig(epsilon=0.25, c_round=0.1)
+    monkeypatch.setattr(Arrivals, "__iter__", refuse)
+    monkeypatch.setattr(Arrivals, "__getitem__", refuse)
+
+    res = colorer.plain_color(plain, plain.delta_bound, practical, seed=1)
+    assert harness.validate_coloring(plain, res, palettes=range(1, res.budget + 1)) == []
+    res = colorer.list_color(listed, practical, seed=1)
+    assert harness.validate_coloring(listed, res, palettes=listed.palettes) == []
+    res = colorer.local_color(plain, multiphase, seed=1)
+    assert harness.validate_coloring(plain, res) == []
+    assert colorer.greedy_color(listed, listed.palettes)
+    assert not harness.mc_marginals(plain, gated, 5, 3).violations
+    harness.martingale_monitor(plain, gated, 0, 5, 3)
+    harness.verify_stream(small, matcher.MatcherConfig(delta=2, q=1.0), 20, 3)
+    oracle.exact_marginals(small, matcher.MatcherConfig(delta=2, q=1.0))
+    oracle.exact_marginals(frac, rounding)
+    oracle.exact_colored_marginals(tiny, 2, 1.0)
+    assert not matcher.check_run_invariants(frac, rounding, matcher.run(frac, rounding, 4)[1])
+    matcher.run_greedy_fallback(small, 2, 5)
+    harness.counterexample_demo(4, 1)
+    assert parse_stream(emit_stream(reorder(listed, "random", 3))).m == listed.m
+    assert reorder(frac, "reversed").degrees() == frac.degrees()
