@@ -311,7 +311,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except colorer.TailFailure as exc:
-        # a greedy coloring (the tail, or the fallback) ran out of palette colors
+        # an edge found no free color: in its tail class, or in its palette
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

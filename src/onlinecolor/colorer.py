@@ -5,11 +5,12 @@ per-color gated matchers (degree bound d_i, slack q_i); every uncolored
 edge is fed, at its arrival, to the matchers of its phase-i sublist
 l_i(e) = L(e) cap C_i in ascending color order and takes the first color
 whose matcher matched it.  Edges that survive phases 0..f-1 are colored by
-a greedy tail from l_{f+1}(e) = L(e) cap C_{f+1}.  Interleaving: a single
-online pass; each arriving edge cascades through all phase machinery to
-completion (each phase sees exactly the sub-stream of edges not colored by
-earlier phases, in arrival order), so every decision stays irrevocable and
-immediate.
+a greedy tail from l_{f+1}(e) = L(e) cap C_{f+1}; an edge with no free
+tail color overflows to the smallest free color of its whole palette L(e).
+Interleaving: a single online pass; each arriving edge cascades through all
+phase machinery to completion (each phase sees exactly the sub-stream of
+edges not colored by earlier phases, in arrival order), so every decision
+stays irrevocable and immediate.
 
 The schedule (Δ = d_0 > d_1 > ... and the slack sequence a_i) controls the
 phase count f, the sublist sizes lambda_i = d_i^(2/3) ln^(1/3) n, and the
@@ -88,8 +89,9 @@ class PromiseViolation(ValueError):
 
 
 class TailFailure(Exception):
-    """A greedy coloring (the tail, the fallback, greedy_color) ran out of
-    palette colors for an edge (time, u, v)."""
+    """A greedy coloring ran out of palette colors for an edge (time, u, v):
+    the pipeline's tail where no overflow is allowed, its overflow (the
+    edge's whole palette is taken at the endpoints), or greedy_color."""
 
     def __init__(self, time: int, u: int, v: int):
         super().__init__(f"t={time}: no tail color available for edge ({u},{v})")
@@ -540,6 +542,12 @@ class PhaseReducer:
                     won = c
         return won
 
+    def block(self, u: int, v: int, c: int) -> None:
+        """Mark color c, given to (u, v) outside the bank, matched at u and v."""
+        _, bit = self._slot_of.get(c) or self._open(c)
+        self._matched_bits[u] |= bit
+        self._matched_bits[v] |= bit
+
     def color_state(self, c: int) -> BankColor:
         """A copy of color c's state after the feeds so far, with a copy of
         its generator that has drawn one uniform per edge fed to c."""
@@ -577,9 +585,8 @@ class PhaseStats:
 
 @dataclass
 class ColoringResult:
-    colors: list  # per arrival index; int color or None (None only on failure paths)
-    stage: list  # per arrival index; phase that colored it (f+1 = tail)
-    fallback_taken: bool
+    colors: list  # per arrival index; int color
+    stage: list  # per arrival index; phase that colored it (f+1 = tail) or "overflow"
     per_phase: list[PhaseStats]
     tail: PhaseStats
     schedule: DegreeSchedule
@@ -591,6 +598,12 @@ class ColoringResult:
     seed: int | None = None
     # run invariants that failed (e.g. degree accounting); empty on a sound run
     invariant_violations: list[str] = field(default_factory=list)
+    overflows: list = field(default_factory=list)  # {"time", "u", "v"} per overflow edge
+
+    @property
+    def fallback_taken(self) -> bool:
+        """True when some edge overflowed its tail class."""
+        return bool(self.overflows)
 
     @property
     def max_color(self) -> int:
@@ -607,6 +620,7 @@ class ColoringResult:
             "colors_used": self.colors_used,
             "max_color": self.max_color,
             "fallback_taken": self.fallback_taken,
+            "overflow": {"count": len(self.overflows), "first": next(iter(self.overflows), None)},
             "budget": self.budget,
             "seed": self.seed,
             "list_ledger_violations": self.list_ledger_violations,
@@ -670,20 +684,11 @@ def run_generic(
     A range partition takes ``range`` palettes (plain/local modes; sublists
     come from the partition's intervals).  A sampled partition makes a list
     run: palettes are sorted tuples, pruned per phase to the schedule's
-    target, and the list ledger is kept.  A greedy tail failure raises
-    TailFailure unless the profile asks for the greedy fallback, in which
-    case the whole instance is recolored greedily from the same palettes and
-    flagged; a fallback that also runs out of colors raises TailFailure.
+    target, and the list ledger is kept.  An edge with no free tail color
+    overflows, if the profile allows it, to the smallest free color of its
+    whole palette; that color's phase bank, if active, treats it as matched
+    at both endpoints.  Otherwise, or with no free color, TailFailure.
     """
-    try:
-        return _run_pipeline(stream, palettes, schedule, partition, profile, seed)
-    except TailFailure:
-        if not profile.fallback_on_tail_failure:
-            raise
-        return _fallback_result(stream, palettes, schedule, partition, seed)
-
-
-def _run_pipeline(stream, palettes, schedule, partition, profile, seed):
     n, m, f = stream.n, stream.m, schedule.f
     active = list(schedule.active_phases)
     reducers = {
@@ -699,6 +704,7 @@ def _run_pipeline(stream, palettes, schedule, partition, profile, seed):
     colors_out: list = [None] * m
     stage_out: list = [None] * m
     ledger_violations = 0
+    overflows: list = []
 
     # range palettes and a range partition, or else a list run: tuple
     # palettes, a sampled partition and the list ledger
@@ -709,13 +715,14 @@ def _run_pipeline(stream, palettes, schedule, partition, profile, seed):
     slots = None if range_mode else {}
 
     checked = object()  # the last palette object whose kind was checked
-    for idx, (u, v, remaining) in enumerate(zip(stream.u, stream.v, _palette_column(palettes, m))):
-        if remaining is not checked:
-            if remaining is None and not range_mode:
+    for idx, (u, v, palette) in enumerate(zip(stream.u, stream.v, _palette_column(palettes, m))):
+        if palette is not checked:
+            if palette is None and not range_mode:
                 raise PartitionError(f"t={idx + 1}: arrival without a palette in list mode")
-            if isinstance(remaining, range) != range_mode:
+            if isinstance(palette, range) != range_mode:
                 raise PartitionError("range palettes need a range partition, and it needs them")
-            checked = remaining
+            checked = palette
+        remaining = palette
         dense_ok = False
         got: int | None = None
         for i in active:
@@ -749,15 +756,24 @@ def _run_pipeline(stream, palettes, schedule, partition, profile, seed):
                 break
             remaining = rest
         if got is None:
-            # greedy tail
+            # greedy tail, else the overflow
             tail_stats.entered += 1
             tail_deg[u] += 1
             tail_deg[v] += 1
             got = _smallest_free(partition.tail(remaining), used[u] | used[v], slots)
-            if got is None:
-                raise TailFailure(idx + 1, u, v)
-            tail_stats.colored += 1
-            stage_out[idx] = f + 1
+            if got is not None:
+                tail_stats.colored += 1
+                stage_out[idx] = f + 1
+            else:
+                if profile.fallback_on_tail_failure:
+                    got = _smallest_free(palette, used[u] | used[v], slots)
+                if got is None:
+                    raise TailFailure(idx + 1, u, v)
+                stage_out[idx] = "overflow"
+                overflows.append({"time": idx + 1, "u": u, "v": v})
+                bank = reducers.get(partition.phase_of(got))
+                if bank is not None:
+                    bank.block(u, v, got)
         colors_out[idx] = got
         bit = 1 << (got if slots is None else slots.setdefault(got, len(slots)))
         used[u] |= bit
@@ -777,7 +793,6 @@ def _run_pipeline(stream, palettes, schedule, partition, profile, seed):
     return ColoringResult(
         colors=colors_out,
         stage=stage_out,
-        fallback_taken=False,
         per_phase=[stats[i] for i in active],
         tail=tail_stats,
         schedule=schedule,
@@ -786,22 +801,7 @@ def _run_pipeline(stream, palettes, schedule, partition, profile, seed):
         list_ledger_violations=ledger_violations,
         seed=seed,
         invariant_violations=invariant_violations,
-    )
-
-
-def _fallback_result(stream, palettes, schedule, partition, seed) -> ColoringResult:
-    colors = greedy_color(stream, palettes)
-    tail_stats = PhaseStats(phase=schedule.f + 1, entered=stream.m, colored=stream.m)
-    return ColoringResult(
-        colors=colors,
-        stage=["fallback"] * stream.m,
-        fallback_taken=True,
-        per_phase=[],
-        tail=tail_stats,
-        schedule=schedule,
-        partition_method=partition.method,
-        partition_assignment={},
-        seed=seed,
+        overflows=overflows,
     )
 
 

@@ -47,7 +47,7 @@ float kernel of every trace-free matcher run) and, inline for its per-color
 bank, in colorer.PhaseReducer.feed, which steps only the colors free at both
 endpoints and consumes the uniforms of the others in bulk, with
 getrandbits, before their next use.  The smallest-free-color rule
-lives once, in colorer: the coloring pipeline's tail, its fallback and the
+lives once, in colorer: the coloring pipeline's tail, its overflow and the
 greedy fallback here all go through it.
 """
 

@@ -48,8 +48,8 @@ class ConstantsProfile:
                  is non-decreasing, hence an error, outside the asymptotic
                  regime); "achieved" uses d_{i+1} = d_i - ceil(0.9 * lambda_i)
     q_override   explicit q, bypassing the c_q formula
-    fallback_on_tail_failure  retry a failed coloring with the plain greedy
-                 (2D-1)-color baseline instead of erroring out
+    fallback_on_tail_failure  let an edge with no free tail color overflow to
+                 the rest of its palette instead of raising TailFailure
     strict_promises  abort on per-phase list-size promise violations instead
                  of recording them
     """

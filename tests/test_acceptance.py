@@ -259,7 +259,7 @@ def test_criterion_8_coloring_end_to_end():
             s = gen_regular(n, delta, seed=seed)
             res = plain_color(s, delta, PRACTICAL, seed=derive_seed(8, delta, seed))
             bad = validate_coloring(s, res, palettes=range(1, (res.budget or 0) + 1))
-            if bad and not res.fallback_taken:
+            if bad:
                 all_ok = False
                 notes.append(f"D={delta} seed={seed}: {bad[0]}")
             if res.max_color > 2 * delta - 1:

@@ -243,8 +243,8 @@ def test_color_cli_exits_1_on_invariant_violation(tmp_path, capsys, monkeypatch)
 
 
 def test_color_cli_list_fallback_out_of_colors_exits_1(tmp_path, capsys):
-    # greedy cannot color the probe from its lists either: the run fails
-    # instead of leaving them
+    # an edge of the probe finds its whole list taken at its endpoints, so
+    # it cannot overflow: the run fails instead of leaving the lists
     path = tmp_path / "probe.txt"
     path.write_text(emit_stream(probe_stream()))
     with pytest.warns(UserWarning, match="minimum list size"):

@@ -336,6 +336,22 @@ def test_phase_reducer_empty_sublist():
     assert red.colors == []
 
 
+def test_phase_reducer_block_skips_the_color():
+    # a color given outside the bank counts as matched at both endpoints: a
+    # later feed at either endpoint skips it (no step, so F stays 1), and a
+    # feed elsewhere still steps it
+    red = PhaseReducer(6, delta=10.0, q=2.0, phase=0, master_seed=8)
+    red.block(0, 1, 7)
+    assert red.colors == [7]
+    assert red.feed(0, 2, (7,)) is None
+    assert red.feed(3, 1, (7,)) is None
+    state = red.color_state(7)
+    assert state.F == [1.0] * 6 and state.matching == []
+    assert list(state.matched) == [1, 1, 0, 0, 0, 0]
+    red.feed(4, 5, (7,))
+    assert red.color_state(7).F[4] < 1.0
+
+
 def _reference_bank(n, delta, q, phase, seed, edges):
     """The bank as one MatcherState per color, driven through proposal + apply."""
     config = MatcherConfig(delta=delta, q=q)
@@ -528,8 +544,8 @@ def test_list_mode_requires_lists():
 
 def test_tail_failure_fallback_and_strict():
     # every edge of a star carries the single color 1: the second edge has no
-    # available tail color, and no greedy from the same lists has one either,
-    # so the fallback fails too instead of leaving the lists
+    # available tail color, and its whole list is taken at vertex 0, so it
+    # cannot overflow either and the run fails instead of leaving the lists
     s = make_stream(4, 3, [(0, 1), (0, 2), (0, 3)], lists=[(1,), (1,), (1,)])
     import warnings
 
@@ -542,19 +558,74 @@ def test_tail_failure_fallback_and_strict():
             list_color(s, PRACTICAL.replace(fallback_on_tail_failure=False), seed=0)
 
 
-def test_fallback_colors_from_the_lists():
-    # the tail runs out of colors, but greedy over the full lists
-    # {1000..1022} does not: the fallback recolors every edge inside its list
-    g = gen_regular(30, 20, seed=2)
-    palette = tuple(range(1000, 1023))
-    s = make_stream(g.n, g.delta_bound, [(e.u, e.v) for e in g.arrivals], lists=[palette] * g.m)
+def _listed(g, palette):
+    """g with the one palette on every edge."""
+    return make_stream(g.n, g.delta_bound, zip(g.u, g.v), lists=[palette] * g.m)
+
+
+def _quiet_list_color(s, profile, seed):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(TailFailure):
-            list_color(s, MULTIPHASE.replace(fallback_on_tail_failure=False), seed=2)
-        res = list_color(s, MULTIPHASE, seed=2)
-    assert res.fallback_taken
-    assert validate_coloring(s, res, palettes=[e.colors for e in s.arrivals]) == []
+        warnings.simplefilter("ignore")  # lists below the size guard
+        return list_color(s, profile, seed=seed)
+
+
+def test_fallback_colors_from_the_lists():
+    # with the lists {1000..1025} the tail runs out of colors once, and that
+    # edge overflows to a free color of its own list; with {1000..1022} an
+    # edge later finds its whole list taken at its endpoints
+    g = gen_regular(30, 20, seed=2)
+    s = _listed(g, tuple(range(1000, 1026)))
+    with pytest.raises(TailFailure):
+        _quiet_list_color(s, MULTIPHASE.replace(fallback_on_tail_failure=False), seed=2)
+    res = _quiet_list_color(s, MULTIPHASE, seed=2)
+    assert res.fallback_taken and len(res.overflows) == res.stage.count("overflow") == 1
+    assert validate_coloring(s, res, palettes=s.palettes) == []
+    with pytest.raises(TailFailure) as err:
+        _quiet_list_color(_listed(g, tuple(range(1000, 1023))), MULTIPHASE, seed=2)
+    assert err.value.time == 246
+
+
+def test_overflow_into_a_bank_color_stays_proper():
+    # every palette is {1000..1023}: the first overflow takes a color of an
+    # active phase's class, which that phase's bank must then never give to
+    # a later edge at either endpoint
+    s = _listed(gen_regular(30, 20, seed=6), tuple(range(1000, 1024)))
+    res = _quiet_list_color(s, MULTIPHASE, seed=6)
+    first = res.overflows[0]
+    assert res.partition_assignment[res.colors[first["time"] - 1]] < res.schedule.f
+    assert validate_coloring(s, res, palettes=s.palettes) == []
+    assert res.report(MULTIPHASE)["overflow"] == {"count": len(res.overflows), "first": first}
+    assert res.tail.entered - res.tail.colored == len(res.overflows)
+
+
+def _prefix(s, k):
+    return make_stream(s.n, s.delta_bound, zip(s.u[:k], s.v[:k]),
+                       lists=None if s.palettes is None else s.palettes[:k])
+
+
+@pytest.mark.parametrize("mode", ["plain", "list"])
+def test_overflow_keeps_the_run_online(mode):
+    # a run on the k-prefix of a stream colors it as the full run colors its
+    # first k arrivals, for k just before and at the first overflow: no later
+    # arrival changes an earlier color.  Local mode is left out: its palettes
+    # come from the final degrees.
+    if mode == "plain":
+        s = gen_regular(400, 100, seed=0)
+
+        def color(st):
+            return plain_color(st, 100, MULTIPHASE, seed=0)
+    else:
+        s = _listed(gen_regular(30, 20, seed=6), tuple(range(1000, 1024)))
+
+        def color(st):
+            return _quiet_list_color(st, MULTIPHASE, seed=6)
+    full = color(s)
+    assert full.overflows and len(full.per_phase) == full.schedule.f >= 1
+    t = full.overflows[0]["time"]
+    for k in (t - 1, t, s.m):
+        res = color(_prefix(s, k))
+        assert res.colors == full.colors[:k], k
+        assert res.report(MULTIPHASE)["overflow"]["count"] == full.stage[:k].count("overflow")
 
 
 def test_fallback_never_leaves_the_lists():
