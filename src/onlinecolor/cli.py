@@ -197,6 +197,7 @@ def cmd_oracle(args) -> int:
             "expected": [float(x) for x in res.expected],
             "leaf_total": float(res.leaf_total),
             "branches": res.branches,
+            "components": res.components,
             "max_conditional_drift": drift,
         }
         _write(args, json.dumps(payload, indent=2))

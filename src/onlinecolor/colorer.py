@@ -16,7 +16,8 @@ The schedule (Δ = d_0 > d_1 > ... and the slack sequence a_i) controls the
 phase count f, the sublist sizes lambda_i = d_i^(2/3) ln^(1/3) n, and the
 per-phase slacks q_i.  Two recurrences for d_{i+1} are provided: the
 analyzed one (whose correction terms dominate outside the asymptotic regime,
-making it non-decreasing -- a loud error at desk scale) and the achieved
+making it non-decreasing -- a loud error at desk scale, raised at the first
+step that lowers d by less than 1) and the achieved
 one, d_{i+1} = d_i - ceil(0.9 lambda_i).  The schedule is computed with
 the standard library's ``decimal`` at 50 digits, so that e.g. d_0 = 10^30
 still registers its first decrement; ``DegreeSchedule`` is the only code
@@ -93,8 +94,9 @@ class TailFailure(Exception):
     the pipeline's tail where no overflow is allowed, its overflow (the
     edge's whole palette is taken at the endpoints), or greedy_color."""
 
-    def __init__(self, time: int, u: int, v: int):
-        super().__init__(f"t={time}: no tail color available for edge ({u},{v})")
+    def __init__(self, time: int, u: int, v: int, overflowed: bool = False):
+        clause = ", and its whole palette is taken at the endpoints" if overflowed else ""
+        super().__init__(f"t={time}: no tail color available for edge ({u},{v}){clause}")
         self.time, self.u, self.v = time, u, v
 
 
@@ -221,6 +223,14 @@ def degree_schedule(
         while True:
             active = d[-1] >= stop
             li, qi, dn = _step(d[-1], ln_n, cbrt_ln_n, c_q, analyzed and active)
+            if analyzed and active and d[-1] - dn < 1:
+                # the steps shrink toward the recurrence's fixed point, where
+                # it turns non-decreasing; stop at the first one below 1
+                raise ScheduleError(
+                    f"analyzed recurrence stalls at d={float(d[-1]):.6g}: its step lowers d by "
+                    f"{float(d[-1] - dn):.3g} < 1 (correction terms dominate outside the "
+                    "asymptotic regime); use the achieved recurrence"
+                )
             lam.append(li)
             q.append(qi)
             d.append(dn)
@@ -613,6 +623,12 @@ class ColoringResult:
     def colors_used(self) -> int:
         return len({c for c in self.colors if c is not None})
 
+    def _overflow_block(self) -> dict:
+        """The overflow edges: their count, the first, and the colors they took."""
+        taken = {self.colors[o["time"] - 1] for o in self.overflows}
+        return {"count": len(self.overflows), "first": next(iter(self.overflows), None),
+                "distinct_colors": len(taken), "max_color": max(taken, default=None)}
+
     def report(self, profile: ConstantsProfile) -> dict:
         return {
             "profile": profile.as_dict(),
@@ -620,7 +636,7 @@ class ColoringResult:
             "colors_used": self.colors_used,
             "max_color": self.max_color,
             "fallback_taken": self.fallback_taken,
-            "overflow": {"count": len(self.overflows), "first": next(iter(self.overflows), None)},
+            "overflow": self._overflow_block(),
             "budget": self.budget,
             "seed": self.seed,
             "list_ledger_violations": self.list_ledger_violations,
@@ -768,7 +784,7 @@ def run_generic(
                 if profile.fallback_on_tail_failure:
                     got = _smallest_free(palette, used[u] | used[v], slots)
                 if got is None:
-                    raise TailFailure(idx + 1, u, v)
+                    raise TailFailure(idx + 1, u, v, profile.fallback_on_tail_failure)
                 stage_out[idx] = "overflow"
                 overflows.append({"time": idx + 1, "u": u, "v": v})
                 bank = reducers.get(partition.phase_of(got))

@@ -639,4 +639,5 @@ def verify_stream(
     else:
         out["leaf_total"] = float(oracle.leaf_total)
         out["branches"] = oracle.branches
+        out["components"] = oracle.components
     return out

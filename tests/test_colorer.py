@@ -87,6 +87,23 @@ def test_analyzed_recurrence_errors_at_desk_scale():
         degree_schedule(200, 2000, PRACTICAL.replace(degree_recurrence="analyzed", c_stop=10.0))
 
 
+def test_analyzed_recurrence_fails_at_its_first_stalled_step(monkeypatch):
+    # from d0 = 10^5 the practical constants' steps shrink toward the
+    # recurrence's fixed point; the schedule raises at the first step below 1,
+    # about 350 steps in, where it used to walk 5,351 steps to a
+    # non-decreasing one
+    prof = PRACTICAL.replace(degree_recurrence="analyzed")
+    seen = []
+    real = colorer._step
+    monkeypatch.setattr(colorer, "_step", lambda d, *rest: seen.append(d) or real(d, *rest))
+    with pytest.raises(ScheduleError, match="stalls at d=") as err:
+        degree_schedule(10**5, 10**6, prof)
+    d = seen[-1]
+    assert f"d={float(d):.6g}:" in str(err.value)
+    assert seen[-2] - d >= 1 > d - recurrence_step(d, 10**6, prof)
+    assert len(seen) < 1000
+
+
 def test_schedule_domain_errors():
     with pytest.raises(ScheduleError):
         degree_schedule(0, 100, PRACTICAL)
@@ -594,8 +611,45 @@ def test_overflow_into_a_bank_color_stays_proper():
     first = res.overflows[0]
     assert res.partition_assignment[res.colors[first["time"] - 1]] < res.schedule.f
     assert validate_coloring(s, res, palettes=s.palettes) == []
-    assert res.report(MULTIPHASE)["overflow"] == {"count": len(res.overflows), "first": first}
+    block = res.report(MULTIPHASE)["overflow"]
+    assert (block["count"], block["first"]) == (len(res.overflows), first)
     assert res.tail.entered - res.tail.colored == len(res.overflows)
+
+
+@pytest.mark.parametrize("mode", ["plain", "list"])
+def test_overflow_block_reports_its_colors(mode):
+    # plain: 122 overflows into 9 colors just above the tail class {1..36};
+    # list: one overflow into a bank color
+    if mode == "plain":
+        res = plain_color(gen_regular(400, 100, seed=0), 100, MULTIPHASE, seed=0)
+    else:
+        s = _listed(gen_regular(30, 20, seed=6), tuple(range(1000, 1024)))
+        res = _quiet_list_color(s, MULTIPHASE, seed=6)
+    taken = [c for c, st in zip(res.colors, res.stage) if st == "overflow"]
+    block = res.report(MULTIPHASE)["overflow"]
+    assert block["count"] == len(taken) >= 1
+    assert (block["distinct_colors"], block["max_color"]) == (len(set(taken)), max(taken))
+
+
+def test_overflow_block_without_overflow():
+    quiet = plain_color(path(4), 2, PRACTICAL, seed=0).report(PRACTICAL)["overflow"]
+    assert quiet == {"count": 0, "first": None, "distinct_colors": 0, "max_color": None}
+
+
+def test_tail_failure_says_which_failure_happened():
+    # an edge that overflowed and found its whole palette taken says so; a
+    # tail miss with no overflow allowed does not
+    g = gen_regular(30, 20, seed=2)
+    with pytest.raises(TailFailure) as err:
+        _quiet_list_color(_listed(g, tuple(range(1000, 1023))), MULTIPHASE, seed=2)
+    assert err.value.time == 246
+    assert str(err.value).endswith(", and its whole palette is taken at the endpoints")
+    assert "no tail color" in str(err.value)
+    strict = MULTIPHASE.replace(fallback_on_tail_failure=False)
+    with pytest.raises(TailFailure) as err:
+        _quiet_list_color(_listed(g, tuple(range(1000, 1026))), strict, seed=2)
+    e = err.value
+    assert str(e) == f"t={e.time}: no tail color available for edge ({e.u},{e.v})"
 
 
 def _prefix(s, k):

@@ -483,6 +483,7 @@ def test_verify_stream_clean():
     out = verify_stream(tri, MatcherConfig(delta=2, q=1), trials=4000, master_seed=11)
     assert out["violations"] == []
     assert math.isclose(out["leaf_total"], 1.0, rel_tol=1e-12)
+    assert (out["branches"], out["components"]) == (9, 1)
     freqs = [r["frequency"] for r in out["edges"]]
     assert freqs[2] == 0.0
 

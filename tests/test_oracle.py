@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import path, random_simple_graph, triangle
 from onlinecolor import oracle
-from onlinecolor.matcher import MODE_NATURAL, MatcherConfig, run_fast
+from onlinecolor.matcher import MODE_NATURAL, MatcherConfig, MatcherState, run_fast
 from onlinecolor.oracle import (
     OracleLimitError,
     exact_colored_marginals,
     exact_marginals,
 )
-from onlinecolor.rounder import config_for_loss
+from onlinecolor.rounder import RoundingError, config_for_loss
 from onlinecolor.seeding import rng_for
 from onlinecolor.stream import make_stream, reorder
 
@@ -109,6 +109,47 @@ def test_branch_limit_trips_at_the_last_branch():
     assert exact_colored_marginals(listed, 3, 1.0, branch_limit=col.branches) == col
     with pytest.raises(OracleLimitError):
         exact_colored_marginals(listed, 3, 1.0, branch_limit=col.branches - 1)
+
+
+def test_branch_limit_counts_every_component():
+    # a triangle, then a disjoint path: each component is walked on its own,
+    # and the limit trips inside the path's walk, at the summed count
+    edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)]
+    cfg = MatcherConfig(delta=2, q=1.0)
+    first = exact_marginals(triangle(), cfg).branches
+    res = exact_marginals(make_stream(7, 2, edges), cfg)
+    assert res.components == 2 and first < res.branches - 1
+    assert exact_marginals(make_stream(7, 2, edges), cfg, branch_limit=res.branches) == res
+    with pytest.raises(OracleLimitError, match=f"branch limit {res.branches - 1} exceeded"):
+        exact_marginals(make_stream(7, 2, edges), cfg, branch_limit=res.branches - 1)
+    listed = make_stream(7, 2, edges, lists=[(1, 2)] * len(edges))
+    first = exact_colored_marginals(make_stream(3, 2, edges[:3], lists=[(1, 2)] * 3), 2, 1.0).branches
+    col = exact_colored_marginals(listed, 2, 1.0)
+    assert col.components == 2 and first < col.branches - 1
+    assert exact_colored_marginals(listed, 2, 1.0, branch_limit=col.branches) == col
+    with pytest.raises(OracleLimitError, match=f"branch limit {col.branches - 1} exceeded"):
+        exact_colored_marginals(listed, 2, 1.0, branch_limit=col.branches - 1)
+
+
+def test_a_matching_walks_each_edge_on_its_own(monkeypatch):
+    # 20 disjoint edges on 10^6 vertices: 20 walks of a root and two leaves,
+    # each on a 2-vertex state, where the product tree has 2^21 - 1 nodes
+    sizes = []
+    monkeypatch.setattr(MatcherConfig, "state",
+                        lambda self, n, exact=False: sizes.append(n) or MatcherState(n, self, exact))
+    s = make_stream(10**6, 1, [(2 * i, 2 * i + 1) for i in range(20)])
+    res = exact_marginals(s, MatcherConfig(delta=2, q=1.0))
+    assert (res.branches, res.components) == (60, 20)
+    assert res.marginal == res.conditional_sum == [1.0 / (2 + 1.0)] * 20
+    assert res.leaf_total == 1.0
+    assert sizes == [0] + [2] * 20  # the numerator probe, then one state per edge
+
+
+def test_a_bad_value_is_named_by_its_arrival_time():
+    # the second arrival is alone in its component, and still named arrival 2
+    s = make_stream(4, 1, [(0, 1), (2, 3)], xs=[0.1, 0.4])
+    with pytest.raises(RoundingError, match="arrival 2: x=0.4 exceeds eps=0.3"):
+        exact_marginals(s, config_for_loss(0.3, 0.1))
 
 
 def _independent_marginals(stream, delta, q):
@@ -256,8 +297,8 @@ def _reference_marginals(stream, config, exact):
 
 
 def _reference_colored(stream, delta, q, exact):
-    """exact_colored_marginals with every color's state copied on each
-    matched branch; returns (per_color, colored, per_color_matched, branches)."""
+    """exact_colored_marginals' joint walk with every color's state copied on
+    each matched branch; returns (per_color, colored, branches)."""
     config = MatcherConfig(delta=delta, q=q)
     acc = oracle._Plain if exact else oracle._Kahan
     per_color = [dict() for _ in range(stream.m)]
@@ -291,15 +332,73 @@ def _reference_colored(stream, delta, q, exact):
         stack.append((taken, t, ci + 1, True, prob * p_hat))
         st_.apply(e.u, e.v, p_hat, False)
         stack.append((states, t, ci + 1, edge_colored, prob * (1 - p_hat)))
-    standalone = {}
-    for c in sorted({c for e in stream.arrivals for c in e.colors}):
-        idx = [i for i, e in enumerate(stream.arrivals) if c in e.colors]
-        sub = make_stream(stream.n, stream.delta_bound,
-                          [(stream.arrivals[i].u, stream.arrivals[i].v) for i in idx])
-        marginal = _reference_marginals(sub, config, exact)[0]
-        standalone[c] = dict(zip(idx, marginal))
     return ([{c: a.total for c, a in d.items()} for d in per_color],
-            [a.total for a in colored], standalone, branches)
+            [a.total for a in colored], branches)
+
+
+def _split_streams(stream):
+    """The stream's connected components, found by breadth-first search over
+    an adjacency map, in order of their first arrival: per component, its
+    arrival indices and its sub-stream on densely relabelled vertices."""
+    adj = {}
+    for u, v in zip(stream.u, stream.v):
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    comp = {}  # vertex -> component number, numbered by first arrival
+    for w in stream.u:
+        if w in comp:
+            continue
+        cid = comp[w] = len(set(comp.values()))
+        frontier = [w]
+        while frontier:
+            reached = []
+            for x in frontier:
+                for y in adj[x]:
+                    if y not in comp:
+                        comp[y] = cid
+                        reached.append(y)
+            frontier = reached
+    groups = {}
+    for i, u in enumerate(stream.u):
+        groups.setdefault(comp[u], []).append(i)
+    parts = []
+    for cid in sorted(groups):
+        idx = groups[cid]
+        label = {}
+        edges = [(label.setdefault(stream.u[i], len(label)), label.setdefault(stream.v[i], len(label)))
+                 for i in idx]
+        xs = None if stream.x is None else [stream.x[i] for i in idx]
+        lists = None if stream.palettes is None else [stream.palettes[i] for i in idx]
+        parts.append((idx, make_stream(len(label), stream.delta_bound, edges, xs=xs, lists=lists)))
+    return parts
+
+
+def _reference_split(stream, config, exact):
+    """_reference_marginals on each component of the stream, scattered back:
+    (marginal, conditional sum, product of leaf totals, summed branches,
+    components)."""
+    marginal = [None] * stream.m
+    cond = [None] * stream.m
+    leaf = Fraction(1) if exact else 1.0
+    branches = 0
+    parts = _split_streams(stream)
+    for idx, sub in parts:
+        mg, cs, lf, br = _reference_marginals(sub, config, exact)
+        for i, a, b in zip(idx, mg, cs):
+            marginal[i], cond[i] = a, b
+        leaf *= lf
+        branches += br
+    return marginal, cond, leaf, branches, len(parts)
+
+
+def _reference_standalone(stream, config, exact):
+    """Per color: the split reference marginals of that color's sub-stream."""
+    out = {}
+    for c in sorted({c for p in stream.palettes for c in p}):
+        idx = [i for i, p in enumerate(stream.palettes) if c in p]
+        sub = make_stream(stream.n, stream.delta_bound, [(stream.u[i], stream.v[i]) for i in idx])
+        out[c] = dict(zip(idx, _reference_split(sub, config, exact)[0]))
+    return out
 
 
 @st.composite
@@ -333,8 +432,11 @@ def _oracle_cases(draw):
 def test_walk_matches_clone_reference(case):
     stream, config, exact = case
     res = exact_marginals(stream, config, exact=exact)
-    assert (res.marginal, res.conditional_sum, res.leaf_total, res.branches) == \
-        _reference_marginals(stream, config, exact)
+    assert (res.marginal, res.conditional_sum, res.leaf_total, res.branches, res.components) == \
+        _reference_split(stream, config, exact)
+    if exact:  # rational values do not depend on the split
+        assert (res.marginal, res.conditional_sum, res.leaf_total) == \
+            _reference_marginals(stream, config, exact)[:3]
 
 
 @st.composite
@@ -351,7 +453,21 @@ def _colored_cases(draw):
 def test_colored_walk_matches_clone_reference(case):
     stream, q, exact = case
     res = exact_colored_marginals(stream, stream.delta_bound, q, exact=exact)
-    per_color, colored, standalone, branches = _reference_colored(stream, stream.delta_bound, q, exact)
+    per_color = [None] * stream.m
+    colored = [None] * stream.m
+    branches = 0
+    parts = _split_streams(stream)
+    for idx, sub in parts:
+        pc, col, br = _reference_colored(sub, stream.delta_bound, q, exact)
+        for i, a, b in zip(idx, pc, col):
+            per_color[i], colored[i] = a, b
+        branches += br
     # key order too: it is the order in which the walk first reached each color
     assert [list(d.items()) for d in res.per_color] == [list(d.items()) for d in per_color]
-    assert (res.colored, res.per_color_matched, res.branches) == (colored, standalone, branches)
+    standalone = _reference_standalone(stream, MatcherConfig(delta=stream.delta_bound, q=q), exact)
+    assert (res.colored, res.per_color_matched, res.branches, res.components) == \
+        (colored, standalone, branches, len(parts))
+    if exact:  # rational values do not depend on the split
+        whole = _reference_colored(stream, stream.delta_bound, q, exact)
+        assert [list(d.items()) for d in res.per_color] == [list(d.items()) for d in whole[0]]
+        assert res.colored == whole[1]
