@@ -281,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_color)
 
     o = sub.add_parser("oracle", help="exact marginals by branch enumeration")
-    o.add_argument("--exact", action="store_true", help="rational arithmetic (m <= 12)")
+    o.add_argument("--exact", action="store_true",
+                   help="rational arithmetic (at most 12 edges per component)")
     _options(o, "--stream", "--profile", "--out", "--q", "--epsilon", "--c-round")
     o.set_defaults(func=cmd_oracle)
 

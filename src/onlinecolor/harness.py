@@ -189,9 +189,8 @@ def mc_marginals(
             min_f = min(min_f, min(F, default=1.0))
             gate_fires += sum(tr.gate_fired for tr in traces)
             overflow += sum(tr.overflow for tr in traces)
-        for i, flag in enumerate(got):
-            if flag:
-                hits[i] += 1
+        for i in itertools.compress(range(m), got):
+            hits[i] += 1
         if t < AUDIT_TRIALS:
             if greedy:
                 matching = [(u, v) for u, v, hit in zip(us, vs, got) if hit]

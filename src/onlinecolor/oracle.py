@@ -13,26 +13,34 @@ naive 2^m bound on gate-heavy instances.  Enumerating it yields, per edge,
     and every arrival order -- the strongest correctness check this package
     has.
 
-Both enumerators walk the tree depth-first on one live engine state (one per
-color for the bank): each step saves F at both endpoints, applies the
-unmatched outcome and descends; at a leaf the walk pops its last open split,
-rewinds the state with undo to that arrival and applies the matched outcome.
-So every node comes before its unmatched subtree, and that subtree before
-the matched one.  The order fixes the Kahan sums and each per-color dict's
-key order.  The walk keeps an explicit stack of open splits, not recursion:
-the bank's depth is m times the palette size.  A natural-mode step clamped
-to P_hat = 1 has only its matched child: the unmatched one has probability 0
-and would leave F = 0 at two free vertices.
+One walker, ``_walk``, serves every oracle.  It runs over a flat list of
+steps (arrival, color, state, u, v, x).  A matcher or rounder run has one
+step per arrival, all on one state, with color None.  The per-color bank
+has one step per (arrival, palette color), each color on its own matcher;
+an edge takes the first color whose matcher matched it, so once the path
+has matched an arrival (``won``), its later colors no longer count.  The
+walk is depth-first on the live states: each step saves F at both
+endpoints, applies the unmatched outcome and descends; at a leaf the walk
+pops its last open split, rewinds the states with undo to that step and
+applies the matched outcome.  So every node comes before its unmatched
+subtree, and that subtree before the matched one.  The order fixes the
+Kahan sums and each per-color dict's key order.  The walk keeps an
+explicit stack of open splits, not recursion: the bank's depth is m times
+the palette size.  A natural-mode step clamped to P_hat = 1 has only its
+matched child: the unmatched one has probability 0 and would leave F = 0
+at two free vertices.  ``branches`` counts the nodes: one per step on each
+path plus one per leaf, in both oracles.
 
 The engine keeps its state per vertex, so arrivals in different connected
 components of the stream never touch each other's state: the tree is the
-product of the components' trees.  Every walk therefore runs on each
-component on its own (``_components``), on a fresh state sized to the
-component's vertices, and its results are scattered back by arrival index.
+product of the components' trees.  The walker therefore runs on each
+component on its own (``_components``), on fresh states sized to the
+component's vertices, and adds into the results by arrival index.
 ``branches`` is the sum of the components' node counts, not the size of
 the product tree; ``leaf_total`` is the product of their leaf totals; the
-branch limit applies to the summed count.  The bank's joint walk splits by
-the components of the listed graph over all colors, and each color's
+branch limit applies to the summed count, and the edge limit of
+``exact_marginals`` to the largest component.  The bank's joint walk splits
+by the components of the listed graph over all colors, and each color's
 standalone walk by the components of that color's sub-stream.  Split this
 way, a 20-edge matching takes 60 branches where the product tree has 2^21 - 1
 nodes.  Rational results equal the full-tree walk's exactly; float
@@ -51,11 +59,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matcher import MatcherConfig, MatcherState, MultiplicativeState
+from .matcher import MatcherConfig
 from .rounder import RoundingConfig
 from .stream import ArrivalStream
 
 DEFAULT_EDGE_LIMIT = 20
+EXACT_EDGE_LIMIT = 12
 DEFAULT_BRANCH_LIMIT = 1 << 22
 
 
@@ -93,7 +102,7 @@ class OracleResult:
     conditional_sum: list  # per edge: sum over branches of prob * P
     expected: list  # the target the conditional sum must hit
     leaf_total: object  # product over components of their leaf sums; 1 up to fp error
-    branches: int  # summed over components
+    branches: int  # steps and leaves, summed over components
     components: int  # connected components walked
 
     CSV_HEADER = "time,u,v,exact_marginal,conditional_sum,expected_value"
@@ -106,54 +115,51 @@ class OracleResult:
         return rows
 
 
-def _enumerate(state: MultiplicativeState, us, vs, xs, branch_limit: int):
-    """The walk over arrivals (us[t], vs[t]) with fractional values xs[t]."""
-    m = len(us)
-    acc = _Plain if state.exact else _Kahan
-    marginal = [acc() for _ in range(m)]
-    cond = [acc() for _ in range(m)]
+def _walk(steps, acc, per_color, colored, cond, branches: int, branch_limit: int):
+    """The branch tree of ``steps``, a list of (arrival index, color, state,
+    u, v, x) in the order a run takes them.  Adds each node's mass into the
+    per-arrival accumulators per_color (color -> acc), colored and cond;
+    returns (leaf total, branches counted on from ``branches``)."""
     leaf = acc()
-    prob = Fraction(1) if state.exact else 1.0
-    F = state.F
-    proposal, apply, undo = state.proposal, state.apply, state.undo
-    trail = []  # undo record (u, v, F(u), F(v), matched) of each arrival on the path
-    splits = []  # (arrival, p_hat, probability) of each matched child still to visit
-    branches = 0
+    prob = Fraction(1) if acc is _Plain else 1.0
+    trail = []  # undo record (state, u, v, F(u), F(v), matched) of each step on the path
+    splits = []  # (step, p_hat, probability) of each matched child still to visit
+    j = 0  # the next step
+    won = None  # the arrival the path last matched
     while True:
         branches += 1
         if branches > branch_limit:
             raise OracleLimitError(f"branch limit {branch_limit} exceeded")
-        t = state.t
-        if t < m:
-            u, v = us[t], vs[t]
-            p, p_hat, _, _ = proposal(u, v, xs[t])
-            cond[t].add(prob * p)
+        if j < len(steps):
+            i, c, st, u, v, x = steps[j]
+            p, p_hat, _, _ = st.proposal(u, v, x)
+            cond[i].add(prob * p)
             matched = False
             if p_hat:
-                marginal[t].add(prob * p_hat)
+                take = prob * p_hat
+                if won != i:  # the first color to match the arrival wins it
+                    per_color[i].setdefault(c, acc()).add(take)
+                    colored[i].add(take)
                 if p_hat == 1:  # the unmatched child has probability 0
-                    matched = True
+                    matched, won = True, i
                 else:
-                    splits.append((t, p_hat, prob * p_hat))
+                    splits.append((j, p_hat, take))
                     prob = prob * (1 - p_hat)
-            trail.append((u, v, F[u], F[v], matched))
-            apply(u, v, p_hat, matched)
+            trail.append((st, u, v, st.F[u], st.F[v], matched))
+            st.apply(u, v, p_hat, matched)
+            j += 1
             continue
         leaf.add(prob)
         if not splits:
-            break
-        t, p_hat, prob = splits.pop()
-        while state.t > t:
-            undo(*trail.pop())
-        u, v = us[t], vs[t]
-        trail.append((u, v, F[u], F[v], True))
-        apply(u, v, p_hat, True)
-    return (
-        [a.total for a in marginal],
-        [a.total for a in cond],
-        leaf.total,
-        branches,
-    )
+            return leaf.total, branches
+        j, p_hat, prob = splits.pop()
+        while len(trail) > j:
+            st, u, v, fu, fv, matched = trail.pop()
+            st.undo(u, v, fu, fv, matched)
+        won, _, st, u, v, _ = steps[j]  # the matched child wins its arrival
+        trail.append((st, u, v, st.F[u], st.F[v], True))
+        st.apply(u, v, p_hat, True)
+        j += 1
 
 
 def _components(us, vs):
@@ -175,46 +181,36 @@ def _components(us, vs):
     groups: dict[int, list[int]] = {}
     for i, u in enumerate(us):
         groups.setdefault(root(u), []).append(i)
+    parts = []
     for idx in groups.values():
         label: dict[int, int] = {}
         cu = [label.setdefault(us[i], len(label)) for i in idx]
         cv = [label.setdefault(vs[i], len(label)) for i in idx]
-        yield idx, cu, cv, len(label)
+        parts.append((idx, cu, cv, len(label)))
+    return parts
 
 
-def _over_components(us, vs, branch_limit: int, walk):
-    """Runs walk(idx, cu, cv, k, budget) on each component of ``_components``
-    with the branch budget the earlier ones left, and yields (idx, result);
-    the walk's branch count must be the last item of its result.  A walk
-    that runs out of budget raises OracleLimitError naming the whole limit."""
-    used = 0
-    for idx, cu, cv, k in _components(us, vs):
-        try:
-            res = walk(idx, cu, cv, k, branch_limit - used)
-        except OracleLimitError:
-            raise OracleLimitError(f"branch limit {branch_limit} exceeded") from None
-        used += res[-1]
-        yield idx, res
-
-
-def _split_enumerate(config, exact: bool, us, vs, xs, branch_limit: int):
-    """``_enumerate`` on each connected component of the arrivals (us, vs, xs):
-    (marginal, conditional sum, leaf total, branches, components)."""
-    marginal = [None] * len(us)
-    cond = [None] * len(us)
+def _walk_components(parts, config, exact: bool, palettes, xs, branch_limit: int):
+    """``_walk`` on each component (idx, cu, cv, k) of ``parts``: one step per
+    arrival i of idx and color of palettes[i], each color on its own
+    config.state(k), and xs[i] its value.  Returns, per arrival, (color ->
+    probability, Pr[matched in any color], conditional sum), then the product
+    of the leaf totals, the summed branches and the component count."""
+    acc = _Plain if exact else _Kahan
+    per_color = [{} for _ in xs]
+    colored = [acc() for _ in xs]
+    cond = [acc() for _ in xs]
     leaf = Fraction(1) if exact else 1.0
-    branches = components = 0
-
-    def walk(idx, cu, cv, k, budget):
-        return _enumerate(config.state(k, exact), cu, cv, [xs[i] for i in idx], budget)
-
-    for idx, (mg, cs, lf, br) in _over_components(us, vs, branch_limit, walk):
-        for i, a, b in zip(idx, mg, cs):
-            marginal[i], cond[i] = a, b
-        leaf *= lf
-        branches += br
-        components += 1
-    return marginal, cond, leaf, branches, components
+    branches = 0
+    for idx, cu, cv, k in parts:
+        colors = {c for i in idx for c in palettes[i] or ()}
+        states = {c: config.state(k, exact) for c in colors}
+        steps = [(i, c, states[c], u, v, xs[i])
+                 for i, u, v in zip(idx, cu, cv) for c in palettes[i] or ()]
+        total, branches = _walk(steps, acc, per_color, colored, cond, branches, branch_limit)
+        leaf *= total
+    return ([{c: a.total for c, a in d.items()} for d in per_color],
+            [a.total for a in colored], [a.total for a in cond], leaf, branches, len(parts))
 
 
 def exact_marginals(
@@ -227,11 +223,15 @@ def exact_marginals(
     """Exact per-edge marginals and conditional sums for a matcher or rounder run.
 
     The conditional sums must hit the engine's numerator: 1/(D+q) for the
-    matcher, x_e*(1-s) for the rounder."""
-    if stream.m > max_edges:
-        raise OracleLimitError(f"instance too large: m={stream.m} > {max_edges}")
-    if exact and stream.m > 12:
-        raise OracleLimitError("rational mode is limited to m <= 12")
+    matcher, x_e*(1-s) for the rounder.  The edge limits (max_edges, and
+    EXACT_EDGE_LIMIT in rational mode) apply to the largest component."""
+    parts = _components(stream.u, stream.v)
+    largest = max((len(idx) for idx, _, _, _ in parts), default=0)
+    if largest > max_edges:
+        raise OracleLimitError(f"instance too large: a component has {largest} > {max_edges} edges")
+    if exact and largest > EXACT_EDGE_LIMIT:
+        raise OracleLimitError(
+            f"rational mode is limited to {EXACT_EDGE_LIMIT} edges per component, not {largest}")
     xs = (None,) * stream.m if stream.x is None else stream.x
     # the targets are the engine's own numerators, taken in arrival order
     # before the walk, so that a bad arrival fails under its own time and
@@ -241,8 +241,8 @@ def exact_marginals(
     for x in xs:
         expected.append(probe.numerator(x))
         probe.t += 1
-    marginal, cond, leaf, branches, components = _split_enumerate(
-        config, exact, stream.u, stream.v, xs, branch_limit)
+    _, marginal, cond, leaf, branches, components = _walk_components(
+        parts, config, exact, ((None,),) * stream.m, xs, branch_limit)
     return OracleResult(
         marginal=marginal,
         conditional_sum=cond,
@@ -262,69 +262,8 @@ class ColoredOracleResult:
     per_color: list[dict]  # per edge: color -> Pr[e takes that color]
     colored: list  # per edge: Pr[e gets any color]
     per_color_matched: dict  # color -> per-edge marginal in that color's own process
-    branches: int  # of the joint walk, summed over components
+    branches: int  # steps and leaves of the joint walk, summed over components
     components: int  # connected components of the listed graph, over all colors
-
-
-def _enumerate_colored(n: int, us, vs, palettes, config: MatcherConfig, exact: bool,
-                       branch_limit: int):
-    """The bank's joint walk over arrivals (us[t], vs[t]) with their palettes:
-    (per edge color -> probability, per edge Pr[colored], branches)."""
-    m = len(us)
-    acc = _Plain if exact else _Kahan
-    per_color = [dict() for _ in range(m)]
-    colored = [acc() for _ in range(m)]
-    prob = Fraction(1) if exact else 1.0
-    # one live matcher per color, made on first use; backtracking past that
-    # use rewinds it to fresh
-    states: dict[int, MatcherState] = {}
-    trail = []  # undo record (state, u, v, F(u), F(v), matched) of each step on the path
-    splits = []  # (trail length, arrival, palette index, p_hat, probability) per matched child
-    t = ci = 0  # the next step: arrival t in its ci-th palette color
-    edge_colored = False
-    branches = 0
-    while True:
-        branches += 1
-        if branches > branch_limit:
-            raise OracleLimitError(f"branch limit {branch_limit} exceeded")
-        if t < m:
-            palette = palettes[t] or ()
-            if ci == len(palette):
-                t, ci, edge_colored = t + 1, 0, False
-                continue
-            c = palette[ci]
-            st = states.get(c)
-            if st is None:
-                st = states[c] = MatcherState(n, config, exact=exact)
-            u, v = us[t], vs[t]
-            p, p_hat, _, _ = st.proposal(u, v)
-            if p_hat:
-                p_take = prob * p_hat
-                if not edge_colored:
-                    per_color[t].setdefault(c, acc()).add(p_take)
-                    colored[t].add(p_take)
-                splits.append((len(trail), t, ci, p_hat, p_take))
-                prob = prob * (1 - p_hat)
-            F = st.F
-            trail.append((st, u, v, F[u], F[v], False))
-            st.apply(u, v, p_hat, False)
-            ci += 1
-            continue
-        if not splits:
-            break
-        mark, t, ci, p_hat, prob = splits.pop()
-        while len(trail) > mark:
-            st, u, v, fu, fv, matched = trail.pop()
-            st.undo(u, v, fu, fv, matched)
-        u, v = us[t], vs[t]
-        st = states[palettes[t][ci]]
-        F = st.F
-        trail.append((st, u, v, F[u], F[v], True))
-        st.apply(u, v, p_hat, True)
-        ci += 1
-        edge_colored = True
-    return ([{c: a.total for c, a in slots.items()} for slots in per_color],
-            [a.total for a in colored], branches)
 
 
 def exact_colored_marginals(
@@ -345,20 +284,10 @@ def exact_colored_marginals(
     """
     if not stream.has_lists:
         raise OracleLimitError("colored oracle needs a listed stream")
-    palettes = stream.palettes
     config = MatcherConfig(delta=delta, q=q)
-    per_color = [None] * stream.m
-    colored = [None] * stream.m
-    branches = components = 0
-
-    def walk(idx, cu, cv, k, budget):
-        return _enumerate_colored(k, cu, cv, [palettes[i] for i in idx], config, exact, budget)
-
-    for idx, (pc, col, br) in _over_components(stream.u, stream.v, branch_limit, walk):
-        for i, a, b in zip(idx, pc, col):
-            per_color[i], colored[i] = a, b
-        branches += br
-        components += 1
+    per_color, colored, _, _, branches, components = _walk_components(
+        _components(stream.u, stream.v), config, exact, stream.palettes, (None,) * stream.m,
+        branch_limit)
     return ColoredOracleResult(
         per_color=per_color,
         colored=colored,
@@ -378,8 +307,8 @@ def _standalone_color_marginals(
     out = {}
     for c in colors:
         idx = [i for i, p in enumerate(palettes) if c in p]
-        us = [stream.u[i] for i in idx]
-        vs = [stream.v[i] for i in idx]
-        marginal = _split_enumerate(config, exact, us, vs, (None,) * len(idx), branch_limit)[0]
+        parts = _components([stream.u[i] for i in idx], [stream.v[i] for i in idx])
+        marginal = _walk_components(parts, config, exact, ((None,),) * len(idx),
+                                    (None,) * len(idx), branch_limit)[1]
         out[c] = dict(zip(idx, marginal))
     return out

@@ -116,6 +116,41 @@ def test_oracle_cli_reports_components(tmp_path, capsys):
     assert payload["marginals"] == [1 / 3, 1 / 3, 1 / 3]
 
 
+def _csv_columns(out):
+    header, *rows = out.splitlines()
+    return header.split(","), [row.split(",") for row in rows]
+
+
+def test_oracle_and_mc_csv_match_their_json(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text("n=5 dmax=2\ne 0 1\ne 1 2\ne 0 2\ne 3 4\n")
+    code, out = run_cli(capsys, "oracle", "--stream", str(path), "--q", "1")
+    assert code == 0
+    payload = json.loads(out)
+    code, out = run_cli(capsys, "oracle", "--stream", str(path), "--q", "1", "--out", "csv")
+    assert code == 0
+    header, rows = _csv_columns(out)
+    assert header == ["time", "u", "v", "exact_marginal", "conditional_sum", "expected_value"]
+    assert [tuple(map(int, r[:3])) for r in rows] == [(1, 0, 1), (2, 1, 2), (3, 0, 2), (4, 3, 4)]
+    assert [float(r[3]) for r in rows] == payload["marginals"]
+    assert [float(r[4]) for r in rows] == payload["conditional_sums"]
+    assert [float(r[5]) for r in rows] == payload["expected"]
+
+    mc = ("mc", "--stream", str(path), "--q", "1", "--trials", "40", "--seed", "5")
+    code, out = run_cli(capsys, *mc)
+    edges = json.loads(out)["edges"]
+    code_csv, out = run_cli(capsys, *mc, "--out", "csv")
+    assert code_csv == code
+    header, rows = _csv_columns(out)
+    assert header == ["time", "u", "v", "hits", "frequency", "ci_lo", "ci_hi", "below_bound"]
+    assert [tuple(map(int, r[:4])) for r in rows] == \
+        [(e["time"], e["u"], e["v"], e["hits"]) for e in edges]
+    assert [float(r[4]) for r in rows] == [e["frequency"] for e in edges]
+    assert [(float(r[5]), float(r[6]), bool(int(r[7]))) for r in rows] == \
+        [(e["ci_lo"], e["ci_hi"], e["below_bound"]) for e in edges]
+    assert sum(e["hits"] for e in edges) > 0
+
+
 def test_color_cli_modes(tmp_path, capsys):
     path = tmp_path / "s.txt"
     path.write_text("n=5 dmax=2\ne 0 1\ne 1 2\ne 2 3\ne 3 4\n")

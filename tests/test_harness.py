@@ -488,6 +488,16 @@ def test_verify_stream_clean():
     assert freqs[2] == 0.0
 
 
+def test_verify_stream_checks_a_matching_past_the_total_edge_limit():
+    # 21 disjoint edges: the edge limit is per component, so the oracle runs
+    s = make_stream(42, 1, [(2 * i, 2 * i + 1) for i in range(21)])
+    out = verify_stream(s, MatcherConfig(delta=2, q=1.0), trials=300, master_seed=3)
+    assert "note" not in out
+    assert (out["branches"], out["components"]) == (63, 21)
+    assert [r["oracle"] for r in out["edges"]] == [1.0 / (2 + 1.0)] * 21
+    assert out["violations"] == []
+
+
 def test_derive_seed_is_stable():
     # the documented mixing function must never drift: reports embed only the
     # master seed, so a change here would silently break reproducibility

@@ -145,6 +145,19 @@ def test_a_matching_walks_each_edge_on_its_own(monkeypatch):
     assert sizes == [0] + [2] * 20  # the numerator probe, then one state per edge
 
 
+def test_the_edge_limit_applies_per_component():
+    # 21 disjoint edges are over the default limit of 20 in total, and 13
+    # over the rational limit of 12, but each component has one edge
+    res = exact_marginals(make_stream(42, 1, [(2 * i, 2 * i + 1) for i in range(21)]),
+                          MatcherConfig(delta=2, q=1.0))
+    assert (res.branches, res.components) == (63, 21)
+    assert res.marginal == [1.0 / (2 + 1.0)] * 21
+    rational = exact_marginals(make_stream(26, 1, [(2 * i, 2 * i + 1) for i in range(13)]),
+                               MatcherConfig(delta=2, q=1), exact=True)
+    assert rational.marginal == rational.conditional_sum == [Fraction(1, 3)] * 13
+    assert rational.components == 13
+
+
 def test_a_bad_value_is_named_by_its_arrival_time():
     # the second arrival is alone in its component, and still named arrival 2
     s = make_stream(4, 1, [(0, 1), (2, 3)], xs=[0.1, 0.4])
@@ -253,6 +266,20 @@ def test_colored_standalone_marginals_past_the_plain_edge_limits(m, exact):
     assert 0 < min(res.colored)
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "rational"])
+@pytest.mark.parametrize("graph", [path(1), path(4), triangle()], ids=["edge", "path", "triangle"])
+def test_a_one_color_bank_is_the_plain_walk(graph, exact):
+    # with the one palette (1,), the bank is one matcher over the whole
+    # stream: the same steps, so the same sums bit for bit and the same nodes
+    listed = make_stream(graph.n, graph.delta_bound, list(zip(graph.u, graph.v)),
+                         lists=[(1,)] * graph.m)
+    plain = exact_marginals(graph, MatcherConfig(delta=graph.delta_bound, q=1.0), exact=exact)
+    col = exact_colored_marginals(listed, graph.delta_bound, 1.0, exact=exact)
+    assert col.colored == plain.marginal
+    assert col.per_color == [{1: p} if p else {} for p in plain.marginal]
+    assert col.branches == plain.branches
+
+
 # -- differential test: the in-place walks against clone-based enumerators ----
 
 def _copy_state(state):
@@ -298,7 +325,8 @@ def _reference_marginals(stream, config, exact):
 
 def _reference_colored(stream, delta, q, exact):
     """exact_colored_marginals' joint walk with every color's state copied on
-    each matched branch; returns (per_color, colored, branches)."""
+    each matched branch; returns (per_color, colored, branches), where
+    branches counts the steps and the leaves."""
     config = MatcherConfig(delta=delta, q=q)
     acc = oracle._Plain if exact else oracle._Kahan
     per_color = [dict() for _ in range(stream.m)]
@@ -307,13 +335,13 @@ def _reference_colored(stream, delta, q, exact):
     stack = [({}, 0, 0, False, Fraction(1) if exact else 1.0)]
     while stack:
         states, t, ci, edge_colored, prob = stack.pop()
-        branches += 1
+        if t < stream.m and ci == len(stream.arrivals[t].colors):  # no node between arrivals
+            stack.append((states, t + 1, 0, False, prob))
+            continue
+        branches += 1  # a step or a leaf
         if t == stream.m:
             continue
         e = stream.arrivals[t]
-        if ci == len(e.colors):
-            stack.append((states, t + 1, 0, False, prob))
-            continue
         c = e.colors[ci]
         if c not in states:
             states = dict(states)
