@@ -43,7 +43,12 @@ palette object (every plain edge, local edges with the same bound,
 ``make_stream``, equal ``L=`` text in a parsed stream) therefore reuse one
 split per phase instead of classifying or intersecting it again; per-edge
 palettes each miss and cost what they always did, and the memo never holds
-more than one split per phase.
+more than one split per phase.  A range split passes the palette whole, so
+in range mode the palette object is what reaches the tail: ``run_generic``
+cuts its tail class once per palette object, when the palette changes, and
+takes the lowest color free at both endpoints from the cut inline.  A list
+run scans the sampled partition's lazy ``tail``, which classifies a color
+only when the scan reaches it, so the partition's draws stay as they are.
 
 Each phase's bank (``PhaseReducer``) keys its slot lookup the same way, by
 the sublist object the split hands it, and steps only the colors in which
@@ -615,13 +620,18 @@ class ColoringResult:
         """True when some edge overflowed its tail class."""
         return bool(self.overflows)
 
+    def _distinct_colors(self) -> set:
+        taken = set(self.colors)
+        taken.discard(None)
+        return taken
+
     @property
     def max_color(self) -> int:
-        return max((c for c in self.colors if c is not None), default=0)
+        return max(self._distinct_colors(), default=0)
 
     @property
     def colors_used(self) -> int:
-        return len({c for c in self.colors if c is not None})
+        return len(self._distinct_colors())
 
     def _overflow_block(self) -> dict:
         """The overflow edges: their count, the first, and the colors they took."""
@@ -630,11 +640,12 @@ class ColoringResult:
                 "distinct_colors": len(taken), "max_color": max(taken, default=None)}
 
     def report(self, profile: ConstantsProfile) -> dict:
+        distinct = self._distinct_colors()
         return {
             "profile": profile.as_dict(),
             "schedule": self.schedule.as_dict(),
-            "colors_used": self.colors_used,
-            "max_color": self.max_color,
+            "colors_used": len(distinct),
+            "max_color": max(distinct, default=0),
             "fallback_taken": self.fallback_taken,
             "overflow": self._overflow_block(),
             "budget": self.budget,
@@ -716,9 +727,8 @@ def run_generic(
     deg = {i: [0] * n for i in active}
     tail_deg = [0] * n
     stats = {i: PhaseStats(phase=i) for i in active}
-    tail_stats = PhaseStats(phase=f + 1)
     colors_out: list = [None] * m
-    stage_out: list = [None] * m
+    stage_out: list = [f + 1] * m  # an edge is the tail's unless a phase or the overflow takes it
     ledger_violations = 0
     overflows: list = []
 
@@ -738,6 +748,11 @@ def run_generic(
             if isinstance(palette, range) != range_mode:
                 raise PartitionError("range palettes need a range partition, and it needs them")
             checked = palette
+            if range_mode:
+                # range splits pass the palette whole, so the palette object
+                # is what reaches the tail: cut its tail class once
+                tail = partition.tail(palette)
+                tail_start, tail_size = tail.start, len(tail)
         remaining = palette
         dense_ok = False
         got: int | None = None
@@ -773,16 +788,18 @@ def run_generic(
             remaining = rest
         if got is None:
             # greedy tail, else the overflow
-            tail_stats.entered += 1
             tail_deg[u] += 1
             tail_deg[v] += 1
-            got = _smallest_free(partition.tail(remaining), used[u] | used[v], slots)
-            if got is not None:
-                tail_stats.colored += 1
-                stage_out[idx] = f + 1
+            taken = used[u] | used[v]
+            if range_mode:  # _smallest_free on the tail range, inline
+                above = taken >> tail_start
+                k = (~above & (above + 1)).bit_length() - 1  # lowest clear bit
+                got = tail_start + k if k < tail_size else None
             else:
+                got = _smallest_free(partition.tail(remaining), taken, slots)
+            if got is None:
                 if profile.fallback_on_tail_failure:
-                    got = _smallest_free(palette, used[u] | used[v], slots)
+                    got = _smallest_free(palette, taken, slots)
                 if got is None:
                     raise TailFailure(idx + 1, u, v, profile.fallback_on_tail_failure)
                 stage_out[idx] = "overflow"
@@ -795,6 +812,11 @@ def run_generic(
         used[u] |= bit
         used[v] |= bit
 
+    # every edge no phase colored entered the tail; those that did not
+    # overflow were colored there
+    tail_stats = PhaseStats(phase=f + 1)
+    tail_stats.entered = m - sum(st.colored for st in stats.values())
+    tail_stats.colored = tail_stats.entered - len(overflows)
     for pos, i in enumerate(active):
         nxt = deg[active[pos + 1]] if pos + 1 < len(active) else tail_deg
         stats[i].max_uncolored_degree_after = max(nxt, default=0)

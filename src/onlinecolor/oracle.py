@@ -261,6 +261,8 @@ def exact_marginals(
 class ColoredOracleResult:
     per_color: list[dict]  # per edge: color -> Pr[e takes that color]
     colored: list  # per edge: Pr[e gets any color]
+    # per edge: sum over branches and palette colors of prob * P; |L_e|/(D+q)
+    conditional_sum: list
     per_color_matched: dict  # color -> per-edge marginal in that color's own process
     branches: int  # steps and leaves of the joint walk, summed over components
     components: int  # connected components of the listed graph, over all colors
@@ -280,17 +282,20 @@ def exact_colored_marginals(
     color, in ascending order, whose matcher matched it.  Independence
     across colors makes the standalone per-color marginals multiply, e.g. a
     lone edge with k colors is colored with probability 1 - (1 - 1/(D+q))^k;
-    the joint enumeration also yields the first-match-wins split.
+    the joint enumeration also yields the first-match-wins split.  Each
+    color's conditional sum at an arrival is 1/(D+q), so an edge's sum over
+    its palette is |L_e|/(D+q).
     """
     if not stream.has_lists:
         raise OracleLimitError("colored oracle needs a listed stream")
     config = MatcherConfig(delta=delta, q=q)
-    per_color, colored, _, _, branches, components = _walk_components(
+    per_color, colored, cond, _, branches, components = _walk_components(
         _components(stream.u, stream.v), config, exact, stream.palettes, (None,) * stream.m,
         branch_limit)
     return ColoredOracleResult(
         per_color=per_color,
         colored=colored,
+        conditional_sum=cond,
         per_color_matched=_standalone_color_marginals(stream, config, exact, branch_limit),
         branches=branches,
         components=components,

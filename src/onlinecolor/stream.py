@@ -13,6 +13,12 @@ line is an error.  Color ids are positive integers.  Vertex ids are dense
 non-negative integers below n, so isolated vertices are representable
 (per-vertex state is allocated from n, not inferred from the edges).
 
+``parse_stream`` reads canonical text, what ``emit_stream`` writes for a
+stream without annotations, in chunks of about ``PARSE_CHUNK`` characters
+cut at newlines: one regex match checks a chunk, one split reads it.  Any
+other text is read line by line from its start.  Both give the same
+columns and the same errors.
+
 ``ArrivalStream`` stores its arrivals as columns, one tuple per field:
 endpoints ``u`` and ``v``, fractional values ``x`` and palettes
 ``palettes``.  An annotation column is None when no arrival carries that
@@ -32,6 +38,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -229,9 +236,55 @@ def make_stream(n: int, delta_bound: int, edges, xs=None, lists=None) -> Arrival
 # File format
 # ---------------------------------------------------------------------------
 
+# Canonical text is what ``emit_stream`` writes for a stream without
+# annotations: the header, then only "e <u> <v>" lines, every integer
+# unsigned, with no leading zero and at most 18 digits.
+_UINT = r"(?:0|[1-9][0-9]{0,17})"
+_CANONICAL_HEADER = re.compile(rf"n=({_UINT}) dmax=({_UINT})\n")
+_CANONICAL_EDGES = re.compile(rf"(?:e {_UINT} {_UINT}\n)*")
+# Canonical text is read in chunks of about this many characters, each cut
+# at a newline, so that only one chunk's tokens are alive at a time.
+PARSE_CHUNK = 8192
+
+
 def parse_stream(text: str | bytes) -> ArrivalStream:
+    """The stream that ``text`` describes.  Canonical text is read in chunks
+    (``_parse_canonical``); any other text line by line (``_parse_lines``),
+    which gives the same columns and every error message."""
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
+    columns = _parse_canonical(text)
+    if columns is None:
+        columns = _parse_lines(text)
+    return ArrivalStream(*columns)
+
+
+def _parse_canonical(text: str):
+    """The columns (n, dmax, u, v, x, palettes) of canonical text, or None
+    for any other text.  Each chunk is checked by one regex match, then split
+    once, and its endpoints read from every third token."""
+    head = _CANONICAL_HEADER.match(text)
+    if head is None:
+        return None
+    us: list[int] = []
+    vs: list[int] = []
+    edges = _CANONICAL_EDGES.fullmatch
+    start, end = head.end(), len(text)
+    while start < end:
+        cut = text.find("\n", start + PARSE_CHUNK - 1) + 1 or end
+        chunk = text[start:cut]
+        if edges(chunk) is None:
+            return None
+        toks = chunk.split()
+        us += map(int, toks[1::3])
+        vs += map(int, toks[2::3])
+        start = cut
+    return int(head[1]), int(head[2]), us, vs, None, None
+
+
+def _parse_lines(text: str):
+    """The columns (n, dmax, u, v, x, palettes) of any text, read one line
+    at a time; raises StreamError on a malformed line or header."""
     header = None
     us: list[int] = []
     vs: list[int] = []
@@ -271,8 +324,8 @@ def parse_stream(text: str | bytes) -> ArrivalStream:
         raise StreamError("missing header line 'n=<int> dmax=<int>'")
     n, dmax = header
     index = range(len(us))
-    return ArrivalStream(n, dmax, us, vs, list(map(xs.get, index)) if xs else None,
-                         list(map(ps.get, index)) if ps else None)
+    return (n, dmax, us, vs, list(map(xs.get, index)) if xs else None,
+            list(map(ps.get, index)) if ps else None)
 
 
 def _parse_header(toks: list[str], lineno: int) -> tuple[int, int]:

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 import warnings
+from collections import Counter
 from decimal import Context, Decimal, localcontext
 
 import pytest
@@ -650,6 +651,68 @@ def test_tail_failure_says_which_failure_happened():
         _quiet_list_color(_listed(g, tuple(range(1000, 1026))), strict, seed=2)
     e = err.value
     assert str(e) == f"t={e.time}: no tail color available for edge ({e.u},{e.v})"
+
+
+def _overflow_runs():
+    """Runs that overflow, one per mode: criterion 8's multiphase constants
+    at n=400/D=100 (plain, 122 overflows); local mode on that graph plus a
+    path, so that edges carry two palettes; a list run with one overflow."""
+    g = gen_regular(400, 100, seed=0)
+    path_edges = [(400 + i, 401 + i) for i in range(29)]
+    mix = reorder(make_stream(430, 100, list(zip(g.u, g.v)) + path_edges), "random", seed=3)
+    yield "plain", plain_color(g, 100, MULTIPHASE, seed=0)
+    yield "local", local_color(mix, MULTIPHASE, seed=0)
+    yield "list", _quiet_list_color(_listed(gen_regular(30, 20, seed=6), tuple(range(1000, 1024))),
+                                    MULTIPHASE, seed=6)
+
+
+def test_tail_counters_match_the_stage_column():
+    # the tail's counters are taken from the phase counts and the overflow
+    # list after the loop; the stage column says where each edge was colored
+    pinned = {  # per phase (entered, colored), the tail's, overflows, as the per-edge counts gave
+        "plain": ([(20000, 6033), (13967, 4500), (9467, 3150)], (6317, 6195), 122),
+        "local": ([(20029, 5954), (14075, 4413), (9662, 3005)], (6657, 6495), 162),
+        "list": ([(300, 65)], (235, 234), 1),
+    }
+    for mode, res in _overflow_runs():
+        f = res.schedule.f
+        stages = Counter(res.stage)
+        assert res.tail.phase == f + 1
+        assert res.tail.entered == stages[f + 1] + stages["overflow"]
+        assert res.tail.colored == stages[f + 1]
+        assert len(res.overflows) == stages["overflow"]
+        for p in res.per_phase:
+            assert p.colored == stages[p.phase]
+        assert set(stages) <= {*range(f + 2), "overflow"}
+        got = ([(p.entered, p.colored) for p in res.per_phase],
+               (res.tail.entered, res.tail.colored), len(res.overflows))
+        assert got == pinned[mode], mode
+        report = res.report(MULTIPHASE)
+        assert (report["tail"]["entered"], report["tail"]["colored"]) == got[1]
+        assert report["colors_used"] == len(set(res.colors))
+        assert report["max_color"] == max(res.colors)
+
+
+def test_range_tail_is_cut_once_per_palette_object(monkeypatch):
+    # a plain run with no active phase is the greedy tail alone: its one
+    # shared palette is cut to the tail class once, not once per edge; local
+    # mode cuts again only where consecutive edges change palette objects
+    calls = []
+    cut = RangePartition.tail
+
+    def spy(self, remaining):
+        calls.append(remaining)
+        return cut(self, remaining)
+
+    monkeypatch.setattr(RangePartition, "tail", spy)
+    g = gen_regular(300, 40, seed=1)
+    res = plain_color(g, 40, PRACTICAL, seed=1)
+    assert res.schedule.f == 0 and res.tail.entered == g.m
+    assert calls == [range(1, res.budget + 1)]
+    calls.clear()
+    res = local_color(_degree_mix_stream(), MULTIPHASE, seed=0)
+    changes = sum(a != b for a, b in zip(res.local_bounds, res.local_bounds[1:]))
+    assert len(calls) == 1 + changes < len(res.local_bounds)
 
 
 def _prefix(s, k):

@@ -499,3 +499,18 @@ def test_colored_walk_matches_clone_reference(case):
         whole = _reference_colored(stream, stream.delta_bound, q, exact)
         assert [list(d.items()) for d in res.per_color] == [list(d.items()) for d in whole[0]]
         assert res.colored == whole[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_colored_cases())
+def test_colored_conditional_sum_is_the_palette_over_d_plus_q(case):
+    # each color's matcher puts 1/(D+q) of conditional mass on the arrival,
+    # gated or not, so the bank puts |L_e|/(D+q) on it: exactly in rational
+    # mode, to rounding in float mode
+    stream, q, _ = case
+    scale = 1 / (stream.delta_bound + Fraction(q))
+    rational = exact_colored_marginals(stream, stream.delta_bound, q, exact=True)
+    assert rational.conditional_sum == [len(p) * scale for p in stream.palettes]
+    floats = exact_colored_marginals(stream, stream.delta_bound, q)
+    for cs, p in zip(floats.conditional_sum, stream.palettes):
+        assert cs == pytest.approx(len(p) * float(scale), abs=1e-12)

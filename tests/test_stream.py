@@ -1,11 +1,13 @@
 import hashlib
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onlinecolor import colorer, harness, matcher, oracle
+from onlinecolor import stream as streammod
 from onlinecolor.profiles import ConstantsProfile
 from onlinecolor.rounder import RoundingConfig
 from onlinecolor.stream import (
@@ -274,6 +276,129 @@ def test_parse_matches_reference(text):
             if ti is not None and tj is not None:
                 same = s.palettes[i] is s.palettes[j]
                 assert same == (ti == tj or s.palettes[i] == () == s.palettes[j]), (ti, tj)
+
+
+_BIG_ID = 123456789012345678  # 18 digits: still canonical
+
+
+@st.composite
+def canonical_texts(draw):
+    """Canonical text (a header, then only "e <u> <v>" lines): mostly a valid
+    simple graph, now and then an arrival that fails validation."""
+    n = draw(st.integers(2, 14))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a < b]
+    edges = draw(st.lists(st.sampled_from(pairs), unique_by=frozenset, max_size=40))
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    degree = Counter(w for e in edges for w in e)
+    dmax = max(degree.values(), default=0) + draw(st.integers(0, 1))
+    if _rare(draw):
+        bad = draw(st.sampled_from([(1, 1), (0, n), (_BIG_ID, 0), (0, 1), (1, 0)]))
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+    if _rare(draw):
+        dmax = 0
+    return f"n={n} dmax={dmax}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+
+
+def _edge_ids(text):
+    """(start, end) of every vertex id on an edge line of ``text``."""
+    spans, pos = [], text.index("\n") + 1
+    while pos < len(text):
+        end = text.index("\n", pos)
+        a = pos + 2
+        b = text.index(" ", a)
+        spans += [(a, b), (b + 1, end)]
+        pos = end + 1
+    return spans
+
+
+_EDITS = ["leading zero", "plus", "tab", "trailing space", "19 digits", "5000 digits",
+          "crlf", "no final newline", "comment", "dmax first"]
+
+
+@st.composite
+def edited_texts(draw):
+    """(text, edited): canonical text, or about half the time the same text
+    with one edit that makes it non-canonical (bytes for CRLF)."""
+    text = draw(canonical_texts())
+    if not draw(st.booleans()):
+        return text, False
+    return _one_edit(draw, text, draw(st.sampled_from(_EDITS))), True
+
+
+def _one_edit(draw, text, edit):
+    """``text`` with the named edit; an edit with nothing to change (no edge
+    line) drops the final newline instead."""
+    ids = _edge_ids(text)
+    if edit in ("leading zero", "plus", "19 digits", "5000 digits") and ids:
+        a, b = draw(st.sampled_from(ids))
+        token = {"leading zero": "0" + text[a:b], "plus": "+" + text[a:b],
+                 "19 digits": str(10 ** 18 + draw(st.integers(0, 99))),
+                 "5000 digits": "7" * 5000}[edit]
+        return text[:a] + token + text[b:]
+    lines = text.splitlines(keepends=True)
+    if edit == "tab" and len(lines) > 1:
+        k = draw(st.integers(1, len(lines) - 1))
+        spaces = [i for i, ch in enumerate(lines[k]) if ch == " "]
+        i = draw(st.sampled_from(spaces))
+        lines[k] = lines[k][:i] + "\t" + lines[k][i + 1:]
+        return "".join(lines)
+    if edit == "trailing space":
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] = lines[k][:-1] + " \n"
+        return "".join(lines)
+    if edit == "crlf":
+        return text.replace("\n", "\r\n").encode()
+    if edit == "comment":
+        lines.insert(draw(st.integers(1, len(lines))), "# a note\n")
+        return "".join(lines)
+    if edit == "dmax first":
+        n, dmax = lines[0].split()
+        return "".join([f"{dmax} {n}\n"] + lines[1:])
+    return text[:-1]
+
+
+@settings(max_examples=400)
+@given(edited_texts(), st.integers(1, 48))
+def test_canonical_and_line_parses_agree(case, chunk):
+    # canonical text takes the chunked path, any other text the line loop
+    # from its start; both give the reference's columns or its error.  The
+    # chunks are small, so their cuts fall after any line.
+    text, edited = case
+    lines_used = []
+    line_loop = streammod._parse_lines
+
+    def spy(t):
+        lines_used.append(t)
+        return line_loop(t)
+
+    with mock.patch.object(streammod, "PARSE_CHUNK", chunk), \
+            mock.patch.object(streammod, "_parse_lines", spy):
+        try:
+            want = _reference_parse(text.decode() if isinstance(text, bytes) else text)
+        except StreamError as exc:
+            with pytest.raises(StreamError) as got:
+                parse_stream(text)
+            assert str(got.value) == str(exc)
+        else:
+            s = parse_stream(text)
+            n, dmax, arrivals, _ = want
+            assert (s.n, s.delta_bound, s.x, s.palettes) == (n, dmax, None, None)
+            assert s.u == tuple(e.u for e in arrivals) and s.v == tuple(e.v for e in arrivals)
+    assert bool(lines_used) == edited
+
+
+def test_generated_streams_never_enter_the_line_loop(monkeypatch):
+    # emit_stream writes canonical text for a stream without annotations,
+    # so parsing it back is the chunked path alone, over many chunks
+    def refuse(text):
+        raise AssertionError("the line loop was used")
+
+    streams = [gen_regular(300, 40, seed=1), gen_regular(12, 4, seed=2), make_stream(3, 0, [])]
+    texts = list(map(emit_stream, streams))
+    assert len(texts[0]) > 5 * streammod.PARSE_CHUNK
+    monkeypatch.setattr(streammod, "_parse_lines", refuse)
+    for s, text in zip(streams, texts):
+        assert parse_stream(text) == parse_stream(text.encode()) == s
 
 
 @pytest.mark.parametrize(
