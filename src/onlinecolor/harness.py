@@ -140,6 +140,11 @@ class RunReport:
         return "\n".join(rows) + "\n"
 
 
+def _matched_indices(traces) -> list[int]:
+    """The indices of a traced run's matched arrivals, as run_fast returns them."""
+    return [tr.time - 1 for tr in traces if tr.matched]
+
+
 def mc_marginals(
     stream: ArrivalStream,
     config: MatcherConfig,
@@ -148,13 +153,17 @@ def mc_marginals(
 ) -> RunReport:
     """Per-edge empirical matching frequencies with Wilson 95% intervals.
 
-    Edges whose whole interval lies below 1/(D + 4q) (the guarantee the
-    analysis actually delivers) are flagged; on gated instances such edges
-    are expected, so the flag is reported, not counted as a violation.  The
-    first ``AUDIT_TRIALS`` trials are audited by check_run_invariants against
-    the engine's own final F.  Gated trials run on run_fast, so an audited
-    one is re-run through the traced path, which must make the same
-    decisions; natural-mode trials are traced already and audit their own
+    Each trial yields the indices of its matched arrivals, in arrival order
+    (run_fast's return; the traced and greedy paths build the same list),
+    and hits are added over those indices.  Edges whose whole interval lies
+    below 1/(D + 4q) (the guarantee the analysis actually delivers) are
+    flagged; on gated instances such edges are expected, so the flag is
+    reported, not counted as a violation.  The interval depends only on the
+    hit count, so it is computed once per distinct count.  The first
+    ``AUDIT_TRIALS`` trials are audited by check_run_invariants against the
+    engine's own final F.  Gated trials run on run_fast, so an audited one
+    is re-run through the traced path, whose matched arrivals must be the
+    same; natural-mode trials are traced already and audit their own
     traces.
     """
     _require_trials(trials)
@@ -175,7 +184,7 @@ def mc_marginals(
     for t in range(trials):
         if greedy:
             c_star = draw_c_star(delta, derive_seed(master_seed, t))
-            got = [c == c_star for c in greedy_colors]
+            got = [i for i, c in enumerate(greedy_colors) if c == c_star]
         elif fast:
             rng = rng_for(master_seed, t)
             got, _, F, gf = run_fast(us, vs, stream.n, config.delta, config.q, rng)
@@ -184,30 +193,30 @@ def mc_marginals(
         else:
             state = config.state(stream.n)
             _, traces = run(stream, config, derive_seed(master_seed, t), state=state)
-            got = [tr.matched for tr in traces]
+            got = _matched_indices(traces)
             F = state.F
             min_f = min(min_f, min(F, default=1.0))
             gate_fires += sum(tr.gate_fired for tr in traces)
             overflow += sum(tr.overflow for tr in traces)
-        for i in itertools.compress(range(m), got):
+        for i in got:
             hits[i] += 1
         if t < AUDIT_TRIALS:
             if greedy:
-                matching = [(u, v) for u, v, hit in zip(us, vs, got) if hit]
-                if not matching_is_valid(matching):
+                if not matching_is_valid([(us[i], vs[i]) for i in got]):
                     violations.append(f"trial {t}: fallback matching invalid")
                 continue
             if fast:
                 _, traces = run(stream, config, derive_seed(master_seed, t))
-                if [tr.matched for tr in traces] != got:
+                if _matched_indices(traces) != got:
                     violations.append(f"trial {t}: fast and traced paths disagree")
             violations.extend(
                 f"trial {t}: {v}" for v in check_run_invariants(stream, config, traces, F)
             )
     floor_marginal = 1.0 / (config.delta + 4.0 * config.q)
+    intervals = {h: wilson_interval(h, trials) for h in set(hits)}
     edges = []
     for t, u, v, h in zip(itertools.count(1), us, vs, hits):
-        lo, hi = wilson_interval(h, trials)
+        lo, hi = intervals[h]
         edges.append(
             {
                 "time": t,
@@ -353,25 +362,34 @@ class MartingaleTrace:
         return bad
 
 
-def _martingale_inputs(stream: ArrivalStream, config: MatcherConfig, vertex: int):
-    """What every trial shares: the neighbor arrival times of ``vertex``, the
-    endpoint lists and the indices of the arrivals that touch a neighbor,
-    which include every arrival at ``vertex``.  Raises for any matcher but
-    the gated one."""
+def _martingale_inputs(stream: ArrivalStream, config: MatcherConfig, vertex: int, full: bool = False):
+    """What every trial shares: the neighbor arrival times of ``vertex`` and
+    the walk plan, built once per call.  The plan covers the arrivals that
+    touch a neighbor, which include every arrival at ``vertex``, or every
+    arrival when ``full``.  Raises for any matcher but the gated one."""
     if not config.gated:
         raise MatcherError(
             "martingale diagnostics follow the gated analysis_friendly matcher, "
             f"not mode={config.mode!r}"
         )
     neighbors = _neighbor_times(stream, vertex)
-    us, vs = stream.u, stream.v
-    walk = [i for i, (u, v) in enumerate(zip(us, vs)) if u in neighbors or v in neighbors]
-    return neighbors, us, vs, walk
+    return neighbors, _walk_plan(stream, vertex, None if full else neighbors)
 
 
-def _martingale_trial(n, config, vertex, neighbors, us, vs, walk, rng, collect=False):
-    """One run_fast run, then the neighborhood martingale of ``vertex`` over
-    the arrival indices ``walk``.
+def _walk_plan(stream: ArrivalStream, vertex: int, keep=None) -> list[tuple]:
+    """(arrival index, u, v, the neighbor whose (vertex, w) edge arrives
+    here or None) for each arrival touching a vertex of ``keep``, or for
+    every arrival when ``keep`` is None."""
+    plan = []
+    for i, u, v in zip(itertools.count(), stream.u, stream.v):
+        if keep is None or u in keep or v in keep:
+            plan.append((i, u, v, v if u == vertex else (u if v == vertex else None)))
+    return plan
+
+
+def _martingale_trial(stream, config, vertex, neighbors, plan, rng, collect=False):
+    """One run_fast run, then the neighborhood martingale of ``vertex`` along
+    the walk ``plan`` (see ``_walk_plan``).
 
     Y starts at deg(v)/(D+q); a neighbor's term 1/((D+q) F(u_i)) updates
     while the edge (v,u_i) is still in the future, freezes at its arrival,
@@ -379,10 +397,11 @@ def _martingale_trial(n, config, vertex, neighbors, us, vs, walk, rng, collect=F
     unfrozen neighbor move Y: down by the term sum on a match, up by the
     factor p_hat/(1-p_hat) otherwise.  The conditional variance of a step is
     (term sum)^2 * p_hat/(1-p_hat) regardless of the outcome.  So without
-    ``collect`` the walk may skip every arrival that touches no neighbor;
-    with it, ``walk`` must cover every arrival.
+    ``collect`` the plan may skip every arrival that touches no neighbor;
+    with it, the plan must cover every arrival.
     """
-    hit, p_hats, _, _ = run_fast(us, vs, n, config.delta, config.q, rng)
+    matched, p_hats, _, _ = run_fast(stream.u, stream.v, stream.n, config.delta, config.q, rng)
+    hit = set(matched)
     scale = 1.0 / (config.delta + config.q)
     contrib = {w: scale for w in neighbors}  # live, unfrozen neighbor terms
     y = scale * len(neighbors)
@@ -391,34 +410,35 @@ def _martingale_trial(n, config, vertex, neighbors, us, vs, walk, rng, collect=F
     trail = [y] if collect else None
     deltas = [] if collect else None
     variances = [] if collect else None
-    for i in walk:
-        u, v, p_hat, matched = us[i], vs[i], p_hats[i], hit[i]
-        # freeze the term of a neighbor whose (vertex, w) edge is arriving now
-        if u == vertex or v == vertex:
-            w = v if u == vertex else u
-            contrib.pop(w, None)  # value stays inside y permanently
+    for i, u, v, frozen in plan:
+        if frozen is not None:
+            contrib.pop(frozen, None)  # its value stays inside y permanently
+        p_hat = p_hats[i]
         dy = 0.0
         var = 0.0
         if p_hat > 0.0:
-            sumterm = 0.0
-            movers = []
-            for w in (u, v):
-                cw = contrib.get(w)
-                if cw is not None:
-                    sumterm += cw
-                    movers.append(w)
+            cu = contrib.get(u)
+            cv = contrib.get(v)
+            if cu is None:
+                sumterm = 0.0 if cv is None else cv
+            else:
+                sumterm = cu if cv is None else cu + cv
             if sumterm > 0.0:
                 var = sumterm * sumterm * p_hat / (1.0 - p_hat)
                 wm += var
-                if matched:
+                if i in hit:
                     dy = -sumterm
-                    for w in movers:
-                        del contrib[w]
+                    if cu is not None:
+                        del contrib[u]
+                    if cv is not None:
+                        del contrib[v]
                 else:
                     grow = 1.0 / (1.0 - p_hat)
                     dy = sumterm * (p_hat / (1.0 - p_hat))
-                    for w in movers:
-                        contrib[w] *= grow
+                    if cu is not None:
+                        contrib[u] = cu * grow
+                    if cv is not None:
+                        contrib[v] = cv * grow
                 y += dy
                 if abs(dy) > max_step:
                     max_step = abs(dy)
@@ -426,17 +446,21 @@ def _martingale_trial(n, config, vertex, neighbors, us, vs, walk, rng, collect=F
             trail.append(y)
             deltas.append(dy)
             variances.append(var)
-    trace = MartingaleTrace(vertex, trail, deltas, variances, hit) if collect else None
+    trace = None
+    if collect:
+        flags = [False] * stream.m
+        for i in matched:
+            flags[i] = True
+        trace = MartingaleTrace(vertex, trail, deltas, variances, flags)
     return y, max_step, wm, trace
 
 
 def martingale_trace(stream: ArrivalStream, config: MatcherConfig, vertex: int, seed: int) -> MartingaleTrace:
-    """Full Y trajectory, step deltas, and variance contributions for one run."""
-    neighbors, us, vs, _ = _martingale_inputs(stream, config, vertex)
-    _, _, _, trace = _martingale_trial(
-        stream.n, config, vertex, neighbors, us, vs, range(stream.m), rng_for(seed), collect=True
-    )
-    return trace
+    """Full Y trajectory, step deltas, and variance contributions for one
+    run, along the plan of every arrival; ``matched`` is one flag per
+    arrival."""
+    neighbors, plan = _martingale_inputs(stream, config, vertex, full=True)
+    return _martingale_trial(stream, config, vertex, neighbors, plan, rng_for(seed), collect=True)[3]
 
 
 def _neighbor_times(stream: ArrivalStream, vertex: int) -> dict[int, int]:
@@ -462,7 +486,7 @@ def martingale_monitor(
     _require_trials(trials)
     if not 0 <= vertex < stream.n:
         raise ValueError(f"vertex {vertex} not in the stream")
-    neighbors, us, vs, walk = _martingale_inputs(stream, config, vertex)
+    neighbors, plan = _martingale_inputs(stream, config, vertex)
     delta, q = config.delta, config.q
     y0 = len(neighbors) / (delta + q)
     step_bound = 8.0 / q
@@ -475,7 +499,7 @@ def martingale_monitor(
     max_wm = 0.0
     for t in range(trials):
         ym, ms, wm, _ = _martingale_trial(
-            stream.n, config, vertex, neighbors, us, vs, walk, rng_for(master_seed, t)
+            stream, config, vertex, neighbors, plan, rng_for(master_seed, t)
         )
         total += ym
         total_sq += ym * ym
@@ -596,8 +620,8 @@ def verify_stream(
             _, traces = run(stream, config, derive_seed(master_seed, t), state=state)
             if t == 0:
                 violations.extend(check_run_invariants(stream, config, traces, state.F))
-            for i, tr in enumerate(traces):
-                hits[i] += tr.matched
+            for i in _matched_indices(traces):
+                hits[i] += 1
     else:
         report = mc_marginals(stream, config, trials, master_seed)
         hits = [rec["hits"] for rec in report.edges]

@@ -42,11 +42,13 @@ The rounder (rounder.RoundingConfig) is the same engine with another
 numerator and floor.  Each config builds its own state and describes its own
 audit (``state``, ``gated``, ``floor``, ``p_cap``), so one runner, run(),
 and one audit, check_run_invariants(), serve both.  The gated step lives in
-MultiplicativeState (the float-or-exact reference engine), in run_fast (the
-float kernel of every trace-free matcher run) and, inline for its per-color
-bank, in colorer.PhaseReducer.feed, which steps only the colors free at both
-endpoints and consumes the uniforms of the others in bulk, with
-getrandbits, before their next use.  The smallest-free-color rule
+MultiplicativeState (the float-or-exact reference engine; a natural
+MatcherState swaps its gated disposal for a clamp once, at construction),
+in run_fast (the float kernel of every trace-free matcher run; it returns
+the indices of the matched arrivals, not one flag per arrival) and, inline
+for its per-color bank, in colorer.PhaseReducer.feed, which steps only the
+colors free at both endpoints and consumes the uniforms of the others in
+bulk, with getrandbits, before their next use.  The smallest-free-color rule
 lives once, in colorer: the coloring pipeline's tail, its overflow and the
 greedy fallback here all go through it.
 """
@@ -151,7 +153,7 @@ class MatcherConfig:
         return MatcherState(n, self, exact=exact)
 
 
-@dataclass
+@dataclass(slots=True)
 class StepTrace:
     time: int
     u: int
@@ -189,6 +191,7 @@ class MultiplicativeState:
     def __init__(self, n: int, exact: bool = False):
         one = Fraction(1) if exact else 1.0
         self.exact = exact
+        self.zero = Fraction(0) if exact else 0.0
         self.F = [one] * n
         self.matched = bytearray(n)
         self.matching: list[tuple[int, int]] = []  # endpoint pairs, in match order
@@ -201,24 +204,22 @@ class MultiplicativeState:
         raise NotImplementedError
 
     def _gate(self, fu, fv, p) -> bool:
-        return min(fu, fv) * (1 - p) >= self.floor
+        return (fu if fu < fv else fv) * (1 - p) >= self.floor
 
     # -- core -------------------------------------------------------------
     def proposal(self, u: int, v: int, x_e=None):
         """(p, p_hat, gate_fired, overflow) for the next arrival, no mutation."""
         if self.matched[u] or self.matched[v]:
-            zero = Fraction(0) if self.exact else 0.0
-            return zero, zero, False, False
+            return self.zero, self.zero, False, False
         fu, fv = self.F[u], self.F[v]
         p = self.numerator(x_e) / (fu * fv)
         return self._dispose(fu, fv, p)
 
     def _dispose(self, fu, fv, p):
-        """The gate; overridden by the natural matcher."""
+        """The gate; a natural MatcherState replaces it with its clamp."""
         if self._gate(fu, fv, p):
             return p, p, False, False
-        zero = Fraction(0) if self.exact else 0.0
-        return p, zero, True, False
+        return p, self.zero, True, False
 
     def apply(self, u: int, v: int, p_hat, matched: bool) -> None:
         if p_hat:
@@ -248,10 +249,7 @@ class MultiplicativeState:
         p, p_hat, gate_fired, overflow = self.proposal(u, v, x_e)
         matched = x < p_hat
         self.apply(u, v, p_hat, matched)
-        return StepTrace(
-            time=time, u=u, v=v, p=p, p_hat=p_hat, x=x,
-            matched=matched, gate_fired=gate_fired, overflow=overflow,
-        )
+        return StepTrace(time, u, v, p, p_hat, x, matched, gate_fired, overflow)
 
     def undo(self, u: int, v: int, fu, fv, matched: bool) -> None:
         """Exact inverse of apply(u, v, p_hat, matched), given the F values
@@ -280,13 +278,15 @@ class MatcherState(MultiplicativeState):
         else:
             self.scale = 1.0 / (delta + q)
             self.floor = config.floor
+        if config.mode == MODE_NATURAL:
+            self._dispose = self._clamp  # chosen once; the gated step keeps the base gate
 
     def numerator(self, x_e) -> object:
         return self.scale
 
-    def _dispose(self, fu, fv, p):
-        if self.config.mode != MODE_NATURAL:
-            return super()._dispose(fu, fv, p)
+    def _clamp(self, fu, fv, p):
+        """The natural matcher's disposal: no gate; P > 1 is clamped to 1
+        and flagged as an overflow."""
         if p > 1:
             return p, (Fraction(1) if self.exact else 1.0), False, True
         return p, p, False, False
@@ -319,39 +319,38 @@ def run_fast(us, vs, n: int, delta: float, q: float, rng: random.Random):
 
     Consumes exactly one uniform per arrival (the same contract as run(), so
     fast and traced runs make identical decisions for the same seed).
-    Returns (hit, p_hat, F, gate_fires): per-arrival match flags and P_hat
-    values (0.0 at a matched endpoint or a fired gate), the final F list
-    (F never increases, so min(F) is the smallest value it took), and the
-    gate fire count.
+    Returns (matched, p_hat, F, gate_fires): the indices of the matched
+    arrivals in arrival order (arrival t has index t - 1), the per-arrival
+    P_hat values (0.0 at a matched endpoint or a fired gate), the final F
+    list (F never increases, so min(F) is the smallest value it took), and
+    the gate fire count.
     """
     F = [1.0] * n
     vertex_matched = bytearray(n)
     scale = 1.0 / (delta + q)
     floor = q / (4.0 * delta)
-    hit = []
-    p_hat = []
+    matched = []
+    p_hat = [0.0] * len(us)
     gate_fires = 0
     rand = rng.random
-    for u, v in zip(us, vs):
+    for i, u, v in zip(itertools.count(), us, vs):
         x = rand()
-        p = 0.0
-        if not (vertex_matched[u] or vertex_matched[v]):
-            fu = F[u]
-            fv = F[v]
-            p = scale / (fu * fv)
-            s = 1.0 - p
-            if (fu if fu < fv else fv) * s < floor:
-                gate_fires += 1
-                p = 0.0
-            else:
-                F[u] = fu * s
-                F[v] = fv * s
-        matched = x < p  # never at p = 0: x is in [0, 1)
-        if matched:
-            vertex_matched[u] = vertex_matched[v] = True
-        hit.append(matched)
-        p_hat.append(p)
-    return hit, p_hat, F, gate_fires
+        if vertex_matched[u] or vertex_matched[v]:
+            continue
+        fu = F[u]
+        fv = F[v]
+        p = scale / (fu * fv)
+        s = 1.0 - p
+        if (fu if fu < fv else fv) * s < floor:
+            gate_fires += 1
+            continue
+        F[u] = fu * s
+        F[v] = fv * s
+        p_hat[i] = p
+        if x < p:
+            vertex_matched[u] = vertex_matched[v] = 1
+            matched.append(i)
+    return matched, p_hat, F, gate_fires
 
 
 # ---------------------------------------------------------------------------

@@ -251,15 +251,15 @@ def test_martingale_two_edge_closed_form():
 
     s = make_stream(4, 2, [(1, 2), (0, 1)])  # v = 0, u = 1, w = 2
     cfg = MatcherConfig(delta=2, q=1)
-    nb, us, vs, _ = _martingale_inputs(s, cfg, 0)
+    nb, full = _martingale_inputs(s, cfg, 0, full=True)
     p = 1.0 / 3.0
     ym, max_step, wm, trace = _martingale_trial(
-        s.n, cfg, 0, nb, us, vs, range(s.m), FakeRng([0.0, 0.99]), collect=True)
+        s, cfg, 0, nb, full, FakeRng([0.0, 0.99]), collect=True)
     assert math.isclose(trace.deltas[0], -p)  # e1 matched: term dropped
     assert ym == 0.0
     assert trace.shape_violations() == []
     ym, max_step, wm, trace = _martingale_trial(
-        s.n, cfg, 0, nb, us, vs, range(s.m), FakeRng([0.99, 0.99]), collect=True)
+        s, cfg, 0, nb, full, FakeRng([0.99, 0.99]), collect=True)
     assert math.isclose(trace.deltas[0], p * (p / (1 - p)))  # no match: term grows
     assert math.isclose(ym, p + trace.deltas[0])
     assert math.isclose(wm, p * p * (p / (1 - p)))
@@ -275,11 +275,12 @@ def test_martingale_walk_skips_only_arrivals_that_cannot_move_y():
     s = reorder(gen_regular(30, 6, seed=2), "random", 4)
     cfg = MatcherConfig(delta=6, q=1.5)
     for vertex in (0, 11):
-        nb, us, vs, walk = _martingale_inputs(s, cfg, vertex)
-        assert 0 < len(walk) < s.m
+        nb, walk = _martingale_inputs(s, cfg, vertex)
+        _, every = _martingale_inputs(s, cfg, vertex, full=True)
+        assert 0 < len(walk) < len(every) == s.m
         for seed in range(20):
-            full = _martingale_trial(s.n, cfg, vertex, nb, us, vs, range(s.m), rng_for(seed))
-            part = _martingale_trial(s.n, cfg, vertex, nb, us, vs, walk, rng_for(seed))
+            full = _martingale_trial(s, cfg, vertex, nb, every, rng_for(seed))
+            part = _martingale_trial(s, cfg, vertex, nb, walk, rng_for(seed))
             assert part[:3] == full[:3]
 
 
@@ -416,6 +417,80 @@ def test_mc_audit_catches_corrupted_trace(monkeypatch):
     monkeypatch.setattr(harness, "run", corrupted_run)
     rep = mc_marginals(triangle(), cfg, trials=5, master_seed=2)
     assert any("final F != prod (1 - p_hat)" in v for v in rep.violations)
+
+
+@pytest.mark.parametrize("edit", ["drop", "add"])
+def test_mc_audit_catches_fast_and_traced_paths_disagreeing(monkeypatch, edit):
+    # trial 0's kernel run loses one matched arrival, or gains one; the
+    # traced re-run of that trial must expose it
+    real_run_fast = harness.run_fast
+    calls = []
+
+    def edited_run_fast(us, vs, n, delta, q, rng):
+        matched, p_hat, F, gate_fires = real_run_fast(us, vs, n, delta, q, rng)
+        if not calls:
+            if edit == "drop":
+                matched = matched[1:]
+            else:
+                matched = sorted(matched + [min(set(range(len(us))) - set(matched))])
+        calls.append(edit)
+        return matched, p_hat, F, gate_fires
+
+    s = gen_regular(20, 6, seed=3)
+    cfg = MatcherConfig(delta=6, q=1.5)
+    assert mc_marginals(s, cfg, trials=5, master_seed=2).violations == []
+    monkeypatch.setattr(harness, "run_fast", edited_run_fast)
+    rep = mc_marginals(s, cfg, trials=5, master_seed=2)
+    assert len(calls) == 5
+    assert rep.violations == ["trial 0: fast and traced paths disagree"]
+
+
+def test_mc_computes_each_interval_once_per_hit_count(monkeypatch):
+    # 60 edges and 10 trials: at most 11 distinct hit counts, so at most 11
+    # intervals, each the one its edge's hit count gives
+    real_wilson = harness.wilson_interval
+    calls = []
+
+    def counted(hits, trials):
+        calls.append(hits)
+        return real_wilson(hits, trials)
+
+    monkeypatch.setattr(harness, "wilson_interval", counted)
+    s = gen_regular(20, 6, seed=3)
+    rep = mc_marginals(s, MatcherConfig(delta=6, q=1.5), trials=10, master_seed=4)
+    assert s.m == 60 and len(calls) <= 10 + 1
+    assert sorted(calls) == sorted({e["hits"] for e in rep.edges})
+    assert all((e["ci_lo"], e["ci_hi"]) == real_wilson(e["hits"], 10) for e in rep.edges)
+
+
+def test_martingale_walk_plan_is_built_once_per_call(monkeypatch):
+    real_plan = harness._walk_plan
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real_plan(*args)
+
+    monkeypatch.setattr(harness, "_walk_plan", counted)
+    s = gen_regular(20, 6, seed=3)
+    cfg = MatcherConfig(delta=6, q=1.5)
+    martingale_monitor(s, cfg, vertex=4, trials=50, master_seed=9)
+    assert len(calls) == 1
+    martingale_trace(s, cfg, vertex=4, seed=5)
+    assert len(calls) == 2
+
+
+def test_martingale_trace_matched_is_one_flag_per_arrival():
+    from onlinecolor.matcher import run
+    from onlinecolor.stream import reorder
+
+    s = reorder(gen_regular(20, 6, seed=3), "random", 5)
+    cfg = MatcherConfig(delta=6, q=1.5)
+    for seed in range(10):
+        trace = martingale_trace(s, cfg, vertex=4, seed=seed)
+        _, traces = run(s, cfg, derive_seed(seed))
+        assert trace.matched == [tr.matched for tr in traces]
+        assert len(trace.y) == s.m + 1
 
 
 def test_verify_rounder_audit_catches_corrupted_trace(monkeypatch):

@@ -96,9 +96,9 @@ def test_fast_and_traced_paths_agree():
     cfg = MatcherConfig(delta=max(s.degrees()), q=2.0)
     for trial in range(20):
         got, _, _, _ = run_fast([e.u for e in s.arrivals], [e.v for e in s.arrivals],
-                             s.n, cfg.delta, cfg.q, rng_for(77, trial))
+                                s.n, cfg.delta, cfg.q, rng_for(77, trial))
         _, traces = run(s, cfg, derive_seed(77, trial))
-        assert [tr.matched for tr in traces] == got
+        assert [tr.time - 1 for tr in traces if tr.matched] == got
 
 
 def test_natural_mode_overflow_flag():
@@ -157,8 +157,8 @@ from hypothesis import strategies as st
 
 
 @st.composite
-def _instances(draw):
-    n = draw(st.integers(2, 8))
+def _instances(draw, max_n=8):
+    n = draw(st.integers(2, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
     from onlinecolor.stream import make_stream
@@ -181,6 +181,28 @@ def test_property_run_invariants(s, q, seed):
     assert check_run_invariants(s, cfg, traces) == []
 
 
+@settings(max_examples=200, deadline=None)
+@given(_instances(max_n=12), st.sampled_from([2.0, 3.0]), st.floats(0.5, 2.0),
+       st.integers(0, 2**30))
+def test_kernel_matches_reference_engine(s, delta, q, seed):
+    # run_fast against MatcherState stepped by hand on one uniform per
+    # arrival.  D is at most 3 whatever the degrees, so the gate fires
+    # once a vertex sees three unmatched arrivals
+    cfg = MatcherConfig(delta=delta, q=q)
+    fast_rng = random.Random(seed)
+    matched, p_hat, F, gate_fires = run_fast(s.u, s.v, s.n, delta, q, fast_rng)
+    state = cfg.state(s.n)
+    ref_rng = random.Random(seed)
+    traces = [state.step_at(t, u, v, None, ref_rng.random())
+              for t, u, v in zip(range(1, s.m + 1), s.u, s.v)]
+    assert run(s, cfg, seed)[1] == traces
+    assert matched == [tr.time - 1 for tr in traces if tr.matched]
+    assert p_hat == [tr.p_hat for tr in traces]
+    assert F == state.F
+    assert gate_fires == sum(tr.gate_fired for tr in traces)
+    assert fast_rng.getstate() == ref_rng.getstate()
+
+
 def test_single_edge_marginal_statistical():
     # D=2, q=1: matched with probability exactly 1/3
     from onlinecolor.stream import make_stream
@@ -191,7 +213,7 @@ def test_single_edge_marginal_statistical():
     trials = 30000
     for t in range(trials):
         got, _, _, _ = run_fast([0], [1], 2, 2.0, 1.0, rng_for(5, t))
-        hits += got[0]
+        hits += got == [0]
     p = hits / trials
     sigma = math.sqrt((1 / 3) * (2 / 3) / trials)
     assert abs(p - 1 / 3) < 4 * sigma
