@@ -118,8 +118,9 @@ class OracleResult:
 def _walk(steps, acc, per_color, colored, cond, branches: int, branch_limit: int):
     """The branch tree of ``steps``, a list of (arrival index, color, state,
     u, v, x) in the order a run takes them.  Adds each node's mass into the
-    per-arrival accumulators per_color (color -> acc), colored and cond;
-    returns (leaf total, branches counted on from ``branches``)."""
+    per-arrival accumulators per_color (color -> acc; left empty by a plain
+    walk, whose color is None), colored and cond; returns (leaf total,
+    branches counted on from ``branches``)."""
     leaf = acc()
     prob = Fraction(1) if acc is _Plain else 1.0
     trail = []  # undo record (state, u, v, F(u), F(v), matched) of each step on the path
@@ -138,7 +139,8 @@ def _walk(steps, acc, per_color, colored, cond, branches: int, branch_limit: int
             if p_hat:
                 take = prob * p_hat
                 if won != i:  # the first color to match the arrival wins it
-                    per_color[i].setdefault(c, acc()).add(take)
+                    if c is not None:  # a plain walk reads only ``colored``
+                        per_color[i].setdefault(c, acc()).add(take)
                     colored[i].add(take)
                 if p_hat == 1:  # the unmatched child has probability 0
                     matched, won = True, i

@@ -30,6 +30,13 @@ object once.  Equal palettes share one tuple: the parser reads each distinct
 content.  ``arrivals`` is a read-only sequence view that builds an
 ``EdgeArrival`` record on each access (length, index, slice, iteration);
 the package's per-edge loops read the columns instead.
+
+The random generators draw from ``random.Random(seed)`` exactly as networkx
+3.x does (see the README's seeding contract) and hand their columns straight
+to ``ArrivalStream``, which validates them as it validates any other.  Every
+shuffle of the package, the pairing model's and ``reorder``'s, runs
+``_shuffle``: CPython's ``Random.shuffle`` loop with its bounded draw inlined,
+which gives the same permutation and leaves the generator in the same state.
 """
 
 from __future__ import annotations
@@ -443,33 +450,57 @@ def gen_lower_bound_tree(delta: int, q: int) -> ArrivalStream:
     return make_stream(next_id, delta, edges)
 
 
-def _edges_in_adjacency_order(n: int, edges) -> list[tuple[int, int]]:
-    """Adjacency order: vertices ascending, each vertex's larger neighbours
-    in the order ``edges`` gives them, every edge once from its smaller
-    endpoint (the arrival order the README's seeding contract fixes)."""
+def _edges_in_adjacency_order(n: int, edges) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The columns (u, v) of ``edges`` in adjacency order: vertices
+    ascending, each vertex's larger neighbours in the order ``edges`` gives
+    them, every edge once from its smaller endpoint (the arrival order the
+    README's seeding contract fixes)."""
     higher: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
         if a > b:
             a, b = b, a
         higher[a].append(b)
-    return [(a, b) for a in range(n) for b in higher[a]]
+    us = itertools.chain.from_iterable(map(itertools.repeat, range(n), map(len, higher)))
+    return tuple(us), tuple(itertools.chain.from_iterable(higher))
+
+
+def _shuffle(rng: random.Random, x: list) -> None:
+    """Shuffle ``x`` in place exactly as ``rng.shuffle(x)`` does: the same
+    permutation, and ``rng`` left in the same state.
+
+    CPython's loop swaps x[i] with x[j] for i from len(x) - 1 down to 1,
+    where j draws k = (i + 1).bit_length() bits until j <= i.  Here that draw
+    is inlined, and k is computed once per block of i that shares it."""
+    getrandbits = rng.getrandbits
+    top = len(x) - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        low = (1 << (k - 1)) - 1  # the smallest i with (i + 1).bit_length() == k
+        for i in range(top, low - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        top = low - 1
 
 
 def _pairing_edges(n: int, delta: int, rng: random.Random) -> set | None:
     """One attempt of the pairing model (Steger & Wormald 1999); None when
-    the leftover stubs admit no completion and the attempt must restart."""
+    the leftover stubs admit no completion and the attempt must restart.
+    The set's iteration order gives each vertex's neighbour order."""
     edges: set[tuple[int, int]] = set()
+    add = edges.add
     stubs = list(range(n)) * delta
     while stubs:
         leftover: dict[int, int] = {}  # stub counts, in first-failure order
-        rng.shuffle(stubs)
+        _shuffle(rng, stubs)
         it = iter(stubs)
         for s1, s2 in zip(it, it):
-            if s1 > s2:
-                s1, s2 = s2, s1
-            if s1 != s2 and (s1, s2) not in edges:
-                edges.add((s1, s2))
+            pair = (s1, s2) if s1 < s2 else (s2, s1)
+            if s1 != s2 and pair not in edges:
+                add(pair)
             else:
+                s1, s2 = pair
                 leftover[s1] = leftover.get(s1, 0) + 1
                 leftover[s2] = leftover.get(s2, 0) + 1
         if leftover and not _some_pair_free(edges, leftover):
@@ -504,7 +535,7 @@ def gen_regular(n: int, delta: int, seed: int) -> ArrivalStream:
     edges = None
     while edges is None:
         edges = _pairing_edges(n, delta, rng)
-    return make_stream(n, delta, _edges_in_adjacency_order(n, edges))
+    return ArrivalStream(n, delta, *_edges_in_adjacency_order(n, edges))
 
 
 def gen_erdos_renyi(n: int, p: float, seed: int) -> ArrivalStream:
@@ -529,7 +560,7 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> ArrivalStream:
             if v < n:
                 edges.append((w, v))
     degree = Counter(w for e in edges for w in e)
-    return make_stream(n, max(degree.values(), default=0), _edges_in_adjacency_order(n, edges))
+    return ArrivalStream(n, max(degree.values(), default=0), *_edges_in_adjacency_order(n, edges))
 
 
 def gen_complete_bipartite(a: int, b: int) -> ArrivalStream:
@@ -542,8 +573,9 @@ def gen_complete_bipartite(a: int, b: int) -> ArrivalStream:
 def reorder(stream: ArrivalStream, order: str, seed: int | None = None) -> ArrivalStream:
     """Permute the arrival order; annotations travel with their edges.
 
-    ``order="random"`` shuffles the arrival indices with ``random.Random(seed)``,
-    which permutes exactly as shuffling the arrivals themselves would."""
+    ``order="random"`` shuffles the arrival indices as ``random.Random(seed)``
+    would (``_shuffle``), which permutes exactly as shuffling the arrivals
+    themselves would."""
     if order == ORDER_GIVEN:
         return stream
     perm = list(range(stream.m))
@@ -552,7 +584,7 @@ def reorder(stream: ArrivalStream, order: str, seed: int | None = None) -> Arriv
     elif order == ORDER_RANDOM:
         if seed is None:
             raise StreamError("order=random needs a seed")
-        random.Random(seed).shuffle(perm)
+        _shuffle(random.Random(seed), perm)
     else:
         raise StreamError(f"unknown order {order!r}")
 

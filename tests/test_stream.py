@@ -1,4 +1,5 @@
 import hashlib
+import random
 from collections import Counter
 from unittest import mock
 
@@ -596,6 +597,52 @@ def test_generators_match_networkx():
                 got = [(e.u, e.v) for e in gen_erdos_renyi(n, p, seed).arrivals]
                 want = list(nx.fast_gnp_random_graph(n, p, seed=seed).edges())
                 assert got == want, (n, p, seed)
+
+
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        ((1000, 300, 1), "e7a3cdbc169222568a2a5ae64b1c00d79f7a6729537c2b227a92390f2c774567"),
+        ((2000, 200, 1), "d117acb228de6b988c8a3e74b3c2ef3778d42e6ff3b6dd26771a42f2ad9b68ed"),
+    ],
+    ids=["n1000-d300", "n2000-d200"],
+)
+def test_large_regular_instances_pinned(args, digest):
+    # the plain-phases instance, and one whose pairing restarts once; both
+    # digests were taken before the generator's shuffle was inlined
+    attempts = []
+    pairing = streammod._pairing_edges
+
+    def counted(*a):
+        attempts.append(pairing(*a))
+        return attempts[-1]
+
+    with mock.patch.object(streammod, "_pairing_edges", counted):
+        s = gen_regular(*args)
+    assert hashlib.sha256(repr((s.u, s.v)).encode()).hexdigest() == digest
+    assert [e is None for e in attempts] == [True] * (args[0] == 2000) + [False]
+
+
+def test_shuffle_matches_random_shuffle():
+    # the same list and the same generator state as the standard library's
+    # shuffle, across the edges of the blocks that share one bit count
+    lengths = list(range(71)) + [(1 << k) + d for k in range(1, 13) for d in (-1, 0, 1)]
+    for seed in (0, 1, 7, 2**40 + 3):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in lengths:
+            a, b = list(range(n)), list(range(n))
+            streammod._shuffle(ours, a)
+            theirs.shuffle(b)
+            assert a == b, (seed, n)
+            assert ours.getstate() == theirs.getstate(), (seed, n)
+
+
+def test_random_reorder_permutes_as_random_shuffle():
+    s = gen_regular(30, 6, seed=2)
+    perm = list(range(s.m))
+    random.Random(9).shuffle(perm)
+    r = reorder(s, "random", 9)
+    assert r.u == tuple(s.u[i] for i in perm) and r.v == tuple(s.v[i] for i in perm)
 
 
 def test_gen_complete_bipartite():
