@@ -164,7 +164,9 @@ def cmd_color(args) -> int:
         palettes = s.palettes
     else:
         result = colorer.local_color(s, profile, args.seed)
-        palettes = [range(1, b + 1) for b in result.local_bounds]
+        # one range object per distinct bound, as local_color shares them
+        by_bound = {b: range(1, b + 1) for b in set(result.local_bounds)}
+        palettes = list(map(by_bound.__getitem__, result.local_bounds))
     violations = harness.validate_coloring(s, result, palettes=palettes) + result.invariant_violations
     payload = result.report(profile)
     payload["violations"] = violations

@@ -753,48 +753,57 @@ def run_generic(
                 # is what reaches the tail: cut its tail class once
                 tail = partition.tail(palette)
                 tail_start, tail_size = tail.start, len(tail)
-        remaining = palette
-        dense_ok = False
         got: int | None = None
-        for i in active:
-            st = stats[i]
-            st.entered += 1
-            di = deg[i]
-            di[u] += 1
-            di[v] += 1
-            remaining, sublist, rest = partition.split(remaining, i, targets[i])
-            dense = di[u] >= thresholds[i] or di[v] >= thresholds[i]
-            if not range_mode:
-                enough = len(remaining) >= targets[i]
-                if dense_ok and not enough:
-                    ledger_violations += 1
-                if dense and enough:
-                    dense_ok = True
-            if dense:
-                st.dense_edges += 1
-                lo_b, hi_b = bounds[i]
-                if not lo_b <= len(sublist) <= hi_b:
-                    st.promise_violations += 1
-                    if profile.strict_promises:
-                        raise PromiseViolation(
-                            f"t={idx + 1} phase {i}: sublist size {len(sublist)} outside "
-                            f"[{lo_b:.6g}, {hi_b:.6g}]"
-                        )
-            got = reducers[i].feed(u, v, sublist)
-            if got is not None:
-                st.colored += 1
-                stage_out[idx] = i
-                break
-            remaining = rest
+        remaining = palette
+        if active:
+            dense_ok = False
+            for i in active:
+                st = stats[i]
+                st.entered += 1
+                di = deg[i]
+                di[u] += 1
+                di[v] += 1
+                remaining, sublist, rest = partition.split(remaining, i, targets[i])
+                dense = di[u] >= thresholds[i] or di[v] >= thresholds[i]
+                if not range_mode:
+                    enough = len(remaining) >= targets[i]
+                    if dense_ok and not enough:
+                        ledger_violations += 1
+                    if dense and enough:
+                        dense_ok = True
+                if dense:
+                    st.dense_edges += 1
+                    lo_b, hi_b = bounds[i]
+                    if not lo_b <= len(sublist) <= hi_b:
+                        st.promise_violations += 1
+                        if profile.strict_promises:
+                            raise PromiseViolation(
+                                f"t={idx + 1} phase {i}: sublist size {len(sublist)} outside "
+                                f"[{lo_b:.6g}, {hi_b:.6g}]"
+                            )
+                got = reducers[i].feed(u, v, sublist)
+                if got is not None:
+                    st.colored += 1
+                    stage_out[idx] = i
+                    break
+                remaining = rest
         if got is None:
             # greedy tail, else the overflow
-            tail_deg[u] += 1
-            tail_deg[v] += 1
+            if active:  # the last phase's degrees after it, for its stats
+                tail_deg[u] += 1
+                tail_deg[v] += 1
             taken = used[u] | used[v]
             if range_mode:  # _smallest_free on the tail range, inline
                 above = taken >> tail_start
-                k = (~above & (above + 1)).bit_length() - 1  # lowest clear bit
-                got = tail_start + k if k < tail_size else None
+                low = ~above & (above + 1)  # the lowest clear bit, alone
+                k = low.bit_length() - 1
+                if k < tail_size:
+                    # the color and its bit, both from the bit found
+                    colors_out[idx] = tail_start + k
+                    low <<= tail_start
+                    used[u] |= low
+                    used[v] |= low
+                    continue
             else:
                 got = _smallest_free(partition.tail(remaining), taken, slots)
             if got is None:

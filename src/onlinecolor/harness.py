@@ -6,6 +6,11 @@ order.  Reports embed S, so re-running a report reproduces every decision
 bit for bit.  Invariant checks are always on in harness entry points; a
 report with violation count zero certifies that every per-module invariant
 held at every step it audited.
+
+``validate_coloring`` accepts and explains in two parts, as
+``ArrivalStream`` validation does: a lean pass accepts a complete coloring
+on a shared step-1 range, and the full loop runs for every other case and
+alone writes the violation messages.
 """
 
 from __future__ import annotations
@@ -265,6 +270,12 @@ def validate_coloring(
     """Properness, palette membership, completeness.  Violations are data,
     not exceptions; the first ``limit`` are returned.
 
+    A complete coloring on one shared step-1 range (what ``onlinecolor
+    color`` checks in plain mode) is first offered to a lean accept pass,
+    ``_proper_on_range``, which finds no fault and gives no message; any
+    coloring it does not accept, and every other call, goes through the
+    loop below, which finds and explains each violation.
+
     ``palettes`` is one palette shared by every edge or one per edge (see
     ``colorer.is_shared_palette``).  A coloring or a per-edge palette
     sequence whose length is not m is reported first ("N colors for m
@@ -273,6 +284,9 @@ def validate_coloring(
     if isinstance(colors, ColoringResult):
         colors = colors.colors
     m = stream.m
+    if (isinstance(palettes, range) and palettes.step == 1 and len(colors) == m
+            and _proper_on_range(stream, colors, palettes)):
+        return []
     bad: list[str] = []
     if len(colors) != m:
         bad.append(f"{len(colors)} colors for {m} edges")
@@ -307,6 +321,27 @@ def validate_coloring(
         elif seen.setdefault(c, t) != t:
             bad.append(f"t={t}: color {c} repeated at vertex {v} (first at t={seen[c]})")
     return bad[:limit]
+
+
+def _proper_on_range(stream: ArrivalStream, colors, palette: range) -> bool:
+    """True when ``colors``, one per edge, are ints of the step-1 range
+    ``palette`` and no color repeats at a vertex; False leaves the findings
+    and the messages to the loop of ``validate_coloring``.  Each distinct
+    color gets a dense bit slot, so the per-vertex masks grow with the
+    colors used, not with their ids."""
+    keys = set(colors)
+    if not all(type(c) is int for c in keys):  # None (uncolored) included
+        return False
+    if keys and (min(keys) < palette.start or max(keys) >= palette.stop):
+        return False
+    bit_of = {c: 1 << k for k, c in enumerate(keys)}
+    used = [0] * stream.n
+    for u, v, b in zip(stream.u, stream.v, map(bit_of.__getitem__, colors)):
+        if (used[u] | used[v]) & b:
+            return False
+        used[u] |= b
+        used[v] |= b
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,21 @@ non-negative integers below n, so isolated vertices are representable
 
 ``parse_stream`` reads canonical text, what ``emit_stream`` writes for a
 stream without annotations, in chunks of about ``PARSE_CHUNK`` characters
-cut at newlines: one regex match checks a chunk, one split reads it.  Any
-other text is read line by line from its start.  Both give the same
-columns and the same errors.
+cut at newlines: one regex match checks a chunk, and one ``json.loads`` of
+its integers reads it.  Any other text is read line by line from its
+start.  Both give the same columns and the same errors.
 
 ``ArrivalStream`` stores its arrivals as columns, one tuple per field:
 endpoints ``u`` and ``v``, fractional values ``x`` and palettes
 ``palettes``.  An annotation column is None when no arrival carries that
 annotation, and holds None for each arrival without it otherwise.  Arrival i
 (0-based) arrives at time i + 1; no time is stored.  The stream validates
-its columns in one pass when it is built, checking each distinct palette
+its columns when it is built, in two parts: a stream without annotations
+is first offered to a lean accept pass (ids in range, no self-loop, each
+unordered pair once, no degree above dmax), which finds no fault and
+gives no message.  Any stream it does not accept, and every annotated
+one, goes through the one checking loop from t = 1, which alone raises,
+with the message of the first fault; it checks each distinct palette
 object once.  Equal palettes share one tuple: the parser reads each distinct
 ``L=`` token text once, and ``make_stream`` shares equal palettes by
 content.  ``arrivals`` is a read-only sequence view that builds an
@@ -43,7 +48,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
+import operator
 import random
 import re
 from collections import Counter
@@ -139,10 +146,14 @@ class ArrivalStream:
         self._validate()
 
     def _validate(self) -> None:
-        # The one validation pass over the columns.
+        # A stream without annotations is accepted by _plain_valid when it
+        # can be; the loop below checks every other stream, and alone
+        # raises, from t = 1.
         n, dmax = self.n, self.delta_bound
         if n < 0 or dmax < 0:
             raise StreamError("n and dmax must be non-negative")
+        if self.x is None and self.palettes is None and self._plain_valid():
+            return
         m = len(self.u)
         xs = itertools.repeat(None, m) if self.x is None else self.x
         ps = itertools.repeat(None, m) if self.palettes is None else self.palettes
@@ -181,6 +192,29 @@ class ArrivalStream:
                 if frac[u] > frac_limit or frac[v] > frac_limit:
                     w = u if frac[u] > frac_limit else v
                     raise StreamError(f"t={t}: fractional sum {frac[w]:.12g} > 1 at vertex {w}")
+
+    def _plain_valid(self) -> bool:
+        """True when the endpoint columns hold ids in [0, n), no self-loop,
+        no pair twice and no degree above dmax; False leaves the finding
+        and the message to the loop of ``_validate``."""
+        us, vs, n = self.u, self.v, self.n
+        if not us:
+            return True
+        seen: set[int] = set()
+        add = seen.add
+        degree = [0] * n
+        try:
+            if min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n:
+                return False
+            if any(map(operator.eq, us, vs)):
+                return False
+            for u, v in zip(us, vs):
+                add(u * n + v if u < v else v * n + u)
+                degree[u] += 1
+                degree[v] += 1
+        except TypeError:  # an id that is not an int: the loop raises as it would
+            return False
+        return len(seen) == len(us) and max(degree) <= self.delta_bound
 
     @property
     def m(self) -> int:
@@ -268,23 +302,27 @@ def parse_stream(text: str | bytes) -> ArrivalStream:
 
 def _parse_canonical(text: str):
     """The columns (n, dmax, u, v, x, palettes) of canonical text, or None
-    for any other text.  Each chunk is checked by one regex match, then split
-    once, and its endpoints read from every third token."""
+    for any other text.  Each chunk is checked by one regex match, then read
+    by one ``json.loads`` of its integers rewritten as an array
+    ("e 1 2\\ne 3 4\\n" -> "[1,2,3,4]"), endpoints alternating."""
     head = _CANONICAL_HEADER.match(text)
     if head is None:
         return None
     us: list[int] = []
     vs: list[int] = []
     edges = _CANONICAL_EDGES.fullmatch
+    loads = json.loads
     start, end = head.end(), len(text)
     while start < end:
         cut = text.find("\n", start + PARSE_CHUNK - 1) + 1 or end
         chunk = text[start:cut]
         if edges(chunk) is None:
             return None
-        toks = chunk.split()
-        us += map(int, toks[1::3])
-        vs += map(int, toks[2::3])
+        # a matched chunk is "e <u> <v>\n" lines: drop the first "e " and
+        # the last newline, and every other separator becomes a comma
+        ends = loads("[" + chunk[2:-1].replace("\ne ", ",").replace(" ", ",") + "]")
+        us += ends[0::2]
+        vs += ends[1::2]
         start = cut
     return int(head[1]), int(head[2]), us, vs, None, None
 
@@ -559,7 +597,7 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> ArrivalStream:
                 v += 1
             if v < n:
                 edges.append((w, v))
-    degree = Counter(w for e in edges for w in e)
+    degree = Counter(itertools.chain.from_iterable(edges))
     return ArrivalStream(n, max(degree.values(), default=0), *_edges_in_adjacency_order(n, edges))
 
 

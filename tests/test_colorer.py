@@ -870,6 +870,25 @@ def test_bounded_color_state():
     assert peak < 2 * 2**20
 
 
+def test_bounded_range_validation():
+    # complete colorings on a shared step-1 range near 2^31, and on one
+    # spanning 1..2^31 - 1 with both of its ends used: validate_coloring's
+    # bookkeeping grows with the colors used, not with their ids
+    top = 2**31 - 1
+    star = make_stream(20, 19, [(0, i) for i in range(1, 20)])
+    path = make_stream(3, 2, [(0, 1), (1, 2)])
+    cases = [(star, [top - 63 + k for k in range(19)], range(2**31 - 64, 2**31)),
+             (path, [1, top], range(1, 2**31))]
+    tracemalloc.start()
+    try:
+        found = [validate_coloring(s, colors, palettes=palette) for s, colors, palette in cases]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == [[], []]
+    assert peak < 2 * 2**20
+
+
 def test_strict_promise_violation_aborts():
     # lists of 40 colors keep the tail alive past the density threshold but
     # leave phase-0 sublists (~0.14 * 40) far below lambda_0 ~ 21.7

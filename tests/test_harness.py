@@ -207,8 +207,41 @@ def colorings(draw):
     return s, colors, kind, palettes
 
 
+@st.composite
+def range_colorings(draw):
+    """A small stream, a complete greedy coloring of it from a shared step-1
+    range that starts at 1 or above, and that range; the defects planted
+    are a color repeated at one endpoint only and a color one past either
+    end of the range."""
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14))
+    chosen = [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+    s = make_stream(n, n, chosen)
+    start = draw(st.sampled_from([1, 2, 9]))
+    colors = list(greedy_color(s, range(start, start + 2 * n)))
+    palette = range(start, max(colors, default=start) + 1 + draw(st.integers(0, 1)))
+    for _ in range(draw(st.integers(0, 2))):
+        if not colors:
+            break
+        i = draw(st.integers(0, len(colors) - 1))
+        defect = draw(st.sampled_from(["at_u", "at_v", "below", "above"]))
+        if defect == "below":
+            colors[i] = palette.start - 1
+        elif defect == "above":
+            colors[i] = palette.stop
+        else:
+            w, other = (s.u[i], s.v[i]) if defect == "at_u" else (s.v[i], s.u[i])
+            at_other = {c for u, v, c in zip(s.u, s.v, colors) if other in (u, v)}
+            repeats = [c for j, (u, v, c) in enumerate(zip(s.u, s.v, colors))
+                       if j != i and w in (u, v) and c not in at_other]
+            if repeats:
+                colors[i] = draw(st.sampled_from(repeats))
+    return s, colors, "shared", palette
+
+
 @settings(max_examples=400)
-@given(colorings(), st.booleans(), st.sampled_from([1, 2, 3, 5, 100]))
+@given(st.one_of(colorings(), range_colorings()), st.booleans(), st.sampled_from([1, 2, 3, 5, 100]))
 def test_validate_coloring_matches_reference(case, require_complete, limit):
     s, colors, kind, palettes = case
     got = validate_coloring(s, colors, palettes=palettes, require_complete=require_complete, limit=limit)

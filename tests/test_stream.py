@@ -1,6 +1,7 @@
 import hashlib
 import random
 from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -413,6 +414,71 @@ def test_stream_rejects_invalid_arrivals(arrivals, fragment):
     # columns given straight to the constructor are checked like parsed ones
     with pytest.raises(StreamError, match=fragment):
         ArrivalStream(n=4, delta_bound=1, **arrivals)
+
+
+@st.composite
+def plain_columns(draw):
+    """(n, dmax, u, v) of a small simple graph without annotations, with
+    defects planted: a self-loop, a negative id, an id equal to n, a pair
+    repeated in either orientation, a degree one above dmax, a negative n or
+    dmax, or no arrivals at all."""
+    n = size = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40)) if pairs else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+
+    def top_degree():
+        return max(Counter(w for e in edges for w in e).values(), default=0)
+
+    # dmax with some slack, so that a repeated pair is not also a degree excess
+    dmax = top_degree() + draw(st.sampled_from([0, 1, 3]))
+    for _ in range(draw(st.integers(0, 2))):
+        defect = draw(st.sampled_from(
+            ["self_loop", "negative", "id_n", "repeat", "reversed", "degree", "neg_n", "neg_dmax",
+             "empty"]))
+        at = draw(st.integers(0, len(edges)))
+        w = draw(st.integers(0, size - 1))
+        if defect == "self_loop":
+            edges.insert(at, (w, w))
+        elif defect in ("negative", "id_n"):
+            bad = -1 if defect == "negative" else size
+            edges.insert(at, (bad, w) if draw(st.booleans()) else (w, bad))
+        elif defect in ("repeat", "reversed") and edges:
+            u, v = draw(st.sampled_from(edges))
+            edges.insert(at, (u, v) if defect == "repeat" else (v, u))
+        elif defect == "degree" and edges:
+            dmax = top_degree() - 1
+        elif defect == "neg_n":
+            n = -n
+        elif defect == "neg_dmax":
+            dmax = -1
+        elif defect == "empty":
+            edges = []
+    return n, dmax, [u for u, _ in edges], [v for _, v in edges]
+
+
+@settings(max_examples=400)
+@given(plain_columns())
+def test_plain_validation_matches_the_loop(case):
+    # a stream without annotations is accepted by a lean pass; any stream it
+    # does not accept must get exactly the loop's message, as if it ran alone
+    n, dmax, us, vs = case
+
+    def outcome():
+        try:
+            ArrivalStream(n, dmax, us, vs)
+        except StreamError as e:
+            return str(e)
+        return None
+
+    got = outcome()
+    with mock.patch.object(ArrivalStream, "_plain_valid", lambda self: False):
+        want = outcome()
+    assert got == want
+    if n >= 0 and dmax >= 0:
+        # and the lean pass accepts exactly the streams the loop accepts
+        columns = SimpleNamespace(n=n, delta_bound=dmax, u=tuple(us), v=tuple(vs))
+        assert ArrivalStream._plain_valid(columns) == (want is None)
 
 
 def test_palettes_shared_and_normalized():
