@@ -51,10 +51,9 @@ run scans the sampled partition's lazy ``tail``, which classifies a color
 only when the scan reaches it, so the partition's draws stay as they are.
 
 Each phase's bank (``PhaseReducer``) keys its slot lookup the same way, by
-the sublist object the split hands it, and steps only the colors in which
-both endpoints are still unmatched.  The uniforms of the colors it skips
-are consumed in bulk before the color's next used draw, so every draw used
-is the one a bank drawing a uniform per color per fed edge would use.
+the sublist object the split hands it.  It draws one uniform per color per
+fed edge, as it visits the color, and steps only the colors in which both
+endpoints are still unmatched.
 
 Palettes are passed to ``run_generic`` and ``greedy_color`` (and to
 ``harness.validate_coloring``) by one convention, decided by
@@ -456,19 +455,15 @@ class PhaseReducer:
     more than the step itself.  Endpoints must differ (streams reject
     self-loops).
 
-    The state is laid out so that a feed works only on the colors that can
-    move.  Bit k of a vertex's matched mask is set once the vertex is matched
-    in slot k's color, and the vertex's F row holds its F per slot.  The
-    reducer keeps the last sublist object it was fed (partitions hand one
-    object to every edge that shares a palette) with that sublist's (slot,
-    bit) pairs, so a new sublist object is looked up once, and a feed skips
-    each slot whose bit is set at either endpoint with one AND.  A skipped
-    color still owes the one uniform per fed edge of the seeding contract:
-    a slot draws only where its gate passes, and first consumes what it owes
-    with ``getrandbits(64 * owed)``, which moves the Mersenne Twister as far
-    as ``owed`` calls to ``random`` would (each uses two 32-bit words).  Each
-    uniform the bank uses is thus the one a bank drawing per fed edge would
-    have used.
+    The state is laid out so that a feed looks nothing up per color.  Bit k
+    of a vertex's matched mask is set once the vertex is matched in slot k's
+    color, and the vertex's F row holds its F per slot.  The reducer keeps
+    the last sublist object it was fed (partitions hand one object to every
+    edge that shares a palette) with each color's entry (slot, bit, the
+    generator's ``random``, matching, color), so a new sublist object is
+    looked up once.  A feed draws each color's uniform as it visits the
+    color, as the seeding contract asks of every fed edge, and then skips
+    the color with one AND if its bit is set at either endpoint.
     """
 
     def __init__(self, n: int, delta: float, q: float, phase: int, master_seed: int):
@@ -481,59 +476,48 @@ class PhaseReducer:
         self.scale = 1.0 / (delta + q)
         self.floor = q / (4.0 * delta)
         self.colors: list[int] = []  # per slot, in order of first sight
-        self._slot_of: dict[int, tuple[int, int]] = {}  # color -> (slot, slot bit)
-        # per slot: (generator, its random, its getrandbits, matching, color)
-        self._slots: list[tuple] = []
-        # per slot: the feed of the current sublist up to which the slot's
-        # generator has drawn (below 0 while it owes draws of earlier sublists)
-        self._marks: list[int] = []
+        # color -> (slot, slot bit, its generator's random, matching, color)
+        self._slot_of: dict[int, tuple] = {}
         self._rows: list[list[float]] = [[] for _ in range(n)]
         self._matched_bits: list[int] = [0] * n
         self._sublist = None  # the last sublist object fed, held
-        self._group: list[tuple[int, int]] = []  # its (slot, slot bit) pairs, in order
-        self._fed = 0  # feeds under it so far
+        self._group: list[tuple] = []  # its colors' entries, in order
 
     def _regroup(self, sublist) -> None:
-        """Make ``sublist`` the current one: settle the old sublist's feed
-        count into its slots' marks, and open the new colors."""
-        marks = self._marks
-        fed = self._fed
-        for k, _ in self._group:
-            marks[k] -= fed
+        """Make ``sublist`` the current one, opening its new colors."""
+        slot_of = self._slot_of
         try:
-            group = list(map(self._slot_of.__getitem__, sublist))
+            group = list(map(slot_of.__getitem__, sublist))
         except KeyError:
-            group = [self._slot_of.get(c) or self._open(c) for c in sublist]
+            self._open([c for c in dict.fromkeys(sublist) if c not in slot_of])
+            group = list(map(slot_of.__getitem__, sublist))
         self._sublist = sublist
         self._group = group
-        self._fed = 0
 
-    def _open(self, c: int) -> tuple[int, int]:
-        k = len(self._slots)
-        entry = self._slot_of[c] = (k, 1 << k)
-        rng = rng_for(self.master_seed, "phase", self.phase, "color", c)
-        self._slots.append((rng, rng.random, rng.getrandbits, [], c))
-        self.colors.append(c)
-        self._marks.append(0)
+    def _open(self, new: list) -> None:
+        """Give each color of ``new`` (distinct, unseen) a slot and its
+        generator, and extend every F row by one 1.0 per new color."""
+        for c in new:
+            k = len(self.colors)
+            rng = rng_for(self.master_seed, "phase", self.phase, "color", c)
+            self._slot_of[c] = (k, 1 << k, rng.random, [], c)
+            self.colors.append(c)
+        ones = [1.0] * len(new)
         for row in self._rows:
-            row.append(1.0)
-        return entry
+            row += ones
 
     def feed(self, u: int, v: int, sublist) -> int | None:
         if sublist is not self._sublist:
             self._regroup(sublist)
-        fed = self._fed
-        self._fed = fed + 1
         bits = self._matched_bits
         taken = bits[u] | bits[v]
         ru = self._rows[u]
         rv = self._rows[v]
         scale = self.scale
         floor = self.floor
-        slots = self._slots
-        marks = self._marks
         won = None
-        for k, bit in self._group:
+        for k, bit, rand, matching, c in self._group:
+            x = rand()
             if taken & bit:
                 continue  # an endpoint is matched in this color
             fu = ru[k]
@@ -544,12 +528,7 @@ class PhaseReducer:
                 continue  # the gate fired: P_hat = 0 leaves F unchanged
             ru[k] = fu * s
             rv[k] = fv * s
-            _, rand, skip, matching, c = slots[k]
-            owed = fed - marks[k]
-            if owed:
-                skip(owed << 6)
-            marks[k] = fed + 1
-            if rand() < p:
+            if x < p:
                 bits[u] |= bit
                 bits[v] |= bit
                 matching.append((u, v))
@@ -559,20 +538,18 @@ class PhaseReducer:
 
     def block(self, u: int, v: int, c: int) -> None:
         """Mark color c, given to (u, v) outside the bank, matched at u and v."""
-        _, bit = self._slot_of.get(c) or self._open(c)
+        if c not in self._slot_of:
+            self._open([c])
+        bit = self._slot_of[c][1]
         self._matched_bits[u] |= bit
         self._matched_bits[v] |= bit
 
     def color_state(self, c: int) -> BankColor:
         """A copy of color c's state after the feeds so far, with a copy of
-        its generator that has drawn one uniform per edge fed to c."""
-        entry = self._slot_of[c]
-        k = entry[0]
-        rng, _, _, matching, _ = self._slots[k]
-        fed = self._fed if entry in self._group else 0
+        its generator, which has drawn one uniform per edge fed to c."""
+        k, _, rand, matching, _ = self._slot_of[c]
         copy = random.Random()
-        copy.setstate(rng.getstate())
-        copy.getrandbits((fed - self._marks[k]) << 6)
+        copy.setstate(rand.__self__.getstate())  # the bound method's generator
         return BankColor(
             [row[k] for row in self._rows],
             bytearray(bits >> k & 1 for bits in self._matched_bits),
@@ -658,17 +635,18 @@ class ColoringResult:
         }
 
 
-def _smallest_free(palette, taken: int, slots: dict | None) -> int | None:
+def _smallest_free(palette, taken: int, slots: dict | None, base: int = 0) -> int | None:
     """The first color of ``palette`` whose bit in ``taken`` is clear, or None.
 
-    With ``slots`` None, bit c stands for color c and ``palette`` is a range:
-    the answer is the lowest clear bit of ``taken`` from the range's start,
-    if it lies inside the range.  Otherwise bit ``slots[c]`` stands for color
-    c and ``palette`` is any iterable, consumed only up to the first free
-    color; a color without a slot has never been used, so it is free.
+    With ``slots`` None, bit c - base stands for color c and ``palette`` is
+    a range starting at base or above: the answer is the lowest clear bit of
+    ``taken`` from the range's start, if it lies inside the range.
+    Otherwise bit ``slots[c]`` stands for color c and ``palette`` is any
+    iterable, consumed only up to the first free color; a color without a
+    slot has never been used, so it is free.
     """
     if slots is None:
-        above = taken >> palette.start
+        above = taken >> (palette.start - base)
         k = (~above & (above + 1)).bit_length() - 1  # lowest clear bit
         return palette.start + k if k < len(palette) else None
     for c in palette:
@@ -676,6 +654,15 @@ def _smallest_free(palette, taken: int, slots: dict | None) -> int | None:
         if k is None or not taken >> k & 1:
             return c
     return None
+
+
+def _range_base(palettes) -> int:
+    """The smallest start of the ranges in ``palettes`` (one palette or one
+    per edge), 0 if none: the color that bit 0 of a range run stands for, so
+    that a run's bitmasks grow with its span of colors, not with their ids."""
+    if isinstance(palettes, range):
+        return palettes.start
+    return min((p.start for p in palettes if isinstance(p, range)), default=0)
 
 
 def is_shared_palette(palettes) -> bool:
@@ -735,10 +722,11 @@ def run_generic(
     # range palettes and a range partition, or else a list run: tuple
     # palettes, a sampled partition and the list ledger
     range_mode = isinstance(partition, RangePartition)
-    # per-vertex bitmask of assigned colors: bit c for range palettes, bit
-    # slots[c] (dense, in order of first use) otherwise
+    # per-vertex bitmask of assigned colors: bit c - base for range
+    # palettes, bit slots[c] (dense, in order of first use) otherwise
     used = [0] * n
     slots = None if range_mode else {}
+    base = _range_base(palettes) if range_mode else 0
 
     checked = object()  # the last palette object whose kind was checked
     for idx, (u, v, palette) in enumerate(zip(stream.u, stream.v, _palette_column(palettes, m))):
@@ -753,6 +741,7 @@ def run_generic(
                 # is what reaches the tail: cut its tail class once
                 tail = partition.tail(palette)
                 tail_start, tail_size = tail.start, len(tail)
+                tail_shift = tail_start - base
         got: int | None = None
         remaining = palette
         if active:
@@ -794,13 +783,13 @@ def run_generic(
                 tail_deg[v] += 1
             taken = used[u] | used[v]
             if range_mode:  # _smallest_free on the tail range, inline
-                above = taken >> tail_start
+                above = taken >> tail_shift
                 low = ~above & (above + 1)  # the lowest clear bit, alone
                 k = low.bit_length() - 1
                 if k < tail_size:
                     # the color and its bit, both from the bit found
                     colors_out[idx] = tail_start + k
-                    low <<= tail_start
+                    low <<= tail_shift
                     used[u] |= low
                     used[v] |= low
                     continue
@@ -808,7 +797,7 @@ def run_generic(
                 got = _smallest_free(partition.tail(remaining), taken, slots)
             if got is None:
                 if profile.fallback_on_tail_failure:
-                    got = _smallest_free(palette, taken, slots)
+                    got = _smallest_free(palette, taken, slots, base)
                 if got is None:
                     raise TailFailure(idx + 1, u, v, profile.fallback_on_tail_failure)
                 stage_out[idx] = "overflow"
@@ -817,7 +806,7 @@ def run_generic(
                 if bank is not None:
                     bank.block(u, v, got)
         colors_out[idx] = got
-        bit = 1 << (got if slots is None else slots.setdefault(got, len(slots)))
+        bit = 1 << (got - base if slots is None else slots.setdefault(got, len(slots)))
         used[u] |= bit
         used[v] |= bit
 
@@ -925,24 +914,26 @@ def greedy_color(stream: ArrivalStream, palettes) -> list[int]:
 
     ``palettes`` is one palette shared by every edge or one palette per
     edge (see ``is_shared_palette``).  Bookkeeping grows with the colors
-    used, not with the largest id: unless every palette is a range, each
-    color gets a dense bit slot on first use.
+    used, not with the largest id: if every palette is a range, bit c - base
+    stands for color c, base being the smallest start; otherwise each color
+    gets a dense bit slot on first use.
     """
     if is_shared_palette(palettes):
         ranged = isinstance(palettes, range)
     else:
         ranged = all(isinstance(p, range) for p in palettes)
     slots = None if ranged else {}
+    base = _range_base(palettes) if ranged else 0
     used = [0] * stream.n
     out = []
     for t, u, v, palette in zip(itertools.count(1), stream.u, stream.v,
                                 _palette_column(palettes, stream.m)):
         if palette is None:
             raise PartitionError(f"t={t}: arrival without a palette in list mode")
-        c = _smallest_free(palette, used[u] | used[v], slots)
+        c = _smallest_free(palette, used[u] | used[v], slots, base)
         if c is None:
             raise TailFailure(t, u, v)
-        bit = 1 << (c if slots is None else slots.setdefault(c, len(slots)))
+        bit = 1 << (c - base if slots is None else slots.setdefault(c, len(slots)))
         used[u] |= bit
         used[v] |= bit
         out.append(c)

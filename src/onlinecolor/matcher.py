@@ -46,11 +46,11 @@ MultiplicativeState (the float-or-exact reference engine; a natural
 MatcherState swaps its gated disposal for a clamp once, at construction),
 in run_fast (the float kernel of every trace-free matcher run; it returns
 the indices of the matched arrivals, not one flag per arrival) and, inline
-for its per-color bank, in colorer.PhaseReducer.feed, which steps only the
-colors free at both endpoints and consumes the uniforms of the others in
-bulk, with getrandbits, before their next use.  The smallest-free-color rule
-lives once, in colorer: the coloring pipeline's tail, its overflow and the
-greedy fallback here all go through it.
+for its per-color bank, in colorer.PhaseReducer.feed, which draws each
+color's uniform as it visits the color and steps only the colors free at
+both endpoints.  The smallest-free-color rule lives once, in colorer: the
+coloring pipeline's tail, its overflow and the greedy fallback here all go
+through it.
 """
 
 from __future__ import annotations

@@ -371,17 +371,29 @@ def test_phase_reducer_block_skips_the_color():
 
 
 def _reference_bank(n, delta, q, phase, seed, edges):
-    """The bank as one MatcherState per color, driven through proposal + apply."""
+    """The bank as one MatcherState per color, driven through proposal + apply.
+
+    An event (u, v, c) with a color c in place of a sublist is a block: c's
+    matcher marks u and v matched, and its generator draws nothing."""
     config = MatcherConfig(delta=delta, q=q)
     states, rngs, winners = {}, {}, []
     gate_fires = skips = 0
+
+    def state(c):
+        if c not in states:
+            states[c] = MatcherState(n, config)
+            rngs[c] = rng_for(seed, "phase", phase, "color", c)
+        return states[c]
+
     for u, v, sublist in edges:
         won = None
+        if isinstance(sublist, int):
+            st = state(sublist)
+            st.matched[u] = st.matched[v] = True
+            winners.append(won)
+            continue
         for c in sublist:
-            if c not in states:
-                states[c] = MatcherState(n, config)
-                rngs[c] = rng_for(seed, "phase", phase, "color", c)
-            st = states[c]
+            st = state(c)
             x = rngs[c].random()
             skips += bool(st.matched[u] or st.matched[v])
             _, p_hat, gate_fired, _ = st.proposal(u, v)
@@ -410,12 +422,12 @@ def _bank_edges(case, rng):
 
 
 def _assert_bank_matches_reference(n, delta, q, edges):
-    """Feed ``edges`` to a PhaseReducer and to ``_reference_bank``: winners,
-    colors in order of first sight, and each color's F, matched flags,
-    matching and next draw must agree.  Returns the reducer, the reference's
-    gate fires and its skips."""
+    """Feed ``edges`` to a PhaseReducer and to ``_reference_bank``, with
+    each block event passed to ``block``: winners, colors in order of first
+    sight, and each color's F, matched flags, matching and next draw must
+    agree.  Returns the reducer, the reference's gate fires and its skips."""
     red = PhaseReducer(n, delta=delta, q=q, phase=1, master_seed=17)
-    got = [red.feed(u, v, sublist) for u, v, sublist in edges]
+    got = [red.block(u, v, s) if isinstance(s, int) else red.feed(u, v, s) for u, v, s in edges]
     want, states, rngs, gate_fires, skips = _reference_bank(n, delta, q, 1, 17, edges)
     assert got == want
     assert red.colors == list(states)
@@ -453,15 +465,20 @@ def _bank_cases(draw):
     """Small banks whose edges take a shared sublist object (so shared
     objects alternate), a new tuple or a new range: colors fall in several
     groups, in an order of first sight unlike color order, and sublists may
-    be empty.  The smallest slack makes the gate fire."""
+    be empty.  The smallest slack makes the gate fire.  Block events are
+    interleaved, on colors seen or not yet seen (10 is never in a
+    sublist), so rows grow both where a sublist and where a block opens a
+    color."""
     n = draw(st.integers(2, 8))
     delta, q = draw(st.sampled_from([(10.0, 2.0), (3.0, 1.0), (2.0, 0.25)]))
     shared = [tuple(c) for c in draw(st.lists(_SUBLIST, min_size=1, max_size=3))]
     edges = []
     for _ in range(draw(st.integers(0, 40))):
         u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        kind = draw(st.sampled_from(["shared", "tuple", "range"]))
-        if kind == "shared":
+        kind = draw(st.sampled_from(["shared", "tuple", "range", "block"]))
+        if kind == "block":
+            sublist = draw(st.integers(1, 10))
+        elif kind == "shared":
             sublist = shared[draw(st.integers(0, len(shared) - 1))]
         elif kind == "tuple":
             sublist = tuple(draw(_SUBLIST))
@@ -476,17 +493,6 @@ def _bank_cases(draw):
 @given(_bank_cases())
 def test_phase_reducer_matches_reference_property(case):
     _assert_bank_matches_reference(*case)
-
-
-@pytest.mark.parametrize("k", [0, 1, 2, 7, 1000])
-def test_getrandbits_skips_like_random_calls(k):
-    # the bank skips the uniforms it owes with getrandbits(64 * k): on this
-    # Python that moves the Mersenne Twister exactly as k random() calls do
-    skipped, drawn = random.Random(99), random.Random(99)
-    skipped.getrandbits(64 * k)
-    for _ in range(k):
-        drawn.random()
-    assert skipped.getstate() == drawn.getstate()
 
 
 def test_degree_accounting_violation_recorded(monkeypatch):
@@ -886,6 +892,29 @@ def test_bounded_range_validation():
     finally:
         tracemalloc.stop()
     assert found == [[], []]
+    assert peak < 2 * 2**20
+
+
+def test_bounded_range_greedy_and_pipeline():
+    # greedy_color and the pipeline on ranges near 2^31, shared and per
+    # edge: a bitmask indexed by the id would take 256 MB per vertex, one
+    # indexed from the smallest range start takes 64 bits.  The pipeline's
+    # tail class {1..2 d_0} misses the ranges, so every edge overflows
+    lo = 2**31 - 64
+    star = make_stream(20, 19, [(0, i) for i in range(1, 20)])
+    palettes = (range(lo, 2**31), [range(lo + k, 2**31) for k in range(19)])
+    sch = degree_schedule(19, 20, PRACTICAL)
+    tracemalloc.start()
+    try:
+        greedy = [greedy_color(star, p) for p in palettes]
+        runs = [colorer.run_generic(star, p, sch, RangePartition(sch), PRACTICAL, 1)
+                for p in palettes]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    want = list(range(lo, lo + 19))
+    assert greedy == [want, want]
+    assert sch.f == 0 and [(r.colors, len(r.overflows)) for r in runs] == [(want, 19)] * 2
     assert peak < 2 * 2**20
 
 
