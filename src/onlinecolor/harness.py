@@ -1,11 +1,14 @@
 """Monte-Carlo drivers, validators, martingale diagnostics, and reports.
 
-Seeding contract: trial t of a run with master seed S uses the generator
-``seeding.rng_for(S, t)`` and consumes one uniform per arrival, in arrival
-order.  Reports embed S, so re-running a report reproduces every decision
-bit for bit.  Invariant checks are always on in harness entry points; a
-report with violation count zero certifies that every per-module invariant
-held at every step it audited.
+Seeding contract: trial t of a run with master seed S draws from a
+generator in the state that ``seeding.rng_for(S, t)`` gives, and consumes
+one uniform per arrival, in arrival order.  The gated Monte-Carlo and
+martingale loops build one generator per call and re-seed it each trial
+with ``derive_seed(S, t)``, which leaves it in that same state.  Reports
+embed S, so re-running a report reproduces every decision bit for bit.
+Invariant checks are always on in harness entry points; a report with
+violation count zero certifies that every per-module invariant held at
+every step it audited.
 
 ``validate_coloring`` accepts and explains in two parts, as
 ``ArrivalStream`` validation does: a lean pass accepts a complete coloring
@@ -21,6 +24,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from random import Random
 
 from .colorer import ColoringResult, greedy_color, is_shared_palette
 from .matcher import (
@@ -182,6 +186,7 @@ def mc_marginals(
     fast = config.gated
     greedy = config.mode == MODE_GREEDY_FALLBACK
     us, vs = stream.u, stream.v
+    rng = Random()  # re-seeded per gated trial (see the seeding contract)
     if greedy:
         # the greedy coloring does not depend on the trial; only c* does
         delta = int(config.delta)
@@ -191,7 +196,7 @@ def mc_marginals(
             c_star = draw_c_star(delta, derive_seed(master_seed, t))
             got = [i for i, c in enumerate(greedy_colors) if c == c_star]
         elif fast:
-            rng = rng_for(master_seed, t)
+            rng.seed(derive_seed(master_seed, t))
             got, _, F, gf = run_fast(us, vs, stream.n, config.delta, config.q, rng)
             min_f = min(min_f, min(F, default=1.0))
             gate_fires += gf
@@ -401,7 +406,10 @@ def _martingale_inputs(stream: ArrivalStream, config: MatcherConfig, vertex: int
     """What every trial shares: the neighbor arrival times of ``vertex`` and
     the walk plan, built once per call.  The plan covers the arrivals that
     touch a neighbor, which include every arrival at ``vertex``, or every
-    arrival when ``full``.  Raises for any matcher but the gated one."""
+    arrival when ``full``.  Raises for a vertex outside [0, n) and for any
+    matcher but the gated one."""
+    if not 0 <= vertex < stream.n:
+        raise ValueError(f"vertex {vertex} not in the stream")
     if not config.gated:
         raise MatcherError(
             "martingale diagnostics follow the gated analysis_friendly matcher, "
@@ -519,8 +527,6 @@ def martingale_monitor(
     128 D ln D / q^2 on every trial, and that the 4-sigma interval around
     mean(Y_m) contains Y_0 = deg(v)/(D+q)."""
     _require_trials(trials)
-    if not 0 <= vertex < stream.n:
-        raise ValueError(f"vertex {vertex} not in the stream")
     neighbors, plan = _martingale_inputs(stream, config, vertex)
     delta, q = config.delta, config.q
     y0 = len(neighbors) / (delta + q)
@@ -532,10 +538,10 @@ def martingale_monitor(
     total_sq = 0.0
     max_step = 0.0
     max_wm = 0.0
+    rng = Random()  # re-seeded per trial (see the seeding contract)
     for t in range(trials):
-        ym, ms, wm, _ = _martingale_trial(
-            stream, config, vertex, neighbors, plan, rng_for(master_seed, t)
-        )
+        rng.seed(derive_seed(master_seed, t))
+        ym, ms, wm, _ = _martingale_trial(stream, config, vertex, neighbors, plan, rng)
         total += ym
         total_sq += ym * ym
         max_step = max(max_step, ms)

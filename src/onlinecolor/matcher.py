@@ -45,7 +45,8 @@ and one audit, check_run_invariants(), serve both.  The gated step lives in
 MultiplicativeState (the float-or-exact reference engine; a natural
 MatcherState swaps its gated disposal for a clamp once, at construction),
 in run_fast (the float kernel of every trace-free matcher run; it returns
-the indices of the matched arrivals, not one flag per arrival) and, inline
+the indices of the matched arrivals, not one flag per arrival, and a
+matched vertex holds None in its F until the run ends) and, inline
 for its per-color bank, in colorer.PhaseReducer.feed, which draws each
 color's uniform as it visits the color and steps only the colors free at
 both endpoints.  The smallest-free-color rule lives once, in colorer: the
@@ -324,32 +325,43 @@ def run_fast(us, vs, n: int, delta: float, q: float, rng: random.Random):
     P_hat values (0.0 at a matched endpoint or a fired gate), the final F
     list (F never increases, so min(F) is the smallest value it took), and
     the gate fire count.
+
+    A matched vertex holds None in F until the run ends, so one ``is None``
+    test per F value read marks it; the F values its match left are put
+    back just before returning.
     """
     F = [1.0] * n
-    vertex_matched = bytearray(n)
     scale = 1.0 / (delta + q)
     floor = q / (4.0 * delta)
     matched = []
+    taken = []  # (u, F(u), v, F(v)) after each match, put back at the end
     p_hat = [0.0] * len(us)
     gate_fires = 0
     rand = rng.random
     for i, u, v in zip(itertools.count(), us, vs):
         x = rand()
-        if vertex_matched[u] or vertex_matched[v]:
-            continue
         fu = F[u]
+        if fu is None:
+            continue
         fv = F[v]
+        if fv is None:
+            continue
         p = scale / (fu * fv)
         s = 1.0 - p
         if (fu if fu < fv else fv) * s < floor:
             gate_fires += 1
             continue
-        F[u] = fu * s
-        F[v] = fv * s
         p_hat[i] = p
         if x < p:
-            vertex_matched[u] = vertex_matched[v] = 1
+            F[u] = F[v] = None
+            taken.append((u, fu * s, v, fv * s))
             matched.append(i)
+        else:
+            F[u] = fu * s
+            F[v] = fv * s
+    for u, fu, v, fv in taken:
+        F[u] = fu
+        F[v] = fv
     return matched, p_hat, F, gate_fires
 
 

@@ -27,6 +27,16 @@ def star(k: int):
     return make_stream(k + 1, k, [(0, i + 1) for i in range(k)])
 
 
+class FakeRng:
+    """A generator whose random() returns the given values in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
 def probe_stream() -> ArrivalStream:
     """A 20-regular graph whose every palette is {1000..1020}: too few
     colors for the coloring tail and for greedy alike."""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import path, star, triangle
+from conftest import FakeRng, path, star, triangle
 from onlinecolor import harness
 from onlinecolor.colorer import greedy_color, is_shared_palette
 from onlinecolor.harness import (
@@ -250,14 +250,6 @@ def test_validate_coloring_matches_reference(case, require_complete, limit):
 
 # -- martingale diagnostics -----------------------------------------------------
 
-class FakeRng:
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
-
-
 def test_martingale_isolated_vertex():
     s = make_stream(3, 1, [(0, 1)])
     rep = martingale_monitor(s, MatcherConfig(delta=2, q=1), vertex=2,
@@ -340,8 +332,18 @@ def test_martingale_monitor_regular_instance():
     assert rep.ci_contains_y0
     assert rep.y0 == 8 / 10
     assert rep.max_step <= 8 / cfg.q
-    with pytest.raises(ValueError):
-        martingale_monitor(s, cfg, vertex=99, trials=1, master_seed=0)
+
+
+@pytest.mark.parametrize("vertex", [20, -1])
+def test_martingale_rejects_a_vertex_outside_the_stream(vertex):
+    # both entry points check the vertex; an all-zero trajectory for a
+    # vertex with no arrivals would pass every shape check
+    s = gen_regular(20, 6, seed=3)
+    cfg = MatcherConfig(delta=6, q=1.5)
+    with pytest.raises(ValueError, match=f"vertex {vertex} not in the stream"):
+        martingale_monitor(s, cfg, vertex=vertex, trials=1, master_seed=0)
+    with pytest.raises(ValueError, match=f"vertex {vertex} not in the stream"):
+        martingale_trace(s, cfg, vertex=vertex, seed=5)
 
 
 @pytest.mark.parametrize(
@@ -510,6 +512,27 @@ def test_martingale_walk_plan_is_built_once_per_call(monkeypatch):
     martingale_monitor(s, cfg, vertex=4, trials=50, master_seed=9)
     assert len(calls) == 1
     martingale_trace(s, cfg, vertex=4, seed=5)
+    assert len(calls) == 2
+
+
+def test_mc_and_martingale_build_one_generator_per_call(monkeypatch):
+    # gated trials re-seed one generator per call in place of building one
+    # per trial; the counted copy gives the outputs of the real one
+    real_random = harness.Random
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real_random(*args)
+
+    s = gen_regular(20, 6, seed=3)
+    cfg = MatcherConfig(delta=6, q=1.5)
+    rep = mc_marginals(s, cfg, trials=50, master_seed=4)
+    mg = martingale_monitor(s, cfg, vertex=4, trials=50, master_seed=9)
+    monkeypatch.setattr(harness, "Random", counted)
+    assert mc_marginals(s, cfg, trials=50, master_seed=4).edges == rep.edges
+    assert len(calls) == 1
+    assert martingale_monitor(s, cfg, vertex=4, trials=50, master_seed=9) == mg
     assert len(calls) == 2
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import path, random_simple_graph, star, triangle
+from conftest import FakeRng, path, random_simple_graph, star, triangle
 from onlinecolor.colorer import greedy_color
 from onlinecolor.matcher import (
     MODE_NATURAL,
@@ -201,6 +201,31 @@ def test_kernel_matches_reference_engine(s, delta, q, seed):
     assert F == state.F
     assert gate_fires == sum(tr.gate_fired for tr in traces)
     assert fast_rng.getstate() == ref_rng.getstate()
+
+
+def test_kernel_scripted_matches_put_back_and_gate():
+    # D=2, q=1: P = 1/3 on two fresh endpoints, and the gate fires on a
+    # vertex's third unmatched arrival.  Arrival 1 matches; arrival 2 meets
+    # one matched endpoint; arrival 3 matches; arrival 4 meets two matched
+    # endpoints; vertex 4's arrivals 5-7 do not match, and the gate fires
+    # at arrival 7.  The matched vertices 0-3 hold 1 - 1/3 = 2/3 at the end
+    from onlinecolor.stream import make_stream
+
+    s = make_stream(8, 3, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (4, 6), (4, 7)])
+    xs = [0.0, 0.0, 0.0, 0.0, 0.99, 0.99, 0.0]
+    cfg = MatcherConfig(delta=2.0, q=1.0)
+    rng = FakeRng(xs)
+    matched, p_hat, F, gate_fires = run_fast(s.u, s.v, s.n, cfg.delta, cfg.q, rng)
+    assert rng.values == []  # one uniform per arrival
+    state = cfg.state(s.n)
+    traces = [state.step_at(t, u, v, None, x)
+              for t, u, v, x in zip(range(1, s.m + 1), s.u, s.v, xs)]
+    assert [tr.gate_fired for tr in traces] == [False] * 6 + [True]
+    assert matched == [tr.time - 1 for tr in traces if tr.matched] == [0, 2]
+    assert p_hat == [tr.p_hat for tr in traces]
+    assert F == state.F
+    assert F[:4] == [1.0 - 1.0 / 3.0] * 4
+    assert gate_fires == 1
 
 
 def test_single_edge_marginal_statistical():
