@@ -158,16 +158,11 @@ def cmd_color(args) -> int:
     profile = resolve_profile(args.profile)
     if args.mode == "plain":
         result = colorer.plain_color(s, s.delta_bound, profile, args.seed)
-        palettes = range(1, (result.budget or 0) + 1) if result.budget else None
     elif args.mode == "list":
         result = colorer.list_color(s, profile, args.seed)
-        palettes = s.palettes
     else:
         result = colorer.local_color(s, profile, args.seed)
-        # one range object per distinct bound, as local_color shares them
-        by_bound = {b: range(1, b + 1) for b in set(result.local_bounds)}
-        palettes = list(map(by_bound.__getitem__, result.local_bounds))
-    violations = harness.validate_coloring(s, result, palettes=palettes) + result.invariant_violations
+    violations = harness.validate_coloring(s, result, palettes=result.palettes) + result.invariant_violations
     payload = result.report(profile)
     payload["violations"] = violations
     _write(args, json.dumps(payload, indent=2))

@@ -35,25 +35,30 @@ known a priori).
 
 Both partitions split a palette with ``split(remaining, phase, target)``
 -> (pruned list, sublist, rest) and give its tail candidates with
-``tail(remaining)``.  ``SampledPartition.split`` keeps the last split per
-phase, and ``RangePartition`` the last range it cut per phase and for the
-tail, each keyed by the identity of the palette object.  Edges that share one
-palette object (every plain edge, local edges with the same bound,
-``with_range_lists``, ``gen --list-size``, equal palettes given to
-``make_stream``, equal ``L=`` text in a parsed stream) therefore reuse one
-split per phase instead of classifying or intersecting it again; per-edge
-palettes each miss and cost what they always did, and the memo never holds
-more than one split per phase.  A range split passes the palette whole, so
-in range mode the palette object is what reaches the tail: ``run_generic``
-cuts its tail class once per palette object, when the palette changes, and
-takes the lowest color free at both endpoints from the cut inline.  A list
-run scans the sampled partition's lazy ``tail``, which classifies a color
-only when the scan reaches it, so the partition's draws stay as they are.
+``tail(remaining)``.  Both are pure functions of their arguments: the
+sampled partition draws only for a color it meets for the first time, so
+splitting a palette again draws nothing.  ``run_generic`` is the only code
+that remembers a palette.  When the palette object changes, it starts a
+plan with one empty entry per active phase; the first edge with that
+palette to reach phase i fills entry i from the split of entry i-1's rest.
+The entry holds whether the pruned list reached its target (the list
+ledger reads it), the phase bank's group for the sublist
+(``PhaseReducer.group``) and the rest.  Edges that share one palette object
+(every plain edge, local edges with the same bound, ``with_range_lists``,
+``gen --list-size``, equal palettes given to ``make_stream``, equal ``L=``
+text in a parsed stream) therefore split it, and look its colors up in the
+bank, once per phase; per-edge palettes each start a plan of their own.  A
+range split passes the palette whole, so in range mode the palette object
+is what reaches the tail: ``run_generic`` cuts its tail class when the
+palette changes, and takes the lowest color free at both endpoints from
+the cut inline.  A list run scans the sampled partition's lazy ``tail``,
+which classifies a color only when the scan reaches it, so the partition's
+draws stay as they are.
 
-Each phase's bank (``PhaseReducer``) keys its slot lookup the same way, by
-the sublist object the split hands it.  It draws one uniform per color per
-fed edge, as it visits the color, and steps only the colors in which both
-endpoints are still unmatched.
+Each phase's bank (``PhaseReducer``) is fed a group, one entry per sublist
+color.  It draws one uniform per color per fed edge, as it visits the
+color, and steps only the colors in which both endpoints are still
+unmatched.
 
 Palettes are passed to ``run_generic`` and ``greedy_color`` (and to
 ``harness.validate_coloring``) by one convention, decided by
@@ -275,13 +280,8 @@ class RangePartition:
     """Deterministic interval classes: C_i = {top_i - |C_i| + 1 .. top_i} with
     top_i = floor(d_i + a_i) and |C_i| = ceil(lambda_i); tail C_{f+1} =
     {1 .. floor(2 d_f)}.  Colors in the gaps belong to no phase and are never
-    used.  Disjointness is verified at construction.
-
-    ``split`` and ``tail`` keep the last range they cut per phase and for the
-    tail, keyed by the identity of the palette they cut (held, so the
-    identity cannot be reused).  Edges that share one palette object (every
-    plain edge; local edges with the same bound) thus intersect it with each
-    class once, not once per edge."""
+    used.  Disjointness is verified at construction.  ``split`` and ``tail``
+    cut a range palette with a class and remember nothing."""
 
     method = "range"
 
@@ -297,8 +297,6 @@ class RangePartition:
                 raise PartitionError(f"phase {i} color range extends below 1")
             self.intervals.append((lo, top) if size > 0 else (1, 0))
         self.tail_interval = (1, schedule.tail_top())
-        # per phase, then the tail: (palette, cut) of the last cut made
-        self._last: list = [None] * (f + 2)
         spans = [iv for iv in self.intervals + [self.tail_interval] if iv[0] <= iv[1]]
         spans.sort()
         for (alo, ahi), (blo, bhi) in zip(spans, spans[1:]):
@@ -314,14 +312,9 @@ class RangePartition:
         return self.intervals[phase]
 
     def _cut(self, palette: range, phase: int) -> range:
-        last = self._last[phase]
-        if last is not None and last[0] is palette:
-            return last[1]
         lo, hi = self.interval(phase)
         start = max(palette.start, lo)
-        cut = range(start, max(start, min(palette.stop, hi + 1)))
-        self._last[phase] = (palette, cut)
-        return cut
+        return range(start, max(start, min(palette.stop, hi + 1)))
 
     def split(self, remaining: range, phase: int, target: int) -> tuple:
         """(remaining, sublist, remaining): the sublist is ``remaining``'s
@@ -357,12 +350,9 @@ class SampledPartition:
     Inactive phases (those at or below the stop threshold) are skipped so
     their classes do not swallow colors that no machinery will ever use.
 
-    ``split`` keeps the last split of each phase, keyed by the target and by
-    the identity of the palette it split (held, so the identity cannot be
-    reused while the split is kept).  Edges that share one palette object
-    thus classify its colors once per phase, not once per edge.  The memo is
-    bounded by one split per active phase, however many distinct palettes
-    the stream carries."""
+    A color is classified once, so ``split`` is a pure function of its
+    arguments: splitting a palette again gives equal tuples and draws
+    nothing."""
 
     method = "sampled"
 
@@ -370,8 +360,6 @@ class SampledPartition:
         self.schedule = schedule
         self.rng = rng
         self._assign: dict[int, int] = {}
-        # per phase: (palette, target, pruned, sublist, rest) of the last split
-        self._last: list = [None] * schedule.f
         self.p = []
         for i in schedule.active_phases:
             p_i = schedule.sampling_probability(i)
@@ -393,23 +381,12 @@ class SampledPartition:
     def split(self, remaining: tuple, phase: int, target: int) -> tuple:
         """(pruned, sublist, rest): ``remaining`` pruned to ``target`` colors,
         then divided into its class-``phase`` colors and the others, both in
-        palette order (the partition draws as it meets a new color).
-
-        A palette that is the very object this phase split last, to the
-        same target, gets the same three tuples back.  Every color of that split was classified
-        when it was made, so a reused split draws nothing, and the draws,
-        the classes and the run stay what splitting afresh would give.
-        """
-        last = self._last[phase]
-        if last is not None and last[0] is remaining and last[1] == target:
-            return last[2:]
+        palette order (the partition draws as it meets a new color)."""
         pruned = list_prune(remaining, target) if len(remaining) > target else remaining
         sublist, rest = [], []
         for c in pruned:
             (sublist if self.phase_of(c) == phase else rest).append(c)
-        out = (pruned, tuple(sublist), tuple(rest))
-        self._last[phase] = (remaining, target) + out
-        return out
+        return pruned, tuple(sublist), tuple(rest)
 
     def tail(self, remaining: tuple):
         """``remaining``'s colors in the tail class, lazily in palette order:
@@ -457,13 +434,13 @@ class PhaseReducer:
 
     The state is laid out so that a feed looks nothing up per color.  Bit k
     of a vertex's matched mask is set once the vertex is matched in slot k's
-    color, and the vertex's F row holds its F per slot.  The reducer keeps
-    the last sublist object it was fed (partitions hand one object to every
-    edge that shares a palette) with each color's entry (slot, bit, the
-    generator's ``random``, matching, color), so a new sublist object is
-    looked up once.  A feed draws each color's uniform as it visits the
-    color, as the seeding contract asks of every fed edge, and then skips
-    the color with one AND if its bit is set at either endpoint.
+    color, and the vertex's F row holds its F per slot.  ``group(sublist)``
+    gives each color's entry (slot, bit, the generator's ``random``,
+    matching, color), and ``feed`` walks the entries it is handed; the
+    pipeline keeps one group per palette and phase.  A feed draws each
+    color's uniform as it visits the color, as the seeding contract asks of
+    every fed edge, and then skips the color with one AND if its bit is set
+    at either endpoint.
     """
 
     def __init__(self, n: int, delta: float, q: float, phase: int, master_seed: int):
@@ -480,19 +457,16 @@ class PhaseReducer:
         self._slot_of: dict[int, tuple] = {}
         self._rows: list[list[float]] = [[] for _ in range(n)]
         self._matched_bits: list[int] = [0] * n
-        self._sublist = None  # the last sublist object fed, held
-        self._group: list[tuple] = []  # its colors' entries, in order
 
-    def _regroup(self, sublist) -> None:
-        """Make ``sublist`` the current one, opening its new colors."""
+    def group(self, sublist) -> list:
+        """The entries of ``sublist``'s colors, in its order, for ``feed``;
+        its colors not seen before get their slots first."""
         slot_of = self._slot_of
         try:
-            group = list(map(slot_of.__getitem__, sublist))
+            return list(map(slot_of.__getitem__, sublist))
         except KeyError:
             self._open([c for c in dict.fromkeys(sublist) if c not in slot_of])
-            group = list(map(slot_of.__getitem__, sublist))
-        self._sublist = sublist
-        self._group = group
+            return list(map(slot_of.__getitem__, sublist))
 
     def _open(self, new: list) -> None:
         """Give each color of ``new`` (distinct, unseen) a slot and its
@@ -506,9 +480,7 @@ class PhaseReducer:
         for row in self._rows:
             row += ones
 
-    def feed(self, u: int, v: int, sublist) -> int | None:
-        if sublist is not self._sublist:
-            self._regroup(sublist)
+    def feed(self, u: int, v: int, group: list) -> int | None:
         bits = self._matched_bits
         taken = bits[u] | bits[v]
         ru = self._rows[u]
@@ -516,7 +488,7 @@ class PhaseReducer:
         scale = self.scale
         floor = self.floor
         won = None
-        for k, bit, rand, matching, c in self._group:
+        for k, bit, rand, matching, c in group:
             x = rand()
             if taken & bit:
                 continue  # an endpoint is matched in this color
@@ -584,6 +556,7 @@ class ColoringResult:
     schedule: DegreeSchedule
     partition_method: str
     partition_assignment: dict
+    palettes: object = None  # what the run colored from: one shared palette or one per edge
     budget: int | None = None  # plain mode: total palette size d_0 + a_0
     local_bounds: list | None = None  # local mode: per-edge color bound |L(e)|
     list_ledger_violations: int = 0
@@ -728,7 +701,7 @@ def run_generic(
     slots = None if range_mode else {}
     base = _range_base(palettes) if range_mode else 0
 
-    checked = object()  # the last palette object whose kind was checked
+    checked = object()  # the last palette object: its kind is checked and its plan kept
     for idx, (u, v, palette) in enumerate(zip(stream.u, stream.v, _palette_column(palettes, m))):
         if palette is not checked:
             if palette is None and not range_mode:
@@ -736,6 +709,9 @@ def run_generic(
             if isinstance(palette, range) != range_mode:
                 raise PartitionError("range palettes need a range partition, and it needs them")
             checked = palette
+            # per active phase, filled by the first edge that reaches it:
+            # (pruned list reached the target, the bank's group, the rest)
+            plan: list = [None] * f
             if range_mode:
                 # range splits pass the palette whole, so the palette object
                 # is what reaches the tail: cut its tail class once
@@ -752,10 +728,13 @@ def run_generic(
                 di = deg[i]
                 di[u] += 1
                 di[v] += 1
-                remaining, sublist, rest = partition.split(remaining, i, targets[i])
+                entry = plan[i]
+                if entry is None:
+                    pruned, sublist, rest = partition.split(remaining, i, targets[i])
+                    entry = plan[i] = (len(pruned) >= targets[i], reducers[i].group(sublist), rest)
+                enough, group, rest = entry
                 dense = di[u] >= thresholds[i] or di[v] >= thresholds[i]
                 if not range_mode:
-                    enough = len(remaining) >= targets[i]
                     if dense_ok and not enough:
                         ledger_violations += 1
                     if dense and enough:
@@ -763,14 +742,14 @@ def run_generic(
                 if dense:
                     st.dense_edges += 1
                     lo_b, hi_b = bounds[i]
-                    if not lo_b <= len(sublist) <= hi_b:
+                    if not lo_b <= len(group) <= hi_b:
                         st.promise_violations += 1
                         if profile.strict_promises:
                             raise PromiseViolation(
-                                f"t={idx + 1} phase {i}: sublist size {len(sublist)} outside "
+                                f"t={idx + 1} phase {i}: sublist size {len(group)} outside "
                                 f"[{lo_b:.6g}, {hi_b:.6g}]"
                             )
-                got = reducers[i].feed(u, v, sublist)
+                got = reducers[i].feed(u, v, group)
                 if got is not None:
                     st.colored += 1
                     stage_out[idx] = i
@@ -834,6 +813,7 @@ def run_generic(
         schedule=schedule,
         partition_method=partition.method,
         partition_assignment=partition.assignment(),
+        palettes=palettes,
         list_ledger_violations=ledger_violations,
         seed=seed,
         invariant_violations=invariant_violations,
@@ -894,7 +874,7 @@ def local_color(stream: ArrivalStream, profile: ConstantsProfile, seed: int) -> 
     schedule = degree_schedule(stream.delta_bound, stream.n, profile)
     partition = RangePartition(schedule)
     # one local_lists call per distinct max degree, and one range object per
-    # distinct bound, so edges share it in the range memo
+    # distinct bound, so a run of edges with one bound shares one plan
     shared: dict[range, range] = {}
     by_dmax: dict[int, range] = {}
     palettes = []

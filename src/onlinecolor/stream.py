@@ -17,7 +17,8 @@ non-negative integers below n, so isolated vertices are representable
 stream without annotations, in chunks of about ``PARSE_CHUNK`` characters
 cut at newlines: one regex match checks a chunk, and one ``json.loads`` of
 its integers reads it.  Any other text is read line by line from its
-start.  Both give the same columns and the same errors.
+start, each edge line by ``_parse_edge_line``.  Both give the same columns
+and the same errors.
 
 ``ArrivalStream`` stores its arrivals as columns, one tuple per field:
 endpoints ``u`` and ``v``, fractional values ``x`` and palettes
@@ -30,11 +31,13 @@ unordered pair once, no degree above dmax), which finds no fault and
 gives no message.  Any stream it does not accept, and every annotated
 one, goes through the one checking loop from t = 1, which alone raises,
 with the message of the first fault; it checks each distinct palette
-object once.  Equal palettes share one tuple: the parser reads each distinct
-``L=`` token text once, and ``make_stream`` shares equal palettes by
-content.  ``arrivals`` is a read-only sequence view that builds an
-``EdgeArrival`` record on each access (length, index, slice, iteration);
-the package's per-edge loops read the columns instead.
+object once.  Vertex and color ids must be integers (``numbers.Integral``;
+a color may not be a ``bool``), so that ``emit_stream`` writes text that
+``parse_stream`` reads back.  Equal palettes share one tuple: the parser
+reads each distinct ``L=`` token text once, and ``make_stream`` shares
+equal palettes by content.  ``arrivals`` is a read-only sequence view
+that builds an ``EdgeArrival`` record on each access (length, index,
+slice, iteration); the package's per-edge loops read the columns instead.
 
 The random generators draw from ``random.Random(seed)`` exactly as networkx
 3.x does (see the README's seeding contract) and hand their columns straight
@@ -50,6 +53,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import operator
 import random
 import re
@@ -162,36 +166,44 @@ class ArrivalStream:
         frac = [0.0] * n
         frac_limit = 1.0 + FRACTIONAL_SUM_TOL
         checked: set[int] = set()  # ids of checked palettes; the column keeps them alive
-        for t, u, v, x, colors in zip(itertools.count(1), self.u, self.v, xs, ps):
-            if u == v:
-                raise StreamError(f"t={t}: self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                if u < 0 or v < 0:
-                    raise StreamError(f"t={t}: negative vertex id")
-                raise StreamError(f"t={t}: vertex id >= n={n}")
-            if x is not None and not (0.0 <= x <= 1.0):
-                raise StreamError(f"t={t}: x={x} outside [0, 1]")
-            if colors is not None and id(colors) not in checked:
-                if any(c <= 0 for c in colors):
-                    raise StreamError(f"t={t}: color ids must be positive")
-                if any(a >= b for a, b in zip(colors, colors[1:])):
-                    raise StreamError(f"t={t}: color list not sorted/distinct")
-                checked.add(id(colors))
-            key = u * n + v if u < v else v * n + u
-            if key in seen:
-                raise StreamError(f"t={t}: duplicate edge {(min(u, v), max(u, v))} (parallel edges disallowed)")
-            seen.add(key)
-            degree[u] += 1
-            degree[v] += 1
-            if degree[u] > dmax or degree[v] > dmax:
-                w = u if degree[u] > dmax else v
-                raise StreamError(f"t={t}: degree of vertex {w} exceeds dmax={dmax}")
-            if x is not None:
-                frac[u] += x
-                frac[v] += x
-                if frac[u] > frac_limit or frac[v] > frac_limit:
-                    w = u if frac[u] > frac_limit else v
-                    raise StreamError(f"t={t}: fractional sum {frac[w]:.12g} > 1 at vertex {w}")
+        try:  # an id that is not an integer fails an operation on it
+            for t, u, v, x, colors in zip(itertools.count(1), self.u, self.v, xs, ps):
+                if u == v:
+                    raise StreamError(f"t={t}: self-loop at vertex {u}")
+                if not (0 <= u < n and 0 <= v < n):
+                    if u < 0 or v < 0:
+                        raise StreamError(f"t={t}: negative vertex id")
+                    raise StreamError(f"t={t}: vertex id >= n={n}")
+                if x is not None and not (0.0 <= x <= 1.0):
+                    raise StreamError(f"t={t}: x={x} outside [0, 1]")
+                if colors is not None and id(colors) not in checked:
+                    kinds = set(map(type, colors)) - {int}
+                    if not all(issubclass(k, numbers.Integral) and k is not bool for k in kinds):
+                        raise StreamError(f"t={t}: color ids must be integers")
+                    if any(c <= 0 for c in colors):
+                        raise StreamError(f"t={t}: color ids must be positive")
+                    if any(a >= b for a, b in zip(colors, colors[1:])):
+                        raise StreamError(f"t={t}: color list not sorted/distinct")
+                    checked.add(id(colors))
+                key = u * n + v if u < v else v * n + u
+                if key in seen:
+                    raise StreamError(f"t={t}: duplicate edge {(min(u, v), max(u, v))} (parallel edges disallowed)")
+                seen.add(key)
+                degree[u] += 1
+                degree[v] += 1
+                if degree[u] > dmax or degree[v] > dmax:
+                    w = u if degree[u] > dmax else v
+                    raise StreamError(f"t={t}: degree of vertex {w} exceeds dmax={dmax}")
+                if x is not None:
+                    frac[u] += x
+                    frac[v] += x
+                    if frac[u] > frac_limit or frac[v] > frac_limit:
+                        w = u if frac[u] > frac_limit else v
+                        raise StreamError(f"t={t}: fractional sum {frac[w]:.12g} > 1 at vertex {w}")
+        except TypeError:
+            if isinstance(u, numbers.Integral) and isinstance(v, numbers.Integral):
+                raise
+            raise StreamError(f"t={t}: vertex ids must be integers") from None
 
     def _plain_valid(self) -> bool:
         """True when the endpoint columns hold ids in [0, n), no self-loop,
@@ -339,15 +351,6 @@ def _parse_lines(text: str):
     lines = text.splitlines()
     # each line split once
     for lineno, raw, toks in zip(itertools.count(1), lines, map(str.split, lines)):
-        if len(toks) == 3 and header is not None and raw.startswith("e "):
-            # the common line, "e <u> <v>"
-            try:
-                u, v = int(toks[1]), int(toks[2])
-            except ValueError:
-                raise StreamError(f"line {lineno}: non-integer vertex id") from None
-            us.append(u)
-            vs.append(v)
-            continue
         if not toks or toks[0][0] == "#":
             continue
         if header is None:

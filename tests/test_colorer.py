@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
 import tracemalloc
@@ -220,7 +221,7 @@ def test_range_partition_formula():
 
 def test_range_partition_split_and_tail():
     # sublists and tail candidates are the palette's colors in the class;
-    # a kept cut serves the very palette it was cut from and no other
+    # cuts are pure: cutting a palette again, after others, gives equal cuts
     sch = _fake_schedule(d=(100, 60), lam=(20, 10), q=(5, 4), a=(250, 240))
     rp = RangePartition(sch)
     wide, narrow, low = range(1, 351), range(1, 341), range(1, 51)
@@ -230,8 +231,6 @@ def test_range_partition_split_and_tail():
         assert rp.split(low, 0, 350) == (low, range(331, 331), low)
         assert rp.tail(wide) == range(1, 201)
         assert rp.tail(low) == range(1, 51)
-    sub = rp.split(wide, 0, 350)[1]
-    assert rp.split(wide, 0, 350)[1] is sub
 
 
 def test_range_partition_detects_overlap():
@@ -281,13 +280,12 @@ def test_sampled_partition_split():
     assert pruned == palette[:target]  # colors past the target are never classified
     assert sorted(sublist + rest) == list(pruned) and set(sp.assignment()) == set(pruned)
     assert {sp.phase_of(c) for c in sublist} == {0} and 0 not in {sp.phase_of(c) for c in rest}
-    # the same palette object again: the same tuples, and no draw
+    # splits are pure: the classified palette, or an equal copy, split
+    # again gives equal tuples and draws nothing
     drawn = sp.rng.getstate()
-    assert all(a is b for a, b in zip(sp.split(palette, 0, target), split))
+    assert sp.split(palette, 0, target) == split
+    assert sp.split(tuple(list(palette)), 0, target) == split
     assert sp.rng.getstate() == drawn
-    # an equal copy is split afresh, to the same colors
-    again = sp.split(tuple(list(palette)), 0, target)
-    assert again == split and again[1] is not sublist
     # the rest cascades into phase 1, which prunes it to its own target
     pruned1, sub1, rest1 = sp.split(rest, 1, sch.prune_target(1))
     assert pruned1 == rest[:sch.prune_target(1)] and {sp.phase_of(c) for c in sub1} <= {1}
@@ -320,7 +318,7 @@ def test_list_prune():
 
 def test_phase_reducer_single_color():
     red = PhaseReducer(50, delta=10.0, q=2.0, phase=0, master_seed=8)
-    got = [red.feed(2 * i, 2 * i + 1, (7,)) for i in range(25)]
+    got = [red.feed(2 * i, 2 * i + 1, red.group((7,))) for i in range(25)]
     colored = [c for c in got if c is not None]
     assert colored and set(colored) == {7}
     assert len(red.color_state(7).matching) == len(colored)
@@ -333,7 +331,7 @@ def test_phase_reducer_first_match_wins():
     both = 0
     for i in range(200):
         u, v = 2 * i, 2 * i + 1
-        got = red.feed(u, v, (3, 9))
+        got = red.feed(u, v, red.group((3, 9)))
         in3 = (u, v) in red.color_state(3).matching
         in9 = (u, v) in red.color_state(9).matching
         if in3 and in9:
@@ -361,12 +359,13 @@ def test_phase_reducer_block_skips_the_color():
     red = PhaseReducer(6, delta=10.0, q=2.0, phase=0, master_seed=8)
     red.block(0, 1, 7)
     assert red.colors == [7]
-    assert red.feed(0, 2, (7,)) is None
-    assert red.feed(3, 1, (7,)) is None
+    group = red.group((7,))
+    assert red.feed(0, 2, group) is None
+    assert red.feed(3, 1, group) is None
     state = red.color_state(7)
     assert state.F == [1.0] * 6 and state.matching == []
     assert list(state.matched) == [1, 1, 0, 0, 0, 0]
-    red.feed(4, 5, (7,))
+    red.feed(4, 5, group)
     assert red.color_state(7).F[4] < 1.0
 
 
@@ -425,9 +424,19 @@ def _assert_bank_matches_reference(n, delta, q, edges):
     """Feed ``edges`` to a PhaseReducer and to ``_reference_bank``, with
     each block event passed to ``block``: winners, colors in order of first
     sight, and each color's F, matched flags, matching and next draw must
-    agree.  Returns the reducer, the reference's gate fires and its skips."""
+    agree.  As the pipeline's plan does, one group is made per sublist
+    object, on its first use, and fed again for that object.  Returns the
+    reducer, the reference's gate fires and its skips."""
     red = PhaseReducer(n, delta=delta, q=q, phase=1, master_seed=17)
-    got = [red.block(u, v, s) if isinstance(s, int) else red.feed(u, v, s) for u, v, s in edges]
+    groups: dict = {}  # id of a sublist -> (the sublist, held; its group)
+    got = []
+    for u, v, s in edges:
+        if isinstance(s, int):
+            got.append(red.block(u, v, s))
+            continue
+        if id(s) not in groups:
+            groups[id(s)] = (s, red.group(s))
+        got.append(red.feed(u, v, groups[id(s)][1]))
     want, states, rngs, gate_fires, skips = _reference_bank(n, delta, q, 1, 17, edges)
     assert got == want
     assert red.colors == list(states)
@@ -462,8 +471,9 @@ _SUBLIST = st.lists(st.integers(1, 9), unique=True, max_size=5).map(sorted)
 
 @st.composite
 def _bank_cases(draw):
-    """Small banks whose edges take a shared sublist object (so shared
-    objects alternate), a new tuple or a new range: colors fall in several
+    """Small banks whose edges take a shared sublist object (so a group
+    made earlier is fed again after other sublists and blocks have opened
+    colors), a new tuple or a new range: colors fall in several
     groups, in an order of first sight unlike color order, and sublists may
     be empty.  The smallest slack makes the gate fire.  Block events are
     interleaved, on colors seen or not yet seen (10 is never in a
@@ -556,7 +566,8 @@ def test_plain_tiny_path_colors():
 def test_plain_regular_respects_budget():
     s = gen_regular(60, 8, seed=9)
     res = plain_color(s, 8, PRACTICAL, seed=1)
-    assert validate_coloring(s, res, palettes=range(1, res.budget + 1)) == []
+    assert res.palettes == range(1, res.budget + 1)  # the one palette every edge shared
+    assert validate_coloring(s, res, palettes=res.palettes) == []
     assert res.max_color <= res.budget
     assert res.max_color <= 2 * 8 - 1  # degenerate schedule: tail-only greedy
 
@@ -772,8 +783,9 @@ def test_list_run_colors_pinned():
 
 def _palette_streams():
     """One multiphase instance under three palette layouts: every edge given
-    the same palette object, every edge its own copy of it (the split memo
-    never hits), and runs of three different palettes."""
+    the same palette object, every edge its own copy of it (which
+    ``make_stream`` shares by content), and runs of three different
+    palettes."""
     sch = degree_schedule(50, 60, MULTIPHASE)
     q_list = 50 + math.ceil(sch.a[0])
     g = gen_regular(60, 50, seed=7)
@@ -838,19 +850,43 @@ def test_split_memo_memory_bounded():
 
 def test_shared_palette_split_once_per_phase(monkeypatch):
     # with one palette object on every edge, each phase's bank is handed the
-    # very same sublist tuple on every edge: the split is made once
+    # very same group on every edge: its sublist is looked up once
     fed: dict = {}
     feed = PhaseReducer.feed
 
-    def spy(self, u, v, sublist):
-        fed.setdefault(self.phase, []).append(sublist)
-        return feed(self, u, v, sublist)
+    def spy(self, u, v, group):
+        fed.setdefault(self.phase, []).append(group)
+        return feed(self, u, v, group)
 
     monkeypatch.setattr(PhaseReducer, "feed", spy)
     res = list_color(_palette_streams()["shared"], MULTIPHASE, seed=0)
     assert sorted(fed) == [0, 1] and len(fed[1]) == res.per_phase[1].entered
-    for sublists in fed.values():
-        assert all(sub is sublists[0] for sub in sublists)
+    for groups in fed.values():
+        assert all(group is groups[0] for group in groups)
+
+
+def test_split_once_per_palette_change_and_phase(monkeypatch):
+    # the pipeline splits a palette for a phase when the first edge with
+    # that palette object reaches the phase, and again only after the object
+    # changes: once per (run of one palette object, phase reached in it)
+    phases: list = []
+    split = SampledPartition.split
+
+    def spy(self, remaining, phase, target):
+        phases.append(phase)
+        return split(self, remaining, phase, target)
+
+    monkeypatch.setattr(SampledPartition, "split", spy)
+    streams = _palette_streams()
+    for name, calls in (("shared", 2), ("mixed", 526)):
+        phases.clear()
+        s = streams[name]
+        res = list_color(s, MULTIPHASE, seed=0)
+        f = res.schedule.f
+        reached = [st + 1 if isinstance(st, int) and st < f else f for st in res.stage]
+        runs = itertools.groupby(zip(map(id, s.palettes), reached), key=lambda r: r[0])
+        assert len(phases) == sum(max(r for _, r in run) for _, run in runs) == calls, name
+    assert s.m == 1500 and phases.count(1) > 0  # 1,500 edges, and runs that reach phase 1
 
 
 def test_bounded_color_state():
@@ -974,19 +1010,12 @@ def test_range_memo_is_bit_identical():
         assert hashlib.sha256(summary.encode()).hexdigest()[:16] == digest, (mode, f, seed)
 
 
-def test_local_palettes_shared_per_bound(monkeypatch):
-    # one range object per distinct bound, so local edges hit the range memo
-    seen = []
-    run_generic = colorer.run_generic
-
-    def spy(stream, palettes, *args):
-        seen.extend(palettes)
-        return run_generic(stream, palettes, *args)
-
-    monkeypatch.setattr(colorer, "run_generic", spy)
+def test_local_palettes_shared_per_bound():
+    # one range object per distinct bound, so a run of local edges with one
+    # bound shares the pipeline's plan; the result holds the palettes colored from
     res = local_color(_degree_mix_stream(), MULTIPHASE, seed=5)
-    assert [p.stop - 1 for p in seen] == res.local_bounds
-    assert len({id(p) for p in seen}) == len(set(seen)) == 3
+    assert [p.stop - 1 for p in res.palettes] == res.local_bounds
+    assert len({id(p) for p in res.palettes}) == len(set(res.palettes)) == 3
 
 
 def test_local_lists_once_per_distinct_degree(monkeypatch):

@@ -416,6 +416,25 @@ def test_stream_rejects_invalid_arrivals(arrivals, fragment):
         ArrivalStream(n=4, delta_bound=1, **arrivals)
 
 
+
+@pytest.mark.parametrize("edges, lists, fragment", [
+    ([(0, 1)], [[1.5]], "color ids must be integers"),
+    ([(0, 1)], [[True, 2]], "color ids must be integers"),
+    ([(0.0, 1)], None, "vertex ids must be integers"),
+    ([("0", 1)], None, "vertex ids must be integers"),
+], ids=["float-color", "bool-color", "float-vertex", "str-vertex"])
+def test_stream_rejects_ids_that_are_not_integers(edges, lists, fragment):
+    # emit_stream would write such ids as text parse_stream rejects
+    with pytest.raises(StreamError, match=f"t=1: {fragment}"):
+        make_stream(3, 2, edges, lists=lists)
+
+
+def test_stream_accepts_numpy_integer_ids():
+    np = pytest.importorskip("numpy")
+    s = make_stream(3, 2, [(np.int64(0), np.int32(1)), (1, 2)], lists=[np.array([1, 5]), [2]])
+    assert s.palettes == ((1, 5), (2,))
+    assert parse_stream(emit_stream(s)) == s
+
 @st.composite
 def plain_columns(draw):
     """(n, dmax, u, v) of a small simple graph without annotations, with
