@@ -3,7 +3,14 @@
 Subcommands: gen, match, round, color, oracle, mc, martingale,
 counterexample, verify; each takes only the options it reads.  Reports go
 to stdout as JSON (CSV via --out where offered); --out-file redirects.  The
-exit code is 0 only when the run's invariant-violation count is zero.
+exit code is 0 only when the run's invariant-violation count is zero; a
+configuration error exits 2.
+
+``match`` runs the matcher and ``round`` the rounder, through one traced,
+audited run.  ``oracle`` and ``verify`` run the rounder exactly when the
+stream has x= values and the gated matcher otherwise, and reject the other
+engine's options (--q on an x= stream, --epsilon or --c-round without x=)
+and a profile whose q falls back to the greedy matcher.
 """
 
 from __future__ import annotations
@@ -52,24 +59,67 @@ def _options(parser: argparse.ArgumentParser, *flags: str) -> None:
 
 
 def _matcher_config(args, s: streammod.ArrivalStream, mode: str = matcher.MODE_ANALYSIS_FRIENDLY):
+    """--q, or the profile's q, whose fallback switches ``mode`` to greedy_fallback."""
     profile = resolve_profile(args.profile)
     delta = max(s.delta_bound, 2)
-    if args.q is not None:
-        q, fallback = args.q, False
-    else:
+    q = args.q
+    if q is None:
         q, fallback = matcher.choose_q(delta, profile)
-    if fallback:
-        mode = matcher.MODE_GREEDY_FALLBACK
-    return matcher.MatcherConfig(delta=delta, q=q, mode=mode, profile=profile), fallback
+        if fallback:
+            mode = matcher.MODE_GREEDY_FALLBACK
+    return matcher.MatcherConfig(delta=delta, q=q, mode=mode, profile=profile)
 
 
 def _rounding_config(args, s: streammod.ArrivalStream) -> rounder.RoundingConfig:
     """--epsilon (default: the largest x) and --c-round (default: the profile's)."""
+    if not s.is_fractional:
+        raise ValueError("round needs a stream with x= values")
     epsilon = args.epsilon if args.epsilon is not None else max(
         x for x in s.x if x is not None
     )
     c_round = args.c_round if args.c_round is not None else resolve_profile(args.profile).c_round
     return rounder.RoundingConfig(epsilon=epsilon, c_round=c_round)
+
+
+def _engine_config(args, s: streammod.ArrivalStream):
+    """The engine of ``oracle`` and ``verify``: the rounder exactly when the
+    stream has x= values, the gated matcher otherwise.  The other engine's
+    options, and a profile that falls back to greedy, are errors."""
+    if s.is_fractional:
+        if args.q is not None:
+            raise ValueError("--q is a matcher option; a stream with x= values runs the rounder")
+        return _rounding_config(args, s)
+    for flag, value in (("--epsilon", args.epsilon), ("--c-round", args.c_round)):
+        if value is not None:
+            raise ValueError(f"{flag} is a rounder option; a stream without x= values runs the matcher")
+    config = _matcher_config(args, s)
+    if config.mode == matcher.MODE_GREEDY_FALLBACK:
+        raise ValueError("q > delta/4 under this profile, so the matcher is greedy_fallback, which "
+                         "matches each edge with probability exactly 1/(2*delta-1); pass an explicit --q")
+    return config
+
+
+def _traced(args, s: streammod.ArrivalStream, config, head: dict) -> int:
+    """One audited traced run of either engine: the traces as CSV, or
+    ``head`` and the run's outcome as JSON."""
+    matching, traces = matcher.run(s, config, args.seed)
+    violations = matcher.check_run_invariants(s, config, traces)
+    if args.out == "csv":
+        rows = [matcher.StepTrace.CSV_HEADER] + [tr.csv_row() for tr in traces]
+        _write(args, "\n".join(rows) + "\n")
+    else:
+        payload = {
+            **head,
+            "seed": args.seed,
+            "matched_edges": matching,
+            "overflow_count": sum(tr.overflow for tr in traces),
+            "gate_fires": sum(tr.gate_fired for tr in traces),
+            "violations": violations,
+        }
+        _write(args, json.dumps(payload, indent=2))
+    if violations:
+        print(f"{len(violations)} invariant violations", file=sys.stderr)
+    return 1 if violations else 0
 
 
 def cmd_gen(args) -> int:
@@ -93,8 +143,7 @@ def cmd_gen(args) -> int:
 
 def cmd_match(args) -> int:
     s = _read_stream(args.stream)
-    mode = args.mode
-    config, fallback = _matcher_config(args, s, mode)
+    config = _matcher_config(args, s, args.mode)
     if config.mode == matcher.MODE_GREEDY_FALLBACK:
         matching, c_star, colors = matcher.run_greedy_fallback(s, s.delta_bound, args.seed)
         payload = {
@@ -106,51 +155,14 @@ def cmd_match(args) -> int:
         }
         _write(args, json.dumps(payload, indent=2))
         return 0
-    matching, traces = matcher.run(s, config, args.seed)
-    violations = matcher.check_run_invariants(s, config, traces)
-    if args.out == "csv":
-        rows = [matcher.StepTrace.CSV_HEADER] + [tr.csv_row() for tr in traces]
-        _write(args, "\n".join(rows) + "\n")
-    else:
-        payload = {
-            "mode": config.mode,
-            "delta": config.delta,
-            "q": config.q,
-            "fallback_taken": fallback,
-            "seed": args.seed,
-            "matched_edges": matching,
-            "overflow_count": sum(tr.overflow for tr in traces),
-            "gate_fires": sum(tr.gate_fired for tr in traces),
-            "violations": violations,
-        }
-        _write(args, json.dumps(payload, indent=2))
-    if violations:
-        print(f"{len(violations)} invariant violations", file=sys.stderr)
-    return 1 if violations else 0
+    head = {"mode": config.mode, "delta": config.delta, "q": config.q, "fallback_taken": False}
+    return _traced(args, s, config, head)
 
 
 def cmd_round(args) -> int:
     s = _read_stream(args.stream)
-    if not s.is_fractional:
-        print("round needs a stream with x= values", file=sys.stderr)
-        return 2
     config = _rounding_config(args, s)
-    matching, traces = matcher.run(s, config, args.seed)
-    violations = matcher.check_run_invariants(s, config, traces)
-    if args.out == "csv":
-        rows = [matcher.StepTrace.CSV_HEADER] + [tr.csv_row() for tr in traces]
-        _write(args, "\n".join(rows) + "\n")
-    else:
-        payload = {
-            "epsilon": config.epsilon,
-            "c_round": config.c_round,
-            "s": config.s,
-            "seed": args.seed,
-            "matched_edges": matching,
-            "violations": violations,
-        }
-        _write(args, json.dumps(payload, indent=2))
-    return 1 if violations else 0
+    return _traced(args, s, config, {"epsilon": config.epsilon, "c_round": config.c_round, "s": config.s})
 
 
 def cmd_color(args) -> int:
@@ -171,16 +183,7 @@ def cmd_color(args) -> int:
 
 def cmd_oracle(args) -> int:
     s = _read_stream(args.stream)
-    if args.epsilon is not None or s.is_fractional:
-        config = _rounding_config(args, s)
-    else:
-        config, fallback = _matcher_config(args, s)
-        if fallback:
-            print("q > delta/4 under this profile: the fallback matches each edge "
-                  "with probability exactly 1/(2*delta-1); no enumeration needed",
-                  file=sys.stderr)
-            return 2
-    res = oracle.exact_marginals(s, config, exact=args.exact)
+    res = oracle.exact_marginals(s, _engine_config(args, s), exact=args.exact)
     drift = max(
         abs(cs - float(ex)) for cs, ex in zip(res.conditional_sum, res.expected)
     ) if s.m else 0.0
@@ -203,16 +206,14 @@ def cmd_oracle(args) -> int:
 
 def cmd_mc(args) -> int:
     s = _read_stream(args.stream)
-    config, _ = _matcher_config(args, s)
-    report = harness.mc_marginals(s, config, args.trials, args.seed)
+    report = harness.mc_marginals(s, _matcher_config(args, s), args.trials, args.seed)
     _write(args, report.edges_csv() if args.out == "csv" else report.to_json())
     return 1 if report.violation_count else 0
 
 
 def cmd_martingale(args) -> int:
     s = _read_stream(args.stream)
-    config, _ = _matcher_config(args, s)
-    report = harness.martingale_monitor(s, config, args.vertex, args.trials, args.seed)
+    report = harness.martingale_monitor(s, _matcher_config(args, s), args.vertex, args.trials, args.seed)
     _write(args, json.dumps(report.as_dict(), indent=2))
     ok = not report.violations and report.ci_contains_y0
     return 0 if ok else 1
@@ -226,15 +227,7 @@ def cmd_counterexample(args) -> int:
 
 def cmd_verify(args) -> int:
     s = _read_stream(args.stream)
-    if s.is_fractional:
-        config = _rounding_config(args, s)
-    else:
-        config, fallback = _matcher_config(args, s)
-        if fallback:
-            print("this profile falls back to the greedy matcher; verify covers "
-                  "the multiplicative matcher (pass an explicit --q)", file=sys.stderr)
-            return 2
-    result = harness.verify_stream(s, config, args.trials, args.seed)
+    result = harness.verify_stream(s, _engine_config(args, s), args.trials, args.seed)
     _write(args, json.dumps(result, indent=2))
     n_bad = len(result["violations"])
     if n_bad:

@@ -154,37 +154,26 @@ def _matched_indices(traces) -> list[int]:
     return [tr.time - 1 for tr in traces if tr.matched]
 
 
-def mc_marginals(
-    stream: ArrivalStream,
-    config: MatcherConfig,
-    trials: int,
-    master_seed: int,
-) -> RunReport:
-    """Per-edge empirical matching frequencies with Wilson 95% intervals.
+def _trial_hits(stream: ArrivalStream, config, trials: int, master_seed: int):
+    """The Monte-Carlo trials of either engine: (hits per arrival, min F,
+    gate fires, overflows, violations).
 
-    Each trial yields the indices of its matched arrivals, in arrival order
-    (run_fast's return; the traced and greedy paths build the same list),
-    and hits are added over those indices.  Edges whose whole interval lies
-    below 1/(D + 4q) (the guarantee the analysis actually delivers) are
-    flagged; on gated instances such edges are expected, so the flag is
-    reported, not counted as a violation.  The interval depends only on the
-    hit count, so it is computed once per distinct count.  The first
-    ``AUDIT_TRIALS`` trials are audited by check_run_invariants against the
-    engine's own final F.  Gated trials run on run_fast, so an audited one
-    is re-run through the traced path, whose matched arrivals must be the
-    same; natural-mode trials are traced already and audit their own
-    traces.
+    The config's ``mode`` picks the path: the greedy color class c*,
+    run_fast for the gated matcher, or a traced run (a RoundingConfig has no
+    mode, so the rounder runs traced).  Each trial yields the indices of its
+    matched arrivals in arrival order, and hits are added over them.  The
+    first ``AUDIT_TRIALS`` trials are audited by check_run_invariants
+    against the engine's own final F; a run_fast trial is re-run traced for
+    it, and must match the same arrivals.
     """
-    _require_trials(trials)
-    t0 = time.perf_counter()
-    m = stream.m
-    hits = [0] * m
+    hits = [0] * stream.m
     min_f = 1.0
     gate_fires = 0
     overflow = 0
     violations: list[str] = []
-    fast = config.gated
-    greedy = config.mode == MODE_GREEDY_FALLBACK
+    mode = getattr(config, "mode", None)
+    fast = mode == MODE_ANALYSIS_FRIENDLY
+    greedy = mode == MODE_GREEDY_FALLBACK
     us, vs = stream.u, stream.v
     rng = Random()  # re-seeded per gated trial (see the seeding contract)
     if greedy:
@@ -222,10 +211,31 @@ def mc_marginals(
             violations.extend(
                 f"trial {t}: {v}" for v in check_run_invariants(stream, config, traces, F)
             )
+    return hits, min_f, gate_fires, overflow, violations
+
+
+def mc_marginals(
+    stream: ArrivalStream,
+    config: MatcherConfig,
+    trials: int,
+    master_seed: int,
+) -> RunReport:
+    """Per-edge empirical matching frequencies with Wilson 95% intervals.
+
+    The trials and their audits are those of ``_trial_hits``.  Edges whose
+    whole interval lies below 1/(D + 4q) (the guarantee the analysis
+    actually delivers) are flagged; on gated instances such edges are
+    expected, so the flag is reported, not counted as a violation.  The
+    interval depends only on the hit count, so it is computed once per
+    distinct count.
+    """
+    _require_trials(trials)
+    t0 = time.perf_counter()
+    hits, min_f, gate_fires, overflow, violations = _trial_hits(stream, config, trials, master_seed)
     floor_marginal = 1.0 / (config.delta + 4.0 * config.q)
     intervals = {h: wilson_interval(h, trials) for h in set(hits)}
     edges = []
-    for t, u, v, h in zip(itertools.count(1), us, vs, hits):
+    for t, u, v, h in zip(itertools.count(1), stream.u, stream.v, hits):
         lo, hi = intervals[h]
         edges.append(
             {
@@ -403,11 +413,11 @@ class MartingaleTrace:
 
 
 def _martingale_inputs(stream: ArrivalStream, config: MatcherConfig, vertex: int, full: bool = False):
-    """What every trial shares: the neighbor arrival times of ``vertex`` and
-    the walk plan, built once per call.  The plan covers the arrivals that
-    touch a neighbor, which include every arrival at ``vertex``, or every
-    arrival when ``full``.  Raises for a vertex outside [0, n) and for any
-    matcher but the gated one."""
+    """What every trial shares: the neighbors of ``vertex`` and the walk
+    plan, built once per call.  The plan covers the arrivals that touch a
+    neighbor, which include every arrival at ``vertex``, or every arrival
+    when ``full``.  Raises for a vertex outside [0, n) and for any matcher
+    but the gated one."""
     if not 0 <= vertex < stream.n:
         raise ValueError(f"vertex {vertex} not in the stream")
     if not config.gated:
@@ -415,7 +425,7 @@ def _martingale_inputs(stream: ArrivalStream, config: MatcherConfig, vertex: int
             "martingale diagnostics follow the gated analysis_friendly matcher, "
             f"not mode={config.mode!r}"
         )
-    neighbors = _neighbor_times(stream, vertex)
+    neighbors = _neighbors(stream, vertex)
     return neighbors, _walk_plan(stream, vertex, None if full else neighbors)
 
 
@@ -506,14 +516,8 @@ def martingale_trace(stream: ArrivalStream, config: MatcherConfig, vertex: int, 
     return _martingale_trial(stream, config, vertex, neighbors, plan, rng_for(seed), collect=True)[3]
 
 
-def _neighbor_times(stream: ArrivalStream, vertex: int) -> dict[int, int]:
-    out = {}
-    for t, u, v in zip(itertools.count(1), stream.u, stream.v):
-        if u == vertex:
-            out[v] = t
-        elif v == vertex:
-            out[u] = t
-    return out
+def _neighbors(stream: ArrivalStream, vertex: int) -> set[int]:
+    return {v if u == vertex else u for u, v in zip(stream.u, stream.v) if vertex in (u, v)}
 
 
 def martingale_monitor(
@@ -640,33 +644,19 @@ def verify_stream(
 ) -> dict:
     """Exact oracle vs Monte-Carlo within 4 sigma, plus invariant audits.
 
-    Matcher trials and their audits are those of ``mc_marginals``; a
-    rounder's trial 0 is audited by check_run_invariants against the
-    engine's own final F.  Returns a dict with per-edge rows and a
+    The trials and their audits are those of ``_trial_hits``, for the
+    matcher and the rounder alike.  Returns a dict with per-edge rows and a
     ``violations`` list; exit-code semantics (0 iff no violations) belong to
     the CLI.
     """
     _require_trials(trials)
     t0 = time.perf_counter()
-    violations: list[str] = []
-    oracle = None
+    oracle = note = None
     try:
         oracle = exact_marginals(stream, config)
     except OracleLimitError as exc:
-        violations_note = f"oracle skipped: {exc}"
-    if isinstance(config, RoundingConfig):
-        hits = [0] * stream.m
-        for t in range(trials):
-            state = config.state(stream.n)
-            _, traces = run(stream, config, derive_seed(master_seed, t), state=state)
-            if t == 0:
-                violations.extend(check_run_invariants(stream, config, traces, state.F))
-            for i in _matched_indices(traces):
-                hits[i] += 1
-    else:
-        report = mc_marginals(stream, config, trials, master_seed)
-        hits = [rec["hits"] for rec in report.edges]
-        violations.extend(report.violations)
+        note = f"oracle skipped: {exc}"
+    hits, _, _, _, violations = _trial_hits(stream, config, trials, master_seed)
     rows = []
     for i, (u, v) in enumerate(zip(stream.u, stream.v)):
         t = i + 1
@@ -699,7 +689,7 @@ def verify_stream(
         "wall_time_sec": time.perf_counter() - t0,
     }
     if oracle is None:
-        out["note"] = violations_note
+        out["note"] = note
     else:
         out["leaf_total"] = float(oracle.leaf_total)
         out["branches"] = oracle.branches

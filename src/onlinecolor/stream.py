@@ -32,10 +32,12 @@ gives no message.  Any stream it does not accept, and every annotated
 one, goes through the one checking loop from t = 1, which alone raises,
 with the message of the first fault; it checks each distinct palette
 object once.  Vertex and color ids must be integers (``numbers.Integral``;
-a color may not be a ``bool``), so that ``emit_stream`` writes text that
-``parse_stream`` reads back.  Equal palettes share one tuple: the parser
-reads each distinct ``L=`` token text once, and ``make_stream`` shares
-equal palettes by content.  ``arrivals`` is a read-only sequence view
+a color may not be a ``bool``), and each x a real number
+(``numbers.Real``, not a ``bool``), so that ``emit_stream`` writes text
+that ``parse_stream`` reads back; an x that is not a float is written as
+its nearest float.  Equal palettes share one tuple: the parser reads each
+distinct ``L=`` token text once, and ``make_stream`` shares equal palettes
+by content.  ``arrivals`` is a read-only sequence view
 that builds an ``EdgeArrival`` record on each access (length, index,
 slice, iteration); the package's per-edge loops read the columns instead.
 
@@ -174,8 +176,11 @@ class ArrivalStream:
                     if u < 0 or v < 0:
                         raise StreamError(f"t={t}: negative vertex id")
                     raise StreamError(f"t={t}: vertex id >= n={n}")
-                if x is not None and not (0.0 <= x <= 1.0):
-                    raise StreamError(f"t={t}: x={x} outside [0, 1]")
+                if x is not None:
+                    if type(x) is not float and (not isinstance(x, numbers.Real) or isinstance(x, bool)):
+                        raise StreamError(f"t={t}: x must be a real number")
+                    if not 0.0 <= x <= 1.0:
+                        raise StreamError(f"t={t}: x={x} outside [0, 1]")
                 if colors is not None and id(colors) not in checked:
                     kinds = set(map(type, colors)) - {int}
                     if not all(issubclass(k, numbers.Integral) and k is not bool for k in kinds):
@@ -435,13 +440,14 @@ def _parse_edge_line(toks: list[str], lineno: int, palettes: dict[str, tuple[int
 
 
 def emit_stream(stream: ArrivalStream) -> str:
-    """Inverse of parse_stream: parse_stream(emit_stream(s)) == s."""
+    """Inverse of parse_stream: parse_stream(emit_stream(s)) == s.  An x
+    that is not a float is written as its nearest float."""
     out = [f"n={stream.n} dmax={stream.delta_bound}"]
     out += map("e {} {}".format, stream.u, stream.v)
     if stream.x is not None:
         for i, x in enumerate(stream.x, start=1):
             if x is not None:
-                out[i] += f" x={x!r}"
+                out[i] += f" x={float(x)!r}"
     if stream.palettes is not None:
         joined: dict[int, str] = {}  # id of a palette -> its " L=..." text
         for i, colors in enumerate(stream.palettes, start=1):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -92,6 +93,79 @@ def test_round_cli(tmp_path, capsys):
                         "--c-round", "0.2", "--seed", "1")
     assert code == 0
     assert json.loads(out)["violations"] == []
+
+
+_MATCH_KEYS = ["mode", "delta", "q", "fallback_taken", "seed", "matched_edges",
+               "overflow_count", "gate_fires", "violations"]
+_ROUND_KEYS = ["epsilon", "c_round", "s", "seed", "matched_edges", "overflow_count",
+               "gate_fires", "violations"]
+_FRACTIONAL = "n=3 dmax=2\ne 0 1 x=0.2\ne 1 2 x=0.2\ne 0 2 x=0.2\n"
+_PLAIN = "n=3 dmax=2\ne 0 1\ne 1 2\ne 0 2\n"
+
+
+def test_match_and_round_share_one_traced_report(tmp_path, capsys):
+    plain, frac = tmp_path / "p.txt", tmp_path / "x.txt"
+    plain.write_text(_PLAIN)
+    frac.write_text(_FRACTIONAL)
+    code, out = run_cli(capsys, "match", "--stream", str(plain), "--q", "1", "--seed", "3")
+    assert code == 0 and list(json.loads(out)) == _MATCH_KEYS
+    argv = ["round", "--stream", str(frac), "--c-round", "0.2", "--seed", "1"]
+    code, out = run_cli(capsys, *argv)
+    payload = json.loads(out)
+    assert code == 0 and list(payload) == _ROUND_KEYS
+    assert payload["epsilon"] == 0.2 and payload["violations"] == []
+    code, out = run_cli(capsys, *argv, "--out", "csv")
+    lines = out.strip().splitlines()
+    assert code == 0 and lines[0].startswith("time,u,v,p,p_hat") and len(lines) == 4
+    matched = [tuple(map(int, r.split(",")[1:3])) for r in lines[1:] if r.split(",")[6] == "1"]
+    assert matched == [tuple(e) for e in payload["matched_edges"]]
+
+
+def test_round_needs_x_values(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text(_PLAIN)
+    assert main(["round", "--stream", str(path), "--c-round", "0.2"]) == 2
+    assert capsys.readouterr().err == "error: round needs a stream with x= values\n"
+
+
+def test_oracle_and_verify_run_the_rounder_on_x_values(tmp_path, capsys):
+    path = tmp_path / "s.txt"
+    path.write_text(_FRACTIONAL)
+    code, out = run_cli(capsys, "oracle", "--stream", str(path), "--c-round", "0.2", "--exact")
+    payload = json.loads(out)
+    s = 0.2 * 0.2 ** 0.25 * math.sqrt(math.log(5))
+    assert code == 0 and payload["max_conditional_drift"] <= 1e-9
+    assert all(math.isclose(e, 0.2 * (1 - s), rel_tol=1e-12) for e in payload["expected"])
+    code, out = run_cli(capsys, "verify", "--stream", str(path), "--c-round", "0.2",
+                        "--trials", "2000", "--seed", "2")
+    payload = json.loads(out)
+    assert code == 0 and payload["violations"] == [] and payload["components"] == 1
+
+
+@pytest.mark.parametrize("command", ["oracle", "verify"])
+@pytest.mark.parametrize("text,option,fragment", [
+    (_PLAIN, ["--profile", "theory"], "greedy_fallback"),
+    (_PLAIN, ["--epsilon", "0.2"], "--epsilon is a rounder option"),
+    (_PLAIN, ["--c-round", "0.2"], "--c-round is a rounder option"),
+    (_FRACTIONAL, ["--q", "1"], "--q is a matcher option"),
+], ids=["theory", "epsilon", "c-round", "q"])
+def test_oracle_and_verify_reject_the_other_engines_options(tmp_path, capsys, command, text,
+                                                            option, fragment):
+    path = tmp_path / "s.txt"
+    path.write_text(text)
+    assert main([command, "--stream", str(path), *option]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+
+
+def test_gen_annotations(capsys):
+    base = ["gen", "--kind", "regular", "--n", "8", "--delta", "3", "--seed", "2"]
+    code, out = run_cli(capsys, *base, "--x-uniform", "0.25")
+    s = parse_stream(out)
+    assert code == 0 and s.x == (0.25,) * s.m and s.palettes is None
+    code, out = run_cli(capsys, *base, "--list-size", "5")
+    s = parse_stream(out)
+    assert code == 0 and s.palettes == ((1, 2, 3, 4, 5),) * s.m and s.x is None
 
 
 def test_oracle_cli_exit_on_identity(tmp_path, capsys):

@@ -36,7 +36,7 @@ from onlinecolor.harness import validate_coloring
 from onlinecolor.matcher import MatcherConfig, MatcherState
 from onlinecolor.profiles import ConstantsProfile
 from onlinecolor.seeding import rng_for
-from onlinecolor.stream import gen_regular, make_stream, reorder, with_range_lists
+from onlinecolor.stream import ArrivalStream, gen_regular, make_stream, reorder, with_range_lists
 
 PRACTICAL = ConstantsProfile.practical()
 MULTIPHASE = PRACTICAL.replace(c_q_color=0.1, c_stop=5.0, a_base_mult=5.0)
@@ -540,6 +540,19 @@ def test_multiphase_list_run_disciplines():
     assert all(p.colored > 0 for p in res.per_phase)
 
 
+def test_list_ledger_counts_a_later_list_that_falls_short(monkeypatch):
+    # a partition that puts every color above 3 in phase 0: a dense edge
+    # that phase 0 leaves uncolored reaches phase 1 with at most 3 colors
+    s, _ = _multiphase_listed_instance(2)
+    assert list_color(s, MULTIPHASE, seed=5).list_ledger_violations == 0
+    real = colorer.SampledPartition.phase_of
+    monkeypatch.setattr(colorer.SampledPartition, "phase_of",
+                        lambda self, c: 0 if c > 3 else real(self, c))
+    res = list_color(s, MULTIPHASE, seed=5)
+    assert res.list_ledger_violations > 0
+    assert res.report(MULTIPHASE)["list_ledger_violations"] == res.list_ledger_violations
+
+
 def test_multiphase_reduction_meets_achieved_schedule():
     # empirical Thm-A.1-style property: uncolored max degree after phase i
     # stays below d_{i+1} of the achieved recurrence in >= 90% of
@@ -783,9 +796,9 @@ def test_list_run_colors_pinned():
 
 def _palette_streams():
     """One multiphase instance under three palette layouts: every edge given
-    the same palette object, every edge its own copy of it (which
-    ``make_stream`` shares by content), and runs of three different
-    palettes."""
+    the same palette object, every edge its own copy of it (built as
+    columns, since ``make_stream`` shares equal palettes by content), and
+    runs of three different palettes."""
     sch = degree_schedule(50, 60, MULTIPHASE)
     q_list = 50 + math.ceil(sch.a[0])
     g = gen_regular(60, 50, seed=7)
@@ -797,12 +810,11 @@ def _palette_streams():
     pick: list = []
     while len(pick) < g.m:
         pick += [rng.randrange(3)] * rng.randint(1, 6)
-    layouts = {
-        "shared": [base] * g.m,
-        "copies": [list(base) for _ in edges],
-        "mixed": [mixes[k] for k in pick[:g.m]],
-    }
-    return {k: make_stream(g.n, g.delta_bound, edges, lists=v) for k, v in layouts.items()}
+    layouts = {"shared": [base] * g.m, "mixed": [mixes[k] for k in pick[:g.m]]}
+    streams = {k: make_stream(g.n, g.delta_bound, edges, lists=v) for k, v in layouts.items()}
+    streams["copies"] = ArrivalStream(g.n, g.delta_bound, g.u, g.v, None, [tuple(base) for _ in edges])
+    assert len({id(p) for p in streams["copies"].palettes}) == g.m
+    return streams
 
 
 def _list_run_summary(res) -> str:
@@ -836,7 +848,9 @@ def test_split_memo_memory_bounded():
     edges = [(e.u, e.v) for e in gen_regular(120, 50, seed=1).arrivals]
     peaks = []
     for m in (1000, 3000):
-        s = make_stream(120, 50, edges[:m], lists=[list(base) for _ in range(m)])
+        us, vs = zip(*edges[:m])
+        s = ArrivalStream(120, 50, us, vs, None, [tuple(base) for _ in range(m)])
+        assert len({id(p) for p in s.palettes}) == m
         tracemalloc.start()
         try:
             res = list_color(s, MULTIPHASE, seed=2)

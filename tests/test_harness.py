@@ -629,6 +629,82 @@ def test_verify_stream_checks_a_matching_past_the_total_edge_limit():
     assert out["violations"] == []
 
 
+@pytest.mark.parametrize("column,index,value,fragment", [
+    ("conditional_sum", 0, 0.34, "t=1: conditional sum 0.34 != "),
+    ("marginal", 0, 0.0, "t=1: matched despite oracle marginal 0"),
+    ("marginal", 1, 0.9, "t=2: |freq 0.3"),
+], ids=["conditional-sum", "marginal-zero", "four-sigma"])
+def test_verify_stream_catches_a_corrupted_oracle(monkeypatch, column, index, value, fragment):
+    # one oracle value moved off the engine's: the edge's check must name it
+    real = harness.exact_marginals
+
+    def corrupted(stream, config):
+        res = real(stream, config)
+        values = list(getattr(res, column))
+        values[index] = value
+        return dataclasses.replace(res, **{column: values})
+
+    monkeypatch.setattr(harness, "exact_marginals", corrupted)
+    out = verify_stream(triangle(), MatcherConfig(delta=2, q=1), trials=4000, master_seed=11)
+    assert len(out["violations"]) == 1 and out["violations"][0].startswith(fragment)
+
+
+def test_verify_stream_notes_an_oracle_skipped_over_the_edge_limit():
+    # a 21-edge path is one component over the 20-edge limit
+    out = verify_stream(path(21), MatcherConfig(delta=2, q=1.0), trials=50, master_seed=3)
+    assert out["note"] == "oracle skipped: instance too large: a component has 21 > 20 edges"
+    assert "branches" not in out and all("oracle" not in r for r in out["edges"])
+    assert out["violations"] == []
+
+
+@pytest.mark.parametrize("engine", ["matcher", "rounder"])
+def test_verify_stream_audits_the_first_trials_of_either_engine(monkeypatch, engine):
+    from onlinecolor.rounder import config_for_loss
+
+    stream, cfg = ((triangle(), MatcherConfig(delta=2, q=1)) if engine == "matcher"
+                   else (triangle(x=0.2), config_for_loss(0.2, 0.1)))
+    real = harness.check_run_invariants
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "check_run_invariants", counted)
+    assert verify_stream(stream, cfg, trials=10, master_seed=2)["violations"] == []
+    assert len(calls) == harness.AUDIT_TRIALS
+
+
+@pytest.mark.parametrize("bound", ["step", "W_m"])
+def test_martingale_monitor_catches_a_trial_over_its_bounds(monkeypatch, bound):
+    # every trial reports twice the step bound 8/q, or twice the W_m bound
+    real = harness._martingale_trial
+    cfg = MatcherConfig(delta=8, q=2)
+
+    def inflated(*args, **kwargs):
+        y, step, wm, trace = real(*args, **kwargs)
+        if bound == "step":
+            return y, 2 * 8 / cfg.q, wm, trace
+        return y, step, 2 * 128 * cfg.delta * math.log(cfg.delta) / cfg.q ** 2, trace
+
+    s = gen_regular(30, 8, seed=2)
+    assert martingale_monitor(s, cfg, vertex=0, trials=5, master_seed=9).violations == []
+    monkeypatch.setattr(harness, "_martingale_trial", inflated)
+    rep = martingale_monitor(s, cfg, vertex=0, trials=5, master_seed=9)
+    assert [v.split(":")[0] for v in rep.violations] == [f"trial {t}" for t in range(5)]
+    assert all(f" {bound} " in v and "exceeds" in v for v in rep.violations)
+
+
+def test_mc_catches_an_invalid_fallback_matching(monkeypatch):
+    # a "coloring" that gives two adjacent edges each color: whichever class
+    # c* draws is not a matching
+    cfg = MatcherConfig(delta=2, q=10, mode=MODE_GREEDY_FALLBACK)
+    assert mc_marginals(path(6), cfg, trials=5, master_seed=4).violations == []
+    monkeypatch.setattr(harness, "greedy_color", lambda stream, palette: [1, 1, 2, 2, 3, 3])
+    rep = mc_marginals(path(6), cfg, trials=5, master_seed=4)
+    assert rep.violations == [f"trial {t}: fallback matching invalid" for t in range(3)]
+
+
 def test_derive_seed_is_stable():
     # the documented mixing function must never drift: reports embed only the
     # master seed, so a change here would silently break reproducibility

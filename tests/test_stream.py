@@ -435,6 +435,28 @@ def test_stream_accepts_numpy_integer_ids():
     assert s.palettes == ((1, 5), (2,))
     assert parse_stream(emit_stream(s)) == s
 
+
+@pytest.mark.parametrize("x", ["0.5", True], ids=["str", "bool"])
+def test_stream_rejects_x_that_is_not_a_real_number(x):
+    # a str fails the range comparison, and a bool would be written "x=True"
+    with pytest.raises(StreamError, match="t=1: x must be a real number"):
+        make_stream(3, 2, [(0, 1)], xs=[x])
+
+
+def test_stream_writes_a_non_float_x_as_its_nearest_float():
+    from fractions import Fraction
+
+    s = make_stream(4, 1, [(0, 1), (2, 3)], xs=[Fraction(1, 2), 1])
+    assert emit_stream(s) == "n=4 dmax=1\ne 0 1 x=0.5\ne 2 3 x=1.0\n"
+    assert parse_stream(emit_stream(s)) == s
+
+
+def test_stream_round_trips_a_numpy_float_x():
+    np = pytest.importorskip("numpy")
+    s = make_stream(3, 2, [(0, 1)], xs=[np.float64(0.5)])
+    assert emit_stream(s) == "n=3 dmax=2\ne 0 1 x=0.5\n"
+    assert parse_stream(emit_stream(s)) == s
+
 @st.composite
 def plain_columns(draw):
     """(n, dmax, u, v) of a small simple graph without annotations, with
