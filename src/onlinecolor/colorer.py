@@ -58,7 +58,8 @@ draws stay as they are.
 Each phase's bank (``PhaseReducer``) is fed a group, one entry per sublist
 color.  It draws one uniform per color per fed edge, as it visits the
 color, and steps only the colors in which both endpoints are still
-unmatched.
+unmatched: a vertex matched in a color holds ``None`` in that color's slot
+of its F row, as a matched vertex does in ``run_fast``'s F.
 
 Palettes are passed to ``run_generic`` and ``greedy_color`` (and to
 ``harness.validate_coloring``) by one convention, decided by
@@ -432,15 +433,16 @@ class PhaseReducer:
     more than the step itself.  Endpoints must differ (streams reject
     self-loops).
 
-    The state is laid out so that a feed looks nothing up per color.  Bit k
-    of a vertex's matched mask is set once the vertex is matched in slot k's
-    color, and the vertex's F row holds its F per slot.  ``group(sublist)``
-    gives each color's entry (slot, bit, the generator's ``random``,
-    matching, color), and ``feed`` walks the entries it is handed; the
-    pipeline keeps one group per palette and phase.  A feed draws each
-    color's uniform as it visits the color, as the seeding contract asks of
-    every fed edge, and then skips the color with one AND if its bit is set
-    at either endpoint.
+    The state is laid out so that a feed looks nothing up per color.  A
+    vertex's F row holds its F per slot, and ``None`` in slot k once the
+    vertex is matched in slot k's color; the F value the match left is kept
+    aside, once per (vertex, color), and ``color_state`` puts it back.
+    ``group(sublist)`` gives each color's entry (slot, the generator's
+    ``random``), and ``feed`` walks the entries it is handed; the pipeline
+    keeps one group per palette and phase.  A feed draws each color's
+    uniform as it visits the color, as the seeding contract asks of every
+    fed edge, and then skips the color if either endpoint's F is ``None``.
+    ``gate_fires`` counts the steps whose gate fired.
     """
 
     def __init__(self, n: int, delta: float, q: float, phase: int, master_seed: int):
@@ -452,11 +454,12 @@ class PhaseReducer:
         self.config = MatcherConfig(delta=delta, q=q)  # validates delta and q
         self.scale = 1.0 / (delta + q)
         self.floor = q / (4.0 * delta)
+        self.gate_fires = 0
         self.colors: list[int] = []  # per slot, in order of first sight
-        # color -> (slot, slot bit, its generator's random, matching, color)
-        self._slot_of: dict[int, tuple] = {}
-        self._rows: list[list[float]] = [[] for _ in range(n)]
-        self._matched_bits: list[int] = [0] * n
+        self._matchings: list[list] = []  # per slot: endpoint pairs, in match order
+        self._left: list[dict] = []  # per slot: matched vertex -> the F its match left
+        self._slot_of: dict[int, tuple] = {}  # color -> (slot, its generator's random)
+        self._rows: list[list] = [[] for _ in range(n)]
 
     def group(self, sublist) -> list:
         """The entries of ``sublist``'s colors, in its order, for ``feed``;
@@ -474,60 +477,69 @@ class PhaseReducer:
         for c in new:
             k = len(self.colors)
             rng = rng_for(self.master_seed, "phase", self.phase, "color", c)
-            self._slot_of[c] = (k, 1 << k, rng.random, [], c)
+            self._slot_of[c] = (k, rng.random)
             self.colors.append(c)
+            self._matchings.append([])
+            self._left.append({})
         ones = [1.0] * len(new)
         for row in self._rows:
             row += ones
 
     def feed(self, u: int, v: int, group: list) -> int | None:
-        bits = self._matched_bits
-        taken = bits[u] | bits[v]
         ru = self._rows[u]
         rv = self._rows[v]
         scale = self.scale
         floor = self.floor
         won = None
-        for k, bit, rand, matching, c in group:
+        for k, rand in group:
             x = rand()
-            if taken & bit:
-                continue  # an endpoint is matched in this color
             fu = ru[k]
+            if fu is None:
+                continue  # u is matched in this color
             fv = rv[k]
+            if fv is None:
+                continue  # v is matched in this color
             p = scale / (fu * fv)
             s = 1.0 - p
             if not (fu if fu < fv else fv) * s >= floor:
+                self.gate_fires += 1
                 continue  # the gate fired: P_hat = 0 leaves F unchanged
-            ru[k] = fu * s
-            rv[k] = fv * s
             if x < p:
-                bits[u] |= bit
-                bits[v] |= bit
-                matching.append((u, v))
+                ru[k] = rv[k] = None
+                left = self._left[k]
+                left[u] = fu * s
+                left[v] = fv * s
+                self._matchings[k].append((u, v))
                 if won is None:
-                    won = c
+                    won = self.colors[k]
+            else:
+                ru[k] = fu * s
+                rv[k] = fv * s
         return won
 
     def block(self, u: int, v: int, c: int) -> None:
         """Mark color c, given to (u, v) outside the bank, matched at u and v."""
         if c not in self._slot_of:
             self._open([c])
-        bit = self._slot_of[c][1]
-        self._matched_bits[u] |= bit
-        self._matched_bits[v] |= bit
+        k = self._slot_of[c][0]
+        left = self._left[k]
+        for w in (u, v):
+            row = self._rows[w]
+            if row[k] is not None:  # an endpoint matched before keeps its F
+                left[w] = row[k]
+                row[k] = None
 
     def color_state(self, c: int) -> BankColor:
         """A copy of color c's state after the feeds so far, with a copy of
         its generator, which has drawn one uniform per edge fed to c."""
-        k, _, rand, matching, _ = self._slot_of[c]
+        k, rand = self._slot_of[c]
+        F = [row[k] for row in self._rows]
+        matched = bytearray(f is None for f in F)
+        for w, fw in self._left[k].items():
+            F[w] = fw
         copy = random.Random()
         copy.setstate(rand.__self__.getstate())  # the bound method's generator
-        return BankColor(
-            [row[k] for row in self._rows],
-            bytearray(bits >> k & 1 for bits in self._matched_bits),
-            list(matching),
-            copy.random,
-        )
+        return BankColor(F, matched, list(self._matchings[k]), copy.random)
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +576,9 @@ class ColoringResult:
     # run invariants that failed (e.g. degree accounting); empty on a sound run
     invariant_violations: list[str] = field(default_factory=list)
     overflows: list = field(default_factory=list)  # {"time", "u", "v"} per overflow edge
+    # per active phase: (advances, gate fires) of its bank; an advance is
+    # one sublist color an edge was fed to
+    bank_counts: list = field(default_factory=list)
 
     @property
     def fallback_taken(self) -> bool:
@@ -589,6 +604,14 @@ class ColoringResult:
         return {"count": len(self.overflows), "first": next(iter(self.overflows), None),
                 "distinct_colors": len(taken), "max_color": max(taken, default=None)}
 
+    def _phase_report(self, st: PhaseStats, advances: int, gate_fires: int) -> dict:
+        """A phase's statistics, the degree d_{i+1} it should leave, how far
+        the degree it left is above that, and its bank's counts."""
+        scheduled = float(self.schedule.d[st.phase + 1])
+        return {**st.as_dict(), "scheduled_degree": scheduled,
+                "degree_miss": st.max_uncolored_degree_after - scheduled,
+                "advances": advances, "gate_fires": gate_fires}
+
     def report(self, profile: ConstantsProfile) -> dict:
         distinct = self._distinct_colors()
         return {
@@ -602,7 +625,8 @@ class ColoringResult:
             "seed": self.seed,
             "list_ledger_violations": self.list_ledger_violations,
             "invariant_violations": list(self.invariant_violations),
-            "per_phase": [p.as_dict() for p in self.per_phase],
+            "per_phase": [self._phase_report(p, *counts) for p, counts
+                          in zip(self.per_phase, self.bank_counts, strict=True)],
             "tail": self.tail.as_dict(),
             "partition": {"method": self.partition_method},
         }
@@ -687,6 +711,7 @@ def run_generic(
     deg = {i: [0] * n for i in active}
     tail_deg = [0] * n
     stats = {i: PhaseStats(phase=i) for i in active}
+    advances = dict.fromkeys(active, 0)  # per phase: sum of the group sizes fed
     colors_out: list = [None] * m
     stage_out: list = [f + 1] * m  # an edge is the tail's unless a phase or the overflow takes it
     ledger_violations = 0
@@ -749,6 +774,7 @@ def run_generic(
                                 f"t={idx + 1} phase {i}: sublist size {len(group)} outside "
                                 f"[{lo_b:.6g}, {hi_b:.6g}]"
                             )
+                advances[i] += len(group)
                 got = reducers[i].feed(u, v, group)
                 if got is not None:
                     st.colored += 1
@@ -818,6 +844,7 @@ def run_generic(
         seed=seed,
         invariant_violations=invariant_violations,
         overflows=overflows,
+        bank_counts=[(advances[i], reducers[i].gate_fires) for i in active],
     )
 
 

@@ -49,7 +49,8 @@ the indices of the matched arrivals, not one flag per arrival, and a
 matched vertex holds None in its F until the run ends) and, inline
 for its per-color bank, in colorer.PhaseReducer.feed, which draws each
 color's uniform as it visits the color and steps only the colors free at
-both endpoints.  The smallest-free-color rule lives once, in colorer: the
+both endpoints; a vertex matched in a color holds None in that color's
+slot of its F row.  The smallest-free-color rule lives once, in colorer: the
 coloring pipeline's tail, its overflow and the greedy fallback here all go
 through it.
 """

@@ -9,7 +9,10 @@ coloring instances).  The line-oriented text format:
     e <u> <v> [x=<decimal>] [L=<c1>,<c2>,...]
 
 with ``#`` comment lines; a header key or an annotation given twice on one
-line is an error.  Color ids are positive integers.  Vertex ids are dense
+line is an error.  An ``<int>`` (a header value, a vertex id, a color id)
+is ASCII digits with an optional leading sign; a ``<decimal>`` is ASCII
+text that ``float`` reads, without ``_``; an ``L=`` list is empty or has
+no empty item.  Color ids are positive integers.  Vertex ids are dense
 non-negative integers below n, so isolated vertices are representable
 (per-vertex state is allocated from n, not inferred from the edges).
 
@@ -300,6 +303,9 @@ def make_stream(n: int, delta_bound: int, edges, xs=None, lists=None) -> Arrival
 _UINT = r"(?:0|[1-9][0-9]{0,17})"
 _CANONICAL_HEADER = re.compile(rf"n=({_UINT}) dmax=({_UINT})\n")
 _CANONICAL_EDGES = re.compile(rf"(?:e {_UINT} {_UINT}\n)*")
+# An integer of the text format: int() alone also takes "_" separators and
+# non-ASCII digits
+_INT_TEXT = re.compile(r"[+-]?[0-9]+").fullmatch
 # Canonical text is read in chunks of about this many characters, each cut
 # at a newline, so that only one chunk's tokens are alive at a time.
 PARSE_CHUNK = 8192
@@ -381,6 +387,13 @@ def _parse_lines(text: str):
             list(map(ps.get, index)) if ps else None)
 
 
+def _int(text: str) -> int:
+    """The integer ``text`` writes in the format; ValueError if it is not one."""
+    if _INT_TEXT(text) is None:
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_header(toks: list[str], lineno: int) -> tuple[int, int]:
     fields = dict()
     for tok in toks:
@@ -388,7 +401,7 @@ def _parse_header(toks: list[str], lineno: int) -> tuple[int, int]:
             raise StreamError(f"line {lineno}: bad header token {tok!r}")
         key, val = tok.split("=", 1)
         try:
-            value = int(val)
+            value = _int(val)
         except ValueError:
             raise StreamError(f"line {lineno}: non-integer header value {tok!r}") from None
         if key in fields:
@@ -407,7 +420,7 @@ def _parse_edge_line(toks: list[str], lineno: int, palettes: dict[str, tuple[int
     if len(toks) < 3:
         raise StreamError(f"line {lineno}: edge line needs two endpoints")
     try:
-        u, v = int(toks[1]), int(toks[2])
+        u, v = _int(toks[1]), _int(toks[2])
     except ValueError:
         raise StreamError(f"line {lineno}: non-integer vertex id") from None
     x = None
@@ -415,6 +428,8 @@ def _parse_edge_line(toks: list[str], lineno: int, palettes: dict[str, tuple[int
     for tok in toks[3:]:
         if tok.startswith("x="):
             try:
+                if not tok.isascii() or "_" in tok:
+                    raise ValueError(tok)
                 value = float(tok[2:])
             except ValueError:
                 raise StreamError(f"line {lineno}: bad fractional value {tok!r}") from None
@@ -425,7 +440,7 @@ def _parse_edge_line(toks: list[str], lineno: int, palettes: dict[str, tuple[int
             palette = palettes.get(tok)
             if palette is None:
                 try:
-                    parsed = [int(c) for c in tok[2:].split(",") if c]
+                    parsed = [_int(c) for c in tok[2:].split(",")] if tok != "L=" else []
                 except ValueError:
                     raise StreamError(f"line {lineno}: bad color list {tok!r}") from None
                 if len(set(parsed)) != len(parsed):

@@ -159,6 +159,17 @@ def _mpmath_schedule(mp, d0, n, profile):
     }
 
 
+def test_budget_frontier_falls_toward_delta():
+    # the paper's (1 + o(1))Delta budget, from the schedule alone: at n =
+    # 10 Delta the practical budget floor(d_0 + a_0) over Delta falls at
+    # every decade (4.347 at 10^4 ... 1.083 at 10^10) and is below 1.05 at
+    # 10^11 (1.045)
+    ratios = [degree_schedule(10**k, 10**(k + 1), PRACTICAL).prune_target(0) / 10**k
+              for k in range(4, 12)]
+    assert all(a > b for a, b in zip(ratios, ratios[1:])), ratios
+    assert ratios[-1] < 1.05, ratios
+
+
 def test_schedule_matches_mpmath():
     # The schedule was computed with mpmath before the port to decimal.
     # Sequences and derived values must be identical as floats and ints, but
@@ -369,6 +380,21 @@ def test_phase_reducer_block_skips_the_color():
     assert red.color_state(7).F[4] < 1.0
 
 
+def test_phase_reducer_block_keeps_a_matched_endpoint_f():
+    # a block at an endpoint the bank already matched in that color leaves
+    # the F value its match left; the other endpoint keeps its current F
+    red = PhaseReducer(40, delta=4.0, q=1.0, phase=0, master_seed=8)
+    group = red.group((7,))
+    won = [red.feed(2 * i, 2 * i + 1, group) for i in range(10)]
+    u = 2 * won.index(7)
+    before = red.color_state(7)
+    assert before.matched[u] and before.F[u] < 1.0
+    red.block(u, 39, 7)
+    after = red.color_state(7)
+    assert after.F == before.F and after.matching == before.matching
+    assert list(after.matched) == [*before.matched[:39], 1]
+
+
 def _reference_bank(n, delta, q, phase, seed, edges):
     """The bank as one MatcherState per color, driven through proposal + apply.
 
@@ -424,9 +450,10 @@ def _assert_bank_matches_reference(n, delta, q, edges):
     """Feed ``edges`` to a PhaseReducer and to ``_reference_bank``, with
     each block event passed to ``block``: winners, colors in order of first
     sight, and each color's F, matched flags, matching and next draw must
-    agree.  As the pipeline's plan does, one group is made per sublist
-    object, on its first use, and fed again for that object.  Returns the
-    reducer, the reference's gate fires and its skips."""
+    agree, and so must the count of fired gates.  As the pipeline's plan
+    does, one group is made per sublist object, on its first use, and fed
+    again for that object.  Returns the reducer, the reference's gate fires
+    and its skips."""
     red = PhaseReducer(n, delta=delta, q=q, phase=1, master_seed=17)
     groups: dict = {}  # id of a sublist -> (the sublist, held; its group)
     got = []
@@ -440,6 +467,7 @@ def _assert_bank_matches_reference(n, delta, q, edges):
     want, states, rngs, gate_fires, skips = _reference_bank(n, delta, q, 1, 17, edges)
     assert got == want
     assert red.colors == list(states)
+    assert red.gate_fires == gate_fires
     for c, st in states.items():
         mine = red.color_state(c)
         assert mine.F == st.F
@@ -538,6 +566,35 @@ def test_multiphase_list_run_disciplines():
         assert part[c] == st
     # every active phase actually colored something
     assert all(p.colored > 0 for p in res.per_phase)
+
+
+def test_per_phase_report_fields(monkeypatch):
+    # each per_phase entry of the report adds to the phase's statistics the
+    # degree d_{i+1} it should leave, the degree left above that, the
+    # bank's advances (the sublist colors fed, as a feed spy adds them) and
+    # its fired gates; the tail's entry is its statistics alone
+    fed = Counter()
+    banks = {}
+    feed = PhaseReducer.feed
+
+    def spy(self, u, v, group):
+        fed[self.phase] += len(group)
+        banks[self.phase] = self
+        return feed(self, u, v, group)
+
+    monkeypatch.setattr(PhaseReducer, "feed", spy)
+    s, sch = _multiphase_listed_instance(2)
+    res = list_color(s, MULTIPHASE, seed=5)
+    report = res.report(MULTIPHASE)
+    assert len(report["per_phase"]) == sch.f >= 2
+    for entry, st in zip(report["per_phase"], res.per_phase, strict=True):
+        scheduled = float(sch.d[st.phase + 1])
+        assert entry == {**st.as_dict(), "scheduled_degree": scheduled,
+                         "degree_miss": st.max_uncolored_degree_after - scheduled,
+                         "advances": fed[st.phase], "gate_fires": banks[st.phase].gate_fires}
+        assert fed[st.phase] > 0
+    assert any(entry["degree_miss"] != 0 for entry in report["per_phase"])
+    assert report["tail"] == res.tail.as_dict()
 
 
 def test_list_ledger_counts_a_later_list_that_falls_short(monkeypatch):

@@ -104,6 +104,34 @@ def test_parse_errors(text, fragment):
         parse_stream(text)
 
 
+def test_parse_reads_only_ascii_integers():
+    # text that Python's int() and float() read, but the format does not
+    cases = [
+        ("n=1_000 dmax=1\ne 0 1\n", "non-integer header value"),
+        ("n=20 dmax=1\ne 0 1_0\n", "non-integer vertex id"),
+        ("n=3 dmax=1\ne \u0661 2\n", "non-integer vertex id"),  # an Arabic-Indic digit
+        ("n=2 dmax=1\ne 0 1 L=1,,2\n", "bad color list"),
+        ("n=2 dmax=1\ne 0 1 L=1,\n", "bad color list"),
+        ("n=2 dmax=1\ne 0 1 x=0.2_5\n", "bad fractional value"),
+        ("n=2 dmax=1\ne 0 1 x=0.\u0665\n", "bad fractional value"),
+        ("n=2 dmax=1\ne -1 1\n", "negative vertex id"),
+    ]
+    for text, fragment in cases:
+        with pytest.raises(StreamError, match=fragment):
+            parse_stream(text)
+    # a sign and an empty list are still the format's
+    s = parse_stream("n=+2 dmax=1\ne +0 1 x=0.25 L=\n")
+    assert (s.n, s.u, s.x, s.palettes) == (2, (0,), (0.25,), ((),))
+
+
+def _format_int(text):
+    """An <int> of the format: ASCII digits with an optional leading sign."""
+    body = text[1:] if text[:1] in ("+", "-") else text
+    if not (body.isascii() and body.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def _reference_parse(text):
     """The file format as the stream docstring states it, read one line at a
     time into EdgeArrival records, then checked arrival by arrival; returns
@@ -120,7 +148,7 @@ def _reference_parse(text):
                 if not eq:
                     raise StreamError(f"line {lineno}: bad header token {tok!r}")
                 try:
-                    value = int(val)
+                    value = _format_int(val)
                 except ValueError:
                     raise StreamError(f"line {lineno}: non-integer header value {tok!r}") from None
                 if key in fields:
@@ -136,13 +164,15 @@ def _reference_parse(text):
         if len(toks) < 3:
             raise StreamError(f"line {lineno}: edge line needs two endpoints")
         try:
-            u, v = int(toks[1]), int(toks[2])
+            u, v = _format_int(toks[1]), _format_int(toks[2])
         except ValueError:
             raise StreamError(f"line {lineno}: non-integer vertex id") from None
         x = colors = text_l = None
         for tok in toks[3:]:
             if tok[:2] == "x=":
                 try:
+                    if not tok.isascii() or "_" in tok:
+                        raise ValueError(tok)
                     value = float(tok[2:])
                 except ValueError:
                     raise StreamError(f"line {lineno}: bad fractional value {tok!r}") from None
@@ -151,7 +181,7 @@ def _reference_parse(text):
                 x = value
             elif tok[:2] == "L=":
                 try:
-                    listed = [int(c) for c in tok[2:].split(",") if c]
+                    listed = [_format_int(c) for c in tok[2:].split(",")] if tok[2:] else []
                 except ValueError:
                     raise StreamError(f"line {lineno}: bad color list {tok!r}") from None
                 if len(set(listed)) < len(listed):
@@ -198,8 +228,9 @@ def _reference_parse(text):
 
 
 _SEP = st.sampled_from([" ", " ", " ", "  ", "\t", " \t"])
-_GOOD_L = ["L=1,2,3", "L=3,1,2", "L=5", "L=2,7", "L=1,,2", "L="]
-_BAD_TOKENS = ["x=1.5", "x=abc", "y=2", "L=4,4", "L=0,2", "L=a,b", "L=-1,3", "x=0.5", "L=5"]
+_GOOD_L = ["L=1,2,3", "L=3,1,2", "L=5", "L=2,7", "L="]
+_BAD_TOKENS = ["x=1.5", "x=abc", "y=2", "L=4,4", "L=0,2", "L=a,b", "L=-1,3", "x=0.5", "L=5",
+               "L=1,,2", "L=1,", "x=0.2_5"]
 
 
 def _rare(draw) -> bool:
