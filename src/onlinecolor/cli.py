@@ -16,6 +16,7 @@ and a profile whose q falls back to the greedy matcher.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -100,20 +101,26 @@ def _engine_config(args, s: streammod.ArrivalStream):
 
 
 def _traced(args, s: streammod.ArrivalStream, config, head: dict) -> int:
-    """One audited traced run of either engine: the traces as CSV, or
+    """One audited traced run of either engine: the trace as CSV, or
     ``head`` and the run's outcome as JSON."""
-    matching, traces = matcher.run(s, config, args.seed)
-    violations = matcher.check_run_invariants(s, config, traces)
+    matching, trace = matcher.run(s, config, args.seed)
+    violations = matcher.check_run_invariants(s, config, trace)
     if args.out == "csv":
-        rows = [matcher.StepTrace.CSV_HEADER] + [tr.csv_row() for tr in traces]
+        rows = ["time,u,v,p,p_hat,x,matched,gate_fired,overflow"]
+        rows += [
+            f"{t},{u},{v},{float(p)!r},{float(p_hat)!r},{float(x)!r},{int(m)},{int(g)},{int(o)}"
+            for t, u, v, p, p_hat, x, m, g, o in zip(
+                itertools.count(1), s.u, s.v, trace.p, trace.p_hat, trace.x,
+                trace.matched, trace.gate_fired, trace.overflow)
+        ]
         _write(args, "\n".join(rows) + "\n")
     else:
         payload = {
             **head,
             "seed": args.seed,
             "matched_edges": matching,
-            "overflow_count": sum(tr.overflow for tr in traces),
-            "gate_fires": sum(tr.gate_fired for tr in traces),
+            "overflow_count": sum(trace.overflow),
+            "gate_fires": sum(trace.gate_fired),
             "violations": violations,
         }
         _write(args, json.dumps(payload, indent=2))
@@ -222,7 +229,10 @@ def cmd_martingale(args) -> int:
 def cmd_counterexample(args) -> int:
     result = harness.counterexample_demo(args.delta, args.q_int)
     _write(args, json.dumps(result, indent=2))
-    return 0
+    n_bad = len(result["violations"])
+    if n_bad:
+        print(f"{n_bad} violations", file=sys.stderr)
+    return 1 if n_bad else 0
 
 
 def cmd_verify(args) -> int:

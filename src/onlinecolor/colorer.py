@@ -564,7 +564,7 @@ class ColoringResult:
     colors: list  # per arrival index; int color
     stage: list  # per arrival index; phase that colored it (f+1 = tail) or "overflow"
     per_phase: list[PhaseStats]
-    tail: PhaseStats
+    tail: PhaseStats  # the pipeline sets only phase, entered and colored
     schedule: DegreeSchedule
     partition_method: str
     partition_assignment: dict
@@ -593,10 +593,6 @@ class ColoringResult:
     @property
     def max_color(self) -> int:
         return max(self._distinct_colors(), default=0)
-
-    @property
-    def colors_used(self) -> int:
-        return len(self._distinct_colors())
 
     def _overflow_block(self) -> dict:
         """The overflow edges: their count, the first, and the colors they took."""
@@ -627,7 +623,7 @@ class ColoringResult:
             "invariant_violations": list(self.invariant_violations),
             "per_phase": [self._phase_report(p, *counts) for p, counts
                           in zip(self.per_phase, self.bank_counts, strict=True)],
-            "tail": self.tail.as_dict(),
+            "tail": {k: getattr(self.tail, k) for k in ("phase", "entered", "colored")},
             "partition": {"method": self.partition_method},
         }
 

@@ -39,6 +39,7 @@ from .matcher import (
     matching_is_valid,
     run,
     run_fast,
+    trace_run,
 )
 from .oracle import OracleLimitError, exact_marginals
 from .rounder import RoundingConfig
@@ -149,9 +150,9 @@ class RunReport:
         return "\n".join(rows) + "\n"
 
 
-def _matched_indices(traces) -> list[int]:
+def _matched_indices(trace) -> list[int]:
     """The indices of a traced run's matched arrivals, as run_fast returns them."""
-    return [tr.time - 1 for tr in traces if tr.matched]
+    return list(itertools.compress(itertools.count(), trace.matched))
 
 
 def _trial_hits(stream: ArrivalStream, config, trials: int, master_seed: int):
@@ -191,12 +192,12 @@ def _trial_hits(stream: ArrivalStream, config, trials: int, master_seed: int):
             gate_fires += gf
         else:
             state = config.state(stream.n)
-            _, traces = run(stream, config, derive_seed(master_seed, t), state=state)
-            got = _matched_indices(traces)
+            _, trace = run(stream, config, derive_seed(master_seed, t), state=state)
+            got = _matched_indices(trace)
             F = state.F
             min_f = min(min_f, min(F, default=1.0))
-            gate_fires += sum(tr.gate_fired for tr in traces)
-            overflow += sum(tr.overflow for tr in traces)
+            gate_fires += sum(trace.gate_fired)
+            overflow += sum(trace.overflow)
         for i in got:
             hits[i] += 1
         if t < AUDIT_TRIALS:
@@ -205,11 +206,11 @@ def _trial_hits(stream: ArrivalStream, config, trials: int, master_seed: int):
                     violations.append(f"trial {t}: fallback matching invalid")
                 continue
             if fast:
-                _, traces = run(stream, config, derive_seed(master_seed, t))
-                if _matched_indices(traces) != got:
+                _, trace = run(stream, config, derive_seed(master_seed, t))
+                if _matched_indices(trace) != got:
                     violations.append(f"trial {t}: fast and traced paths disagree")
             violations.extend(
-                f"trial {t}: {v}" for v in check_run_invariants(stream, config, traces, F)
+                f"trial {t}: {v}" for v in check_run_invariants(stream, config, trace, F)
             )
     return hits, min_f, gate_fires, overflow, violations
 
@@ -580,55 +581,56 @@ def counterexample_demo(delta: int, q: int) -> dict:
     """Drive the naive matcher over the overflow tree on the forced
     no-match path (X_t = sup [0,1)) in exact rational arithmetic.
 
-    Asserts P(child_i) = 1/(q+3-i) for i = 1..q+1 and P(root) =
+    Checks P(child_i) = 1/(q+3-i) for i = 1..q+1 and P(root) =
     (q+2)/(q+1) > 1 with the overflow flag set, and that the gated
     algorithm on the same path keeps P_hat <= 1 and zeroes the root edge
-    via its gate.  Any assertion failure here is an implementation bug.
+    via its gate.  Each failed check is a string in the result's
+    ``violations`` list; a non-empty list is an implementation bug.
     """
     tree = gen_lower_bound_tree(delta, q)
     x_sup = Fraction((1 << 53) - 1, 1 << 53)  # largest double below 1
+    forced = itertools.repeat(x_sup).__next__
     results: dict = {"delta": delta, "q": q, "m": tree.m, "n": tree.n}
+    bad: list[str] = []
 
     natural = MatcherState(
         tree.n, MatcherConfig(delta=delta, q=q, mode=MODE_NATURAL), exact=True
     )
-    traces = [natural.step_at(t, u, v, None, x_sup)
-              for t, u, v in zip(itertools.count(1), tree.u, tree.v)]
-    child = [tr for tr in traces[:-1] if min(tr.u, tr.v) == 0]
-    root = traces[-1]
+    _, nat = trace_run(tree, natural, forced)
+    last = tree.m - 1  # the root edge arrives last
+    child_p = [p for u, v, p in zip(tree.u[:last], tree.v[:last], nat.p) if min(u, v) == 0]
+    root_p = nat.p[last]
     expected_children = [Fraction(1, q + 3 - i) for i in range(1, q + 2)]
-    got_children = [tr.p for tr in child]
-    if got_children != expected_children:
-        raise AssertionError(f"child P values {got_children} != {expected_children}")
-    if root.p != Fraction(q + 2, q + 1):
-        raise AssertionError(f"root P {root.p} != (q+2)/(q+1)")
-    if not root.overflow or root.p <= 1:
-        raise AssertionError("root edge did not overflow")
-    if any(tr.overflow for tr in traces[:-1]):
-        raise AssertionError("overflow before the root edge")
+    if child_p != expected_children:
+        bad.append(f"child P values {child_p} != {expected_children}")
+    if root_p != Fraction(q + 2, q + 1):
+        bad.append(f"root P {root_p} != (q+2)/(q+1)")
+    if not nat.overflow[last] or root_p <= 1:
+        bad.append("root edge did not overflow")
+    if any(nat.overflow[:last]):
+        bad.append("overflow before the root edge")
 
     gated = MatcherState(
         tree.n, MatcherConfig(delta=delta, q=q, mode=MODE_ANALYSIS_FRIENDLY), exact=True
     )
-    gtraces = [gated.step_at(t, u, v, None, x_sup)
-               for t, u, v in zip(itertools.count(1), tree.u, tree.v)]
-    if any(tr.p_hat > 1 for tr in gtraces):
-        raise AssertionError("gated run produced P_hat > 1")
-    if any(tr.overflow for tr in gtraces):
-        raise AssertionError("gated run flagged an overflow")
-    if any(tr.gate_fired for tr in gtraces[:-1]):
-        raise AssertionError("a gate fired before the root edge")
-    if [a.p for a in gtraces] != [a.p for a in traces]:
-        raise AssertionError("gated and natural proposals diverged on the forced path")
-    groot = gtraces[-1]
-    if not groot.gate_fired or groot.p_hat != 0:
-        raise AssertionError("gate did not zero the root edge")
+    _, gat = trace_run(tree, gated, forced)
+    if any(p_hat > 1 for p_hat in gat.p_hat):
+        bad.append("gated run produced P_hat > 1")
+    if any(gat.overflow):
+        bad.append("gated run flagged an overflow")
+    if any(gat.gate_fired[:last]):
+        bad.append("a gate fired before the root edge")
+    if gat.p != nat.p:
+        bad.append("gated and natural proposals diverged on the forced path")
+    if not gat.gate_fired[last] or gat.p_hat[last] != 0:
+        bad.append("gate did not zero the root edge")
 
-    results["child_p"] = [str(p) for p in expected_children]
-    results["root_p"] = str(root.p)
-    results["root_p_float"] = float(root.p)
-    results["gated_root_gate_fired"] = groot.gate_fired
-    results["gated_max_p_hat"] = float(max(tr.p_hat for tr in gtraces))
+    results["child_p"] = [str(p) for p in child_p]
+    results["root_p"] = str(root_p)
+    results["root_p_float"] = float(root_p)
+    results["gated_root_gate_fired"] = gat.gate_fired[last]
+    results["gated_max_p_hat"] = float(max(gat.p_hat))
+    results["violations"] = bad
     return results
 
 

@@ -41,7 +41,11 @@ and the overflow demo).
 The rounder (rounder.RoundingConfig) is the same engine with another
 numerator and floor.  Each config builds its own state and describes its own
 audit (``state``, ``gated``, ``floor``, ``p_cap``), so one runner, run(),
-and one audit, check_run_invariants(), serve both.  The gated step lives in
+and one audit, check_run_invariants(), serve both.  A traced run is a
+RunTrace: six parallel columns (p, p_hat, x, matched, gate_fired,
+overflow), one entry per arrival, written by trace_run's one loop through
+the state's proposal and apply; the endpoints stay in the stream's own
+columns.  The audit reads the columns.  The gated step lives in
 MultiplicativeState (the float-or-exact reference engine; a natural
 MatcherState swaps its gated disposal for a clamp once, at construction),
 in run_fast (the float kernel of every trace-free matcher run; it returns
@@ -60,7 +64,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .profiles import ConstantsProfile
@@ -155,37 +159,30 @@ class MatcherConfig:
         return MatcherState(n, self, exact=exact)
 
 
-@dataclass(slots=True)
-class StepTrace:
-    time: int
-    u: int
-    v: int
-    p: object  # proposal P(e_t); may exceed 1 in natural mode
-    p_hat: object  # gated/clamped value actually used
-    x: object  # the uniform draw
-    matched: bool
-    gate_fired: bool  # P_hat != P because of the gate
-    overflow: bool  # natural mode only: P > 1
+@dataclass
+class RunTrace:
+    """A traced run as six parallel columns.  Entry i is arrival i + 1,
+    whose endpoints are the stream's ``u[i]`` and ``v[i]``."""
 
-    CSV_HEADER = "time,u,v,p,p_hat,x,matched,gate_fired,overflow"
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.time},{self.u},{self.v},{float(self.p)!r},{float(self.p_hat)!r},"
-            f"{float(self.x)!r},{int(self.matched)},{int(self.gate_fired)},{int(self.overflow)}"
-        )
+    p: list = field(default_factory=list)  # proposal P(e_t); may exceed 1 in natural mode
+    p_hat: list = field(default_factory=list)  # gated/clamped value actually used
+    x: list = field(default_factory=list)  # the uniform draw
+    matched: list = field(default_factory=list)
+    gate_fired: list = field(default_factory=list)  # P_hat != P because of the gate
+    overflow: list = field(default_factory=list)  # natural mode only: P > 1
 
 
 class MultiplicativeState:
     """Shared skeleton of the matcher and the rounder.
 
-    Subclasses define the proposal numerator and the gate floor.  Simulated
-    runs use step().  The oracle walks its branch tree on one live state
-    through proposal, apply and undo: it saves F at both endpoints before
-    each apply and rewinds with undo when it backtracks, so ``t`` is the
-    arrival index at every proposal.  Vertices are dense ints below n; F
-    defaults to 1 via a plain list.  When ``exact`` numbers (Fractions) flow
-    in, every derived quantity stays exact.
+    Subclasses define the proposal numerator and the gate floor.  Traced
+    runs (trace_run) step it through proposal and apply.  The oracle walks
+    its branch tree on one live state through proposal, apply and undo: it
+    saves F at both endpoints before each apply and rewinds with undo when
+    it backtracks, so ``t`` is the arrival index at every proposal.
+    Vertices are dense ints below n; F defaults to 1 via a plain list.  When
+    ``exact`` numbers (Fractions) flow in, every derived quantity stays
+    exact.
     """
 
     floor: object  # gate floor; subclass-provided
@@ -236,23 +233,6 @@ class MultiplicativeState:
             self.matching.append((u, v))
         self.t += 1
 
-    def step(self, e, x) -> StepTrace:
-        """``step_at`` for one ``EdgeArrival``."""
-        return self.step_at(e.time, e.u, e.v, e.x, x)
-
-    def step_at(self, time: int, u: int, v: int, x_e, x) -> StepTrace:
-        """Arrival ``time`` (u, v) with fractional value x_e (None for the
-        matcher), decided by the uniform x."""
-        if time != self.t + 1:
-            raise MatcherError(f"arrival out of order: got t={time}, expected {self.t + 1}")
-        n = len(self.F)
-        if not (0 <= u < n and 0 <= v < n):
-            raise MatcherError(f"t={time}: endpoint out of range for n={n}")
-        p, p_hat, gate_fired, overflow = self.proposal(u, v, x_e)
-        matched = x < p_hat
-        self.apply(u, v, p_hat, matched)
-        return StepTrace(time, u, v, p, p_hat, x, matched, gate_fired, overflow)
-
     def undo(self, u: int, v: int, fu, fv, matched: bool) -> None:
         """Exact inverse of apply(u, v, p_hat, matched), given the F values
         fu, fv that u and v held before it.  F is restored from them, not
@@ -296,24 +276,51 @@ class MatcherState(MultiplicativeState):
 
 def run(
     stream: ArrivalStream, config, seed: int, state=None
-) -> tuple[list[tuple[int, int]], list[StepTrace]]:
+) -> tuple[list[tuple[int, int]], RunTrace]:
     """One full pass of either engine; X_t drawn from random.Random(seed) in
     arrival order.
 
     ``config`` is a MatcherConfig or a rounder.RoundingConfig; it builds a
     float engine state unless a fresh ``state`` (say, an exact one) is
-    passed, which is then left holding the run's final F.  Returns (matching
-    as endpoint pairs, per-step traces).  Deterministic: identical (stream,
-    config, seed) give bit-identical traces.
+    passed, which is then left holding the run's final F.  Returns what
+    trace_run returns.  Deterministic: identical (stream, config, seed) give
+    bit-identical traces.
     """
     if state is None:
         state = config.state(stream.n)
-    rand = random.Random(seed).random
+    return trace_run(stream, state, random.Random(seed).random)
+
+
+def trace_run(stream: ArrivalStream, state, draw) -> tuple[list[tuple[int, int]], RunTrace]:
+    """Step a fresh engine ``state`` over the stream, deciding each arrival
+    by the uniform ``draw()``; returns (matching as endpoint pairs, RunTrace).
+
+    The loop appends to the trace's columns and builds no record per
+    arrival.  A state that has seen arrivals, or whose F does not have one
+    entry per stream vertex, raises MatcherError before any draw.
+    """
+    if state.t != 0:
+        raise MatcherError(f"a run needs a fresh state, not one at t={state.t}")
+    if len(state.F) != stream.n:
+        raise MatcherError(f"state has {len(state.F)} vertices for a stream with n={stream.n}")
+    trace = RunTrace()
+    put_p, put_p_hat, put_x = trace.p.append, trace.p_hat.append, trace.x.append
+    put_matched, put_gate, put_overflow = (
+        trace.matched.append, trace.gate_fired.append, trace.overflow.append)
+    proposal, apply = state.proposal, state.apply
     xs = itertools.repeat(None) if stream.x is None else stream.x
-    step_at = state.step_at
-    traces = [step_at(t, u, v, x_e, rand())
-              for t, u, v, x_e in zip(itertools.count(1), stream.u, stream.v, xs)]
-    return list(state.matching), traces
+    for u, v, x_e in zip(stream.u, stream.v, xs):
+        x = draw()
+        p, p_hat, gate_fired, overflow = proposal(u, v, x_e)
+        matched = x < p_hat
+        apply(u, v, p_hat, matched)
+        put_p(p)
+        put_p_hat(p_hat)
+        put_x(x)
+        put_matched(matched)
+        put_gate(gate_fired)
+        put_overflow(overflow)
+    return list(state.matching), trace
 
 
 def run_fast(us, vs, n: int, delta: float, q: float, rng: random.Random):
@@ -406,9 +413,7 @@ def matching_is_valid(matching: list[tuple[int, int]]) -> bool:
     return True
 
 
-def check_run_invariants(
-    stream: ArrivalStream, config, traces: list[StepTrace], F=None
-) -> list[str]:
+def check_run_invariants(stream: ArrivalStream, config, trace: RunTrace, F=None) -> list[str]:
     """Post-hoc invariant audit of a traced run of either engine; returns
     violation strings.
 
@@ -417,43 +422,54 @@ def check_run_invariants(
     are free and P_hat = 0 < P; F never increases; a valid matching.  On a
     gated run whose floor is at most the initial F = 1: F >= floor at all
     times, P <= config.p_cap, and no gate firing when min F >= 4/3 * floor
-    and P <= 1/4 (then min F * (1 - P) >= floor).  F is rebuilt once from the traces as
-    the product of (1 - p_hat); given the engine's own final ``F``, the two
-    must be equal (the same floats multiplied in the same order).
+    and P <= 1/4 (then min F * (1 - P) >= floor).  F is rebuilt once from
+    the trace's columns as the product of (1 - p_hat); given the engine's
+    own final ``F``, the two must be equal (the same floats multiplied in
+    the same order).
     """
     bad: list[str] = []
     floor = config.floor
-    gated = config.gated and floor <= 1.0
+    gate_on = config.gated
+    gated = gate_on and floor <= 1.0
     cap = config.p_cap if gated else None
+    cap_tol = cap * (1.0 + 1e-12) if gated else None
+    low = floor * (1.0 - 1e-12)
     gate_pass = 4.0 * floor / 3.0
     rebuilt = [1.0] * stream.n
     vertex_matched = bytearray(stream.n)
-    for u, v, tr in zip(stream.u, stream.v, traces):
-        if tr.matched != (tr.x < tr.p_hat):
-            bad.append(f"t={tr.time}: matched flag disagrees with x < p_hat")
+    for t, u, v, p, p_hat, x, matched, gate_fired in zip(
+        itertools.count(1), stream.u, stream.v,
+        trace.p, trace.p_hat, trace.x, trace.matched, trace.gate_fired,
+    ):
+        if matched != (x < p_hat):
+            bad.append(f"t={t}: matched flag disagrees with x < p_hat")
         free = not (vertex_matched[u] or vertex_matched[v])
-        if not free and tr.p != 0:
-            bad.append(f"t={tr.time}: nonzero P at a matched endpoint")
-        if tr.gate_fired != (config.gated and free and tr.p_hat == 0 < tr.p):
-            bad.append(f"t={tr.time}: gate_fired={tr.gate_fired} disagrees with P and P_hat")
+        if not free and p != 0:
+            bad.append(f"t={t}: nonzero P at a matched endpoint")
+        if gate_fired != (gate_on and free and p_hat == 0 < p):
+            bad.append(f"t={t}: gate_fired={gate_fired} disagrees with P and P_hat")
+        fu, fv = rebuilt[u], rebuilt[v]
         if gated and free:
-            if tr.p > cap * (1.0 + 1e-12):
-                bad.append(f"t={tr.time}: P={tr.p} exceeds the floor-implied cap {cap}")
-            if tr.gate_fired and tr.p <= 0.25 and min(rebuilt[u], rebuilt[v]) >= gate_pass:
-                bad.append(f"t={tr.time}: gate fired although min F >= 4/3 floor and P <= 1/4")
-        scale = 1.0 - tr.p_hat
-        for w in (u, v):
-            nxt = rebuilt[w] * scale
-            if nxt > rebuilt[w] + 1e-15:
-                bad.append(f"t={tr.time}: F({w}) increased")
-            rebuilt[w] = nxt
-            if gated and nxt < floor * (1.0 - 1e-12):
-                bad.append(f"t={tr.time}: F({w})={nxt} fell below the floor {floor}")
-        if tr.matched:
-            vertex_matched[u] = True
-            vertex_matched[v] = True
-    matching = [(u, v) for u, v, tr in zip(stream.u, stream.v, traces) if tr.matched]
-    if not matching_is_valid(matching):
+            if p > cap_tol:
+                bad.append(f"t={t}: P={p} exceeds the floor-implied cap {cap}")
+            if gate_fired and p <= 0.25 and min(fu, fv) >= gate_pass:
+                bad.append(f"t={t}: gate fired although min F >= 4/3 floor and P <= 1/4")
+        scale = 1.0 - p_hat
+        nxt = fu * scale
+        if nxt > fu + 1e-15:
+            bad.append(f"t={t}: F({u}) increased")
+        rebuilt[u] = nxt
+        if gated and nxt < low:
+            bad.append(f"t={t}: F({u})={nxt} fell below the floor {floor}")
+        nxt = fv * scale
+        if nxt > fv + 1e-15:
+            bad.append(f"t={t}: F({v}) increased")
+        rebuilt[v] = nxt
+        if gated and nxt < low:
+            bad.append(f"t={t}: F({v})={nxt} fell below the floor {floor}")
+        if matched:
+            vertex_matched[u] = vertex_matched[v] = True
+    if not matching_is_valid(list(itertools.compress(zip(stream.u, stream.v), trace.matched))):
         bad.append("output matching has adjacent edges")
     if F is not None and list(F) != rebuilt:
         w = next((w for w, (a, b) in enumerate(zip(F, rebuilt)) if a != b), len(rebuilt))

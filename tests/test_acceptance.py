@@ -141,7 +141,8 @@ def test_criterion_2_triangle_ground_truth():
 def test_criterion_3_counterexample():
     t0 = time.perf_counter()
     for delta, q in ((10, 1), (10, 2), (8, 3)):
-        rep = counterexample_demo(delta, q)  # raises on any mismatch
+        rep = counterexample_demo(delta, q)
+        assert rep["violations"] == []
         assert rep["root_p"] == f"{q + 2}/{q + 1}"
     elapsed = time.perf_counter() - t0
     report(3, elapsed < 1.0,
@@ -170,16 +171,16 @@ def test_criterion_4_invariant_suite():
     for s, cfg in pool:
         for k in range(200):
             seed = derive_seed(4, runs)
-            matching, traces = run(s, cfg, seed)
+            matching, trace = run(s, cfg, seed)
             runs += 1
-            bad = check_run_invariants(s, cfg, traces)
+            bad = check_run_invariants(s, cfg, trace)
             if bad:
                 violations.extend(bad[:3])
             if not matching_is_valid(matching):
                 violations.append("invalid matching")
             if k % 20 == 0:
-                again, traces2 = run(s, cfg, seed)
-                if again != matching or traces2 != traces:
+                again, trace2 = run(s, cfg, seed)
+                if again != matching or trace2 != trace:
                     violations.append("nondeterministic run")
     elapsed = time.perf_counter() - t0
     ok = runs >= 10_000 and not violations and elapsed < 600
@@ -215,8 +216,8 @@ def test_criterion_5_rounding():
             upper_ok &= mg <= e.x + 1e-12
             worst = max(worst, abs(cs - e.x * (1 - cfg.s)))
         for seed in range(3):
-            _, traces = run(frac, cfg, derive_seed(5, seed))
-            floor_ok &= not check_run_invariants(frac, cfg, traces)
+            _, trace = run(frac, cfg, derive_seed(5, seed))
+            floor_ok &= not check_run_invariants(frac, cfg, trace)
     elapsed = time.perf_counter() - t0
     ok = single_ok and upper_ok and floor_ok and worst <= 1e-9 and elapsed < 60
     report(5, ok, f"single edge 27/100 exact; marginals <= x_e; "

@@ -275,7 +275,16 @@ def test_counterexample_cli(capsys):
     code, out = run_cli(capsys, "counterexample", "--delta", "10", "--q-int", "2")
     assert code == 0
     payload = json.loads(out)
-    assert payload["root_p"] == "4/3"
+    assert payload["root_p"] == "4/3" and payload["violations"] == []
+
+
+def test_counterexample_cli_exits_1_on_a_violation(capsys, monkeypatch):
+    from onlinecolor.matcher import MultiplicativeState
+
+    monkeypatch.setattr(MultiplicativeState, "_gate", lambda self, fu, fv, p: True)
+    code, out = run_cli(capsys, "counterexample", "--delta", "10", "--q-int", "2")
+    assert code == 1
+    assert "gate did not zero the root edge" in json.loads(out)["violations"]
 
 
 def test_profile_from_file(tmp_path, capsys):

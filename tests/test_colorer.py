@@ -594,7 +594,8 @@ def test_per_phase_report_fields(monkeypatch):
                          "advances": fed[st.phase], "gate_fires": banks[st.phase].gate_fires}
         assert fed[st.phase] > 0
     assert any(entry["degree_miss"] != 0 for entry in report["per_phase"])
-    assert report["tail"] == res.tail.as_dict()
+    assert report["tail"] == {"phase": res.tail.phase, "entered": res.tail.entered,
+                              "colored": res.tail.colored}
 
 
 def test_list_ledger_counts_a_later_list_that_falls_short(monkeypatch):

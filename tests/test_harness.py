@@ -22,7 +22,13 @@ from onlinecolor.harness import (
     verify_stream,
     wilson_interval,
 )
-from onlinecolor.matcher import MODE_GREEDY_FALLBACK, MODE_NATURAL, MatcherConfig
+from onlinecolor.matcher import (
+    MODE_GREEDY_FALLBACK,
+    MODE_NATURAL,
+    MatcherConfig,
+    MatcherState,
+    MultiplicativeState,
+)
 from onlinecolor.seeding import derive_seed, rng_for
 from onlinecolor.stream import gen_regular, make_stream
 
@@ -373,6 +379,38 @@ def test_counterexample_parameters(delta, q):
     assert rep["root_p_float"] > 1.0
     assert rep["gated_root_gate_fired"]
     assert rep["gated_max_p_hat"] <= 1.0
+    assert rep["violations"] == []
+
+
+# each planted fault: (owner, attribute, replacement, the violations the demo
+# must report, as message prefixes); together they fire all nine checks
+_DEMO_FAULTS = {
+    "gate_always_passes": (MultiplicativeState, "_gate", lambda self, fu, fv, p: True,
+                           ["gated run produced P_hat > 1", "gate did not zero the root edge"]),
+    "gate_always_fires": (MultiplicativeState, "_gate", lambda self, fu, fv, p: False,
+                          ["a gate fired before the root edge",
+                           "gated and natural proposals diverged on the forced path"]),
+    "gated_flags_overflow": (MultiplicativeState, "_dispose",
+                             lambda self, fu, fv, p: (p, self.zero if p > 1 else p, p > 1, True),
+                             ["gated run flagged an overflow"]),
+    "clamp_hides_overflow": (MatcherState, "_clamp",
+                             lambda self, fu, fv, p: (p, min(p, 1), False, False),
+                             ["root edge did not overflow"]),
+    "clamp_flags_every_step": (MatcherState, "_clamp",
+                               lambda self, fu, fv, p: (p, min(p, 1), False, True),
+                               ["overflow before the root edge"]),
+    "numerator_halved": (MatcherState, "numerator", lambda self, x_e: self.scale / 2,
+                         ["child P values [Fraction(1, 16), ", "root P 16/195 != (q+2)/(q+1)",
+                          "root edge did not overflow", "gate did not zero the root edge"]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_DEMO_FAULTS))
+def test_counterexample_reports_planted_faults(monkeypatch, fault):
+    owner, attr, replacement, expected = _DEMO_FAULTS[fault]
+    monkeypatch.setattr(owner, attr, replacement)
+    bad = counterexample_demo(10, 2)["violations"]
+    assert len(bad) == len(expected) and all(v.startswith(e) for v, e in zip(bad, expected)), bad
 
 
 # -- reports ----------------------------------------------------------------------
@@ -389,8 +427,8 @@ def test_mc_report_reproducible():
     # trial 5 reproduces from the embedded master seed alone
     from onlinecolor.matcher import run
 
-    _, traces = run(tri, cfg, derive_seed(a.master_seed, 5))
-    assert sum(tr.matched for tr in traces) <= 1
+    _, trace = run(tri, cfg, derive_seed(a.master_seed, 5))
+    assert sum(trace.matched) <= 1
 
 
 def test_mc_single_trial_degenerate():
@@ -443,9 +481,9 @@ def test_mc_audit_catches_corrupted_trace(monkeypatch):
     real_run = harness.run
 
     def corrupted_run(stream, config, seed):
-        matching, traces = real_run(stream, config, seed)
-        traces[0] = dataclasses.replace(traces[0], p_hat=traces[0].p_hat / 2)
-        return matching, traces
+        matching, trace = real_run(stream, config, seed)
+        trace.p_hat[0] /= 2
+        return matching, trace
 
     cfg = MatcherConfig(delta=2, q=1)
     assert mc_marginals(triangle(), cfg, trials=5, master_seed=2).violations == []
@@ -544,8 +582,8 @@ def test_martingale_trace_matched_is_one_flag_per_arrival():
     cfg = MatcherConfig(delta=6, q=1.5)
     for seed in range(10):
         trace = martingale_trace(s, cfg, vertex=4, seed=seed)
-        _, traces = run(s, cfg, derive_seed(seed))
-        assert trace.matched == [tr.matched for tr in traces]
+        _, traced = run(s, cfg, derive_seed(seed))
+        assert trace.matched == traced.matched
         assert len(trace.y) == s.m + 1
 
 
@@ -557,9 +595,9 @@ def test_verify_rounder_audit_catches_corrupted_trace(monkeypatch):
     real_run = harness.run
 
     def corrupted_run(stream, config, seed, **kwargs):
-        matching, traces = real_run(stream, config, seed, **kwargs)
-        traces[0] = dataclasses.replace(traces[0], p_hat=traces[0].p_hat / 2)
-        return matching, traces
+        matching, trace = real_run(stream, config, seed, **kwargs)
+        trace.p_hat[0] /= 2
+        return matching, trace
 
     cfg = config_for_loss(0.2, 0.1)
     assert verify_stream(triangle(x=0.2), cfg, trials=2000, master_seed=2)["violations"] == []

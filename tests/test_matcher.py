@@ -12,6 +12,7 @@ from onlinecolor.matcher import (
     MatcherConfig,
     MatcherError,
     MatcherState,
+    RunTrace,
     check_run_invariants,
     choose_q,
     guard_holds,
@@ -19,6 +20,7 @@ from onlinecolor.matcher import (
     run,
     run_fast,
     run_greedy_fallback,
+    trace_run,
 )
 from onlinecolor.profiles import ConstantsProfile
 from onlinecolor.seeding import rng_for
@@ -56,27 +58,43 @@ def test_triangle_hand_steps_exact():
     s = triangle()
     state = MatcherState(3, MatcherConfig(delta=2, q=1), exact=True)
     x = Fraction(9, 10)
-    t1 = state.step(s.arrivals[0], x)
-    assert t1.p == Fraction(1, 3) and t1.p_hat == Fraction(1, 3) and not t1.gate_fired
-    t2 = state.step(s.arrivals[1], x)
-    assert t2.p == Fraction(1, 2) and t2.p_hat == Fraction(1, 2) and not t2.gate_fired
-    t3 = state.step(s.arrivals[2], x)
-    assert t3.p == 1 and t3.p_hat == 0 and t3.gate_fired and not t3.overflow
+    matching, trace = trace_run(s, state, lambda: x)
+    assert trace.p == [Fraction(1, 3), Fraction(1, 2), 1]
+    assert trace.p_hat == [Fraction(1, 3), Fraction(1, 2), 0]
+    assert trace.x == [x] * 3 and trace.matched == [False] * 3 and matching == []
+    assert trace.gate_fired == [False, False, True] and trace.overflow == [False] * 3
 
 
-def test_step_rejects_out_of_order():
+def test_run_rejects_a_used_or_missized_state():
+    # the fresh-state and size check fires before any draw
     s = triangle()
-    state = MatcherState(3, MatcherConfig(delta=2, q=1))
-    state.step(s.arrivals[0], 0.99)
-    with pytest.raises(MatcherError):
-        state.step(s.arrivals[2], 0.99)
+    cfg = MatcherConfig(delta=2, q=1)
+    used = cfg.state(3)
+    used.apply(0, 1, 0.0, False)
+
+    def no_draw():
+        raise AssertionError("drew a uniform")
+
+    with pytest.raises(MatcherError, match="a run needs a fresh state, not one at t=1"):
+        trace_run(s, used, no_draw)
+    with pytest.raises(MatcherError, match="state has 2 vertices for a stream with n=3"):
+        run(s, cfg, seed=0, state=cfg.state(2))
+    with pytest.raises(MatcherError, match="state has 4 vertices"):
+        trace_run(s, cfg.state(4), no_draw)
+
+
+def test_apply_rejects_a_match_at_a_matched_vertex():
+    state = MatcherConfig(delta=2, q=1).state(3)
+    state.apply(0, 1, 0.5, True)
+    with pytest.raises(MatcherError, match=r"matching edge \(1,2\) at a matched vertex"):
+        state.apply(1, 2, 0.5, True)
 
 
 def test_empty_stream():
     from onlinecolor.stream import make_stream
 
-    matching, traces = run(make_stream(2, 0, []), MatcherConfig(delta=2, q=1), seed=0)
-    assert matching == [] and traces == []
+    matching, trace = run(make_stream(2, 0, []), MatcherConfig(delta=2, q=1), seed=0)
+    assert matching == [] and trace == RunTrace()
 
 
 def test_run_deterministic_per_seed():
@@ -97,8 +115,8 @@ def test_fast_and_traced_paths_agree():
     for trial in range(20):
         got, _, _, _ = run_fast([e.u for e in s.arrivals], [e.v for e in s.arrivals],
                                 s.n, cfg.delta, cfg.q, rng_for(77, trial))
-        _, traces = run(s, cfg, derive_seed(77, trial))
-        assert [tr.time - 1 for tr in traces if tr.matched] == got
+        _, trace = run(s, cfg, derive_seed(77, trial))
+        assert [i for i, m in enumerate(trace.matched) if m] == got
 
 
 def test_natural_mode_overflow_flag():
@@ -108,10 +126,10 @@ def test_natural_mode_overflow_flag():
     cfg = MatcherConfig(delta=6, q=2, mode=MODE_NATURAL)
     state = MatcherState(tree.n, cfg, exact=True)
     x = Fraction((1 << 53) - 1, 1 << 53)
-    traces = [state.step(e, x) for e in tree.arrivals]
-    assert traces[-1].overflow and traces[-1].p == Fraction(4, 3)
-    assert traces[-1].p_hat == 1 and traces[-1].matched  # clamped, x < 1
-    assert not any(tr.overflow for tr in traces[:-1])
+    _, trace = trace_run(tree, state, lambda: x)
+    assert trace.overflow[-1] and trace.p[-1] == Fraction(4, 3)
+    assert trace.p_hat[-1] == 1 and trace.matched[-1]  # clamped, x < 1
+    assert not any(trace.overflow[:-1])
 
 
 def _undo_cases():
@@ -177,8 +195,25 @@ def test_property_run_invariants(s, q, seed):
     # identity: all hold on every instance / slack / seed
     delta = max(s.degrees())
     cfg = MatcherConfig(delta=delta, q=min(q, 4.0 * delta))
-    _, traces = run(s, cfg, seed)
-    assert check_run_invariants(s, cfg, traces) == []
+    _, trace = run(s, cfg, seed)
+    assert check_run_invariants(s, cfg, trace) == []
+
+
+def _hand_steps(s, state, xs) -> RunTrace:
+    """Step ``state`` by hand through proposal and apply, one uniform of
+    ``xs`` per arrival, and write what each step gave into a RunTrace."""
+    out = RunTrace()
+    for u, v, x in zip(s.u, s.v, xs):
+        p, p_hat, gate_fired, overflow = state.proposal(u, v)
+        matched = x < p_hat
+        state.apply(u, v, p_hat, matched)
+        out.p.append(p)
+        out.p_hat.append(p_hat)
+        out.x.append(x)
+        out.matched.append(matched)
+        out.gate_fired.append(gate_fired)
+        out.overflow.append(overflow)
+    return out
 
 
 @settings(max_examples=200, deadline=None)
@@ -193,13 +228,12 @@ def test_kernel_matches_reference_engine(s, delta, q, seed):
     matched, p_hat, F, gate_fires = run_fast(s.u, s.v, s.n, delta, q, fast_rng)
     state = cfg.state(s.n)
     ref_rng = random.Random(seed)
-    traces = [state.step_at(t, u, v, None, ref_rng.random())
-              for t, u, v in zip(range(1, s.m + 1), s.u, s.v)]
-    assert run(s, cfg, seed)[1] == traces
-    assert matched == [tr.time - 1 for tr in traces if tr.matched]
-    assert p_hat == [tr.p_hat for tr in traces]
+    steps = _hand_steps(s, state, (ref_rng.random() for _ in range(s.m)))
+    assert run(s, cfg, seed)[1] == steps
+    assert matched == [i for i, m in enumerate(steps.matched) if m]
+    assert p_hat == steps.p_hat
     assert F == state.F
-    assert gate_fires == sum(tr.gate_fired for tr in traces)
+    assert gate_fires == sum(steps.gate_fired)
     assert fast_rng.getstate() == ref_rng.getstate()
 
 
@@ -218,11 +252,10 @@ def test_kernel_scripted_matches_put_back_and_gate():
     matched, p_hat, F, gate_fires = run_fast(s.u, s.v, s.n, cfg.delta, cfg.q, rng)
     assert rng.values == []  # one uniform per arrival
     state = cfg.state(s.n)
-    traces = [state.step_at(t, u, v, None, x)
-              for t, u, v, x in zip(range(1, s.m + 1), s.u, s.v, xs)]
-    assert [tr.gate_fired for tr in traces] == [False] * 6 + [True]
-    assert matched == [tr.time - 1 for tr in traces if tr.matched] == [0, 2]
-    assert p_hat == [tr.p_hat for tr in traces]
+    steps = _hand_steps(s, state, xs)
+    assert steps.gate_fired == [False] * 6 + [True]
+    assert matched == [i for i, m in enumerate(steps.matched) if m] == [0, 2]
+    assert p_hat == steps.p_hat
     assert F == state.F
     assert F[:4] == [1.0 - 1.0 / 3.0] * 4
     assert gate_fires == 1
@@ -282,48 +315,44 @@ def _audit_configs():
             "rounder": (path(3, x=0.2), config_for_loss(0.2, 0.1))}
 
 
-# each rule: (trace index, fields to corrupt, expected message fragment); the
-# forced draws below match arrival 1, put arrival 2 at a matched endpoint and
-# leave arrival 3 free and unmatched with P <= 1/4
+# each rule: (arrival index, column to corrupt, corrupt value, expected
+# message fragment); the forced draws below match arrival 1, put arrival 2 at
+# a matched endpoint and leave arrival 3 free and unmatched with P <= 1/4
 _AUDIT_RULES = {
-    "matched_flag": (2, lambda tr, cfg: {"x": 0.0}, "matched flag disagrees"),
-    "p_at_matched_endpoint": (1, lambda tr, cfg: {"p": 0.1}, "nonzero P at a matched endpoint"),
-    "f_increases": (2, lambda tr, cfg: {"p_hat": -0.5}, "increased"),
-    "valid_matching": (1, lambda tr, cfg: {"matched": True}, "adjacent edges"),
-    "floor": (2, lambda tr, cfg: {"p_hat": 0.99}, "fell below the floor"),
-    "cap": (2, lambda tr, cfg: {"p": 2 * cfg.p_cap}, "exceeds the floor-implied cap"),
-    "gate_pass": (2, lambda tr, cfg: {"gate_fired": True}, "gate fired although"),
-    "gate_coherence": (2, lambda tr, cfg: {"gate_fired": True}, "disagrees with P and P_hat"),
-    "product": (0, lambda tr, cfg: {"p_hat": tr.p_hat / 2}, "final F != prod (1 - p_hat)"),
+    "matched_flag": (2, "x", lambda trace, cfg: 0.0, "matched flag disagrees"),
+    "p_at_matched_endpoint": (1, "p", lambda trace, cfg: 0.1, "nonzero P at a matched endpoint"),
+    "f_increases": (2, "p_hat", lambda trace, cfg: -0.5, "increased"),
+    "valid_matching": (1, "matched", lambda trace, cfg: True, "adjacent edges"),
+    "floor": (2, "p_hat", lambda trace, cfg: 0.99, "fell below the floor"),
+    "cap": (2, "p", lambda trace, cfg: 2 * cfg.p_cap, "exceeds the floor-implied cap"),
+    "gate_pass": (2, "gate_fired", lambda trace, cfg: True, "gate fired although"),
+    "gate_coherence": (2, "gate_fired", lambda trace, cfg: True, "disagrees with P and P_hat"),
+    "product": (0, "p_hat", lambda trace, cfg: trace.p_hat[0] / 2, "final F != prod (1 - p_hat)"),
 }
 
 
 @pytest.mark.parametrize("rule", sorted(_AUDIT_RULES))
 @pytest.mark.parametrize("kind", ["matcher", "rounder"])
 def test_audit_rule_catches_corrupted_trace(kind, rule):
-    import dataclasses
-
     s, cfg = _audit_configs()[kind]
     state = cfg.state(s.n)
-    traces = [state.step(e, x) for e, x in zip(s.arrivals, (0.0, 0.5, 0.99))]
-    assert [tr.matched for tr in traces] == [True, False, False]
-    assert traces[1].p == 0 and 0 < traces[2].p <= 0.25
-    assert check_run_invariants(s, cfg, traces, state.F) == []
-    idx, corrupt, fragment = _AUDIT_RULES[rule]
-    traces[idx] = dataclasses.replace(traces[idx], **corrupt(traces[idx], cfg))
-    bad = check_run_invariants(s, cfg, traces, state.F)
+    _, trace = trace_run(s, state, iter((0.0, 0.5, 0.99)).__next__)
+    assert trace.matched == [True, False, False]
+    assert trace.p[1] == 0 and 0 < trace.p[2] <= 0.25
+    assert check_run_invariants(s, cfg, trace, state.F) == []
+    idx, column, corrupt, fragment = _AUDIT_RULES[rule]
+    getattr(trace, column)[idx] = corrupt(trace, cfg)
+    bad = check_run_invariants(s, cfg, trace, state.F)
     assert any(fragment in v for v in bad), bad
 
 
 def test_audit_catches_unflagged_gate_firing():
     # the third arrival's gate fires (P ~ 1, P_hat = 0); a trace that hides
     # the firing breaks no other rule, so only gate coherence can see it
-    import dataclasses
-
     s, cfg = triangle(), MatcherConfig(delta=2, q=1)
-    _, traces = run(s, cfg, seed=0)
-    assert [tr.gate_fired for tr in traces] == [False, False, True]
-    assert check_run_invariants(s, cfg, traces) == []
-    traces[2] = dataclasses.replace(traces[2], gate_fired=False)
-    assert check_run_invariants(s, cfg, traces) == [
+    _, trace = run(s, cfg, seed=0)
+    assert trace.gate_fired == [False, False, True]
+    assert check_run_invariants(s, cfg, trace) == []
+    trace.gate_fired[2] = False
+    assert check_run_invariants(s, cfg, trace) == [
         "t=3: gate_fired=False disagrees with P and P_hat"]

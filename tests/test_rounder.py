@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import path, random_simple_graph, triangle
-from onlinecolor.matcher import MatcherConfig, check_run_invariants, run
+from onlinecolor.matcher import MatcherConfig, check_run_invariants, run, trace_run
 from onlinecolor.oracle import exact_marginals
 from onlinecolor.rounder import (
     RounderState,
@@ -62,16 +62,16 @@ def test_matcher_identity_when_loss_matches_slack():
     for seed in (0, 3, 9):
         _, rt = run(frac, r_cfg, seed)
         _, mt = run(tri, m_cfg, seed)
-        for a, b in zip(rt, mt):
-            assert math.isclose(a.p, b.p, rel_tol=1e-12, abs_tol=1e-15)
+        for a, b in zip(rt.p, mt.p, strict=True):
+            assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15)
 
 
 def test_zero_value_edge_never_matches():
     s = make_stream(3, 2, [(0, 1), (1, 2)], xs=[0.0, 0.2])
     cfg = config_for_loss(0.2, 0.1)
     for seed in range(10):
-        matching, traces = run(s, cfg, seed)
-        assert traces[0].p == 0.0 and not traces[0].matched
+        matching, trace = run(s, cfg, seed)
+        assert trace.p[0] == 0.0 and not trace.matched[0]
         assert (0, 1) not in matching
 
 
@@ -100,8 +100,8 @@ def test_invariants_on_random_fractional_instances():
         s = random_simple_graph(rng, 7, rng.randint(1, 10))
         xs = _fractional_values(s, rng, eps)
         frac = make_stream(s.n, s.delta_bound, [(e.u, e.v) for e in s.arrivals], xs=xs)
-        matching, traces = run(frac, cfg, seed=rng.randint(0, 10**6))
-        assert not check_run_invariants(frac, cfg, traces)
+        matching, trace = run(frac, cfg, seed=rng.randint(0, 10**6))
+        assert not check_run_invariants(frac, cfg, trace)
         res = exact_marginals(frac, cfg)
         for e, mg, cs in zip(frac.arrivals, res.marginal, res.conditional_sum):
             assert mg <= e.x + 1e-12
@@ -133,9 +133,9 @@ def test_oracle_matches_monte_carlo_rounding():
     from onlinecolor.seeding import derive_seed
 
     for t in range(trials):
-        _, traces = run(frac, cfg, derive_seed(88, t))
-        for i, tr in enumerate(traces):
-            hits[i] += tr.matched
+        _, trace = run(frac, cfg, derive_seed(88, t))
+        for i, matched in enumerate(trace.matched):
+            hits[i] += matched
     for i in range(frac.m):
         p = res.marginal[i]
         if p == 0:
@@ -153,7 +153,7 @@ def test_gate_keeps_same_path_sane():
         xs=[0.33, 0.33, 0.33, 0.33, 0.33],
     )
     state = RounderState(4, 0.33, 0.1)
-    traces = [state.step(e, 0.999) for e in s.arrivals]
-    assert any(tr.gate_fired for tr in traces)
+    _, trace = trace_run(s, state, lambda: 0.999)
+    assert any(trace.gate_fired)
     assert min(state.F) >= 0.1 / 4
-    assert all(tr.p_hat <= 1 for tr in traces)
+    assert all(p_hat <= 1 for p_hat in trace.p_hat)
