@@ -81,7 +81,7 @@ from dataclasses import dataclass, field
 from decimal import Context, Decimal, localcontext
 from typing import Callable, NamedTuple
 
-from .matcher import MatcherConfig
+from .matcher import MatcherConfig, gate_constants
 from .profiles import RECURRENCE_ANALYZED, ConstantsProfile
 from .seeding import rng_for
 from .stream import ArrivalStream
@@ -246,7 +246,7 @@ def degree_schedule(
             d.append(dn)
             if not active:
                 break
-            if len(d) > max_phases:
+            if len(lam) > max_phases:  # one lam per phase so far, all active
                 raise ScheduleError(
                     f"more than {max_phases} phases before the stop threshold; "
                     "the schedule is astronomically long at these parameters "
@@ -451,9 +451,8 @@ class PhaseReducer:
         self.n = n
         self.phase = phase
         self.master_seed = master_seed
-        self.config = MatcherConfig(delta=delta, q=q)  # validates delta and q
-        self.scale = 1.0 / (delta + q)
-        self.floor = q / (4.0 * delta)
+        MatcherConfig(delta=delta, q=q)  # validates delta and q
+        self.scale, self.floor = gate_constants(delta, q)
         self.gate_fires = 0
         self.colors: list[int] = []  # per slot, in order of first sight
         self._matchings: list[list] = []  # per slot: endpoint pairs, in match order

@@ -36,6 +36,7 @@ from .matcher import (
     MatcherState,
     check_run_invariants,
     draw_c_star,
+    gate_constants,
     matching_is_valid,
     run,
     run_fast,
@@ -456,7 +457,7 @@ def _martingale_trial(stream, config, vertex, neighbors, plan, rng, collect=Fals
     """
     matched, p_hats, _, _ = run_fast(stream.u, stream.v, stream.n, config.delta, config.q, rng)
     hit = set(matched)
-    scale = 1.0 / (config.delta + config.q)
+    scale = gate_constants(config.delta, config.q)[0]
     contrib = {w: scale for w in neighbors}  # live, unfrozen neighbor terms
     y = scale * len(neighbors)
     max_step = 0.0

@@ -45,18 +45,20 @@ and one audit, check_run_invariants(), serve both.  A traced run is a
 RunTrace: six parallel columns (p, p_hat, x, matched, gate_fired,
 overflow), one entry per arrival, written by trace_run's one loop through
 the state's proposal and apply; the endpoints stay in the stream's own
-columns.  The audit reads the columns.  The gated step lives in
-MultiplicativeState (the float-or-exact reference engine; a natural
-MatcherState swaps its gated disposal for a clamp once, at construction),
-in run_fast (the float kernel of every trace-free matcher run; it returns
-the indices of the matched arrivals, not one flag per arrival, and a
-matched vertex holds None in its F until the run ends) and, inline
-for its per-color bank, in colorer.PhaseReducer.feed, which draws each
-color's uniform as it visits the color and steps only the colors free at
-both endpoints; a vertex matched in a color holds None in that color's
-slot of its F row.  The smallest-free-color rule lives once, in colorer: the
-coloring pipeline's tail, its overflow and the greedy fallback here all go
-through it.
+columns.  The audit reads the columns.  gate_constants is the one place
+that computes the per-edge scale 1/(D + q) and the gate floor q/(4D).  The
+gated step lives in MultiplicativeState (the float-or-exact reference
+engine, whose proposal decides every step: zero at a matched endpoint, the
+clamp in a natural state, the gate otherwise; the matcher and the rounder
+differ only in the numerator), in run_fast (the float kernel of every
+trace-free matcher run; it returns the indices of the matched arrivals,
+not one flag per arrival, and a matched vertex holds None in its F until
+the run ends) and, inline for its per-color bank, in
+colorer.PhaseReducer.feed, which draws each color's uniform as it visits
+the color and steps only the colors free at both endpoints; a vertex
+matched in a color holds None in that color's slot of its F row.  The
+smallest-free-color rule lives once, in colorer: the coloring pipeline's
+tail, its overflow and the greedy fallback here all go through it.
 """
 
 from __future__ import annotations
@@ -115,6 +117,13 @@ def guard_holds(delta: float, q: float) -> bool:
     return 8.0 * math.sqrt(delta) <= q <= delta / 4.0
 
 
+def gate_constants(delta, q):
+    """(1/(D + q), q/(4D)): the matched probability an edge gets when its
+    gate never interferes, and the gate floor.  The one place both are
+    computed; exact on Fractions."""
+    return 1 / (delta + q), q / (4 * delta)
+
+
 @dataclass(frozen=True)
 class MatcherConfig:
     delta: float
@@ -147,7 +156,7 @@ class MatcherConfig:
     @property
     def floor(self) -> float:
         """The gate floor q/(4D)."""
-        return self.q / (4.0 * self.delta)
+        return gate_constants(self.delta, self.q)[1]
 
     @property
     def p_cap(self) -> float:
@@ -186,39 +195,38 @@ class MultiplicativeState:
     """
 
     floor: object  # gate floor; subclass-provided
+    clamp = False  # True in a natural MatcherState: no gate, P > 1 clamped
 
     def __init__(self, n: int, exact: bool = False):
-        one = Fraction(1) if exact else 1.0
         self.exact = exact
         self.zero = Fraction(0) if exact else 0.0
-        self.F = [one] * n
+        self.one = Fraction(1) if exact else 1.0
+        self.F = [self.one] * n
         self.matched = bytearray(n)
         self.matching: list[tuple[int, int]] = []  # endpoint pairs, in match order
         self.t = 0  # arrivals processed so far
 
-    # -- hooks ------------------------------------------------------------
     def numerator(self, x_e) -> object:
         """The proposal numerator; conditioned on any execution path, an edge
         whose gate never interferes is matched with exactly this probability."""
         raise NotImplementedError
 
-    def _gate(self, fu, fv, p) -> bool:
-        return (fu if fu < fv else fv) * (1 - p) >= self.floor
-
-    # -- core -------------------------------------------------------------
     def proposal(self, u: int, v: int, x_e=None):
-        """(p, p_hat, gate_fired, overflow) for the next arrival, no mutation."""
+        """(p, p_hat, gate_fired, overflow) for the next arrival, no mutation.
+
+        P = 0 at a matched endpoint.  A natural state clamps P > 1 to 1 and
+        flags the overflow; any other state fires the gate (P_hat = 0)
+        unless min F * (1 - P) >= floor."""
         if self.matched[u] or self.matched[v]:
             return self.zero, self.zero, False, False
         fu, fv = self.F[u], self.F[v]
         p = self.numerator(x_e) / (fu * fv)
-        return self._dispose(fu, fv, p)
-
-    def _dispose(self, fu, fv, p):
-        """The gate; a natural MatcherState replaces it with its clamp."""
-        if self._gate(fu, fv, p):
-            return p, p, False, False
-        return p, self.zero, True, False
+        if self.clamp:
+            if p > 1:
+                return p, self.one, False, True
+        elif not (fu if fu < fv else fv) * (1 - p) >= self.floor:
+            return p, self.zero, True, False
+        return p, p, False, False
 
     def apply(self, u: int, v: int, p_hat, matched: bool) -> None:
         if p_hat:
@@ -251,27 +259,14 @@ class MatcherState(MultiplicativeState):
         if config.mode == MODE_GREEDY_FALLBACK:
             raise MatcherError("greedy fallback is not a stepwise matcher; use run_greedy_fallback")
         super().__init__(n, exact=exact)
-        self.config = config
         delta, q = config.delta, config.q
         if exact:
-            d, fq = Fraction(delta), Fraction(q)
-            self.scale = 1 / (d + fq)
-            self.floor = fq / (4 * d)
-        else:
-            self.scale = 1.0 / (delta + q)
-            self.floor = config.floor
-        if config.mode == MODE_NATURAL:
-            self._dispose = self._clamp  # chosen once; the gated step keeps the base gate
+            delta, q = Fraction(delta), Fraction(q)
+        self.scale, self.floor = gate_constants(delta, q)
+        self.clamp = config.mode == MODE_NATURAL
 
     def numerator(self, x_e) -> object:
         return self.scale
-
-    def _clamp(self, fu, fv, p):
-        """The natural matcher's disposal: no gate; P > 1 is clamped to 1
-        and flagged as an overflow."""
-        if p > 1:
-            return p, (Fraction(1) if self.exact else 1.0), False, True
-        return p, p, False, False
 
 
 def run(
@@ -339,8 +334,7 @@ def run_fast(us, vs, n: int, delta: float, q: float, rng: random.Random):
     back just before returning.
     """
     F = [1.0] * n
-    scale = 1.0 / (delta + q)
-    floor = q / (4.0 * delta)
+    scale, floor = gate_constants(delta, q)
     matched = []
     taken = []  # (u, F(u), v, F(v)) after each match, put back at the end
     p_hat = [0.0] * len(us)

@@ -513,14 +513,13 @@ def gen_lower_bound_tree(delta: int, q: int) -> ArrivalStream:
 
 
 def _edges_in_adjacency_order(n: int, edges) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The columns (u, v) of ``edges`` in adjacency order: vertices
-    ascending, each vertex's larger neighbours in the order ``edges`` gives
-    them, every edge once from its smaller endpoint (the arrival order the
-    README's seeding contract fixes)."""
+    """The columns (u, v) of ``edges``, each given as an ordered pair
+    (a, b) with a < b, in adjacency order: vertices ascending, each vertex's
+    larger neighbours in the order ``edges`` gives them, every edge once from
+    its smaller endpoint (the arrival order the README's seeding contract
+    fixes)."""
     higher: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
-        if a > b:
-            a, b = b, a
         higher[a].append(b)
     us = itertools.chain.from_iterable(map(itertools.repeat, range(n), map(len, higher)))
     return tuple(us), tuple(itertools.chain.from_iterable(higher))

@@ -279,9 +279,10 @@ def test_counterexample_cli(capsys):
 
 
 def test_counterexample_cli_exits_1_on_a_violation(capsys, monkeypatch):
-    from onlinecolor.matcher import MultiplicativeState
+    from onlinecolor import matcher
 
-    monkeypatch.setattr(MultiplicativeState, "_gate", lambda self, fu, fv, p: True)
+    real = matcher.gate_constants  # a floor of -inf passes every gate
+    monkeypatch.setattr(matcher, "gate_constants", lambda delta, q: (real(delta, q)[0], -math.inf))
     code, out = run_cli(capsys, "counterexample", "--delta", "10", "--q-int", "2")
     assert code == 1
     assert "gate did not zero the root edge" in json.loads(out)["violations"]

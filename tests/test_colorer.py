@@ -106,6 +106,15 @@ def test_analyzed_recurrence_fails_at_its_first_stalled_step(monkeypatch):
     assert len(seen) < 1000
 
 
+def test_schedule_phase_limit():
+    # the schedule at d0 = 200, n = 2000, c_stop = 10 has three phases: a
+    # limit of three admits it, a limit of two refuses it
+    prof = PRACTICAL.replace(c_stop=10.0)
+    assert degree_schedule(200, 2000, prof, max_phases=3).f == 3
+    with pytest.raises(ScheduleError, match="more than 2 phases before the stop threshold"):
+        degree_schedule(200, 2000, prof, max_phases=2)
+
+
 def test_schedule_domain_errors():
     with pytest.raises(ScheduleError):
         degree_schedule(0, 100, PRACTICAL)
@@ -248,6 +257,13 @@ def test_range_partition_detects_overlap():
     # the undersized slack a_0 = 50 pushes C^0 = {131..150} inside the tail
     bad = _fake_schedule(d=(100, 60), lam=(20, 10), q=(5, 4), a=(50, 40))
     with pytest.raises(PartitionError, match="overlap"):
+        RangePartition(bad)
+
+
+def test_range_partition_detects_a_class_below_1():
+    # |C^0| = 20 colors ending at top_0 = floor(10 + 5) = 15 would start at -4
+    bad = _fake_schedule(d=(10, 5), lam=(20, 1), q=(1, 1), a=(5, 4))
+    with pytest.raises(PartitionError, match="phase 0 color range extends below 1"):
         RangePartition(bad)
 
 
@@ -596,6 +612,45 @@ def test_per_phase_report_fields(monkeypatch):
     assert any(entry["degree_miss"] != 0 for entry in report["per_phase"])
     assert report["tail"] == {"phase": res.tail.phase, "entered": res.tail.entered,
                               "colored": res.tail.colored}
+
+
+@pytest.mark.parametrize("q", [0.0, -1.0])
+def test_phase_reducer_rejects_non_positive_slack(q):
+    with pytest.raises(ScheduleError, match=f"phase 2: non-positive slack q={q}"):
+        PhaseReducer(4, 3.0, q, 2, 0)
+
+
+def test_greedy_color_rejects_a_palette_column_of_the_wrong_length():
+    s = path(4)
+    with pytest.raises(ValueError, match=f"{s.m - 1} palettes for {s.m} edges"):
+        greedy_color(s, [range(1, 4)] * (s.m - 1))
+
+
+def test_per_phase_report_counts_feeds_and_wins(monkeypatch):
+    # every edge that enters a phase is fed to its bank once, and a win is
+    # exactly an edge the phase colors: so a phase's feeds are its entered
+    # count, its wins its colored count, and the summed group sizes (the
+    # counts a feed wrapper derives from its arguments and result) its
+    # advances
+    feeds, wins, advances = Counter(), Counter(), Counter()
+    feed = PhaseReducer.feed
+
+    def traced(*args):
+        out = feed(*args)
+        self, group = args[0], args[3]
+        feeds[self.phase] += 1
+        wins[self.phase] += out is not None
+        advances[self.phase] += len(group)
+        return out
+
+    monkeypatch.setattr(PhaseReducer, "feed", traced)
+    report = plain_color(gen_regular(60, 50, seed=3), 50, MULTIPHASE, seed=1).report(MULTIPHASE)
+    assert len(report["per_phase"]) >= 2
+    for entry in report["per_phase"]:
+        i = entry["phase"]
+        assert (feeds[i], wins[i], advances[i]) == (entry["entered"], entry["colored"],
+                                                   entry["advances"])
+        assert wins[i] > 0
 
 
 def test_list_ledger_counts_a_later_list_that_falls_short(monkeypatch):

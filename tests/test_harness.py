@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FakeRng, path, star, triangle
-from onlinecolor import harness
+from onlinecolor import harness, matcher
 from onlinecolor.colorer import greedy_color, is_shared_palette
 from onlinecolor.harness import (
+    MartingaleTrace,
     counterexample_demo,
     freedman_bound,
     freedman_matcher_check,
@@ -275,6 +276,19 @@ def test_martingale_single_edge_freezes():
     assert trace.shape_violations() == []
 
 
+def test_martingale_shape_violations_fire():
+    # a hand-built trace that breaks each rule: a rise on a match, a fall
+    # without one, a variance on a step that did not move, a negative one
+    trace = MartingaleTrace(0, [0.5, 0.6, 0.4, 0.4, 0.5], [0.1, -0.2, 0.0, 0.1],
+                            [0.01, 0.02, 0.03, -0.01], [True, False, False, False])
+    assert trace.shape_violations() == [
+        "t=1: positive step on a match",
+        "t=2: negative step without a match",
+        "t=3: variance contribution inconsistent with the step",
+        "t=4: variance contribution inconsistent with the step",
+    ]
+
+
 def test_martingale_two_edge_closed_form():
     # e1 = (u, w) moves Y for the monitored v before (v, u) arrives:
     # p_hat(e1) = 1/(D+q); match drops the term, no-match grows it
@@ -382,22 +396,38 @@ def test_counterexample_parameters(delta, q):
     assert rep["violations"] == []
 
 
+def _floor_fault(floor):
+    """gate_constants with the gate floor replaced: -inf passes every gate,
+    +inf fires every gate."""
+    real = matcher.gate_constants
+    return lambda delta, q: (real(delta, q)[0], floor)
+
+
+def _overflow_fault(clamp, overflow):
+    """A proposal whose overflow flag reads ``overflow`` in every state
+    whose ``clamp`` is ``clamp``."""
+    real = MultiplicativeState.proposal
+
+    def proposal(self, u, v, x_e=None):
+        p, p_hat, gate_fired, flag = real(self, u, v, x_e)
+        return p, p_hat, gate_fired, overflow if self.clamp == clamp else flag
+
+    return proposal
+
+
 # each planted fault: (owner, attribute, replacement, the violations the demo
 # must report, as message prefixes); together they fire all nine checks
 _DEMO_FAULTS = {
-    "gate_always_passes": (MultiplicativeState, "_gate", lambda self, fu, fv, p: True,
+    "gate_always_passes": (matcher, "gate_constants", _floor_fault(-math.inf),
                            ["gated run produced P_hat > 1", "gate did not zero the root edge"]),
-    "gate_always_fires": (MultiplicativeState, "_gate", lambda self, fu, fv, p: False,
+    "gate_always_fires": (matcher, "gate_constants", _floor_fault(math.inf),
                           ["a gate fired before the root edge",
                            "gated and natural proposals diverged on the forced path"]),
-    "gated_flags_overflow": (MultiplicativeState, "_dispose",
-                             lambda self, fu, fv, p: (p, self.zero if p > 1 else p, p > 1, True),
+    "gated_flags_overflow": (MultiplicativeState, "proposal", _overflow_fault(False, True),
                              ["gated run flagged an overflow"]),
-    "clamp_hides_overflow": (MatcherState, "_clamp",
-                             lambda self, fu, fv, p: (p, min(p, 1), False, False),
+    "clamp_hides_overflow": (MultiplicativeState, "proposal", _overflow_fault(True, False),
                              ["root edge did not overflow"]),
-    "clamp_flags_every_step": (MatcherState, "_clamp",
-                               lambda self, fu, fv, p: (p, min(p, 1), False, True),
+    "clamp_flags_every_step": (MultiplicativeState, "proposal", _overflow_fault(True, True),
                                ["overflow before the root edge"]),
     "numerator_halved": (MatcherState, "numerator", lambda self, x_e: self.scale / 2,
                          ["child P values [Fraction(1, 16), ", "root P 16/195 != (q+2)/(q+1)",
