@@ -75,11 +75,9 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-import random
 import warnings
 from dataclasses import dataclass, field
 from decimal import Context, Decimal, localcontext
-from typing import Callable, NamedTuple
 
 from .matcher import MatcherConfig, gate_constants
 from .profiles import RECURRENCE_ANALYZED, ConstantsProfile
@@ -404,15 +402,6 @@ class SampledPartition:
 # One reduction phase: a per-color matcher bank
 # ---------------------------------------------------------------------------
 
-class BankColor(NamedTuple):
-    """A copy of one color's matcher state, read from a phase bank."""
-
-    F: list  # per-vertex budget, initially 1.0
-    matched: bytearray  # per-vertex matched flag
-    matching: list  # endpoint pairs, in match order
-    random: Callable[[], float]  # ``random`` of a copy of the color's generator
-
-
 class PhaseReducer:
     """Per-color gated matchers sharing one phase sub-stream.
 
@@ -420,9 +409,9 @@ class PhaseReducer:
     ``rng_for(master_seed, "phase", phase, "color", c)``.  An edge is fed to
     every matcher of its sublist (distinct colors, ascending as partitions
     give them) and takes the first color, in sublist order, whose matcher
-    matched it; later matchers still see the edge (their matchings may
-    record it even when the color is not used for the edge).
-    ``color_state(c)`` reads one color's state as a ``BankColor``.
+    matched it; later matchers still see the edge, and a later color that
+    matches it is marked matched at both endpoints although the edge does
+    not take it.
 
     ``feed`` is the gated step of ``MatcherState`` (degree bound d_i, slack
     q_i) written inline, with the same float operations in the same order,
@@ -435,8 +424,8 @@ class PhaseReducer:
 
     The state is laid out so that a feed looks nothing up per color.  A
     vertex's F row holds its F per slot, and ``None`` in slot k once the
-    vertex is matched in slot k's color; the F value the match left is kept
-    aside, once per (vertex, color), and ``color_state`` puts it back.
+    vertex is matched in slot k's color, as ``run_fast`` marks a matched
+    vertex; no step reads a matched vertex's F, so the bank keeps none.
     ``group(sublist)`` gives each color's entry (slot, the generator's
     ``random``), and ``feed`` walks the entries it is handed; the pipeline
     keeps one group per palette and phase.  A feed draws each color's
@@ -448,15 +437,12 @@ class PhaseReducer:
     def __init__(self, n: int, delta: float, q: float, phase: int, master_seed: int):
         if q <= 0:
             raise ScheduleError(f"phase {phase}: non-positive slack q={q}")
-        self.n = n
         self.phase = phase
         self.master_seed = master_seed
         MatcherConfig(delta=delta, q=q)  # validates delta and q
         self.scale, self.floor = gate_constants(delta, q)
         self.gate_fires = 0
         self.colors: list[int] = []  # per slot, in order of first sight
-        self._matchings: list[list] = []  # per slot: endpoint pairs, in match order
-        self._left: list[dict] = []  # per slot: matched vertex -> the F its match left
         self._slot_of: dict[int, tuple] = {}  # color -> (slot, its generator's random)
         self._rows: list[list] = [[] for _ in range(n)]
 
@@ -478,8 +464,6 @@ class PhaseReducer:
             rng = rng_for(self.master_seed, "phase", self.phase, "color", c)
             self._slot_of[c] = (k, rng.random)
             self.colors.append(c)
-            self._matchings.append([])
-            self._left.append({})
         ones = [1.0] * len(new)
         for row in self._rows:
             row += ones
@@ -505,10 +489,6 @@ class PhaseReducer:
                 continue  # the gate fired: P_hat = 0 leaves F unchanged
             if x < p:
                 ru[k] = rv[k] = None
-                left = self._left[k]
-                left[u] = fu * s
-                left[v] = fv * s
-                self._matchings[k].append((u, v))
                 if won is None:
                     won = self.colors[k]
             else:
@@ -521,24 +501,7 @@ class PhaseReducer:
         if c not in self._slot_of:
             self._open([c])
         k = self._slot_of[c][0]
-        left = self._left[k]
-        for w in (u, v):
-            row = self._rows[w]
-            if row[k] is not None:  # an endpoint matched before keeps its F
-                left[w] = row[k]
-                row[k] = None
-
-    def color_state(self, c: int) -> BankColor:
-        """A copy of color c's state after the feeds so far, with a copy of
-        its generator, which has drawn one uniform per edge fed to c."""
-        k, rand = self._slot_of[c]
-        F = [row[k] for row in self._rows]
-        matched = bytearray(f is None for f in F)
-        for w, fw in self._left[k].items():
-            F[w] = fw
-        copy = random.Random()
-        copy.setstate(rand.__self__.getstate())  # the bound method's generator
-        return BankColor(F, matched, list(self._matchings[k]), copy.random)
+        self._rows[u][k] = self._rows[v][k] = None
 
 
 # ---------------------------------------------------------------------------

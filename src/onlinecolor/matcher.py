@@ -132,10 +132,10 @@ class MatcherConfig:
     profile: ConstantsProfile = ConstantsProfile.practical()
 
     def __post_init__(self) -> None:
-        if self.q <= 0:
-            raise MatcherError("q must be positive")
-        if self.delta < 1:
-            raise MatcherError("delta must be >= 1")
+        if not 0 < self.q < math.inf:  # NaN fails too
+            raise MatcherError("q must be positive and finite")
+        if not 1 <= self.delta < math.inf:
+            raise MatcherError("delta must be finite and >= 1")
         if self.mode not in (MODE_ANALYSIS_FRIENDLY, MODE_NATURAL, MODE_GREEDY_FALLBACK):
             raise MatcherError(f"unknown mode {self.mode!r}")
         if (
@@ -184,11 +184,13 @@ class RunTrace:
 class MultiplicativeState:
     """Shared skeleton of the matcher and the rounder.
 
-    Subclasses define the proposal numerator and the gate floor.  Traced
-    runs (trace_run) step it through proposal and apply.  The oracle walks
-    its branch tree on one live state through proposal, apply and undo: it
-    saves F at both endpoints before each apply and rewinds with undo when
-    it backtracks, so ``t`` is the arrival index at every proposal.
+    Subclasses define the proposal numerator and the gate floor.  The state
+    is F, the matched flags and the arrival count ``t``; the matching itself
+    is read from a trace's ``matched`` column.  Traced runs (trace_run) step
+    it through proposal and apply.  The oracle walks its branch tree on one
+    live state through proposal, apply and undo: it saves F at both
+    endpoints before each apply and rewinds with undo when it backtracks, so
+    ``t`` is the arrival index at every proposal.
     Vertices are dense ints below n; F defaults to 1 via a plain list.  When
     ``exact`` numbers (Fractions) flow in, every derived quantity stays
     exact.
@@ -203,13 +205,12 @@ class MultiplicativeState:
         self.one = Fraction(1) if exact else 1.0
         self.F = [self.one] * n
         self.matched = bytearray(n)
-        self.matching: list[tuple[int, int]] = []  # endpoint pairs, in match order
         self.t = 0  # arrivals processed so far
 
     def numerator(self, x_e) -> object:
         """The proposal numerator; conditioned on any execution path, an edge
         whose gate never interferes is matched with exactly this probability."""
-        raise NotImplementedError
+        raise NotImplementedError("a subclass defines the numerator")
 
     def proposal(self, u: int, v: int, x_e=None):
         """(p, p_hat, gate_fired, overflow) for the next arrival, no mutation.
@@ -238,7 +239,6 @@ class MultiplicativeState:
                 raise MatcherError(f"matching edge ({u},{v}) at a matched vertex")
             self.matched[u] = True
             self.matched[v] = True
-            self.matching.append((u, v))
         self.t += 1
 
     def undo(self, u: int, v: int, fu, fv, matched: bool) -> None:
@@ -250,7 +250,6 @@ class MultiplicativeState:
         if matched:
             self.matched[u] = False
             self.matched[v] = False
-            self.matching.pop()
         self.t -= 1
 
 
@@ -289,6 +288,8 @@ def run(
 def trace_run(stream: ArrivalStream, state, draw) -> tuple[list[tuple[int, int]], RunTrace]:
     """Step a fresh engine ``state`` over the stream, deciding each arrival
     by the uniform ``draw()``; returns (matching as endpoint pairs, RunTrace).
+    The matching is the stream's pairs at the arrivals whose ``matched`` flag
+    is set, in arrival order.
 
     The loop appends to the trace's columns and builds no record per
     arrival.  A state that has seen arrivals, or whose F does not have one
@@ -315,7 +316,7 @@ def trace_run(stream: ArrivalStream, state, draw) -> tuple[list[tuple[int, int]]
         put_matched(matched)
         put_gate(gate_fired)
         put_overflow(overflow)
-    return list(state.matching), trace
+    return list(itertools.compress(zip(stream.u, stream.v), trace.matched)), trace
 
 
 def run_fast(us, vs, n: int, delta: float, q: float, rng: random.Random):

@@ -68,12 +68,12 @@ class ConstantsProfile:
 
     def __post_init__(self) -> None:
         for field in ("c_q", "c_q_color", "c_stop", "a_base_mult", "c_round"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"profile.{field} must be positive")
+            if not 0 < getattr(self, field) < math.inf:  # NaN fails too
+                raise ValueError(f"profile.{field} must be positive and finite")
         if self.degree_recurrence not in (RECURRENCE_ANALYZED, RECURRENCE_ACHIEVED):
             raise ValueError(f"unknown degree_recurrence {self.degree_recurrence!r}")
-        if self.q_override is not None and self.q_override <= 0:
-            raise ValueError("q_override must be positive")
+        if self.q_override is not None and not 0 < self.q_override < math.inf:
+            raise ValueError("q_override must be positive and finite")
 
     @classmethod
     def theory(cls) -> "ConstantsProfile":
@@ -96,15 +96,15 @@ class ConstantsProfile:
 
     @classmethod
     def from_file(cls, path: str) -> "ConstantsProfile":
-        """Load overrides from a JSON object; unset keys keep practical values."""
+        """Load overrides from a JSON object; unset keys keep practical values.
+        The profile is named by the file's ``name`` key, else by its path."""
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        base = dataclasses.asdict(cls.practical())
+        base = {**dataclasses.asdict(cls.practical()), "name": path}
         unknown = set(data) - set(base)
         if unknown:
             raise ValueError(f"unknown profile keys: {sorted(unknown)}")
         base.update(data)
-        base.setdefault("name", path)
         return cls(**base)
 
     def replace(self, **kwargs: object) -> "ConstantsProfile":

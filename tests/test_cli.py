@@ -298,7 +298,13 @@ def test_profile_from_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["profile"]["c_stop"] == 5.0
+    assert payload["profile"]["name"] == str(prof)  # a file without a name is named by its path
     assert payload["violations"] == []
+    named = tmp_path / "named.json"
+    named.write_text('{"name": "desk", "c_stop": 5.0}')
+    code, out = run_cli(capsys, "color", "--stream", str(stream),
+                        "--profile", f"file:{named}", "--seed", "1")
+    assert code == 0 and json.loads(out)["profile"]["name"] == "desk"
     # unknown keys are rejected
     bad = tmp_path / "bad.json"
     bad.write_text('{"c_qq": 1}')
@@ -314,6 +320,19 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert "error:" in err
     code = main(["match", "--stream", str(tmp_path / "missing.txt"), "--q", "1"])
     assert code == 2
+    # non-finite constants are configuration errors, not runs full of violations
+    stream = tmp_path / "s.txt"
+    stream.write_text("n=4 dmax=2\ne 0 1\ne 1 2\ne 2 3\n")
+    for name, text in [("nan_stop", '{"c_stop": NaN}'), ("inf_q", '{"c_q": Infinity}'),
+                       ("nan_override", '{"q_override": NaN}')]:
+        (tmp_path / f"{name}.json").write_text(text)
+    for argv in (["match", "--q", "nan"], ["match", "--q", "inf"], ["mc", "--q", "nan"],
+                 ["color", "--profile", f"file:{tmp_path / 'nan_stop.json'}"],
+                 ["mc", "--profile", f"file:{tmp_path / 'inf_q.json'}"],
+                 ["match", "--profile", f"file:{tmp_path / 'nan_override.json'}"]):
+        capsys.readouterr()
+        assert main([*argv, "--stream", str(stream)]) == 2, argv
+        assert "finite" in capsys.readouterr().err, argv
 
 
 def test_martingale_cli(tmp_path, capsys):

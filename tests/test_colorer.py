@@ -31,6 +31,7 @@ from onlinecolor.colorer import (
     local_lists,
     plain_color,
     recurrence_step,
+    run_generic,
 )
 from onlinecolor.harness import validate_coloring
 from onlinecolor.matcher import MatcherConfig, MatcherState
@@ -343,24 +344,33 @@ def test_list_prune():
 
 # -- the per-color matcher bank -------------------------------------------------
 
+def _bank_column(red, c):
+    """Color c's slot of every F row: the vertex's F, None where c is matched."""
+    k = red._slot_of[c][0]
+    return [row[k] for row in red._rows]
+
+
 def test_phase_reducer_single_color():
+    # vertex-disjoint edges: color 7 is matched exactly at the endpoints of
+    # the edges that took it
     red = PhaseReducer(50, delta=10.0, q=2.0, phase=0, master_seed=8)
     got = [red.feed(2 * i, 2 * i + 1, red.group((7,))) for i in range(25)]
     colored = [c for c in got if c is not None]
     assert colored and set(colored) == {7}
-    assert len(red.color_state(7).matching) == len(colored)
+    assert [f is None for f in _bank_column(red, 7)] == [got[w // 2] == 7 for w in range(50)]
 
 
 def test_phase_reducer_first_match_wins():
     # feed vertex-disjoint edges with sublist (3, 9): whenever both matchers
-    # matched an edge, the assigned color is 3, yet matcher 9 records it too
+    # matched an edge, the assigned color is 3, yet matcher 9 marks its
+    # endpoints matched too
     red = PhaseReducer(400, delta=10.0, q=2.0, phase=0, master_seed=123)
     both = 0
     for i in range(200):
         u, v = 2 * i, 2 * i + 1
         got = red.feed(u, v, red.group((3, 9)))
-        in3 = (u, v) in red.color_state(3).matching
-        in9 = (u, v) in red.color_state(9).matching
+        in3 = _bank_column(red, 3)[u] is None
+        in9 = _bank_column(red, 9)[u] is None
         if in3 and in9:
             both += 1
             assert got == 3
@@ -389,62 +399,61 @@ def test_phase_reducer_block_skips_the_color():
     group = red.group((7,))
     assert red.feed(0, 2, group) is None
     assert red.feed(3, 1, group) is None
-    state = red.color_state(7)
-    assert state.F == [1.0] * 6 and state.matching == []
-    assert list(state.matched) == [1, 1, 0, 0, 0, 0]
+    assert _bank_column(red, 7) == [None, None, 1.0, 1.0, 1.0, 1.0]
     red.feed(4, 5, group)
-    assert red.color_state(7).F[4] < 1.0
+    assert 0.0 < _bank_column(red, 7)[4] < 1.0
 
 
 def test_phase_reducer_block_keeps_a_matched_endpoint_f():
     # a block at an endpoint the bank already matched in that color leaves
-    # the F value its match left; the other endpoint keeps its current F
+    # it matched; the other endpoint becomes matched, and every other
+    # vertex keeps its current F
     red = PhaseReducer(40, delta=4.0, q=1.0, phase=0, master_seed=8)
     group = red.group((7,))
     won = [red.feed(2 * i, 2 * i + 1, group) for i in range(10)]
     u = 2 * won.index(7)
-    before = red.color_state(7)
-    assert before.matched[u] and before.F[u] < 1.0
+    before = _bank_column(red, 7)
+    assert before[u] is None and before[39] == 1.0
     red.block(u, 39, 7)
-    after = red.color_state(7)
-    assert after.F == before.F and after.matching == before.matching
-    assert list(after.matched) == [*before.matched[:39], 1]
+    assert _bank_column(red, 7) == [*before[:39], None]
 
 
-def _reference_bank(n, delta, q, phase, seed, edges):
+class _ReferenceBank:
     """The bank as one MatcherState per color, driven through proposal + apply.
 
     An event (u, v, c) with a color c in place of a sublist is a block: c's
     matcher marks u and v matched, and its generator draws nothing."""
-    config = MatcherConfig(delta=delta, q=q)
-    states, rngs, winners = {}, {}, []
-    gate_fires = skips = 0
 
-    def state(c):
-        if c not in states:
-            states[c] = MatcherState(n, config)
-            rngs[c] = rng_for(seed, "phase", phase, "color", c)
-        return states[c]
+    def __init__(self, n, delta, q, phase, seed):
+        self.n, self.phase, self.seed = n, phase, seed
+        self.config = MatcherConfig(delta=delta, q=q)
+        self.states, self.rngs = {}, {}
+        self.gate_fires = self.skips = 0
 
-    for u, v, sublist in edges:
-        won = None
+    def state(self, c):
+        if c not in self.states:
+            self.states[c] = MatcherState(self.n, self.config)
+            self.rngs[c] = rng_for(self.seed, "phase", self.phase, "color", c)
+        return self.states[c]
+
+    def step(self, u, v, sublist):
+        """The event's winning color; None for a block."""
         if isinstance(sublist, int):
-            st = state(sublist)
+            st = self.state(sublist)
             st.matched[u] = st.matched[v] = True
-            winners.append(won)
-            continue
+            return None
+        won = None
         for c in sublist:
-            st = state(c)
-            x = rngs[c].random()
-            skips += bool(st.matched[u] or st.matched[v])
+            st = self.state(c)
+            x = self.rngs[c].random()
+            self.skips += bool(st.matched[u] or st.matched[v])
             _, p_hat, gate_fired, _ = st.proposal(u, v)
-            gate_fires += gate_fired
+            self.gate_fires += gate_fired
             matched = x < p_hat
             st.apply(u, v, p_hat, matched)
             if matched and won is None:
                 won = c
-        winners.append(won)
-    return winners, states, rngs, gate_fires, skips
+        return won
 
 
 def _bank_edges(case, rng):
@@ -463,35 +472,34 @@ def _bank_edges(case, rng):
 
 
 def _assert_bank_matches_reference(n, delta, q, edges):
-    """Feed ``edges`` to a PhaseReducer and to ``_reference_bank``, with
-    each block event passed to ``block``: winners, colors in order of first
-    sight, and each color's F, matched flags, matching and next draw must
-    agree, and so must the count of fired gates.  As the pipeline's plan
-    does, one group is made per sublist object, on its first use, and fed
-    again for that object.  Returns the reducer, the reference's gate fires
-    and its skips."""
+    """Feed ``edges`` to a PhaseReducer and, in lockstep, to a
+    ``_ReferenceBank``, with each block event passed to ``block``.  After
+    every event the winners and the colors in order of first sight must
+    agree, and each color's slot of every F row must be None exactly where
+    the reference's matcher is matched and equal its F everywhere else.  At
+    the end the counts of fired gates, and each color's next draw, must
+    agree.  As the pipeline's plan does, one group is made per sublist
+    object, on its first use, and fed again for that object.  Returns the
+    reducer, the reference's gate fires and its skips."""
     red = PhaseReducer(n, delta=delta, q=q, phase=1, master_seed=17)
+    ref = _ReferenceBank(n, delta, q, 1, 17)
     groups: dict = {}  # id of a sublist -> (the sublist, held; its group)
-    got = []
     for u, v, s in edges:
         if isinstance(s, int):
-            got.append(red.block(u, v, s))
-            continue
-        if id(s) not in groups:
-            groups[id(s)] = (s, red.group(s))
-        got.append(red.feed(u, v, groups[id(s)][1]))
-    want, states, rngs, gate_fires, skips = _reference_bank(n, delta, q, 1, 17, edges)
-    assert got == want
-    assert red.colors == list(states)
-    assert red.gate_fires == gate_fires
-    for c, st in states.items():
-        mine = red.color_state(c)
-        assert mine.F == st.F
-        assert mine.matched == st.matched
-        assert mine.matching == st.matching
+            got = red.block(u, v, s)
+        else:
+            if id(s) not in groups:
+                groups[id(s)] = (s, red.group(s))
+            got = red.feed(u, v, groups[id(s)][1])
+        assert got == ref.step(u, v, s)
+        assert red.colors == list(ref.states)
+        for c, st in ref.states.items():
+            assert _bank_column(red, c) == [None if m else f for f, m in zip(st.F, st.matched)]
+    assert red.gate_fires == ref.gate_fires
+    for c, rng in ref.rngs.items():
         # one uniform per color per fed edge: the streams stay in step
-        assert mine.random() == rngs[c].random()
-    return red, gate_fires, skips
+        assert red._slot_of[c][1]() == rng.random()
+    return red, ref.gate_fires, ref.skips
 
 
 @pytest.mark.parametrize("case, delta, q", [
@@ -626,6 +634,24 @@ def test_greedy_color_rejects_a_palette_column_of_the_wrong_length():
         greedy_color(s, [range(1, 4)] * (s.m - 1))
 
 
+def test_greedy_color_rejects_a_missing_palette():
+    with pytest.raises(PartitionError, match="t=2: arrival without a palette in list mode"):
+        greedy_color(path(3), [(1, 2), None, (1, 2)])
+
+
+@pytest.mark.parametrize("palettes, sampled, fragment", [
+    ([(1, 2, 3), None, (1, 2, 3)], True, "t=2: arrival without a palette in list mode"),
+    (range(1, 9), True, "range palettes need a range partition, and it needs them"),
+    ([(1, 2, 3)] * 3, False, "range palettes need a range partition, and it needs them"),
+], ids=["missing-palette", "range-palette-sampled", "tuple-palette-range"])
+def test_run_generic_rejects_palettes_its_partition_cannot_take(palettes, sampled, fragment):
+    s = path(3)
+    sch = degree_schedule(2, s.n, PRACTICAL)
+    partition = SampledPartition(sch, rng_for(0, "partition")) if sampled else RangePartition(sch)
+    with pytest.raises(PartitionError, match=fragment):
+        run_generic(s, palettes, sch, partition, PRACTICAL, seed=0)
+
+
 def test_per_phase_report_counts_feeds_and_wins(monkeypatch):
     # every edge that enters a phase is fed to its bank once, and a win is
     # exactly an edge the phase colors: so a phase's feeds are its entered
@@ -699,8 +725,15 @@ def test_plain_regular_respects_budget():
 
 
 def test_list_mode_requires_lists():
-    with pytest.raises(PartitionError):
+    with pytest.raises(PartitionError, match="list mode needs a stream with L= palettes"):
         list_color(path(3), PRACTICAL, seed=0)
+
+
+def test_list_mode_guard_refuses_short_lists():
+    # the minimum-list-size warning is an error under an enforced guard
+    s = make_stream(4, 2, [(0, 1), (1, 2), (2, 3)], lists=[(1, 2, 3)] * 3)
+    with pytest.raises(PartitionError, match="minimum list size 3 below 2 \\* a_base_mult"):
+        list_color(s, PRACTICAL.replace(enforce_guard=True), seed=0)
 
 
 def test_tail_failure_fallback_and_strict():

@@ -7,11 +7,13 @@ import pytest
 from conftest import FakeRng, path, random_simple_graph, star, triangle
 from onlinecolor.colorer import greedy_color
 from onlinecolor.matcher import (
+    MODE_GREEDY_FALLBACK,
     MODE_NATURAL,
     GuardError,
     MatcherConfig,
     MatcherError,
     MatcherState,
+    MultiplicativeState,
     RunTrace,
     check_run_invariants,
     choose_q,
@@ -52,6 +54,13 @@ def test_config_guard_enforcement():
     assert guard_holds(2000, 400) and not guard_holds(100, 5)
 
 
+@pytest.mark.parametrize("delta, q", [(math.nan, 1.0), (math.inf, 1.0), (4.0, math.nan),
+                                      (4.0, math.inf)])
+def test_config_rejects_non_finite_delta_or_q(delta, q):
+    with pytest.raises(MatcherError, match="finite"):
+        MatcherConfig(delta=delta, q=q)
+
+
 def test_triangle_hand_steps_exact():
     # D=2, q=1, gate on, forced no-match path: P = 1/3, 1/2, then 1 with the
     # gate zeroing the third edge.
@@ -81,6 +90,19 @@ def test_run_rejects_a_used_or_missized_state():
         run(s, cfg, seed=0, state=cfg.state(2))
     with pytest.raises(MatcherError, match="state has 4 vertices"):
         trace_run(s, cfg.state(4), no_draw)
+
+
+def test_greedy_fallback_has_no_stepwise_state():
+    cfg = MatcherConfig(delta=4, q=1, mode=MODE_GREEDY_FALLBACK)
+    with pytest.raises(MatcherError, match="greedy fallback is not a stepwise matcher"):
+        cfg.state(3)
+
+
+def test_the_shared_skeleton_has_no_numerator():
+    # the matcher and the rounder differ only in the numerator, which the
+    # skeleton leaves to them
+    with pytest.raises(NotImplementedError, match="a subclass defines the numerator"):
+        MultiplicativeState(2).proposal(0, 1)
 
 
 def test_apply_rejects_a_match_at_a_matched_vertex():
@@ -158,15 +180,15 @@ def test_undo_is_the_exact_inverse_of_apply(kind, exact):
         assert state.t == e.time - 1
         _, p_hat, _, _ = state.proposal(e.u, e.v, e.x)
         clamped += p_hat == 1
-        before = (list(state.F), bytes(state.matched), list(state.matching), state.t)
+        before = (list(state.F), bytes(state.matched), state.t)
         for matched in ((False, True) if p_hat else (False,)):
             fu, fv = state.F[e.u], state.F[e.v]
             state.apply(e.u, e.v, p_hat, matched)
             moved += (list(state.F), bytes(state.matched)) != before[:2]
             state.undo(e.u, e.v, fu, fv, matched)
-            assert (list(state.F), bytes(state.matched), list(state.matching), state.t) == before
+            assert (list(state.F), bytes(state.matched), state.t) == before
         state.apply(e.u, e.v, p_hat, rng.random() < p_hat)
-    assert moved > s.m // 2 and state.matching
+    assert moved > s.m // 2 and any(state.matched)
     assert clamped > 0 if kind == "natural" else clamped == 0
 
 

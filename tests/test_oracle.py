@@ -82,6 +82,11 @@ def test_edge_limit():
         exact_marginals(path(13), MatcherConfig(delta=2, q=1), exact=True)
 
 
+def test_colored_oracle_needs_a_listed_stream():
+    with pytest.raises(OracleLimitError, match="colored oracle needs a listed stream"):
+        exact_colored_marginals(path(2), 2, 1.0)
+
+
 def test_natural_mode_clamped_step_has_no_unmatched_child():
     # D+q = 5/2: when neither of the first two edges matches, the third
     # edge's P is 6/5, clamped to P_hat = 1; its unmatched child has
@@ -286,7 +291,6 @@ def _copy_state(state):
     dup = copy.copy(state)
     dup.F = list(state.F)
     dup.matched = bytearray(state.matched)
-    dup.matching = list(state.matching)
     return dup
 
 

@@ -439,12 +439,22 @@ def test_generated_streams_never_enter_the_line_loop(monkeypatch):
     [
         (dict(u=[0, 2], v=[1, 3], palettes=[(1, 2), (5, 1)]), "not sorted"),
         (dict(u=[0, 2], v=[1, 3], palettes=[(1, 2), (4, 4)]), "not sorted"),
+        (dict(u=[0, 2], v=[1]), "column v has 1 entries for 2 arrivals"),
+        (dict(u=[0, 2], v=[1, 3], x=[0.5]), "column x has 1 entries for 2 arrivals"),
     ],
 )
 def test_stream_rejects_invalid_arrivals(arrivals, fragment):
     # columns given straight to the constructor are checked like parsed ones
     with pytest.raises(StreamError, match=fragment):
         ArrivalStream(n=4, delta_bound=1, **arrivals)
+
+
+def test_stream_drops_an_all_none_annotation_column():
+    # a column in which no arrival carries the annotation is no column
+    s = make_stream(3, 2, [(0, 1), (1, 2)], xs=[None] * 2, lists=[None] * 2)
+    assert s.palettes is None and not s.has_lists
+    assert s.x is None
+    assert s == make_stream(3, 2, [(0, 1), (1, 2)])
 
 
 
