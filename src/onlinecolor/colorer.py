@@ -510,12 +510,17 @@ class PhaseReducer:
 
 @dataclass
 class PhaseStats:
+    """One phase's counts; ``advances`` sums the sublist colors its bank was
+    fed.  The tail's record sets only phase, entered and colored."""
+
     phase: int
     entered: int = 0
     colored: int = 0
     dense_edges: int = 0
     promise_violations: int = 0
     max_uncolored_degree_after: int = 0
+    advances: int = 0
+    gate_fires: int = 0
 
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -523,24 +528,29 @@ class PhaseStats:
 
 @dataclass
 class ColoringResult:
+    """A run's colors and stages per edge, one ``PhaseStats`` per active
+    phase and one for the tail, and the palettes it colored from, which
+    give the plain ``budget`` and each local bound (``p.stop - 1``)."""
+
     colors: list  # per arrival index; int color
     stage: list  # per arrival index; phase that colored it (f+1 = tail) or "overflow"
     per_phase: list[PhaseStats]
-    tail: PhaseStats  # the pipeline sets only phase, entered and colored
+    tail: PhaseStats
     schedule: DegreeSchedule
     partition_method: str
     partition_assignment: dict
     palettes: object = None  # what the run colored from: one shared palette or one per edge
-    budget: int | None = None  # plain mode: total palette size d_0 + a_0
-    local_bounds: list | None = None  # local mode: per-edge color bound |L(e)|
     list_ledger_violations: int = 0
     seed: int | None = None
     # run invariants that failed (e.g. degree accounting); empty on a sound run
     invariant_violations: list[str] = field(default_factory=list)
     overflows: list = field(default_factory=list)  # {"time", "u", "v"} per overflow edge
-    # per active phase: (advances, gate fires) of its bank; an advance is
-    # one sublist color an edge was fed to
-    bank_counts: list = field(default_factory=list)
+
+    @property
+    def budget(self) -> int | None:
+        """The top color of a shared range palette (plain mode: d_0 + a_0),
+        None when the edges do not share a range."""
+        return self.palettes.stop - 1 if isinstance(self.palettes, range) else None
 
     @property
     def fallback_taken(self) -> bool:
@@ -562,13 +572,12 @@ class ColoringResult:
         return {"count": len(self.overflows), "first": next(iter(self.overflows), None),
                 "distinct_colors": len(taken), "max_color": max(taken, default=None)}
 
-    def _phase_report(self, st: PhaseStats, advances: int, gate_fires: int) -> dict:
-        """A phase's statistics, the degree d_{i+1} it should leave, how far
-        the degree it left is above that, and its bank's counts."""
+    def _phase_report(self, st: PhaseStats) -> dict:
+        """A phase's statistics, the degree d_{i+1} it should leave, and how
+        far the degree it left is above that."""
         scheduled = float(self.schedule.d[st.phase + 1])
         return {**st.as_dict(), "scheduled_degree": scheduled,
-                "degree_miss": st.max_uncolored_degree_after - scheduled,
-                "advances": advances, "gate_fires": gate_fires}
+                "degree_miss": st.max_uncolored_degree_after - scheduled}
 
     def report(self, profile: ConstantsProfile) -> dict:
         distinct = self._distinct_colors()
@@ -583,8 +592,7 @@ class ColoringResult:
             "seed": self.seed,
             "list_ledger_violations": self.list_ledger_violations,
             "invariant_violations": list(self.invariant_violations),
-            "per_phase": [self._phase_report(p, *counts) for p, counts
-                          in zip(self.per_phase, self.bank_counts, strict=True)],
+            "per_phase": [self._phase_report(p) for p in self.per_phase],
             "tail": {k: getattr(self.tail, k) for k in ("phase", "entered", "colored")},
             "partition": {"method": self.partition_method},
         }
@@ -669,7 +677,6 @@ def run_generic(
     deg = {i: [0] * n for i in active}
     tail_deg = [0] * n
     stats = {i: PhaseStats(phase=i) for i in active}
-    advances = dict.fromkeys(active, 0)  # per phase: sum of the group sizes fed
     colors_out: list = [None] * m
     stage_out: list = [f + 1] * m  # an edge is the tail's unless a phase or the overflow takes it
     ledger_violations = 0
@@ -732,7 +739,7 @@ def run_generic(
                                 f"t={idx + 1} phase {i}: sublist size {len(group)} outside "
                                 f"[{lo_b:.6g}, {hi_b:.6g}]"
                             )
-                advances[i] += len(group)
+                st.advances += len(group)
                 got = reducers[i].feed(u, v, group)
                 if got is not None:
                     st.colored += 1
@@ -781,6 +788,7 @@ def run_generic(
     for pos, i in enumerate(active):
         nxt = deg[active[pos + 1]] if pos + 1 < len(active) else tail_deg
         stats[i].max_uncolored_degree_after = max(nxt, default=0)
+        stats[i].gate_fires = reducers[i].gate_fires
     # Degree accounting cross-check: every arrival adds one to the degree of
     # both endpoints at each phase it reaches uncolored.
     invariant_violations = [
@@ -802,7 +810,6 @@ def run_generic(
         seed=seed,
         invariant_violations=invariant_violations,
         overflows=overflows,
-        bank_counts=[(advances[i], reducers[i].gate_fires) for i in active],
     )
 
 
@@ -813,12 +820,8 @@ def run_generic(
 def plain_color(stream: ArrivalStream, delta: int, profile: ConstantsProfile, seed: int) -> ColoringResult:
     """Color with the fixed palette {1..Δ+q'}, q' = floor(d_0 + a_0) - Δ."""
     schedule = degree_schedule(delta, stream.n, profile)
-    partition = RangePartition(schedule)
-    budget = schedule.prune_target(0)
-    palette = range(1, budget + 1)
-    result = run_generic(stream, palette, schedule, partition, profile, seed)
-    result.budget = budget
-    return result
+    palette = range(1, schedule.prune_target(0) + 1)
+    return run_generic(stream, palette, schedule, RangePartition(schedule), profile, seed)
 
 
 def list_color(stream: ArrivalStream, profile: ConstantsProfile, seed: int) -> ColoringResult:
@@ -869,9 +872,7 @@ def local_color(stream: ArrivalStream, profile: ConstantsProfile, seed: int) -> 
             p = local_lists(degrees[u], degrees[v], schedule)
             by_dmax[dmax] = shared.setdefault(p, p)
         palettes.append(by_dmax[dmax])
-    result = run_generic(stream, palettes, schedule, partition, profile, seed)
-    result.local_bounds = [p.stop - 1 for p in palettes]
-    return result
+    return run_generic(stream, palettes, schedule, partition, profile, seed)
 
 
 def greedy_color(stream: ArrivalStream, palettes) -> list[int]:

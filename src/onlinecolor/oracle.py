@@ -39,9 +39,9 @@ component's vertices, and adds into the results by arrival index.
 ``branches`` is the sum of the components' node counts, not the size of
 the product tree; ``leaf_total`` is the product of their leaf totals; the
 branch limit applies to the summed count, and the edge limit of
-``exact_marginals`` to the largest component.  The bank's joint walk splits
-by the components of the listed graph over all colors, and each color's
-standalone walk by the components of that color's sub-stream.  Split this
+``exact_marginals`` to the largest component.  The bank's walk splits by
+the components of the listed graph over all colors.  A color's standalone
+marginals are ``exact_marginals`` on that color's sub-stream.  Split this
 way, a 20-edge matching takes 60 branches where the product tree has 2^21 - 1
 nodes.  Rational results equal the full-tree walk's exactly; float
 marginals of a multi-component stream are summed over fewer, larger
@@ -265,7 +265,6 @@ class ColoredOracleResult:
     colored: list  # per edge: Pr[e gets any color]
     # per edge: sum over branches and palette colors of prob * P; |L_e|/(D+q)
     conditional_sum: list
-    per_color_matched: dict  # color -> per-edge marginal in that color's own process
     branches: int  # steps and leaves of the joint walk, summed over components
     components: int  # connected components of the listed graph, over all colors
 
@@ -281,41 +280,23 @@ def exact_colored_marginals(
 
     Every arrival must carry a palette.  Each color runs an independent
     gated matcher (degree bound delta, slack q); an edge takes the first
-    color, in ascending order, whose matcher matched it.  Independence
-    across colors makes the standalone per-color marginals multiply, e.g. a
-    lone edge with k colors is colored with probability 1 - (1 - 1/(D+q))^k;
-    the joint enumeration also yields the first-match-wins split.  Each
-    color's conditional sum at an arrival is 1/(D+q), so an edge's sum over
-    its palette is |L_e|/(D+q).
+    color, in ascending order, whose matcher matched it, and ``per_color``
+    gives that first-match-wins split.  Independence across colors makes
+    the standalone per-color marginals (``exact_marginals`` on a color's
+    sub-stream) multiply, e.g. a lone edge with k colors is colored with
+    probability 1 - (1 - 1/(D+q))^k.  Each color's conditional sum at an
+    arrival is 1/(D+q), so an edge's sum over its palette is |L_e|/(D+q).
     """
     if not stream.has_lists:
         raise OracleLimitError("colored oracle needs a listed stream")
-    config = MatcherConfig(delta=delta, q=q)
     per_color, colored, cond, _, branches, components = _walk_components(
-        _components(stream.u, stream.v), config, exact, stream.palettes, (None,) * stream.m,
-        branch_limit)
+        _components(stream.u, stream.v), MatcherConfig(delta=delta, q=q), exact,
+        stream.palettes, (None,) * stream.m, branch_limit)
     return ColoredOracleResult(
         per_color=per_color,
         colored=colored,
         conditional_sum=cond,
-        per_color_matched=_standalone_color_marginals(stream, config, exact, branch_limit),
         branches=branches,
         components=components,
     )
 
-
-def _standalone_color_marginals(
-    stream: ArrivalStream, config: MatcherConfig, exact: bool, branch_limit: int
-):
-    """Per color: oracle marginals of that color's own induced process, each
-    walked under the caller's branch limit and no other."""
-    palettes = [p or () for p in stream.palettes]
-    colors = sorted({c for p in palettes for c in p})
-    out = {}
-    for c in colors:
-        idx = [i for i, p in enumerate(palettes) if c in p]
-        parts = _components([stream.u[i] for i in idx], [stream.v[i] for i in idx])
-        marginal = _walk_components(parts, config, exact, ((None,),) * len(idx),
-                                    (None,) * len(idx), branch_limit)[1]
-        out[c] = dict(zip(idx, marginal))
-    return out

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 RECURRENCE_ANALYZED = "analyzed"
@@ -67,13 +68,24 @@ class ConstantsProfile:
     strict_promises: bool = False
 
     def __post_init__(self) -> None:
-        for field in ("c_q", "c_q_color", "c_stop", "a_base_mult", "c_round"):
-            if not 0 < getattr(self, field) < math.inf:  # NaN fails too
+        # a profile file can give any JSON value, so each field's kind is
+        # checked before its value
+        for field in ("c_q", "c_q_color", "c_stop", "a_base_mult", "c_round", "q_override"):
+            value = getattr(self, field)
+            if value is None and field == "q_override":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"profile.{field} must be a real number, not {value!r}")
+            if not 0 < value < math.inf:  # NaN fails too
                 raise ValueError(f"profile.{field} must be positive and finite")
+        for field in ("enforce_guard", "fallback_on_tail_failure", "strict_promises"):
+            if not isinstance(getattr(self, field), bool):
+                raise ValueError(f"profile.{field} must be true or false, not {getattr(self, field)!r}")
+        for field in ("name", "degree_recurrence"):
+            if not isinstance(getattr(self, field), str):
+                raise ValueError(f"profile.{field} must be a string, not {getattr(self, field)!r}")
         if self.degree_recurrence not in (RECURRENCE_ANALYZED, RECURRENCE_ACHIEVED):
             raise ValueError(f"unknown degree_recurrence {self.degree_recurrence!r}")
-        if self.q_override is not None and not 0 < self.q_override < math.inf:
-            raise ValueError("q_override must be positive and finite")
 
     @classmethod
     def theory(cls) -> "ConstantsProfile":
@@ -100,6 +112,8 @@ class ConstantsProfile:
         The profile is named by the file's ``name`` key, else by its path."""
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"a profile file must hold a JSON object, not {type(data).__name__}")
         base = {**dataclasses.asdict(cls.practical()), "name": path}
         unknown = set(data) - set(base)
         if unknown:

@@ -34,8 +34,9 @@ unordered pair once, no degree above dmax), which finds no fault and
 gives no message.  Any stream it does not accept, and every annotated
 one, goes through the one checking loop from t = 1, which alone raises,
 with the message of the first fault; it checks each distinct palette
-object once.  Vertex and color ids must be integers (``numbers.Integral``;
-a color may not be a ``bool``), and each x a real number
+object once.  A palette must be a sequence (a tuple, list or range).
+Vertex and color ids must be integers (``numbers.Integral``; a color may
+not be a ``bool``), and each x a real number
 (``numbers.Real``, not a ``bool``), so that ``emit_stream`` writes text
 that ``parse_stream`` reads back; an x that is not a float is written as
 its nearest float.  Equal palettes share one tuple: the parser reads each
@@ -185,6 +186,9 @@ class ArrivalStream:
                     if not 0.0 <= x <= 1.0:
                         raise StreamError(f"t={t}: x={x} outside [0, 1]")
                 if colors is not None and id(colors) not in checked:
+                    if not isinstance(colors, Sequence):
+                        raise StreamError(f"t={t}: a palette must be a sequence of color ids, "
+                                          f"not {type(colors).__name__}")
                     kinds = set(map(type, colors)) - {int}
                     if not all(issubclass(k, numbers.Integral) and k is not bool for k in kinds):
                         raise StreamError(f"t={t}: color ids must be integers")
@@ -209,8 +213,6 @@ class ArrivalStream:
                         w = u if frac[u] > frac_limit else v
                         raise StreamError(f"t={t}: fractional sum {frac[w]:.12g} > 1 at vertex {w}")
         except TypeError:
-            if isinstance(u, numbers.Integral) and isinstance(v, numbers.Integral):
-                raise
             raise StreamError(f"t={t}: vertex ids must be integers") from None
 
     def _plain_valid(self) -> bool:

@@ -349,7 +349,7 @@ def test_criterion_10_list_and_local_modes():
             break
         rows = sorted(
             (max(deg[e.u], deg[e.v]), b, res.colors[i])
-            for i, (e, b) in enumerate(zip(corpus.arrivals, res.local_bounds))
+            for i, (e, b) in enumerate(zip(corpus.arrivals, (p.stop - 1 for p in res.palettes)))
         )
         local_ok &= all(c <= b for _, b, c in rows)
         local_ok &= all(b1 <= b2 for (_, b1, _), (_, b2, _) in zip(rows, rows[1:]))

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import probe_stream
 from onlinecolor.cli import main
+from onlinecolor.matcher import MultiplicativeState
 from onlinecolor.stream import emit_stream, gen_regular, parse_stream
 
 
@@ -333,6 +334,52 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         capsys.readouterr()
         assert main([*argv, "--stream", str(stream)]) == 2, argv
         assert "finite" in capsys.readouterr().err, argv
+    # a profile file is a JSON object whose values are of their field's
+    # kind; anything else exits 2, where a TypeError would exit 1, a string
+    # "false" would read as a true flag, and true as the number 1
+    degree6 = tmp_path / "degree6.txt"
+    degree6.write_text(emit_stream(gen_regular(40, 6, seed=0)))
+    for text, fragment in [
+        ('{"c_q": "1"}', "error: profile.c_q must be a real number, not '1'"),
+        ('{"c_q": true}', "error: profile.c_q must be a real number, not True"),
+        ('{"q_override": "2"}', "error: profile.q_override must be a real number"),
+        ('{"enforce_guard": "false"}', "error: profile.enforce_guard must be true or false, not 'false'"),
+        ('{"strict_promises": 0}', "error: profile.strict_promises must be true or false, not 0"),
+        ('{"name": 7}', "error: profile.name must be a string, not 7"),
+        ('{"degree_recurrence": null}', "error: profile.degree_recurrence must be a string, not None"),
+        ('{"degree_recurrence": "exact"}', "error: unknown degree_recurrence 'exact'"),
+        ('5', "error: a profile file must hold a JSON object, not int"),
+        ('["c_q"]', "error: a profile file must hold a JSON object, not list"),
+    ]:
+        typed = tmp_path / "typed.json"
+        typed.write_text(text)
+        capsys.readouterr()
+        assert main(["match", "--stream", str(degree6), "--profile", f"file:{typed}"]) == 2, text
+        assert fragment in capsys.readouterr().err, text
+    assert main(["match", "--stream", str(degree6), "--profile", "fast"]) == 2
+    assert "error: unknown profile 'fast' (expected theory|practical|file:<path>)" in capsys.readouterr().err
+
+
+def test_match_and_verify_print_their_violation_counts(tmp_path, capsys, monkeypatch):
+    # a planted proposal that reports a fired gate at every step it lets
+    # through: the audit flags each such step, and each command prints the
+    # count of the violations its JSON lists on stderr and exits 1
+    real = MultiplicativeState.proposal
+
+    def proposal(self, u, v, x_e=None):
+        p, p_hat, gate_fired, overflow = real(self, u, v, x_e)
+        return p, p_hat, gate_fired or bool(p_hat), overflow
+
+    monkeypatch.setattr(MultiplicativeState, "proposal", proposal)
+    path = tmp_path / "s.txt"
+    path.write_text("n=4 dmax=2\ne 0 1\ne 1 2\ne 2 3\n")
+    for command, label in (("match", "invariant violations"), ("verify", "violations")):
+        argv = [command, "--stream", str(path), "--q", "1", "--seed", "1"]
+        code = main(argv + (["--trials", "20"] if command == "verify" else []))
+        captured = capsys.readouterr()
+        violations = json.loads(captured.out)["violations"]
+        assert code == 1 and violations, command
+        assert captured.err == f"{len(violations)} {label}\n", command
 
 
 def test_martingale_cli(tmp_path, capsys):

@@ -594,9 +594,10 @@ def test_multiphase_list_run_disciplines():
 
 def test_per_phase_report_fields(monkeypatch):
     # each per_phase entry of the report adds to the phase's statistics the
-    # degree d_{i+1} it should leave, the degree left above that, the
-    # bank's advances (the sublist colors fed, as a feed spy adds them) and
-    # its fired gates; the tail's entry is its statistics alone
+    # degree d_{i+1} it should leave and the degree left above that; the
+    # statistics hold the bank's advances (the sublist colors fed, as a
+    # feed spy adds them) and its fired gates; the tail's entry is its
+    # statistics alone
     fed = Counter()
     banks = {}
     feed = PhaseReducer.feed
@@ -614,8 +615,8 @@ def test_per_phase_report_fields(monkeypatch):
     for entry, st in zip(report["per_phase"], res.per_phase, strict=True):
         scheduled = float(sch.d[st.phase + 1])
         assert entry == {**st.as_dict(), "scheduled_degree": scheduled,
-                         "degree_miss": st.max_uncolored_degree_after - scheduled,
-                         "advances": fed[st.phase], "gate_fires": banks[st.phase].gate_fires}
+                         "degree_miss": st.max_uncolored_degree_after - scheduled}
+        assert (st.advances, st.gate_fires) == (fed[st.phase], banks[st.phase].gate_fires)
         assert fed[st.phase] > 0
     assert any(entry["degree_miss"] != 0 for entry in report["per_phase"])
     assert report["tail"] == {"phase": res.tail.phase, "entered": res.tail.entered,
@@ -887,8 +888,8 @@ def test_range_tail_is_cut_once_per_palette_object(monkeypatch):
     assert calls == [range(1, res.budget + 1)]
     calls.clear()
     res = local_color(_degree_mix_stream(), MULTIPHASE, seed=0)
-    changes = sum(a != b for a, b in zip(res.local_bounds, res.local_bounds[1:]))
-    assert len(calls) == 1 + changes < len(res.local_bounds)
+    changes = sum(a != b for a, b in zip(res.palettes, res.palettes[1:]))
+    assert len(calls) == 1 + changes < len(res.palettes)
 
 
 def _prefix(s, k):
@@ -963,9 +964,16 @@ def _palette_streams():
     return streams
 
 
+def _pinned_stats(st) -> dict:
+    """A phase's statistics as the pinned digests saw them, before the
+    bank's advances and gate fires joined the record."""
+    return {k: v for k, v in st.as_dict().items() if k not in ("advances", "gate_fires")}
+
+
 def _list_run_summary(res) -> str:
-    return repr((res.colors, res.stage, [p.as_dict() for p in res.per_phase], res.tail.as_dict(),
-                 res.list_ledger_violations, list(res.partition_assignment.items())))
+    return repr((res.colors, res.stage, [_pinned_stats(p) for p in res.per_phase],
+                 _pinned_stats(res.tail), res.list_ledger_violations,
+                 list(res.partition_assignment.items())))
 
 
 def test_split_memo_is_bit_identical():
@@ -1163,10 +1171,11 @@ def test_range_memo_is_bit_identical():
             res = plain_color(g, g.delta_bound, profile, seed=seed)
         else:
             res = local_color(mix, profile, seed=seed)
-            assert len(set(res.local_bounds)) == (2 if f == 0 else 3)
+            assert len(set(res.palettes)) == (2 if f == 0 else 3)
         assert res.schedule.f == f and res.tail.entered > 0 and not res.fallback_taken
-        summary = repr((res.colors, res.stage, [p.as_dict() for p in res.per_phase],
-                        res.tail.as_dict(), res.budget, res.local_bounds))
+        bounds = None if mode == "plain" else [p.stop - 1 for p in res.palettes]
+        summary = repr((res.colors, res.stage, [_pinned_stats(p) for p in res.per_phase],
+                        _pinned_stats(res.tail), res.budget, bounds))
         assert hashlib.sha256(summary.encode()).hexdigest()[:16] == digest, (mode, f, seed)
 
 
@@ -1174,7 +1183,7 @@ def test_local_palettes_shared_per_bound():
     # one range object per distinct bound, so a run of local edges with one
     # bound shares the pipeline's plan; the result holds the palettes colored from
     res = local_color(_degree_mix_stream(), MULTIPHASE, seed=5)
-    assert [p.stop - 1 for p in res.palettes] == res.local_bounds
+    assert res.budget is None  # no range that every edge shares
     assert len({id(p) for p in res.palettes}) == len(set(res.palettes)) == 3
 
 
@@ -1192,7 +1201,7 @@ def test_local_lists_once_per_distinct_degree(monkeypatch):
     s = reorder(make_stream(50, 6, six + four), "random", seed=2)
     res = local_color(s, PRACTICAL, seed=0)
     assert sorted(calls) == [4, 6]
-    assert validate_coloring(s, res.colors, [range(1, b + 1) for b in res.local_bounds]) == []
+    assert validate_coloring(s, res.colors, [range(1, p.stop) for p in res.palettes]) == []
 
 
 def test_local_lists_examples():
@@ -1218,7 +1227,7 @@ def test_local_mode_end_to_end_bound_monotone():
     deg = s.degrees()
     rows = sorted(
         (max(deg[e.u], deg[e.v]), bound, res.colors[i])
-        for i, (e, bound) in enumerate(zip(s.arrivals, res.local_bounds))
+        for i, (e, bound) in enumerate(zip(s.arrivals, (p.stop - 1 for p in res.palettes)))
     )
     for (d1, b1, c1), (d2, b2, _) in zip(rows, rows[1:]):
         assert b1 <= b2 or d1 == d2  # bound monotone in d_max

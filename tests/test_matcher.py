@@ -378,3 +378,8 @@ def test_audit_catches_unflagged_gate_firing():
     trace.gate_fired[2] = False
     assert check_run_invariants(s, cfg, trace) == [
         "t=3: gate_fired=False disagrees with P and P_hat"]
+
+
+def test_matcher_config_rejects_an_unknown_mode():
+    with pytest.raises(MatcherError, match="unknown mode 'eager'"):
+        MatcherConfig(delta=3, q=1.0, mode="eager")

@@ -237,9 +237,10 @@ def test_colored_one_edge_two_colors_independence():
     # first match wins: color 3 with prob p, color 9 only if 3 missed
     assert res.per_color[0][3] == p
     assert res.per_color[0][9] == (1 - p) * p
-    # standalone per-color processes each match with probability p
-    assert res.per_color_matched[3][0] == p
-    assert res.per_color_matched[9][0] == p
+    # each color's standalone process, the plain walk of its sub-stream,
+    # matches with probability p
+    alone = exact_marginals(make_stream(2, 1, [(0, 1)]), MatcherConfig(delta=3, q=1), exact=True)
+    assert alone.marginal == [p]
 
 
 def test_colored_zero_colors():
@@ -257,18 +258,6 @@ def test_colored_shared_color_path():
     assert res.per_color[0] == {5: p}
     # second edge gets 5 only if the first did not take it
     assert res.per_color[1][5] == (1 - p) * Fraction(1, 2)
-
-
-@pytest.mark.parametrize("m, exact", [(13, True), (21, False)])
-def test_colored_standalone_marginals_past_the_plain_edge_limits(m, exact):
-    # the colored oracle sets no edge limit; its per-color marginals must not
-    # inherit exact_marginals' defaults (m <= 12 exact, m <= 20 float)
-    s = path(m)
-    listed = make_stream(s.n, s.delta_bound, [(e.u, e.v) for e in s.arrivals], lists=[(1,)] * m)
-    res = exact_colored_marginals(listed, delta=2, q=1, exact=exact)
-    # one color: that color's own process is the whole bank
-    assert res.per_color_matched[1] == dict(enumerate(res.colored))
-    assert 0 < min(res.colored)
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "rational"])
@@ -423,16 +412,6 @@ def _reference_split(stream, config, exact):
     return marginal, cond, leaf, branches, len(parts)
 
 
-def _reference_standalone(stream, config, exact):
-    """Per color: the split reference marginals of that color's sub-stream."""
-    out = {}
-    for c in sorted({c for p in stream.palettes for c in p}):
-        idx = [i for i, p in enumerate(stream.palettes) if c in p]
-        sub = make_stream(stream.n, stream.delta_bound, [(stream.u[i], stream.v[i]) for i in idx])
-        out[c] = dict(zip(idx, _reference_split(sub, config, exact)[0]))
-    return out
-
-
 @st.composite
 def _graphs(draw, max_m):
     n = draw(st.integers(2, 8))
@@ -496,9 +475,7 @@ def test_colored_walk_matches_clone_reference(case):
         branches += br
     # key order too: it is the order in which the walk first reached each color
     assert [list(d.items()) for d in res.per_color] == [list(d.items()) for d in per_color]
-    standalone = _reference_standalone(stream, MatcherConfig(delta=stream.delta_bound, q=q), exact)
-    assert (res.colored, res.per_color_matched, res.branches, res.components) == \
-        (colored, standalone, branches, len(parts))
+    assert (res.colored, res.branches, res.components) == (colored, branches, len(parts))
     if exact:  # rational values do not depend on the split
         whole = _reference_colored(stream, stream.delta_bound, q, exact)
         assert [list(d.items()) for d in res.per_color] == [list(d.items()) for d in whole[0]]

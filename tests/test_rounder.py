@@ -25,6 +25,9 @@ def test_s_eps_values():
         s_eps(0.0, 40.0)
     with pytest.raises(RoundingError):
         s_eps(0.995, 40.0)
+    for c_round in (0.0, -1.0):
+        with pytest.raises(RoundingError, match="c_round must be positive"):
+            s_eps(0.1, c_round)
 
 
 def test_config_refuses_vacuous_loss():
@@ -32,6 +35,9 @@ def test_config_refuses_vacuous_loss():
         RoundingConfig(epsilon=0.5, c_round=40.0)
     cfg = config_for_loss(0.5, 0.25)
     assert math.isclose(cfg.s, 0.25, rel_tol=1e-12)
+    for s in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(RoundingError, match=r"s must be in \(0, 1\)"):
+            config_for_loss(0.5, s)
 
 
 def test_single_edge_exact_marginal():

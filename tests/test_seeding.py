@@ -43,3 +43,21 @@ def test_package_does_not_import(module):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+class _Count(int):
+    def __repr__(self):
+        return f"Count({int(self)})"
+
+
+class _Label(str):
+    def __repr__(self):
+        return f"Label({str(self)!r})"
+
+
+def test_derive_seed_hashes_int_and_str_subclasses_as_builtins():
+    # a subclass's own repr would change the seed (numpy's int64 and str_
+    # are such subclasses); each part is hashed as its built-in value
+    assert repr((_Count(5), _Label("t"))) != repr((5, "t"))
+    assert derive_seed(_Count(5), _Label("t")) == derive_seed(5, "t")
+    assert derive_seed(7, _Label("phase"), _Count(2)) == derive_seed(7, "phase", 2)

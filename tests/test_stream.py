@@ -441,6 +441,12 @@ def test_generated_streams_never_enter_the_line_loop(monkeypatch):
         (dict(u=[0, 2], v=[1, 3], palettes=[(1, 2), (4, 4)]), "not sorted"),
         (dict(u=[0, 2], v=[1]), "column v has 1 entries for 2 arrivals"),
         (dict(u=[0, 2], v=[1, 3], x=[0.5]), "column x has 1 entries for 2 arrivals"),
+        # the check reads a palette by index and slice: any other kind is
+        # an input error at its arrival, not a TypeError
+        (dict(u=[0, 2], v=[1, 3], palettes=[(1,), 5]),
+         "t=2: a palette must be a sequence of color ids, not int"),
+        (dict(u=[0, 2], v=[1, 3], palettes=[(1,), {1, 2}]),
+         "t=2: a palette must be a sequence of color ids, not set"),
     ],
 )
 def test_stream_rejects_invalid_arrivals(arrivals, fragment):
@@ -835,3 +841,22 @@ def test_hot_paths_never_touch_the_arrivals_view(monkeypatch):
     harness.counterexample_demo(4, 1)
     assert parse_stream(emit_stream(reorder(listed, "random", 3))).m == listed.m
     assert reorder(frac, "reversed").degrees() == frac.degrees()
+
+
+@pytest.mark.parametrize("build, fragment", [
+    (lambda: gen_lower_bound_tree(2, 1), "lower-bound tree needs delta >= 3"),
+    (lambda: gen_lower_bound_tree(5, 0), "lower-bound tree needs q >= 1"),
+    (lambda: gen_lower_bound_tree(4, 3), r"infeasible: root vertex degree q\+2=5 exceeds delta=4"),
+    (lambda: gen_regular(5, 3, 0), r"regular graph needs n\*delta even"),
+    (lambda: gen_regular(4, 4, 0), "regular graph needs 0 <= delta < n"),
+    (lambda: gen_regular(4, -2, 0), "regular graph needs 0 <= delta < n"),
+    (lambda: gen_erdos_renyi(5, 1.5, 0), r"edge probability must be in \[0, 1\]"),
+    (lambda: gen_erdos_renyi(5, -0.1, 0), r"edge probability must be in \[0, 1\]"),
+    (lambda: gen_complete_bipartite(0, 3), "bipartite sides must be positive"),
+    (lambda: reorder(gen_complete_bipartite(2, 2), "random"), "order=random needs a seed"),
+    (lambda: reorder(gen_complete_bipartite(2, 2), "sorted"), "unknown order 'sorted'"),
+], ids=["tree-delta", "tree-q", "tree-root", "regular-odd", "regular-dense", "regular-negative",
+        "er-above-1", "er-below-0", "bipartite-empty", "reorder-seedless", "reorder-unknown"])
+def test_generators_and_reorder_reject_bad_arguments(build, fragment):
+    with pytest.raises(StreamError, match=fragment):
+        build()
