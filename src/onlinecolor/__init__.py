@@ -10,12 +10,12 @@ from .colorer import (
     degree_schedule,
     greedy_color,
     list_color,
-    list_prune,
     local_color,
     local_lists,
     plain_color,
     recurrence_step,
     run_generic,
+    run_greedy_fallback,
 )
 from .harness import (
     MartingaleTrace,
@@ -38,7 +38,6 @@ from .matcher import (
     MatcherState,
     choose_q,
     run,
-    run_greedy_fallback,
 )
 from .oracle import exact_colored_marginals, exact_marginals
 from .profiles import ConstantsProfile, resolve_profile

@@ -152,7 +152,7 @@ def cmd_match(args) -> int:
     s = _read_stream(args.stream)
     config = _matcher_config(args, s, args.mode)
     if config.mode == matcher.MODE_GREEDY_FALLBACK:
-        matching, c_star, colors = matcher.run_greedy_fallback(s, s.delta_bound, args.seed)
+        matching, c_star, _ = colorer.run_greedy_fallback(s, int(config.delta), args.seed)
         payload = {
             "mode": "greedy_fallback",
             "fallback_taken": True,

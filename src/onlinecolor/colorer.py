@@ -62,19 +62,19 @@ unmatched: a vertex matched in a color holds ``None`` in that color's slot
 of its F row, as a matched vertex does in ``run_fast``'s F.
 
 Palettes are passed to ``run_generic`` and ``greedy_color`` (and to
-``harness.validate_coloring``) by one convention, decided by
-``is_shared_palette``: a range or a collection of color ids is one palette
-that every edge shares; any other sequence, such as a stream's
-``palettes`` column, holds one palette per edge.  The pipeline reads the
-stream's endpoint columns and the palettes directly, with no record per
-edge.
+``harness.validate_coloring``) by one rule: a ``range`` is the one palette
+that every edge shares (plain mode); any other sequence, such as a
+stream's ``palettes`` column or local mode's ranges, holds one palette per
+edge.  The pipeline reads the stream's endpoint columns and the palettes
+directly, with no record per edge.  The greedy fallback matcher,
+``run_greedy_fallback``, matches one color class of ``greedy_color``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import numbers
+import random
 import warnings
 from dataclasses import dataclass, field
 from decimal import Context, Decimal, localcontext
@@ -267,14 +267,6 @@ def degree_schedule(
 # Color partitions
 # ---------------------------------------------------------------------------
 
-def list_prune(colors: tuple, target: int) -> tuple:
-    """Keep the target-size prefix in ascending color order ("arbitrary"
-    pruning resolved deterministically as keep-smallest)."""
-    if len(colors) < target:
-        raise PartitionError(f"list of {len(colors)} colors cannot be pruned to {target}")
-    return colors[:target]
-
-
 class RangePartition:
     """Deterministic interval classes: C_i = {top_i - |C_i| + 1 .. top_i} with
     top_i = floor(d_i + a_i) and |C_i| = ceil(lambda_i); tail C_{f+1} =
@@ -378,10 +370,11 @@ class SampledPartition:
         return got
 
     def split(self, remaining: tuple, phase: int, target: int) -> tuple:
-        """(pruned, sublist, rest): ``remaining`` pruned to ``target`` colors,
-        then divided into its class-``phase`` colors and the others, both in
-        palette order (the partition draws as it meets a new color)."""
-        pruned = list_prune(remaining, target) if len(remaining) > target else remaining
+        """(pruned, sublist, rest): ``remaining``'s first ``target`` colors
+        (arbitrary pruning, as keep-smallest), divided into its class-``phase``
+        colors and the others, both in palette order (the partition draws as
+        it meets a new color)."""
+        pruned = remaining[:target]
         sublist, rest = [], []
         for c in pruned:
             (sublist if self.phase_of(c) == phase else rest).append(c)
@@ -557,15 +550,6 @@ class ColoringResult:
         """True when some edge overflowed its tail class."""
         return bool(self.overflows)
 
-    def _distinct_colors(self) -> set:
-        taken = set(self.colors)
-        taken.discard(None)
-        return taken
-
-    @property
-    def max_color(self) -> int:
-        return max(self._distinct_colors(), default=0)
-
     def _overflow_block(self) -> dict:
         """The overflow edges: their count, the first, and the colors they took."""
         taken = {self.colors[o["time"] - 1] for o in self.overflows}
@@ -580,7 +564,7 @@ class ColoringResult:
                 "degree_miss": st.max_uncolored_degree_after - scheduled}
 
     def report(self, profile: ConstantsProfile) -> dict:
-        distinct = self._distinct_colors()
+        distinct = set(self.colors)
         return {
             "profile": profile.as_dict(),
             "schedule": self.schedule.as_dict(),
@@ -628,19 +612,11 @@ def _range_base(palettes) -> int:
     return min((p.start for p in palettes if isinstance(p, range)), default=0)
 
 
-def is_shared_palette(palettes) -> bool:
-    """True when ``palettes`` is one palette that every edge shares (a
-    range, or a collection of color ids, empty included); False when it is a
-    sequence with one palette (or None) per edge."""
-    if isinstance(palettes, range) or len(palettes) == 0:
-        return True
-    return isinstance(next(iter(palettes)), numbers.Integral)
-
-
 def _palette_column(palettes, m: int):
-    """One palette per edge, by the convention of ``is_shared_palette``;
-    raises ValueError unless a per-edge sequence has exactly m entries."""
-    if is_shared_palette(palettes):
+    """One palette per edge: a range is the one palette every edge shares,
+    and any other sequence holds one palette per edge; raises ValueError
+    unless that sequence has exactly m entries."""
+    if isinstance(palettes, range):
         return itertools.repeat(palettes, m)
     if len(palettes) != m:
         raise ValueError(f"{len(palettes)} palettes for {m} edges")
@@ -655,8 +631,8 @@ def run_generic(
     profile: ConstantsProfile,
     seed: int,
 ) -> ColoringResult:
-    """One online pass of the full pipeline over ``palettes``: one palette
-    shared by every edge or one per edge (see ``is_shared_palette``).
+    """One online pass of the full pipeline over ``palettes``: one range
+    shared by every edge, or any other sequence with one palette per edge.
 
     A range partition takes ``range`` palettes (plain/local modes; sublists
     come from the partition's intervals).  A sampled partition makes a list
@@ -818,8 +794,9 @@ def run_generic(
 # ---------------------------------------------------------------------------
 
 def plain_color(stream: ArrivalStream, delta: int, profile: ConstantsProfile, seed: int) -> ColoringResult:
-    """Color with the fixed palette {1..Δ+q'}, q' = floor(d_0 + a_0) - Δ."""
-    schedule = degree_schedule(delta, stream.n, profile)
+    """Color with the fixed palette {1..Δ+q'}, q' = floor(d_0 + a_0) - Δ,
+    scheduled from max(Δ, 1) so that an edgeless stream colors nothing."""
+    schedule = degree_schedule(max(delta, 1), stream.n, profile)
     palette = range(1, schedule.prune_target(0) + 1)
     return run_generic(stream, palette, schedule, RangePartition(schedule), profile, seed)
 
@@ -857,9 +834,9 @@ def local_lists(deg_u: int, deg_v: int, schedule: DegreeSchedule) -> range:
 def local_color(stream: ArrivalStream, profile: ConstantsProfile, seed: int) -> ColoringResult:
     """Color with per-edge bounds tied to max(deg(u), deg(v)), taking the
     final degrees from the stream (the setting assumes they are known a
-    priori)."""
+    priori).  The schedule starts at max(dmax, 1), as in plain mode."""
     degrees = stream.degrees()
-    schedule = degree_schedule(stream.delta_bound, stream.n, profile)
+    schedule = degree_schedule(max(stream.delta_bound, 1), stream.n, profile)
     partition = RangePartition(schedule)
     # one local_lists call per distinct max degree, and one range object per
     # distinct bound, so a run of edges with one bound shares one plan
@@ -878,18 +855,14 @@ def local_color(stream: ArrivalStream, profile: ConstantsProfile, seed: int) -> 
 def greedy_color(stream: ArrivalStream, palettes) -> list[int]:
     """Smallest available color per edge from its own palette; error if none.
 
-    ``palettes`` is one palette shared by every edge or one palette per
-    edge (see ``is_shared_palette``).  Bookkeeping grows with the colors
-    used, not with the largest id: if every palette is a range, bit c - base
-    stands for color c, base being the smallest start; otherwise each color
-    gets a dense bit slot on first use.
+    ``palettes`` is one range shared by every edge, or any other sequence
+    with one palette per edge.  Bookkeeping grows with the colors used, not
+    with the largest id: on a shared range bit c - start stands for color c;
+    on a per-edge column each color gets a dense bit slot on first use.
     """
-    if is_shared_palette(palettes):
-        ranged = isinstance(palettes, range)
-    else:
-        ranged = all(isinstance(p, range) for p in palettes)
-    slots = None if ranged else {}
-    base = _range_base(palettes) if ranged else 0
+    shared = isinstance(palettes, range)
+    slots = None if shared else {}
+    base = palettes.start if shared else 0
     used = [0] * stream.n
     out = []
     for t, u, v, palette in zip(itertools.count(1), stream.u, stream.v,
@@ -904,3 +877,23 @@ def greedy_color(stream: ArrivalStream, palettes) -> list[int]:
         used[v] |= bit
         out.append(c)
     return out
+
+
+def draw_c_star(delta: int, seed: int) -> int:
+    """The greedy fallback's matched color class, uniform on {1..2*delta-1}."""
+    return random.Random(seed).randint(1, 2 * delta - 1)
+
+
+def run_greedy_fallback(
+    stream: ArrivalStream, delta: int, seed: int
+) -> tuple[list[tuple[int, int]], int, list[int]]:
+    """Match the color class of a pre-sampled c* in {1..2*delta-1}.
+
+    Returns (matching as endpoint pairs, c_star, full greedy coloring).  Over
+    the draw of c*, every edge is matched with probability exactly
+    1/(2*delta-1).
+    """
+    c_star = draw_c_star(delta, seed)
+    colors = greedy_color(stream, range(1, 2 * delta))
+    matching = [(u, v) for u, v, c in zip(stream.u, stream.v, colors) if c == c_star]
+    return matching, c_star, colors

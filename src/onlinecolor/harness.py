@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
-from .colorer import ColoringResult, greedy_color, is_shared_palette
+from .colorer import ColoringResult, draw_c_star, greedy_color
 from .matcher import (
     MODE_ANALYSIS_FRIENDLY,
     MODE_GREEDY_FALLBACK,
@@ -35,7 +35,6 @@ from .matcher import (
     MatcherError,
     MatcherState,
     check_run_invariants,
-    draw_c_star,
     gate_constants,
     matching_is_valid,
     run,
@@ -281,11 +280,11 @@ def validate_coloring(
     stream: ArrivalStream,
     colors,
     palettes=None,
-    require_complete: bool = True,
     limit: int = 100,
 ) -> list[str]:
-    """Properness, palette membership, completeness.  Violations are data,
-    not exceptions; the first ``limit`` are returned.
+    """Properness, palette membership, completeness: an uncolored edge is a
+    violation.  Violations are data, not exceptions; the first ``limit``
+    are returned.
 
     A complete coloring on one shared step-1 range (what ``onlinecolor
     color`` checks in plain mode) is first offered to a lean accept pass,
@@ -293,11 +292,12 @@ def validate_coloring(
     coloring it does not accept, and every other call, goes through the
     loop below, which finds and explains each violation.
 
-    ``palettes`` is one palette shared by every edge or one per edge (see
-    ``colorer.is_shared_palette``).  A coloring or a per-edge palette
-    sequence whose length is not m is reported first ("N colors for m
-    edges", "N palettes for m edges"); the edges past the shortest of the
-    three are not checked."""
+    ``palettes`` is None (membership is not checked), one range shared by
+    every edge, or any other sequence with one palette per edge, as in
+    ``colorer.greedy_color``.  A coloring or a per-edge palette sequence
+    whose length is not m is reported first ("N colors for m edges", "N
+    palettes for m edges"); the edges past the shortest of the three are
+    not checked."""
     if isinstance(colors, ColoringResult):
         colors = colors.colors
     m = stream.m
@@ -309,7 +309,7 @@ def validate_coloring(
         bad.append(f"{len(colors)} colors for {m} edges")
     if palettes is None:
         column = itertools.repeat(None)
-    elif is_shared_palette(palettes):
+    elif isinstance(palettes, range):
         column = itertools.repeat(palettes)
     else:
         column = palettes
@@ -321,8 +321,7 @@ def validate_coloring(
         if len(bad) >= limit:
             break
         if c is None:
-            if require_complete:
-                bad.append(f"t={t}: uncolored edge")
+            bad.append(f"t={t}: uncolored edge")
             continue
         if palette is not None and c not in palette:
             bad.append(f"t={t}: color {c} not in the edge's palette")

@@ -29,9 +29,9 @@ Two stepwise modes and a fallback:
   * greedy_fallback   -- for q > D/4 the guarantee is weaker than picking a
                          random color class of the greedy (2D-1)-coloring,
                          which matches every edge with probability exactly
-                         1/(2D-1); run_greedy_fallback implements that with
-                         colorer.greedy_color over {1..2D-1}, which raises
-                         colorer.TailFailure if the degree bound D is wrong.
+                         1/(2D-1); colorer.run_greedy_fallback runs it on
+                         greedy_color over {1..2D-1}, which raises
+                         TailFailure if the degree bound D is wrong.
 
 F values stay in plain floats: the gate bounds them below by q/(4D), so the
 dynamic range is tame and cancellation is benign.  All state classes also
@@ -58,7 +58,7 @@ colorer.PhaseReducer.feed, which draws each color's uniform as it visits
 the color and steps only the colors free at both endpoints; a vertex
 matched in a color holds None in that color's slot of its F row.  The
 smallest-free-color rule lives once, in colorer: the coloring pipeline's
-tail, its overflow and the greedy fallback here all go through it.
+tail, its overflow and the greedy fallback all go through it.
 """
 
 from __future__ import annotations
@@ -95,10 +95,7 @@ def choose_q(delta: int, profile: ConstantsProfile) -> tuple[float, bool]:
     """
     if delta < 2:
         raise MatcherError("choose_q needs delta >= 2")
-    if profile.q_override is not None:
-        q = float(profile.q_override)
-    else:
-        q = profile.c_q * delta ** 0.75 * math.sqrt(math.log(delta))
+    q = profile.c_q * delta ** 0.75 * math.sqrt(math.log(delta))
     fallback = False
     if profile.enforce_guard:
         # the q > D/4 escape comes first: the greedy fallback ignores q, so it
@@ -366,32 +363,6 @@ def run_fast(us, vs, n: int, delta: float, q: float, rng: random.Random):
         F[u] = fu
         F[v] = fv
     return matched, p_hat, F, gate_fires
-
-
-# ---------------------------------------------------------------------------
-# Greedy fallback (q > D/4 regime)
-# ---------------------------------------------------------------------------
-
-def draw_c_star(delta: int, seed: int) -> int:
-    """The greedy fallback's matched color class, uniform on {1..2*delta-1}."""
-    return random.Random(seed).randint(1, 2 * delta - 1)
-
-
-def run_greedy_fallback(
-    stream: ArrivalStream, delta: int, seed: int
-) -> tuple[list[tuple[int, int]], int, list[int]]:
-    """Match the color class of a pre-sampled c* in {1..2*delta-1}.
-
-    Returns (matching as endpoint pairs, c_star, full greedy coloring).  Over
-    the draw of c*, every edge is matched with probability exactly
-    1/(2*delta-1).
-    """
-    from .colorer import greedy_color  # colorer imports this module
-
-    c_star = draw_c_star(delta, seed)
-    colors = greedy_color(stream, range(1, 2 * delta))
-    matching = [(u, v) for u, v, c in zip(stream.u, stream.v, colors) if c == c_star]
-    return matching, c_star, colors
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ provided:
   * ``practical`` -- small constants that keep every branch reachable on
                      graphs with a few thousand edges.
 
-Reports always echo the profile in use so runs are self-describing.
+Reports always echo the profile in use so runs are self-describing.  A
+profile holds no explicit matcher q: that is ``MatcherConfig(q=...)``, the
+CLI's ``--q``.  A profile file may name only the fields below.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ class ConstantsProfile:
     degree_recurrence  "analyzed" uses the recurrence exactly as analyzed (which
                  is non-decreasing, hence an error, outside the asymptotic
                  regime); "achieved" uses d_{i+1} = d_i - ceil(0.9 * lambda_i)
-    q_override   explicit q, bypassing the c_q formula
     fallback_on_tail_failure  let an edge with no free tail color overflow to
                  the rest of its palette instead of raising TailFailure
     strict_promises  abort on per-phase list-size promise violations instead
@@ -63,17 +64,14 @@ class ConstantsProfile:
     c_round: float = 1.0
     enforce_guard: bool = False
     degree_recurrence: str = RECURRENCE_ACHIEVED
-    q_override: float | None = None
     fallback_on_tail_failure: bool = True
     strict_promises: bool = False
 
     def __post_init__(self) -> None:
         # a profile file can give any JSON value, so each field's kind is
         # checked before its value
-        for field in ("c_q", "c_q_color", "c_stop", "a_base_mult", "c_round", "q_override"):
+        for field in ("c_q", "c_q_color", "c_stop", "a_base_mult", "c_round"):
             value = getattr(self, field)
-            if value is None and field == "q_override":
-                continue
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"profile.{field} must be a real number, not {value!r}")
             if not 0 < value < math.inf:  # NaN fails too

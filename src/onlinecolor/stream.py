@@ -16,12 +16,12 @@ no empty item.  Color ids are positive integers.  Vertex ids are dense
 non-negative integers below n, so isolated vertices are representable
 (per-vertex state is allocated from n, not inferred from the edges).
 
-``parse_stream`` reads canonical text, what ``emit_stream`` writes for a
-stream without annotations, in chunks of about ``PARSE_CHUNK`` characters
-cut at newlines: one regex match checks a chunk, and one ``json.loads`` of
-its integers reads it.  Any other text is read line by line from its
-start, each edge line by ``_parse_edge_line``.  Both give the same columns
-and the same errors.
+``parse_stream`` reads a ``str``.  Canonical text, what ``emit_stream``
+writes for a stream without annotations, is read in chunks of about
+``PARSE_CHUNK`` characters cut at newlines: one regex match checks a chunk,
+and one ``json.loads`` of its integers reads it.  Any other text is read
+line by line from its start, each edge line by ``_parse_edge_line``.  Both
+give the same columns and the same errors.
 
 ``ArrivalStream`` stores its arrivals as columns, one tuple per field:
 endpoints ``u`` and ``v``, fractional values ``x`` and palettes
@@ -113,12 +113,10 @@ class Arrivals(Sequence):
 
     def __getitem__(self, i):
         s = self._stream
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(*i.indices(len(s.u)))))
-        if i < 0:
-            i += len(s.u)
-        u, v = s.u[i], s.v[i]  # raises IndexError past either end
-        return _arrival((i + 1, u, v, s.x and s.x[i], s.palettes and s.palettes[i]))
+        k = range(len(s.u))[i]  # the index from either end, or a slice's range
+        if isinstance(k, range):
+            return tuple(map(self.__getitem__, k))
+        return _arrival((k + 1, s.u[k], s.v[k], s.x and s.x[k], s.palettes and s.palettes[k]))
 
     def __iter__(self):
         s = self._stream
@@ -313,12 +311,11 @@ _INT_TEXT = re.compile(r"[+-]?[0-9]+").fullmatch
 PARSE_CHUNK = 8192
 
 
-def parse_stream(text: str | bytes) -> ArrivalStream:
-    """The stream that ``text`` describes.  Canonical text is read in chunks
-    (``_parse_canonical``); any other text line by line (``_parse_lines``),
-    which gives the same columns and every error message."""
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
+def parse_stream(text: str) -> ArrivalStream:
+    """The stream that ``text`` describes (a ``str``; decode bytes first).
+    Canonical text is read in chunks (``_parse_canonical``); any other text
+    line by line (``_parse_lines``), which gives the same columns and every
+    error message."""
     columns = _parse_canonical(text)
     if columns is None:
         columns = _parse_lines(text)

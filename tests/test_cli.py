@@ -5,6 +5,7 @@ import math
 import pytest
 
 from conftest import probe_stream
+from onlinecolor import colorer
 from onlinecolor.cli import main
 from onlinecolor.matcher import MultiplicativeState
 from onlinecolor.stream import emit_stream, gen_regular, parse_stream
@@ -85,6 +86,32 @@ def test_match_theory_profile_falls_back(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["mode"] == "greedy_fallback" and payload["fallback_taken"]
+
+
+def test_match_fallback_draws_c_star_at_the_config_delta(tmp_path, capsys):
+    # the fallback colors from {1..2D-1} at the config's D = max(dmax, 2), as
+    # mc does: an edgeless stream runs, and a lone edge is matched only when
+    # c* = 1 of {1, 2, 3}
+    edgeless = tmp_path / "edgeless.txt"
+    assert main(["gen", "--kind", "erdos_renyi", "--n", "5", "--p", "0",
+                 "--out-file", str(edgeless)]) == 0
+    code, out = run_cli(capsys, "match", "--stream", str(edgeless), "--profile", "theory")
+    assert code == 0
+    assert json.loads(out)["matched_edges"] == []
+    one = tmp_path / "one.txt"
+    one.write_text("n=2 dmax=1\ne 0 1\n")
+    drawn = set()
+    for seed in range(20):
+        code, out = run_cli(capsys, "match", "--stream", str(one), "--profile", "theory",
+                            "--seed", str(seed))
+        payload = json.loads(out)
+        assert code == 0 and payload["c_star"] == colorer.draw_c_star(2, seed)
+        assert payload["matched_edges"] == ([[0, 1]] if payload["c_star"] == 1 else [])
+        drawn.add(payload["c_star"])
+    assert drawn == {1, 2, 3}
+    code, out = run_cli(capsys, "mc", "--stream", str(one), "--profile", "theory",
+                        "--trials", "3000")
+    assert code == 0 and abs(json.loads(out)["edges"][0]["frequency"] - 1 / 3) < 0.05
 
 
 def test_round_cli(tmp_path, capsys):
@@ -237,6 +264,18 @@ def test_color_cli_modes(tmp_path, capsys):
         assert payload["violations"] == [] and payload["max_color"] <= 3
 
 
+def test_color_cli_colors_an_edgeless_stream(tmp_path, capsys):
+    # the schedule starts at max(dmax, 1), so dmax = 0 is no error
+    path = tmp_path / "edgeless.txt"
+    assert main(["gen", "--kind", "erdos_renyi", "--n", "5", "--p", "0",
+                 "--out-file", str(path)]) == 0
+    for mode in ("plain", "local"):
+        code, out = run_cli(capsys, "color", "--stream", str(path), "--mode", mode)
+        payload = json.loads(out)
+        assert code == 0, mode
+        assert (payload["colors_used"], payload["violations"]) == (0, []), mode
+
+
 def test_color_cli_local_theory_profile(tmp_path, capsys):
     # the theory profile's local palettes hold about 4e24 colors each
     path = tmp_path / "g.txt"
@@ -324,13 +363,11 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     # non-finite constants are configuration errors, not runs full of violations
     stream = tmp_path / "s.txt"
     stream.write_text("n=4 dmax=2\ne 0 1\ne 1 2\ne 2 3\n")
-    for name, text in [("nan_stop", '{"c_stop": NaN}'), ("inf_q", '{"c_q": Infinity}'),
-                       ("nan_override", '{"q_override": NaN}')]:
+    for name, text in [("nan_stop", '{"c_stop": NaN}'), ("inf_q", '{"c_q": Infinity}')]:
         (tmp_path / f"{name}.json").write_text(text)
     for argv in (["match", "--q", "nan"], ["match", "--q", "inf"], ["mc", "--q", "nan"],
                  ["color", "--profile", f"file:{tmp_path / 'nan_stop.json'}"],
-                 ["mc", "--profile", f"file:{tmp_path / 'inf_q.json'}"],
-                 ["match", "--profile", f"file:{tmp_path / 'nan_override.json'}"]):
+                 ["mc", "--profile", f"file:{tmp_path / 'inf_q.json'}"]):
         capsys.readouterr()
         assert main([*argv, "--stream", str(stream)]) == 2, argv
         assert "finite" in capsys.readouterr().err, argv
@@ -342,7 +379,7 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     for text, fragment in [
         ('{"c_q": "1"}', "error: profile.c_q must be a real number, not '1'"),
         ('{"c_q": true}', "error: profile.c_q must be a real number, not True"),
-        ('{"q_override": "2"}', "error: profile.q_override must be a real number"),
+        ('{"q_override": 2.0}', "error: unknown profile keys: ['q_override']"),
         ('{"enforce_guard": "false"}', "error: profile.enforce_guard must be true or false, not 'false'"),
         ('{"strict_promises": 0}', "error: profile.strict_promises must be true or false, not 0"),
         ('{"name": 7}', "error: profile.name must be a string, not 7"),

@@ -26,7 +26,6 @@ from onlinecolor.colorer import (
     degree_schedule,
     greedy_color,
     list_color,
-    list_prune,
     local_color,
     local_lists,
     plain_color,
@@ -332,14 +331,6 @@ def test_sampled_partition_rejects_p_above_one():
     bad = _fake_schedule(d=(30, 10, 4), lam=(20, 5, 2), q=(2, 1, 1), a=(1, 1, 1), f=1)
     with pytest.raises(PartitionError, match="> 1"):
         SampledPartition(bad, rng_for(4))
-
-
-def test_list_prune():
-    colors = tuple(range(1, 11))
-    assert list_prune(colors, 7) == tuple(range(1, 8))
-    assert list_prune(colors, 10) == colors
-    with pytest.raises(PartitionError):
-        list_prune(colors, 11)
 
 
 # -- the per-color matcher bank -------------------------------------------------
@@ -721,8 +712,8 @@ def test_plain_regular_respects_budget():
     res = plain_color(s, 8, PRACTICAL, seed=1)
     assert res.palettes == range(1, res.budget + 1)  # the one palette every edge shared
     assert validate_coloring(s, res, palettes=res.palettes) == []
-    assert res.max_color <= res.budget
-    assert res.max_color <= 2 * 8 - 1  # degenerate schedule: tail-only greedy
+    assert max(res.colors) <= res.budget
+    assert max(res.colors) <= 2 * 8 - 1  # degenerate schedule: tail-only greedy
 
 
 def test_list_mode_requires_lists():
@@ -1102,7 +1093,8 @@ def test_bounded_range_validation():
 def test_bounded_range_greedy_and_pipeline():
     # greedy_color and the pipeline on ranges near 2^31, shared and per
     # edge: a bitmask indexed by the id would take 256 MB per vertex, one
-    # indexed from the smallest range start takes 64 bits.  The pipeline's
+    # indexed from the smallest range start (or by dense slots, greedy's
+    # per-edge column) takes 64 bits.  The pipeline's
     # tail class {1..2 d_0} misses the ranges, so every edge overflows
     lo = 2**31 - 64
     star = make_stream(20, 19, [(0, i) for i in range(1, 20)])
@@ -1241,4 +1233,4 @@ def test_greedy_color_examples():
     assert greedy_color(star(3), range(1, 6)) == [1, 2, 3]
     assert greedy_color(path(2), range(1, 6)) == [1, 2]
     with pytest.raises(TailFailure):
-        greedy_color(path(1), ())
+        greedy_color(path(1), range(1, 1))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import FakeRng, path, star, triangle
 from onlinecolor import harness, matcher
-from onlinecolor.colorer import greedy_color, is_shared_palette
+from onlinecolor.colorer import greedy_color, run_greedy_fallback
 from onlinecolor.harness import (
     MartingaleTrace,
     counterexample_demo,
@@ -70,7 +70,6 @@ def test_validate_coloring_examples():
     assert bad and "repeated at vertex 1" in bad[0]
     bad = validate_coloring(p, [1, None])
     assert bad == ["t=2: uncolored edge"]
-    assert validate_coloring(p, [1, None], require_complete=False) == []
     bad = validate_coloring(p, [4, 2], palettes=range(1, 4))
     assert bad and "not in the edge's palette" in bad[0]
 
@@ -101,8 +100,8 @@ def test_validate_coloring_messages_pinned():
     assert validate_coloring(s, colors, palettes=palettes) == full
     # the limit cuts inside edge 3's messages
     assert validate_coloring(s, colors, palettes=palettes, limit=3) == full[:3]
-    assert validate_coloring(s, colors, palettes=range(1, 2), require_complete=False) == [
-        full[0], full[2], full[3], full[5], full[6]]
+    assert validate_coloring(s, colors, palettes=range(1, 2)) == [
+        full[0], full[2], full[3], full[4], full[5], full[6]]
     assert validate_coloring(s, colors) == [full[0], full[2], full[3], full[4], full[6]]
 
     rng = random.Random(3)
@@ -132,13 +131,12 @@ def test_validate_coloring_reports_length_mismatch():
 
 
 def test_one_palette_convention():
-    # a range or a collection of color ids is one shared palette; anything
-    # else holds one palette per edge, for greedy_color and the validator alike
-    assert is_shared_palette(range(1, 4)) and is_shared_palette((1, 2)) and is_shared_palette([3])
-    assert is_shared_palette(()) and is_shared_palette(range(0))
-    assert not is_shared_palette(((1, 2), (2, 3)))
-    assert not is_shared_palette([range(1, 3), (2, 3)]) and not is_shared_palette([None, (1,)])
+    # a range is the one palette every edge shares; any other sequence
+    # holds one palette per edge, for greedy_color and the validator alike
     p = path(2)
+    assert greedy_color(p, range(2, 5)) == [2, 3]
+    assert validate_coloring(p, [2, 3], palettes=range(2, 4)) == []
+    assert validate_coloring(p, [2, 4], palettes=range(2, 4)) == ["t=2: color 4 not in the edge's palette"]
     per_edge = ((1, 2), (2, 3))
     colors = greedy_color(p, per_edge)
     assert colors == [1, 2]
@@ -148,11 +146,10 @@ def test_one_palette_convention():
         "t=2: color 1 not in the edge's palette",
         "t=2: color 1 repeated at vertex 1 (first at t=1)",
     ]
-    assert validate_coloring(p, colors, palettes=(1, 2)) == []
-    assert validate_coloring(p, colors, palettes=(1,)) == ["t=2: color 2 not in the edge's palette"]
+    assert validate_coloring(p, colors, palettes=[range(1, 3)] * 2) == []
 
 
-def _reference_violations(stream, colors, kind, palettes, require_complete, limit):
+def _reference_violations(stream, colors, kind, palettes, limit):
     """validate_coloring's contract, written plainly: the palettes' kind is
     given, not inferred, and (vertex, color) pairs go in one dict."""
     arrivals = list(stream.arrivals)
@@ -166,8 +163,7 @@ def _reference_violations(stream, colors, kind, palettes, require_complete, limi
     for i in range(checked):
         e, c = arrivals[i], colors[i]
         if c is None:
-            if require_complete:
-                bad.append(f"t={e.time}: uncolored edge")
+            bad.append(f"t={e.time}: uncolored edge")
             continue
         palette = palettes[i] if kind == "per_edge" else palettes
         if palette is not None and c not in palette:
@@ -183,7 +179,8 @@ def _reference_violations(stream, colors, kind, palettes, require_complete, limi
 @st.composite
 def colorings(draw):
     """A small stream, a greedy coloring of it with defects planted, and
-    palettes (none, shared or per edge), some of them planted too."""
+    palettes (none, one shared range or one per edge), some of them planted
+    too."""
     n = draw(st.integers(2, 8))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14))
@@ -195,12 +192,10 @@ def colorings(draw):
             break
         i = draw(st.integers(0, len(colors) - 1))
         colors[i] = draw(st.sampled_from([None, 1, 2, 3, colors[max(i - 1, 0)], 2 * n + 5]))
-    kind = draw(st.sampled_from(["none", "shared_range", "shared_tuple", "per_edge"]))
+    kind = draw(st.sampled_from(["none", "shared", "per_edge"]))
     palettes = None
-    if kind == "shared_range":
+    if kind == "shared":
         palettes = range(1, draw(st.integers(1, 2 * n)))
-    elif kind == "shared_tuple":
-        palettes = tuple(sorted(draw(st.sets(st.integers(1, 2 * n), min_size=1))))
     elif kind == "per_edge":
         palettes = [draw(st.sampled_from([range(1, 2 * n), range(1, 3), (1, 2), (2, 3, 5), (c,)]))
                     if c is not None else (1,) for c in colors]
@@ -209,8 +204,6 @@ def colorings(draw):
         colors = colors[:-1] if colors and draw(st.booleans()) else colors + [1]
     elif cut == "palettes" and kind == "per_edge":
         palettes = palettes[:-1] if palettes and draw(st.booleans()) else palettes + [(1,)]
-    if kind.startswith("shared") or kind == "per_edge" and not palettes:
-        kind = "shared"  # an empty sequence is an empty shared palette
     return s, colors, kind, palettes
 
 
@@ -248,11 +241,11 @@ def range_colorings(draw):
 
 
 @settings(max_examples=400)
-@given(st.one_of(colorings(), range_colorings()), st.booleans(), st.sampled_from([1, 2, 3, 5, 100]))
-def test_validate_coloring_matches_reference(case, require_complete, limit):
+@given(st.one_of(colorings(), range_colorings()), st.sampled_from([1, 2, 3, 5, 100]))
+def test_validate_coloring_matches_reference(case, limit):
     s, colors, kind, palettes = case
-    got = validate_coloring(s, colors, palettes=palettes, require_complete=require_complete, limit=limit)
-    assert got == _reference_violations(s, colors, kind, palettes, require_complete, limit)
+    got = validate_coloring(s, colors, palettes=palettes, limit=limit)
+    assert got == _reference_violations(s, colors, kind, palettes, limit)
 
 
 # -- martingale diagnostics -----------------------------------------------------
@@ -491,8 +484,6 @@ def test_mc_greedy_fallback_mode():
 
 @pytest.mark.parametrize("stream,delta", [(star(3), 3), (path(4), 2)])
 def test_mc_greedy_fallback_hits_match_per_trial_runs(stream, delta):
-    from onlinecolor.matcher import MODE_GREEDY_FALLBACK, run_greedy_fallback
-
     cfg = MatcherConfig(delta=delta, q=10, mode=MODE_GREEDY_FALLBACK)
     expected = [0] * stream.m
     for t in range(200):  # one full fallback run per trial

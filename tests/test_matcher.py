@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import FakeRng, path, random_simple_graph, star, triangle
-from onlinecolor.colorer import greedy_color
+from onlinecolor.colorer import greedy_color, run_greedy_fallback
 from onlinecolor.matcher import (
     MODE_GREEDY_FALLBACK,
     MODE_NATURAL,
@@ -21,7 +21,6 @@ from onlinecolor.matcher import (
     matching_is_valid,
     run,
     run_fast,
-    run_greedy_fallback,
     trace_run,
 )
 from onlinecolor.profiles import ConstantsProfile
@@ -35,15 +34,10 @@ def test_choose_q_theory_values():
     q, fb = choose_q(1000, th)
     assert math.isclose(q, 6609.7, rel_tol=1e-4) and fb is True
     with pytest.raises(GuardError):
-        # q_override below 8*sqrt(delta) under the enforced guard
-        choose_q(10**10, th.replace(q_override=10.0))
+        # c_q so small that q falls below 8*sqrt(delta) under the enforced guard
+        choose_q(10**10, th.replace(c_q=1e-3))
     with pytest.raises(MatcherError):
         choose_q(1, th)
-
-
-def test_choose_q_override():
-    pr = ConstantsProfile.practical().replace(q_override=5.0)
-    assert choose_q(100, pr) == (5.0, False)
 
 
 def test_config_guard_enforcement():

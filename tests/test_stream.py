@@ -351,7 +351,7 @@ _EDITS = ["leading zero", "plus", "tab", "trailing space", "19 digits", "5000 di
 @st.composite
 def edited_texts(draw):
     """(text, edited): canonical text, or about half the time the same text
-    with one edit that makes it non-canonical (bytes for CRLF)."""
+    with one edit that makes it non-canonical."""
     text = draw(canonical_texts())
     if not draw(st.booleans()):
         return text, False
@@ -380,7 +380,7 @@ def _one_edit(draw, text, edit):
         lines[k] = lines[k][:-1] + " \n"
         return "".join(lines)
     if edit == "crlf":
-        return text.replace("\n", "\r\n").encode()
+        return text.replace("\n", "\r\n")
     if edit == "comment":
         lines.insert(draw(st.integers(1, len(lines))), "# a note\n")
         return "".join(lines)
@@ -407,7 +407,7 @@ def test_canonical_and_line_parses_agree(case, chunk):
     with mock.patch.object(streammod, "PARSE_CHUNK", chunk), \
             mock.patch.object(streammod, "_parse_lines", spy):
         try:
-            want = _reference_parse(text.decode() if isinstance(text, bytes) else text)
+            want = _reference_parse(text)
         except StreamError as exc:
             with pytest.raises(StreamError) as got:
                 parse_stream(text)
@@ -431,7 +431,7 @@ def test_generated_streams_never_enter_the_line_loop(monkeypatch):
     assert len(texts[0]) > 5 * streammod.PARSE_CHUNK
     monkeypatch.setattr(streammod, "_parse_lines", refuse)
     for s, text in zip(streams, texts):
-        assert parse_stream(text) == parse_stream(text.encode()) == s
+        assert parse_stream(text) == s
 
 
 @pytest.mark.parametrize(
@@ -805,6 +805,18 @@ def test_gen_complete_bipartite():
     assert all(e.u < 2 <= e.v for e in s.arrivals)
 
 
+def test_arrivals_view_indexes_like_a_tuple():
+    # negative indices and slices, steps included, give the records that
+    # the same index gives on the tuple of all of them
+    s = make_stream(4, 2, [(0, 1), (1, 2), (2, 3)], lists=[(1, 2), (2,), (1, 3)])
+    every = tuple(s.arrivals)
+    for key in (0, 2, -1, -3, slice(None), slice(1, None), slice(None, None, -2), slice(5, 9)):
+        assert s.arrivals[key] == every[key], key
+    for key in (3, -4):
+        with pytest.raises(IndexError):
+            s.arrivals[key]
+
+
 def test_hot_paths_never_touch_the_arrivals_view(monkeypatch):
     # every per-edge and per-branch loop of the package reads the columns;
     # the EdgeArrival view is for callers outside it
@@ -837,7 +849,7 @@ def test_hot_paths_never_touch_the_arrivals_view(monkeypatch):
     oracle.exact_marginals(frac, rounding)
     oracle.exact_colored_marginals(tiny, 2, 1.0)
     assert not matcher.check_run_invariants(frac, rounding, matcher.run(frac, rounding, 4)[1])
-    matcher.run_greedy_fallback(small, 2, 5)
+    colorer.run_greedy_fallback(small, 2, 5)
     harness.counterexample_demo(4, 1)
     assert parse_stream(emit_stream(reorder(listed, "random", 3))).m == listed.m
     assert reorder(frac, "reversed").degrees() == frac.degrees()
