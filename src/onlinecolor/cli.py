@@ -280,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     _options(c, "--stream", "--profile", "--seed")
     c.set_defaults(func=cmd_color)
 
-    o = sub.add_parser("oracle", help="exact marginals by branch enumeration")
+    o = sub.add_parser("oracle", help="exact marginals by a forward pass over frontier states")
     o.add_argument("--exact", action="store_true",
-                   help="rational arithmetic (at most 12 edges per component)")
+                   help="rational arithmetic")
     _options(o, "--stream", "--profile", "--out", "--q", "--epsilon", "--c-round")
     o.set_defaults(func=cmd_oracle)
 

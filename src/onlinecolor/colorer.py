@@ -85,6 +85,9 @@ from .seeding import rng_for
 from .stream import ArrivalStream
 
 
+PALETTE_RULE = "a shared palette is a range, and any other sequence holds one palette per edge"
+
+
 class ScheduleError(ValueError):
     pass
 
@@ -869,7 +872,11 @@ def greedy_color(stream: ArrivalStream, palettes) -> list[int]:
                                 _palette_column(palettes, stream.m)):
         if palette is None:
             raise PartitionError(f"t={t}: arrival without a palette in list mode")
-        c = _smallest_free(palette, used[u] | used[v], slots, base)
+        try:
+            c = _smallest_free(palette, used[u] | used[v], slots, base)
+        except TypeError:  # not iterable: a palette given where a column was due
+            raise PartitionError(
+                f"t={t}: palette {palette!r} is not a sequence of colors; {PALETTE_RULE}") from None
         if c is None:
             raise TailFailure(t, u, v)
         bit = 1 << (c - base if slots is None else slots.setdefault(c, len(slots)))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
-from .colorer import ColoringResult, draw_c_star, greedy_color
+from .colorer import PALETTE_RULE, ColoringResult, draw_c_star, greedy_color
 from .matcher import (
     MODE_ANALYSIS_FRIENDLY,
     MODE_GREEDY_FALLBACK,
@@ -323,8 +323,12 @@ def validate_coloring(
         if c is None:
             bad.append(f"t={t}: uncolored edge")
             continue
-        if palette is not None and c not in palette:
-            bad.append(f"t={t}: color {c} not in the edge's palette")
+        if palette is not None:
+            try:
+                if c not in palette:
+                    bad.append(f"t={t}: color {c} not in the edge's palette")
+            except TypeError:  # not a container: a palette given where a column was due
+                bad.append(f"t={t}: palette {palette!r} is not a sequence of colors; {PALETTE_RULE}")
         # u, then v, unrolled: this runs once per edge
         seen = first_use[u]
         if seen is None:
@@ -649,7 +653,8 @@ def verify_stream(
     The trials and their audits are those of ``_trial_hits``, for the
     matcher and the rounder alike.  Returns a dict with per-edge rows and a
     ``violations`` list; exit-code semantics (0 iff no violations) belong to
-    the CLI.
+    the CLI.  When the oracle passes its step limit, ``note`` says so and the
+    rows carry the trials alone.
     """
     _require_trials(trials)
     t0 = time.perf_counter()

@@ -36,7 +36,8 @@ Two stepwise modes and a fallback:
 F values stay in plain floats: the gate bounds them below by q/(4D), so the
 dynamic range is tame and cancellation is benign.  All state classes also
 run exactly on fractions.Fraction inputs (used by the oracle's rational mode
-and the overflow demo).
+and the overflow demo).  The oracle's forward pass decides each of its steps
+through a state's proposal, so the gate has no second definition there.
 
 The rounder (rounder.RoundingConfig) is the same engine with another
 numerator and floor.  Each config builds its own state and describes its own
@@ -184,10 +185,9 @@ class MultiplicativeState:
     Subclasses define the proposal numerator and the gate floor.  The state
     is F, the matched flags and the arrival count ``t``; the matching itself
     is read from a trace's ``matched`` column.  Traced runs (trace_run) step
-    it through proposal and apply.  The oracle walks its branch tree on one
-    live state through proposal, apply and undo: it saves F at both
-    endpoints before each apply and rewinds with undo when it backtracks, so
-    ``t`` is the arrival index at every proposal.
+    it through proposal and apply.  The oracle's forward pass asks a 2-vertex
+    state's proposal about each (arrival, state) pair it carries, so the gate
+    is decided here for it too.
     Vertices are dense ints below n; F defaults to 1 via a plain list.  When
     ``exact`` numbers (Fractions) flow in, every derived quantity stays
     exact.
@@ -237,17 +237,6 @@ class MultiplicativeState:
             self.matched[u] = True
             self.matched[v] = True
         self.t += 1
-
-    def undo(self, u: int, v: int, fu, fv, matched: bool) -> None:
-        """Exact inverse of apply(u, v, p_hat, matched), given the F values
-        fu, fv that u and v held before it.  F is restored from them, not
-        divided by (1 - p_hat), which would not be exact in floats."""
-        self.F[u] = fu
-        self.F[v] = fv
-        if matched:
-            self.matched[u] = False
-            self.matched[v] = False
-        self.t -= 1
 
 
 class MatcherState(MultiplicativeState):

@@ -1,56 +1,44 @@
-"""Exact probabilities on small instances by branch-tree enumeration.
+"""Exact probabilities on small instances by one forward pass.
 
-Because the engine's state after t arrivals is a pure function of which of
-e_1..e_t were matched, the run's randomness collapses to a binary tree:
-at each arrival either X_t < P_hat (probability P_hat) or not.  Branches
-with P_hat = 0 do not split, which keeps the tree tractable well beyond the
-naive 2^m bound on gate-heavy instances.  Enumerating it yields, per edge,
+The engine keeps its state per vertex, and a run draws one uniform per
+arrival: either X_t < P_hat (probability P_hat) or not.  So the exact law of
+a run can be carried forward arrival by arrival as a map from the states of
+the *frontier* vertices, those with an arrival still ahead, to their
+probability.  A vertex's state is its F value, or None once it is matched.
+A vertex leaves the frontier after its last arrival, since it never
+influences a later step, and equal states merge.  This is frontier-based
+search (Knuth, TAOCP 4A, 7.1.4; Kawahara et al., IEICE Trans. Fundamentals,
+2017) applied to a probability law in place of a count.  At each arrival,
+before the split, the pass reads per edge
 
-  * the exact marginal  Pr[e matched]          = sum over branches of
-    prob(branch) * P_hat_branch(e), and
-  * the conditional sum sum prob * P_branch(e), which must equal the scale
+  * the exact marginal  Pr[e matched] = sum over states of Pr * P_hat, and
+  * the conditional sum sum over states of Pr * P, which must equal the scale
     1/(D+q) for the matcher and x_e*(1-s) for the rounder on every instance
     and every arrival order -- the strongest correctness check this package
     has.
 
-One walker, ``_walk``, serves every oracle.  It runs over a flat list of
-steps (arrival, color, state, u, v, x).  A matcher or rounder run has one
-step per arrival, all on one state, with color None.  The per-color bank
-has one step per (arrival, palette color), each color on its own matcher;
-an edge takes the first color whose matcher matched it, so once the path
-has matched an arrival (``won``), its later colors no longer count.  The
-walk is depth-first on the live states: each step saves F at both
-endpoints, applies the unmatched outcome and descends; at a leaf the walk
-pops its last open split, rewinds the states with undo to that step and
-applies the matched outcome.  So every node comes before its unmatched
-subtree, and that subtree before the matched one.  The order fixes the
-Kahan sums and each per-color dict's key order.  The walk keeps an
-explicit stack of open splits, not recursion: the bank's depth is m times
-the palette size.  A natural-mode step clamped to P_hat = 1 has only its
-matched child: the unmatched one has probability 0 and would leave F = 0
-at two free vertices.  ``branches`` counts the nodes: one per step on each
-path plus one per leaf, in both oracles.
+The engine's own ``proposal``, on a 2-vertex probe state, decides every
+step, so the gate is defined in one place.  A natural-mode step clamped to
+P_hat = 1 has only its matched child: the unmatched one has probability 0
+and would leave F = 0 at two free vertices.
 
-The engine keeps its state per vertex, so arrivals in different connected
-components of the stream never touch each other's state: the tree is the
-product of the components' trees.  The walker therefore runs on each
-component on its own (``_components``), on fresh states sized to the
-component's vertices, and adds into the results by arrival index.
-``branches`` is the sum of the components' node counts, not the size of
-the product tree; ``leaf_total`` is the product of their leaf totals; the
-branch limit applies to the summed count, and the edge limit of
-``exact_marginals`` to the largest component.  The bank's walk splits by
-the components of the listed graph over all colors.  A color's standalone
-marginals are ``exact_marginals`` on that color's sub-stream.  Split this
-way, a 20-edge matching takes 60 branches where the product tree has 2^21 - 1
-nodes.  Rational results equal the full-tree walk's exactly; float
-marginals of a multi-component stream are summed over fewer, larger
-branch probabilities and may differ from the full-tree walk's in the last
-bits (a one-component stream is bit for bit the same).
+Arrivals in different connected components never touch each other's state,
+and interleaving them would multiply the frontier's states, so the pass runs
+on each component on its own (``_components``) and adds into the results by
+arrival index.  ``branches`` counts the pass's steps, one per (arrival, live
+state), summed over components; ``leaf_total`` is the product of the
+components' final masses.  STEP_LIMIT, read at call time, bounds the summed
+steps of one call.
 
-Float mode accumulates with compensated (Kahan) summation; the rational
-mode (exact=True) runs the whole engine on fractions.Fraction and returns
-exact values.
+The per-color bank's colors are independent matchers, each over every edge
+of its sub-stream (colorer.PhaseReducer), and an edge takes the first color
+of its palette whose matcher matched it.  So Pr[e takes c] is c's standalone
+marginal times the product of (1 - marginal) over the colors before c, and
+``exact_colored_marginals`` is that product over one pass per color.
+
+Float mode sums plainly, in the order of the states; the rational mode
+(exact=True) runs the whole engine on fractions.Fraction and returns exact
+values.
 """
 
 from __future__ import annotations
@@ -63,47 +51,21 @@ from .matcher import MatcherConfig
 from .rounder import RoundingConfig
 from .stream import ArrivalStream
 
-DEFAULT_EDGE_LIMIT = 20
-EXACT_EDGE_LIMIT = 12
-DEFAULT_BRANCH_LIMIT = 1 << 22
+STEP_LIMIT = 1 << 20  # summed (arrival, live state) steps of one call
 
 
 class OracleLimitError(ValueError):
     pass
 
 
-class _Kahan:
-    __slots__ = ("total", "_c")
-
-    def __init__(self):
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, value: float) -> None:
-        y = value - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t
-
-
-class _Plain:
-    __slots__ = ("total",)
-
-    def __init__(self):
-        self.total = 0
-
-    def add(self, value) -> None:
-        self.total = self.total + value
-
-
 @dataclass
 class OracleResult:
     marginal: list  # per edge, in arrival order
-    conditional_sum: list  # per edge: sum over branches of prob * P
+    conditional_sum: list  # per edge: sum over states of Pr * P
     expected: list  # the target the conditional sum must hit
-    leaf_total: object  # product over components of their leaf sums; 1 up to fp error
-    branches: int  # steps and leaves, summed over components
-    components: int  # connected components walked
+    leaf_total: object  # product over components of their final masses; 1 up to fp error
+    branches: int  # (arrival, live state) steps, summed over components
+    components: int  # connected components passed over
 
     CSV_HEADER = "time,u,v,exact_marginal,conditional_sum,expected_value"
 
@@ -113,55 +75,6 @@ class OracleResult:
                                        self.conditional_sum, self.expected):
             rows.append(f"{t},{u},{v},{float(mg)!r},{float(cs)!r},{float(ex)!r}")
         return rows
-
-
-def _walk(steps, acc, per_color, colored, cond, branches: int, branch_limit: int):
-    """The branch tree of ``steps``, a list of (arrival index, color, state,
-    u, v, x) in the order a run takes them.  Adds each node's mass into the
-    per-arrival accumulators per_color (color -> acc; left empty by a plain
-    walk, whose color is None), colored and cond; returns (leaf total,
-    branches counted on from ``branches``)."""
-    leaf = acc()
-    prob = Fraction(1) if acc is _Plain else 1.0
-    trail = []  # undo record (state, u, v, F(u), F(v), matched) of each step on the path
-    splits = []  # (step, p_hat, probability) of each matched child still to visit
-    j = 0  # the next step
-    won = None  # the arrival the path last matched
-    while True:
-        branches += 1
-        if branches > branch_limit:
-            raise OracleLimitError(f"branch limit {branch_limit} exceeded")
-        if j < len(steps):
-            i, c, st, u, v, x = steps[j]
-            p, p_hat, _, _ = st.proposal(u, v, x)
-            cond[i].add(prob * p)
-            matched = False
-            if p_hat:
-                take = prob * p_hat
-                if won != i:  # the first color to match the arrival wins it
-                    if c is not None:  # a plain walk reads only ``colored``
-                        per_color[i].setdefault(c, acc()).add(take)
-                    colored[i].add(take)
-                if p_hat == 1:  # the unmatched child has probability 0
-                    matched, won = True, i
-                else:
-                    splits.append((j, p_hat, take))
-                    prob = prob * (1 - p_hat)
-            trail.append((st, u, v, st.F[u], st.F[v], matched))
-            st.apply(u, v, p_hat, matched)
-            j += 1
-            continue
-        leaf.add(prob)
-        if not splits:
-            return leaf.total, branches
-        j, p_hat, prob = splits.pop()
-        while len(trail) > j:
-            st, u, v, fu, fv, matched = trail.pop()
-            st.undo(u, v, fu, fv, matched)
-        won, _, st, u, v, _ = steps[j]  # the matched child wins its arrival
-        trail.append((st, u, v, st.F[u], st.F[v], True))
-        st.apply(u, v, p_hat, True)
-        j += 1
 
 
 def _components(us, vs):
@@ -192,59 +105,97 @@ def _components(us, vs):
     return parts
 
 
-def _walk_components(parts, config, exact: bool, palettes, xs, branch_limit: int):
-    """``_walk`` on each component (idx, cu, cv, k) of ``parts``: one step per
-    arrival i of idx and color of palettes[i], each color on its own
-    config.state(k), and xs[i] its value.  Returns, per arrival, (color ->
-    probability, Pr[matched in any color], conditional sum), then the product
-    of the leaf totals, the summed branches and the component count."""
-    acc = _Plain if exact else _Kahan
-    per_color = [{} for _ in xs]
-    colored = [acc() for _ in xs]
-    cond = [acc() for _ in xs]
-    leaf = Fraction(1) if exact else 1.0
-    branches = 0
+def _pass(us, vs, xs, config, exact: bool, steps: int):
+    """The forward pass of ``config``'s engine over the arrivals (us[i],
+    vs[i]) with values xs[i], one component at a time.  Returns per arrival
+    the marginal and the conditional sum, then the product of the
+    components' final masses, the steps counted on from ``steps``, and the
+    component count."""
+    one = Fraction(1) if exact else 1.0
+    zero = one - one
+    marginal = [zero] * len(us)
+    cond = [zero] * len(us)
+    leaf = one
+    probe = config.state(2, exact)
+    F, matched, proposal = probe.F, probe.matched, probe.proposal
+    parts = _components(us, vs)
     for idx, cu, cv, k in parts:
-        colors = {c for i in idx for c in palettes[i] or ()}
-        states = {c: config.state(k, exact) for c in colors}
-        steps = [(i, c, states[c], u, v, xs[i])
-                 for i, u, v in zip(idx, cu, cv) for c in palettes[i] or ()]
-        total, branches = _walk(steps, acc, per_color, colored, cond, branches, branch_limit)
-        leaf *= total
-    return ([{c: a.total for c, a in d.items()} for d in per_color],
-            [a.total for a in colored], [a.total for a in cond], leaf, branches, len(parts))
+        last = [0] * k  # each vertex's last arrival within the component
+        for j, u, v in zip(itertools.count(), cu, cv):
+            last[u] = last[v] = j
+        # a vertex's position in the state keys; a retired vertex's position
+        # holds ``one``, the state of a fresh vertex, until one takes it
+        slot = [None] * k
+        free = []
+        law = {(): one}
+        for j, i, u, v in zip(itertools.count(), idx, cu, cv):
+            for w in (u, v):
+                if slot[w] is None:
+                    if free:
+                        slot[w] = free.pop()
+                    else:
+                        slot[w] = len(next(iter(law)))
+                        law = {key + (one,): pr for key, pr in law.items()}
+            a, b = slot[u], slot[v]
+            steps += len(law)
+            if steps > STEP_LIMIT:
+                raise OracleLimitError(f"step limit {STEP_LIMIT} exceeded")
+            u_ends, v_ends = last[u] == j, last[v] == j
+            x = xs[i]
+            mg = cs = zero
+            nxt = {}
+            for key, pr in law.items():
+                fu, fv = key[a], key[b]
+                F[0], F[1] = fu, fv
+                matched[0], matched[1] = fu is None, fv is None
+                p, p_hat, _, _ = proposal(0, 1, x)
+                cs += pr * p
+                if p_hat:
+                    take = pr * p_hat
+                    mg += take
+                    child = list(key)
+                    child[a] = one if u_ends else None
+                    child[b] = one if v_ends else None
+                    child = tuple(child)
+                    nxt[child] = nxt.get(child, zero) + take
+                    if p_hat == 1:  # the unmatched child has probability 0
+                        continue
+                    scale = 1 - p_hat
+                    fu, fv, pr = fu * scale, fv * scale, pr * scale
+                child = list(key)
+                child[a] = one if u_ends else fu
+                child[b] = one if v_ends else fv
+                child = tuple(child)
+                nxt[child] = nxt.get(child, zero) + pr
+            marginal[i], cond[i], law = mg, cs, nxt
+            if u_ends:
+                free.append(a)
+            if v_ends:
+                free.append(b)
+        leaf *= sum(law.values())
+    return marginal, cond, leaf, steps, len(parts)
 
 
 def exact_marginals(
     stream: ArrivalStream,
     config: MatcherConfig | RoundingConfig,
     exact: bool = False,
-    max_edges: int = DEFAULT_EDGE_LIMIT,
-    branch_limit: int = DEFAULT_BRANCH_LIMIT,
 ) -> OracleResult:
     """Exact per-edge marginals and conditional sums for a matcher or rounder run.
 
     The conditional sums must hit the engine's numerator: 1/(D+q) for the
-    matcher, x_e*(1-s) for the rounder.  The edge limits (max_edges, and
-    EXACT_EDGE_LIMIT in rational mode) apply to the largest component."""
-    parts = _components(stream.u, stream.v)
-    largest = max((len(idx) for idx, _, _, _ in parts), default=0)
-    if largest > max_edges:
-        raise OracleLimitError(f"instance too large: a component has {largest} > {max_edges} edges")
-    if exact and largest > EXACT_EDGE_LIMIT:
-        raise OracleLimitError(
-            f"rational mode is limited to {EXACT_EDGE_LIMIT} edges per component, not {largest}")
+    matcher, x_e*(1-s) for the rounder.  Raises OracleLimitError once the
+    pass has taken more than STEP_LIMIT steps."""
     xs = (None,) * stream.m if stream.x is None else stream.x
     # the targets are the engine's own numerators, taken in arrival order
-    # before the walk, so that a bad arrival fails under its own time and
+    # before the pass, so that a bad arrival fails under its own time and
     # not its index within a component
     probe = config.state(0, exact)
     expected = []
     for x in xs:
         expected.append(probe.numerator(x))
         probe.t += 1
-    _, marginal, cond, leaf, branches, components = _walk_components(
-        parts, config, exact, ((None,),) * stream.m, xs, branch_limit)
+    marginal, cond, leaf, branches, components = _pass(stream.u, stream.v, xs, config, exact, 0)
     return OracleResult(
         marginal=marginal,
         conditional_sum=cond,
@@ -261,12 +212,11 @@ def exact_marginals(
 
 @dataclass
 class ColoredOracleResult:
-    per_color: list[dict]  # per edge: color -> Pr[e takes that color]
-    colored: list  # per edge: Pr[e gets any color]
-    # per edge: sum over branches and palette colors of prob * P; |L_e|/(D+q)
+    per_color: list[dict]  # per edge: color -> Pr[e takes that color], in palette order
+    colored: list  # per edge: Pr[e gets any color], the sum of its per_color split
+    # per edge: sum over palette colors of each color's conditional sum; |L_e|/(D+q)
     conditional_sum: list
-    branches: int  # steps and leaves of the joint walk, summed over components
-    components: int  # connected components of the listed graph, over all colors
+    branches: int  # steps of the per-color passes, summed
 
 
 def exact_colored_marginals(
@@ -274,29 +224,52 @@ def exact_colored_marginals(
     delta: float,
     q: float,
     exact: bool = False,
-    branch_limit: int = DEFAULT_BRANCH_LIMIT,
 ) -> ColoredOracleResult:
-    """Joint enumeration of the per-color matcher bank on a listed stream.
+    """Exact first-match-wins split of the per-color matcher bank on a listed stream.
 
     Every arrival must carry a palette.  Each color runs an independent
-    gated matcher (degree bound delta, slack q); an edge takes the first
-    color, in ascending order, whose matcher matched it, and ``per_color``
-    gives that first-match-wins split.  Independence across colors makes
-    the standalone per-color marginals (``exact_marginals`` on a color's
-    sub-stream) multiply, e.g. a lone edge with k colors is colored with
-    probability 1 - (1 - 1/(D+q))^k.  Each color's conditional sum at an
-    arrival is 1/(D+q), so an edge's sum over its palette is |L_e|/(D+q).
+    gated matcher (degree bound delta, slack q) over the arrivals whose
+    palette holds it; an edge takes the first color of its palette whose
+    matcher matched it.  By independence, Pr[e takes c] is c's standalone
+    marginal times the product of (1 - marginal) over the colors before c,
+    e.g. a lone edge with k colors is colored with probability
+    1 - (1 - 1/(D+q))^k.  Each color's conditional sum at an arrival is
+    1/(D+q), so an edge's sum over its palette is |L_e|/(D+q).
     """
     if not stream.has_lists:
         raise OracleLimitError("colored oracle needs a listed stream")
-    per_color, colored, cond, _, branches, components = _walk_components(
-        _components(stream.u, stream.v), MatcherConfig(delta=delta, q=q), exact,
-        stream.palettes, (None,) * stream.m, branch_limit)
+    config = MatcherConfig(delta=delta, q=q)
+    arrivals: dict = {}  # color -> the arrivals whose palette holds it
+    for i, palette in enumerate(stream.palettes):
+        for c in palette:
+            arrivals.setdefault(c, []).append(i)
+    alone = {}  # (color, arrival) -> (standalone marginal, conditional sum)
+    branches = 0
+    for c, idx in arrivals.items():
+        marginal, cond, _, branches, _ = _pass(
+            [stream.u[i] for i in idx], [stream.v[i] for i in idx], (None,) * len(idx),
+            config, exact, branches)
+        for i, mg, cs in zip(idx, marginal, cond):
+            alone[c, i] = mg, cs
+    one = Fraction(1) if exact else 1.0
+    zero = one - one
+    per_color, colored, conditional_sum = [], [], []
+    for i, palette in enumerate(stream.palettes):
+        split = {}
+        missed = one  # Pr[no color before c matched the edge]
+        cs = zero
+        for c in palette:
+            mg, c_cs = alone[c, i]
+            if mg:
+                split[c] = mg * missed
+            missed *= 1 - mg
+            cs += c_cs
+        per_color.append(split)
+        colored.append(sum(split.values(), zero))
+        conditional_sum.append(cs)
     return ColoredOracleResult(
         per_color=per_color,
         colored=colored,
-        conditional_sum=cond,
+        conditional_sum=conditional_sum,
         branches=branches,
-        components=components,
     )
-

@@ -207,14 +207,14 @@ def test_oracle_cli_exit_on_identity(tmp_path, capsys):
 
 
 def test_oracle_cli_reports_components(tmp_path, capsys):
-    # the edge (0,1) walks a root and two leaves; the path 2-3-4 a root, two
-    # nodes after its first edge and three leaves: 3 + 6 branches
+    # the edge (0,1) is one step on the starting state; the path 2-3-4 one
+    # step at its first edge and two at its second: 1 + 3 steps
     path = tmp_path / "s.txt"
     path.write_text("n=5 dmax=2\ne 0 1\ne 2 3\ne 3 4\n")
     code, out = run_cli(capsys, "oracle", "--stream", str(path), "--q", "1", "--exact")
     assert code == 0
     payload = json.loads(out)
-    assert (payload["branches"], payload["components"]) == (9, 2)
+    assert (payload["branches"], payload["components"]) == (4, 2)
     assert payload["marginals"] == [1 / 3, 1 / 3, 1 / 3]
 
 

@@ -626,6 +626,13 @@ def test_greedy_color_rejects_a_palette_column_of_the_wrong_length():
         greedy_color(s, [range(1, 4)] * (s.m - 1))
 
 
+def test_greedy_color_rejects_a_tuple_of_colors_as_a_palette():
+    # (1, 2) on two edges is a column of two palettes, not one shared palette
+    with pytest.raises(PartitionError, match="t=1: palette 1 is not a sequence of colors; "
+                       "a shared palette is a range, and any other sequence holds one palette per edge"):
+        greedy_color(path(2), (1, 2))
+
+
 def test_greedy_color_rejects_a_missing_palette():
     with pytest.raises(PartitionError, match="t=2: arrival without a palette in list mode"):
         greedy_color(path(3), [(1, 2), None, (1, 2)])

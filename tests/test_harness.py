@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FakeRng, path, star, triangle
-from onlinecolor import harness, matcher
+from onlinecolor import harness, matcher, oracle
 from onlinecolor.colorer import greedy_color, run_greedy_fallback
 from onlinecolor.harness import (
     MartingaleTrace,
@@ -147,6 +147,16 @@ def test_one_palette_convention():
         "t=2: color 1 repeated at vertex 1 (first at t=1)",
     ]
     assert validate_coloring(p, colors, palettes=[range(1, 3)] * 2) == []
+
+
+def test_a_tuple_of_colors_is_not_a_shared_palette():
+    # (1, 2) on two edges is a column of two palettes, 1 and 2, which hold no
+    # colors: the violation names the palette rule
+    rule = "a shared palette is a range, and any other sequence holds one palette per edge"
+    assert validate_coloring(path(2), [1, 2], palettes=(1, 2)) == [
+        f"t=1: palette 1 is not a sequence of colors; {rule}",
+        f"t=2: palette 2 is not a sequence of colors; {rule}",
+    ]
 
 
 def _reference_violations(stream, colors, kind, palettes, limit):
@@ -673,17 +683,17 @@ def test_verify_stream_clean():
     out = verify_stream(tri, MatcherConfig(delta=2, q=1), trials=4000, master_seed=11)
     assert out["violations"] == []
     assert math.isclose(out["leaf_total"], 1.0, rel_tol=1e-12)
-    assert (out["branches"], out["components"]) == (9, 1)
+    assert (out["branches"], out["components"]) == (6, 1)  # 1 + 2 + 3 live states
     freqs = [r["frequency"] for r in out["edges"]]
     assert freqs[2] == 0.0
 
 
 def test_verify_stream_checks_a_matching_past_the_total_edge_limit():
-    # 21 disjoint edges: the edge limit is per component, so the oracle runs
+    # 21 disjoint edges: 21 components of one step each
     s = make_stream(42, 1, [(2 * i, 2 * i + 1) for i in range(21)])
     out = verify_stream(s, MatcherConfig(delta=2, q=1.0), trials=300, master_seed=3)
     assert "note" not in out
-    assert (out["branches"], out["components"]) == (63, 21)
+    assert (out["branches"], out["components"]) == (21, 21)
     assert [r["oracle"] for r in out["edges"]] == [1.0 / (2 + 1.0)] * 21
     assert out["violations"] == []
 
@@ -708,10 +718,20 @@ def test_verify_stream_catches_a_corrupted_oracle(monkeypatch, column, index, va
     assert len(out["violations"]) == 1 and out["violations"][0].startswith(fragment)
 
 
-def test_verify_stream_notes_an_oracle_skipped_over_the_edge_limit():
-    # a 21-edge path is one component over the 20-edge limit
+def test_verify_stream_checks_a_21_edge_path_against_the_oracle():
+    # one component of 21 edges, whose frontier holds a handful of states
+    out = verify_stream(path(21), MatcherConfig(delta=2, q=1.0), trials=300, master_seed=3)
+    assert "note" not in out and out["components"] == 1
+    assert all("oracle" in r and "conditional_sum" in r for r in out["edges"])
+    assert out["violations"] == []
+
+
+def test_verify_stream_notes_an_oracle_skipped_over_the_step_limit(monkeypatch):
+    # the oracle's steps on a 21-edge path exceed a limit of 20, so only
+    # the Monte-Carlo trials and their audits run
+    monkeypatch.setattr(oracle, "STEP_LIMIT", 20)
     out = verify_stream(path(21), MatcherConfig(delta=2, q=1.0), trials=50, master_seed=3)
-    assert out["note"] == "oracle skipped: instance too large: a component has 21 > 20 edges"
+    assert out["note"] == "oracle skipped: step limit 20 exceeded"
     assert "branches" not in out and all("oracle" not in r for r in out["edges"])
     assert out["violations"] == []
 

@@ -148,44 +148,6 @@ def test_natural_mode_overflow_flag():
     assert not any(trace.overflow[:-1])
 
 
-def _undo_cases():
-    from onlinecolor.rounder import config_for_loss
-    from onlinecolor.stream import make_stream
-
-    g = random_simple_graph(random.Random(3), 7, 12)
-    delta = max(g.degrees())
-    edges = [(e.u, e.v) for e in g.arrivals]
-    fractional = make_stream(g.n, delta, edges, xs=[1 / delta] * g.m)
-    return {"gated": (g, MatcherConfig(delta=delta, q=1.0)),
-            # D = 2 is below the graph's degree and drives P past 1, so a
-            # clamped P_hat = 1 is undone too
-            "natural": (g, MatcherConfig(delta=2, q=0.5, mode=MODE_NATURAL)),
-            "rounder": (fractional, config_for_loss(0.5, 0.3))}
-
-
-@pytest.mark.parametrize("exact", [False, True])
-@pytest.mark.parametrize("kind", ["gated", "natural", "rounder"])
-def test_undo_is_the_exact_inverse_of_apply(kind, exact):
-    s, cfg = _undo_cases()[kind]
-    state = cfg.state(s.n, exact)
-    rng = random.Random(11)
-    moved = clamped = 0
-    for e in s.arrivals:
-        assert state.t == e.time - 1
-        _, p_hat, _, _ = state.proposal(e.u, e.v, e.x)
-        clamped += p_hat == 1
-        before = (list(state.F), bytes(state.matched), state.t)
-        for matched in ((False, True) if p_hat else (False,)):
-            fu, fv = state.F[e.u], state.F[e.v]
-            state.apply(e.u, e.v, p_hat, matched)
-            moved += (list(state.F), bytes(state.matched)) != before[:2]
-            state.undo(e.u, e.v, fu, fv, matched)
-            assert (list(state.F), bytes(state.matched), state.t) == before
-        state.apply(e.u, e.v, p_hat, rng.random() < p_hat)
-    assert moved > s.m // 2 and any(state.matched)
-    assert clamped > 0 if kind == "natural" else clamped == 0
-
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
