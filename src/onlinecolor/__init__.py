@@ -18,13 +18,11 @@ from .colorer import (
     run_greedy_fallback,
 )
 from .harness import (
-    MartingaleTrace,
     RunReport,
     counterexample_demo,
     freedman_bound,
     freedman_matcher_check,
     martingale_monitor,
-    martingale_trace,
     mc_marginals,
     validate_coloring,
     verify_stream,

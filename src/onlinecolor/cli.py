@@ -181,7 +181,7 @@ def cmd_color(args) -> int:
         result = colorer.list_color(s, profile, args.seed)
     else:
         result = colorer.local_color(s, profile, args.seed)
-    violations = harness.validate_coloring(s, result, palettes=result.palettes) + result.invariant_violations
+    violations = harness.validate_coloring(s, result.colors, palettes=result.palettes) + result.invariant_violations
     payload = result.report(profile)
     payload["violations"] = violations
     _write(args, json.dumps(payload, indent=2))

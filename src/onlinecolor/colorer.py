@@ -120,6 +120,7 @@ class TailFailure(Exception):
 # values runs in this context, inside this section.
 _DIGITS = Context(prec=50)
 _ZERO = Decimal(0)
+MAX_PHASES = 100_000  # degree_schedule refuses a longer schedule; read at call time
 
 
 @dataclass(frozen=True)
@@ -210,9 +211,7 @@ def recurrence_step(d0, n: int, profile: ConstantsProfile) -> Decimal:
         return _step(Decimal(d0), ln_n, ln_n ** (Decimal(1) / 3), c_q, analyzed)[2]
 
 
-def degree_schedule(
-    d0: int, n: int, profile: ConstantsProfile, max_phases: int = 100_000
-) -> DegreeSchedule:
+def degree_schedule(d0: int, n: int, profile: ConstantsProfile) -> DegreeSchedule:
     if d0 < 1:
         raise ScheduleError("d0 must be >= 1")
     if n < 2:
@@ -247,9 +246,9 @@ def degree_schedule(
             d.append(dn)
             if not active:
                 break
-            if len(lam) > max_phases:  # one lam per phase so far, all active
+            if len(lam) > MAX_PHASES:  # one lam per phase so far, all active
                 raise ScheduleError(
-                    f"more than {max_phases} phases before the stop threshold; "
+                    f"more than {MAX_PHASES} phases before the stop threshold; "
                     "the schedule is astronomically long at these parameters "
                     "(use recurrence_step to probe single steps)"
                 )

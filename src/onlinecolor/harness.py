@@ -10,10 +10,15 @@ Invariant checks are always on in harness entry points; a report with
 violation count zero certifies that every per-module invariant held at
 every step it audited.
 
-``validate_coloring`` accepts and explains in two parts, as
-``ArrivalStream`` validation does: a lean pass accepts a complete coloring
-on a shared step-1 range, and the full loop runs for every other case and
-alone writes the violation messages.
+``validate_coloring`` takes the color column alone (a ColoringResult's
+``colors``) and accepts and explains in two parts, as ``ArrivalStream``
+validation does: a lean pass accepts a complete coloring on a shared step-1
+range, and the full loop runs for every other case and alone writes the
+violation messages, at most ``VIOLATION_LIMIT`` of them.
+
+Each trial of ``martingale_monitor`` walks one plan, built once per call,
+of the arrivals that can move Y, and yields only what the monitor checks:
+(Y_m, max step, W_m).
 """
 
 from __future__ import annotations
@@ -21,12 +26,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
-from .colorer import PALETTE_RULE, ColoringResult, draw_c_star, greedy_color
+from .colorer import PALETTE_RULE, draw_c_star, greedy_color
 from .matcher import (
     MODE_ANALYSIS_FRIENDLY,
     MODE_GREEDY_FALLBACK,
@@ -43,18 +49,20 @@ from .matcher import (
 )
 from .oracle import OracleLimitError, exact_marginals
 from .rounder import RoundingConfig
-from .seeding import derive_seed, rng_for
+from .seeding import derive_seed
 from .stream import ArrivalStream, gen_lower_bound_tree
 
 Z95 = 1.959963984540054  # two-sided 95%
 AUDIT_TRIALS = 3  # mc_marginals re-runs this many first trials traced and audits them
+VIOLATION_LIMIT = 100  # validate_coloring returns at most this many; read at call time
 
 
-def wilson_interval(hits: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval; preferred over the normal approximation because
-    the marginals of interest sit near 1/D."""
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval; preferred over the normal approximation
+    because the marginals of interest sit near 1/D."""
     if trials == 0:
         return 0.0, 1.0
+    z = Z95
     phat = hits / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -125,7 +133,7 @@ class RunReport:
     def violation_count(self) -> int:
         return len(self.violations)
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         payload = {
             "kind": self.kind,
             "config": self.config,
@@ -137,7 +145,7 @@ class RunReport:
             "wall_time_sec": self.wall_time,
             "edges": self.edges,
         }
-        return json.dumps(payload, indent=indent)
+        return json.dumps(payload, indent=2)
 
     def edges_csv(self) -> str:
         header = "time,u,v,hits,frequency,ci_lo,ci_hi,below_bound"
@@ -276,15 +284,10 @@ def mc_marginals(
 # Coloring validation
 # ---------------------------------------------------------------------------
 
-def validate_coloring(
-    stream: ArrivalStream,
-    colors,
-    palettes=None,
-    limit: int = 100,
-) -> list[str]:
-    """Properness, palette membership, completeness: an uncolored edge is a
-    violation.  Violations are data, not exceptions; the first ``limit``
-    are returned.
+def validate_coloring(stream: ArrivalStream, colors, palettes=None) -> list[str]:
+    """Properness, palette membership, completeness of ``colors``, one color
+    (or None) per edge: an uncolored edge is a violation.  Violations are
+    data, not exceptions; the first ``VIOLATION_LIMIT`` are returned.
 
     A complete coloring on one shared step-1 range (what ``onlinecolor
     color`` checks in plain mode) is first offered to a lean accept pass,
@@ -298,8 +301,6 @@ def validate_coloring(
     whose length is not m is reported first ("N colors for m edges", "N
     palettes for m edges"); the edges past the shortest of the three are
     not checked."""
-    if isinstance(colors, ColoringResult):
-        colors = colors.colors
     m = stream.m
     if (isinstance(palettes, range) and palettes.step == 1 and len(colors) == m
             and _proper_on_range(stream, colors, palettes)):
@@ -318,7 +319,7 @@ def validate_coloring(
     # per vertex id, made on its first use: {color: time of its first use there}
     first_use: list = [None] * stream.n
     for t, u, v, c, palette in zip(itertools.count(1), stream.u, stream.v, colors, column):
-        if len(bad) >= limit:
+        if len(bad) >= VIOLATION_LIMIT:
             break
         if c is None:
             bad.append(f"t={t}: uncolored edge")
@@ -340,7 +341,7 @@ def validate_coloring(
             first_use[v] = {c: t}
         elif seen.setdefault(c, t) != t:
             bad.append(f"t={t}: color {c} repeated at vertex {v} (first at t={seen[c]})")
-    return bad[:limit]
+    return bad[:VIOLATION_LIMIT]
 
 
 def _proper_on_range(stream: ArrivalStream, colors, palette: range) -> bool:
@@ -384,7 +385,11 @@ class MartingaleReport:
 
     @property
     def ci_contains_y0(self) -> bool:
-        return self.ci_lo <= self.y0 <= self.ci_hi
+        # when Y cannot move, every trial ends at Y_0 and the interval has
+        # zero width, but the running sum leaves the mean up to about
+        # trials * eps (relative) away from Y_0
+        slack = self.trials * sys.float_info.epsilon * abs(self.y0)
+        return self.ci_lo - slack <= self.y0 <= self.ci_hi + slack
 
     def as_dict(self) -> dict:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -392,71 +397,35 @@ class MartingaleReport:
         return d
 
 
-@dataclass
-class MartingaleTrace:
-    """One run's Y trajectory for a vertex: values, step deltas, per-step
-    conditional variance contributions, and the match outcomes."""
-
-    vertex: int
-    y: list
-    deltas: list
-    variances: list
-    matched: list
-
-    def shape_violations(self) -> list[str]:
-        """Steps must be <= 0 on a match and >= 0 otherwise, with a variance
-        contribution exactly when the step could have moved."""
-        bad = []
-        for t, (dy, var, hit) in enumerate(zip(self.deltas, self.variances, self.matched)):
-            if hit and dy > 0:
-                bad.append(f"t={t + 1}: positive step on a match")
-            if not hit and dy < 0:
-                bad.append(f"t={t + 1}: negative step without a match")
-            if var < 0 or (var == 0) != (dy == 0):
-                bad.append(f"t={t + 1}: variance contribution inconsistent with the step")
-        return bad
+def _neighbors(stream: ArrivalStream, vertex: int) -> set[int]:
+    return {v if u == vertex else u for u, v in zip(stream.u, stream.v) if vertex in (u, v)}
 
 
-def _martingale_inputs(stream: ArrivalStream, config: MatcherConfig, vertex: int, full: bool = False):
-    """What every trial shares: the neighbors of ``vertex`` and the walk
-    plan, built once per call.  The plan covers the arrivals that touch a
-    neighbor, which include every arrival at ``vertex``, or every arrival
-    when ``full``.  Raises for a vertex outside [0, n) and for any matcher
-    but the gated one."""
-    if not 0 <= vertex < stream.n:
-        raise ValueError(f"vertex {vertex} not in the stream")
-    if not config.gated:
-        raise MatcherError(
-            "martingale diagnostics follow the gated analysis_friendly matcher, "
-            f"not mode={config.mode!r}"
-        )
-    neighbors = _neighbors(stream, vertex)
-    return neighbors, _walk_plan(stream, vertex, None if full else neighbors)
-
-
-def _walk_plan(stream: ArrivalStream, vertex: int, keep=None) -> list[tuple]:
+def _walk_plan(stream: ArrivalStream, vertex: int, keep) -> list[tuple]:
     """(arrival index, u, v, the neighbor whose (vertex, w) edge arrives
-    here or None) for each arrival touching a vertex of ``keep``, or for
-    every arrival when ``keep`` is None."""
+    here or None) for each arrival touching a vertex of ``keep``."""
     plan = []
     for i, u, v in zip(itertools.count(), stream.u, stream.v):
-        if keep is None or u in keep or v in keep:
+        if u in keep or v in keep:
             plan.append((i, u, v, v if u == vertex else (u if v == vertex else None)))
     return plan
 
 
-def _martingale_trial(stream, config, vertex, neighbors, plan, rng, collect=False):
-    """One run_fast run, then the neighborhood martingale of ``vertex`` along
-    the walk ``plan`` (see ``_walk_plan``).
+def _martingale_trial(stream, config, neighbors, plan, rng):
+    """One run_fast run, then the neighborhood martingale of a vertex along
+    the walk ``plan`` (see ``_walk_plan``): (Y_m, max step, W_m).
 
     Y starts at deg(v)/(D+q); a neighbor's term 1/((D+q) F(u_i)) updates
     while the edge (v,u_i) is still in the future, freezes at its arrival,
     and drops if u_i is matched beforehand.  Only arrivals touching a live,
     unfrozen neighbor move Y: down by the term sum on a match, up by the
     factor p_hat/(1-p_hat) otherwise.  The conditional variance of a step is
-    (term sum)^2 * p_hat/(1-p_hat) regardless of the outcome.  So without
-    ``collect`` the plan may skip every arrival that touches no neighbor;
-    with it, the plan must cover every arrival.
+    (term sum)^2 * p_hat/(1-p_hat) regardless of the outcome.  So the plan
+    may skip every arrival that touches no neighbor.
+
+    Y falls on a match and rises on a miss (the gate keeps p_hat < 1), with
+    a variance term exactly when it moves, by construction; the bounds on
+    the step and on W_m are what a trial can break.
     """
     matched, p_hats, _, _ = run_fast(stream.u, stream.v, stream.n, config.delta, config.q, rng)
     hit = set(matched)
@@ -465,15 +434,10 @@ def _martingale_trial(stream, config, vertex, neighbors, plan, rng, collect=Fals
     y = scale * len(neighbors)
     max_step = 0.0
     wm = 0.0
-    trail = [y] if collect else None
-    deltas = [] if collect else None
-    variances = [] if collect else None
     for i, u, v, frozen in plan:
         if frozen is not None:
             contrib.pop(frozen, None)  # its value stays inside y permanently
         p_hat = p_hats[i]
-        dy = 0.0
-        var = 0.0
         if p_hat > 0.0:
             cu = contrib.get(u)
             cv = contrib.get(v)
@@ -482,47 +446,25 @@ def _martingale_trial(stream, config, vertex, neighbors, plan, rng, collect=Fals
             else:
                 sumterm = cu if cv is None else cu + cv
             if sumterm > 0.0:
-                var = sumterm * sumterm * p_hat / (1.0 - p_hat)
-                wm += var
+                wm += sumterm * sumterm * p_hat / (1.0 - p_hat)
                 if i in hit:
-                    dy = -sumterm
+                    step = sumterm
+                    y -= sumterm
                     if cu is not None:
                         del contrib[u]
                     if cv is not None:
                         del contrib[v]
                 else:
                     grow = 1.0 / (1.0 - p_hat)
-                    dy = sumterm * (p_hat / (1.0 - p_hat))
+                    step = sumterm * (p_hat / (1.0 - p_hat))
+                    y += step
                     if cu is not None:
                         contrib[u] = cu * grow
                     if cv is not None:
                         contrib[v] = cv * grow
-                y += dy
-                if abs(dy) > max_step:
-                    max_step = abs(dy)
-        if collect:
-            trail.append(y)
-            deltas.append(dy)
-            variances.append(var)
-    trace = None
-    if collect:
-        flags = [False] * stream.m
-        for i in matched:
-            flags[i] = True
-        trace = MartingaleTrace(vertex, trail, deltas, variances, flags)
-    return y, max_step, wm, trace
-
-
-def martingale_trace(stream: ArrivalStream, config: MatcherConfig, vertex: int, seed: int) -> MartingaleTrace:
-    """Full Y trajectory, step deltas, and variance contributions for one
-    run, along the plan of every arrival; ``matched`` is one flag per
-    arrival."""
-    neighbors, plan = _martingale_inputs(stream, config, vertex, full=True)
-    return _martingale_trial(stream, config, vertex, neighbors, plan, rng_for(seed), collect=True)[3]
-
-
-def _neighbors(stream: ArrivalStream, vertex: int) -> set[int]:
-    return {v if u == vertex else u for u, v in zip(stream.u, stream.v) if vertex in (u, v)}
+                if step > max_step:
+                    max_step = step
+    return y, max_step, wm
 
 
 def martingale_monitor(
@@ -534,9 +476,25 @@ def martingale_monitor(
 ) -> MartingaleReport:
     """Checks the step bound 8/q and the observed-variance bound
     128 D ln D / q^2 on every trial, and that the 4-sigma interval around
-    mean(Y_m) contains Y_0 = deg(v)/(D+q)."""
+    mean(Y_m) contains Y_0 = deg(v)/(D+q).
+
+    Needs at least 2 trials: on one, the interval has zero width.  Raises
+    for fewer, for a vertex outside [0, n) and for any matcher but the
+    gated one.  Every trial walks one plan, built once per call: the
+    arrivals that touch a neighbor of ``vertex``, which include every
+    arrival at it."""
     _require_trials(trials)
-    neighbors, plan = _martingale_inputs(stream, config, vertex)
+    if trials == 1:
+        raise ValueError("the 4-sigma interval around mean(Y_m) needs at least 2 trials (got 1)")
+    if not 0 <= vertex < stream.n:
+        raise ValueError(f"vertex {vertex} not in the stream")
+    if not config.gated:
+        raise MatcherError(
+            "martingale diagnostics follow the gated analysis_friendly matcher, "
+            f"not mode={config.mode!r}"
+        )
+    neighbors = _neighbors(stream, vertex)
+    plan = _walk_plan(stream, vertex, neighbors)
     delta, q = config.delta, config.q
     y0 = len(neighbors) / (delta + q)
     step_bound = 8.0 / q
@@ -550,7 +508,7 @@ def martingale_monitor(
     rng = Random()  # re-seeded per trial (see the seeding contract)
     for t in range(trials):
         rng.seed(derive_seed(master_seed, t))
-        ym, ms, wm, _ = _martingale_trial(stream, config, vertex, neighbors, plan, rng)
+        ym, ms, wm = _martingale_trial(stream, config, neighbors, plan, rng)
         total += ym
         total_sq += ym * ym
         max_step = max(max_step, ms)

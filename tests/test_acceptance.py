@@ -259,7 +259,7 @@ def test_criterion_8_coloring_end_to_end():
         for seed in range(seeds):
             s = gen_regular(n, delta, seed=seed)
             res = plain_color(s, delta, PRACTICAL, seed=derive_seed(8, delta, seed))
-            bad = validate_coloring(s, res, palettes=range(1, (res.budget or 0) + 1))
+            bad = validate_coloring(s, res.colors, palettes=range(1, (res.budget or 0) + 1))
             if bad:
                 all_ok = False
                 notes.append(f"D={delta} seed={seed}: {bad[0]}")
@@ -283,7 +283,7 @@ def test_criterion_8_coloring_end_to_end():
             all_ok = False
             notes.append(f"multiphase seed={seed}: fallback")
             continue
-        if validate_coloring(s, res, palettes=[e.colors for e in s.arrivals]):
+        if validate_coloring(s, res.colors, palettes=[e.colors for e in s.arrivals]):
             all_ok = False
             notes.append(f"multiphase seed={seed}: improper")
         for p in res.per_phase:
@@ -331,7 +331,7 @@ def test_criterion_10_list_and_local_modes():
         if res.fallback_taken:
             list_ok = False
             break
-        if validate_coloring(s, res, palettes=[e.colors for e in s.arrivals]):
+        if validate_coloring(s, res.colors, palettes=[e.colors for e in s.arrivals]):
             list_ok = False
             break
     # local mode: a hub plus low-degree paths; color <= per-edge bound and
@@ -344,7 +344,7 @@ def test_criterion_10_list_and_local_modes():
     deg = corpus.degrees()
     for seed in range(5):
         res = local_color(corpus, PRACTICAL, seed=derive_seed(11, seed))
-        if validate_coloring(corpus, res):
+        if validate_coloring(corpus, res.colors):
             local_ok = False
             break
         rows = sorted(

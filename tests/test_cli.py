@@ -429,6 +429,19 @@ def test_martingale_cli(tmp_path, capsys):
     assert payload["ci_contains_y0"] and not payload["violations"]
 
 
+def test_martingale_cli_single_trial_exits_2(tmp_path, capsys):
+    # one trial gives a zero-width interval, which misses Y_0 whenever Y
+    # moved: a configuration error (exit 2), not a violation (exit 1)
+    path = tmp_path / "s.txt"
+    assert main(["gen", "--kind", "regular", "--n", "30", "--delta", "6", "--seed", "2",
+                 "--order", "random", "--out-file", str(path)]) == 0
+    argv = ["martingale", "--stream", str(path), "--q", "1.5", "--vertex", "0"]
+    assert main(argv + ["--trials", "1"]) == 2
+    assert "needs at least 2 trials (got 1)" in capsys.readouterr().err
+    code, out = run_cli(capsys, *argv, "--trials", "2")
+    assert code == 0 and json.loads(out)["ci_contains_y0"]
+
+
 def test_martingale_cli_fallback_exits_2(tmp_path, capsys):
     path = tmp_path / "s.txt"
     path.write_text("n=3 dmax=2\ne 0 1\ne 1 2\ne 0 2\n")

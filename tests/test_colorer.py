@@ -106,13 +106,16 @@ def test_analyzed_recurrence_fails_at_its_first_stalled_step(monkeypatch):
     assert len(seen) < 1000
 
 
-def test_schedule_phase_limit():
+def test_schedule_phase_limit(monkeypatch):
     # the schedule at d0 = 200, n = 2000, c_stop = 10 has three phases: a
-    # limit of three admits it, a limit of two refuses it
+    # limit of three admits it, a limit of two refuses it; the limit is
+    # read at call time
     prof = PRACTICAL.replace(c_stop=10.0)
-    assert degree_schedule(200, 2000, prof, max_phases=3).f == 3
+    monkeypatch.setattr(colorer, "MAX_PHASES", 3)
+    assert degree_schedule(200, 2000, prof).f == 3
+    monkeypatch.setattr(colorer, "MAX_PHASES", 2)
     with pytest.raises(ScheduleError, match="more than 2 phases before the stop threshold"):
-        degree_schedule(200, 2000, prof, max_phases=2)
+        degree_schedule(200, 2000, prof)
 
 
 def test_schedule_domain_errors():
@@ -574,7 +577,7 @@ def test_multiphase_list_run_disciplines():
     assert not res.fallback_taken
     assert res.list_ledger_violations == 0
     palettes = [e.colors for e in s.arrivals]
-    assert validate_coloring(s, res, palettes=palettes) == []
+    assert validate_coloring(s, res.colors, palettes=palettes) == []
     # phase discipline: a color assigned in phase i was sampled into C_i
     part = res.partition_assignment
     for idx, (c, st) in enumerate(zip(res.colors, res.stage)):
@@ -711,14 +714,14 @@ def test_plain_tiny_path_colors():
     s = path(4)
     res = plain_color(s, 2, PRACTICAL, seed=3)
     assert set(res.colors) <= {1, 2, 3}
-    assert validate_coloring(s, res) == []
+    assert validate_coloring(s, res.colors) == []
 
 
 def test_plain_regular_respects_budget():
     s = gen_regular(60, 8, seed=9)
     res = plain_color(s, 8, PRACTICAL, seed=1)
     assert res.palettes == range(1, res.budget + 1)  # the one palette every edge shared
-    assert validate_coloring(s, res, palettes=res.palettes) == []
+    assert validate_coloring(s, res.colors, palettes=res.palettes) == []
     assert max(res.colors) <= res.budget
     assert max(res.colors) <= 2 * 8 - 1  # degenerate schedule: tail-only greedy
 
@@ -772,7 +775,7 @@ def test_fallback_colors_from_the_lists():
         _quiet_list_color(s, MULTIPHASE.replace(fallback_on_tail_failure=False), seed=2)
     res = _quiet_list_color(s, MULTIPHASE, seed=2)
     assert res.fallback_taken and len(res.overflows) == res.stage.count("overflow") == 1
-    assert validate_coloring(s, res, palettes=s.palettes) == []
+    assert validate_coloring(s, res.colors, palettes=s.palettes) == []
     with pytest.raises(TailFailure) as err:
         _quiet_list_color(_listed(g, tuple(range(1000, 1023))), MULTIPHASE, seed=2)
     assert err.value.time == 246
@@ -786,7 +789,7 @@ def test_overflow_into_a_bank_color_stays_proper():
     res = _quiet_list_color(s, MULTIPHASE, seed=6)
     first = res.overflows[0]
     assert res.partition_assignment[res.colors[first["time"] - 1]] < res.schedule.f
-    assert validate_coloring(s, res, palettes=s.palettes) == []
+    assert validate_coloring(s, res.colors, palettes=s.palettes) == []
     block = res.report(MULTIPHASE)["overflow"]
     assert (block["count"], block["first"]) == (len(res.overflows), first)
     assert res.tail.entered - res.tail.colored == len(res.overflows)
@@ -1073,7 +1076,7 @@ def test_bounded_color_state():
     finally:
         tracemalloc.stop()
     assert res.schedule.f >= 1 and res.tail.entered > 0 and not res.fallback_taken
-    assert validate_coloring(s, res, palettes=[palette] * s.m) == []
+    assert validate_coloring(s, res.colors, palettes=[palette] * s.m) == []
     assert greedy == [top - 40 + k for k in range(19)]
     assert peak < 2 * 2**20
 
@@ -1222,7 +1225,7 @@ def test_local_mode_end_to_end_bound_monotone():
     rng.shuffle(edges)
     s = make_stream(80, 40, edges)
     res = local_color(s, PRACTICAL, seed=2)
-    assert validate_coloring(s, res) == []
+    assert validate_coloring(s, res.colors) == []
     deg = s.degrees()
     rows = sorted(
         (max(deg[e.u], deg[e.v]), bound, res.colors[i])

@@ -12,12 +12,10 @@ from conftest import FakeRng, path, star, triangle
 from onlinecolor import harness, matcher, oracle
 from onlinecolor.colorer import greedy_color, run_greedy_fallback
 from onlinecolor.harness import (
-    MartingaleTrace,
     counterexample_demo,
     freedman_bound,
     freedman_matcher_check,
     martingale_monitor,
-    martingale_trace,
     mc_marginals,
     validate_coloring,
     verify_stream,
@@ -31,7 +29,7 @@ from onlinecolor.matcher import (
     MultiplicativeState,
 )
 from onlinecolor.seeding import derive_seed, rng_for
-from onlinecolor.stream import gen_regular, make_stream
+from onlinecolor.stream import gen_regular, make_stream, reorder
 
 
 def test_wilson_basics():
@@ -82,7 +80,7 @@ def test_validate_coloring_names_the_first_use():
     ]
 
 
-def test_validate_coloring_messages_pinned():
+def test_validate_coloring_messages_pinned(monkeypatch):
     # messages and their order recorded before per-vertex state became a
     # list indexed by vertex id; vertex 2 is isolated
     s = make_stream(6, 3, [(0, 1), (1, 3), (3, 0), (4, 5), (0, 4), (1, 4)])
@@ -98,11 +96,12 @@ def test_validate_coloring_messages_pinned():
         "t=6: color 1 repeated at vertex 1 (first at t=1)",
     ]
     assert validate_coloring(s, colors, palettes=palettes) == full
-    # the limit cuts inside edge 3's messages
-    assert validate_coloring(s, colors, palettes=palettes, limit=3) == full[:3]
     assert validate_coloring(s, colors, palettes=range(1, 2)) == [
         full[0], full[2], full[3], full[4], full[5], full[6]]
     assert validate_coloring(s, colors) == [full[0], full[2], full[3], full[4], full[6]]
+    # the limit, read at call time, cuts inside edge 3's messages
+    monkeypatch.setattr(harness, "VIOLATION_LIMIT", 3)
+    assert validate_coloring(s, colors, palettes=palettes) == full[:3]
 
     rng = random.Random(3)
     g = gen_regular(30, 6, seed=3)
@@ -110,12 +109,13 @@ def test_validate_coloring_messages_pinned():
     palettes = [tuple(sorted(rng.sample(range(1, 9), 6))) if rng.random() < 0.5
                 else range(1, rng.randint(2, 9)) for _ in g.arrivals]
     for limit, count, digest in ((10**6, 80, "479f810985b4fe34"), (10, 10, "2be24236f750a4de")):
-        bad = validate_coloring(g, colors, palettes=palettes, limit=limit)
+        monkeypatch.setattr(harness, "VIOLATION_LIMIT", limit)
+        bad = validate_coloring(g, colors, palettes=palettes)
         assert len(bad) == count
         assert hashlib.sha256(repr(bad).encode()).hexdigest()[:16] == digest
 
 
-def test_validate_coloring_reports_length_mismatch():
+def test_validate_coloring_reports_length_mismatch(monkeypatch):
     s = make_stream(4, 2, [(0, 1), (1, 2), (2, 3)])
     assert validate_coloring(s, [1, 2, 1]) == []
     assert validate_coloring(s, [1, 2, 1, 5]) == ["4 colors for 3 edges"]
@@ -127,7 +127,8 @@ def test_validate_coloring_reports_length_mismatch():
         "t=2: color 1 not in the edge's palette",
         "t=2: color 1 repeated at vertex 1 (first at t=1)",
     ]
-    assert validate_coloring(s, [1, 2], limit=1) == ["2 colors for 3 edges"]
+    monkeypatch.setattr(harness, "VIOLATION_LIMIT", 1)
+    assert validate_coloring(s, [1, 2]) == ["2 colors for 3 edges"]
 
 
 def test_one_palette_convention():
@@ -254,93 +255,65 @@ def range_colorings(draw):
 @given(st.one_of(colorings(), range_colorings()), st.sampled_from([1, 2, 3, 5, 100]))
 def test_validate_coloring_matches_reference(case, limit):
     s, colors, kind, palettes = case
-    got = validate_coloring(s, colors, palettes=palettes, limit=limit)
+    with pytest.MonkeyPatch.context() as mp:  # a fixture would outlive one example
+        mp.setattr(harness, "VIOLATION_LIMIT", limit)
+        got = validate_coloring(s, colors, palettes=palettes)
     assert got == _reference_violations(s, colors, kind, palettes, limit)
 
 
 # -- martingale diagnostics -----------------------------------------------------
 
 def test_martingale_isolated_vertex():
-    s = make_stream(3, 1, [(0, 1)])
-    rep = martingale_monitor(s, MatcherConfig(delta=2, q=1), vertex=2,
-                             trials=50, master_seed=1)
-    assert rep.y0 == 0.0 and rep.mean_ym == 0.0
-    assert rep.max_step == 0.0 and rep.max_wm == 0.0
-    assert not rep.violations and rep.ci_contains_y0
-
-
-def test_martingale_single_edge_freezes():
-    # the (v, u) arrival freezes u's term: Y stays at deg(v)/(D+q)
-    s = make_stream(2, 1, [(0, 1)])
-    cfg = MatcherConfig(delta=2, q=1)
-    trace = martingale_trace(s, cfg, vertex=0, seed=5)
-    assert trace.y == [1 / 3, 1 / 3]
-    assert trace.deltas == [0.0] and trace.variances == [0.0]
-    assert trace.shape_violations() == []
-
-
-def test_martingale_shape_violations_fire():
-    # a hand-built trace that breaks each rule: a rise on a match, a fall
-    # without one, a variance on a step that did not move, a negative one
-    trace = MartingaleTrace(0, [0.5, 0.6, 0.4, 0.4, 0.5], [0.1, -0.2, 0.0, 0.1],
-                            [0.01, 0.02, 0.03, -0.01], [True, False, False, False])
-    assert trace.shape_violations() == [
-        "t=1: positive step on a match",
-        "t=2: negative step without a match",
-        "t=3: variance contribution inconsistent with the step",
-        "t=4: variance contribution inconsistent with the step",
-    ]
+    # an isolated vertex has no terms; a single edge (v, u) freezes u's
+    # term at its arrival, and so does a star's center every term, so Y
+    # stays at deg(v)/(D+q).  The mean of those equal Y_m drifts from Y_0
+    # by rounding, and the zero-width interval must still contain Y_0.
+    star4 = make_stream(5, 4, [(0, i) for i in range(1, 5)])
+    for s, delta, vertex, y0, trials in ((make_stream(3, 1, [(0, 1)]), 2, 2, 0.0, 50),
+                                         (make_stream(2, 1, [(0, 1)]), 2, 0, 1 / 3, 50),
+                                         (star4, 4, 0, 0.8, 10_000)):
+        cfg = MatcherConfig(delta=delta, q=1)
+        rep = martingale_monitor(s, cfg, vertex=vertex, trials=trials, master_seed=1)
+        assert rep.y0 == y0 and math.isclose(rep.mean_ym, y0)
+        assert rep.max_step == 0.0 and rep.max_wm == 0.0
+        assert not rep.violations and rep.ci_contains_y0
 
 
 def test_martingale_two_edge_closed_form():
     # e1 = (u, w) moves Y for the monitored v before (v, u) arrives:
-    # p_hat(e1) = 1/(D+q); match drops the term, no-match grows it
-    from onlinecolor.harness import _martingale_inputs, _martingale_trial
-
+    # p_hat(e1) = p = 1/(D+q); a match drops the term, a miss grows it by
+    # p/(1-p), and either way W_m gains p^2 * p/(1-p)
     s = make_stream(4, 2, [(1, 2), (0, 1)])  # v = 0, u = 1, w = 2
     cfg = MatcherConfig(delta=2, q=1)
-    nb, full = _martingale_inputs(s, cfg, 0, full=True)
+    nb = harness._neighbors(s, 0)
+    plan = harness._walk_plan(s, 0, nb)
     p = 1.0 / 3.0
-    ym, max_step, wm, trace = _martingale_trial(
-        s, cfg, 0, nb, full, FakeRng([0.0, 0.99]), collect=True)
-    assert math.isclose(trace.deltas[0], -p)  # e1 matched: term dropped
+    ym, max_step, wm = harness._martingale_trial(s, cfg, nb, plan, FakeRng([0.0, 0.99]))
     assert ym == 0.0
-    assert trace.shape_violations() == []
-    ym, max_step, wm, trace = _martingale_trial(
-        s, cfg, 0, nb, full, FakeRng([0.99, 0.99]), collect=True)
-    assert math.isclose(trace.deltas[0], p * (p / (1 - p)))  # no match: term grows
-    assert math.isclose(ym, p + trace.deltas[0])
-    assert math.isclose(wm, p * p * (p / (1 - p)))
-    assert trace.shape_violations() == []
+    assert math.isclose(max_step, p)
+    assert math.isclose(wm, p ** 3 / (1 - p))
+    ym, max_step, wm = harness._martingale_trial(s, cfg, nb, plan, FakeRng([0.99, 0.99]))
+    assert math.isclose(ym, p + p * p / (1 - p))
+    assert math.isclose(max_step, p * p / (1 - p))
+    assert math.isclose(wm, p ** 3 / (1 - p))
 
 
 def test_martingale_walk_skips_only_arrivals_that_cannot_move_y():
     # martingale_monitor walks only the arrivals that touch a neighbor of
-    # the vertex; the full walk must give the same (Y_m, max step, W_m)
-    from onlinecolor.harness import _martingale_inputs, _martingale_trial
+    # the vertex; the walk of every arrival must give the same
+    # (Y_m, max step, W_m)
     from onlinecolor.stream import gen_regular, reorder
 
     s = reorder(gen_regular(30, 6, seed=2), "random", 4)
     cfg = MatcherConfig(delta=6, q=1.5)
     for vertex in (0, 11):
-        nb, walk = _martingale_inputs(s, cfg, vertex)
-        _, every = _martingale_inputs(s, cfg, vertex, full=True)
+        nb = harness._neighbors(s, vertex)
+        walk = harness._walk_plan(s, vertex, nb)
+        every = harness._walk_plan(s, vertex, set(range(s.n)))
         assert 0 < len(walk) < len(every) == s.m
         for seed in range(20):
-            full = _martingale_trial(s, cfg, vertex, nb, every, rng_for(seed))
-            part = _martingale_trial(s, cfg, vertex, nb, walk, rng_for(seed))
-            assert part[:3] == full[:3]
-
-
-def test_martingale_shape_invariant_random_runs():
-    from onlinecolor.stream import gen_regular, reorder
-
-    s = reorder(gen_regular(20, 6, seed=3), "random", 5)
-    cfg = MatcherConfig(delta=6, q=1.5)
-    for seed in range(30):
-        trace = martingale_trace(s, cfg, vertex=4, seed=seed)
-        assert trace.shape_violations() == []
-        assert math.isclose(trace.y[0], 6 / 7.5)
+            full = harness._martingale_trial(s, cfg, nb, every, rng_for(seed))
+            assert harness._martingale_trial(s, cfg, nb, walk, rng_for(seed)) == full
 
 
 def test_martingale_monitor_regular_instance():
@@ -359,14 +332,22 @@ def test_martingale_monitor_regular_instance():
 
 @pytest.mark.parametrize("vertex", [20, -1])
 def test_martingale_rejects_a_vertex_outside_the_stream(vertex):
-    # both entry points check the vertex; an all-zero trajectory for a
-    # vertex with no arrivals would pass every shape check
+    # Y would read 0 on every trial for a vertex with no arrivals, and pass
+    # every bound; 2 trials pass the trial-count check
     s = gen_regular(20, 6, seed=3)
     cfg = MatcherConfig(delta=6, q=1.5)
     with pytest.raises(ValueError, match=f"vertex {vertex} not in the stream"):
-        martingale_monitor(s, cfg, vertex=vertex, trials=1, master_seed=0)
-    with pytest.raises(ValueError, match=f"vertex {vertex} not in the stream"):
-        martingale_trace(s, cfg, vertex=vertex, seed=5)
+        martingale_monitor(s, cfg, vertex=vertex, trials=2, master_seed=0)
+
+
+def test_martingale_rejects_a_single_trial():
+    # one trial gives a 4-sigma interval of zero width, which misses Y_0
+    # whenever Y_m moved: a false violation
+    s = reorder(gen_regular(30, 6, seed=2), "random", 4)
+    cfg = MatcherConfig(delta=6, q=1.5)
+    with pytest.raises(ValueError, match="4-sigma interval .* needs at least 2 trials"):
+        martingale_monitor(s, cfg, vertex=0, trials=1, master_seed=0)
+    assert martingale_monitor(s, cfg, vertex=0, trials=2, master_seed=0).trials == 2
 
 
 @pytest.mark.parametrize(
@@ -382,8 +363,6 @@ def test_martingale_rejects_ungated_config(cfg):
     # rather than silently monitored as the gated algorithm
     with pytest.raises(ValueError, match="gated analysis_friendly"):
         martingale_monitor(triangle(), cfg, vertex=0, trials=10, master_seed=1)
-    with pytest.raises(ValueError, match="gated analysis_friendly"):
-        martingale_trace(triangle(), cfg, vertex=0, seed=1)
 
 
 # -- the overflow demo ------------------------------------------------------------
@@ -580,8 +559,6 @@ def test_martingale_walk_plan_is_built_once_per_call(monkeypatch):
     cfg = MatcherConfig(delta=6, q=1.5)
     martingale_monitor(s, cfg, vertex=4, trials=50, master_seed=9)
     assert len(calls) == 1
-    martingale_trace(s, cfg, vertex=4, seed=5)
-    assert len(calls) == 2
 
 
 def test_mc_and_martingale_build_one_generator_per_call(monkeypatch):
@@ -603,19 +580,6 @@ def test_mc_and_martingale_build_one_generator_per_call(monkeypatch):
     assert len(calls) == 1
     assert martingale_monitor(s, cfg, vertex=4, trials=50, master_seed=9) == mg
     assert len(calls) == 2
-
-
-def test_martingale_trace_matched_is_one_flag_per_arrival():
-    from onlinecolor.matcher import run
-    from onlinecolor.stream import reorder
-
-    s = reorder(gen_regular(20, 6, seed=3), "random", 5)
-    cfg = MatcherConfig(delta=6, q=1.5)
-    for seed in range(10):
-        trace = martingale_trace(s, cfg, vertex=4, seed=seed)
-        _, traced = run(s, cfg, derive_seed(seed))
-        assert trace.matched == traced.matched
-        assert len(trace.y) == s.m + 1
 
 
 def test_verify_rounder_audit_catches_corrupted_trace(monkeypatch):
@@ -670,7 +634,6 @@ def test_mc_martingale_verify_pinned():
     mg = martingale_monitor(s, cfg, vertex=4, trials=300, master_seed=9)
     assert (mg.mean_ym, mg.max_step, mg.max_wm) == (
         0.779984982199117, 0.42185846498311863, 0.30395401178989667)
-    assert _digest(martingale_trace(s, cfg, vertex=4, seed=5).y) == "6462aabc816a1775"
     small = make_stream(7, 4, [(0, 3), (1, 5), (1, 2), (4, 6), (0, 2),
                                (3, 6), (2, 5), (2, 6), (0, 4), (5, 6)])
     out = verify_stream(small, MatcherConfig(delta=4, q=1.0), trials=1000, master_seed=11)
@@ -760,11 +723,11 @@ def test_martingale_monitor_catches_a_trial_over_its_bounds(monkeypatch, bound):
     real = harness._martingale_trial
     cfg = MatcherConfig(delta=8, q=2)
 
-    def inflated(*args, **kwargs):
-        y, step, wm, trace = real(*args, **kwargs)
+    def inflated(*args):
+        y, step, wm = real(*args)
         if bound == "step":
-            return y, 2 * 8 / cfg.q, wm, trace
-        return y, step, 2 * 128 * cfg.delta * math.log(cfg.delta) / cfg.q ** 2, trace
+            return y, 2 * 8 / cfg.q, wm
+        return y, step, 2 * 128 * cfg.delta * math.log(cfg.delta) / cfg.q ** 2
 
     s = gen_regular(30, 8, seed=2)
     assert martingale_monitor(s, cfg, vertex=0, trials=5, master_seed=9).violations == []

@@ -836,11 +836,11 @@ def test_hot_paths_never_touch_the_arrivals_view(monkeypatch):
     monkeypatch.setattr(Arrivals, "__getitem__", refuse)
 
     res = colorer.plain_color(plain, plain.delta_bound, practical, seed=1)
-    assert harness.validate_coloring(plain, res, palettes=range(1, res.budget + 1)) == []
+    assert harness.validate_coloring(plain, res.colors, palettes=range(1, res.budget + 1)) == []
     res = colorer.list_color(listed, practical, seed=1)
-    assert harness.validate_coloring(listed, res, palettes=listed.palettes) == []
+    assert harness.validate_coloring(listed, res.colors, palettes=listed.palettes) == []
     res = colorer.local_color(plain, multiphase, seed=1)
-    assert harness.validate_coloring(plain, res) == []
+    assert harness.validate_coloring(plain, res.colors) == []
     assert colorer.greedy_color(listed, listed.palettes)
     assert not harness.mc_marginals(plain, gated, 5, 3).violations
     harness.martingale_monitor(plain, gated, 0, 5, 3)
