@@ -264,19 +264,32 @@ def test_validate_coloring_matches_reference(case, limit):
 # -- martingale diagnostics -----------------------------------------------------
 
 def test_martingale_isolated_vertex():
-    # an isolated vertex has no terms; a single edge (v, u) freezes u's
-    # term at its arrival, and so does a star's center every term, so Y
-    # stays at deg(v)/(D+q).  The mean of those equal Y_m drifts from Y_0
-    # by rounding, and the zero-width interval must still contain Y_0.
+    # an isolated vertex has no terms; a star's center freezes every term
+    # at its arrival, so Y stays at deg(v)/(D+q).  The mean of those equal
+    # Y_m drifts from Y_0 by rounding, and the zero-width interval must
+    # still contain Y_0.
     star4 = make_stream(5, 4, [(0, i) for i in range(1, 5)])
     for s, delta, vertex, y0, trials in ((make_stream(3, 1, [(0, 1)]), 2, 2, 0.0, 50),
-                                         (make_stream(2, 1, [(0, 1)]), 2, 0, 1 / 3, 50),
                                          (star4, 4, 0, 0.8, 10_000)):
         cfg = MatcherConfig(delta=delta, q=1)
         rep = martingale_monitor(s, cfg, vertex=vertex, trials=trials, master_seed=1)
         assert rep.y0 == y0 and math.isclose(rep.mean_ym, y0)
         assert rep.max_step == 0.0 and rep.max_wm == 0.0
         assert not rep.violations and rep.ci_contains_y0
+
+
+def test_martingale_single_edge_freezes():
+    # the (v, u) arrival freezes u's term: Y stays at deg(v)/(D+q)
+    s = make_stream(2, 1, [(0, 1)])
+    cfg = MatcherConfig(delta=2, q=1)
+    nb = harness._neighbors(s, 0)
+    plan = harness._walk_plan(s, 0, nb)
+    for u in (0.0, 0.99):
+        assert harness._martingale_trial(s, cfg, nb, plan, FakeRng([u])) == (1 / 3, 0.0, 0.0)
+    rep = martingale_monitor(s, cfg, vertex=0, trials=50, master_seed=5)
+    assert rep.y0 == 1 / 3 and math.isclose(rep.mean_ym, 1 / 3)
+    assert rep.max_step == 0.0 and rep.max_wm == 0.0
+    assert not rep.violations and rep.ci_contains_y0
 
 
 def test_martingale_two_edge_closed_form():
