@@ -6,6 +6,11 @@ to stdout as JSON (CSV via --out where offered); --out-file redirects.  The
 exit code is 0 only when the run's invariant-violation count is zero; a
 configuration error exits 2.
 
+The library returns reports as data, and this module alone writes them as
+text: JSON through ``_write_json``, and CSV, one row per arrival, through
+``_write_csv``.  A warning that ``color``'s front end raises is printed as
+one ``warning: <message>`` line on stderr.
+
 ``match`` runs the matcher and ``round`` the rounder, through one traced,
 audited run.  ``oracle`` and ``verify`` run the rounder exactly when the
 stream has x= values and the gated matcher otherwise, and reject the other
@@ -19,6 +24,7 @@ import argparse
 import itertools
 import json
 import sys
+import warnings
 
 from . import colorer, harness, matcher, oracle, rounder, stream as streammod
 from .profiles import resolve_profile
@@ -36,6 +42,24 @@ def _write(args, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _write_json(args, payload: dict) -> None:
+    _write(args, json.dumps(payload, indent=2))
+
+
+def _cell(x) -> str:
+    """A CSV cell: a bool as 0/1, an int as itself, any other number (a
+    float or a Fraction) as the repr of its float."""
+    return str(int(x)) if isinstance(x, int) else repr(float(x))
+
+
+def _write_csv(args, s: streammod.ArrivalStream, columns: dict) -> None:
+    """One row per arrival: time,u,v, then ``columns``, each a name and
+    one value per arrival."""
+    rows = [",".join(["time", "u", "v", *columns])]
+    rows += [",".join(map(_cell, row)) for row in zip(itertools.count(1), s.u, s.v, *columns.values())]
+    _write(args, "\n".join(rows) + "\n")
 
 
 _OPTIONS = {
@@ -106,14 +130,7 @@ def _traced(args, s: streammod.ArrivalStream, config, head: dict) -> int:
     matching, trace = matcher.run(s, config, args.seed)
     violations = matcher.check_run_invariants(s, config, trace)
     if args.out == "csv":
-        rows = ["time,u,v,p,p_hat,x,matched,gate_fired,overflow"]
-        rows += [
-            f"{t},{u},{v},{float(p)!r},{float(p_hat)!r},{float(x)!r},{int(m)},{int(g)},{int(o)}"
-            for t, u, v, p, p_hat, x, m, g, o in zip(
-                itertools.count(1), s.u, s.v, trace.p, trace.p_hat, trace.x,
-                trace.matched, trace.gate_fired, trace.overflow)
-        ]
-        _write(args, "\n".join(rows) + "\n")
+        _write_csv(args, s, vars(trace))  # the trace's six columns, in field order
     else:
         payload = {
             **head,
@@ -123,7 +140,7 @@ def _traced(args, s: streammod.ArrivalStream, config, head: dict) -> int:
             "gate_fires": sum(trace.gate_fired),
             "violations": violations,
         }
-        _write(args, json.dumps(payload, indent=2))
+        _write_json(args, payload)
     if violations:
         print(f"{len(violations)} invariant violations", file=sys.stderr)
     return 1 if violations else 0
@@ -160,7 +177,7 @@ def cmd_match(args) -> int:
             "matched_edges": matching,
             "violations": [],
         }
-        _write(args, json.dumps(payload, indent=2))
+        _write_json(args, payload)
         return 0
     head = {"mode": config.mode, "delta": config.delta, "q": config.q, "fallback_taken": False}
     return _traced(args, s, config, head)
@@ -175,16 +192,19 @@ def cmd_round(args) -> int:
 def cmd_color(args) -> int:
     s = _read_stream(args.stream)
     profile = resolve_profile(args.profile)
-    if args.mode == "plain":
-        result = colorer.plain_color(s, s.delta_bound, profile, args.seed)
-    elif args.mode == "list":
-        result = colorer.list_color(s, profile, args.seed)
-    else:
-        result = colorer.local_color(s, profile, args.seed)
+    with warnings.catch_warnings():  # restores the caller's filters and showwarning
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        if args.mode == "plain":
+            result = colorer.plain_color(s, s.delta_bound, profile, args.seed)
+        elif args.mode == "list":
+            result = colorer.list_color(s, profile, args.seed)
+        else:
+            result = colorer.local_color(s, profile, args.seed)
     violations = harness.validate_coloring(s, result.colors, palettes=result.palettes) + result.invariant_violations
     payload = result.report(profile)
     payload["violations"] = violations
-    _write(args, json.dumps(payload, indent=2))
+    _write_json(args, payload)
     return 1 if violations else 0
 
 
@@ -195,8 +215,8 @@ def cmd_oracle(args) -> int:
         abs(cs - float(ex)) for cs, ex in zip(res.conditional_sum, res.expected)
     ) if s.m else 0.0
     if args.out == "csv":
-        rows = [res.CSV_HEADER] + res.csv_rows(s)
-        _write(args, "\n".join(rows) + "\n")
+        _write_csv(args, s, {"exact_marginal": res.marginal, "conditional_sum": res.conditional_sum,
+                             "expected_value": res.expected})
     else:
         payload = {
             "marginals": [float(x) for x in res.marginal],
@@ -207,28 +227,44 @@ def cmd_oracle(args) -> int:
             "components": res.components,
             "max_conditional_drift": drift,
         }
-        _write(args, json.dumps(payload, indent=2))
+        _write_json(args, payload)
     return 0 if drift <= 1e-9 else 1
 
 
 def cmd_mc(args) -> int:
     s = _read_stream(args.stream)
-    report = harness.mc_marginals(s, _matcher_config(args, s), args.trials, args.seed)
-    _write(args, report.edges_csv() if args.out == "csv" else report.to_json())
+    config = _matcher_config(args, s)
+    report = harness.mc_marginals(s, config, args.trials, args.seed)
+    if args.out == "csv":
+        _write_csv(args, s, {k: [e[k] for e in report.edges]
+                             for k in ("hits", "frequency", "ci_lo", "ci_hi", "below_bound")})
+    else:
+        _write_json(args, {
+            "kind": "mc_marginals",
+            "config": {"delta": config.delta, "q": config.q, "mode": config.mode,
+                       "profile": config.profile.as_dict()},
+            "master_seed": report.master_seed,
+            "trials": report.trials,
+            "violation_count": report.violation_count,
+            "violations": report.violations[:100],
+            "diagnostics": report.diagnostics,
+            "wall_time_sec": report.wall_time,
+            "edges": report.edges,
+        })
     return 1 if report.violation_count else 0
 
 
 def cmd_martingale(args) -> int:
     s = _read_stream(args.stream)
     report = harness.martingale_monitor(s, _matcher_config(args, s), args.vertex, args.trials, args.seed)
-    _write(args, json.dumps(report.as_dict(), indent=2))
+    _write_json(args, report.as_dict())
     ok = not report.violations and report.ci_contains_y0
     return 0 if ok else 1
 
 
 def cmd_counterexample(args) -> int:
     result = harness.counterexample_demo(args.delta, args.q_int)
-    _write(args, json.dumps(result, indent=2))
+    _write_json(args, result)
     n_bad = len(result["violations"])
     if n_bad:
         print(f"{n_bad} violations", file=sys.stderr)
@@ -238,7 +274,7 @@ def cmd_counterexample(args) -> int:
 def cmd_verify(args) -> int:
     s = _read_stream(args.stream)
     result = harness.verify_stream(s, _engine_config(args, s), args.trials, args.seed)
-    _write(args, json.dumps(result, indent=2))
+    _write_json(args, result)
     n_bad = len(result["violations"])
     if n_bad:
         print(f"{n_bad} violations", file=sys.stderr)

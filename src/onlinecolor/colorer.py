@@ -34,8 +34,7 @@ sampled online), local_color (palette sizes tied to the endpoint degrees,
 known a priori).
 
 Both partitions split a palette with ``split(remaining, phase, target)``
--> (pruned list, sublist, rest) and give its tail candidates with
-``tail(remaining)``.  Both are pure functions of their arguments: the
+-> (pruned list, sublist, rest), a pure function of its arguments: the
 sampled partition draws only for a color it meets for the first time, so
 splitting a palette again draws nothing.  ``run_generic`` is the only code
 that remembers a palette.  When the palette object changes, it starts a
@@ -51,9 +50,9 @@ bank, once per phase; per-edge palettes each start a plan of their own.  A
 range split passes the palette whole, so in range mode the palette object
 is what reaches the tail: ``run_generic`` cuts its tail class when the
 palette changes, and takes the lowest color free at both endpoints from
-the cut inline.  A list run scans the sampled partition's lazy ``tail``,
-which classifies a color only when the scan reaches it, so the partition's
-draws stay as they are.
+the cut inline.  A list run's tail candidates are the last active phase's
+rest, which holds only tail-class colors; with no active phase they are the
+whole palette, and the scan classifies none of them.
 
 Each phase's bank (``PhaseReducer``) is fed a group, one entry per sublist
 color.  It draws one uniform per color per fed edge, as it visits the
@@ -381,13 +380,6 @@ class SampledPartition:
         for c in pruned:
             (sublist if self.phase_of(c) == phase else rest).append(c)
         return pruned, tuple(sublist), tuple(rest)
-
-    def tail(self, remaining: tuple):
-        """``remaining``'s colors in the tail class, lazily in palette order:
-        the phase loops classified every candidate, so a scan that stops at
-        the first free color classifies no more than it needs."""
-        f1 = self.schedule.f + 1
-        return (c for c in remaining if self.phase_of(c) == f1)
 
     def assignment(self) -> dict:
         return dict(self._assign)
@@ -742,7 +734,7 @@ def run_generic(
                     used[v] |= low
                     continue
             else:
-                got = _smallest_free(partition.tail(remaining), taken, slots)
+                got = _smallest_free(remaining, taken, slots)
             if got is None:
                 if profile.fallback_on_tail_failure:
                     got = _smallest_free(palette, taken, slots, base)

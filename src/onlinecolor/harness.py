@@ -1,4 +1,7 @@
-"""Monte-Carlo drivers, validators, martingale diagnostics, and reports.
+"""Monte-Carlo drivers, validators and martingale diagnostics.
+
+Each returns its report as data (a dataclass or a dict); only the CLI
+writes a report as text.
 
 Seeding contract: trial t of a run with master seed S draws from a
 generator in the state that ``seeding.rng_for(S, t)`` gives, and consumes
@@ -24,7 +27,6 @@ of the arrivals that can move Y, and yields only what the monitor checks:
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import sys
 import time
@@ -120,8 +122,6 @@ def _require_trials(trials: int) -> None:
 
 @dataclass
 class RunReport:
-    kind: str
-    config: dict
     master_seed: int
     trials: int
     edges: list
@@ -132,30 +132,6 @@ class RunReport:
     @property
     def violation_count(self) -> int:
         return len(self.violations)
-
-    def to_json(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "config": self.config,
-            "master_seed": self.master_seed,
-            "trials": self.trials,
-            "violation_count": self.violation_count,
-            "violations": self.violations[:100],
-            "diagnostics": self.diagnostics,
-            "wall_time_sec": self.wall_time,
-            "edges": self.edges,
-        }
-        return json.dumps(payload, indent=2)
-
-    def edges_csv(self) -> str:
-        header = "time,u,v,hits,frequency,ci_lo,ci_hi,below_bound"
-        rows = [header]
-        for rec in self.edges:
-            rows.append(
-                f"{rec['time']},{rec['u']},{rec['v']},{rec['hits']},{rec['frequency']!r},"
-                f"{rec['ci_lo']!r},{rec['ci_hi']!r},{int(rec['below_bound'])}"
-            )
-        return "\n".join(rows) + "\n"
 
 
 def _matched_indices(trace) -> list[int]:
@@ -259,13 +235,6 @@ def mc_marginals(
             }
         )
     return RunReport(
-        kind="mc_marginals",
-        config={
-            "delta": config.delta,
-            "q": config.q,
-            "mode": config.mode,
-            "profile": config.profile.as_dict(),
-        },
         master_seed=master_seed,
         trials=trials,
         edges=edges,
@@ -501,16 +470,16 @@ def martingale_monitor(
     wm_bound = 128.0 * delta * math.log(delta) / (q * q)
     tol = 1.0 + 1e-12
     violations: list[str] = []
+    yms = []
     total = 0.0
-    total_sq = 0.0
     max_step = 0.0
     max_wm = 0.0
     rng = Random()  # re-seeded per trial (see the seeding contract)
     for t in range(trials):
         rng.seed(derive_seed(master_seed, t))
         ym, ms, wm = _martingale_trial(stream, config, neighbors, plan, rng)
+        yms.append(ym)
         total += ym
-        total_sq += ym * ym
         max_step = max(max_step, ms)
         max_wm = max(max_wm, wm)
         if ms > step_bound * tol:
@@ -518,7 +487,9 @@ def martingale_monitor(
         if wm > wm_bound * tol:
             violations.append(f"trial {t}: W_m {wm:.6g} exceeds bound {wm_bound:.6g}")
     mean = total / trials
-    var = max(0.0, total_sq / trials - mean * mean)
+    # the mean squared deviation, not mean(Y^2) - mean^2, which cancels when
+    # the Y_m are close: fsum rounds once, the same on every Python version
+    var = math.fsum((y - mean) * (y - mean) for y in yms) / trials
     half = 4.0 * math.sqrt(var / trials)
     return MartingaleReport(
         vertex=vertex,

@@ -38,7 +38,7 @@ marginal times the product of (1 - marginal) over the colors before c, and
 
 Float mode sums plainly, in the order of the states; the rational mode
 (exact=True) runs the whole engine on fractions.Fraction and returns exact
-values.
+values.  The results are data; only the CLI writes them as text.
 """
 
 from __future__ import annotations
@@ -66,15 +66,6 @@ class OracleResult:
     leaf_total: object  # product over components of their final masses; 1 up to fp error
     branches: int  # (arrival, live state) steps, summed over components
     components: int  # connected components passed over
-
-    CSV_HEADER = "time,u,v,exact_marginal,conditional_sum,expected_value"
-
-    def csv_rows(self, stream: ArrivalStream) -> list[str]:
-        rows = []
-        for t, u, v, mg, cs, ex in zip(itertools.count(1), stream.u, stream.v, self.marginal,
-                                       self.conditional_sum, self.expected):
-            rows.append(f"{t},{u},{v},{float(mg)!r},{float(cs)!r},{float(ex)!r}")
-        return rows
 
 
 def _components(us, vs):
@@ -227,10 +218,10 @@ def exact_colored_marginals(
 ) -> ColoredOracleResult:
     """Exact first-match-wins split of the per-color matcher bank on a listed stream.
 
-    Every arrival must carry a palette.  Each color runs an independent
-    gated matcher (degree bound delta, slack q) over the arrivals whose
-    palette holds it; an edge takes the first color of its palette whose
-    matcher matched it.  By independence, Pr[e takes c] is c's standalone
+    Every arrival must carry a palette (else OracleLimitError).  Each color
+    runs an independent gated matcher (degree bound delta, slack q) over
+    the arrivals whose palette holds it; an edge takes the first color of
+    its palette whose matcher matched it.  By independence, Pr[e takes c] is c's standalone
     marginal times the product of (1 - marginal) over the colors before c,
     e.g. a lone edge with k colors is colored with probability
     1 - (1 - 1/(D+q))^k.  Each color's conditional sum at an arrival is
@@ -241,6 +232,8 @@ def exact_colored_marginals(
     config = MatcherConfig(delta=delta, q=q)
     arrivals: dict = {}  # color -> the arrivals whose palette holds it
     for i, palette in enumerate(stream.palettes):
+        if palette is None:
+            raise OracleLimitError(f"t={i + 1}: arrival without a palette in a colored oracle run")
         for c in palette:
             arrivals.setdefault(c, []).append(i)
     alone = {}  # (color, arrival) -> (standalone marginal, conditional sum)

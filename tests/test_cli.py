@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import pytest
 
@@ -8,6 +9,7 @@ from conftest import probe_stream
 from onlinecolor import colorer
 from onlinecolor.cli import main
 from onlinecolor.matcher import MultiplicativeState
+from onlinecolor.profiles import resolve_profile
 from onlinecolor.stream import emit_stream, gen_regular, parse_stream
 
 
@@ -494,8 +496,28 @@ def test_color_cli_list_fallback_out_of_colors_exits_1(tmp_path, capsys):
     # it cannot overflow: the run fails instead of leaving the lists
     path = tmp_path / "probe.txt"
     path.write_text(emit_stream(probe_stream()))
-    with pytest.warns(UserWarning, match="minimum list size"):
-        code = main(["color", "--mode", "list", "--stream", str(path)])
+    code = main(["color", "--mode", "list", "--stream", str(path)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err.startswith("error: t=") and "no tail color" in captured.err
+    warning, error = captured.err.splitlines()
+    assert warning.startswith("warning: minimum list size")
+    assert error.startswith("error: t=") and "no tail color" in error
+
+
+def test_color_cli_prints_a_front_end_warning_as_one_line(tmp_path, capsys):
+    # lists of 9 colors are below list_color's size guard: the CLI prints
+    # its warning as one line, whatever the caller's filters, and leaves
+    # the filters as they were; a library caller still gets the UserWarning
+    path = tmp_path / "listed.txt"
+    assert main(["gen", "--kind", "regular", "--n", "20", "--delta", "4", "--seed", "7",
+                 "--list-size", "9", "--order", "random", "--out-file", str(path)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        showwarning = warnings.showwarning
+        code = main(["color", "--mode", "list", "--seed", "1", "--stream", str(path)])
+        assert warnings.showwarning is showwarning
+        with pytest.raises(UserWarning, match="minimum list size 9"):
+            colorer.list_color(parse_stream(path.read_text()), resolve_profile("practical"), 1)
+    captured = capsys.readouterr()
+    assert code == 0 and json.loads(captured.out)["violations"] == []
+    assert captured.err == "warning: minimum list size 9 below 2 * a_base_mult * ln n = 59.91\n"

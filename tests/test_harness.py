@@ -29,7 +29,7 @@ from onlinecolor.matcher import (
     MultiplicativeState,
 )
 from onlinecolor.seeding import derive_seed, rng_for
-from onlinecolor.stream import gen_regular, make_stream, reorder
+from onlinecolor.stream import gen_complete_bipartite, gen_regular, make_stream, reorder
 
 
 def test_wilson_basics():
@@ -276,6 +276,17 @@ def test_martingale_isolated_vertex():
         assert rep.y0 == y0 and math.isclose(rep.mean_ym, y0)
         assert rep.max_step == 0.0 and rep.max_wm == 0.0
         assert not rep.violations and rep.ci_contains_y0
+
+
+def test_martingale_interval_of_equal_trials_has_no_width():
+    # every trial at the 4-star's center ends at Y_m = 0.8; the variance is
+    # the mean squared deviation, so rounding alone cannot widen the 4-sigma
+    # interval (mean(Y^2) - mean^2 gave it a width of 3.4e-8 here)
+    s = gen_complete_bipartite(1, 4)
+    rep = martingale_monitor(s, MatcherConfig(delta=4, q=1), vertex=0, trials=50, master_seed=0)
+    assert rep.y0 == 0.8 and rep.max_step == 0.0
+    assert rep.ci_hi - rep.ci_lo <= 1e-12
+    assert rep.ci_contains_y0
 
 
 def test_martingale_single_edge_freezes():

@@ -77,6 +77,12 @@ def test_colored_oracle_needs_a_listed_stream():
         exact_colored_marginals(path(2), 2, 1.0)
 
 
+def test_colored_oracle_names_an_arrival_without_a_palette():
+    s = make_stream(3, 2, [(0, 1), (1, 2)], lists=[(1, 2), None])
+    with pytest.raises(OracleLimitError, match="t=2: arrival without a palette"):
+        exact_colored_marginals(s, 2, 1.0)
+
+
 def test_natural_mode_clamped_step_has_no_unmatched_child():
     # D+q = 5/2: when neither of the first two edges matches, the third
     # edge's P is 6/5, clamped to P_hat = 1; its unmatched child has

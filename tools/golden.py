@@ -7,9 +7,10 @@ invocation's output is saved there under its name, and an argument token
 ``PROFILES``), so later invocations read the streams made before them.
 What is kept per invocation is its exit code and the first 16 hex digits
 of the sha256 of its stdout, after every ``"wall_time_sec"`` value in it is
-masked; nothing else is masked.  Stderr is left out: where a warning goes
-depends on the caller's warning filters (pytest captures them).  Profile
-files carry a ``name`` key, so no temporary path enters a digest.
+masked; nothing else is masked.  Stderr is left out: it holds only
+one-line notes beside the report (``error:``, ``warning:``, a violation
+count), and the digests pin the reports.  Profile files carry a ``name``
+key, so no temporary path enters a digest.
 
     python3 tools/golden.py --check   # compare with tests/golden.json
     python3 tools/golden.py --write   # regenerate tests/golden.json
@@ -72,6 +73,7 @@ CORPUS = [
     ("oracle-json", ["oracle", "--stream", "@small", "--q", "1"]),
     ("oracle-csv", ["oracle", "--stream", "@small", "--q", "1", "--out", "csv"]),
     ("oracle-exact", ["oracle", "--stream", "@bip", "--q", "1", "--exact"]),
+    ("oracle-exact-csv", ["oracle", "--stream", "@bip", "--q", "1", "--exact", "--out", "csv"]),
     ("oracle-rounder", ["oracle", "--stream", "@frac", "--out", "csv"]),
     ("mc-json", ["mc", "--stream", "@reg", "--q", "1.5", "--trials", "200", "--seed", "5"]),
     ("mc-csv", ["mc", "--stream", "@small", "--q", "1", "--trials", "300", "--seed", "5",
