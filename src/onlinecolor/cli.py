@@ -33,15 +33,18 @@ from .seeding import derive_seed
 
 def _read_stream(path: str) -> streammod.ArrivalStream:
     with open(path, "r", encoding="utf-8") as fh:
-        return streammod.parse_stream(fh.read())
+        return streammod.parse_stream(fh)
 
 
 def _write(args, text: str) -> None:
+    """``text``, ending in a newline, to --out-file or else stdout."""
+    if not text.endswith("\n"):
+        text += "\n"
     if args.out_file:
         with open(args.out_file, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _write_json(args, payload: dict) -> None:

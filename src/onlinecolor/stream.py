@@ -16,12 +16,15 @@ no empty item.  Color ids are positive integers.  Vertex ids are dense
 non-negative integers below n, so isolated vertices are representable
 (per-vertex state is allocated from n, not inferred from the edges).
 
-``parse_stream`` reads a ``str``.  Canonical text, what ``emit_stream``
-writes for a stream without annotations, is read in chunks of about
-``PARSE_CHUNK`` characters cut at newlines: one regex match checks a chunk,
-and one ``json.loads`` of its integers reads it.  Any other text is read
-line by line from its start, each edge line by ``_parse_edge_line``.  Both
-give the same columns and the same errors.
+``parse_stream`` reads a ``str`` or an open text file, in chunks of about
+``PARSE_CHUNK`` characters cut at newlines, so that only one chunk of the
+text is alive at a time.  While the chunks are canonical text, what
+``emit_stream`` writes for a stream without annotations, one regex match
+checks a chunk and one ``json.loads`` of its integers reads it.  The first
+chunk that is not, and every later one, is read line by line, each edge
+line by ``_parse_edge_line``, with lines counted from the start of the
+text; the canonical chunks before it hold no line it would reject.  Both
+readings give the same columns and the same errors.
 
 ``ArrivalStream`` stores its arrivals as columns, one tuple per field:
 endpoints ``u`` and ``v``, fractional values ``x`` and palettes
@@ -66,7 +69,7 @@ import re
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 FRACTIONAL_SUM_TOL = 1e-9
 
@@ -306,84 +309,120 @@ _CANONICAL_EDGES = re.compile(rf"(?:e {_UINT} {_UINT}\n)*")
 # An integer of the text format: int() alone also takes "_" separators and
 # non-ASCII digits
 _INT_TEXT = re.compile(r"[+-]?[0-9]+").fullmatch
-# Canonical text is read in chunks of about this many characters, each cut
-# at a newline, so that only one chunk's tokens are alive at a time.
+# A parse reads its source in chunks of about this many characters, each
+# cut at a newline, so that only one chunk's text and tokens are alive at a
+# time.
 PARSE_CHUNK = 8192
 
 
-def parse_stream(text: str) -> ArrivalStream:
-    """The stream that ``text`` describes (a ``str``; decode bytes first).
-    Canonical text is read in chunks (``_parse_canonical``); any other text
-    line by line (``_parse_lines``), which gives the same columns and every
-    error message."""
-    columns = _parse_canonical(text)
-    if columns is None:
-        columns = _parse_lines(text)
-    return ArrivalStream(*columns)
+def parse_stream(source: str | TextIO) -> ArrivalStream:
+    """The stream that ``source`` describes: a ``str``, or a text file open
+    for reading (decode bytes first).  Its chunks (``_chunks``) are read by
+    ``_read_canonical`` while they are canonical text, and the first chunk
+    that is not, with every later one, by ``_read_lines``, which raises
+    every format error, with the line number in the whole text."""
+    cols = _Columns()
+    chunks = _chunks(source)
+    for chunk in chunks:
+        if not _read_canonical(chunk, cols):
+            _read_lines(chunk, cols)
+            break
+    for chunk in chunks:
+        _read_lines(chunk, cols)
+    if cols.header is None:
+        raise StreamError("missing header line 'n=<int> dmax=<int>'")
+    index = range(len(cols.u))
+    return ArrivalStream(*cols.header, cols.u, cols.v,
+                         list(map(cols.x.get, index)) if cols.x else None,
+                         list(map(cols.palettes.get, index)) if cols.palettes else None)
 
 
-def _parse_canonical(text: str):
-    """The columns (n, dmax, u, v, x, palettes) of canonical text, or None
-    for any other text.  Each chunk is checked by one regex match, then read
-    by one ``json.loads`` of its integers rewritten as an array
-    ("e 1 2\\ne 3 4\\n" -> "[1,2,3,4]"), endpoints alternating."""
-    head = _CANONICAL_HEADER.match(text)
-    if head is None:
-        return None
-    us: list[int] = []
-    vs: list[int] = []
-    edges = _CANONICAL_EDGES.fullmatch
-    loads = json.loads
-    start, end = head.end(), len(text)
-    while start < end:
-        cut = text.find("\n", start + PARSE_CHUNK - 1) + 1 or end
-        chunk = text[start:cut]
-        if edges(chunk) is None:
-            return None
+def _chunks(source: str | TextIO):
+    """``source`` in pieces of about ``PARSE_CHUNK`` characters, each but the
+    last ending at a newline.  A ``str`` is sliced; a file is read by
+    ``read(PARSE_CHUNK)`` and, when that does not end in a newline, one
+    ``readline()``, which cuts it where slicing its whole text would."""
+    if isinstance(source, str):
+        start, end = 0, len(source)
+        while start < end:
+            cut = source.find("\n", start + PARSE_CHUNK - 1) + 1 or end
+            yield source[start:cut]
+            start = cut
+        return
+    chunk = source.read(PARSE_CHUNK)
+    while chunk:
+        yield chunk if chunk[-1] == "\n" else chunk + source.readline()
+        chunk = source.read(PARSE_CHUNK)
+
+
+class _Columns:
+    """What a parse has read so far: the header (n, dmax), the endpoint
+    columns, each annotation by arrival index, the palette of each distinct
+    ``L=`` token text, and the number of lines."""
+
+    __slots__ = ("header", "u", "v", "x", "palettes", "texts", "lines")
+
+    def __init__(self):
+        self.header: tuple[int, int] | None = None
+        self.u: list[int] = []
+        self.v: list[int] = []
+        self.x: dict[int, float] = {}
+        self.palettes: dict[int, tuple[int, ...]] = {}
+        self.texts: dict[str, tuple[int, ...]] = {}
+        self.lines = 0
+
+
+def _read_canonical(chunk: str, cols: _Columns) -> bool:
+    """Read ``chunk``, the first with its header line, into ``cols`` if it is
+    canonical text; False, reading nothing, if it is not.  One regex match
+    checks the chunk, and one ``json.loads`` of its integers rewritten as an
+    array ("e 1 2\\ne 3 4\\n" -> "[1,2,3,4]") reads it, endpoints
+    alternating."""
+    start = 0
+    if cols.header is None:  # the first chunk
+        head = _CANONICAL_HEADER.match(chunk)
+        if head is None or _CANONICAL_EDGES.fullmatch(chunk, head.end()) is None:
+            return False
+        cols.header = int(head[1]), int(head[2])
+        start = head.end()
+    elif _CANONICAL_EDGES.fullmatch(chunk) is None:
+        return False
+    if start < len(chunk):
         # a matched chunk is "e <u> <v>\n" lines: drop the first "e " and
         # the last newline, and every other separator becomes a comma
-        ends = loads("[" + chunk[2:-1].replace("\ne ", ",").replace(" ", ",") + "]")
-        us += ends[0::2]
-        vs += ends[1::2]
-        start = cut
-    return int(head[1]), int(head[2]), us, vs, None, None
+        ends = json.loads("[" + chunk[start + 2:-1].replace("\ne ", ",").replace(" ", ",") + "]")
+        cols.u += ends[0::2]
+        cols.v += ends[1::2]
+    cols.lines += chunk.count("\n")
+    return True
 
 
-def _parse_lines(text: str):
-    """The columns (n, dmax, u, v, x, palettes) of any text, read one line
-    at a time; raises StreamError on a malformed line or header."""
-    header = None
-    us: list[int] = []
-    vs: list[int] = []
-    xs: dict[int, float] = {}  # arrival index -> x, for arrivals with one
-    ps: dict[int, tuple[int, ...]] = {}  # arrival index -> palette, likewise
-    palettes: dict[str, tuple[int, ...]] = {}  # L= token text -> its palette
-    lines = text.splitlines()
+def _read_lines(chunk: str, cols: _Columns) -> None:
+    """Read ``chunk`` into ``cols`` one line at a time, numbering its lines
+    on from ``cols.lines``; raises StreamError on a malformed line or
+    header."""
+    us, vs, xs, ps = cols.u, cols.v, cols.x, cols.palettes
+    lines = chunk.splitlines()
     # each line split once
-    for lineno, raw, toks in zip(itertools.count(1), lines, map(str.split, lines)):
+    for lineno, raw, toks in zip(itertools.count(cols.lines + 1), lines, map(str.split, lines)):
         if not toks or toks[0][0] == "#":
             continue
-        if header is None:
-            header = _parse_header(toks, lineno)
+        if cols.header is None:
+            cols.header = _parse_header(toks, lineno)
             continue
         # the stripped line must start with "e ": an "e" token followed by a
         # space (not a tab) and more text
         if len(toks) == 1 or not (
                 raw.startswith("e ") or toks[0] == "e" and raw[raw.index("e") + 1] == " "):
             raise StreamError(f"line {lineno}: expected 'e <u> <v> ...', got {raw.strip()!r}")
-        u, v, x, colors = _parse_edge_line(toks, lineno, palettes)
+        u, v, x, colors = _parse_edge_line(toks, lineno, cols.texts)
         if x is not None:
             xs[len(us)] = x
         if colors is not None:
             ps[len(us)] = colors
         us.append(u)
         vs.append(v)
-    if header is None:
-        raise StreamError("missing header line 'n=<int> dmax=<int>'")
-    n, dmax = header
-    index = range(len(us))
-    return (n, dmax, us, vs, list(map(xs.get, index)) if xs else None,
-            list(map(ps.get, index)) if ps else None)
+    cols.lines += len(lines)
 
 
 def _int(text: str) -> int:

@@ -1,16 +1,17 @@
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 
 import pytest
 
 from conftest import probe_stream
-from onlinecolor import colorer
+from onlinecolor import cli, colorer
 from onlinecolor.cli import main
 from onlinecolor.matcher import MultiplicativeState
 from onlinecolor.profiles import resolve_profile
-from onlinecolor.stream import emit_stream, gen_regular, parse_stream
+from onlinecolor.stream import PARSE_CHUNK, emit_stream, gen_regular, parse_stream, with_range_lists
 
 
 def run_cli(capsys, *argv):
@@ -521,3 +522,49 @@ def test_color_cli_prints_a_front_end_warning_as_one_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0 and json.loads(captured.out)["violations"] == []
     assert captured.err == "warning: minimum list size 9 below 2 * a_base_mult * ln n = 59.91\n"
+
+
+@pytest.mark.parametrize("argv", [["oracle", "--q", "1"], ["color", "--mode", "list", "--seed", "1"]])
+def test_out_file_holds_the_bytes_of_stdout(tmp_path, capsys, argv):
+    path = tmp_path / "listed.txt"
+    path.write_text(emit_stream(with_range_lists(gen_regular(10, 3, seed=5), 40)))
+    code, out = run_cli(capsys, *argv, "--stream", str(path))
+    report = tmp_path / "report.json"
+    assert main([*argv, "--stream", str(path), "--out-file", str(report)]) == code == 0
+    assert report.read_bytes() == out.encode() and out.endswith("}\n")
+
+
+def test_read_stream_peak_memory_is_a_fraction_of_the_file(tmp_path):
+    # the file is read in chunks: neither its bytes nor its whole text are
+    # ever alive at once
+    s = with_range_lists(gen_regular(60, 10, seed=1), 900)
+    path = tmp_path / "listed.txt"
+    path.write_text(emit_stream(s), encoding="utf-8")
+    size = path.stat().st_size
+    assert s.m == 300 and size > 1_000_000
+    cli._read_stream(str(path))  # imports and compiled patterns outside the trace
+    tracemalloc.start()
+    try:
+        got = cli._read_stream(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == s
+    assert peak < size / 4, (peak, size)
+
+
+def test_color_cli_reports_a_bad_byte_late_in_the_file(tmp_path, capsys):
+    # a byte that is not UTF-8 in the third chunk of canonical text is one
+    # error line, exit 2; a format fault before it is reported first, as
+    # the chunks before the bad byte are parsed before it is decoded
+    data = emit_stream(gen_regular(300, 40, seed=1)).encode()
+    at = 2 * PARSE_CHUNK + PARSE_CHUNK // 2
+    assert len(data) > 3 * PARSE_CHUNK
+    for text, message in ((data, "'utf-8' codec can't decode byte 0xff"),
+                          (data.replace(b"\ne ", b"\ne\t", 1), "line 2: expected 'e <u> <v> ...'")):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(text[:at] + b"\xff" + text[at:])
+        assert main(["color", "--stream", str(path), "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import random
 from collections import Counter
 from types import SimpleNamespace
@@ -315,12 +316,13 @@ _BIG_ID = 123456789012345678  # 18 digits: still canonical
 
 
 @st.composite
-def canonical_texts(draw):
+def canonical_texts(draw, min_edges=0):
     """Canonical text (a header, then only "e <u> <v>" lines): mostly a valid
     simple graph, now and then an arrival that fails validation."""
-    n = draw(st.integers(2, 14))
+    n = draw(st.integers(9 if min_edges else 2, 14))
     pairs = [(a, b) for a in range(n) for b in range(n) if a < b]
-    edges = draw(st.lists(st.sampled_from(pairs), unique_by=frozenset, max_size=40))
+    edges = draw(st.lists(st.sampled_from(pairs), unique_by=frozenset, min_size=min_edges,
+                          max_size=40))
     edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
     degree = Counter(w for e in edges for w in e)
     dmax = max(degree.values(), default=0) + draw(st.integers(0, 1))
@@ -346,43 +348,55 @@ def _edge_ids(text):
 
 _EDITS = ["leading zero", "plus", "tab", "trailing space", "19 digits", "5000 digits",
           "crlf", "no final newline", "comment", "dmax first"]
+# a canonical prefix longer than this spans more than three chunks of the
+# largest size test_canonical_and_line_parses_agree draws
+_LONG_PREFIX = 150
 
 
 @st.composite
 def edited_texts(draw):
-    """(text, edited): canonical text, or about half the time the same text
-    with one edit that makes it non-canonical."""
-    text = draw(canonical_texts())
-    if not draw(st.booleans()):
-        return text, False
-    return _one_edit(draw, text, draw(st.sampled_from(_EDITS))), True
+    """(text, first): canonical text and None, or about half the time the
+    same text with one edit that makes it non-canonical, on line ``first``
+    (0-based) or a later one.  One edit in four is late: it follows a
+    canonical prefix of more than _LONG_PREFIX characters."""
+    late = draw(st.integers(0, 7)) == 0
+    text = draw(canonical_texts(min_edges=30 if late else 0))
+    if not late and not draw(st.booleans()):
+        return text, None
+    if not late:
+        return _one_edit(draw, text, draw(st.sampled_from(_EDITS))), 0
+    lines = text.splitlines(keepends=True)
+    first = next(k for k in range(len(lines)) if len("".join(lines[:k])) > _LONG_PREFIX)
+    return _one_edit(draw, text, draw(st.sampled_from(_EDITS[:-1])), first), first
 
 
-def _one_edit(draw, text, edit):
-    """``text`` with the named edit; an edit with nothing to change (no edge
-    line) drops the final newline instead."""
-    ids = _edge_ids(text)
+def _one_edit(draw, text, edit, first=0):
+    """``text`` with the named edit, on line ``first`` or a later one (a
+    "dmax first" edit needs ``first`` 0); an edit with nothing to change (no
+    edge line) drops the final newline instead."""
+    lines = text.splitlines(keepends=True)
+    offset = len("".join(lines[:first]))
+    ids = [(a, b) for a, b in _edge_ids(text) if a >= offset]
     if edit in ("leading zero", "plus", "19 digits", "5000 digits") and ids:
         a, b = draw(st.sampled_from(ids))
         token = {"leading zero": "0" + text[a:b], "plus": "+" + text[a:b],
                  "19 digits": str(10 ** 18 + draw(st.integers(0, 99))),
                  "5000 digits": "7" * 5000}[edit]
         return text[:a] + token + text[b:]
-    lines = text.splitlines(keepends=True)
-    if edit == "tab" and len(lines) > 1:
-        k = draw(st.integers(1, len(lines) - 1))
+    if edit == "tab" and len(lines) > max(first, 1):
+        k = draw(st.integers(max(first, 1), len(lines) - 1))
         spaces = [i for i, ch in enumerate(lines[k]) if ch == " "]
         i = draw(st.sampled_from(spaces))
         lines[k] = lines[k][:i] + "\t" + lines[k][i + 1:]
         return "".join(lines)
     if edit == "trailing space":
-        k = draw(st.integers(0, len(lines) - 1))
+        k = draw(st.integers(first, len(lines) - 1))
         lines[k] = lines[k][:-1] + " \n"
         return "".join(lines)
     if edit == "crlf":
-        return text.replace("\n", "\r\n")
+        return text[:offset] + text[offset:].replace("\n", "\r\n")
     if edit == "comment":
-        lines.insert(draw(st.integers(1, len(lines))), "# a note\n")
+        lines.insert(draw(st.integers(max(first, 1), len(lines))), "# a note\n")
         return "".join(lines)
     if edit == "dmax first":
         n, dmax = lines[0].split()
@@ -393,45 +407,52 @@ def _one_edit(draw, text, edit):
 @settings(max_examples=400)
 @given(edited_texts(), st.integers(1, 48))
 def test_canonical_and_line_parses_agree(case, chunk):
-    # canonical text takes the chunked path, any other text the line loop
-    # from its start; both give the reference's columns or its error.  The
-    # chunks are small, so their cuts fall after any line.
-    text, edited = case
-    lines_used = []
-    line_loop = streammod._parse_lines
+    # the text and a file of it give the reference's columns or its error.
+    # Chunks are read as canonical text up to the first that is not, which
+    # the line reader reads with every later one, numbering lines from the
+    # whole text's start.  The chunks are small, so their cuts fall after
+    # any line, and a late edit's prefix spans several of them.
+    text, first = case
+    line_reader = streammod._read_lines
+    for source in (text, io.StringIO(text)):
+        entered = []  # lines read when the line reader took each chunk
 
-    def spy(t):
-        lines_used.append(t)
-        return line_loop(t)
+        def spy(piece, cols):
+            entered.append(cols.lines)
+            line_reader(piece, cols)
 
-    with mock.patch.object(streammod, "PARSE_CHUNK", chunk), \
-            mock.patch.object(streammod, "_parse_lines", spy):
-        try:
-            want = _reference_parse(text)
-        except StreamError as exc:
-            with pytest.raises(StreamError) as got:
-                parse_stream(text)
-            assert str(got.value) == str(exc)
-        else:
-            s = parse_stream(text)
-            n, dmax, arrivals, _ = want
-            assert (s.n, s.delta_bound, s.x, s.palettes) == (n, dmax, None, None)
-            assert s.u == tuple(e.u for e in arrivals) and s.v == tuple(e.v for e in arrivals)
-    assert bool(lines_used) == edited
+        with mock.patch.object(streammod, "PARSE_CHUNK", chunk), \
+                mock.patch.object(streammod, "_read_lines", spy):
+            try:
+                want = _reference_parse(text)
+            except StreamError as exc:
+                with pytest.raises(StreamError) as got:
+                    parse_stream(source)
+                assert str(got.value) == str(exc)
+            else:
+                s = parse_stream(source)
+                n, dmax, arrivals, _ = want
+                assert (s.n, s.delta_bound, s.x, s.palettes) == (n, dmax, None, None)
+                assert s.u == tuple(e.u for e in arrivals) and s.v == tuple(e.v for e in arrivals)
+        assert bool(entered) == (first is not None)
+        if first:  # a late edit: the first chunks were read as canonical text
+            assert entered[0] > 0
 
 
 def test_generated_streams_never_enter_the_line_loop(monkeypatch):
     # emit_stream writes canonical text for a stream without annotations,
-    # so parsing it back is the chunked path alone, over many chunks
-    def refuse(text):
-        raise AssertionError("the line loop was used")
+    # so parsing it back, from the text or from a file, reads canonical
+    # chunks alone, many of them
+    def refuse(chunk, cols):
+        raise AssertionError("the line reader was used")
 
     streams = [gen_regular(300, 40, seed=1), gen_regular(12, 4, seed=2), make_stream(3, 0, [])]
     texts = list(map(emit_stream, streams))
     assert len(texts[0]) > 5 * streammod.PARSE_CHUNK
-    monkeypatch.setattr(streammod, "_parse_lines", refuse)
+    monkeypatch.setattr(streammod, "_read_lines", refuse)
     for s, text in zip(streams, texts):
         assert parse_stream(text) == s
+        assert parse_stream(io.StringIO(text)) == s
 
 
 @pytest.mark.parametrize(
