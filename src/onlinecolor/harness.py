@@ -15,9 +15,10 @@ every step it audited.
 
 ``validate_coloring`` takes the color column alone (a ColoringResult's
 ``colors``) and accepts and explains in two parts, as ``ArrivalStream``
-validation does: a lean pass accepts a complete coloring on a shared step-1
-range, and the full loop runs for every other case and alone writes the
-violation messages, at most ``VIOLATION_LIMIT`` of them.
+validation does: a lean pass accepts a complete proper coloring whatever
+form its palettes take, and the full loop runs for every coloring it does
+not accept and alone writes the violation messages, at most
+``VIOLATION_LIMIT`` of them.
 
 Each trial of ``martingale_monitor`` walks one plan, built once per call,
 of the arrivals that can move Y, and yields only what the monitor checks:
@@ -30,6 +31,7 @@ import itertools
 import math
 import sys
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -258,11 +260,10 @@ def validate_coloring(stream: ArrivalStream, colors, palettes=None) -> list[str]
     (or None) per edge: an uncolored edge is a violation.  Violations are
     data, not exceptions; the first ``VIOLATION_LIMIT`` are returned.
 
-    A complete coloring on one shared step-1 range (what ``onlinecolor
-    color`` checks in plain mode) is first offered to a lean accept pass,
-    ``_proper_on_range``, which finds no fault and gives no message; any
-    coloring it does not accept, and every other call, goes through the
-    loop below, which finds and explains each violation.
+    Every complete coloring, whatever ``palettes`` is, is first offered to
+    a lean accept pass, ``_accepts``, which finds no fault and gives no
+    message; any coloring it does not accept goes through
+    ``_violations``, which finds and explains each violation.
 
     ``palettes`` is None (membership is not checked), one range shared by
     every edge, or any other sequence with one palette per edge, as in
@@ -270,10 +271,55 @@ def validate_coloring(stream: ArrivalStream, colors, palettes=None) -> list[str]
     whose length is not m is reported first ("N colors for m edges", "N
     palettes for m edges"); the edges past the shortest of the three are
     not checked."""
-    m = stream.m
-    if (isinstance(palettes, range) and palettes.step == 1 and len(colors) == m
-            and _proper_on_range(stream, colors, palettes)):
+    if len(colors) == stream.m and _accepts(stream, colors, palettes):
         return []
+    return _violations(stream, colors, palettes)
+
+
+def _accepts(stream: ArrivalStream, colors, palettes) -> bool:
+    """True when ``colors``, one per edge, are ints, each in its palette,
+    and no color repeats at a vertex; False leaves the findings and the
+    messages to ``_violations``.  A range, shared or an edge's own, is
+    asked with ``in``.  Any other palette of an edge holds its color where
+    ``bisect_left`` finds it, which is sound for any sequence, since only a
+    color found there is accepted: an unsorted palette, a None entry or
+    anything that is not a sequence of ints goes to ``_violations``.  Each
+    distinct color gets a dense bit slot, so the per-vertex masks grow with
+    the colors used, not with their ids."""
+    keys = set(colors)
+    if not all(type(c) is int for c in keys):  # None (uncolored) included
+        return False
+    if isinstance(palettes, range):
+        if not all(map(palettes.__contains__, keys)):
+            return False
+    elif palettes is not None:
+        try:
+            if len(palettes) != stream.m:
+                return False
+            for c, palette in zip(colors, palettes):
+                if type(palette) is range:  # of any length, past sys.maxsize too
+                    if c not in palette:
+                        return False
+                    continue
+                i = bisect_left(palette, c)
+                if not (i < len(palette) and palette[i] == c):
+                    return False
+        except TypeError:  # an entry that is not a sequence of ints
+            return False
+    bit_of = {c: 1 << k for k, c in enumerate(keys)}
+    used = [0] * stream.n
+    for u, v, b in zip(stream.u, stream.v, map(bit_of.__getitem__, colors)):
+        if (used[u] | used[v]) & b:
+            return False
+        used[u] |= b
+        used[v] |= b
+    return True
+
+
+def _violations(stream: ArrivalStream, colors, palettes) -> list[str]:
+    """``validate_coloring``'s findings, each with its message, in arrival
+    order, at most ``VIOLATION_LIMIT`` of them."""
+    m = stream.m
     bad: list[str] = []
     if len(colors) != m:
         bad.append(f"{len(colors)} colors for {m} edges")
@@ -311,27 +357,6 @@ def validate_coloring(stream: ArrivalStream, colors, palettes=None) -> list[str]
         elif seen.setdefault(c, t) != t:
             bad.append(f"t={t}: color {c} repeated at vertex {v} (first at t={seen[c]})")
     return bad[:VIOLATION_LIMIT]
-
-
-def _proper_on_range(stream: ArrivalStream, colors, palette: range) -> bool:
-    """True when ``colors``, one per edge, are ints of the step-1 range
-    ``palette`` and no color repeats at a vertex; False leaves the findings
-    and the messages to the loop of ``validate_coloring``.  Each distinct
-    color gets a dense bit slot, so the per-vertex masks grow with the
-    colors used, not with their ids."""
-    keys = set(colors)
-    if not all(type(c) is int for c in keys):  # None (uncolored) included
-        return False
-    if keys and (min(keys) < palette.start or max(keys) >= palette.stop):
-        return False
-    bit_of = {c: 1 << k for k, c in enumerate(keys)}
-    used = [0] * stream.n
-    for u, v, b in zip(stream.u, stream.v, map(bit_of.__getitem__, colors)):
-        if (used[u] | used[v]) & b:
-            return False
-        used[u] |= b
-        used[v] |= b
-    return True
 
 
 # ---------------------------------------------------------------------------

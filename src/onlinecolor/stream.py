@@ -309,6 +309,10 @@ _CANONICAL_EDGES = re.compile(rf"(?:e {_UINT} {_UINT}\n)*")
 # An integer of the text format: int() alone also takes "_" separators and
 # non-ASCII digits
 _INT_TEXT = re.compile(r"[+-]?[0-9]+").fullmatch
+# One color of an L= list and the comma or end after it.  A scanner of it
+# reads the colors one at a time, each match starting where the last one
+# ended, so that no list of per-color texts is made
+_COLOR_ITEM = re.compile(r"([+-]?[0-9]+)(?:,|\Z)")
 # A parse reads its source in chunks of about this many characters, each
 # cut at a newline, so that only one chunk's text and tokens are alive at a
 # time.
@@ -400,11 +404,10 @@ def _read_canonical(chunk: str, cols: _Columns) -> bool:
 def _read_lines(chunk: str, cols: _Columns) -> None:
     """Read ``chunk`` into ``cols`` one line at a time, numbering its lines
     on from ``cols.lines``; raises StreamError on a malformed line or
-    header."""
+    header.  Each line is split into tokens once (``_tokens``)."""
     us, vs, xs, ps = cols.u, cols.v, cols.x, cols.palettes
     lines = chunk.splitlines()
-    # each line split once
-    for lineno, raw, toks in zip(itertools.count(cols.lines + 1), lines, map(str.split, lines)):
+    for lineno, raw, toks in zip(itertools.count(cols.lines + 1), lines, map(_tokens, lines)):
         if not toks or toks[0][0] == "#":
             continue
         if cols.header is None:
@@ -423,6 +426,21 @@ def _read_lines(chunk: str, cols: _Columns) -> None:
         us.append(u)
         vs.append(v)
     cols.lines += len(lines)
+
+
+def _tokens(line: str) -> list[str]:
+    """``line.split()`` for a line of ``splitlines()``, from
+    ``line.split(None, 3)``, whose fourth piece, the rest of the line, is
+    one token unless it holds whitespace.  The line is split again only
+    when that piece is not ASCII or holds a space, a tab or ``\\x1f``, the
+    only ASCII whitespace such a line can hold, so a line whose last token
+    is a long ``L=`` list is split once."""
+    toks = line.split(None, 3)
+    if len(toks) == 4:
+        rest = toks[3]
+        if not rest.isascii() or " " in rest or "\t" in rest or "\x1f" in rest:
+            return line.split()
+    return toks
 
 
 def _int(text: str) -> int:
@@ -478,12 +496,18 @@ def _parse_edge_line(toks: list[str], lineno: int, palettes: dict[str, tuple[int
             palette = palettes.get(tok)
             if palette is None:
                 try:
-                    parsed = [_int(c) for c in tok[2:].split(",")] if tok != "L=" else []
-                except ValueError:
+                    parsed = [int(c[1]) for c in iter(_COLOR_ITEM.scanner(tok, 2).match, None)]
+                    # the scan stops at the first fault, so a list it read
+                    # whole has one color more than commas
+                    if tok != "L=" and len(parsed) != tok.count(",") + 1:
+                        raise ValueError(tok)
+                except ValueError:  # int() also refuses more than 4300 digits
                     raise StreamError(f"line {lineno}: bad color list {tok!r}") from None
-                if len(set(parsed)) != len(parsed):
+                parsed.sort()
+                # sorted, so a repeated color has an equal neighbour
+                if any(map(operator.eq, parsed, itertools.islice(parsed, 1, None))):
                     raise StreamError(f"line {lineno}: duplicate color in list")
-                palette = palettes[tok] = tuple(sorted(parsed))
+                palette = palettes[tok] = tuple(parsed)
             if colors is not None:
                 raise StreamError(f"line {lineno}: repeated L= annotation")
             colors = palette

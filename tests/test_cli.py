@@ -553,6 +553,24 @@ def test_read_stream_peak_memory_is_a_fraction_of_the_file(tmp_path):
     assert peak < size / 4, (peak, size)
 
 
+def test_read_stream_peak_memory_on_one_long_palette(tmp_path):
+    # one L= list of 200,000 colors: its colors are read one at a time and
+    # its duplicates found in place, so the parse holds little beyond the
+    # stream it returns
+    path = tmp_path / "long.txt"
+    path.write_text("n=2 dmax=1\ne 0 1 L=" + ",".join(map(str, range(1, 200_001))) + "\n",
+                    encoding="utf-8")
+    cli._read_stream(str(path))  # imports and compiled patterns outside the trace
+    tracemalloc.start()
+    try:
+        got = cli._read_stream(str(path))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.palettes == (tuple(range(1, 200_001)),)
+    assert peak <= 2 * held, (peak, held)
+
+
 def test_color_cli_reports_a_bad_byte_late_in_the_file(tmp_path, capsys):
     # a byte that is not UTF-8 in the third chunk of canonical text is one
     # error line, exit 2; a format fault before it is reported first, as

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import FakeRng, path, star, triangle
 from onlinecolor import harness, matcher, oracle
-from onlinecolor.colorer import greedy_color, run_greedy_fallback
+from onlinecolor.colorer import greedy_color, list_color, local_color, run_greedy_fallback
 from onlinecolor.harness import (
     counterexample_demo,
     freedman_bound,
@@ -28,8 +29,9 @@ from onlinecolor.matcher import (
     MatcherState,
     MultiplicativeState,
 )
+from onlinecolor.profiles import ConstantsProfile
 from onlinecolor.seeding import derive_seed, rng_for
-from onlinecolor.stream import gen_complete_bipartite, gen_regular, make_stream, reorder
+from onlinecolor.stream import gen_complete_bipartite, gen_regular, make_stream, reorder, with_range_lists
 
 
 def test_wilson_basics():
@@ -187,11 +189,15 @@ def _reference_violations(stream, colors, kind, palettes, limit):
     return bad[:limit]
 
 
+_TOP = 2**31 - 1
+
+
 @st.composite
 def colorings(draw):
     """A small stream, a greedy coloring of it with defects planted, and
     palettes (none, one shared range or one per edge), some of them planted
-    too."""
+    too.  A per-edge column may hold unsorted palettes, lists, None entries
+    and color ids up to 2^31 - 1."""
     n = draw(st.integers(2, 8))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14))
@@ -202,13 +208,14 @@ def colorings(draw):
         if not colors:
             break
         i = draw(st.integers(0, len(colors) - 1))
-        colors[i] = draw(st.sampled_from([None, 1, 2, 3, colors[max(i - 1, 0)], 2 * n + 5]))
+        colors[i] = draw(st.sampled_from([None, 1, 2, 3, colors[max(i - 1, 0)], 2 * n + 5, _TOP]))
     kind = draw(st.sampled_from(["none", "shared", "per_edge"]))
     palettes = None
     if kind == "shared":
         palettes = range(1, draw(st.integers(1, 2 * n)))
     elif kind == "per_edge":
-        palettes = [draw(st.sampled_from([range(1, 2 * n), range(1, 3), (1, 2), (2, 3, 5), (c,)]))
+        palettes = [draw(st.sampled_from([range(1, 2 * n), range(1, 3), (1, 2), (2, 3, 5), (c,),
+                                          (5, 2, 3), [1, 3, c], (_TOP, c), [c, _TOP], None]))
                     if c is not None else (1,) for c in colors]
     cut = draw(st.sampled_from(["none", "none", "none", "colors", "palettes"]))
     if cut == "colors":
@@ -259,6 +266,52 @@ def test_validate_coloring_matches_reference(case, limit):
         mp.setattr(harness, "VIOLATION_LIMIT", limit)
         got = validate_coloring(s, colors, palettes=palettes)
     assert got == _reference_violations(s, colors, kind, palettes, limit)
+
+
+def test_lean_pass_and_loop_agree_on_per_edge_palettes(monkeypatch):
+    # a color found by bisect_left is accepted at once; a color bisect
+    # misses in an unsorted palette, a None entry and a range past
+    # sys.maxsize leave the verdict to the message loop, which agrees
+    entered = []
+    loop = harness._violations
+
+    def spy(*args):
+        entered.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(harness, "_violations", spy)
+    p = path(3)
+    huge = range(1, 2**70)
+    cases = [
+        ([1, 2, 1], [(1, 2), [2, 3], range(1, 2)], [], False),
+        ([1, 2, _TOP], [(1,), (2, _TOP), huge], [], False),
+        ([5, 2, 1], [(5, 2, 3), (1, 2), (1,)], [], True),  # bisect misses 5
+        ([1, 2, 1], [None, (2,), (1,)], [], True),
+        ([1, 2, 3], [(1,), (2,), range(1, 3)], ["t=3: color 3 not in the edge's palette"], True),
+        ([1, 2, 3], [(1,), [1, 3], (3,)], ["t=2: color 2 not in the edge's palette"], True),
+    ]
+    for colors, palettes, want, loops in cases:
+        entered.clear()
+        assert validate_coloring(p, colors, palettes=palettes) == want
+        assert bool(entered) == loops, (colors, palettes)
+
+
+def test_proper_list_and_local_colorings_skip_the_message_loop(monkeypatch):
+    # every palette form the colorers hand out, the listed stream's sorted
+    # tuples and local mode's ranges (the theory profile's past
+    # sys.maxsize), is checked by the lean pass alone
+    def refuse(*args):
+        raise AssertionError("the message loop was entered")
+
+    listed = with_range_lists(gen_regular(40, 6, seed=3), 80)
+    plain = gen_regular(40, 6, seed=3)
+    results = [(listed, list_color(listed, ConstantsProfile.practical(), seed=1)),
+               (plain, local_color(plain, ConstantsProfile.practical(), seed=1)),
+               (plain, local_color(plain, ConstantsProfile.theory(), seed=1))]
+    assert results[2][1].palettes[0].stop > sys.maxsize
+    monkeypatch.setattr(harness, "_violations", refuse)
+    for s, res in results:
+        assert validate_coloring(s, res.colors, palettes=res.palettes) == []
 
 
 # -- martingale diagnostics -----------------------------------------------------

@@ -347,7 +347,10 @@ def _edge_ids(text):
 
 
 _EDITS = ["leading zero", "plus", "tab", "trailing space", "19 digits", "5000 digits",
-          "crlf", "no final newline", "comment", "dmax first"]
+          "crlf", "no final newline", "comment", "spaced palette", "dmax first"]
+# whitespace that a line of splitlines() can hold: runs of spaces, a tab,
+# the one other ASCII kind and two that are not ASCII
+_SPACES = [" ", "   ", "\t", "\x1f", "\xa0", "\u3000"]
 # a canonical prefix longer than this spans more than three chunks of the
 # largest size test_canonical_and_line_parses_agree draws
 _LONG_PREFIX = 150
@@ -398,6 +401,14 @@ def _one_edit(draw, text, edit, first=0):
     if edit == "comment":
         lines.insert(draw(st.integers(max(first, 1), len(lines))), "# a note\n")
         return "".join(lines)
+    if edit == "spaced palette" and len(lines) > max(first, 1):
+        # an L= token with whitespace inside it or right after it
+        k = draw(st.integers(max(first, 1), len(lines) - 1))
+        token = "L=" + ",".join(map(str, draw(st.lists(st.integers(1, 9), max_size=4))))
+        i = draw(st.integers(2, len(token)))
+        token = token[:i] + draw(st.sampled_from(_SPACES)) + token[i:]
+        lines[k] = lines[k][:-1] + " " + token + "\n"
+        return "".join(lines)
     if edit == "dmax first":
         n, dmax = lines[0].split()
         return "".join([f"{dmax} {n}\n"] + lines[1:])
@@ -432,11 +443,42 @@ def test_canonical_and_line_parses_agree(case, chunk):
             else:
                 s = parse_stream(source)
                 n, dmax, arrivals, _ = want
-                assert (s.n, s.delta_bound, s.x, s.palettes) == (n, dmax, None, None)
+                palettes = tuple(e.colors for e in arrivals)
+                assert (s.n, s.delta_bound, s.x) == (n, dmax, None)
+                assert s.palettes == (palettes if any(p is not None for p in palettes) else None)
                 assert s.u == tuple(e.u for e in arrivals) and s.v == tuple(e.v for e in arrivals)
         assert bool(entered) == (first is not None)
         if first:  # a late edit: the first chunks were read as canonical text
             assert entered[0] > 0
+
+
+@st.composite
+def spaced_lines(draw):
+    """A line of ``splitlines()``: words, ASCII or not, joined by runs of
+    whitespace of one or two of the kinds in _SPACES, with whitespace
+    perhaps before and after them, and now and then a long last word."""
+    kinds = draw(st.lists(st.sampled_from(_SPACES), min_size=1, max_size=2))
+
+    def gap(least):
+        return st.lists(st.sampled_from(kinds), min_size=least, max_size=2).map("".join)
+
+    word = st.one_of(st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=4),
+                     st.text(st.characters().filter(lambda ch: not ch.isspace()), min_size=1, max_size=4))
+    toks = draw(st.lists(word, max_size=7))
+    if toks and draw(st.booleans()):
+        toks[-1] = "L=" + ",".join(map(str, range(1, 500))) + toks[-1]
+    line = draw(gap(0))
+    for tok in toks:
+        line += tok + draw(gap(1))
+    return line if draw(st.booleans()) else line.rstrip("".join(_SPACES))
+
+
+@settings(max_examples=300)
+@given(spaced_lines())
+def test_line_tokens_are_str_split(line):
+    # the tokens taken from line.split(None, 3) are str.split()'s
+    assert line.splitlines() in ([line], [])
+    assert streammod._tokens(line) == line.split()
 
 
 def test_generated_streams_never_enter_the_line_loop(monkeypatch):
