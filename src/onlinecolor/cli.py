@@ -227,7 +227,7 @@ def cmd_oracle(args) -> int:
             "expected": [float(x) for x in res.expected],
             "leaf_total": float(res.leaf_total),
             "branches": res.branches,
-            "components": res.components,
+            "cones": res.cones,
             "max_conditional_drift": drift,
         }
         _write_json(args, payload)

@@ -328,12 +328,6 @@ class RangePartition:
                 return i
         return None
 
-    def assignment(self) -> dict:
-        return {
-            "tail": list(self.tail_interval),
-            "phases": [list(iv) for iv in self.intervals],
-        }
-
 
 class SampledPartition:
     """Online random classes: a color seen for the first time joins active
@@ -380,9 +374,6 @@ class SampledPartition:
         for c in pruned:
             (sublist if self.phase_of(c) == phase else rest).append(c)
         return pruned, tuple(sublist), tuple(rest)
-
-    def assignment(self) -> dict:
-        return dict(self._assign)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +516,6 @@ class ColoringResult:
     tail: PhaseStats
     schedule: DegreeSchedule
     partition_method: str
-    partition_assignment: dict
     palettes: object = None  # what the run colored from: one shared palette or one per edge
     list_ledger_violations: int = 0
     seed: int | None = None
@@ -774,7 +764,6 @@ def run_generic(
         tail=tail_stats,
         schedule=schedule,
         partition_method=partition.method,
-        partition_assignment=partition.assignment(),
         palettes=palettes,
         list_ledger_violations=ledger_violations,
         seed=seed,

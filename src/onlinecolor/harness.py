@@ -654,5 +654,5 @@ def verify_stream(
     else:
         out["leaf_total"] = float(oracle.leaf_total)
         out["branches"] = oracle.branches
-        out["components"] = oracle.components
+        out["cones"] = oracle.cones
     return out

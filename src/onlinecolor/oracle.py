@@ -22,13 +22,16 @@ step, so the gate is defined in one place.  A natural-mode step clamped to
 P_hat = 1 has only its matched child: the unmatched one has probability 0
 and would leave F = 0 at two free vertices.
 
-Arrivals in different connected components never touch each other's state,
-and interleaving them would multiply the frontier's states, so the pass runs
-on each component on its own (``_components``) and adds into the results by
-arrival index.  ``branches`` counts the pass's steps, one per (arrival, live
-state), summed over components; ``leaf_total`` is the product of the
-components' final masses.  STEP_LIMIT, read at call time, bounds the summed
-steps of one call.
+An arrival's step reads only its endpoints' states, which only the earlier
+arrivals at those vertices set.  So an edge's law depends only on its
+*backward cone*: the arrivals that reach it by a path of shared endpoints
+along which the times fall.  A cone holds the cone of each of its arrivals,
+so the pass runs on each maximal cone (``_cones``) on its own; an arrival
+in several keeps the values of the last one passed over (all equal in
+rational mode).  ``branches`` counts the pass's steps, one per (arrival,
+live state), summed over cones; ``leaf_total`` is the product of the cones'
+final masses.  STEP_LIMIT, read at call time, bounds the summed steps of
+one call.
 
 The per-color bank's colors are independent matchers, each over every edge
 of its sub-stream (colorer.PhaseReducer), and an edge takes the first color
@@ -43,7 +46,7 @@ values.  The results are data; only the CLI writes them as text.
 
 from __future__ import annotations
 
-import itertools
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,45 +66,50 @@ class OracleResult:
     marginal: list  # per edge, in arrival order
     conditional_sum: list  # per edge: sum over states of Pr * P
     expected: list  # the target the conditional sum must hit
-    leaf_total: object  # product over components of their final masses; 1 up to fp error
-    branches: int  # (arrival, live state) steps, summed over components
-    components: int  # connected components passed over
+    leaf_total: object  # product over cones of their final masses; 1 up to fp error
+    branches: int  # (arrival, live state) steps, summed over cones
+    cones: int  # maximal backward cones passed over
 
 
-def _components(us, vs):
-    """The connected components of the edges (us[i], vs[i]), in order of
-    their first arrival: per component, its arrival indices in arrival order,
-    its endpoints relabelled densely from 0, and its vertex count."""
-    parent = {}
-
-    def root(w):
-        while parent[w] != w:
-            parent[w] = parent[parent[w]]  # path halving
-            w = parent[w]
-        return w
-
-    for u, v in zip(us, vs):
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        parent[root(u)] = root(v)
-    groups: dict[int, list[int]] = {}
-    for i, u in enumerate(us):
-        groups.setdefault(root(u), []).append(i)
-    parts = []
-    for idx in groups.values():
-        label: dict[int, int] = {}
-        cu = [label.setdefault(us[i], len(label)) for i in idx]
-        cv = [label.setdefault(vs[i], len(label)) for i in idx]
-        parts.append((idx, cu, cv, len(label)))
-    return parts
+def _cones(us, vs):
+    """The maximal backward cones of the arrivals (us[i], vs[i]), each as its
+    arrival indices in arrival order.  Visited from the last arrival back,
+    an arrival that no cone found before holds starts one.  Its search pops
+    vertices largest deadline first, so each vertex opens once, at the latest
+    arrival of the cone that reaches it, and its arrivals up to then join:
+    the cost is the cone's size."""
+    at: dict = {}  # vertex -> its arrival indices, ascending
+    for i, (u, v) in enumerate(zip(us, vs)):
+        at.setdefault(u, []).append(i)
+        at.setdefault(v, []).append(i)
+    mark = [-1] * len(us)  # per arrival, the start of the last cone found to hold it
+    for i in range(len(us) - 1, -1, -1):
+        if mark[i] >= 0:
+            continue
+        cone, opened = [], set()
+        heap = [(-i, us[i]), (-i, vs[i])]
+        while heap:
+            d, w = heapq.heappop(heap)
+            if w in opened:
+                continue
+            opened.add(w)
+            for j in at[w]:
+                if j > -d:
+                    break
+                if mark[j] != i:
+                    mark[j] = i
+                    cone.append(j)
+                    heapq.heappush(heap, (-j, vs[j] if us[j] == w else us[j]))
+        cone.sort()
+        yield cone
 
 
 def _pass(us, vs, xs, config, exact: bool, steps: int):
     """The forward pass of ``config``'s engine over the arrivals (us[i],
-    vs[i]) with values xs[i], one component at a time.  Returns per arrival
-    the marginal and the conditional sum, then the product of the
-    components' final masses, the steps counted on from ``steps``, and the
-    component count."""
+    vs[i]) with values xs[i], one maximal backward cone at a time.  Returns
+    per arrival the marginal and the conditional sum, then the product of
+    the cones' final masses, the steps counted on from ``steps``, and the
+    cone count."""
     one = Fraction(1) if exact else 1.0
     zero = one - one
     marginal = [zero] * len(us)
@@ -109,19 +117,21 @@ def _pass(us, vs, xs, config, exact: bool, steps: int):
     leaf = one
     probe = config.state(2, exact)
     F, matched, proposal = probe.F, probe.matched, probe.proposal
-    parts = _components(us, vs)
-    for idx, cu, cv, k in parts:
-        last = [0] * k  # each vertex's last arrival within the component
-        for j, u, v in zip(itertools.count(), cu, cv):
-            last[u] = last[v] = j
+    cones = 0
+    for idx in _cones(us, vs):
+        cones += 1
+        last = {}  # each vertex's last arrival within the cone
+        for i in idx:
+            last[us[i]] = last[vs[i]] = i
         # a vertex's position in the state keys; a retired vertex's position
         # holds ``one``, the state of a fresh vertex, until one takes it
-        slot = [None] * k
+        slot = {}
         free = []
         law = {(): one}
-        for j, i, u, v in zip(itertools.count(), idx, cu, cv):
+        for i in idx:
+            u, v = us[i], vs[i]
             for w in (u, v):
-                if slot[w] is None:
+                if w not in slot:
                     if free:
                         slot[w] = free.pop()
                     else:
@@ -131,7 +141,7 @@ def _pass(us, vs, xs, config, exact: bool, steps: int):
             steps += len(law)
             if steps > STEP_LIMIT:
                 raise OracleLimitError(f"step limit {STEP_LIMIT} exceeded")
-            u_ends, v_ends = last[u] == j, last[v] == j
+            u_ends, v_ends = last[u] == i, last[v] == i
             x = xs[i]
             mg = cs = zero
             nxt = {}
@@ -164,7 +174,7 @@ def _pass(us, vs, xs, config, exact: bool, steps: int):
             if v_ends:
                 free.append(b)
         leaf *= sum(law.values())
-    return marginal, cond, leaf, steps, len(parts)
+    return marginal, cond, leaf, steps, cones
 
 
 def exact_marginals(
@@ -180,20 +190,20 @@ def exact_marginals(
     xs = (None,) * stream.m if stream.x is None else stream.x
     # the targets are the engine's own numerators, taken in arrival order
     # before the pass, so that a bad arrival fails under its own time and
-    # not its index within a component
+    # not its index within a cone
     probe = config.state(0, exact)
     expected = []
     for x in xs:
         expected.append(probe.numerator(x))
         probe.t += 1
-    marginal, cond, leaf, branches, components = _pass(stream.u, stream.v, xs, config, exact, 0)
+    marginal, cond, leaf, branches, cones = _pass(stream.u, stream.v, xs, config, exact, 0)
     return OracleResult(
         marginal=marginal,
         conditional_sum=cond,
         expected=expected,
         leaf_total=leaf,
         branches=branches,
-        components=components,
+        cones=cones,
     )
 
 

@@ -170,7 +170,7 @@ def test_oracle_and_verify_run_the_rounder_on_x_values(tmp_path, capsys):
     code, out = run_cli(capsys, "verify", "--stream", str(path), "--c-round", "0.2",
                         "--trials", "2000", "--seed", "2")
     payload = json.loads(out)
-    assert code == 0 and payload["violations"] == [] and payload["components"] == 1
+    assert code == 0 and payload["violations"] == [] and payload["cones"] == 1
 
 
 @pytest.mark.parametrize("command", ["oracle", "verify"])
@@ -209,7 +209,7 @@ def test_oracle_cli_exit_on_identity(tmp_path, capsys):
     assert payload["max_conditional_drift"] <= 1e-9
 
 
-def test_oracle_cli_reports_components(tmp_path, capsys):
+def test_oracle_cli_reports_cones(tmp_path, capsys):
     # the edge (0,1) is one step on the starting state; the path 2-3-4 one
     # step at its first edge and two at its second: 1 + 3 steps
     path = tmp_path / "s.txt"
@@ -217,7 +217,7 @@ def test_oracle_cli_reports_components(tmp_path, capsys):
     code, out = run_cli(capsys, "oracle", "--stream", str(path), "--q", "1", "--exact")
     assert code == 0
     payload = json.loads(out)
-    assert (payload["branches"], payload["components"]) == (4, 2)
+    assert (payload["branches"], payload["cones"]) == (4, 2)
     assert payload["marginals"] == [1 / 3, 1 / 3, 1 / 3]
 
 

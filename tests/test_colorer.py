@@ -308,7 +308,7 @@ def test_sampled_partition_split():
     split = sp.split(palette, 0, target)
     pruned, sublist, rest = split
     assert pruned == palette[:target]  # colors past the target are never classified
-    assert sorted(sublist + rest) == list(pruned) and set(sp.assignment()) == set(pruned)
+    assert sorted(sublist + rest) == list(pruned) and set(sp._assign) == set(pruned)
     assert {sp.phase_of(c) for c in sublist} == {0} and 0 not in {sp.phase_of(c) for c in rest}
     # splits are pure: the classified palette, or an equal copy, split
     # again gives equal tuples and draws nothing
@@ -571,15 +571,28 @@ def _multiphase_listed_instance(seed):
     return with_range_lists(gen_regular(60, 50, seed=seed), q_list), sch
 
 
-def test_multiphase_list_run_disciplines():
+def _made_partitions(monkeypatch) -> list:
+    """Every SampledPartition that list runs make from here on, in order."""
+    made = []
+
+    def make(*args):
+        made.append(SampledPartition(*args))
+        return made[-1]
+
+    monkeypatch.setattr(colorer, "SampledPartition", make)
+    return made
+
+
+def test_multiphase_list_run_disciplines(monkeypatch):
     s, sch = _multiphase_listed_instance(2)
+    made = _made_partitions(monkeypatch)
     res = list_color(s, MULTIPHASE, seed=5)
     assert not res.fallback_taken
     assert res.list_ledger_violations == 0
     palettes = [e.colors for e in s.arrivals]
     assert validate_coloring(s, res.colors, palettes=palettes) == []
     # phase discipline: a color assigned in phase i was sampled into C_i
-    part = res.partition_assignment
+    part = made[0]._assign
     for idx, (c, st) in enumerate(zip(res.colors, res.stage)):
         assert part[c] == st
     # every active phase actually colored something
@@ -781,14 +794,15 @@ def test_fallback_colors_from_the_lists():
     assert err.value.time == 246
 
 
-def test_overflow_into_a_bank_color_stays_proper():
+def test_overflow_into_a_bank_color_stays_proper(monkeypatch):
     # every palette is {1000..1023}: the first overflow takes a color of an
     # active phase's class, which that phase's bank must then never give to
     # a later edge at either endpoint
     s = _listed(gen_regular(30, 20, seed=6), tuple(range(1000, 1024)))
+    made = _made_partitions(monkeypatch)
     res = _quiet_list_color(s, MULTIPHASE, seed=6)
     first = res.overflows[0]
-    assert res.partition_assignment[res.colors[first["time"] - 1]] < res.schedule.f
+    assert made[0].phase_of(res.colors[first["time"] - 1]) < res.schedule.f
     assert validate_coloring(s, res.colors, palettes=s.palettes) == []
     block = res.report(MULTIPHASE)["overflow"]
     assert (block["count"], block["first"]) == (len(res.overflows), first)
@@ -971,24 +985,25 @@ def _pinned_stats(st) -> dict:
     return {k: v for k, v in st.as_dict().items() if k not in ("advances", "gate_fires")}
 
 
-def _list_run_summary(res) -> str:
+def _list_run_summary(res, partition) -> str:
     return repr((res.colors, res.stage, [_pinned_stats(p) for p in res.per_phase],
                  _pinned_stats(res.tail), res.list_ledger_violations,
-                 list(res.partition_assignment.items())))
+                 list(partition._assign.items())))
 
 
-def test_split_memo_is_bit_identical():
+def test_split_memo_is_bit_identical(monkeypatch):
     # digests recorded before phase splits were memoized; the partition's
     # classification order is part of the summary
     pinned = {(0, "shared"): "acdb2e74b37a8e29", (0, "mixed"): "e88c18824a66529e",
               (5, "shared"): "e63d7136b574c02f", (5, "mixed"): "4ec1d14cff8a8577"}
     streams = _palette_streams()
+    made = _made_partitions(monkeypatch)
     for seed in (0, 5):
         got = {}
         for name, s in streams.items():
             res = list_color(s, MULTIPHASE, seed=seed)
             assert res.schedule.f == 2 and res.tail.entered > 0 and not res.fallback_taken
-            got[name] = _list_run_summary(res)
+            got[name] = _list_run_summary(res, made[-1])
         assert got["shared"] == got["copies"]
         for name in ("shared", "mixed"):
             digest = hashlib.sha256(got[name].encode()).hexdigest()[:16]

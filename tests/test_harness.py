@@ -723,17 +723,17 @@ def test_verify_stream_clean():
     out = verify_stream(tri, MatcherConfig(delta=2, q=1), trials=4000, master_seed=11)
     assert out["violations"] == []
     assert math.isclose(out["leaf_total"], 1.0, rel_tol=1e-12)
-    assert (out["branches"], out["components"]) == (6, 1)  # 1 + 2 + 3 live states
+    assert (out["branches"], out["cones"]) == (6, 1)  # 1 + 2 + 3 live states
     freqs = [r["frequency"] for r in out["edges"]]
     assert freqs[2] == 0.0
 
 
 def test_verify_stream_checks_a_matching_past_the_total_edge_limit():
-    # 21 disjoint edges: 21 components of one step each
+    # 21 disjoint edges: 21 cones of one step each
     s = make_stream(42, 1, [(2 * i, 2 * i + 1) for i in range(21)])
     out = verify_stream(s, MatcherConfig(delta=2, q=1.0), trials=300, master_seed=3)
     assert "note" not in out
-    assert (out["branches"], out["components"]) == (21, 21)
+    assert (out["branches"], out["cones"]) == (21, 21)
     assert [r["oracle"] for r in out["edges"]] == [1.0 / (2 + 1.0)] * 21
     assert out["violations"] == []
 
@@ -759,9 +759,9 @@ def test_verify_stream_catches_a_corrupted_oracle(monkeypatch, column, index, va
 
 
 def test_verify_stream_checks_a_21_edge_path_against_the_oracle():
-    # one component of 21 edges, whose frontier holds a handful of states
+    # one cone of 21 edges, whose frontier holds a handful of states
     out = verify_stream(path(21), MatcherConfig(delta=2, q=1.0), trials=300, master_seed=3)
-    assert "note" not in out and out["components"] == 1
+    assert "note" not in out and out["cones"] == 1
     assert all("oracle" in r and "conditional_sum" in r for r in out["edges"])
     assert out["violations"] == []
 

@@ -17,7 +17,7 @@ from onlinecolor.oracle import (
 )
 from onlinecolor.rounder import RoundingError, config_for_loss
 from onlinecolor.seeding import rng_for
-from onlinecolor.stream import gen_lower_bound_tree, make_stream, reorder
+from onlinecolor.stream import gen_lower_bound_tree, gen_regular, make_stream, reorder
 
 
 def test_triangle_ground_truth_exact():
@@ -117,15 +117,15 @@ def test_branch_limit_trips_at_the_last_branch(monkeypatch):
             run()
 
 
-def test_branch_limit_counts_every_component(monkeypatch):
-    # a triangle, then a disjoint path: each component is passed over on its
-    # own, and the limit trips inside the path's pass, at the summed count;
-    # the bank's count is summed over its colors' passes too
+def test_branch_limit_counts_every_cone(monkeypatch):
+    # a triangle, then a disjoint path: each is one maximal cone, passed over
+    # on its own, and the limit trips inside the path's pass, at the summed
+    # count; the bank's count is summed over its colors' passes too
     edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)]
     cfg = MatcherConfig(delta=2, q=1.0)
     first = exact_marginals(triangle(), cfg).branches
     res = exact_marginals(make_stream(7, 2, edges), cfg)
-    assert res.components == 2 and first < res.branches - 1
+    assert res.cones == 2 and first < res.branches - 1
     listed = make_stream(7, 2, edges, lists=[(1, 2)] * len(edges))
     col = exact_colored_marginals(listed, 2, 1.0)
     assert col.branches == 2 * res.branches
@@ -140,39 +140,51 @@ def test_branch_limit_counts_every_component(monkeypatch):
 
 
 def test_a_matching_walks_each_edge_on_its_own(monkeypatch):
-    # 20 disjoint edges on 10^6 vertices: 20 components of one step each,
+    # 20 disjoint edges on 10^6 vertices: 20 cones of one step each,
     # all decided on one 2-vertex probe state
     sizes = []
     monkeypatch.setattr(MatcherConfig, "state",
                         lambda self, n, exact=False: sizes.append(n) or MatcherState(n, self, exact))
     s = make_stream(10**6, 1, [(2 * i, 2 * i + 1) for i in range(20)])
     res = exact_marginals(s, MatcherConfig(delta=2, q=1.0))
-    assert (res.branches, res.components) == (20, 20)
+    assert (res.branches, res.cones) == (20, 20)
     assert res.marginal == res.conditional_sum == [1.0 / (2 + 1.0)] * 20
     assert res.leaf_total == 1.0
     assert sizes == [0, 2]  # the numerator probe, then the pass's probe
 
 
 def test_the_pass_runs_the_lower_bound_tree():
-    # one component each, with a frontier that stays small: the conditional
+    # one cone each, with a frontier that stays small: the conditional
     # sums hit 1/(D+q) at every edge, where a branch tree would have
     # hundreds of thousands of nodes (46 edges) or be out of reach (4,379)
     small = gen_lower_bound_tree(10, 3)
     rational = exact_marginals(small, MatcherConfig(delta=10, q=1), exact=True)
     assert rational.conditional_sum == rational.expected == [Fraction(1, 11)] * small.m
-    assert rational.leaf_total == 1 and (rational.branches, rational.components) == (280, 1)
+    assert rational.leaf_total == 1 and (rational.branches, rational.cones) == (280, 1)
     assert any(mg < Fraction(1, 11) for mg in rational.marginal)  # the gate fires somewhere
     floats = exact_marginals(small, MatcherConfig(delta=10, q=1.0))
     assert all(abs(a - b) < 1e-12 for a, b in zip(floats.marginal, rational.marginal))
     big = gen_lower_bound_tree(200, 20)
     res = exact_marginals(big, MatcherConfig(delta=200, q=1.0))
-    assert (big.m, res.branches, res.components) == (4379, 33356, 1)
+    assert (big.m, res.branches, res.cones) == (4379, 33356, 1)
     assert max(abs(cs - ex) for cs, ex in zip(res.conditional_sum, res.expected)) < 1e-12
     assert abs(res.leaf_total - 1.0) < 1e-12
 
 
+def test_the_pass_reaches_a_random_order_cubic_graph():
+    # 1,500 edges in random order: one pass over all of them would trip the
+    # step limit, while the 294 maximal cones stay small; the gate zeroes
+    # 12 marginals at q = 1 and 105 at q = 0.5
+    s = reorder(gen_regular(1000, 3, seed=1), "random", 1)
+    for q, zeros in ((1.0, 12), (0.5, 105)):
+        res = exact_marginals(s, MatcherConfig(delta=3, q=q))
+        assert max(abs(cs - 1 / (3 + q)) for cs in res.conditional_sum) < 1e-12
+        assert abs(res.leaf_total - 1.0) < 1e-12
+        assert (res.cones, sum(mg == 0 for mg in res.marginal)) == (294, zeros)
+
+
 def test_a_bad_value_is_named_by_its_arrival_time():
-    # the second arrival is alone in its component, and still named arrival 2
+    # the second arrival is alone in its cone, and still named arrival 2
     s = make_stream(4, 1, [(0, 1), (2, 3)], xs=[0.1, 0.4])
     with pytest.raises(RoundingError, match="arrival 2: x=0.4 exceeds eps=0.3"):
         exact_marginals(s, config_for_loss(0.3, 0.1))
@@ -362,30 +374,24 @@ def _reference_colored(stream, delta, q, exact):
     return per_color, colored
 
 
-def _component_count(stream):
-    """The number of connected components of the stream's edges, by
-    breadth-first search over an adjacency map."""
-    adj = {}
-    for u, v in zip(stream.u, stream.v):
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen = set()
-    count = 0
-    for w in adj:
-        if w in seen:
-            continue
-        count += 1
-        seen.add(w)
-        frontier = [w]
-        while frontier:
-            reached = []
-            for x in frontier:
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        reached.append(y)
-            frontier = reached
-    return count
+def _maximal_cones(stream):
+    """The stream's maximal backward cones, by brute force: an arrival's cone
+    is the fixpoint of adding each earlier arrival that shares an endpoint
+    with a later arrival of the cone, and the maximal cones are those inside
+    no other.  Returns them as a set of frozensets of arrival indices."""
+    ends = [{u, v} for u, v in zip(stream.u, stream.v)]
+    cones = []
+    for i in range(stream.m):
+        cone = {i}
+        grown = True
+        while grown:
+            grown = False
+            for j in range(i):
+                if j not in cone and any(k > j and ends[j] & ends[k] for k in cone):
+                    cone.add(j)
+                    grown = True
+        cones.append(frozenset(cone))
+    return {c for c in cones if not any(c < d for d in cones)}
 
 
 def _close(a, b):
@@ -422,11 +428,14 @@ def _oracle_cases(draw):
 @given(_oracle_cases())
 def test_walk_matches_clone_reference(case):
     # the pass against a branch tree of the whole stream: equal in rational
-    # mode, summed in another order and within 1e-12 in float mode
+    # mode, summed in another order and within 1e-12 in float mode; it runs
+    # once on each of the brute-force maximal cones
     stream, config, exact = case
     res = exact_marginals(stream, config, exact=exact)
     marginal, cond, leaf = _reference_marginals(stream, config, exact)
-    assert res.components == _component_count(stream)
+    cones = _maximal_cones(stream)
+    assert res.cones == len(cones)
+    assert {frozenset(c) for c in oracle._cones(stream.u, stream.v)} == cones
     if exact:
         assert (res.marginal, res.conditional_sum, res.leaf_total) == (marginal, cond, leaf)
     else:
