@@ -22,16 +22,16 @@ step, so the gate is defined in one place.  A natural-mode step clamped to
 P_hat = 1 has only its matched child: the unmatched one has probability 0
 and would leave F = 0 at two free vertices.
 
-An arrival's step reads only its endpoints' states, which only the earlier
-arrivals at those vertices set.  So an edge's law depends only on its
-*backward cone*: the arrivals that reach it by a path of shared endpoints
-along which the times fall.  A cone holds the cone of each of its arrivals,
-so the pass runs on each maximal cone (``_cones``) on its own; an arrival
-in several keeps the values of the last one passed over (all equal in
-rational mode).  ``branches`` counts the pass's steps, one per (arrival,
-live state), summed over cones; ``leaf_total`` is the product of the cones'
-final masses.  STEP_LIMIT, read at call time, bounds the summed steps of
-one call.
+An arrival's step reads only its endpoints' states, so an edge's law
+depends only on its *backward cone*: the arrivals that reach it by a path
+of shared endpoints along which the times fall.  One pass over a connected
+component, or one over each of its maximal cones (``_cones``), reads every
+marginal.  Cones keep the frontier small in a random order but step an
+arrival once per cone that holds it, so per component the two race
+(``_first_done``) and the first to finish gives the values; an arrival in
+several cones keeps those of the last one passed over.  ``branches`` counts
+the kept passes' steps, one per (arrival, live state), and STEP_LIMIT, read
+at call time, bounds their sum over one call.
 
 The per-color bank's colors are independent matchers, each over every edge
 of its sub-stream (colorer.PhaseReducer), and an edge takes the first color
@@ -47,6 +47,7 @@ values.  The results are data; only the CLI writes them as text.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,115 +67,157 @@ class OracleResult:
     marginal: list  # per edge, in arrival order
     conditional_sum: list  # per edge: sum over states of Pr * P
     expected: list  # the target the conditional sum must hit
-    leaf_total: object  # product over cones of their final masses; 1 up to fp error
-    branches: int  # (arrival, live state) steps, summed over cones
-    cones: int  # maximal backward cones passed over
+    leaf_total: object  # product of the kept passes' final masses; 1 up to fp error
+    branches: int  # (arrival, live state) steps of the passes kept
+    cones: int  # passes kept: a component's maximal cones, or the component whole
 
 
-def _cones(us, vs):
-    """The maximal backward cones of the arrivals (us[i], vs[i]), each as its
-    arrival indices in arrival order.  Visited from the last arrival back,
-    an arrival that no cone found before holds starts one.  Its search pops
-    vertices largest deadline first, so each vertex opens once, at the latest
-    arrival of the cone that reaches it, and its arrivals up to then join:
-    the cost is the cone's size."""
-    at: dict = {}  # vertex -> its arrival indices, ascending
-    for i, (u, v) in enumerate(zip(us, vs)):
-        at.setdefault(u, []).append(i)
-        at.setdefault(v, []).append(i)
-    mark = [-1] * len(us)  # per arrival, the start of the last cone found to hold it
-    for i in range(len(us) - 1, -1, -1):
-        if mark[i] >= 0:
+def _reach(at, us, vs, i, mark, cone):
+    """The backward cone of arrival i (with ``cone``), else its component, in
+    arrival order and marked with i, and whether the cone is the component.
+    ``at`` maps a vertex to its arrivals, ascending.  Each vertex opens once,
+    at the latest arrival that reaches it: the cost is the size found."""
+    found, opened, whole = [], set(), True
+    heap = [(-i, us[i]), (-i, vs[i])]
+    while heap:
+        d, w = heapq.heappop(heap)
+        if w in opened:
             continue
-        cone, opened = [], set()
-        heap = [(-i, us[i]), (-i, vs[i])]
-        while heap:
-            d, w = heapq.heappop(heap)
-            if w in opened:
-                continue
-            opened.add(w)
-            for j in at[w]:
-                if j > -d:
-                    break
-                if mark[j] != i:
-                    mark[j] = i
-                    cone.append(j)
-                    heapq.heappush(heap, (-j, vs[j] if us[j] == w else us[j]))
-        cone.sort()
-        yield cone
+        opened.add(w)
+        for j in at[w]:
+            if cone and j > -d:
+                whole = False
+                break
+            if mark[j] != i:
+                mark[j] = i
+                found.append(j)
+                heapq.heappush(heap, (-j, vs[j] if us[j] == w else us[j]))
+    found.sort()
+    return found, whole
+
+
+def _cones(at, us, vs, part, mark):
+    """The maximal backward cones of the arrivals ``part`` (ascending, a union
+    of components), found from the last one back: an arrival that no cone
+    found before holds, by ``mark`` (-1 if none), starts one."""
+    for i in reversed(part):
+        if mark[i] < 0:
+            yield _reach(at, us, vs, i, mark, True)[0]
+
+
+def _first_done(runs, steps):
+    """Advances the runs a step at a time, the one with less work (states
+    times their width plus one, summed) first, until one finishes: returns
+    its index, its value and the steps counted on from ``steps``.  A run
+    past STEP_LIMIT stops; raises once every run has."""
+    spent, work = [0] * len(runs), [0] * len(runs)
+    while True:
+        k = work.index(min(work))
+        if work[k] == float("inf"):
+            raise OracleLimitError(f"step limit {STEP_LIMIT} exceeded")
+        try:
+            n, width = next(runs[k])
+        except StopIteration as done:
+            return k, done.value, steps + spent[k]
+        spent[k] += n
+        work[k] = float("inf") if steps + spent[k] > STEP_LIMIT else work[k] + n * (width + 1)
 
 
 def _pass(us, vs, xs, config, exact: bool, steps: int):
     """The forward pass of ``config``'s engine over the arrivals (us[i],
-    vs[i]) with values xs[i], one maximal backward cone at a time.  Returns
-    per arrival the marginal and the conditional sum, then the product of
-    the cones' final masses, the steps counted on from ``steps``, and the
-    cone count."""
+    vs[i]) with values xs[i].  Returns per arrival the marginal and the
+    conditional sum, then the product of the kept passes' final masses, the
+    steps counted on from ``steps``, and the count of kept passes."""
     one = Fraction(1) if exact else 1.0
     zero = one - one
-    marginal = [zero] * len(us)
-    cond = [zero] * len(us)
-    leaf = one
     probe = config.state(2, exact)
     F, matched, proposal = probe.F, probe.matched, probe.proposal
-    cones = 0
-    for idx in _cones(us, vs):
-        cones += 1
-        last = {}  # each vertex's last arrival within the cone
-        for i in idx:
-            last[us[i]] = last[vs[i]] = i
-        # a vertex's position in the state keys; a retired vertex's position
-        # holds ``one``, the state of a fresh vertex, until one takes it
-        slot = {}
-        free = []
-        law = {(): one}
-        for i in idx:
-            u, v = us[i], vs[i]
-            for w in (u, v):
-                if w not in slot:
-                    if free:
-                        slot[w] = free.pop()
-                    else:
-                        slot[w] = len(next(iter(law)))
-                        law = {key + (one,): pr for key, pr in law.items()}
-            a, b = slot[u], slot[v]
-            steps += len(law)
-            if steps > STEP_LIMIT:
-                raise OracleLimitError(f"step limit {STEP_LIMIT} exceeded")
-            u_ends, v_ends = last[u] == i, last[v] == i
-            x = xs[i]
-            mg = cs = zero
-            nxt = {}
-            for key, pr in law.items():
-                fu, fv = key[a], key[b]
-                F[0], F[1] = fu, fv
-                matched[0], matched[1] = fu is None, fv is None
-                p, p_hat, _, _ = proposal(0, 1, x)
-                cs += pr * p
-                if p_hat:
-                    take = pr * p_hat
-                    mg += take
+
+    def walk(sets, got):
+        # one pass over each set of arrivals, from fresh vertices: yields per
+        # arrival its states and their width, stores its marginal and
+        # conditional sum in got, and returns the passes' mass and count
+        mass, count = one, 0
+        for idx in sets:
+            last = {}  # each vertex's last arrival in idx
+            for i in idx:
+                last[us[i]] = last[vs[i]] = i
+            # a vertex's position in the state keys; a retired vertex's position
+            # holds ``one``, the state of a fresh vertex, until one takes it
+            slot = {}
+            free = []
+            law, width = {(): one}, 0
+            for i in idx:
+                u, v = us[i], vs[i]
+                for w in (u, v):
+                    if w not in slot:
+                        if free:
+                            slot[w] = free.pop()
+                        else:
+                            slot[w], width = width, width + 1
+                            law = {key + (one,): pr for key, pr in law.items()}
+                a, b = slot[u], slot[v]
+                yield len(law), width
+                u_ends, v_ends = last[u] == i, last[v] == i
+                x = xs[i]
+                mg = cs = zero
+                nxt = {}
+                for key, pr in law.items():
+                    fu, fv = key[a], key[b]
+                    F[0], F[1] = fu, fv
+                    matched[0], matched[1] = fu is None, fv is None
+                    p, p_hat, _, _ = proposal(0, 1, x)
+                    cs += pr * p
+                    if p_hat:
+                        take = pr * p_hat
+                        mg += take
+                        child = list(key)
+                        child[a] = one if u_ends else None
+                        child[b] = one if v_ends else None
+                        child = tuple(child)
+                        nxt[child] = nxt.get(child, zero) + take
+                        if p_hat == 1:  # the unmatched child has probability 0
+                            continue
+                        scale = 1 - p_hat
+                        fu, fv, pr = fu * scale, fv * scale, pr * scale
                     child = list(key)
-                    child[a] = one if u_ends else None
-                    child[b] = one if v_ends else None
+                    child[a] = one if u_ends else fu
+                    child[b] = one if v_ends else fv
                     child = tuple(child)
-                    nxt[child] = nxt.get(child, zero) + take
-                    if p_hat == 1:  # the unmatched child has probability 0
-                        continue
-                    scale = 1 - p_hat
-                    fu, fv, pr = fu * scale, fv * scale, pr * scale
-                child = list(key)
-                child[a] = one if u_ends else fu
-                child[b] = one if v_ends else fv
-                child = tuple(child)
-                nxt[child] = nxt.get(child, zero) + pr
-            marginal[i], cond[i], law = mg, cs, nxt
-            if u_ends:
-                free.append(a)
-            if v_ends:
-                free.append(b)
-        leaf *= sum(law.values())
-    return marginal, cond, leaf, steps, cones
+                    nxt[child] = nxt.get(child, zero) + pr
+                got[i], law = (mg, cs), nxt
+                if u_ends:
+                    free.append(a)
+                if v_ends:
+                    free.append(b)
+            mass *= sum(law.values())
+            count += 1
+        return mass, count
+
+    at: dict = {}  # vertex -> its arrival indices, ascending
+    for i, (u, v) in enumerate(zip(us, vs)):
+        at.setdefault(u, []).append(i)
+        at.setdefault(v, []).append(i)
+    seen, mark = [-1] * len(us), [-1] * len(us)
+    marginal, cond = [zero] * len(us), [zero] * len(us)
+    leaf, count = one, 0
+    for i in range(len(us) - 1, -1, -1):
+        if seen[i] >= 0 or mark[i] >= 0:
+            continue
+        first, whole = _reach(at, us, vs, i, mark, True)
+        got = {}, {}
+        if whole:  # the component is one cone
+            runs = [walk([first], got[0])]
+        else:
+            part = _reach(at, us, vs, i, seen, False)[0]
+            runs = [walk(itertools.chain([first], _cones(at, us, vs, part, mark)), got[0]),
+                    walk([part], got[1])]
+        k, (mass, n), steps = _first_done(runs, steps)
+        for j, (mg, cs) in got[k].items():
+            marginal[j], cond[j] = mg, cs
+        leaf *= mass
+        count += n
+    return marginal, cond, leaf, steps, count
 
 
 def exact_marginals(
@@ -185,8 +228,8 @@ def exact_marginals(
     """Exact per-edge marginals and conditional sums for a matcher or rounder run.
 
     The conditional sums must hit the engine's numerator: 1/(D+q) for the
-    matcher, x_e*(1-s) for the rounder.  Raises OracleLimitError once the
-    pass has taken more than STEP_LIMIT steps."""
+    matcher, x_e*(1-s) for the rounder.  Raises OracleLimitError once every
+    pass racing on a component has passed STEP_LIMIT summed steps."""
     xs = (None,) * stream.m if stream.x is None else stream.x
     # the targets are the engine's own numerators, taken in arrival order
     # before the pass, so that a bad arrival fails under its own time and

@@ -183,6 +183,37 @@ def test_the_pass_reaches_a_random_order_cubic_graph():
         assert (res.cones, sum(mg == 0 for mg in res.marginal)) == (294, zeros)
 
 
+def _caterpillar(spine):
+    # spine edge (j, j+1), then its pendant (j, z_j), in natural order: each
+    # pendant is a maximal cone that holds the whole spine before it
+    edges = []
+    for j in range(spine):
+        edges += [(j, j + 1), (j, spine + 1 + j)]
+    return make_stream(2 * spine + 2, 3, edges)
+
+
+def test_the_pass_keeps_a_caterpillar_whole(monkeypatch):
+    # 1,000 edges: the 500 cones would step about 125,000 arrivals and pass
+    # the step limit, so the component's own pass finishes first, with the
+    # same steps as a pass over the component alone
+    s = _caterpillar(500)
+    res = exact_marginals(s, MatcherConfig(delta=3, q=1.0))
+    assert (s.m, res.branches, res.cones) == (1000, 250999, 1)
+    assert max(abs(cs - 1 / 4) for cs in res.conditional_sum) < 1e-12
+    assert abs(res.leaf_total - 1.0) < 1e-12
+    # on 100 edges the cones pass 3,000 steps before the component's 2,599
+    # are done: the cones stop there, and the limit trips only once both
+    # passes are past it
+    small, cfg = _caterpillar(50), MatcherConfig(delta=3, q=1.0)
+    whole = exact_marginals(small, cfg)
+    assert (whole.branches, whole.cones) == (2599, 1)
+    monkeypatch.setattr(oracle, "STEP_LIMIT", 3000)
+    assert exact_marginals(small, cfg) == whole
+    monkeypatch.setattr(oracle, "STEP_LIMIT", 2598)
+    with pytest.raises(OracleLimitError, match="step limit 2598 exceeded"):
+        exact_marginals(small, cfg)
+
+
 def test_a_bad_value_is_named_by_its_arrival_time():
     # the second arrival is alone in its cone, and still named arrival 2
     s = make_stream(4, 1, [(0, 1), (2, 3)], xs=[0.1, 0.4])
@@ -394,6 +425,23 @@ def _maximal_cones(stream):
     return {c for c in cones if not any(c < d for d in cones)}
 
 
+def _linked_classes(cones):
+    """The number of classes of cones linked by shared arrivals: the
+    connected components, since the later of two arrivals at a vertex has
+    the earlier in its cone."""
+    left, count = list(cones), 0
+    while left:
+        count += 1
+        grown = set(left.pop())
+        linked = [c for c in left if c & grown]
+        while linked:
+            for c in linked:
+                grown |= c
+                left.remove(c)
+            linked = [c for c in left if c & grown]
+    return count
+
+
 def _close(a, b):
     return len(a) == len(b) and all(abs(x - y) < 1e-12 for x, y in zip(a, b))
 
@@ -428,14 +476,20 @@ def _oracle_cases(draw):
 @given(_oracle_cases())
 def test_walk_matches_clone_reference(case):
     # the pass against a branch tree of the whole stream: equal in rational
-    # mode, summed in another order and within 1e-12 in float mode; it runs
-    # once on each of the brute-force maximal cones
+    # mode, summed in another order and within 1e-12 in float mode; the cone
+    # finder gives the brute-force maximal cones, and the pass keeps either
+    # a component's cones or the component whole
     stream, config, exact = case
     res = exact_marginals(stream, config, exact=exact)
     marginal, cond, leaf = _reference_marginals(stream, config, exact)
     cones = _maximal_cones(stream)
-    assert res.cones == len(cones)
-    assert {frozenset(c) for c in oracle._cones(stream.u, stream.v)} == cones
+    at = {}
+    for i, (u, v) in enumerate(zip(stream.u, stream.v)):
+        at.setdefault(u, []).append(i)
+        at.setdefault(v, []).append(i)
+    found = oracle._cones(at, stream.u, stream.v, range(stream.m), [-1] * stream.m)
+    assert {frozenset(c) for c in found} == cones
+    assert _linked_classes(cones) <= res.cones <= len(cones)
     if exact:
         assert (res.marginal, res.conditional_sum, res.leaf_total) == (marginal, cond, leaf)
     else:
