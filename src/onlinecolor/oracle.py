@@ -29,7 +29,8 @@ component, or one over each of its maximal cones (``_cones``), reads every
 marginal.  Cones keep the frontier small in a random order but step an
 arrival once per cone that holds it, so per component the two race
 (``_first_done``) and the first to finish gives the values; an arrival in
-several cones keeps those of the last one passed over.  ``branches`` counts
+several cones keeps those of the last one passed over.  A component that
+is one cone is passed over once, with no race.  ``branches`` counts
 the kept passes' steps, one per (arrival, live state), and STEP_LIMIT, read
 at call time, bounds their sum over one call.
 
@@ -205,15 +206,24 @@ def _pass(us, vs, xs, config, exact: bool, steps: int):
         if seen[i] >= 0 or mark[i] >= 0:
             continue
         first, whole = _reach(at, us, vs, i, mark, True)
-        got = {}, {}
-        if whole:  # the component is one cone
-            runs = [walk([first], got[0])]
+        if whole:  # the component is one cone: its pass alone, run to the end
+            got = {}
+            run = walk([first], got)
+            try:
+                while True:
+                    steps += next(run)[0]
+                    if steps > STEP_LIMIT:
+                        raise OracleLimitError(f"step limit {STEP_LIMIT} exceeded")
+            except StopIteration as done:
+                mass, n = done.value
         else:
             part = _reach(at, us, vs, i, seen, False)[0]
-            runs = [walk(itertools.chain([first], _cones(at, us, vs, part, mark)), got[0]),
-                    walk([part], got[1])]
-        k, (mass, n), steps = _first_done(runs, steps)
-        for j, (mg, cs) in got[k].items():
+            pair = {}, {}
+            runs = [walk(itertools.chain([first], _cones(at, us, vs, part, mark)), pair[0]),
+                    walk([part], pair[1])]
+            k, (mass, n), steps = _first_done(runs, steps)
+            got = pair[k]
+        for j, (mg, cs) in got.items():
             marginal[j], cond[j] = mg, cs
         leaf *= mass
         count += n

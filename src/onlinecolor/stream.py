@@ -23,8 +23,9 @@ text is alive at a time.  While the chunks are canonical text, what
 checks a chunk and one ``json.loads`` of its integers reads it.  The first
 chunk that is not, and every later one, is read line by line, each edge
 line by ``_parse_edge_line``, with lines counted from the start of the
-text; the canonical chunks before it hold no line it would reject.  Both
-readings give the same columns and the same errors.
+text; the canonical chunks before it hold no line it would reject.  A
+line that ends with the last ``L=`` text read is split only before it.
+Both readings give the same columns and the same errors.
 
 ``ArrivalStream`` stores its arrivals as columns, one tuple per field:
 endpoints ``u`` and ``v``, fractional values ``x`` and palettes
@@ -404,10 +405,28 @@ def _read_canonical(chunk: str, cols: _Columns) -> bool:
 def _read_lines(chunk: str, cols: _Columns) -> None:
     """Read ``chunk`` into ``cols`` one line at a time, numbering its lines
     on from ``cols.lines``; raises StreamError on a malformed line or
-    header.  Each line is split into tokens once (``_tokens``)."""
-    us, vs, xs, ps = cols.u, cols.v, cols.x, cols.palettes
-    lines = chunk.splitlines()
-    for lineno, raw, toks in zip(itertools.count(cols.lines + 1), lines, map(_tokens, lines)):
+    header.  The lines are ``chunk.splitlines()``'s, found by ``find``:
+    a chunk with another line break, or none at its end, is first rewritten
+    as those lines, each ended by ``\\n``.  A line is split once (``_tokens``),
+    or, if it ends with the last ``L=`` text read after a space or a tab,
+    only before it, that text's object (its hash cached) its last token."""
+    us, vs, xs, ps, texts = cols.u, cols.v, cols.x, cols.palettes, cols.texts
+    if chunk[-1] != "\n" or not chunk.isascii() or any(map(chunk.__contains__, "\r\v\f\x1c\x1d\x1e")):
+        chunk = "\n".join(chunk.splitlines()) + "\n"
+    last = next(reversed(texts), None)  # the newest L= text
+    lineno, start = cols.lines, 0
+    while start < len(chunk):
+        end = chunk.find("\n", start)
+        lineno += 1
+        line, start = start, end + 1  # the line is chunk[line:end]
+        cut = end - len(last) if last else -1
+        if cut > line and chunk[cut - 1] in " \t" and chunk.endswith(last, line, end):
+            toks = _tokens(chunk[line:cut])
+            toks.append(last)
+        else:
+            toks = _tokens(chunk[line:end])
+            if toks and toks[-1].startswith("L="):
+                last = toks[-1]
         if not toks or toks[0][0] == "#":
             continue
         if cols.header is None:
@@ -415,17 +434,17 @@ def _read_lines(chunk: str, cols: _Columns) -> None:
             continue
         # the stripped line must start with "e ": an "e" token followed by a
         # space (not a tab) and more text
-        if len(toks) == 1 or not (
-                raw.startswith("e ") or toks[0] == "e" and raw[raw.index("e") + 1] == " "):
-            raise StreamError(f"line {lineno}: expected 'e <u> <v> ...', got {raw.strip()!r}")
-        u, v, x, colors = _parse_edge_line(toks, lineno, cols.texts)
+        if len(toks) == 1 or not (chunk.startswith("e ", line, end) or
+                                  toks[0] == "e" and chunk[chunk.index("e", line) + 1] == " "):
+            raise StreamError(f"line {lineno}: expected 'e <u> <v> ...', got {chunk[line:end].strip()!r}")
+        u, v, x, colors = _parse_edge_line(toks, lineno, texts)
         if x is not None:
             xs[len(us)] = x
         if colors is not None:
             ps[len(us)] = colors
         us.append(u)
         vs.append(v)
-    cols.lines += len(lines)
+    cols.lines = lineno
 
 
 def _tokens(line: str) -> list[str]:

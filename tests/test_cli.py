@@ -534,6 +534,22 @@ def test_out_file_holds_the_bytes_of_stdout(tmp_path, capsys, argv):
     assert report.read_bytes() == out.encode() and out.endswith("}\n")
 
 
+def test_color_cli_reads_a_crlf_file_as_its_lf_original(tmp_path, capsys):
+    # a file is read with "\r\n" translated to "\n", so a CRLF copy of a
+    # listed stream reaches the line reader as the LF file does
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    assert main(["gen", "--kind", "regular", "--n", "30", "--delta", "6", "--seed", "3",
+                 "--list-size", "70", "--out-file", str(lf)]) == 0
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    reports = []
+    for path in (lf, crlf):
+        reports.append(tmp_path / f"report-{path.stem}.json")
+        assert main(["color", "--mode", "list", "--seed", "1", "--stream", str(path),
+                     "--out-file", str(reports[-1])]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    assert json.loads(reports[0].read_bytes())["violations"] == []
+
+
 def test_read_stream_peak_memory_is_a_fraction_of_the_file(tmp_path):
     # the file is read in chunks: neither its bytes nor its whole text are
     # ever alive at once

@@ -287,6 +287,12 @@ def stream_texts(draw):
 @settings(max_examples=500)
 @given(stream_texts())
 def test_parse_matches_reference(text):
+    _assert_parse_matches_reference(text)
+
+
+def _assert_parse_matches_reference(text):
+    """``parse_stream(text)`` gives the reference's columns or its error,
+    and its palettes share one tuple exactly where their L= texts are equal."""
     try:
         want = _reference_parse(text)
     except StreamError as exc:
@@ -310,6 +316,38 @@ def test_parse_matches_reference(text):
             if ti is not None and tj is not None:
                 same = s.palettes[i] is s.palettes[j]
                 assert same == (ti == tj or s.palettes[i] == () == s.palettes[j]), (ti, tj)
+
+
+_L12 = "e 0 1 L=1,2\n"  # a line ending in an L= text, for the lines after it to repeat
+
+
+@pytest.mark.parametrize("lines", [
+    # the text again on the next line, and on a line far after it, across
+    # other texts and plain lines
+    [_L12, "e 1 2 L=1,2\n", "e 2 3 L=1,2\n"],
+    [_L12, "e 1 2 L=3\n", "e 2 3\n", "# L=3\n", *(f"e 4 {w} L=4,{w}\n" for w in range(5, 9)),
+     "\n", "e 3 4 L=1,2\n", "e 5 6 L=3\n", "e 6 7 L=1,2\n"],
+    # after a tab, a run of spaces, an x= token, or whitespace alone
+    [_L12, "e 1 2\tL=1,2\n", "e 2 3     L=1,2\n", "e 3 4 \t L=1,2\n"],
+    [_L12, "e 1 2 x=0.5 L=1,2\n", "e 2 3 L=1,2 x=0.25\n", "e 3 4 L=1,2\n"],
+    [_L12, "  L=1,2\n"],
+    [_L12, "\tL=1,2\n"],
+    [_L12, "L=1,2\n"],
+    # near misses: the text after a character that is not whitespace, or
+    # twice on one line
+    [_L12, "e 1 2 xL=1,2\n"],
+    [_L12, "e 1 2 ,L=1,2\n"],
+    [_L12, "e 1 2 L=1,2 L=1,2\n"],
+    [_L12, "e 1 2 L=3,1,2\n", "e 2 3 L=1,2\n", "e 3 4 L=11,2\n"],
+    ["e 0 1 L=\n", "e 1 2 L=\n", "e 2 3 xL=\n"],
+], ids=["consecutive", "far apart", "after whitespace", "after x", "spaces alone", "tab alone",
+        "text alone", "after x char", "after comma", "twice", "longer texts", "empty list"])
+@pytest.mark.parametrize("chunk", [1, streammod.PARSE_CHUNK])
+def test_repeated_palette_texts_match_the_reference(lines, chunk):
+    # a line that ends with the last L= text read is split only before it,
+    # within a chunk and across chunks, and gives str.split()'s tokens
+    with mock.patch.object(streammod, "PARSE_CHUNK", chunk):
+        _assert_parse_matches_reference("n=9 dmax=8\n" + "".join(lines))
 
 
 _BIG_ID = 123456789012345678  # 18 digits: still canonical
@@ -347,7 +385,9 @@ def _edge_ids(text):
 
 
 _EDITS = ["leading zero", "plus", "tab", "trailing space", "19 digits", "5000 digits",
-          "crlf", "no final newline", "comment", "spaced palette", "dmax first"]
+          "crlf", "line break", "no final newline", "comment", "spaced palette", "dmax first"]
+# the line breaks of splitlines() other than "\n" and "\r\n"
+_BREAKS = ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 # whitespace that a line of splitlines() can hold: runs of spaces, a tab,
 # the one other ASCII kind and two that are not ASCII
 _SPACES = [" ", "   ", "\t", "\x1f", "\xa0", "\u3000"]
@@ -398,6 +438,12 @@ def _one_edit(draw, text, edit, first=0):
         return "".join(lines)
     if edit == "crlf":
         return text[:offset] + text[offset:].replace("\n", "\r\n")
+    if edit == "line break":
+        # inside a line or at its start; an "\r" put before the "\n" makes a CRLF
+        k = draw(st.integers(first, len(lines) - 1))
+        i = draw(st.integers(0, len(lines[k]) - 1))
+        lines[k] = lines[k][:i] + draw(st.sampled_from(_BREAKS)) + lines[k][i:]
+        return "".join(lines)
     if edit == "comment":
         lines.insert(draw(st.integers(max(first, 1), len(lines))), "# a note\n")
         return "".join(lines)
