@@ -33,13 +33,12 @@ from .matcher import (
     MODE_GREEDY_FALLBACK,
     MODE_NATURAL,
     MatcherConfig,
-    MatcherState,
     choose_q,
     run,
 )
 from .oracle import exact_colored_marginals, exact_marginals
 from .profiles import ConstantsProfile, resolve_profile
-from .rounder import RounderState, RoundingConfig, config_for_loss, s_eps
+from .rounder import RoundingConfig, config_for_loss, s_eps
 from .stream import (
     ArrivalStream,
     EdgeArrival,

@@ -391,13 +391,13 @@ class PhaseReducer:
     matches it is marked matched at both endpoints although the edge does
     not take it.
 
-    ``feed`` is the gated step of ``MatcherState`` (degree bound d_i, slack
-    q_i) written inline, with the same float operations in the same order,
-    so each color's state evolves exactly as a ``MatcherState`` driven
-    through ``proposal`` and ``apply`` would.  It does not call the
-    ``run_fast`` kernel: the bank advances many colors by one edge each,
-    not one run over a whole sequence, and a call per (edge, color) costs
-    more than the step itself.  Endpoints must differ (streams reject
+    ``feed`` is the gated step of ``MatcherConfig(d_i, q_i).state``'s engine
+    written inline, with the same float operations in the same order, so
+    each color's state evolves exactly as that engine driven through
+    ``proposal`` and ``apply`` would.  It does not call the ``run_fast``
+    kernel: the bank advances many colors by one edge each, not one run over
+    a whole sequence, and a call per (edge, color) costs more than the step
+    itself.  Endpoints must differ (streams reject
     self-loops).
 
     The state is laid out so that a feed looks nothing up per color.  A

@@ -43,7 +43,6 @@ from .matcher import (
     MODE_NATURAL,
     MatcherConfig,
     MatcherError,
-    MatcherState,
     check_run_invariants,
     gate_constants,
     matching_is_valid,
@@ -93,8 +92,10 @@ def freedman_matcher_check(delta: float) -> dict:
     Plugs the step bound A = 8/q, the observed-variance bound
     sigma^2 = 128 D ln D / q^2, and the deviation lam = q/(3D) -- with the
     analyzed q = sqrt(200) * D^(3/4) * ln^(1/2) D -- into the tail bound and
-    compares against the claimed 2*D^(-3).
+    compares against the claimed 2*D^(-3).  Needs D > 1 (q is 0 at D = 1).
     """
+    if not delta > 1:
+        raise ValueError(f"freedman_matcher_check needs delta > 1 (got {delta})")
     q = math.sqrt(200.0) * delta ** 0.75 * math.sqrt(math.log(delta))
     sigma2 = 128.0 * delta * math.log(delta) / (q * q)
     a = 8.0 / q
@@ -551,9 +552,7 @@ def counterexample_demo(delta: int, q: int) -> dict:
     results: dict = {"delta": delta, "q": q, "m": tree.m, "n": tree.n}
     bad: list[str] = []
 
-    natural = MatcherState(
-        tree.n, MatcherConfig(delta=delta, q=q, mode=MODE_NATURAL), exact=True
-    )
+    natural = MatcherConfig(delta=delta, q=q, mode=MODE_NATURAL).state(tree.n, exact=True)
     _, nat = trace_run(tree, natural, forced)
     last = tree.m - 1  # the root edge arrives last
     child_p = [p for u, v, p in zip(tree.u[:last], tree.v[:last], nat.p) if min(u, v) == 0]
@@ -568,9 +567,7 @@ def counterexample_demo(delta: int, q: int) -> dict:
     if any(nat.overflow[:last]):
         bad.append("overflow before the root edge")
 
-    gated = MatcherState(
-        tree.n, MatcherConfig(delta=delta, q=q, mode=MODE_ANALYSIS_FRIENDLY), exact=True
-    )
+    gated = MatcherConfig(delta=delta, q=q).state(tree.n, exact=True)
     _, gat = trace_run(tree, gated, forced)
     if any(p_hat > 1 for p_hat in gat.p_hat):
         bad.append("gated run produced P_hat > 1")

@@ -34,32 +34,33 @@ Two stepwise modes and a fallback:
                          TailFailure if the degree bound D is wrong.
 
 F values stay in plain floats: the gate bounds them below by q/(4D), so the
-dynamic range is tame and cancellation is benign.  All state classes also
-run exactly on fractions.Fraction inputs (used by the oracle's rational mode
+dynamic range is tame and cancellation is benign.  The engine state also
+runs exactly on fractions.Fraction inputs (used by the oracle's rational mode
 and the overflow demo).  The oracle's forward pass decides each of its steps
 through a state's proposal, so the gate has no second definition there.
 
 The rounder (rounder.RoundingConfig) is the same engine with another
-numerator and floor.  Each config builds its own state and describes its own
-audit (``state``, ``gated``, ``floor``, ``p_cap``), so one runner, run(),
-and one audit, check_run_invariants(), serve both.  A traced run is a
-RunTrace: six parallel columns (p, p_hat, x, matched, gate_fired,
-overflow), one entry per arrival, written by trace_run's one loop through
-the state's proposal and apply; the endpoints stay in the stream's own
-columns.  The audit reads the columns.  gate_constants is the one place
-that computes the per-edge scale 1/(D + q) and the gate floor q/(4D).  The
-gated step lives in MultiplicativeState (the float-or-exact reference
-engine, whose proposal decides every step: zero at a matched endpoint, the
-clamp in a natural state, the gate otherwise; the matcher and the rounder
-differ only in the numerator), in run_fast (the float kernel of every
-trace-free matcher run; it returns the indices of the matched arrivals,
-not one flag per arrival, and a matched vertex holds None in its F until
-the run ends) and, inline for its per-color bank, in
-colorer.PhaseReducer.feed, which draws each color's uniform as it visits
-the color and steps only the colors free at both endpoints; a vertex
-matched in a color holds None in that color's slot of its F row.  The
-smallest-free-color rule lives once, in colorer: the coloring pipeline's
-tail, its overflow and the greedy fallback all go through it.
+numerator and floor.  Each config builds the one engine class,
+MultiplicativeState, in its ``state(n, exact)`` and describes its own audit
+(``gated``, ``floor``, ``p_cap``), so one runner, run(), and one audit,
+check_run_invariants(), serve both.  A traced run is a RunTrace: six
+parallel columns (p, p_hat, x, matched, gate_fired, overflow), one entry per
+arrival, written by trace_run's one loop through the state's proposal and
+apply; the endpoints stay in the stream's own columns.  The audit reads the
+columns.  gate_constants is the one place that computes the per-edge scale
+1/(D + q) and the gate floor q/(4D).  The gated step lives in
+MultiplicativeState (the float-or-exact reference engine, whose proposal
+decides every step: zero at a matched endpoint, the clamp in a natural
+state, the gate otherwise; the matcher and the rounder differ only in the
+numerator), in run_fast (the float kernel of every trace-free matcher run;
+it returns the indices of the matched arrivals, not one flag per arrival,
+and a matched vertex holds None in its F until the run ends) and, inline for
+its per-color bank, in colorer.PhaseReducer.feed, which draws each color's
+uniform as it visits the color and steps only the colors free at both
+endpoints; a vertex matched in a color holds None in that color's slot of
+its F row.  The smallest-free-color rule lives once, in colorer: the
+coloring pipeline's tail, its overflow and the greedy fallback all go
+through it.
 """
 
 from __future__ import annotations
@@ -162,8 +163,13 @@ class MatcherConfig:
         floor = self.floor
         return 1.0 / ((self.delta + self.q) * floor * floor)
 
-    def state(self, n: int, exact: bool = False) -> "MatcherState":
-        return MatcherState(n, self, exact=exact)
+    def state(self, n: int, exact: bool = False) -> "MultiplicativeState":
+        """A fresh engine state over n vertices; exact on Fractions of D and q."""
+        if self.mode == MODE_GREEDY_FALLBACK:
+            raise MatcherError("greedy fallback is not a stepwise matcher; use run_greedy_fallback")
+        delta, q = (Fraction(self.delta), Fraction(self.q)) if exact else (self.delta, self.q)
+        scale, floor = gate_constants(delta, q)
+        return MultiplicativeState(n, lambda x_e, t: scale, floor, self.mode == MODE_NATURAL, exact)
 
 
 @dataclass
@@ -180,34 +186,31 @@ class RunTrace:
 
 
 class MultiplicativeState:
-    """Shared skeleton of the matcher and the rounder.
+    """The engine of the matcher and the rounder, built by a config's ``state``.
 
-    Subclasses define the proposal numerator and the gate floor.  The state
-    is F, the matched flags and the arrival count ``t``; the matching itself
-    is read from a trace's ``matched`` column.  Traced runs (trace_run) step
-    it through proposal and apply.  The oracle's forward pass asks a 2-vertex
-    state's proposal about each (arrival, state) pair it carries, so the gate
-    is decided here for it too.
+    ``numerator(x_e, t)``, at the arrival of 0-based index t, is the
+    probability an edge whose gate never interferes is matched with,
+    conditioned on any execution path; ``floor`` is the gate floor and
+    ``clamp`` marks a natural state (no gate, P > 1 clamped).  The state is
+    F, the matched flags and the arrival count ``t``; the matching itself is
+    read from a trace's ``matched`` column.  Traced runs (trace_run) step it
+    through proposal and apply.  The oracle's forward pass asks a 2-vertex
+    state's proposal about each (arrival, state) pair it carries, so the
+    gate is decided here for it too.
     Vertices are dense ints below n; F defaults to 1 via a plain list.  When
     ``exact`` numbers (Fractions) flow in, every derived quantity stays
     exact.
     """
 
-    floor: object  # gate floor; subclass-provided
-    clamp = False  # True in a natural MatcherState: no gate, P > 1 clamped
-
-    def __init__(self, n: int, exact: bool = False):
-        self.exact = exact
+    def __init__(self, n: int, numerator, floor, clamp: bool, exact: bool):
+        self.numerator = numerator
+        self.floor = floor
+        self.clamp = clamp
         self.zero = Fraction(0) if exact else 0.0
         self.one = Fraction(1) if exact else 1.0
         self.F = [self.one] * n
         self.matched = bytearray(n)
         self.t = 0  # arrivals processed so far
-
-    def numerator(self, x_e) -> object:
-        """The proposal numerator; conditioned on any execution path, an edge
-        whose gate never interferes is matched with exactly this probability."""
-        raise NotImplementedError("a subclass defines the numerator")
 
     def proposal(self, u: int, v: int, x_e=None):
         """(p, p_hat, gate_fired, overflow) for the next arrival, no mutation.
@@ -218,7 +221,7 @@ class MultiplicativeState:
         if self.matched[u] or self.matched[v]:
             return self.zero, self.zero, False, False
         fu, fv = self.F[u], self.F[v]
-        p = self.numerator(x_e) / (fu * fv)
+        p = self.numerator(x_e, self.t) / (fu * fv)
         if self.clamp:
             if p > 1:
                 return p, self.one, False, True
@@ -237,21 +240,6 @@ class MultiplicativeState:
             self.matched[u] = True
             self.matched[v] = True
         self.t += 1
-
-
-class MatcherState(MultiplicativeState):
-    def __init__(self, n: int, config: MatcherConfig, exact: bool = False):
-        if config.mode == MODE_GREEDY_FALLBACK:
-            raise MatcherError("greedy fallback is not a stepwise matcher; use run_greedy_fallback")
-        super().__init__(n, exact=exact)
-        delta, q = config.delta, config.q
-        if exact:
-            delta, q = Fraction(delta), Fraction(q)
-        self.scale, self.floor = gate_constants(delta, q)
-        self.clamp = config.mode == MODE_NATURAL
-
-    def numerator(self, x_e) -> object:
-        return self.scale
 
 
 def run(

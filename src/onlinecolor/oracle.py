@@ -244,11 +244,8 @@ def exact_marginals(
     # the targets are the engine's own numerators, taken in arrival order
     # before the pass, so that a bad arrival fails under its own time and
     # not its index within a cone
-    probe = config.state(0, exact)
-    expected = []
-    for x in xs:
-        expected.append(probe.numerator(x))
-        probe.t += 1
+    numerator = config.state(0, exact).numerator
+    expected = [numerator(x, t) for t, x in enumerate(xs)]
     marginal, cond, leaf, branches, cones = _pass(stream.u, stream.v, xs, config, exact, 0)
     return OracleResult(
         marginal=marginal,

@@ -15,10 +15,11 @@ and a practical C must be supplied explicitly.
 With the uniform values x_e = 1/D the proposal coincides with the matcher's
 whenever 1 - s = D/(D + q); only the gate floors differ (s/4 vs q/(4D)).
 
-The rounder has one stepwise mode, the gated one, and no runner or audit of
-its own: RoundingConfig builds the engine state and describes its audit
-(``state``, ``gated``, ``floor``, ``p_cap``), and matcher.run and
-matcher.check_run_invariants take it as they take a MatcherConfig.
+The rounder has one stepwise mode, the gated one, and no state class,
+runner or audit of its own: RoundingConfig builds the matcher's engine
+state and describes its audit (``gated``, ``floor``, ``p_cap``), and
+matcher.run and matcher.check_run_invariants take it as they take a
+MatcherConfig.
 """
 
 from __future__ import annotations
@@ -73,9 +74,25 @@ class RoundingConfig:
         s = self.s
         return 16.0 * self.epsilon * (1.0 - s) / (s * s)
 
-    def state(self, n: int, exact: bool = False) -> "RounderState":
-        s = Fraction(str(self.s)) if exact else self.s
-        return RounderState(n, self.epsilon, s, exact=exact)
+    def state(self, n: int, exact: bool = False) -> MultiplicativeState:
+        """A fresh engine state over n vertices; its numerator refuses a missing
+        x or x > eps.  Exact states read eps, s and x as the decimals they print
+        as (files carry decimal literals), so x = eps passes."""
+        epsilon, s = self.epsilon, self.s
+        if exact:
+            epsilon, s = Fraction(str(epsilon)), Fraction(str(s))
+        keep = 1 - s
+
+        def numerator(x_e, t):
+            if x_e is None:
+                raise RoundingError(f"arrival {t + 1} has no fractional value")
+            if exact and not isinstance(x_e, Fraction):
+                x_e = Fraction(str(x_e))
+            if x_e > epsilon:
+                raise RoundingError(f"arrival {t + 1}: x={float(x_e)} exceeds eps={float(epsilon)}")
+            return x_e * keep
+
+        return MultiplicativeState(n, numerator, s / 4, False, exact)
 
 
 def config_for_loss(epsilon: float, s: float) -> RoundingConfig:
@@ -83,27 +100,3 @@ def config_for_loss(epsilon: float, s: float) -> RoundingConfig:
     if not 0.0 < s < 1.0:
         raise RoundingError("s must be in (0, 1)")
     return RoundingConfig(epsilon=epsilon, c_round=s / s_eps(epsilon, 1.0))
-
-
-class RounderState(MultiplicativeState):
-    """Engine state; ``s`` and ``epsilon`` may be Fractions for exact runs."""
-
-    def __init__(self, n: int, epsilon, s, exact: bool = False):
-        super().__init__(n, exact=exact)
-        if not 0 < s < 1:
-            raise RoundingError("s must be in (0, 1) for a run")
-        self.epsilon = epsilon
-        self.s = s
-        self.floor = s / 4
-
-    def numerator(self, x_e):
-        if x_e is None:
-            raise RoundingError(f"arrival {self.t + 1} has no fractional value")
-        if self.exact and not isinstance(x_e, Fraction):
-            # Files carry decimal literals; honor them exactly.
-            x_e = Fraction(str(x_e))
-        if x_e > self.epsilon:
-            raise RoundingError(
-                f"arrival {self.t + 1}: x={float(x_e)} exceeds eps={float(self.epsilon)}"
-            )
-        return x_e * (1 - self.s)

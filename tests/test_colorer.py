@@ -33,7 +33,7 @@ from onlinecolor.colorer import (
     run_generic,
 )
 from onlinecolor.harness import validate_coloring
-from onlinecolor.matcher import MatcherConfig, MatcherState
+from onlinecolor.matcher import MatcherConfig
 from onlinecolor.profiles import ConstantsProfile
 from onlinecolor.seeding import rng_for
 from onlinecolor.stream import ArrivalStream, gen_regular, make_stream, reorder, with_range_lists
@@ -413,7 +413,7 @@ def test_phase_reducer_block_keeps_a_matched_endpoint_f():
 
 
 class _ReferenceBank:
-    """The bank as one MatcherState per color, driven through proposal + apply.
+    """The bank as one matcher state per color, driven through proposal + apply.
 
     An event (u, v, c) with a color c in place of a sublist is a block: c's
     matcher marks u and v matched, and its generator draws nothing."""
@@ -426,7 +426,7 @@ class _ReferenceBank:
 
     def state(self, c):
         if c not in self.states:
-            self.states[c] = MatcherState(self.n, self.config)
+            self.states[c] = self.config.state(self.n)
             self.rngs[c] = rng_for(self.seed, "phase", self.phase, "color", c)
         return self.states[c]
 

@@ -26,7 +26,6 @@ from onlinecolor.matcher import (
     MODE_GREEDY_FALLBACK,
     MODE_NATURAL,
     MatcherConfig,
-    MatcherState,
     MultiplicativeState,
 )
 from onlinecolor.profiles import ConstantsProfile
@@ -61,6 +60,10 @@ def test_freedman_matcher_regime():
     for delta in (1e10, 1e12, 1e14):
         chk = freedman_matcher_check(delta)
         assert chk["ok"], chk
+    # the analyzed q is 0 at D = 1 and undefined below it
+    for delta in (1, 0.5):
+        with pytest.raises(ValueError, match=r"needs delta > 1"):
+            freedman_matcher_check(delta)
 
 
 def test_validate_coloring_examples():
@@ -474,6 +477,19 @@ def _overflow_fault(clamp, overflow):
     return proposal
 
 
+def _halved_numerator():
+    """MatcherConfig.state building states whose numerator is halved."""
+    real = MatcherConfig.state
+
+    def state(self, n, exact=False):
+        built = real(self, n, exact)
+        whole = built.numerator
+        built.numerator = lambda x_e, t: whole(x_e, t) / 2
+        return built
+
+    return state
+
+
 # each planted fault: (owner, attribute, replacement, the violations the demo
 # must report, as message prefixes); together they fire all nine checks
 _DEMO_FAULTS = {
@@ -488,7 +504,7 @@ _DEMO_FAULTS = {
                              ["root edge did not overflow"]),
     "clamp_flags_every_step": (MultiplicativeState, "proposal", _overflow_fault(True, True),
                                ["overflow before the root edge"]),
-    "numerator_halved": (MatcherState, "numerator", lambda self, x_e: self.scale / 2,
+    "numerator_halved": (MatcherConfig, "state", _halved_numerator(),
                          ["child P values [Fraction(1, 16), ", "root P 16/195 != (q+2)/(q+1)",
                           "root edge did not overflow", "gate did not zero the root edge"]),
 }

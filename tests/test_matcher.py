@@ -12,8 +12,6 @@ from onlinecolor.matcher import (
     GuardError,
     MatcherConfig,
     MatcherError,
-    MatcherState,
-    MultiplicativeState,
     RunTrace,
     check_run_invariants,
     choose_q,
@@ -59,7 +57,7 @@ def test_triangle_hand_steps_exact():
     # D=2, q=1, gate on, forced no-match path: P = 1/3, 1/2, then 1 with the
     # gate zeroing the third edge.
     s = triangle()
-    state = MatcherState(3, MatcherConfig(delta=2, q=1), exact=True)
+    state = MatcherConfig(delta=2, q=1).state(3, exact=True)
     x = Fraction(9, 10)
     matching, trace = trace_run(s, state, lambda: x)
     assert trace.p == [Fraction(1, 3), Fraction(1, 2), 1]
@@ -90,13 +88,6 @@ def test_greedy_fallback_has_no_stepwise_state():
     cfg = MatcherConfig(delta=4, q=1, mode=MODE_GREEDY_FALLBACK)
     with pytest.raises(MatcherError, match="greedy fallback is not a stepwise matcher"):
         cfg.state(3)
-
-
-def test_the_shared_skeleton_has_no_numerator():
-    # the matcher and the rounder differ only in the numerator, which the
-    # skeleton leaves to them
-    with pytest.raises(NotImplementedError, match="a subclass defines the numerator"):
-        MultiplicativeState(2).proposal(0, 1)
 
 
 def test_apply_rejects_a_match_at_a_matched_vertex():
@@ -140,7 +131,7 @@ def test_natural_mode_overflow_flag():
 
     tree = gen_lower_bound_tree(6, 2)
     cfg = MatcherConfig(delta=6, q=2, mode=MODE_NATURAL)
-    state = MatcherState(tree.n, cfg, exact=True)
+    state = cfg.state(tree.n, exact=True)
     x = Fraction((1 << 53) - 1, 1 << 53)
     _, trace = trace_run(tree, state, lambda: x)
     assert trace.overflow[-1] and trace.p[-1] == Fraction(4, 3)
@@ -198,7 +189,7 @@ def _hand_steps(s, state, xs) -> RunTrace:
 @given(_instances(max_n=12), st.sampled_from([2.0, 3.0]), st.floats(0.5, 2.0),
        st.integers(0, 2**30))
 def test_kernel_matches_reference_engine(s, delta, q, seed):
-    # run_fast against MatcherState stepped by hand on one uniform per
+    # run_fast against an engine state stepped by hand on one uniform per
     # arrival.  D is at most 3 whatever the degrees, so the gate fires
     # once a vertex sees three unmatched arrivals
     cfg = MatcherConfig(delta=delta, q=q)

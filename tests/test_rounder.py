@@ -8,7 +8,6 @@ from conftest import path, random_simple_graph, triangle
 from onlinecolor.matcher import MatcherConfig, check_run_invariants, run, trace_run
 from onlinecolor.oracle import exact_marginals
 from onlinecolor.rounder import (
-    RounderState,
     RoundingConfig,
     RoundingError,
     config_for_loss,
@@ -86,16 +85,30 @@ def test_x_exceeding_epsilon_rejected():
     cfg = config_for_loss(0.2, 0.1)
     with pytest.raises(RoundingError, match="exceeds eps"):
         run(s, cfg, seed=0)
+    over = make_stream(4, 1, [(0, 1), (2, 3)], xs=[0.3, 0.31])
+    cfg = config_for_loss(0.3, 0.1)
+    with pytest.raises(RoundingError, match=r"^arrival 2: x=0.31 exceeds eps=0.3$"):
+        exact_marginals(over, cfg, exact=True)
+    with pytest.raises(RoundingError, match=r"^arrival 2: x=0.31 exceeds eps=0.3$"):
+        trace_run(over, cfg.state(4, exact=True), lambda: 0.5)
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.7])
+def test_exact_rounder_accepts_x_at_epsilon(eps):
+    # an exact state reads eps as it reads x, as the decimal it prints as;
+    # the float eps lies below that decimal, so x = eps must not be refused
+    s = make_stream(4, 1, [(0, 1), (2, 3)], xs=[eps, eps])
+    cfg = config_for_loss(eps, 0.1)
+    res = exact_marginals(s, cfg, exact=True)
+    target = Fraction(str(eps)) * (1 - Fraction(str(cfg.s)))
+    assert res.expected == res.marginal == [target] * 2
+    _, trace = trace_run(s, cfg.state(4, exact=True), lambda: 0.5)
+    assert trace.p == [target] * 2
 
 
 def test_run_needs_fractional_stream():
     with pytest.raises(RoundingError):
         run(path(2), config_for_loss(0.2, 0.1), seed=0)
-
-
-def test_state_rejects_invalid_loss():
-    with pytest.raises(RoundingError):
-        RounderState(3, 0.2, 1.2)
 
 
 def test_invariants_on_random_fractional_instances():
@@ -158,7 +171,7 @@ def test_gate_keeps_same_path_sane():
         [(0, 2), (0, 3), (1, 2), (1, 3), (0, 1)],
         xs=[0.33, 0.33, 0.33, 0.33, 0.33],
     )
-    state = RounderState(4, 0.33, 0.1)
+    state = config_for_loss(0.33, 0.1).state(4)
     _, trace = trace_run(s, state, lambda: 0.999)
     assert any(trace.gate_fired)
     assert min(state.F) >= 0.1 / 4

@@ -75,6 +75,7 @@ CORPUS = [
     ("oracle-exact", ["oracle", "--stream", "@bip", "--q", "1", "--exact"]),
     ("oracle-exact-csv", ["oracle", "--stream", "@bip", "--q", "1", "--exact", "--out", "csv"]),
     ("oracle-rounder", ["oracle", "--stream", "@frac", "--out", "csv"]),
+    ("oracle-rounder-exact", ["oracle", "--stream", "@frac", "--exact"]),
     ("mc-json", ["mc", "--stream", "@reg", "--q", "1.5", "--trials", "200", "--seed", "5"]),
     ("mc-csv", ["mc", "--stream", "@small", "--q", "1", "--trials", "300", "--seed", "5",
                 "--out", "csv"]),
