@@ -3,15 +3,20 @@
 Each returns its report as data (a dataclass or a dict); only the CLI
 writes a report as text.
 
-Seeding contract: trial t of a run with master seed S draws from a
-generator in the state that ``seeding.rng_for(S, t)`` gives, and consumes
-one uniform per arrival, in arrival order.  The gated Monte-Carlo and
-martingale loops build one generator per call and re-seed it each trial
-with ``derive_seed(S, t)``, which leaves it in that same state.  Reports
-embed S, so re-running a report reproduces every decision bit for bit.
-Invariant checks are always on in harness entry points; a report with
-violation count zero certifies that every per-module invariant held at
-every step it audited.
+Seeding contract: a Monte-Carlo call with master seed S builds one
+generator, in the state ``seeding.rng_for(S)`` gives, and its trials draw
+on from it with no re-seed between them: m uniforms per trial on an
+m-arrival stream, one per arrival in arrival order (the greedy fallback
+reads its trial's m uniforms as one 64m-bit integer).  So trial t depends
+only on (S, t, m), and is replayed alone on ``rng_for(S)`` after
+``getrandbits(64 * t * m)``, which skips t*m uniforms.  The audit of a
+run_fast trial saves the generator's state before the trial, sets it back
+after, and replays the trial traced on the same generator; the replay must
+leave the generator where the kernel left it, or the kernel and the trace
+drew different counts.  Reports embed S, so re-running a report
+reproduces every decision bit for bit.  Invariant checks are always on in
+harness entry points; a report with violation count zero certifies that
+every per-module invariant held at every step it audited.
 
 ``validate_coloring`` takes the color column alone (a ColoringResult's
 ``colors``) and accepts and explains in two parts, as ``ArrivalStream``
@@ -36,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
-from .colorer import PALETTE_RULE, draw_c_star, greedy_color
+from .colorer import PALETTE_RULE, greedy_color
 from .matcher import (
     MODE_ANALYSIS_FRIENDLY,
     MODE_GREEDY_FALLBACK,
@@ -148,13 +153,17 @@ def _trial_hits(stream: ArrivalStream, config, trials: int, master_seed: int):
 
     The config's ``mode`` picks the path: the greedy color class c*,
     run_fast for the gated matcher, or a traced run (a RoundingConfig has no
-    mode, so the rounder runs traced).  Each trial yields the indices of its
-    matched arrivals in arrival order, and hits are added over them.  The
-    first ``AUDIT_TRIALS`` trials are audited by check_run_invariants
-    against the engine's own final F; a run_fast trial is re-run traced for
-    it, and must match the same arrivals.
+    mode, so the rounder runs traced).  All trials draw on from one
+    generator, m uniforms each (see the seeding contract).  Each trial
+    yields the indices of its matched arrivals in arrival order, and hits
+    are added over them.  The first ``AUDIT_TRIALS`` trials are audited by
+    check_run_invariants against the engine's own final F; a run_fast trial
+    is replayed traced for it from the generator state it started in, and
+    must match the same arrivals and end in the state the kernel left,
+    where the next trial then starts.
     """
-    hits = [0] * stream.m
+    m = stream.m
+    hits = [0] * m
     min_f = 1.0
     gate_fires = 0
     overflow = 0
@@ -163,23 +172,28 @@ def _trial_hits(stream: ArrivalStream, config, trials: int, master_seed: int):
     fast = mode == MODE_ANALYSIS_FRIENDLY
     greedy = mode == MODE_GREEDY_FALLBACK
     us, vs = stream.u, stream.v
-    rng = Random()  # re-seeded per gated trial (see the seeding contract)
+    rng = Random(derive_seed(master_seed))  # rng_for(S), the call's one generator
     if greedy:
-        # the greedy coloring does not depend on the trial; only c* does
-        delta = int(config.delta)
-        greedy_colors = greedy_color(stream, range(1, 2 * delta))
+        # the greedy coloring does not depend on the trial; only c* does: 1 +
+        # the trial's m uniforms, read as one 64m-bit integer, mod 2D - 1,
+        # which is off uniform by less than (2D - 1)/2^(64m)
+        classes = 2 * int(config.delta) - 1
+        members = [[] for _ in range(classes + 1)]  # color -> its arrival indices
+        for i, c in enumerate(greedy_color(stream, range(1, classes + 1))):
+            members[c].append(i)
     for t in range(trials):
+        audit = t < AUDIT_TRIALS
         if greedy:
-            c_star = draw_c_star(delta, derive_seed(master_seed, t))
-            got = [i for i, c in enumerate(greedy_colors) if c == c_star]
+            got = members[1 + rng.getrandbits(64 * m) % classes]
         elif fast:
-            rng.seed(derive_seed(master_seed, t))
+            if audit:
+                start = rng.getstate()
             got, _, F, gf = run_fast(us, vs, stream.n, config.delta, config.q, rng)
             min_f = min(min_f, min(F, default=1.0))
             gate_fires += gf
         else:
             state = config.state(stream.n)
-            _, trace = run(stream, config, derive_seed(master_seed, t), state=state)
+            _, trace = run(stream, config, rng, state=state)
             got = _matched_indices(trace)
             F = state.F
             min_f = min(min_f, min(F, default=1.0))
@@ -187,13 +201,18 @@ def _trial_hits(stream: ArrivalStream, config, trials: int, master_seed: int):
             overflow += sum(trace.overflow)
         for i in got:
             hits[i] += 1
-        if t < AUDIT_TRIALS:
+        if audit:
             if greedy:
                 if not matching_is_valid([(us[i], vs[i]) for i in got]):
                     violations.append(f"trial {t}: fallback matching invalid")
                 continue
             if fast:
-                _, trace = run(stream, config, derive_seed(master_seed, t))
+                end = rng.getstate()
+                rng.setstate(start)
+                _, trace = run(stream, config, rng)
+                if rng.getstate() != end:
+                    violations.append(f"trial {t}: fast and traced paths drew different counts")
+                    rng.setstate(end)
                 if _matched_indices(trace) != got:
                     violations.append(f"trial {t}: fast and traced paths disagree")
             violations.extend(
@@ -396,13 +415,18 @@ def _neighbors(stream: ArrivalStream, vertex: int) -> set[int]:
     return {v if u == vertex else u for u, v in zip(stream.u, stream.v) if vertex in (u, v)}
 
 
-def _walk_plan(stream: ArrivalStream, vertex: int, keep) -> list[tuple]:
+def _walk_plan(stream: ArrivalStream, vertex: int, neighbors) -> list[tuple]:
     """(arrival index, u, v, the neighbor whose (vertex, w) edge arrives
-    here or None) for each arrival touching a vertex of ``keep``."""
+    here or None) for each arrival touching a neighbor w of ``vertex``
+    while (vertex, w) is still ahead.  The (vertex, w) arrival itself
+    stays, since it freezes w's term; after it, w's term no longer moves."""
+    live = set(neighbors)
     plan = []
     for i, u, v in zip(itertools.count(), stream.u, stream.v):
-        if u in keep or v in keep:
-            plan.append((i, u, v, v if u == vertex else (u if v == vertex else None)))
+        if u in live or v in live:
+            frozen = v if u == vertex else (u if v == vertex else None)
+            plan.append((i, u, v, frozen))
+            live.discard(frozen)
     return plan
 
 
@@ -416,7 +440,7 @@ def _martingale_trial(stream, config, neighbors, plan, rng):
     unfrozen neighbor move Y: down by the term sum on a match, up by the
     factor p_hat/(1-p_hat) otherwise.  The conditional variance of a step is
     (term sum)^2 * p_hat/(1-p_hat) regardless of the outcome.  So the plan
-    may skip every arrival that touches no neighbor.
+    may skip every arrival that touches no neighbor with its term unfrozen.
 
     Y falls on a match and rises on a miss (the gate keeps p_hat < 1), with
     a variance term exactly when it moves, by construction; the bounds on
@@ -476,8 +500,9 @@ def martingale_monitor(
     Needs at least 2 trials: on one, the interval has zero width.  Raises
     for fewer, for a vertex outside [0, n) and for any matcher but the
     gated one.  Every trial walks one plan, built once per call: the
-    arrivals that touch a neighbor of ``vertex``, which include every
-    arrival at it."""
+    arrivals that touch a neighbor w of ``vertex`` no later than the
+    (vertex, w) arrival, that arrival included.  All trials draw on from
+    one generator (see the seeding contract)."""
     _require_trials(trials)
     if trials == 1:
         raise ValueError("the 4-sigma interval around mean(Y_m) needs at least 2 trials (got 1)")
@@ -500,9 +525,8 @@ def martingale_monitor(
     total = 0.0
     max_step = 0.0
     max_wm = 0.0
-    rng = Random()  # re-seeded per trial (see the seeding contract)
+    rng = Random(derive_seed(master_seed))  # rng_for(S); trials draw on from it
     for t in range(trials):
-        rng.seed(derive_seed(master_seed, t))
         ym, ms, wm = _martingale_trial(stream, config, neighbors, plan, rng)
         yms.append(ym)
         total += ym

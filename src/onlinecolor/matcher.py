@@ -243,10 +243,11 @@ class MultiplicativeState:
 
 
 def run(
-    stream: ArrivalStream, config, seed: int, state=None
+    stream: ArrivalStream, config, seed: int | random.Random, state=None
 ) -> tuple[list[tuple[int, int]], RunTrace]:
-    """One full pass of either engine; X_t drawn from random.Random(seed) in
-    arrival order.
+    """One full pass of either engine; X_t drawn in arrival order from
+    random.Random(seed), or, when ``seed`` is a random.Random, from that
+    generator as it stands, which is left after the run's last draw.
 
     ``config`` is a MatcherConfig or a rounder.RoundingConfig; it builds a
     float engine state unless a fresh ``state`` (say, an exact one) is
@@ -256,7 +257,8 @@ def run(
     """
     if state is None:
         state = config.state(stream.n)
-    return trace_run(stream, state, random.Random(seed).random)
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    return trace_run(stream, state, rng.random)
 
 
 def trace_run(stream: ArrivalStream, state, draw) -> tuple[list[tuple[int, int]], RunTrace]:
@@ -297,7 +299,8 @@ def run_fast(us, vs, n: int, delta: float, q: float, rng: random.Random):
     """The float gated kernel: one trace-free run over pre-split endpoint arrays.
 
     Consumes exactly one uniform per arrival (the same contract as run(), so
-    fast and traced runs make identical decisions for the same seed).
+    fast and traced runs make identical decisions from the same generator
+    state, and leave it in the same state).
     Returns (matched, p_hat, F, gate_fires): the indices of the matched
     arrivals in arrival order (arrival t has index t - 1), the per-arrival
     P_hat values (0.0 at a matched endpoint or a fired gate), the final F

@@ -1,10 +1,12 @@
 """Deterministic seed derivation shared by all randomized drivers.
 
 Every source of randomness in this package is a ``random.Random`` built from
-an integer seed.  Sub-streams (per trial, per phase, per color instance) are
+an integer seed.  Sub-streams (per Monte-Carlo call, per phase, per color) are
 derived from a master seed through one fixed mixing function so that
 
-  * trial ``t`` of a Monte-Carlo run depends only on ``(master_seed, t)``,
+  * a Monte-Carlo call draws all its trials from one generator,
+    ``rng_for(master_seed)``, m uniforms per trial on an m-arrival stream,
+    so trial ``t`` depends only on ``(master_seed, t, m)``,
   * the per-color matchers inside the coloring pipeline depend only on
     ``(master_seed, phase, color)``,
 
@@ -41,8 +43,7 @@ def derive_seed(*parts: object) -> int:
     # Integer and string subclasses (numpy's int64 and str_, say) have their
     # own repr, "np.int64(5)" under numpy 2, which would silently change the
     # seed; they are hashed as the built-in value.  bool stays bool.  The
-    # exact-type scan keeps the common all-built-in call cheap: Monte-Carlo
-    # drivers derive one seed per trial.
+    # exact-type scan keeps the common all-built-in call cheap.
     for part in parts:
         if type(part) not in _BUILTIN:
             parts = tuple(map(_canonical, parts))

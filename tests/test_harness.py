@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import FakeRng, path, star, triangle
 from onlinecolor import harness, matcher, oracle
-from onlinecolor.colorer import greedy_color, list_color, local_color, run_greedy_fallback
+from onlinecolor.colorer import greedy_color, list_color, local_color
 from onlinecolor.harness import (
     counterexample_demo,
     freedman_bound,
@@ -379,9 +381,9 @@ def test_martingale_two_edge_closed_form():
 
 
 def test_martingale_walk_skips_only_arrivals_that_cannot_move_y():
-    # martingale_monitor walks only the arrivals that touch a neighbor of
-    # the vertex; the walk of every arrival must give the same
-    # (Y_m, max step, W_m)
+    # martingale_monitor walks only the arrivals that touch a neighbor w of
+    # the vertex while (vertex, w) is still ahead; a walk of every arrival,
+    # built here, must give the same (Y_m, max step, W_m)
     from onlinecolor.stream import gen_regular, reorder
 
     s = reorder(gen_regular(30, 6, seed=2), "random", 4)
@@ -389,8 +391,10 @@ def test_martingale_walk_skips_only_arrivals_that_cannot_move_y():
     for vertex in (0, 11):
         nb = harness._neighbors(s, vertex)
         walk = harness._walk_plan(s, vertex, nb)
-        every = harness._walk_plan(s, vertex, set(range(s.n)))
+        every = [(i, u, v, v if u == vertex else (u if v == vertex else None))
+                 for i, (u, v) in enumerate(zip(s.u, s.v))]
         assert 0 < len(walk) < len(every) == s.m
+        assert {w for *_, w in walk} == {w for *_, w in every} == nb | {None}
         for seed in range(20):
             full = harness._martingale_trial(s, cfg, nb, every, rng_for(seed))
             assert harness._martingale_trial(s, cfg, nb, walk, rng_for(seed)) == full
@@ -529,10 +533,13 @@ def test_mc_report_reproducible():
     assert a.violation_count == 0
     assert a.edges[2]["hits"] == 0  # the gated third edge never matches
     assert a.edges[2]["below_bound"]  # flagged against 1/(D+4q)
-    # trial 5 reproduces from the embedded master seed alone
+    # trial 5 reproduces from the embedded master seed alone, after the
+    # 5 * m uniforms of trials 0-4
     from onlinecolor.matcher import run
 
-    _, trace = run(tri, cfg, derive_seed(a.master_seed, 5))
+    rng = rng_for(a.master_seed)
+    rng.getrandbits(64 * 5 * tri.m)
+    _, trace = run(tri, cfg, rng)
     assert sum(trace.matched) <= 1
 
 
@@ -566,12 +573,16 @@ def test_mc_greedy_fallback_mode():
 
 @pytest.mark.parametrize("stream,delta", [(star(3), 3), (path(4), 2)])
 def test_mc_greedy_fallback_hits_match_per_trial_runs(stream, delta):
+    # trial t's c* is 1 + (its m uniforms, read as one 64m-bit integer)
+    # mod 2D - 1, on the call's one generator
     cfg = MatcherConfig(delta=delta, q=10, mode=MODE_GREEDY_FALLBACK)
+    colors = greedy_color(stream, range(1, 2 * delta))
+    rng = rng_for(4)
     expected = [0] * stream.m
-    for t in range(200):  # one full fallback run per trial
-        matching, _, _ = run_greedy_fallback(stream, delta, derive_seed(4, t))
-        for i, e in enumerate(stream.arrivals):
-            expected[i] += (e.u, e.v) in matching
+    for t in range(200):  # one fallback color class per trial
+        c_star = 1 + rng.getrandbits(64 * stream.m) % (2 * delta - 1)
+        for i, c in enumerate(colors):
+            expected[i] += c == c_star
         if t + 1 in (1, 2, 3, 200):  # short runs expose a shifted seed
             rep = mc_marginals(stream, cfg, trials=t + 1, master_seed=4)
             assert [rec["hits"] for rec in rep.edges] == expected
@@ -619,6 +630,58 @@ def test_mc_audit_catches_fast_and_traced_paths_disagreeing(monkeypatch, edit):
     rep = mc_marginals(s, cfg, trials=5, master_seed=2)
     assert len(calls) == 5
     assert rep.violations == ["trial 0: fast and traced paths disagree"]
+
+
+def _hits(kind, stream, cfg, trials, master_seed):
+    if kind == "mc":
+        return [e["hits"] for e in mc_marginals(stream, cfg, trials, master_seed).edges]
+    out = verify_stream(stream, cfg, trials, master_seed)
+    return [round(r["frequency"] * trials) for r in out["edges"]]
+
+
+@pytest.mark.parametrize("t", [0, 1, 7])
+@pytest.mark.parametrize("kind", ["mc", "verify"])
+def test_trial_t_is_run_fast_on_rng_for_after_t_m_uniforms(kind, t):
+    # the hits of t + 1 trials less those of t are trial t's matches, which
+    # run_fast gives on rng_for(S) once t * m uniforms are skipped
+    if kind == "mc":
+        s, cfg = reorder(gen_regular(20, 6, seed=3), "random", 5), MatcherConfig(delta=6, q=1.5)
+    else:
+        s = make_stream(7, 4, [(0, 3), (1, 5), (1, 2), (4, 6), (0, 2),
+                               (3, 6), (2, 5), (2, 6), (0, 4), (5, 6)])
+        cfg = MatcherConfig(delta=4, q=1.0)
+    rng = rng_for(13)
+    rng.getrandbits(64 * t * s.m)
+    got, _, _, _ = matcher.run_fast(s.u, s.v, s.n, cfg.delta, cfg.q, rng)
+    before = _hits(kind, s, cfg, t, 13) if t else [0] * s.m
+    after = _hits(kind, s, cfg, t + 1, 13)
+    assert got
+    assert [a - b for a, b in zip(after, before)] == [int(i in got) for i in range(s.m)]
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["one-too-many", "one-too-few"])
+def test_mc_audit_catches_a_kernel_that_draws_a_wrong_count(monkeypatch, extra):
+    # the traced replay of an audited trial starts where the kernel started
+    # and must end where the kernel ended
+    real_run_fast = harness.run_fast
+
+    def miscounted(us, vs, n, delta, q, rng):
+        if extra > 0:
+            out = real_run_fast(us, vs, n, delta, q, rng)
+            rng.random()
+            return out
+        draws = itertools.chain([0.5], iter(rng.random, None))  # the first one is not drawn
+        return real_run_fast(us, vs, n, delta, q, types.SimpleNamespace(random=draws.__next__))
+
+    s = gen_regular(20, 6, seed=3)
+    cfg = MatcherConfig(delta=6, q=1.5)
+    monkeypatch.setattr(harness, "run_fast", miscounted)
+    rep = mc_marginals(s, cfg, trials=5, master_seed=2)
+    drew = [f"trial {t}: fast and traced paths drew different counts"
+            for t in range(harness.AUDIT_TRIALS)]
+    assert [v for v in rep.violations if "drew" in v] == drew
+    if extra > 0:  # the first m draws are the kernel's: the same arrivals match
+        assert rep.violations == drew
 
 
 def test_mc_computes_each_interval_once_per_hit_count(monkeypatch):
@@ -695,17 +758,17 @@ def test_verify_rounder_audit_catches_corrupted_trace(monkeypatch):
 
 
 def test_mc_natural_mode_pinned():
-    # natural-mode trials audit their own traces; hits as recorded when every
-    # audited trial was run twice.  Clamped overflows (P > 1, P_hat = 1)
-    # drive F to 0, and min_F_observed reports it
+    # natural-mode trials audit their own traces; hits as recorded when the
+    # trials of a call first drew on from one generator.  Clamped overflows
+    # (P > 1, P_hat = 1) drive F to 0, and min_F_observed reports it
     from onlinecolor.stream import gen_regular, reorder
 
     s = reorder(gen_regular(20, 6, seed=3), "random", 5)
     cfg = MatcherConfig(delta=6, q=0.5, mode=MODE_NATURAL)
     rep = mc_marginals(s, cfg, trials=300, master_seed=3)
-    assert _digest(e["hits"] for e in rep.edges) == "59e53e66820a6331"
+    assert _digest(e["hits"] for e in rep.edges) == "002af0a7bc501eb4"
     assert rep.diagnostics == {"min_F_observed": 0.0, "gate_fires": 0,
-                               "overflow_count": 240, "marginal_floor": 0.125}
+                               "overflow_count": 228, "marginal_floor": 0.125}
     assert rep.violations == []
 
 
@@ -714,23 +777,23 @@ def _digest(values):
 
 
 def test_mc_martingale_verify_pinned():
-    # outputs recorded before the martingale and verify trials moved onto
-    # run_fast; any drift of the float kernel or of the draws changes them
+    # outputs recorded when the trials of a call first drew on from one
+    # generator; any drift of the float kernel or of the draws changes them
     from onlinecolor.stream import gen_regular, reorder
 
     s = reorder(gen_regular(20, 6, seed=3), "random", 5)
     cfg = MatcherConfig(delta=6, q=1.5)
     rep = mc_marginals(s, cfg, trials=300, master_seed=3)
-    assert _digest(e["hits"] for e in rep.edges) == "9dffaf9b5b9383a6"
-    assert rep.diagnostics["min_F_observed"] == 0.06282137021818499
-    assert rep.diagnostics["gate_fires"] == 291
+    assert _digest(e["hits"] for e in rep.edges) == "e65144b0ccec44a2"
+    assert rep.diagnostics["min_F_observed"] == 0.06274348077182247
+    assert rep.diagnostics["gate_fires"] == 290
     mg = martingale_monitor(s, cfg, vertex=4, trials=300, master_seed=9)
     assert (mg.mean_ym, mg.max_step, mg.max_wm) == (
-        0.779984982199117, 0.42185846498311863, 0.30395401178989667)
+        0.8319736305835118, 0.42185846498311863, 0.30395401178989667)
     small = make_stream(7, 4, [(0, 3), (1, 5), (1, 2), (4, 6), (0, 2),
                                (3, 6), (2, 5), (2, 6), (0, 4), (5, 6)])
     out = verify_stream(small, MatcherConfig(delta=4, q=1.0), trials=1000, master_seed=11)
-    assert _digest(r["frequency"] for r in out["edges"]) == "cc13777d2654e648"
+    assert _digest(r["frequency"] for r in out["edges"]) == "0379b274a6ebf6b4"
     assert out["violations"] == []
 
 
