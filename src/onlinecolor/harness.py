@@ -237,6 +237,8 @@ def mc_marginals(
     distinct count.
     """
     _require_trials(trials)
+    if not isinstance(config, MatcherConfig):  # the flag floor reads D and q
+        raise MatcherError(f"mc_marginals runs the matcher, not a {type(config).__name__}")
     t0 = time.perf_counter()
     hits, min_f, gate_fires, overflow, violations = _trial_hits(stream, config, trials, master_seed)
     floor_marginal = 1.0 / (config.delta + 4.0 * config.q)
@@ -498,8 +500,8 @@ def martingale_monitor(
     mean(Y_m) contains Y_0 = deg(v)/(D+q).
 
     Needs at least 2 trials: on one, the interval has zero width.  Raises
-    for fewer, for a vertex outside [0, n) and for any matcher but the
-    gated one.  Every trial walks one plan, built once per call: the
+    for fewer, for a vertex outside [0, n) and for any config but the
+    gated matcher's.  Every trial walks one plan, built once per call: the
     arrivals that touch a neighbor w of ``vertex`` no later than the
     (vertex, w) arrival, that arrival included.  All trials draw on from
     one generator (see the seeding contract)."""
@@ -508,10 +510,10 @@ def martingale_monitor(
         raise ValueError("the 4-sigma interval around mean(Y_m) needs at least 2 trials (got 1)")
     if not 0 <= vertex < stream.n:
         raise ValueError(f"vertex {vertex} not in the stream")
-    if not config.gated:
+    mode = getattr(config, "mode", type(config).__name__)  # a RoundingConfig has no mode
+    if mode != MODE_ANALYSIS_FRIENDLY:
         raise MatcherError(
-            "martingale diagnostics follow the gated analysis_friendly matcher, "
-            f"not mode={config.mode!r}"
+            f"martingale diagnostics follow the gated analysis_friendly matcher, not {mode!r}"
         )
     neighbors = _neighbors(stream, vertex)
     plan = _walk_plan(stream, vertex, neighbors)

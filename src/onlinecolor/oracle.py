@@ -30,7 +30,7 @@ marginal.  Cones keep the frontier small in a random order but step an
 arrival once per cone that holds it, so per component the two race
 (``_first_done``) and the first to finish gives the values; an arrival in
 several cones keeps those of the last one passed over.  A component that
-is one cone is passed over once, with no race.  ``branches`` counts
+is one cone races alone, through the same loop.  ``branches`` counts
 the kept passes' steps, one per (arrival, live state), and STEP_LIMIT, read
 at call time, bounds their sum over one call.
 
@@ -38,7 +38,9 @@ The per-color bank's colors are independent matchers, each over every edge
 of its sub-stream (colorer.PhaseReducer), and an edge takes the first color
 of its palette whose matcher matched it.  So Pr[e takes c] is c's standalone
 marginal times the product of (1 - marginal) over the colors before c, and
-``exact_colored_marginals`` is that product over one pass per color.
+``exact_colored_marginals`` is that product over one pass over per-color
+copies of the graph: color c's arrivals join the vertices (u, c) and (v, c),
+so each color's copy is its own set of components.
 
 Float mode sums plainly, in the order of the states; the rational mode
 (exact=True) runs the whole engine on fractions.Fraction and returns exact
@@ -124,11 +126,11 @@ def _first_done(runs, steps):
         work[k] = float("inf") if steps + spent[k] > STEP_LIMIT else work[k] + n * (width + 1)
 
 
-def _pass(us, vs, xs, config, exact: bool, steps: int):
+def _pass(us, vs, xs, config, exact: bool):
     """The forward pass of ``config``'s engine over the arrivals (us[i],
     vs[i]) with values xs[i].  Returns per arrival the marginal and the
     conditional sum, then the product of the kept passes' final masses, the
-    steps counted on from ``steps``, and the count of kept passes."""
+    kept passes' steps, and their count."""
     one = Fraction(1) if exact else 1.0
     zero = one - one
     probe = config.state(2, exact)
@@ -201,29 +203,20 @@ def _pass(us, vs, xs, config, exact: bool, steps: int):
         at.setdefault(v, []).append(i)
     seen, mark = [-1] * len(us), [-1] * len(us)
     marginal, cond = [zero] * len(us), [zero] * len(us)
-    leaf, count = one, 0
+    leaf, steps, count = one, 0, 0
     for i in range(len(us) - 1, -1, -1):
         if seen[i] >= 0 or mark[i] >= 0:
             continue
         first, whole = _reach(at, us, vs, i, mark, True)
-        if whole:  # the component is one cone: its pass alone, run to the end
-            got = {}
-            run = walk([first], got)
-            try:
-                while True:
-                    steps += next(run)[0]
-                    if steps > STEP_LIMIT:
-                        raise OracleLimitError(f"step limit {STEP_LIMIT} exceeded")
-            except StopIteration as done:
-                mass, n = done.value
+        got = {}, {}
+        if whole:  # the component is one cone: its pass races alone
+            runs = [walk([first], got[0])]
         else:
             part = _reach(at, us, vs, i, seen, False)[0]
-            pair = {}, {}
-            runs = [walk(itertools.chain([first], _cones(at, us, vs, part, mark)), pair[0]),
-                    walk([part], pair[1])]
-            k, (mass, n), steps = _first_done(runs, steps)
-            got = pair[k]
-        for j, (mg, cs) in got.items():
+            runs = [walk(itertools.chain([first], _cones(at, us, vs, part, mark)), got[0]),
+                    walk([part], got[1])]
+        k, (mass, n), steps = _first_done(runs, steps)
+        for j, (mg, cs) in got[k].items():
             marginal[j], cond[j] = mg, cs
         leaf *= mass
         count += n
@@ -246,7 +239,7 @@ def exact_marginals(
     # not its index within a cone
     numerator = config.state(0, exact).numerator
     expected = [numerator(x, t) for t, x in enumerate(xs)]
-    marginal, cond, leaf, branches, cones = _pass(stream.u, stream.v, xs, config, exact, 0)
+    marginal, cond, leaf, branches, cones = _pass(stream.u, stream.v, xs, config, exact)
     return OracleResult(
         marginal=marginal,
         conditional_sum=cond,
@@ -267,7 +260,7 @@ class ColoredOracleResult:
     colored: list  # per edge: Pr[e gets any color], the sum of its per_color split
     # per edge: sum over palette colors of each color's conditional sum; |L_e|/(D+q)
     conditional_sum: list
-    branches: int  # steps of the per-color passes, summed
+    branches: int  # steps of the one pass over the per-color copies
 
 
 def exact_colored_marginals(
@@ -290,20 +283,16 @@ def exact_colored_marginals(
     if not stream.has_lists:
         raise OracleLimitError("colored oracle needs a listed stream")
     config = MatcherConfig(delta=delta, q=q)
-    arrivals: dict = {}  # color -> the arrivals whose palette holds it
+    us, vs, keys = [], [], []  # one arrival per (edge, palette color), on c's copies
     for i, palette in enumerate(stream.palettes):
         if palette is None:
             raise OracleLimitError(f"t={i + 1}: arrival without a palette in a colored oracle run")
         for c in palette:
-            arrivals.setdefault(c, []).append(i)
-    alone = {}  # (color, arrival) -> (standalone marginal, conditional sum)
-    branches = 0
-    for c, idx in arrivals.items():
-        marginal, cond, _, branches, _ = _pass(
-            [stream.u[i] for i in idx], [stream.v[i] for i in idx], (None,) * len(idx),
-            config, exact, branches)
-        for i, mg, cs in zip(idx, marginal, cond):
-            alone[c, i] = mg, cs
+            us.append((stream.u[i], c))
+            vs.append((stream.v[i], c))
+            keys.append((c, i))
+    marginal, cond, _, branches, _ = _pass(us, vs, (None,) * len(keys), config, exact)
+    alone = dict(zip(keys, zip(marginal, cond)))  # (color, arrival) -> (marginal, cond sum)
     one = Fraction(1) if exact else 1.0
     zero = one - one
     per_color, colored, conditional_sum = [], [], []

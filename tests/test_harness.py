@@ -28,9 +28,11 @@ from onlinecolor.matcher import (
     MODE_GREEDY_FALLBACK,
     MODE_NATURAL,
     MatcherConfig,
+    MatcherError,
     MultiplicativeState,
 )
 from onlinecolor.profiles import ConstantsProfile
+from onlinecolor.rounder import RoundingConfig
 from onlinecolor.seeding import derive_seed, rng_for
 from onlinecolor.stream import gen_complete_bipartite, gen_regular, make_stream, reorder, with_range_lists
 
@@ -439,14 +441,23 @@ def test_martingale_rejects_a_single_trial():
     [
         MatcherConfig(delta=2, q=1, mode=MODE_NATURAL),
         MatcherConfig(delta=2, q=1, mode=MODE_GREEDY_FALLBACK),
+        RoundingConfig(0.3, 0.2),
     ],
-    ids=["natural", "greedy_fallback"],
+    ids=["natural", "greedy_fallback", "rounder"],
 )
 def test_martingale_rejects_ungated_config(cfg):
     # the diagnostics follow the gated matcher; any other config is refused
     # rather than silently monitored as the gated algorithm
-    with pytest.raises(ValueError, match="gated analysis_friendly"):
+    with pytest.raises(MatcherError, match="gated analysis_friendly"):
         martingale_monitor(triangle(), cfg, vertex=0, trials=10, master_seed=1)
+
+
+def test_mc_refuses_a_rounder_before_any_trial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run", lambda *a, **k: calls.append(a))
+    with pytest.raises(MatcherError, match="mc_marginals runs the matcher, not a RoundingConfig"):
+        mc_marginals(triangle(), RoundingConfig(0.3, 0.2), trials=10, master_seed=1)
+    assert calls == []
 
 
 # -- the overflow demo ------------------------------------------------------------
@@ -556,7 +567,15 @@ def test_mc_natural_mode_counts_overflow():
     tree = gen_lower_bound_tree(5, 1)
     cfg = MatcherConfig(delta=5, q=1, mode=MODE_NATURAL)
     rep = mc_marginals(tree, cfg, trials=300, master_seed=3)
-    assert rep.diagnostics["overflow_count"] >= 0  # usually 0: overflow is rare
+    # the same 300 trials replayed as traced runs on rng_for(3), m uniforms
+    # each: the report counts their overflows and their hits
+    rng, overflow, hits = rng_for(3), 0, [0] * tree.m
+    for _ in range(300):
+        _, trace = matcher.run(tree, cfg, rng)
+        overflow += sum(trace.overflow)
+        hits = [h + b for h, b in zip(hits, trace.matched)]
+    assert rep.diagnostics["overflow_count"] == overflow > 0
+    assert [rec["hits"] for rec in rep.edges] == hits
     assert rep.violation_count == 0
 
 

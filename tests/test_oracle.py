@@ -120,7 +120,7 @@ def test_branch_limit_trips_at_the_last_branch(monkeypatch):
 def test_branch_limit_counts_every_cone(monkeypatch):
     # a triangle, then a disjoint path: each is one maximal cone, passed over
     # on its own, and the limit trips inside the path's pass, at the summed
-    # count; the bank's count is summed over its colors' passes too
+    # count; the bank's one pass counts every color's copy too
     edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)]
     cfg = MatcherConfig(delta=2, q=1.0)
     first = exact_marginals(triangle(), cfg).branches
@@ -146,12 +146,33 @@ def test_a_matching_walks_each_edge_on_its_own(monkeypatch):
     real = MatcherConfig.state
     monkeypatch.setattr(MatcherConfig, "state",
                         lambda self, n, exact=False: sizes.append(n) or real(self, n, exact))
-    s = make_stream(10**6, 1, [(2 * i, 2 * i + 1) for i in range(20)])
+    edges = [(2 * i, 2 * i + 1) for i in range(20)]
+    s = make_stream(10**6, 1, edges)
     res = exact_marginals(s, MatcherConfig(delta=2, q=1.0))
     assert (res.branches, res.cones) == (20, 20)
     assert res.marginal == res.conditional_sum == [1.0 / (2 + 1.0)] * 20
     assert res.leaf_total == 1.0
     assert sizes == [0, 2]  # the numerator probe, then the pass's probe
+    # the colored oracle: one pass over the three colors' copies, on one probe
+    sizes.clear()
+    listed = make_stream(10**6, 1, edges, lists=[(1, 2, 3)] * 20)
+    col = exact_colored_marginals(listed, 2, 1, exact=True)
+    assert col.branches == 60
+    assert col.colored == [Fraction(19, 27)] * 20  # 1 - (1 - 1/3)^3
+    assert sizes == [2]
+
+
+def test_every_component_runs_through_the_race(monkeypatch):
+    # a path in natural order is one cone, and races alone; a pendant edge
+    # after the spine makes two cones, raced against the component's own pass
+    calls = []
+    real = oracle._first_done
+    monkeypatch.setattr(oracle, "_first_done",
+                        lambda runs, steps: calls.append(len(runs)) or real(runs, steps))
+    edges = [(0, 1), (1, 2), (0, 3), (4, 5), (5, 6), (6, 7)]
+    res = exact_marginals(make_stream(8, 2, edges), MatcherConfig(delta=2, q=1.0))
+    assert sorted(calls) == [1, 2]  # one call per component
+    assert res.cones == 3
 
 
 def test_the_pass_runs_the_lower_bound_tree():
@@ -510,7 +531,7 @@ def _colored_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(_colored_cases())
 def test_colored_walk_matches_clone_reference(case):
-    # the product of per-color passes against the joint walk: equal in
+    # the product over per-color copies against the joint walk: equal in
     # rational mode, within 1e-12 in float mode; the split's keys are in
     # palette order
     stream, q, exact = case
