@@ -13,10 +13,12 @@ only on (S, t, m), and is replayed alone on ``rng_for(S)`` after
 run_fast trial saves the generator's state before the trial, sets it back
 after, and replays the trial traced on the same generator; the replay must
 leave the generator where the kernel left it, or the kernel and the trace
-drew different counts.  Reports embed S, so re-running a report
-reproduces every decision bit for bit.  Invariant checks are always on in
-harness entry points; a report with violation count zero certifies that
-every per-module invariant held at every step it audited.
+drew different counts.  The gated matcher's other trials run in one
+run_fast call, which adds their matches into the call's hits column.
+Reports embed S, so re-running a report reproduces every decision bit for
+bit.  Invariant checks are always on in harness entry points; a report
+with violation count zero certifies that every per-module invariant held
+at every step it audited.
 
 ``validate_coloring`` takes the color column alone (a ColoringResult's
 ``colors``) and accepts and explains in two parts, as ``ArrivalStream``
@@ -25,9 +27,10 @@ form its palettes take, and the full loop runs for every coloring it does
 not accept and alone writes the violation messages, at most
 ``VIOLATION_LIMIT`` of them.
 
-Each trial of ``martingale_monitor`` walks one plan, built once per call,
-of the arrivals that can move Y, and yields only what the monitor checks:
-(Y_m, max step, W_m).
+Each trial of ``martingale_monitor`` is a one-trial run_fast call that
+fills a 0/1 hits column and a P_hat column, then walks one plan, built
+once per call, of the arrivals that can move Y, and yields only what the
+monitor checks: (Y_m, max step, W_m).
 """
 
 from __future__ import annotations
@@ -142,11 +145,6 @@ class RunReport:
         return len(self.violations)
 
 
-def _matched_indices(trace) -> list[int]:
-    """The indices of a traced run's matched arrivals, as run_fast returns them."""
-    return list(itertools.compress(itertools.count(), trace.matched))
-
-
 def _trial_hits(stream: ArrivalStream, config, trials: int, master_seed: int):
     """The Monte-Carlo trials of either engine: (hits per arrival, min F,
     gate fires, overflows, violations).
@@ -154,13 +152,13 @@ def _trial_hits(stream: ArrivalStream, config, trials: int, master_seed: int):
     The config's ``mode`` picks the path: the greedy color class c*,
     run_fast for the gated matcher, or a traced run (a RoundingConfig has no
     mode, so the rounder runs traced).  All trials draw on from one
-    generator, m uniforms each (see the seeding contract).  Each trial
-    yields the indices of its matched arrivals in arrival order, and hits
-    are added over them.  The first ``AUDIT_TRIALS`` trials are audited by
+    generator, m uniforms each (see the seeding contract).  The first
+    ``AUDIT_TRIALS`` trials run one at a time and are audited by
     check_run_invariants against the engine's own final F; a run_fast trial
     is replayed traced for it from the generator state it started in, and
     must match the same arrivals and end in the state the kernel left,
-    where the next trial then starts.
+    where the next trial then starts.  The gated matcher's other trials run
+    in one run_fast call, which adds their matches into the hits column.
     """
     m = stream.m
     hits = [0] * m
@@ -181,20 +179,20 @@ def _trial_hits(stream: ArrivalStream, config, trials: int, master_seed: int):
         members = [[] for _ in range(classes + 1)]  # color -> its arrival indices
         for i, c in enumerate(greedy_color(stream, range(1, classes + 1))):
             members[c].append(i)
-    for t in range(trials):
+    for t in range(min(trials, AUDIT_TRIALS) if fast else trials):
         audit = t < AUDIT_TRIALS
         if greedy:
             got = members[1 + rng.getrandbits(64 * m) % classes]
         elif fast:
-            if audit:
-                start = rng.getstate()
-            got, _, F, gf = run_fast(us, vs, stream.n, config.delta, config.q, rng)
-            min_f = min(min_f, min(F, default=1.0))
+            start = rng.getstate()
+            column, gf, lo, F = run_fast(us, vs, stream.n, config.delta, config.q, rng)
+            got = list(itertools.compress(itertools.count(), column))
+            min_f = min(min_f, lo)
             gate_fires += gf
         else:
             state = config.state(stream.n)
             _, trace = run(stream, config, rng, state=state)
-            got = _matched_indices(trace)
+            got = list(itertools.compress(itertools.count(), trace.matched))
             F = state.F
             min_f = min(min_f, min(F, default=1.0))
             gate_fires += sum(trace.gate_fired)
@@ -213,11 +211,16 @@ def _trial_hits(stream: ArrivalStream, config, trials: int, master_seed: int):
                 if rng.getstate() != end:
                     violations.append(f"trial {t}: fast and traced paths drew different counts")
                     rng.setstate(end)
-                if _matched_indices(trace) != got:
+                if trace.matched != column:
                     violations.append(f"trial {t}: fast and traced paths disagree")
             violations.extend(
                 f"trial {t}: {v}" for v in check_run_invariants(stream, config, trace, F)
             )
+    if fast and trials > AUDIT_TRIALS:
+        _, gf, lo, _ = run_fast(us, vs, stream.n, config.delta, config.q, rng,
+                                trials - AUDIT_TRIALS, hits)
+        min_f = min(min_f, lo)
+        gate_fires += gf
     return hits, min_f, gate_fires, overflow, violations
 
 
@@ -433,7 +436,7 @@ def _walk_plan(stream: ArrivalStream, vertex: int, neighbors) -> list[tuple]:
 
 
 def _martingale_trial(stream, config, neighbors, plan, rng):
-    """One run_fast run, then the neighborhood martingale of a vertex along
+    """One run_fast trial, then the neighborhood martingale of a vertex along
     the walk ``plan`` (see ``_walk_plan``): (Y_m, max step, W_m).
 
     Y starts at deg(v)/(D+q); a neighbor's term 1/((D+q) F(u_i)) updates
@@ -448,8 +451,8 @@ def _martingale_trial(stream, config, neighbors, plan, rng):
     a variance term exactly when it moves, by construction; the bounds on
     the step and on W_m are what a trial can break.
     """
-    matched, p_hats, _, _ = run_fast(stream.u, stream.v, stream.n, config.delta, config.q, rng)
-    hit = set(matched)
+    p_hats = [0.0] * stream.m
+    hit, _, _, _ = run_fast(stream.u, stream.v, stream.n, config.delta, config.q, rng, p_hat=p_hats)
     scale = gate_constants(config.delta, config.q)[0]
     contrib = {w: scale for w in neighbors}  # live, unfrozen neighbor terms
     y = scale * len(neighbors)
@@ -468,7 +471,7 @@ def _martingale_trial(stream, config, neighbors, plan, rng):
                 sumterm = cu if cv is None else cu + cv
             if sumterm > 0.0:
                 wm += sumterm * sumterm * p_hat / (1.0 - p_hat)
-                if i in hit:
+                if hit[i]:
                     step = sumterm
                     y -= sumterm
                     if cu is not None:

@@ -53,8 +53,10 @@ MultiplicativeState (the float-or-exact reference engine, whose proposal
 decides every step: zero at a matched endpoint, the clamp in a natural
 state, the gate otherwise; the matcher and the rounder differ only in the
 numerator), in run_fast (the float kernel of every trace-free matcher run;
-it returns the indices of the matched arrivals, not one flag per arrival,
-and a matched vertex holds None in its F until the run ends) and, inline for
+one call runs any number of trials back to back and adds each matched
+arrival into a caller's hits column, building a per-arrival P_hat column
+only for a caller that passes one, and a matched vertex holds None in its
+F until its run ends) and, inline for
 its per-color bank, in colorer.PhaseReducer.feed, which draws each color's
 uniform as it visits the color and steps only the colors free at both
 endpoints; a vertex matched in a color holds None in that color's slot of
@@ -295,54 +297,68 @@ def trace_run(stream: ArrivalStream, state, draw) -> tuple[list[tuple[int, int]]
     return list(itertools.compress(zip(stream.u, stream.v), trace.matched)), trace
 
 
-def run_fast(us, vs, n: int, delta: float, q: float, rng: random.Random):
-    """The float gated kernel: one trace-free run over pre-split endpoint arrays.
+def run_fast(us, vs, n: int, delta: float, q: float, rng: random.Random,
+             trials: int = 1, hits=None, p_hat=None):
+    """The float gated kernel: ``trials`` trace-free runs, back to back,
+    over pre-split endpoint arrays.
 
-    Consumes exactly one uniform per arrival (the same contract as run(), so
-    fast and traced runs make identical decisions from the same generator
-    state, and leave it in the same state).
-    Returns (matched, p_hat, F, gate_fires): the indices of the matched
-    arrivals in arrival order (arrival t has index t - 1), the per-arrival
-    P_hat values (0.0 at a matched endpoint or a fired gate), the final F
-    list (F never increases, so min(F) is the smallest value it took), and
-    the gate fire count.
+    Each run consumes exactly one uniform per arrival, drawn on from ``rng``
+    (the same contract as run(), so fast and traced runs make identical
+    decisions from the same generator state, and leave it in the same
+    state); so a call of k trials is k one-trial calls in a row.  Each
+    matched arrival adds 1 to its entry of ``hits``, one count per arrival
+    (arrival t has index t - 1; a zeroed column is made when none is
+    passed).  A ``p_hat`` column, when passed, receives P_hat at each
+    arrival whose endpoints are free and whose gate passes; after one trial
+    a zeroed column holds P_hat at every arrival.
+    Returns (hits, gate_fires, min_F, F): the column, the gate fires summed
+    over the trials, the smallest final F value of any trial (1.0 if none;
+    F never increases, so it is the smallest value F took), and the last
+    trial's final F list.
 
-    A matched vertex holds None in F until the run ends, so one ``is None``
+    A matched vertex holds None in F until its run ends, so one ``is None``
     test per F value read marks it; the F values its match left are put
-    back just before returning.
+    back just before the run ends.
     """
-    F = [1.0] * n
+    if hits is None:
+        hits = [0] * len(us)
     scale, floor = gate_constants(delta, q)
-    matched = []
-    taken = []  # (u, F(u), v, F(v)) after each match, put back at the end
-    p_hat = [0.0] * len(us)
     gate_fires = 0
+    min_f = 1.0
+    F = [1.0] * n
     rand = rng.random
-    for i, u, v in zip(itertools.count(), us, vs):
-        x = rand()
-        fu = F[u]
-        if fu is None:
-            continue
-        fv = F[v]
-        if fv is None:
-            continue
-        p = scale / (fu * fv)
-        s = 1.0 - p
-        if (fu if fu < fv else fv) * s < floor:
-            gate_fires += 1
-            continue
-        p_hat[i] = p
-        if x < p:
-            F[u] = F[v] = None
-            taken.append((u, fu * s, v, fv * s))
-            matched.append(i)
-        else:
-            F[u] = fu * s
-            F[v] = fv * s
-    for u, fu, v, fv in taken:
-        F[u] = fu
-        F[v] = fv
-    return matched, p_hat, F, gate_fires
+    for _ in range(trials):
+        F = [1.0] * n
+        taken = []  # (u, F(u), v, F(v)) after each match, put back at the end
+        for i, u, v in zip(itertools.count(), us, vs):
+            x = rand()
+            fu = F[u]
+            if fu is None:
+                continue
+            fv = F[v]
+            if fv is None:
+                continue
+            p = scale / (fu * fv)
+            s = 1.0 - p
+            if (fu if fu < fv else fv) * s < floor:
+                gate_fires += 1
+                continue
+            if p_hat is not None:
+                p_hat[i] = p
+            if x < p:
+                F[u] = F[v] = None
+                taken.append((u, fu * s, v, fv * s))
+                hits[i] += 1
+            else:
+                F[u] = fu * s
+                F[v] = fv * s
+        for u, fu, v, fv in taken:
+            F[u] = fu
+            F[v] = fv
+        lo = min(F) if n else 1.0
+        if lo < min_f:
+            min_f = lo
+    return hits, gate_fires, min_f, F
 
 
 # ---------------------------------------------------------------------------

@@ -112,12 +112,13 @@ def _first_done(runs, steps):
     """Advances the runs a step at a time, the one with less work (states
     times their width plus one, summed) first, until one finishes: returns
     its index, its value and the steps counted on from ``steps``.  A run
-    past STEP_LIMIT stops; raises once every run has."""
+    past STEP_LIMIT stops; once every run has, returns None and the steps
+    each run spent."""
     spent, work = [0] * len(runs), [0] * len(runs)
     while True:
         k = work.index(min(work))
         if work[k] == float("inf"):
-            raise OracleLimitError(f"step limit {STEP_LIMIT} exceeded")
+            return None, spent, steps
         try:
             n, width = next(runs[k])
         except StopIteration as done:
@@ -126,11 +127,12 @@ def _first_done(runs, steps):
         work[k] = float("inf") if steps + spent[k] > STEP_LIMIT else work[k] + n * (width + 1)
 
 
-def _pass(us, vs, xs, config, exact: bool):
+def _pass(us, vs, xs, config, exact: bool, times):
     """The forward pass of ``config``'s engine over the arrivals (us[i],
     vs[i]) with values xs[i].  Returns per arrival the marginal and the
     conditional sum, then the product of the kept passes' final masses, the
-    kept passes' steps, and their count."""
+    kept passes' steps, and their count.  ``times[i]`` is arrival i's time
+    in the stream, which the OracleLimitError of a component names."""
     one = Fraction(1) if exact else 1.0
     zero = one - one
     probe = config.state(2, exact)
@@ -215,7 +217,15 @@ def _pass(us, vs, xs, config, exact: bool):
             part = _reach(at, us, vs, i, seen, False)[0]
             runs = [walk(itertools.chain([first], _cones(at, us, vs, part, mark)), got[0]),
                     walk([part], got[1])]
-        k, (mass, n), steps = _first_done(runs, steps)
+        k, done, steps = _first_done(runs, steps)
+        if k is None:
+            comp = first if whole else part
+            ends = len({us[j] for j in comp} | {vs[j] for j in comp})
+            raise OracleLimitError(
+                f"step limit {STEP_LIMIT} exceeded on a component of {len(comp)} arrivals "
+                f"and {ends} vertices, first at t={times[comp[0]]}; its passes stopped at "
+                f"{' and '.join(map(str, done))} steps, after {steps} on earlier components")
+        mass, n = done
         for j, (mg, cs) in got[k].items():
             marginal[j], cond[j] = mg, cs
         leaf *= mass
@@ -232,14 +242,16 @@ def exact_marginals(
 
     The conditional sums must hit the engine's numerator: 1/(D+q) for the
     matcher, x_e*(1-s) for the rounder.  Raises OracleLimitError once every
-    pass racing on a component has passed STEP_LIMIT summed steps."""
+    pass racing on a component has passed STEP_LIMIT summed steps, naming
+    the component and the steps its passes and the earlier ones took."""
     xs = (None,) * stream.m if stream.x is None else stream.x
     # the targets are the engine's own numerators, taken in arrival order
     # before the pass, so that a bad arrival fails under its own time and
     # not its index within a cone
     numerator = config.state(0, exact).numerator
     expected = [numerator(x, t) for t, x in enumerate(xs)]
-    marginal, cond, leaf, branches, cones = _pass(stream.u, stream.v, xs, config, exact)
+    marginal, cond, leaf, branches, cones = _pass(stream.u, stream.v, xs, config, exact,
+                                                  range(1, stream.m + 1))
     return OracleResult(
         marginal=marginal,
         conditional_sum=cond,
@@ -291,7 +303,8 @@ def exact_colored_marginals(
             us.append((stream.u[i], c))
             vs.append((stream.v[i], c))
             keys.append((c, i))
-    marginal, cond, _, branches, _ = _pass(us, vs, (None,) * len(keys), config, exact)
+    marginal, cond, _, branches, _ = _pass(us, vs, (None,) * len(keys), config, exact,
+                                           [i + 1 for _, i in keys])
     alone = dict(zip(keys, zip(marginal, cond)))  # (color, arrival) -> (marginal, cond sum)
     one = Fraction(1) if exact else 1.0
     zero = one - one

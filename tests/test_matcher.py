@@ -123,7 +123,7 @@ def test_fast_and_traced_paths_agree():
         got, _, _, _ = run_fast([e.u for e in s.arrivals], [e.v for e in s.arrivals],
                                 s.n, cfg.delta, cfg.q, rng_for(77, trial))
         _, trace = run(s, cfg, derive_seed(77, trial))
-        assert [i for i, m in enumerate(trace.matched) if m] == got
+        assert trace.matched == [bool(h) for h in got]
 
 
 def test_natural_mode_overflow_flag():
@@ -194,16 +194,40 @@ def test_kernel_matches_reference_engine(s, delta, q, seed):
     # once a vertex sees three unmatched arrivals
     cfg = MatcherConfig(delta=delta, q=q)
     fast_rng = random.Random(seed)
-    matched, p_hat, F, gate_fires = run_fast(s.u, s.v, s.n, delta, q, fast_rng)
+    p_hat = [0.0] * s.m
+    hits, gate_fires, min_f, F = run_fast(s.u, s.v, s.n, delta, q, fast_rng, p_hat=p_hat)
     state = cfg.state(s.n)
     ref_rng = random.Random(seed)
     steps = _hand_steps(s, state, (ref_rng.random() for _ in range(s.m)))
     assert run(s, cfg, seed)[1] == steps
-    assert matched == [i for i, m in enumerate(steps.matched) if m]
+    assert hits == steps.matched
     assert p_hat == steps.p_hat
-    assert F == state.F
+    assert F == state.F and min_f == min(state.F, default=1.0)
     assert gate_fires == sum(steps.gate_fired)
     assert fast_rng.getstate() == ref_rng.getstate()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_instances(max_n=10), st.integers(0, 5), st.sampled_from([2.0, 3.0]),
+       st.floats(0.5, 2.0), st.integers(0, 2**30))
+def test_kernel_trials_are_one_trial_calls_back_to_back(s, k, delta, q, seed):
+    # one k-trial call against k one-trial calls on the same generator
+    # state: the same hits, gate fires, smallest final F and last final F,
+    # and the generator left in the same state.  D is at most 3, so gates
+    # fire and F falls well below 1, and a trial that started from the F
+    # an earlier trial left would show
+    bulk_rng, one_rng = random.Random(seed), random.Random(seed)
+    hits, gate_fires, min_f, F = run_fast(s.u, s.v, s.n, delta, q, bulk_rng, k)
+    one_hits, one_fires, one_min, one_F = [0] * s.m, 0, 1.0, [1.0] * s.n
+    for _ in range(k):
+        _, fires, lo, one_F = run_fast(s.u, s.v, s.n, delta, q, one_rng, 1, one_hits)
+        one_fires += fires
+        one_min = min(one_min, lo)
+    assert hits == one_hits
+    assert gate_fires == one_fires
+    assert min_f == one_min
+    assert F == one_F
+    assert bulk_rng.getstate() == one_rng.getstate()
 
 
 def test_kernel_scripted_matches_put_back_and_gate():
@@ -218,15 +242,17 @@ def test_kernel_scripted_matches_put_back_and_gate():
     xs = [0.0, 0.0, 0.0, 0.0, 0.99, 0.99, 0.0]
     cfg = MatcherConfig(delta=2.0, q=1.0)
     rng = FakeRng(xs)
-    matched, p_hat, F, gate_fires = run_fast(s.u, s.v, s.n, cfg.delta, cfg.q, rng)
+    p_hat = [0.0] * s.m
+    hits, gate_fires, min_f, F = run_fast(s.u, s.v, s.n, cfg.delta, cfg.q, rng, p_hat=p_hat)
     assert rng.values == []  # one uniform per arrival
     state = cfg.state(s.n)
     steps = _hand_steps(s, state, xs)
     assert steps.gate_fired == [False] * 6 + [True]
-    assert matched == [i for i, m in enumerate(steps.matched) if m] == [0, 2]
+    assert hits == steps.matched == [1, 0, 1, 0, 0, 0, 0]
     assert p_hat == steps.p_hat
     assert F == state.F
     assert F[:4] == [1.0 - 1.0 / 3.0] * 4
+    assert min_f == min(F)
     assert gate_fires == 1
 
 
@@ -236,12 +262,11 @@ def test_single_edge_marginal_statistical():
 
     s = make_stream(2, 2, [(0, 1)])
     cfg = MatcherConfig(delta=2, q=1)
-    hits = 0
+    hits = [0]
     trials = 30000
     for t in range(trials):
-        got, _, _, _ = run_fast([0], [1], 2, 2.0, 1.0, rng_for(5, t))
-        hits += got == [0]
-    p = hits / trials
+        run_fast([0], [1], 2, 2.0, 1.0, rng_for(5, t), 1, hits)
+    p = hits[0] / trials
     sigma = math.sqrt((1 / 3) * (2 / 3) / trials)
     assert abs(p - 1 / 3) < 4 * sigma
 

@@ -60,9 +60,7 @@ def test_oracle_matches_monte_carlo():
     trials = 20000
     hits = [0] * s.m
     for t in range(trials):
-        got, _, _, _ = run_fast(s.u, s.v, s.n, float(delta), 1.0, rng_for(31, t))
-        for i in got:
-            hits[i] += 1
+        run_fast(s.u, s.v, s.n, float(delta), 1.0, rng_for(31, t), 1, hits)
     for i in range(s.m):
         p = res.marginal[i]
         if p == 0:
@@ -137,6 +135,29 @@ def test_branch_limit_counts_every_cone(monkeypatch):
         monkeypatch.setattr(oracle, "STEP_LIMIT", limit - 1)
         with pytest.raises(OracleLimitError, match=f"step limit {limit - 1} exceeded"):
             run()
+
+
+def test_the_limit_error_names_where_it_tripped(monkeypatch):
+    # the path (arrivals 4-6) is passed first, from the last arrival back,
+    # and the limit trips on the triangle; the bank's pass meets the two
+    # colors' copies of the path first.  A random-order cubic graph is one
+    # component, split into cones, so two passes race on it
+    edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)]
+    cfg = MatcherConfig(delta=2, q=1.0)
+    monkeypatch.setattr(oracle, "STEP_LIMIT", 11)
+    with pytest.raises(OracleLimitError) as err:
+        exact_marginals(make_stream(7, 2, edges), cfg)
+    assert str(err.value) == ("step limit 11 exceeded on a component of 3 arrivals and 3 vertices, "
+                              "first at t=1; its passes stopped at 6 steps, after 6 on earlier "
+                              "components")
+    monkeypatch.setattr(oracle, "STEP_LIMIT", 23)
+    with pytest.raises(OracleLimitError, match="3 vertices, first at t=1; its passes stopped at "
+                                               "6 steps, after 18 on earlier components$"):
+        exact_colored_marginals(make_stream(7, 2, edges, lists=[(1, 2)] * 6), 2, 1.0)
+    monkeypatch.setattr(oracle, "STEP_LIMIT", 60)
+    with pytest.raises(OracleLimitError, match="on a component of 60 arrivals and 40 vertices, "
+                                               "first at t=1; its passes stopped at 63 and 63 steps"):
+        exact_marginals(reorder(gen_regular(40, 3, seed=1), "random", 2), MatcherConfig(delta=3, q=1.0))
 
 
 def test_a_matching_walks_each_edge_on_its_own(monkeypatch):
