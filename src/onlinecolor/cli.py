@@ -239,8 +239,7 @@ def cmd_mc(args) -> int:
     config = _matcher_config(args, s)
     report = harness.mc_marginals(s, config, args.trials, args.seed)
     if args.out == "csv":
-        _write_csv(args, s, {k: [e[k] for e in report.edges]
-                             for k in ("hits", "frequency", "ci_lo", "ci_hi", "below_bound")})
+        _write_csv(args, s, report.columns())
     else:
         _write_json(args, {
             "kind": "mc_marginals",
@@ -252,7 +251,7 @@ def cmd_mc(args) -> int:
             "violations": report.violations[:100],
             "diagnostics": report.diagnostics,
             "wall_time_sec": report.wall_time,
-            "edges": report.edges,
+            "edges": list(report.edges),
         })
     return 1 if report.violation_count else 0
 

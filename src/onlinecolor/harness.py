@@ -37,9 +37,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 import time
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -131,11 +133,21 @@ def _require_trials(trials: int) -> None:
         raise ValueError(f"trials must be at least 1 (got {trials})")
 
 
+MC_COLUMNS = ("hits", "frequency", "ci_lo", "ci_hi", "below_bound")  # after time, u, v
+
+
 @dataclass
 class RunReport:
+    """An ``mc_marginals`` report, kept by column: the hit count of each
+    arrival and one Wilson interval per distinct count.  ``edges`` is a
+    read-only view of the per-edge rows, built on read (see ``EdgeRows``);
+    ``columns`` gives the same values one list per row key."""
+
     master_seed: int
     trials: int
-    edges: list
+    stream: ArrivalStream = field(repr=False)
+    hits: list  # per arrival, in arrival order
+    intervals: dict  # hit count -> its Wilson 95% interval
     diagnostics: dict
     violations: list
     wall_time: float
@@ -143,6 +155,57 @@ class RunReport:
     @property
     def violation_count(self) -> int:
         return len(self.violations)
+
+    @property
+    def edges(self) -> EdgeRows:
+        return EdgeRows(self)
+
+    def _cells(self, h: int) -> tuple:
+        """The row values after time, u and v of an edge with h hits, in
+        ``MC_COLUMNS`` order: an edge is flagged when its whole interval
+        lies below the diagnostics' marginal floor."""
+        lo, hi = self.intervals[h]
+        return h, h / self.trials, lo, hi, hi < self.diagnostics["marginal_floor"]
+
+    def columns(self) -> dict:
+        """Each ``MC_COLUMNS`` key and its values, one per arrival."""
+        by_count = {h: self._cells(h) for h in self.intervals}
+        return {k: [by_count[h][j] for h in self.hits] for j, k in enumerate(MC_COLUMNS)}
+
+
+class EdgeRows(Sequence):
+    """Read-only view of a RunReport's rows: each access builds the dicts
+    it returns, with the keys time, u, v and then ``MC_COLUMNS``, from the
+    report's columns (a slice gives a tuple of them).  Two views, or a view
+    and any other sequence, are equal when their rows are."""
+
+    __slots__ = ("_report",)
+
+    def __init__(self, report: RunReport):
+        self._report = report
+
+    def __len__(self) -> int:
+        return len(self._report.hits)
+
+    def _row(self, k: int) -> dict:
+        r = self._report
+        row = {"time": k + 1, "u": r.stream.u[k], "v": r.stream.v[k]}
+        row.update(zip(MC_COLUMNS, r._cells(r.hits[k])))
+        return row
+
+    def __getitem__(self, i):
+        k = range(len(self._report.hits))[i]  # the index from either end, or a slice's range
+        if isinstance(k, range):
+            return tuple(map(self._row, k))
+        return self._row(k)
+
+    def __iter__(self):
+        return map(self._row, range(len(self._report.hits)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 def _trial_hits(stream: ArrivalStream, config, trials: int, master_seed: int):
@@ -157,8 +220,10 @@ def _trial_hits(stream: ArrivalStream, config, trials: int, master_seed: int):
     check_run_invariants against the engine's own final F; a run_fast trial
     is replayed traced for it from the generator state it started in, and
     must match the same arrivals and end in the state the kernel left,
-    where the next trial then starts.  The gated matcher's other trials run
-    in one run_fast call, which adds their matches into the hits column.
+    where the next trial then starts.  A trial's trace and 0/1 column are
+    dropped before the next trial runs, so one is held at a time.  The
+    gated matcher's other trials run in one run_fast call, which adds their
+    matches into the hits column.
     """
     m = stream.m
     hits = [0] * m
@@ -179,43 +244,42 @@ def _trial_hits(stream: ArrivalStream, config, trials: int, master_seed: int):
         members = [[] for _ in range(classes + 1)]  # color -> its arrival indices
         for i, c in enumerate(greedy_color(stream, range(1, classes + 1))):
             members[c].append(i)
-    for t in range(min(trials, AUDIT_TRIALS) if fast else trials):
-        audit = t < AUDIT_TRIALS
-        if greedy:
+        for t in range(trials):
             got = members[1 + rng.getrandbits(64 * m) % classes]
-        elif fast:
+            for i in got:
+                hits[i] += 1
+            if t < AUDIT_TRIALS and not matching_is_valid([(us[i], vs[i]) for i in got]):
+                violations.append(f"trial {t}: fallback matching invalid")
+        return hits, min_f, gate_fires, overflow, violations
+    for t in range(min(trials, AUDIT_TRIALS) if fast else trials):
+        if fast:
             start = rng.getstate()
             column, gf, lo, F = run_fast(us, vs, stream.n, config.delta, config.q, rng)
-            got = list(itertools.compress(itertools.count(), column))
             min_f = min(min_f, lo)
             gate_fires += gf
+            end = rng.getstate()
+            rng.setstate(start)
+            _, trace = run(stream, config, rng)
+            if rng.getstate() != end:
+                violations.append(f"trial {t}: fast and traced paths drew different counts")
+                rng.setstate(end)
+            if trace.matched != column:
+                violations.append(f"trial {t}: fast and traced paths disagree")
         else:
             state = config.state(stream.n)
             _, trace = run(stream, config, rng, state=state)
-            got = list(itertools.compress(itertools.count(), trace.matched))
+            column = trace.matched
             F = state.F
             min_f = min(min_f, min(F, default=1.0))
             gate_fires += sum(trace.gate_fired)
             overflow += sum(trace.overflow)
-        for i in got:
+        for i in itertools.compress(itertools.count(), column):
             hits[i] += 1
-        if audit:
-            if greedy:
-                if not matching_is_valid([(us[i], vs[i]) for i in got]):
-                    violations.append(f"trial {t}: fallback matching invalid")
-                continue
-            if fast:
-                end = rng.getstate()
-                rng.setstate(start)
-                _, trace = run(stream, config, rng)
-                if rng.getstate() != end:
-                    violations.append(f"trial {t}: fast and traced paths drew different counts")
-                    rng.setstate(end)
-                if trace.matched != column:
-                    violations.append(f"trial {t}: fast and traced paths disagree")
+        if t < AUDIT_TRIALS:
             violations.extend(
                 f"trial {t}: {v}" for v in check_run_invariants(stream, config, trace, F)
             )
+        column = trace = None  # before the next trial builds its own
     if fast and trials > AUDIT_TRIALS:
         _, gf, lo, _ = run_fast(us, vs, stream.n, config.delta, config.q, rng,
                                 trials - AUDIT_TRIALS, hits)
@@ -237,39 +301,25 @@ def mc_marginals(
     actually delivers) are flagged; on gated instances such edges are
     expected, so the flag is reported, not counted as a violation.  The
     interval depends only on the hit count, so it is computed once per
-    distinct count.
+    distinct count, and the report keeps the hits column and those
+    intervals: its rows are built only when read.
     """
     _require_trials(trials)
     if not isinstance(config, MatcherConfig):  # the flag floor reads D and q
         raise MatcherError(f"mc_marginals runs the matcher, not a {type(config).__name__}")
     t0 = time.perf_counter()
     hits, min_f, gate_fires, overflow, violations = _trial_hits(stream, config, trials, master_seed)
-    floor_marginal = 1.0 / (config.delta + 4.0 * config.q)
-    intervals = {h: wilson_interval(h, trials) for h in set(hits)}
-    edges = []
-    for t, u, v, h in zip(itertools.count(1), stream.u, stream.v, hits):
-        lo, hi = intervals[h]
-        edges.append(
-            {
-                "time": t,
-                "u": u,
-                "v": v,
-                "hits": h,
-                "frequency": h / trials,
-                "ci_lo": lo,
-                "ci_hi": hi,
-                "below_bound": hi < floor_marginal,
-            }
-        )
     return RunReport(
         master_seed=master_seed,
         trials=trials,
-        edges=edges,
+        stream=stream,
+        hits=hits,
+        intervals={h: wilson_interval(h, trials) for h in set(hits)},
         diagnostics={
             "min_F_observed": min_f,
             "gate_fires": gate_fires,
             "overflow_count": overflow,
-            "marginal_floor": floor_marginal,
+            "marginal_floor": 1.0 / (config.delta + 4.0 * config.q),
         },
         violations=violations,
         wall_time=time.perf_counter() - t0,
@@ -435,7 +485,17 @@ def _walk_plan(stream: ArrivalStream, vertex: int, neighbors) -> list[tuple]:
     return plan
 
 
-def _martingale_trial(stream, config, neighbors, plan, rng):
+def _live_terms(stream: ArrivalStream, config, neighbors) -> list:
+    """The neighbor terms a martingale trial starts from, per vertex: the
+    scale 1/(D+q) at each of ``neighbors`` and None elsewhere."""
+    scale = gate_constants(config.delta, config.q)[0]
+    start = [None] * stream.n
+    for w in neighbors:
+        start[w] = scale
+    return start
+
+
+def _martingale_trial(stream, config, start, plan, rng):
     """One run_fast trial, then the neighborhood martingale of a vertex along
     the walk ``plan`` (see ``_walk_plan``): (Y_m, max step, W_m).
 
@@ -446,6 +506,8 @@ def _martingale_trial(stream, config, neighbors, plan, rng):
     factor p_hat/(1-p_hat) otherwise.  The conditional variance of a step is
     (term sum)^2 * p_hat/(1-p_hat) regardless of the outcome.  So the plan
     may skip every arrival that touches no neighbor with its term unfrozen.
+    The live terms are kept per vertex, in a copy of ``start`` (see
+    ``_live_terms``); a frozen or matched term is set to None.
 
     Y falls on a match and rises on a miss (the gate keeps p_hat < 1), with
     a variance term exactly when it moves, by construction; the bounds on
@@ -454,17 +516,17 @@ def _martingale_trial(stream, config, neighbors, plan, rng):
     p_hats = [0.0] * stream.m
     hit, _, _, _ = run_fast(stream.u, stream.v, stream.n, config.delta, config.q, rng, p_hat=p_hats)
     scale = gate_constants(config.delta, config.q)[0]
-    contrib = {w: scale for w in neighbors}  # live, unfrozen neighbor terms
-    y = scale * len(neighbors)
+    contrib = start.copy()  # live, unfrozen neighbor terms per vertex
+    y = scale * (len(start) - start.count(None))
     max_step = 0.0
     wm = 0.0
     for i, u, v, frozen in plan:
         if frozen is not None:
-            contrib.pop(frozen, None)  # its value stays inside y permanently
+            contrib[frozen] = None  # its value stays inside y permanently
         p_hat = p_hats[i]
         if p_hat > 0.0:
-            cu = contrib.get(u)
-            cv = contrib.get(v)
+            cu = contrib[u]
+            cv = contrib[v]
             if cu is None:
                 sumterm = 0.0 if cv is None else cv
             else:
@@ -474,10 +536,7 @@ def _martingale_trial(stream, config, neighbors, plan, rng):
                 if hit[i]:
                     step = sumterm
                     y -= sumterm
-                    if cu is not None:
-                        del contrib[u]
-                    if cv is not None:
-                        del contrib[v]
+                    contrib[u] = contrib[v] = None
                 else:
                     grow = 1.0 / (1.0 - p_hat)
                     step = sumterm * (p_hat / (1.0 - p_hat))
@@ -520,6 +579,7 @@ def martingale_monitor(
         )
     neighbors = _neighbors(stream, vertex)
     plan = _walk_plan(stream, vertex, neighbors)
+    start = _live_terms(stream, config, neighbors)
     delta, q = config.delta, config.q
     y0 = len(neighbors) / (delta + q)
     step_bound = 8.0 / q
@@ -532,7 +592,7 @@ def martingale_monitor(
     max_wm = 0.0
     rng = Random(derive_seed(master_seed))  # rng_for(S); trials draw on from it
     for t in range(trials):
-        ym, ms, wm = _martingale_trial(stream, config, neighbors, plan, rng)
+        ym, ms, wm = _martingale_trial(stream, config, start, plan, rng)
         yms.append(ym)
         total += ym
         max_step = max(max_step, ms)

@@ -112,18 +112,20 @@ def _first_done(runs, steps):
     """Advances the runs a step at a time, the one with less work (states
     times their width plus one, summed) first, until one finishes: returns
     its index, its value and the steps counted on from ``steps``.  A run
-    past STEP_LIMIT stops; once every run has, returns None and the steps
-    each run spent."""
-    spent, work = [0] * len(runs), [0] * len(runs)
+    past STEP_LIMIT stops; once every run has, returns None and, per run,
+    the steps it spent and the largest width it reached."""
+    spent, work, peak = [0] * len(runs), [0] * len(runs), [0] * len(runs)
     while True:
         k = work.index(min(work))
         if work[k] == float("inf"):
-            return None, spent, steps
+            return None, list(zip(spent, peak)), steps
         try:
             n, width = next(runs[k])
         except StopIteration as done:
             return k, done.value, steps + spent[k]
         spent[k] += n
+        if width > peak[k]:
+            peak[k] = width
         work[k] = float("inf") if steps + spent[k] > STEP_LIMIT else work[k] + n * (width + 1)
 
 
@@ -224,7 +226,8 @@ def _pass(us, vs, xs, config, exact: bool, times):
             raise OracleLimitError(
                 f"step limit {STEP_LIMIT} exceeded on a component of {len(comp)} arrivals "
                 f"and {ends} vertices, first at t={times[comp[0]]}; its passes stopped at "
-                f"{' and '.join(map(str, done))} steps, after {steps} on earlier components")
+                + " and ".join(f"{n} steps (peak width {w})" for n, w in done)
+                + f", after {steps} on earlier components")
         mass, n = done
         for j, (mg, cs) in got[k].items():
             marginal[j], cond[j] = mg, cs
@@ -243,7 +246,8 @@ def exact_marginals(
     The conditional sums must hit the engine's numerator: 1/(D+q) for the
     matcher, x_e*(1-s) for the rounder.  Raises OracleLimitError once every
     pass racing on a component has passed STEP_LIMIT summed steps, naming
-    the component and the steps its passes and the earlier ones took."""
+    the component, the steps its passes took and the largest width each
+    reached, and the steps the earlier components took."""
     xs = (None,) * stream.m if stream.x is None else stream.x
     # the targets are the engine's own numerators, taken in arrival order
     # before the pass, so that a bad arrival fails under its own time and

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -355,8 +356,9 @@ def test_martingale_single_edge_freezes():
     cfg = MatcherConfig(delta=2, q=1)
     nb = harness._neighbors(s, 0)
     plan = harness._walk_plan(s, 0, nb)
+    start = harness._live_terms(s, cfg, nb)
     for u in (0.0, 0.99):
-        assert harness._martingale_trial(s, cfg, nb, plan, FakeRng([u])) == (1 / 3, 0.0, 0.0)
+        assert harness._martingale_trial(s, cfg, start, plan, FakeRng([u])) == (1 / 3, 0.0, 0.0)
     rep = martingale_monitor(s, cfg, vertex=0, trials=50, master_seed=5)
     assert rep.y0 == 1 / 3 and math.isclose(rep.mean_ym, 1 / 3)
     assert rep.max_step == 0.0 and rep.max_wm == 0.0
@@ -371,12 +373,13 @@ def test_martingale_two_edge_closed_form():
     cfg = MatcherConfig(delta=2, q=1)
     nb = harness._neighbors(s, 0)
     plan = harness._walk_plan(s, 0, nb)
+    start = harness._live_terms(s, cfg, nb)
     p = 1.0 / 3.0
-    ym, max_step, wm = harness._martingale_trial(s, cfg, nb, plan, FakeRng([0.0, 0.99]))
+    ym, max_step, wm = harness._martingale_trial(s, cfg, start, plan, FakeRng([0.0, 0.99]))
     assert ym == 0.0
     assert math.isclose(max_step, p)
     assert math.isclose(wm, p ** 3 / (1 - p))
-    ym, max_step, wm = harness._martingale_trial(s, cfg, nb, plan, FakeRng([0.99, 0.99]))
+    ym, max_step, wm = harness._martingale_trial(s, cfg, start, plan, FakeRng([0.99, 0.99]))
     assert math.isclose(ym, p + p * p / (1 - p))
     assert math.isclose(max_step, p * p / (1 - p))
     assert math.isclose(wm, p ** 3 / (1 - p))
@@ -393,13 +396,14 @@ def test_martingale_walk_skips_only_arrivals_that_cannot_move_y():
     for vertex in (0, 11):
         nb = harness._neighbors(s, vertex)
         walk = harness._walk_plan(s, vertex, nb)
+        start = harness._live_terms(s, cfg, nb)
         every = [(i, u, v, v if u == vertex else (u if v == vertex else None))
                  for i, (u, v) in enumerate(zip(s.u, s.v))]
         assert 0 < len(walk) < len(every) == s.m
         assert {w for *_, w in walk} == {w for *_, w in every} == nb | {None}
         for seed in range(20):
-            full = harness._martingale_trial(s, cfg, nb, every, rng_for(seed))
-            assert harness._martingale_trial(s, cfg, nb, walk, rng_for(seed)) == full
+            full = harness._martingale_trial(s, cfg, start, every, rng_for(seed))
+            assert harness._martingale_trial(s, cfg, start, walk, rng_for(seed)) == full
 
 
 def test_martingale_monitor_regular_instance():
@@ -552,6 +556,57 @@ def test_mc_report_reproducible():
     rng.getrandbits(64 * 5 * tri.m)
     _, trace = run(tri, cfg, rng)
     assert sum(trace.matched) <= 1
+
+
+def test_mc_report_builds_its_rows_on_read():
+    # the report keeps the hits column and one interval per distinct count;
+    # its edges view gives the rows an eager build from those gives, read by
+    # index from either end, by slice and by iteration
+    s = gen_regular(20, 6, seed=3)
+    cfg = MatcherConfig(delta=6, q=1.5)
+    rep = mc_marginals(s, cfg, trials=10, master_seed=4)
+    floor = 1.0 / (6 + 4 * 1.5)
+    assert rep.intervals == {h: wilson_interval(h, 10) for h in set(rep.hits)}
+    eager = [{"time": t, "u": u, "v": v, "hits": h, "frequency": h / 10,
+              "ci_lo": wilson_interval(h, 10)[0], "ci_hi": wilson_interval(h, 10)[1],
+              "below_bound": wilson_interval(h, 10)[1] < floor}
+             for t, u, v, h in zip(itertools.count(1), s.u, s.v, rep.hits)]
+    view = rep.edges
+    assert len(view) == s.m == 60 and len({e["hits"] for e in eager}) > 1
+    assert list(view[0]) == list(eager[0])  # the keys in row order, as the JSON writes them
+    assert list(view) == eager and view == eager and eager == view
+    assert [view[k] for k in range(s.m)] == eager
+    assert [view[-k] for k in range(1, s.m + 1)] == eager[::-1]
+    assert view[5:9] == tuple(eager[5:9]) and view[::-7] == tuple(eager[::-7])
+    for k in (s.m, -s.m - 1):
+        with pytest.raises(IndexError):
+            view[k]
+    assert rep.columns() == {k: [e[k] for e in eager] for k in harness.MC_COLUMNS}
+    bumped = [dict(e) for e in eager]
+    bumped[-1]["hits"] += 1
+    assert view != bumped and view != eager[:-1] and view != "edges"
+    view[0]["hits"] += 1  # a row read is the reader's own: the report does not move
+    assert view[0] == eager[0]
+    # two reports from the same seed compare equal, and one from another seed does not
+    assert mc_marginals(s, cfg, trials=10, master_seed=4).edges == view
+    assert mc_marginals(s, cfg, trials=10, master_seed=5).edges != view
+
+
+def test_mc_memory_per_arrival_is_bounded():
+    # one call holds the hits column, one trial's 0/1 column and one audited
+    # trace at a time, about 110 B per arrival at its peak; rows built
+    # eagerly (about 340 B) or the last trial's trace kept through the next
+    # (about 190 B) exceed the bound
+    s = gen_regular(500, 50, 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = mc_marginals(s, MatcherConfig(delta=50, q=5.0), harness.AUDIT_TRIALS + 1, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.violations == [] and s.m == 12500
+    assert peak / s.m < 150, peak / s.m
 
 
 def test_mc_single_trial_degenerate():
@@ -870,8 +925,8 @@ def test_verify_stream_notes_an_oracle_skipped_over_the_step_limit(monkeypatch):
     monkeypatch.setattr(oracle, "STEP_LIMIT", 20)
     out = verify_stream(path(21), MatcherConfig(delta=2, q=1.0), trials=50, master_seed=3)
     assert out["note"] == ("oracle skipped: step limit 20 exceeded on a component of 21 arrivals "
-                           "and 22 vertices, first at t=1; its passes stopped at 24 steps, "
-                           "after 0 on earlier components")
+                           "and 22 vertices, first at t=1; its passes stopped at 24 steps "
+                           "(peak width 2), after 0 on earlier components")
     assert "branches" not in out and all("oracle" not in r for r in out["edges"])
     assert out["violations"] == []
 

@@ -148,16 +148,33 @@ def test_the_limit_error_names_where_it_tripped(monkeypatch):
     with pytest.raises(OracleLimitError) as err:
         exact_marginals(make_stream(7, 2, edges), cfg)
     assert str(err.value) == ("step limit 11 exceeded on a component of 3 arrivals and 3 vertices, "
-                              "first at t=1; its passes stopped at 6 steps, after 6 on earlier "
-                              "components")
+                              "first at t=1; its passes stopped at 6 steps (peak width 3), after 6 "
+                              "on earlier components")
     monkeypatch.setattr(oracle, "STEP_LIMIT", 23)
-    with pytest.raises(OracleLimitError, match="3 vertices, first at t=1; its passes stopped at "
-                                               "6 steps, after 18 on earlier components$"):
+    with pytest.raises(OracleLimitError, match=r"3 vertices, first at t=1; its passes stopped at "
+                                               r"6 steps \(peak width 3\), after 18 on earlier "
+                                               r"components$"):
         exact_colored_marginals(make_stream(7, 2, edges, lists=[(1, 2)] * 6), 2, 1.0)
     monkeypatch.setattr(oracle, "STEP_LIMIT", 60)
-    with pytest.raises(OracleLimitError, match="on a component of 60 arrivals and 40 vertices, "
-                                               "first at t=1; its passes stopped at 63 and 63 steps"):
+    with pytest.raises(OracleLimitError, match=r"on a component of 60 arrivals and 40 vertices, "
+                                               r"first at t=1; its passes stopped at 63 steps "
+                                               r"\(peak width 6\) and 63 steps \(peak width 11\)"):
         exact_marginals(reorder(gen_regular(40, 3, seed=1), "random", 2), MatcherConfig(delta=3, q=1.0))
+
+
+def test_the_limit_error_names_each_pass_peak_width(monkeypatch):
+    # (0, 1), (1, 2), (0, 3) is one component of two maximal cones,
+    # {(0, 1), (0, 3)} and {(0, 1), (1, 2)}, so two passes race on it.  A
+    # vertex's slot is freed after its last arrival in the pass, so each
+    # cone holds two vertices at a time, and the component's own pass holds
+    # 0, 1 and 2 at its second arrival
+    s = make_stream(4, 2, [(0, 1), (1, 2), (0, 3)])
+    monkeypatch.setattr(oracle, "STEP_LIMIT", 3)
+    with pytest.raises(OracleLimitError) as err:
+        exact_marginals(s, MatcherConfig(delta=2, q=1.0))
+    assert str(err.value) == ("step limit 3 exceeded on a component of 3 arrivals and 4 vertices, "
+                              "first at t=1; its passes stopped at 4 steps (peak width 2) and 5 "
+                              "steps (peak width 3), after 0 on earlier components")
 
 
 def test_a_matching_walks_each_edge_on_its_own(monkeypatch):
